@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -56,12 +57,23 @@ def parse_theta(text: str) -> float:
     return float(text)
 
 
+def _usage_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
+
+
 def _coin_from_args(args) -> CoinOperator:
     if getattr(args, "theta", None) is not None:
-        return theta_coin(parse_theta(args.theta))
-    if args.coin == "hadamard":
+        option, text = "--theta", args.theta
+    elif args.coin == "hadamard":
         return hadamard_coin()
-    return theta_coin(parse_theta(args.coin))
+    else:
+        option, text = "--coin", args.coin
+    try:
+        theta = parse_theta(text)
+    except ValueError:
+        _usage_error(f"{option} {text!r} is not an angle like 1.2 or 0.5pi")
+    return theta_coin(theta)
 
 
 def _topology_from_args(args):
@@ -72,11 +84,9 @@ def _topology_from_args(args):
         try:
             n = int(text.split(":", 1)[1])
         except ValueError:
-            raise SystemExit(USAGE_ERROR)
+            _usage_error(f"circle size must be an integer, got {text!r}")
         return Circle(n)
-    print(f"error: topology must be 'line' or 'circle:N', got {text!r}",
-          file=sys.stderr)
-    raise SystemExit(USAGE_ERROR)
+    _usage_error(f"topology must be 'line' or 'circle:N', got {text!r}")
 
 
 def _emit(args, header: list[str], rows: list[list], extra: dict | None = None) -> None:
@@ -143,6 +153,8 @@ def cmd_asymptotic(args) -> None:
     if coin.label != "hadamard":
         raise DomainError("the oscillatory asymptotic formula is Hadamard-only")
     t = args.steps
+    if t < 1:
+        raise DomainError("the asymptotic formula needs --steps >= 1")
     edge = support_edge("hadamard")
     rows = []
     for n in range(-t, t + 1):
@@ -173,6 +185,8 @@ def cmd_moments(args) -> None:
 
 
 def cmd_mix(args) -> None:
+    if not math.isfinite(args.delta):
+        _usage_error(f"--delta must be finite, got {args.delta!r}")
     coin = _coin_from_args(args)
     topo = _topology_from_args(args)
     if not isinstance(topo, Circle):
@@ -199,7 +213,11 @@ def cmd_symmetry(args) -> None:
 
 def cmd_compare(args) -> None:
     coin = _coin_from_args(args)
+    if not isinstance(_topology_from_args(args), Line):
+        raise DomainError("compare runs on the line")
     t = args.steps
+    if t < 1:
+        raise DomainError("compare needs --steps >= 1")
     psi0 = initial_state(args.init, Line())
     exact = evolve_line(psi0, coin, t)
     spectral = evolve_spectral(psi0, coin, t)

@@ -41,6 +41,17 @@ class DomainError(ValueError):
     """A parameter violates an operation's stated precondition."""
 
 
+def check_steps(steps: int) -> None:
+    """Reject a negative step count or one above :data:`MAX_STEPS`.
+
+    Evolvers call this before they allocate anything sized by ``steps``.
+    """
+    if steps < 0:
+        raise DomainError("steps must be nonnegative")
+    if steps > MAX_STEPS:
+        raise DomainError(f"steps capped at {MAX_STEPS}")
+
+
 @dataclass(frozen=True)
 class Line:
     """Unbounded line topology; ``offset`` is the site of the first entry."""

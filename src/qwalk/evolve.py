@@ -15,12 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    MAX_STEPS,
     Circle,
     CoinOperator,
     DomainError,
     Line,
     WaveFunction,
+    check_steps,
     step_matrices,
 )
 
@@ -57,13 +57,6 @@ class ProbabilityDistribution:
         return np.arange(start, start + len(self.masses))
 
 
-def _check_steps(steps: int) -> None:
-    if steps < 0:
-        raise DomainError("steps must be nonnegative")
-    if steps > MAX_STEPS:
-        raise DomainError(f"steps capped at {MAX_STEPS}")
-
-
 def evolve_line(
     psi: WaveFunction,
     coin: CoinOperator,
@@ -77,7 +70,7 @@ def evolve_line(
     """
     if not isinstance(psi.topology, Line):
         raise DomainError("evolve_line needs line topology")
-    _check_steps(steps)
+    check_steps(steps)
     if adjoint and steps > psi.time:
         raise DomainError("cannot rewind past t = 0")
 
@@ -117,7 +110,7 @@ def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunc
     """
     if not isinstance(psi.topology, Circle):
         raise DomainError("evolve_circle needs circle topology")
-    _check_steps(steps)
+    check_steps(steps)
 
     sm = step_matrices(coin)
     mp_t, mm_t = sm.m_plus.T, sm.m_minus.T

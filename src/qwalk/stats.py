@@ -203,6 +203,8 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
 
     Quantum specs evolve the coined walk from ``spec.init``; classical
     specs run the exact DP of the symmetric random walk from site 0.
+    Both compare against uniform over all sites on an odd cycle and
+    against uniform on the occupied parity class on an even one.
     The trace of (t, TV) values is always returned in full up to the
     crossing (or the cap, if never reached).
     """
@@ -213,11 +215,16 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
     trace = []
     crossing: int | None = None
     if spec.classical:
+        if n % 2:
+            targets = [np.full(n, 1.0 / n)]
+        else:
+            # uniform on the occupied parity class x = t (mod 2)
+            targets = [np.where(np.arange(n) % 2 == p, 2.0 / n, 0.0) for p in (0, 1)]
         d = np.zeros(n)
         d[0] = 1.0
         for t in range(1, t_cap + 1):
             d = _classical_circle_step(d)
-            tv = total_variation(d, np.full(n, 1.0 / n))
+            tv = total_variation(d, targets[t % len(targets)])
             trace.append(tv)
             if tv <= delta:
                 crossing = t

@@ -211,6 +211,31 @@ def test_domain_errors_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["compare", "asymptotic"])
+def test_zero_steps_is_a_domain_error(command, capsys):
+    code, _, err = run_cli([command, "--steps", "0"], capsys)
+    assert code == 3 and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_compare_refuses_circle(capsys):
+    code, _, err = run_cli(["compare", "--topology", "circle:31"], capsys)
+    assert code == 3 and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--coin", "abc"],
+    ["simulate", "--theta", "abc"],
+    ["simulate", "--topology", "circle:x"],
+    ["mix", "--topology", "circle:31", "--delta", "nan"],
+], ids=["coin", "theta", "circle-size", "delta-nan"])
+def test_bad_values_are_one_line_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_threads_env_var_validation(capsys, monkeypatch):
     code, out, _ = run_cli(
         ["simulate", "--steps", "4"], capsys,

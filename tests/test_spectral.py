@@ -178,3 +178,54 @@ def test_spectral_rejects_circle_and_negative_t():
         evolve_spectral(initial_state("left", Circle(5)), hadamard_coin(), 3)
     with pytest.raises(DomainError):
         evolve_spectral(initial_state("left"), hadamard_coin(), -1)
+
+
+@pytest.mark.parametrize(
+    "coin", [hadamard_coin(), theta_coin(2.2)], ids=["hadamard", "theta"]
+)
+def test_spectral_matches_direct_evolution_at_t2000(coin):
+    psi0 = initial_state("symmetric")
+    a = evolve_line(psi0, coin, 2000)
+    b = evolve_spectral(psi0, coin, 2000)
+    assert np.array_equal(a.sites, b.sites)
+    assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
+
+
+def test_spectral_continues_from_evolved_state():
+    # input offset -30 at time 30: rows wrap through sites % N
+    coin = theta_coin(1.3)
+    psi0 = initial_state(np.array([0.6, 0.8j]))
+    mid = evolve_line(psi0, coin, 30)
+    a = evolve_spectral(mid, coin, 40)
+    b = evolve_line(psi0, coin, 70)
+    assert a.time == b.time == 70
+    assert np.array_equal(a.sites, b.sites)
+    assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
+
+
+def test_spectral_odd_sample_count():
+    psi0 = initial_state("symmetric")
+    a = evolve_line(psi0, hadamard_coin(), 20)
+    b = evolve_spectral(psi0, hadamard_coin(), 20, n_samples=45)
+    assert np.array_equal(a.sites, b.sites)
+    assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
+
+
+def test_spectral_memory_is_linear_in_t():
+    # the dense n_out x N inverse DFT matrix at t = 4000 alone is 1 GB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        evolve_spectral(initial_state("left"), hadamard_coin(), 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_spectral_rejects_too_many_steps():
+    from qwalk.core import MAX_STEPS
+
+    with pytest.raises(DomainError):
+        evolve_spectral(initial_state("left"), hadamard_coin(), MAX_STEPS + 1)

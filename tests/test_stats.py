@@ -157,6 +157,14 @@ def test_mixing_time_classical_instance():
     assert rep.reached and rep.time == 77
 
 
+def test_mixing_time_classical_even_cycle_uses_parity_class():
+    rep = mixing_time(WalkSpec(Circle(64), classical=True), 0.3, t_cap=2000)
+    assert rep.reached and rep.time == 157
+    for t in (1, 2, 156, 157):
+        parity_tv = tv_distance(classical_walk(64, t), "uniform_parity")
+        assert rep.tv_trace[t - 1] == pytest.approx(parity_tv, abs=1e-12)
+
+
 def test_mixing_time_can_fail_to_reach():
     # theta = pi never spreads beyond three sites
     spec = WalkSpec(Circle(9), theta_coin(math.pi))
