@@ -113,7 +113,11 @@ def _emit(args, header: list[str], rows: list[list], extra: dict | None = None) 
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w") as fh:
+        try:
+            fh = open(args.output, "w")
+        except OSError as exc:
+            _usage_error(f"cannot write --output {args.output!r}: {exc.strerror}")
+        with fh:
             fh.write(text)
 
 
@@ -187,6 +191,8 @@ def cmd_moments(args) -> None:
 def cmd_mix(args) -> None:
     if not math.isfinite(args.delta):
         _usage_error(f"--delta must be finite, got {args.delta!r}")
+    if args.t_cap < 1:
+        _usage_error(f"--t-cap must be at least 1, got {args.t_cap}")
     coin = _coin_from_args(args)
     topo = _topology_from_args(args)
     if not isinstance(topo, Circle):

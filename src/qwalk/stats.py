@@ -206,10 +206,14 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
     Both compare against uniform over all sites on an odd cycle and
     against uniform on the occupied parity class on an even one.
     The trace of (t, TV) values is always returned in full up to the
-    crossing (or the cap, if never reached).
+    crossing (or the cap, if never reached).  ``t_cap`` must be at
+    least 1; it is not bounded above, because the scan stops at the
+    crossing.
     """
     if not isinstance(spec.topology, Circle):
         raise DomainError("mixing_time is defined on the circle")
+    if t_cap < 1:
+        raise DomainError(f"t_cap must be at least 1, got {t_cap}")
     n = spec.topology.size
     reference = "uniform_all" if n % 2 else "uniform_parity"
     trace = []

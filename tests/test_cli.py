@@ -186,6 +186,16 @@ def test_output_file(tmp_path, capsys):
     assert header[0] == "n" and len(rows) == 17
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--steps", "3", "--output", str(target)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -227,7 +237,9 @@ def test_compare_refuses_circle(capsys):
     ["simulate", "--theta", "abc"],
     ["simulate", "--topology", "circle:x"],
     ["mix", "--topology", "circle:31", "--delta", "nan"],
-], ids=["coin", "theta", "circle-size", "delta-nan"])
+    ["mix", "--topology", "circle:31", "--delta", "0.3", "--t-cap", "0"],
+    ["mix", "--topology", "circle:31", "--delta", "0.3", "--t-cap", "-5"],
+], ids=["coin", "theta", "circle-size", "delta-nan", "t-cap-0", "t-cap-negative"])
 def test_bad_values_are_one_line_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwalk import (
     Circle,
+    CoinOperator,
     DomainError,
     Line,
+    WaveFunction,
     distribution,
     evolve_circle,
     evolve_line,
@@ -74,6 +78,16 @@ def test_parity_forbidden_sites_are_exact_zeros():
     assert np.all(psi.amplitudes[odd] == 0.0)
 
 
+def test_zeros_of_the_result_are_positive():
+    # -1 times a +0.0 entry is -0.0, which the CSV would print as "-0"
+    coin = CoinOperator(-np.eye(2), 0.0)
+    for adjoint in (False, True):
+        psi = evolve_line(initial_state("left"), coin, 3)
+        psi = evolve_line(psi, coin, 3 if adjoint else 0, adjoint=adjoint)
+        values = psi.amplitudes.view(np.float64)
+        assert not np.any(np.signbit(values[values == 0]))
+
+
 def test_adjoint_reverses_evolution():
     psi0 = initial_state("symmetric")
     coin = hadamard_coin()
@@ -134,3 +148,87 @@ def test_distribution_normalises_and_sites_align():
     assert d.masses.sum() == pytest.approx(1.0, abs=1e-12)
     assert d.sites[0] == -100 and d.sites[-1] == 100
     assert np.all(d.masses >= 0)
+
+
+# --- property tests over random U(2) coins and states ----------------------
+
+angles = st.floats(-math.pi, math.pi)
+parts = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def u2_coins(draw):
+    """A random U(2) coin; about half are real and take the float64 path."""
+    phi = draw(angles)
+    c, s = math.cos(phi), math.sin(phi)
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        matrix = np.array([[c, s], [-sign * s, sign * c]])
+    else:
+        alpha, beta, gamma = draw(angles), draw(angles), draw(angles)
+        matrix = np.exp(1j * alpha) * np.array([
+            [np.exp(1j * beta) * c, np.exp(1j * gamma) * s],
+            [-np.exp(-1j * gamma) * s, np.exp(-1j * beta) * c],
+        ])
+    return CoinOperator(matrix, 0.0)
+
+
+@st.composite
+def line_states(draw):
+    """Mixed-parity amplitudes (or a single parity class) at any offset and time."""
+    n = draw(st.integers(1, 12))
+    amps = np.array(draw(st.lists(parts, min_size=4 * n, max_size=4 * n)))
+    amps = (amps[0::2] + 1j * amps[1::2]).reshape(n, 2)
+    keep = draw(st.sampled_from(["both", "even", "odd"]))
+    if keep != "both":
+        amps[(np.arange(n) % 2 == 0) == (keep == "odd")] = 0
+    offset = draw(st.integers(-20, 20))
+    return WaveFunction(Line(offset), amps, draw(st.integers(0, 50)))
+
+
+def per_site_walk(psi, u, steps):
+    """The walk written out site by site: coin, then L moves left, R right."""
+    amps, offset = psi.amplitudes, psi.topology.offset
+    for _ in range(steps):
+        new = np.zeros((amps.shape[0] + 2, 2), dtype=np.complex128)
+        for j, pair in enumerate(amps):
+            left, right = u @ pair
+            new[j, 0] += left  # site offset + j - 1 is row j after the shift
+            new[j + 2, 1] += right
+        amps, offset = new, offset - 1
+    return amps, offset
+
+
+@settings(max_examples=60, deadline=None)
+@given(u2_coins(), line_states(), st.integers(0, 40))
+def test_evolve_line_matches_per_site_recurrence(coin, psi, steps):
+    out = evolve_line(psi, coin, steps)
+    amps, offset = per_site_walk(psi, coin.matrix, steps)
+    assert out.time == psi.time + steps
+    assert out.topology.offset == offset
+    assert out.amplitudes.shape == amps.shape
+    assert np.max(np.abs(out.amplitudes - amps), initial=0.0) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(u2_coins(), line_states(), st.integers(0, 40))
+def test_adjoint_undoes_forward(coin, psi, steps):
+    back = evolve_line(evolve_line(psi, coin, steps), coin, steps, adjoint=True)
+    n = psi.amplitudes.shape[0]
+    assert back.time == psi.time
+    assert back.topology.offset == psi.topology.offset - 2 * steps
+    inner = back.amplitudes[2 * steps:2 * steps + n]
+    assert np.max(np.abs(inner - psi.amplitudes)) < 1e-12
+    outer = np.concatenate([back.amplitudes[:2 * steps], back.amplitudes[2 * steps + n:]])
+    assert np.max(np.abs(outer), initial=0.0) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(u2_coins(), st.tuples(parts, parts, parts, parts), st.integers(0, 40),
+       st.integers(0, 40))
+def test_origin_start_forbidden_sites_are_positive_zeros(coin, pair, steps, back):
+    psi = WaveFunction(Line(), [[pair[0] + 1j * pair[1], pair[2] + 1j * pair[3]]])
+    psi = evolve_line(psi, coin, steps)
+    psi = evolve_line(psi, coin, min(back, steps), adjoint=True)
+    forbidden = psi.amplitudes[(psi.sites + psi.time) % 2 == 1].view(np.float64)
+    assert np.all(forbidden == 0) and not np.any(np.signbit(forbidden))

@@ -229,3 +229,22 @@ def test_spectral_rejects_too_many_steps():
 
     with pytest.raises(DomainError):
         evolve_spectral(initial_state("left"), hadamard_coin(), MAX_STEPS + 1)
+
+
+@pytest.mark.parametrize("width, t", [(1, 0), (1, 1), (1, 2000), (3, 200000), (17, 4321)])
+def test_default_grid_is_even_and_5_smooth(width, t):
+    from qwalk.spectral import _grid_size
+
+    n = _grid_size(width, t, None)
+    assert n % 2 == 0 and n >= width + 2 * t
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    assert n == 1
+
+
+def test_explicit_sample_count_is_kept():
+    from qwalk.spectral import _grid_size
+
+    assert _grid_size(1, 20, 45) == 45
+    assert _grid_size(1, 20, 137) == 137

@@ -178,6 +178,12 @@ def test_mixing_time_requires_circle():
         mixing_time(WalkSpec(Line()), 0.3, 100)
 
 
+@pytest.mark.parametrize("t_cap", [0, -5])
+def test_mixing_time_rejects_cap_below_one(t_cap):
+    with pytest.raises(DomainError):
+        mixing_time(WalkSpec(Circle(31)), 0.3, t_cap)
+
+
 def test_cesaro_average_single_term():
     spec = WalkSpec(Circle(9), init="left")
     avg = cesaro_average(spec, 1)
