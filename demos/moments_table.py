@@ -28,7 +28,7 @@ print(f"Hadamard walk, left start, t = {T}")
 print(f"{'moment':<10} {'simulation':>12} {'density':>12}")
 for name, m, absolute in (("mean", 1, False), ("abs_mean", 1, True), ("second", 2, False)):
     sim = moment(d, m, absolute=absolute).value
-    quad = analytic_moment("hadamard", name).value
+    quad = analytic_moment(hadamard_coin(), "left", name).value
     print(f"{name:<10} {sim:>12.6f} {quad:>12.6f}")
 
 dc = classical_walk(Line(), T)

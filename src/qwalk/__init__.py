@@ -3,13 +3,12 @@
 Three independent routes to the same dynamics — the direct two-term
 recurrence, the exact Fourier-domain (spectral) solution, and
 stationary-phase asymptotics — plus moment/mixing statistics and
-unbiasedness diagnostics for the one-parameter coin family.
+unbiasedness diagnostics, for any U(2) coin.
 """
 
 __version__ = "0.1.0"
 
 from .asymptotics import (
-    AsymptoticModel,
     StationaryPointData,
     asymptotic_wavefunction,
     density,
@@ -17,7 +16,6 @@ from .asymptotics import (
     density_moment,
     frontier_peak,
     p_asymptotic,
-    p_slow,
     stationary_point,
 )
 from .core import (
@@ -39,10 +37,6 @@ from .evolve import (
     evolve_line,
 )
 from .spectral import (
-    SpectralDecomposition,
-    TransferMatrix,
-    dispersion,
-    eigensystem,
     evolve_spectral,
     fourier_amplitudes,
     transfer_matrix,

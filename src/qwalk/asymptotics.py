@@ -1,23 +1,29 @@
-"""Stationary-phase closed forms for the large-time wavefunction.
+"""Large-time closed forms: the limiting density and stationary phase.
 
-At scaled position ``alpha = n/t`` the inverse-transform integrals are
-dominated by the stationary points of the phase ``-(w_k + alpha k)``.
-Inside the propagation cone ``|alpha| < cos(theta/2)`` this yields a
-``1/sqrt(t)`` wavefunction with an explicit oscillatory structure; at
-the cone edges the stationary point degenerates to third order and the
-amplitude drops to ``t^{-1/3}`` (the frontier peaks); outside, the
-amplitude decays faster than any inverse polynomial.
+Weak limit (any U(2) coin, any initial pair).  ``X_t / t`` converges in
+law to a density on ``|alpha| < |u00|`` that depends only on ``|u00|``,
+``|u01|`` and the initial chirality (N. Konno, J. Math. Soc. Japan 57
+(2005); Grimmett, Janson and Scudo, Phys. Rev. E 69, 026119 (2004)):
+
+    p(alpha) = |u01| (1 - lam alpha) / (pi (1 - alpha^2) sqrt(|u00|^2 - alpha^2)),
+    lam = |a|^2 - |b|^2 + 2 Re(u00 a conj(u01 b)) / |u00|^2
+
+for the initial pair ``(a, b)``.  Its moments have closed forms, which
+the tests use as the regression gate: ``E alpha = -lam (1 - |u01|)``,
+``E alpha^2 = 1 - |u01|`` and ``E|alpha| = 1 - (2/pi) arccos|u00|``.
+
+Stationary phase (Hadamard coin, left start).  At scaled position
+``alpha = n/t`` the inverse-transform integrals are dominated by the
+stationary points of the phase ``-(w_k + alpha k)``, where ``sin w_k =
+sin k / sqrt2``.  Inside the propagation cone ``|alpha| < 1/sqrt2`` this
+yields a ``1/sqrt(t)`` wavefunction with an explicit oscillatory
+structure; at the cone edges the stationary point degenerates to third
+order and the amplitude drops to ``t^{-1/3}`` (the frontier peaks);
+outside, the amplitude decays faster than any inverse polynomial.
 
 All interior formulas refuse evaluation within ``epsilon`` of the edge:
 the ``O(t^{-2/3})``-wide transition profile there is deliberately
 unmodeled, and the leading curvature term blows up as ``w'' -> 0``.
-
-Two stationary-point branches are provided, matching the two dispersion
-conventions of :mod:`qwalk.spectral`: the Hadamard branch with
-``k_alpha in [0, pi]`` (``cos k_alpha = -alpha / sqrt(1 - alpha^2)``)
-and the general-theta branch with ``k_alpha in [-pi/2, pi/2]``
-(``sin k_alpha = alpha tan(theta/2) / sqrt(1 - alpha^2)``).  Only
-branch-invariant quantities (|w''|, eigenvalue sets) coincide.
 
 A note on the oscillatory probability formula: expanding the probability
 as |psi_L|^2 + |psi_R|^2 is consistent with the right-chirality envelope
@@ -32,15 +38,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
-from .core import DomainError
+from .core import CoinOperator, DomainError, chirality_pair
 
 __all__ = [
-    "AsymptoticModel",
     "StationaryPointData",
     "stationary_point",
     "p_asymptotic",
-    "p_slow",
+    "support_edge",
     "density",
     "density_moment",
     "density_integral",
@@ -49,7 +55,6 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2)
-HADAMARD = "hadamard"
 
 #: Default interior margin (in alpha units) before the cone edge.
 DEFAULT_EPSILON = 0.02
@@ -57,21 +62,23 @@ DEFAULT_EPSILON = 0.02
 #: Panels of the composite Simpson rule used for density quadrature.
 QUADRATURE_PANELS = 2000
 
+#: Least ``panels * |u01|`` the quadrature accepts.  The substituted
+#: integrand has poles ``|u01|`` off the real axis, so the Simpson error
+#: falls like ``exp(-panels |u01|)``: about 4e-11 at this floor.
+MIN_PANELS_PER_WIDTH = 24
 
-def support_edge(theta: float | str) -> float:
-    """Edge velocity ``cos(theta/2)`` of the propagation cone."""
-    if theta == HADAMARD:
-        return 1 / SQRT2
-    return math.cos(float(theta) / 2)
+
+def support_edge(coin: CoinOperator) -> float:
+    """Edge velocity ``|u00|`` of the propagation cone."""
+    return float(abs(coin.matrix[0, 0]))
 
 
 @dataclass(frozen=True)
 class StationaryPointData:
     """Stationary point of the inverse-transform phase at one alpha.
 
-    ``curvature`` is ``|w''|`` at the stationary point; ``phase`` is the
-    stationary value of the branch phase (for the Hadamard branch,
-    ``phi(alpha) = -(w_{k_alpha} + alpha k_alpha)``).
+    ``curvature`` is ``|w''|`` at the stationary point; ``phase`` is
+    ``phi(alpha) = -(w_{k_alpha} + alpha k_alpha)``.
     """
 
     alpha: float
@@ -80,8 +87,8 @@ class StationaryPointData:
     curvature: float
 
 
-def _require_interior(alpha: float, theta: float | str, epsilon: float) -> None:
-    edge = support_edge(theta)
+def _require_interior(alpha: float, epsilon: float) -> None:
+    edge = 1 / SQRT2
     if abs(alpha) > edge - epsilon:
         raise DomainError(
             f"|alpha| = {abs(alpha):.6g} is within {epsilon} of the cone edge "
@@ -89,29 +96,19 @@ def _require_interior(alpha: float, theta: float | str, epsilon: float) -> None:
         )
 
 
-def stationary_point(alpha: float, theta: float | str = HADAMARD) -> StationaryPointData:
-    """Solve the stationary-phase condition at scaled position ``alpha``.
+def stationary_point(alpha: float) -> StationaryPointData:
+    """Solve the Hadamard stationary-phase condition at ``alpha``.
 
-    Requires ``|alpha| < cos(theta/2)`` strictly (use the frontier/decay
-    results otherwise).
+    Requires ``|alpha| < 1/sqrt2`` strictly (use the frontier/decay
+    results otherwise).  ``k_alpha`` lies in [0, pi], with ``cos k_alpha
+    = -alpha / sqrt(1 - alpha^2)``.
     """
-    edge = support_edge(theta)
-    if abs(alpha) >= edge:
-        raise DomainError(f"stationary point needs |alpha| < {edge:.6g}")
-    r = alpha / math.sqrt(1 - alpha * alpha)
-    if theta == HADAMARD:
-        k = math.acos(-r)  # [0, pi]
-        w = math.asin(math.sin(k) / SQRT2)
-        phase = -(w + alpha * k)
-        curv = (1 - alpha * alpha) * math.sqrt(1 - 2 * alpha * alpha)
-    else:
-        th = float(theta)
-        if not 0 < th < math.pi:
-            raise DomainError("theta branch needs theta in (0, pi)")
-        k = math.asin(r * math.tan(th / 2))  # [-pi/2, pi/2]
-        w = math.acos(math.cos(th / 2) * math.cos(k))
-        phase = w - alpha * k
-        curv = (1 - alpha * alpha) * math.sqrt(edge * edge - alpha * alpha) / math.sin(th / 2)
+    if abs(alpha) >= 1 / SQRT2:
+        raise DomainError(f"stationary point needs |alpha| < {1 / SQRT2:.6g}")
+    k = math.acos(-alpha / math.sqrt(1 - alpha * alpha))
+    w = math.asin(math.sin(k) / SQRT2)
+    phase = -(w + alpha * k)
+    curv = (1 - alpha * alpha) * math.sqrt(1 - 2 * alpha * alpha)
     return StationaryPointData(alpha=float(alpha), k_alpha=k, phase=phase, curvature=curv)
 
 
@@ -123,13 +120,13 @@ def asymptotic_wavefunction(
     ``alpha * t`` must be an integer; parity-forbidden sites give an
     exact ``(0, 0)`` through the vanishing parity prefactor.
     """
-    _require_interior(alpha, HADAMARD, epsilon)
+    _require_interior(alpha, epsilon)
     n = round(alpha * t)
     if abs(alpha * t - n) > 1e-9:
         raise DomainError("alpha * t must be an integer site")
     if (n + t) % 2:
         return np.zeros(2, dtype=np.complex128)
-    sp = stationary_point(alpha, HADAMARD)
+    sp = stationary_point(alpha)
     x = sp.phase * t + math.pi / 4
     pref = 2 / math.sqrt(2 * math.pi * t * sp.curvature)
     psi_l = (1 - alpha) * math.cos(x)
@@ -151,102 +148,91 @@ def p_asymptotic(alpha: float, t: int, epsilon: float = DEFAULT_EPSILON) -> floa
     return float(np.sum(np.abs(psi) ** 2))
 
 
-def p_slow(
-    alpha: float,
-    t: int,
-    theta: float | str = HADAMARD,
-    start: str = "left",
-    epsilon: float = DEFAULT_EPSILON,
+def _density_terms(
+    coin: CoinOperator, init: str | NDArray[np.complex128]
+) -> tuple[float, float, float]:
+    """``(|u00|, |u01|, lam |u00|)`` of the limiting density.
+
+    ``lam`` only ever multiplies an ``alpha`` with ``|alpha| < |u00|``,
+    so the product is what is returned: it stays bounded (by 1) as
+    ``|u00| -> 0``, where ``lam`` itself diverges.
+    """
+    u = coin.matrix
+    a, b = chirality_pair(init)
+    edge, width = abs(u[0, 0]), abs(u[0, 1])
+    tilt = edge * (abs(a) ** 2 - abs(b) ** 2)
+    if edge > 0:
+        tilt += 2 * (u[0, 0] * a * np.conj(u[0, 1] * b)).real / edge
+    return float(edge), float(width), float(tilt)
+
+
+def _density_u(sin_u, cos_u, width: float, tilt: float):
+    """Density times ``d alpha / d u`` under ``alpha = |u00| sin u``.
+
+    The ``|u00| cos u`` Jacobian cancels the edge singularity, and
+    ``1 - alpha^2`` is written as ``cos^2 u + |u01|^2 sin^2 u`` to avoid
+    cancellation near the edge.  This is the one place the formula lives.
+    """
+    return width * (1 - tilt * sin_u) / (math.pi * (cos_u**2 + (width * sin_u) ** 2))
+
+
+def density(
+    alpha: float, coin: CoinOperator, init: str | NDArray[np.complex128]
 ) -> float:
-    """Non-oscillating envelope of the site probability.
+    """Limiting density of ``X_t / t`` at ``alpha`` (Konno's formula).
 
-    ``start="left"`` is the Hadamard left-chirality variant carrying
-    the ``(1 - alpha)`` factor; ``start="symmetric"`` is the
-    symmetric-start envelope ``1 / (pi t w'')`` valid for any theta.
-    The two must not be conflated.
+    ``init`` is anything :func:`qwalk.core.initial_state` accepts.
+    Diverges integrably like ``(|u00|^2 - alpha^2)^{-1/2}`` at the cone
+    edge; quadrature goes through :func:`density_integral`.  A coin with
+    ``u01 = 0`` has no density: the walker moves ballistically.
     """
-    _require_interior(alpha, theta, epsilon)
-    sp = stationary_point(alpha, theta)
-    if start == "left":
-        if theta != HADAMARD:
-            raise DomainError("the left-start envelope is derived for the Hadamard walk")
-        return (1 - alpha) / (math.pi * t * sp.curvature)
-    if start == "symmetric":
-        return 1 / (math.pi * t * sp.curvature)
-    raise DomainError(f"unknown start {start!r}")
-
-
-def density(alpha: float, theta: float | str = HADAMARD, start: str = "left") -> float:
-    """Limiting density ``p(alpha) = t * P_slow(alpha, t)`` (t-independent).
-
-    Diverges integrably like ``(edge^2 - alpha^2)^{-1/2}`` at the cone
-    edge; quadrature goes through :func:`density_integral`.
-    """
-    edge = support_edge(theta)
+    edge, width, tilt = _density_terms(coin, init)
     if abs(alpha) >= edge:
         raise DomainError(f"density support is |alpha| < {edge:.6g}")
-    return p_slow(alpha, 1, theta, start, epsilon=0.0)
-
-
-def _density_u_integrand(theta: float | str, start: str):
-    """Density times ``d alpha / d u`` under ``alpha = edge sin u``.
-
-    The substitution removes the endpoint singularity analytically: the
-    ``edge cos u`` Jacobian cancels the ``1/sqrt(edge^2 - alpha^2)``
-    factor, leaving a smooth integrand on ``[-pi/2, pi/2]``.
-    """
-    edge = support_edge(theta)
-    if theta == HADAMARD:
-        if start != "left":
-            raise DomainError("the Hadamard density variant here is left-start")
-
-        def f(u, weight):
-            alpha = edge * np.sin(u)
-            return weight(alpha) * (1 - alpha) / (SQRT2 * math.pi * (1 - alpha**2))
-    else:
-        th = float(theta)
-        if not 0 < th < math.pi:
-            raise DomainError("theta must be in (0, pi)")
-        if start != "symmetric":
-            raise DomainError("the general-theta density variant is symmetric-start")
-        s = math.sin(th / 2)
-
-        def f(u, weight):
-            alpha = edge * np.sin(u)
-            return weight(alpha) * s / (math.pi * (1 - alpha**2))
-
-    return f
+    if width == 0:
+        raise DomainError("u01 = 0: the walk moves ballistically and has no density")
+    root = math.sqrt(edge * edge - alpha * alpha)
+    return _density_u(alpha / edge, root / edge, width, tilt) / root
 
 
 def density_integral(
     weight,
-    theta: float | str = HADAMARD,
-    start: str = "left",
+    coin: CoinOperator,
+    init: str | NDArray[np.complex128],
     panels: int = QUADRATURE_PANELS,
 ) -> float:
     """Integrate ``weight(alpha) p(alpha)`` over the open support.
 
-    Composite Simpson rule in the substituted variable; ``panels`` is
-    the number of subintervals (made even if needed).
+    Composite Simpson rule in ``u``, where ``alpha = |u00| sin u``;
+    ``panels`` is the number of subintervals (made even if needed).
+    Coins with ``panels * |u01|`` below :data:`MIN_PANELS_PER_WIDTH` are
+    rejected: their density peaks at the edges more sharply than the
+    panels resolve.
     """
-    f = _density_u_integrand(theta, start)
+    edge, width, tilt = _density_terms(coin, init)
     n = panels + (panels % 2)
+    if n * width < MIN_PANELS_PER_WIDTH:
+        raise DomainError(
+            f"|u01| = {width:.3g} is below {MIN_PANELS_PER_WIDTH / n:.3g}: "
+            f"{n} quadrature panels cannot resolve this density"
+        )
     u = np.linspace(-math.pi / 2, math.pi / 2, n + 1)
-    y = f(u, weight)
+    sin_u = np.sin(u)
+    y = weight(edge * sin_u) * _density_u(sin_u, np.cos(u), width, tilt)
     h = math.pi / n
     return float(h / 3 * (y[0] + y[-1] + 4 * np.sum(y[1:-1:2]) + 2 * np.sum(y[2:-1:2])))
 
 
 def density_moment(
     m: int,
-    theta: float | str = HADAMARD,
-    start: str = "left",
+    coin: CoinOperator,
+    init: str | NDArray[np.complex128],
     absolute: bool = False,
 ) -> float:
     """m-th moment of alpha under the limiting density."""
     if absolute:
-        return density_integral(lambda a: np.abs(a) ** m, theta, start)
-    return density_integral(lambda a: a**m, theta, start)
+        return density_integral(lambda a: np.abs(a) ** m, coin, init)
+    return density_integral(lambda a: a**m, coin, init)
 
 
 def frontier_peak(t: int, side: str, g_at_point: complex = 1.0) -> complex:
@@ -266,34 +252,3 @@ def frontier_peak(t: int, side: str, g_at_point: complex = 1.0) -> complex:
     if side == "left":
         return (g_at_point / (6 * math.pi)) * math.sqrt(1.5) * scale
     raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-
-
-@dataclass(frozen=True)
-class AsymptoticModel:
-    """Bundle of the closed-form descriptors for one coin family.
-
-    ``theta = pi/2`` (or the string ``"hadamard"``) denotes the Hadamard
-    family.  Interior evaluation refuses within ``epsilon`` of the cone
-    edge ``cos(theta/2)``.
-    """
-
-    theta: float | str = HADAMARD
-    epsilon: float = DEFAULT_EPSILON
-
-    @property
-    def support_edge(self) -> float:
-        return support_edge(self.theta)
-
-    def stationary_point(self, alpha: float) -> StationaryPointData:
-        return stationary_point(alpha, self.theta)
-
-    def probability(self, alpha: float, t: int) -> float:
-        if self.theta != HADAMARD:
-            raise DomainError("the oscillatory formula is implemented for hadamard")
-        return p_asymptotic(alpha, t, self.epsilon)
-
-    def slow(self, alpha: float, t: int, start: str = "left") -> float:
-        return p_slow(alpha, t, self.theta, start, self.epsilon)
-
-    def density(self, alpha: float, start: str = "left") -> float:
-        return density(alpha, self.theta, start)

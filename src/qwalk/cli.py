@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import NoReturn
 
@@ -152,14 +151,20 @@ def cmd_spectral(args) -> None:
     _emit(args, WF_HEADER, _wavefunction_rows(psi))
 
 
+def _has_oscillatory_form(coin: CoinOperator, init: str) -> bool:
+    """Whether :func:`p_asymptotic` describes this walk: Hadamard, left start."""
+    return init == "left" and np.array_equal(coin.matrix, hadamard_coin().matrix)
+
+
 def cmd_asymptotic(args) -> None:
     coin = _coin_from_args(args)
-    if coin.label != "hadamard":
-        raise DomainError("the oscillatory asymptotic formula is Hadamard-only")
+    if not _has_oscillatory_form(coin, args.init):
+        raise DomainError("the oscillatory asymptotic formula needs the Hadamard "
+                          "coin and --init left")
     t = args.steps
     if t < 1:
         raise DomainError("the asymptotic formula needs --steps >= 1")
-    edge = support_edge("hadamard")
+    edge = support_edge(coin)
     rows = []
     for n in range(-t, t + 1):
         if (n + t) % 2:
@@ -177,13 +182,12 @@ def cmd_moments(args) -> None:
     if not isinstance(topo, Line):
         raise DomainError("moments are computed on the line")
     dist = distribution(evolve_line(initial_state(args.init, topo), coin, args.steps))
-    family = "hadamard" if coin.label == "hadamard" else coin.theta
     rows = []
     for name, (m, absolute) in (("mean", (1, False)),
                                 ("abs_mean", (1, True)),
                                 ("second", (2, False))):
         exact = moment(dist, m, absolute=absolute).value
-        analytic = analytic_moment(family, name).value
+        analytic = analytic_moment(coin, args.init, name).value
         rows.append([name, exact, analytic])
     _emit(args, ["moment", "simulation", "density"], rows)
 
@@ -231,15 +235,15 @@ def cmd_compare(args) -> None:
 
     p_exact = distribution(exact)
     p_spec = distribution(spectral)
-    edge = support_edge("hadamard")
-    is_hadamard = coin.label == "hadamard"
+    edge = support_edge(coin)
+    oscillatory = _has_oscillatory_form(coin, args.init)
 
     rows = []
     l1 = 0.0
     for i, n in enumerate(p_exact.sites.tolist()):
         alpha = n / t
         p_asym = None
-        if (is_hadamard and (n + t) % 2 == 0
+        if (oscillatory and (n + t) % 2 == 0
                 and abs(alpha) <= edge - args.epsilon):
             p_asym = p_asymptotic(alpha, t, args.epsilon)
             l1 += abs(p_asym - p_exact.masses[i])
@@ -247,11 +251,11 @@ def cmd_compare(args) -> None:
 
     print(f"max_abs_amplitude_diff_exact_spectral: {_fmt(max_amp_diff)}",
           file=sys.stderr)
-    if is_hadamard:
+    if oscillatory:
         print(f"l1_interior_exact_asymptotic: {_fmt(l1)}", file=sys.stderr)
     _emit(args, ["n", "p_exact", "p_spectral", "p_asymptotic"], rows,
           extra={"max_abs_amplitude_diff_exact_spectral": max_amp_diff,
-                 "l1_interior_exact_asymptotic": l1 if is_hadamard else None})
+                 "l1_interior_exact_asymptotic": l1 if oscillatory else None})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, steps_default=100)
     p.set_defaults(func=cmd_spectral)
 
-    p = sub.add_parser("asymptotic", help="stationary-phase site probabilities")
+    p = sub.add_parser("asymptotic",
+                       help="stationary-phase site probabilities (Hadamard, left start)")
     common(p, steps_default=100)
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.set_defaults(func=cmd_asymptotic)
@@ -315,18 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    threads = os.environ.get("QWALK_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"error: QWALK_THREADS must be a positive integer, got {threads!r}",
-                  file=sys.stderr)
-            return USAGE_ERROR
-        # All library paths are sequential today; the cap is accepted for
-        # forward compatibility and never raises the thread count.
-
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "steps", 0) is not None and getattr(args, "steps", 0) < 0:

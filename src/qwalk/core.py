@@ -28,6 +28,7 @@ __all__ = [
     "hadamard_coin",
     "theta_coin",
     "step_matrices",
+    "chirality_pair",
     "initial_state",
 ]
 
@@ -117,14 +118,15 @@ class WaveFunction:
 
 @dataclass(frozen=True)
 class CoinOperator:
-    """A 2x2 unitary acting on the chirality, with a family label.
+    """A 2x2 unitary acting on the chirality.
 
-    ``label`` is either the string ``"hadamard"`` or a float theta in
-    [0, pi] for the one-parameter rotation family.
+    Everything the package derives for a coin (step matrices, transfer
+    matrices, the cone edge ``|u00|``, the limiting density) is read off
+    ``matrix``; :func:`hadamard_coin` and :func:`theta_coin` are two
+    ways to build one.
     """
 
     matrix: NDArray[np.complex128]
-    label: str | float
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
@@ -133,11 +135,6 @@ class CoinOperator:
         if np.max(np.abs(m.conj().T @ m - np.eye(2))) >= 1e-14:
             raise DomainError("coin matrix must be unitary")
         object.__setattr__(self, "matrix", _freeze(m))
-
-    @property
-    def theta(self) -> float:
-        """The family parameter; the Hadamard coin maps to pi/2."""
-        return math.pi / 2 if self.label == "hadamard" else float(self.label)
 
 
 @dataclass(frozen=True)
@@ -159,7 +156,7 @@ class StepMatrices:
 
 def hadamard_coin() -> CoinOperator:
     """Return the Hadamard coin ``(1/sqrt2) [[1, 1], [1, -1]]``."""
-    return CoinOperator(np.array([[1, 1], [1, -1]]) / math.sqrt(2), "hadamard")
+    return CoinOperator(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 
 
 def theta_coin(theta: float) -> CoinOperator:
@@ -179,7 +176,7 @@ def theta_coin(theta: float) -> CoinOperator:
     if not 0.0 <= theta <= math.pi:
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return CoinOperator(np.array([[c, s], [-s, c]]), theta)
+    return CoinOperator(np.array([[c, s], [-s, c]]))
 
 
 def step_matrices(coin: CoinOperator) -> StepMatrices:
@@ -199,6 +196,32 @@ def step_matrices(coin: CoinOperator) -> StepMatrices:
 SYMMETRIC_PAIR = np.array([1.0, 1.0j]) / math.sqrt(2)
 
 
+def chirality_pair(chirality: str | NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """The unit chirality pair ``(a, b)`` named or given by ``chirality``.
+
+    Parameters
+    ----------
+    chirality : {"left", "right", "symmetric"} or array_like
+        ``"symmetric"`` means (|L> + i|R>)/sqrt2; an explicit length-2
+        complex pair must have unit norm.
+    """
+    if isinstance(chirality, str):
+        try:
+            return {
+                "left": np.array([1.0, 0.0j]),
+                "right": np.array([0.0j, 1.0]),
+                "symmetric": SYMMETRIC_PAIR.copy(),
+            }[chirality]
+        except KeyError:
+            raise DomainError(f"unknown chirality {chirality!r}") from None
+    pair = np.asarray(chirality, dtype=np.complex128)
+    if pair.shape != (2,):
+        raise DomainError("custom chirality must be a length-2 pair")
+    if abs(np.linalg.norm(pair) - 1.0) > NORM_TOL:
+        raise DomainError("custom chirality must have unit norm")
+    return pair
+
+
 def initial_state(
     chirality: str | NDArray[np.complex128],
     topology: Topology = Line(),
@@ -208,27 +231,11 @@ def initial_state(
     Parameters
     ----------
     chirality : {"left", "right", "symmetric"} or array_like
-        Starting chirality.  ``"symmetric"`` means (|L> + i|R>)/sqrt2;
-        an explicit length-2 complex pair must have unit norm.
+        Starting chirality, as :func:`chirality_pair` reads it.
     topology : Line or Circle
         Where the walk lives.  The origin is site 0.
     """
-    if isinstance(chirality, str):
-        try:
-            pair = {
-                "left": np.array([1.0, 0.0j]),
-                "right": np.array([0.0j, 1.0]),
-                "symmetric": SYMMETRIC_PAIR,
-            }[chirality]
-        except KeyError:
-            raise DomainError(f"unknown chirality {chirality!r}") from None
-    else:
-        pair = np.asarray(chirality, dtype=np.complex128)
-        if pair.shape != (2,):
-            raise DomainError("custom chirality must be a length-2 pair")
-        if abs(np.linalg.norm(pair) - 1.0) > NORM_TOL:
-            raise DomainError("custom chirality must have unit norm")
-
+    pair = chirality_pair(chirality)
     if isinstance(topology, Circle):
         amps = np.zeros((topology.size, 2), dtype=np.complex128)
         amps[0] = pair

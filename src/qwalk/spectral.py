@@ -15,20 +15,11 @@ length N with a sign flip on odd sites: :func:`evolve_spectral` costs
 O(N log N) time and O(N) memory.
 
 This module is the independent oracle for :mod:`qwalk.evolve`.
-
-Two dispersion-branch conventions coexist on purpose, each tied to its
-coin label: the Hadamard branch has ``sin w_k = sin k / sqrt2`` with
-``w_k in [-pi/2, pi/2]`` and eigenvalues ``e^{-i w_k}, e^{i(pi+w_k)}``;
-the theta-family branch has ``cos w_k = cos(theta/2) cos k`` with
-``w_k in [0, pi]`` and eigenvalues ``e^{+-i w_k}``.  Only
-branch-invariant quantities (eigenvalue sets, |w''|) agree across the
-two conventions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -43,55 +34,17 @@ from .core import (
 )
 
 __all__ = [
-    "TransferMatrix",
-    "SpectralDecomposition",
     "transfer_matrix",
-    "dispersion",
-    "eigensystem",
     "fourier_amplitudes",
     "evolve_spectral",
 ]
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """The one-step Fourier-domain matrix at wavenumber ``k``."""
-
-    k: float
-    matrix: NDArray[np.complex128]
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenpairs of a transfer matrix plus the branch dispersion angle.
-
-    ``eigenvalues[i]`` pairs with column ``eigenvectors[:, i]``; both
-    eigenvalues have unit modulus and the eigenvectors are orthonormal.
-    """
-
-    k: float
-    omega: float
-    eigenvalues: NDArray[np.complex128]
-    eigenvectors: NDArray[np.complex128]
-    degenerate: bool = False
-
-
-def transfer_matrix(coin: CoinOperator, k: float) -> TransferMatrix:
-    """Build ``M_k = e^{ik} M+ + e^{-ik} M-`` for one wavenumber."""
+def transfer_matrix(coin: CoinOperator, k: float | np.ndarray) -> np.ndarray:
+    """``M_k = e^{ik} M+ + e^{-ik} M-``: shape (2, 2), or (..., 2, 2) for array ``k``."""
     sm = step_matrices(coin)
-    m = np.exp(1j * k) * sm.m_plus + np.exp(-1j * k) * sm.m_minus
-    return TransferMatrix(k=float(k), matrix=m)
-
-
-def dispersion(coin: CoinOperator, k: float | np.ndarray) -> float | np.ndarray:
-    """Dispersion angle ``w_k`` on the branch belonging to the coin label.
-
-    Hadamard label: ``arcsin(sin k / sqrt2)`` in [-pi/2, pi/2].
-    Theta label: ``arccos(cos(theta/2) cos k)`` in [0, pi].
-    """
-    if coin.label == "hadamard":
-        return np.arcsin(np.sin(k) / math.sqrt(2))
-    return np.arccos(np.clip(math.cos(coin.theta / 2) * np.cos(k), -1.0, 1.0))
+    k = np.asarray(k)[..., None, None]
+    return np.exp(1j * k) * sm.m_plus + np.exp(-1j * k) * sm.m_minus
 
 
 def _eig_unitary_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,29 +88,6 @@ def _eig_unitary_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lams, vecs
 
 
-def eigensystem(tm: TransferMatrix, coin: CoinOperator) -> SpectralDecomposition:
-    """Eigendecomposition of ``M_k`` ordered to match the branch convention.
-
-    For the Hadamard label the first eigenvalue is ``e^{-i w_k}`` and
-    the second ``e^{i(pi + w_k)}``; for the theta label they are
-    ``e^{+i w}`` then ``e^{-i w}``.
-    """
-    lams, vecs = _eig_unitary_2x2(tm.matrix)
-    omega = float(dispersion(coin, tm.k))
-    if coin.label == "hadamard":
-        expected = np.exp(-1j * omega)
-    else:
-        expected = np.exp(1j * omega)
-    if abs(lams[1] - expected) < abs(lams[0] - expected):
-        lams = lams[::-1]
-        vecs = vecs[:, ::-1]
-    degenerate = bool(abs(lams[0] - lams[1]) < 1e-12)
-    return SpectralDecomposition(
-        k=tm.k, omega=omega, eigenvalues=lams, eigenvectors=vecs,
-        degenerate=degenerate,
-    )
-
-
 def _propagate(m: np.ndarray, init: np.ndarray, t: int) -> np.ndarray:
     """Apply ``M^t`` through the eigendecomposition.
 
@@ -181,7 +111,7 @@ def fourier_amplitudes(
     init = np.asarray(init, dtype=np.complex128)
     if abs(np.linalg.norm(init) - 1.0) > 1e-12:
         raise DomainError("init must have unit norm")
-    return _propagate(transfer_matrix(coin, k).matrix, init, t)
+    return _propagate(transfer_matrix(coin, k), init, t)
 
 
 def _grid_size(width: int, t: int, n_samples: int | None) -> int:
@@ -252,10 +182,7 @@ def evolve_spectral(
     scattered[in_sites % n] = _alternate(in_sites)[:, None] * amps
     psi_k0 = np.fft.ifft(scattered, axis=0, norm="forward")
 
-    sm = step_matrices(coin)
-    mk = (np.exp(1j * k)[:, None, None] * sm.m_plus
-          + np.exp(-1j * k)[:, None, None] * sm.m_minus)
-    psi_kt = _propagate(mk, psi_k0, t)
+    psi_kt = _propagate(transfer_matrix(coin, k), psi_k0, t)
 
     out = np.fft.fft(psi_kt, axis=0, norm="forward")[out_sites % n]
     out *= _alternate(out_sites)[:, None]

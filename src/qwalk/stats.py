@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .asymptotics import HADAMARD, density_moment
+from .asymptotics import density_moment
 from .core import (
     Circle,
     CoinOperator,
@@ -103,25 +103,23 @@ def moment(
 _MOMENT_SPECS = {"mean": (1, False), "abs_mean": (1, True), "second": (2, False)}
 
 
-def analytic_moment(theta: float | str, m_spec: str) -> MomentReport:
+def analytic_moment(
+    coin: CoinOperator, init: str | NDArray[np.complex128], m_spec: str
+) -> MomentReport:
     """Moment of the limiting density by quadrature.
 
-    The Hadamard label uses the left-start density (the moment-table
-    values -1 + 1/sqrt2, 1/2, 1 - 1/sqrt2); a numeric theta uses the
-    symmetric-start density (mean |alpha| = 1 - theta/pi).  The
-    singular walks theta = 0, pi have no density and are rejected.
+    ``init`` is anything :func:`qwalk.core.initial_state` accepts.  The
+    Hadamard coin with a left start gives the moment table
+    (-1 + 1/sqrt2, 1/2, 1 - 1/sqrt2); ``theta_coin(theta)`` with a
+    symmetric start gives mean |alpha| = 1 - theta/pi.  Coins whose
+    density the quadrature cannot resolve, the singular theta = 0
+    among them, raise :class:`DomainError`.
     """
     try:
         m, absolute = _MOMENT_SPECS[m_spec]
     except KeyError:
         raise DomainError(f"m_spec must be one of {sorted(_MOMENT_SPECS)}") from None
-    if theta == HADAMARD:
-        value = density_moment(m, HADAMARD, "left", absolute)
-    else:
-        th = float(theta)
-        if not 0 < th < math.pi:
-            raise DomainError("theta = 0, pi are singular (no density)")
-        value = density_moment(m, th, "symmetric", absolute)
+    value = density_moment(m, coin, init, absolute)
     return MomentReport(order=m, value=value, source="density_quadrature",
                         absolute=absolute)
 
@@ -266,31 +264,16 @@ def cesaro_average(spec: WalkSpec, big_t: int) -> ProbabilityDistribution:
     return ProbabilityDistribution(spec.topology, acc / big_t, big_t)
 
 
-def classical_walk(
-    topology: Topology | int,
-    t: int,
-    rng_seed: int | None = None,
-    samples: int = 0,
-) -> ProbabilityDistribution:
-    """Distribution of the classical symmetric random walk from site 0.
+def classical_walk(topology: Topology | int, t: int) -> ProbabilityDistribution:
+    """Exact distribution of the classical symmetric random walk from site 0.
 
-    Exact dynamic programming by default; passing ``samples > 0`` draws
-    that many Monte Carlo trajectories instead (seeded by ``rng_seed``).
-    An integer topology is shorthand for ``Circle(n)``.
+    Computed by dynamic programming.  An integer topology is shorthand
+    for ``Circle(n)``.
     """
     if isinstance(topology, int):
         topology = Circle(topology)
     if t < 0:
         raise DomainError("t must be nonnegative")
-
-    if samples > 0:
-        rng = np.random.default_rng(rng_seed)
-        steps = rng.choice([-1, 1], size=(samples, t)).sum(axis=1) if t else np.zeros(samples, dtype=int)
-        if isinstance(topology, Circle):
-            counts = np.bincount(steps % topology.size, minlength=topology.size)
-            return ProbabilityDistribution(topology, counts / samples, t)
-        counts = np.bincount(steps + t, minlength=2 * t + 1)
-        return ProbabilityDistribution(Line(offset=-t), counts / samples, t)
 
     if isinstance(topology, Circle):
         d = np.zeros(topology.size)

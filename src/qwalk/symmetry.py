@@ -71,8 +71,8 @@ def verify_symmetrizer(
     sign = 0
     worst = 0.0
     for k in ks:
-        lhs = s.conj().T @ transfer_matrix(coin, k).matrix @ s
-        rhs = transfer_matrix(coin, -k).matrix
+        lhs = s.conj().T @ transfer_matrix(coin, k) @ s
+        rhs = transfer_matrix(coin, -k)
         if sign == 0:
             sign = 1 if np.max(np.abs(lhs - rhs)) <= np.max(np.abs(lhs + rhs)) else -1
         worst = max(worst, float(np.max(np.abs(lhs - sign * rhs))))

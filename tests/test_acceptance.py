@@ -88,9 +88,9 @@ def test_criterion_2_moment_table():
     sim = (moment(d, 1).value, moment(d, 1, absolute=True).value, moment(d, 2).value)
     sim_ref = (-0.293, 0.500, 0.293)
     quad = (
-        analytic_moment("hadamard", "mean").value,
-        analytic_moment("hadamard", "abs_mean").value,
-        analytic_moment("hadamard", "second").value,
+        analytic_moment(hadamard_coin(), "left", "mean").value,
+        analytic_moment(hadamard_coin(), "left", "abs_mean").value,
+        analytic_moment(hadamard_coin(), "left", "second").value,
     )
     quad_ref = (-1 + 1 / SQRT2, 0.5, 1 - 1 / SQRT2)
     sim_err = max(abs(a - b) for a, b in zip(sim, sim_ref))
@@ -187,7 +187,7 @@ def test_criterion_8_theta_family_laws():
         target = 1 - theta / math.pi
         if abs(got - target) > 0.01:
             failures.append(f"abs mean off at theta={theta:.3f}")
-        cut = 1.05 * support_edge(theta) * t
+        cut = 1.05 * support_edge(theta_coin(theta)) * t
         tail = float(np.sum(d.masses[np.abs(d.sites) > cut]))
         details.append(f"theta={theta:.3f}: tail {tail:.2e}")
         if tail >= 1e-6:

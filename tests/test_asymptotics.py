@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_evolve import parts, u2_coins
 
 from qwalk import (
+    CoinOperator,
     DomainError,
     density,
     density_integral,
@@ -16,20 +20,19 @@ from qwalk import (
     hadamard_coin,
     initial_state,
     p_asymptotic,
-    p_slow,
     stationary_point,
     theta_coin,
 )
-from qwalk.asymptotics import AsymptoticModel, support_edge
+from qwalk.asymptotics import MIN_PANELS_PER_WIDTH, QUADRATURE_PANELS, support_edge
 from qwalk.stats import analytic_moment, moment
 
 SQRT2 = math.sqrt(2)
 
 
 def test_support_edge_values():
-    assert support_edge("hadamard") == pytest.approx(1 / SQRT2)
-    assert support_edge(math.pi / 2) == pytest.approx(1 / SQRT2)
-    assert support_edge(math.pi / 3) == pytest.approx(math.cos(math.pi / 6))
+    assert support_edge(hadamard_coin()) == pytest.approx(1 / SQRT2)
+    assert support_edge(theta_coin(math.pi / 2)) == pytest.approx(1 / SQRT2)
+    assert support_edge(theta_coin(math.pi / 3)) == pytest.approx(math.cos(math.pi / 6))
 
 
 def test_stationary_point_at_origin():
@@ -53,37 +56,14 @@ def test_stationary_condition_residual_hadamard():
         assert abs(slope + alpha) < 1e-12
 
 
-@pytest.mark.parametrize("theta", [math.pi / 3, math.pi / 2, 2 * math.pi / 3])
-def test_stationary_condition_residual_theta_branch(theta):
-    # dw/dk = alpha at k_alpha on the arccos branch
-    c = math.cos(theta / 2)
-    edge = support_edge(theta)
-    for alpha in np.linspace(-0.97 * edge, 0.97 * edge, 500):
-        sp = stationary_point(float(alpha), theta)
-        slope = c * math.sin(sp.k_alpha) / math.sqrt(1 - (c * math.cos(sp.k_alpha)) ** 2)
-        assert abs(slope - alpha) < 1e-12
-
-
-def test_curvature_agrees_across_branches():
-    # |w''| is branch-invariant; compare hadamard vs theta = pi/2 forms
-    for alpha in np.linspace(-0.6, 0.6, 101):
-        a = stationary_point(float(alpha), "hadamard").curvature
-        b = stationary_point(float(alpha), math.pi / 2).curvature
-        assert a == pytest.approx(b, abs=1e-12)
-
-
 def test_stationary_point_refuses_outside_cone():
     with pytest.raises(DomainError):
         stationary_point(0.71)
-    with pytest.raises(DomainError):
-        stationary_point(0.95, math.pi / 3)
 
 
 def test_interior_evaluation_refuses_near_edge():
     with pytest.raises(DomainError):
         p_asymptotic(0.70, 100, epsilon=0.02)
-    with pytest.raises(DomainError):
-        p_slow(0.86, 100, math.pi / 3, "symmetric", epsilon=0.02)
 
 
 def test_parity_forbidden_sites_give_zero():
@@ -103,21 +83,19 @@ def test_probability_is_squared_wavefunction():
 
 
 def test_slow_envelope_at_origin():
-    assert p_slow(0.0, 200) == pytest.approx(1 / (200 * math.pi))
-    assert p_slow(0.0, 200, math.pi / 2, "symmetric") == pytest.approx(
+    assert density(0.0, hadamard_coin(), "left") / 200 == pytest.approx(1 / (200 * math.pi))
+    assert density(0.0, theta_coin(math.pi / 2), "symmetric") / 200 == pytest.approx(
         1 / (200 * math.pi)
     )
-    assert density(0.0) == pytest.approx(1 / math.pi)
+    assert density(0.0, hadamard_coin(), "left") == pytest.approx(1 / math.pi)
 
 
 def test_slow_envelope_start_variants_differ():
     # the left-start envelope carries a (1 - alpha) factor
     a = 0.4
-    left = p_slow(a, 100, start="left")
-    sym = p_slow(a, 100, "hadamard", "symmetric")
+    left = density(a, hadamard_coin(), "left") / 100
+    sym = density(a, hadamard_coin(), "symmetric") / 100
     assert left == pytest.approx((1 - a) * sym)
-    with pytest.raises(DomainError):
-        p_slow(a, 100, math.pi / 3, start="left")
 
 
 @pytest.mark.parametrize(
@@ -126,24 +104,102 @@ def test_slow_envelope_start_variants_differ():
      (math.pi / 2, "symmetric"), (2 * math.pi / 3, "symmetric")],
 )
 def test_density_normalises(theta, start):
-    assert density_integral(lambda a: np.ones_like(a), theta, start) == pytest.approx(
+    coin = hadamard_coin() if theta == "hadamard" else theta_coin(theta)
+    assert density_integral(lambda a: np.ones_like(a), coin, start) == pytest.approx(
         1.0, abs=1e-10
     )
 
 
 def test_density_moments_hadamard_left():
-    assert density_moment(1) == pytest.approx(-(1 - 1 / SQRT2), abs=1e-10)
-    assert density_moment(2) == pytest.approx(1 - 1 / SQRT2, abs=1e-10)
-    assert density_moment(1, absolute=True) == pytest.approx(0.5, abs=1e-10)
+    coin = hadamard_coin()
+    assert density_moment(1, coin, "left") == pytest.approx(-(1 - 1 / SQRT2), abs=1e-10)
+    assert density_moment(2, coin, "left") == pytest.approx(1 - 1 / SQRT2, abs=1e-10)
+    assert density_moment(1, coin, "left", absolute=True) == pytest.approx(0.5, abs=1e-10)
 
 
 @pytest.mark.parametrize("theta", [math.pi / 3, math.pi / 2, 2 * math.pi / 3, 2.8])
 def test_density_abs_mean_theta_family(theta):
     # symmetric start: mean |alpha| = 1 - theta/pi, mean alpha = 0
-    assert density_moment(1, theta, "symmetric", absolute=True) == pytest.approx(
+    coin = theta_coin(theta)
+    assert density_moment(1, coin, "symmetric", absolute=True) == pytest.approx(
         1 - theta / math.pi, abs=1e-9
     )
-    assert density_moment(1, theta, "symmetric") == pytest.approx(0.0, abs=1e-12)
+    assert density_moment(1, coin, "symmetric") == pytest.approx(0.0, abs=1e-12)
+
+
+def closed_form_moments(coin, pair):
+    """Konno's moments: E alpha, E alpha^2, E|alpha| for the pair (a, b)."""
+    u, (a, b) = coin.matrix, pair
+    edge, width = abs(u[0, 0]), abs(u[0, 1])
+    lam = abs(a) ** 2 - abs(b) ** 2 + 2 * (u[0, 0] * a * np.conj(u[0, 1] * b)).real / edge**2
+    return {"mean": -lam * (1 - width), "second": 1 - width,
+            "abs_mean": 1 - 2 / math.pi * math.acos(min(edge, 1.0))}
+
+
+unit_pairs = st.tuples(parts, parts, parts, parts).filter(
+    lambda p: np.hypot.reduce(p) > 0.1
+).map(lambda p: np.array([p[0] + 1j * p[1], p[2] + 1j * p[3]]) / np.hypot.reduce(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(u2_coins(), unit_pairs)
+def test_density_moments_match_closed_forms(coin, pair):
+    # quadrature within 1e-9 of the closed forms, or a DomainError when the
+    # panels cannot resolve the density; never a nan, inf or wrong value
+    width = abs(coin.matrix[0, 1])
+    for name, value in closed_form_moments(coin, pair).items():
+        if width * QUADRATURE_PANELS < MIN_PANELS_PER_WIDTH:
+            with pytest.raises(DomainError):
+                analytic_moment(coin, pair, name)
+        else:
+            assert analytic_moment(coin, pair, name).value == pytest.approx(value, abs=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(u2_coins(), unit_pairs)
+def test_density_moments_match_the_walk_for_any_coin(coin, pair):
+    t = 2000
+    if abs(coin.matrix[0, 1]) * QUADRATURE_PANELS < MIN_PANELS_PER_WIDTH:
+        return
+    d = distribution(evolve_line(initial_state(pair), coin, t))
+    for name, (m, absolute) in (("mean", (1, False)), ("second", (2, False)),
+                                ("abs_mean", (1, True))):
+        exact = moment(d, m, absolute=absolute).value
+        assert exact == pytest.approx(analytic_moment(coin, pair, name).value, abs=1e-3)
+
+
+def test_density_follows_the_start():
+    # a right start mirrors a left one; the theta family tilts like Hadamard
+    h = hadamard_coin()
+    assert density_moment(1, h, "right") == pytest.approx(1 - 1 / SQRT2, abs=1e-10)
+    assert density_moment(1, theta_coin(1.2), "left") == pytest.approx(
+        -(1 - math.sin(0.6)), abs=1e-10
+    )
+    assert density(0.3, h, "right") == pytest.approx(density(-0.3, h, "left"), abs=1e-15)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-13, 1e-4, 0.02])
+def test_unresolvable_density_is_a_domain_error(theta):
+    # |u01| = sin(theta/2) below 24 / 2000 = 0.012
+    with pytest.raises(DomainError):
+        analytic_moment(theta_coin(theta), "left", "abs_mean")
+
+
+def test_density_needs_an_off_diagonal_coin_entry():
+    with pytest.raises(DomainError):
+        density(0.5, theta_coin(0.0), "left")
+
+
+@pytest.mark.parametrize("coin", [theta_coin(math.pi), CoinOperator([[0, 1], [1, 0]])],
+                         ids=["theta-pi", "sigma-x"])
+def test_confined_walk_has_zero_moments(coin):
+    # |u00| ~ 0: X_t / t tends to a point mass at 0, which the quadrature
+    # reproduces without dividing by |u00|
+    for name in ("mean", "second", "abs_mean"):
+        value = analytic_moment(coin, "symmetric", name).value
+        assert math.isfinite(value) and abs(value) < 1e-15
+    with pytest.raises(DomainError):
+        density(0.0, CoinOperator([[0, 1], [1, 0]]), "left")
 
 
 def test_interior_l1_agreement_with_exact_walk():
@@ -168,7 +224,7 @@ def test_slow_envelope_tracks_local_average():
     for centre in (-120, 0, 80, 160):
         window = [by_site[centre + 2 * j] for j in range(-5, 6)]
         avg = sum(window) / len(window)
-        envelope = p_slow(centre / t, t) * 2  # one parity class in the window
+        envelope = density(centre / t, hadamard_coin(), "left") / t * 2  # one parity class
         assert avg == pytest.approx(envelope, rel=0.15)
 
 
@@ -179,8 +235,8 @@ def test_moment_deviation_decays_like_inverse_t():
     for t in (200, 400):
         d = distribution(evolve_line(initial_state("left"), coin, t))
         devs[t] = (
-            abs(moment(d, 1).value - analytic_moment("hadamard", "mean").value),
-            abs(moment(d, 2).value - analytic_moment("hadamard", "second").value),
+            abs(moment(d, 1).value - analytic_moment(coin, "left", "mean").value),
+            abs(moment(d, 2).value - analytic_moment(coin, "left", "second").value),
         )
     assert devs[200][0] / devs[400][0] > 1.6
     assert devs[200][1] / devs[400][1] > 1.6
@@ -220,17 +276,8 @@ def test_frontier_probability_decay_exponent():
 
 def test_tail_mass_outside_cone_is_negligible():
     t = 200
-    for coin, theta in ((hadamard_coin(), "hadamard"), (theta_coin(math.pi / 3), math.pi / 3)):
+    for coin in (hadamard_coin(), theta_coin(math.pi / 3)):
         d = distribution(evolve_line(initial_state("symmetric"), coin, t))
-        cut = (support_edge(theta) + 0.08) * t
+        cut = (support_edge(coin) + 0.08) * t
         tail = float(np.sum(d.masses[np.abs(d.sites) >= cut]))
         assert tail < 1e-8
-
-
-def test_asymptotic_model_bundle():
-    model = AsymptoticModel()
-    assert model.support_edge == pytest.approx(1 / SQRT2)
-    assert model.probability(0.0, 100) == pytest.approx(p_asymptotic(0.0, 100))
-    assert model.density(0.2) == pytest.approx(density(0.2))
-    with pytest.raises(DomainError):
-        AsymptoticModel(theta=math.pi / 3).probability(0.0, 100)

@@ -12,10 +12,7 @@ from qwalk import distribution, evolve_line, hadamard_coin, initial_state
 from qwalk.cli import main, parse_theta
 
 
-def run_cli(args, capsys, env=None, monkeypatch=None):
-    if env:
-        for key, val in env.items():
-            monkeypatch.setenv(key, val)
+def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -248,14 +245,55 @@ def test_bad_values_are_one_line_usage_errors(argv, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_threads_env_var_validation(capsys, monkeypatch):
-    code, out, _ = run_cli(
-        ["simulate", "--steps", "4"], capsys,
-        env={"QWALK_THREADS": "2"}, monkeypatch=monkeypatch,
+
+def density_table(out):
+    _, rows = parse_csv(out)
+    return {r[0]: (float(r[1]), float(r[2])) for r in rows}
+
+
+@pytest.mark.parametrize("argv, mean", [
+    (["--init", "right"], 1 - 1 / math.sqrt(2)),
+    (["--coin", "1.2", "--init", "left"], -(1 - math.sin(0.6))),
+], ids=["hadamard-right", "theta-left"])
+def test_moments_density_follows_init(argv, mean, capsys):
+    code, out, _ = run_cli(["moments", *argv], capsys)
+    assert code == 0
+    simulation, density = density_table(out)["mean"]
+    assert density == pytest.approx(mean, abs=1e-9)
+    assert simulation == pytest.approx(mean, abs=0.01)
+
+
+@pytest.mark.parametrize("coin", ["0", "1e-13", "0.0001"])
+def test_moments_of_unresolvable_coin_exit_3(coin, capsys):
+    code, out, err = run_cli(["moments", "--coin", coin], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_moments_of_confined_walk_are_zero(capsys):
+    code, out, _ = run_cli(["moments", "--coin", "pi"], capsys)
+    assert code == 0
+    for simulation, density in density_table(out).values():
+        assert abs(density) < 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["--init", "right"], ["--init", "symmetric"], ["--coin", "1.2"], ["--coin", "0.5pi"],
+])
+def test_asymptotic_needs_hadamard_left_start(argv, capsys):
+    code, out, err = run_cli(["asymptotic", "--steps", "50", *argv], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--init", "right"], ["--coin", "1.2"]])
+def test_compare_leaves_asymptotics_out_for_other_walks(argv, capsys):
+    code, out, err = run_cli(
+        ["compare", "--steps", "64", "--format", "json", *argv], capsys
     )
     assert code == 0
-    code, _, err = run_cli(
-        ["simulate", "--steps", "4"], capsys,
-        env={"QWALK_THREADS": "zero"}, monkeypatch=monkeypatch,
-    )
-    assert code == 2 and "QWALK_THREADS" in err
+    payload = json.loads(out)
+    assert payload["l1_interior_exact_asymptotic"] is None
+    assert all(r["p_asymptotic"] is None for r in payload["data"])
+    assert payload["max_abs_amplitude_diff_exact_spectral"] < 1e-12
+    assert "l1_interior" not in err

@@ -28,12 +28,6 @@ def test_hadamard_matrix_values():
     assert np.allclose(h @ h, np.eye(2))
 
 
-def test_hadamard_label_and_theta():
-    coin = hadamard_coin()
-    assert coin.label == "hadamard"
-    assert coin.theta == pytest.approx(math.pi / 2)
-
-
 def test_theta_coin_endpoints():
     assert np.allclose(theta_coin(0.0).matrix, np.eye(2))
     assert np.allclose(theta_coin(math.pi).matrix, [[0, 1], [-1, 0]])
@@ -54,7 +48,7 @@ def test_theta_coin_rejects_out_of_range():
 
 def test_coin_operator_rejects_non_unitary():
     with pytest.raises(DomainError):
-        CoinOperator(np.array([[1.0, 0.0], [0.0, 2.0]]), 0.0)
+        CoinOperator(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
 def test_step_matrices_hadamard():

@@ -80,7 +80,7 @@ def test_parity_forbidden_sites_are_exact_zeros():
 
 def test_zeros_of_the_result_are_positive():
     # -1 times a +0.0 entry is -0.0, which the CSV would print as "-0"
-    coin = CoinOperator(-np.eye(2), 0.0)
+    coin = CoinOperator(-np.eye(2))
     for adjoint in (False, True):
         psi = evolve_line(initial_state("left"), coin, 3)
         psi = evolve_line(psi, coin, 3 if adjoint else 0, adjoint=adjoint)
@@ -170,7 +170,7 @@ def u2_coins(draw):
             [np.exp(1j * beta) * c, np.exp(1j * gamma) * s],
             [-np.exp(-1j * gamma) * s, np.exp(-1j * beta) * c],
         ])
-    return CoinOperator(matrix, 0.0)
+    return CoinOperator(matrix)
 
 
 @st.composite

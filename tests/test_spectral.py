@@ -7,9 +7,7 @@ import pytest
 
 from qwalk import (
     DomainError,
-    dispersion,
     distribution,
-    eigensystem,
     evolve_line,
     evolve_spectral,
     fourier_amplitudes,
@@ -18,21 +16,29 @@ from qwalk import (
     theta_coin,
     transfer_matrix,
 )
+from qwalk.spectral import _eig_unitary_2x2
 
 SQRT2 = math.sqrt(2)
+
+
+def same_pairs(a, b):
+    """Largest distance between two (..., 2) arrays of unordered pairs."""
+    direct = np.abs(a - b).max(axis=-1)
+    swapped = np.abs(a - b[..., ::-1]).max(axis=-1)
+    return float(np.max(np.minimum(direct, swapped)))
 
 
 def test_transfer_matrix_is_unitary_everywhere():
     rng = np.random.default_rng(3)
     for coin in (hadamard_coin(), theta_coin(0.7), theta_coin(2.4)):
         for k in rng.uniform(-math.pi, math.pi, 100):
-            m = transfer_matrix(coin, k).matrix
+            m = transfer_matrix(coin, k)
             assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-14
 
 
 def test_hadamard_transfer_matrix_entries():
     k = 0.37
-    m = transfer_matrix(hadamard_coin(), k).matrix
+    m = transfer_matrix(hadamard_coin(), k)
     expect = np.array(
         [[np.exp(-1j * k), np.exp(-1j * k)], [np.exp(1j * k), -np.exp(1j * k)]]
     ) / SQRT2
@@ -40,56 +46,38 @@ def test_hadamard_transfer_matrix_entries():
 
 
 def test_dispersion_hadamard_branch():
-    coin = hadamard_coin()
-    assert dispersion(coin, 0.0) == pytest.approx(0.0)
-    assert dispersion(coin, math.pi / 2) == pytest.approx(math.pi / 4)
-    assert dispersion(coin, -math.pi / 2) == pytest.approx(-math.pi / 4)
+    # eigenvalues e^{-i w_k} and -e^{i w_k}, with sin w_k = sin k / sqrt2
     ks = np.linspace(-math.pi, math.pi, 41)
-    assert np.allclose(np.sin(dispersion(coin, ks)), np.sin(ks) / SQRT2)
+    lams, _ = _eig_unitary_2x2(transfer_matrix(hadamard_coin(), ks))
+    w = np.arcsin(np.sin(ks) / SQRT2)
+    assert same_pairs(lams, np.stack([np.exp(-1j * w), -np.exp(1j * w)], axis=-1)) < 1e-12
 
 
 def test_dispersion_theta_branch():
-    coin = theta_coin(1.1)
+    # eigenvalues e^{+-i w_k}, with cos w_k = cos(theta/2) cos k
     ks = np.linspace(-math.pi, math.pi, 41)
-    w = dispersion(coin, ks)
-    assert np.all((0 <= w) & (w <= math.pi))
-    assert np.allclose(np.cos(w), math.cos(0.55) * np.cos(ks))
-
-
-def test_eigensystem_hadamard_quarter_pi():
-    coin = hadamard_coin()
-    dec = eigensystem(transfer_matrix(coin, math.pi / 2), coin)
-    assert dec.omega == pytest.approx(math.pi / 4)
-    assert dec.eigenvalues[0] == pytest.approx(np.exp(-1j * math.pi / 4))
-    assert dec.eigenvalues[1] == pytest.approx(np.exp(1j * (math.pi + math.pi / 4)))
-
-
-def test_eigensystem_theta_branch_order():
-    coin = theta_coin(2.0)
-    for k in (0.0, 0.9, -2.2):
-        dec = eigensystem(transfer_matrix(coin, k), coin)
-        assert dec.eigenvalues[0] == pytest.approx(np.exp(1j * dec.omega))
-        assert dec.eigenvalues[1] == pytest.approx(np.exp(-1j * dec.omega))
+    lams, _ = _eig_unitary_2x2(transfer_matrix(theta_coin(1.1), ks))
+    w = np.arccos(math.cos(0.55) * np.cos(ks))
+    assert same_pairs(lams, np.stack([np.exp(1j * w), np.exp(-1j * w)], axis=-1)) < 1e-12
 
 
 def test_eigensystem_reconstructs_matrix():
     rng = np.random.default_rng(5)
     for coin in (hadamard_coin(), theta_coin(0.4), theta_coin(3.0)):
         for k in rng.uniform(-math.pi, math.pi, 100):
-            tm = transfer_matrix(coin, k)
-            dec = eigensystem(tm, coin)
-            v, lam = dec.eigenvectors, dec.eigenvalues
+            m = transfer_matrix(coin, k)
+            lam, v = _eig_unitary_2x2(m)
             assert np.max(np.abs(v.conj().T @ v - np.eye(2))) < 1e-12
             rebuilt = v @ np.diag(lam) @ v.conj().T
-            assert np.max(np.abs(rebuilt - tm.matrix)) < 1e-12
-            assert np.max(np.abs(tm.matrix @ v - v * lam)) < 1e-12
+            assert np.max(np.abs(rebuilt - m)) < 1e-12
+            assert np.max(np.abs(m @ v - v * lam)) < 1e-12
 
 
 def test_eigensystem_degenerate_identity_coin():
-    coin = theta_coin(0.0)
-    dec = eigensystem(transfer_matrix(coin, 0.0), coin)
-    assert dec.degenerate
-    assert np.allclose(np.abs(dec.eigenvalues), 1.0)
+    lam, v = _eig_unitary_2x2(transfer_matrix(theta_coin(0.0), 0.0))
+    assert abs(lam[0] - lam[1]) < 1e-12
+    assert np.allclose(np.abs(lam), 1.0)
+    assert np.max(np.abs(v.conj().T @ v - np.eye(2))) < 1e-12
 
 
 def test_fourier_amplitudes_identity_at_t0():

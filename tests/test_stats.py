@@ -60,22 +60,23 @@ def test_moment_needs_positive_time():
 
 
 def test_analytic_moment_values():
-    assert analytic_moment("hadamard", "mean").value == pytest.approx(
+    h = hadamard_coin()
+    assert analytic_moment(h, "left", "mean").value == pytest.approx(
         -(1 - 1 / SQRT2), abs=1e-9
     )
-    assert analytic_moment("hadamard", "second").value == pytest.approx(
+    assert analytic_moment(h, "left", "second").value == pytest.approx(
         1 - 1 / SQRT2, abs=1e-9
     )
-    assert analytic_moment("hadamard", "abs_mean").value == pytest.approx(
+    assert analytic_moment(h, "left", "abs_mean").value == pytest.approx(
         0.5, abs=1e-9
     )
-    assert analytic_moment(math.pi / 3, "abs_mean").value == pytest.approx(
-        2 / 3, abs=1e-9
+    assert analytic_moment(theta_coin(math.pi / 3), "symmetric", "abs_mean").value == (
+        pytest.approx(2 / 3, abs=1e-9)
     )
     with pytest.raises(DomainError):
-        analytic_moment(math.pi / 2, "median")
+        analytic_moment(theta_coin(math.pi / 2), "symmetric", "median")
     with pytest.raises(DomainError):
-        analytic_moment(0.0, "abs_mean")
+        analytic_moment(theta_coin(0.0), "symmetric", "abs_mean")
 
 
 def test_interval_mass_alpha_margin_monotone(had_left_t80):
@@ -225,14 +226,6 @@ def test_classical_walk_line_exact():
 def test_classical_walk_odd_circle_converges_to_uniform():
     d = classical_walk(5, 2000)
     assert np.max(np.abs(d.masses - 0.2)) < 1e-12
-
-
-def test_classical_walk_sampling_variant():
-    a = classical_walk(Line(), 50, rng_seed=42, samples=20000)
-    b = classical_walk(Line(), 50, rng_seed=42, samples=20000)
-    assert np.array_equal(a.masses, b.masses)  # seeded determinism
-    exact = classical_walk(Line(), 50)
-    assert total_variation(a.masses, exact.masses) < 0.05
 
 
 def test_classical_walk_rejects_negative_time():
