@@ -5,6 +5,13 @@ Covers both sides of the quantum/classical comparison: the coined walk
 of the classical symmetric random walk, so scaling fits carry no
 sampling noise.
 
+On the circle both walks step in place: the coined walk through the
+circle kernel of :mod:`qwalk.evolve`, the classical one by a three-term
+average into a second buffer.  :func:`mixing_time` and
+:func:`cesaro_average` run one loop over the site masses either walk
+yields after each step; the scan computes the TV distance in that loop
+into a preallocated row, so no distribution object is built per step.
+
 Parity caveat for circles: at any fixed time a walk started from one
 site occupies a single parity class.  On an odd cycle the classes wrap
 into each other, so the instantaneous distribution can approach uniform;
@@ -31,7 +38,7 @@ from .core import (
     hadamard_coin,
     initial_state,
 )
-from .evolve import ProbabilityDistribution, distribution, evolve_circle
+from .evolve import ProbabilityDistribution, _circle_steps
 
 __all__ = [
     "MomentReport",
@@ -192,10 +199,6 @@ def tv_distance(dist: ProbabilityDistribution, reference: str = "uniform_all") -
     return 0.5 * (float(np.sum(diff)) + outside)
 
 
-def _classical_circle_step(d: np.ndarray) -> np.ndarray:
-    return 0.5 * (np.roll(d, 1) + np.roll(d, -1))
-
-
 def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
     """Scan t = 1..t_cap for the first time TV to uniform drops to delta.
 
@@ -213,33 +216,21 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
     if t_cap < 1:
         raise DomainError(f"t_cap must be at least 1, got {t_cap}")
     n = spec.topology.size
-    reference = "uniform_all" if n % 2 else "uniform_parity"
+    if n % 2:
+        targets = [np.full(n, 1.0 / n)]
+    else:
+        # uniform on the occupied parity class x = t (mod 2)
+        targets = [np.where(np.arange(n) % 2 == p, 2.0 / n, 0.0) for p in (0, 1)]
+    gap = np.empty(n)
     trace = []
     crossing: int | None = None
-    if spec.classical:
-        if n % 2:
-            targets = [np.full(n, 1.0 / n)]
-        else:
-            # uniform on the occupied parity class x = t (mod 2)
-            targets = [np.where(np.arange(n) % 2 == p, 2.0 / n, 0.0) for p in (0, 1)]
-        d = np.zeros(n)
-        d[0] = 1.0
-        for t in range(1, t_cap + 1):
-            d = _classical_circle_step(d)
-            tv = total_variation(d, targets[t % len(targets)])
-            trace.append(tv)
-            if tv <= delta:
-                crossing = t
-                break
-    else:
-        psi = initial_state(spec.init, spec.topology)
-        for t in range(1, t_cap + 1):
-            psi = evolve_circle(psi, spec.coin, 1)
-            tv = tv_distance(distribution(psi), reference)
-            trace.append(tv)
-            if tv <= delta:
-                crossing = t
-                break
+    for t, masses in enumerate(_masses(spec, t_cap), start=1):
+        np.subtract(masses, targets[t % len(targets)], out=gap)
+        tv = 0.5 * float(np.abs(gap, out=gap).sum())
+        trace.append(tv)
+        if tv <= delta:
+            crossing = t
+            break
     return MixingReport(
         topology_size=n, delta=delta, time=crossing,
         tv_trace=np.array(trace, dtype=np.float64),
@@ -251,17 +242,55 @@ def cesaro_average(spec: WalkSpec, big_t: int) -> ProbabilityDistribution:
 
     The pointwise distribution of a unitary walk never converges; the
     Cesaro average is the standard time-averaged notion that can.
+    Classical specs average the symmetric random walk from site 0.
     """
     if not isinstance(spec.topology, Circle):
         raise DomainError("cesaro_average is defined on the circle")
     if big_t < 1:
         raise DomainError("T must be at least 1")
-    psi = initial_state(spec.init, spec.topology)
     acc = np.zeros(spec.topology.size)
-    for _ in range(big_t):
-        psi = evolve_circle(psi, spec.coin, 1)
-        acc += distribution(psi).masses
+    for masses in _masses(spec, big_t):
+        acc += masses
     return ProbabilityDistribution(spec.topology, acc / big_t, big_t)
+
+
+def _masses(spec: WalkSpec, steps: int):
+    """Yield the site masses of the circle walk ``spec`` after each step.
+
+    The yielded array is reused: the next step overwrites it.
+    """
+    n = spec.topology.size
+    if spec.classical:
+        d = np.zeros(n)
+        d[0] = 1.0
+        yield from _classical_steps(d, steps)
+        return
+    psi = initial_state(spec.init, spec.topology)
+    squares = np.empty((2, 2 * n))
+    row = np.empty(2 * n)
+    masses = np.empty(n)
+    for amps in _circle_steps(psi.amplitudes, spec.coin, steps):
+        w = amps.view(np.float64)  # (L, R) rows of interleaved re, im
+        np.multiply(w, w, out=squares)
+        np.add(*squares, out=row)
+        np.add(row[0::2], row[1::2], out=masses)
+        yield masses
+
+
+def _classical_steps(d: np.ndarray, steps: int):
+    """Step the symmetric random walk on the cycle ``len(d)`` in place.
+
+    Yields the masses after each step, ``d'(x) = (d(x-1) + d(x+1)) / 2``
+    with indices mod ``len(d)``, in a buffer the next step overwrites.
+    """
+    e = np.empty_like(d)
+    for _ in range(steps):
+        np.add(d[:-2], d[2:], out=e[1:-1])
+        e[0] = d[-1] + d[1]
+        e[-1] = d[-2] + d[0]
+        e *= 0.5
+        d, e = e, d
+        yield d
 
 
 def classical_walk(topology: Topology | int, t: int) -> ProbabilityDistribution:
@@ -278,12 +307,12 @@ def classical_walk(topology: Topology | int, t: int) -> ProbabilityDistribution:
     if isinstance(topology, Circle):
         d = np.zeros(topology.size)
         d[0] = 1.0
-        for _ in range(t):
-            d = _classical_circle_step(d)
-        return ProbabilityDistribution(topology, d, t)
-
-    d = np.zeros(2 * t + 1)
-    d[t] = 1.0
-    for _ in range(t):
-        d = 0.5 * (np.roll(d, 1) + np.roll(d, -1))
-    return ProbabilityDistribution(Line(offset=-t), d, t)
+    else:
+        # a cycle of 2t + 1 sites: mass reaches its ends only at step t,
+        # so the wrap never carries any
+        d = np.zeros(2 * t + 1)
+        d[t] = 1.0
+        topology = Line(offset=-t)
+    for d in _classical_steps(d, t):
+        pass
+    return ProbabilityDistribution(topology, d, t)

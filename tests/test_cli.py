@@ -87,6 +87,19 @@ def test_json_schema_and_config_echo(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "coin", [["--coin", "hadamard"], ["--theta", "0.7pi"], ["--theta", "pi"]],
+    ids=["hadamard", "theta", "theta-pi"])
+def test_simulate_circle_prints_no_negative_zero(capsys, coin):
+    # parity-forbidden sites of an even cycle hold exact zeros
+    code, out, _ = run_cli(["simulate", "--topology", "circle:8", "--steps", "13",
+                            "--init", "symmetric", *coin], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    fields = [v for row in rows for v in row[1:]]
+    assert fields.count("0") >= 4 * 4 and "-0" not in fields
+
+
 def test_spectral_command_agrees_with_simulate(capsys):
     _, out_a, _ = run_cli(["simulate", "--steps", "50", "--init", "left"], capsys)
     _, out_b, _ = run_cli(["spectral", "--steps", "50", "--init", "left"], capsys)

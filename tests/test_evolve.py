@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qwalk import (
@@ -19,6 +19,7 @@ from qwalk import (
     hadamard_coin,
     initial_state,
     theta_coin,
+    transfer_matrix,
 )
 
 SQRT2 = math.sqrt(2)
@@ -142,6 +143,23 @@ def test_circle_wraps_after_half_size():
     assert abs(psi.norm() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("coin", [
+    CoinOperator(-np.eye(2)),
+    theta_coin(1.2),
+    CoinOperator(-theta_coin(1.2).matrix),
+], ids=["minus-identity", "theta", "minus-theta"])
+def test_circle_parity_zeros_are_positive(coin):
+    # the in-place step multiplies +0.0 by negative coin entries; on an
+    # even cycle the forbidden class stays empty at every t
+    n = 8
+    for t in range(3 * n):
+        psi = evolve_circle(initial_state("symmetric", Circle(n)), coin, t)
+        forbidden = psi.amplitudes[(np.arange(n) + t) % 2 == 1]
+        assert np.all(forbidden == 0)
+        values = psi.amplitudes.view(np.float64)
+        assert not np.any(np.signbit(values[values == 0]))
+
+
 def test_distribution_normalises_and_sites_align():
     psi = evolve_line(initial_state("left"), hadamard_coin(), 100)
     d = distribution(psi)
@@ -232,3 +250,26 @@ def test_origin_start_forbidden_sites_are_positive_zeros(coin, pair, steps, back
     psi = evolve_line(psi, coin, min(back, steps), adjoint=True)
     forbidden = psi.amplitudes[(psi.sites + psi.time) % 2 == 1].view(np.float64)
     assert np.all(forbidden == 0) and not np.any(np.signbit(forbidden))
+
+
+@st.composite
+def unit_pairs(draw):
+    z = np.array(draw(st.tuples(parts, parts, parts, parts)))
+    assume(np.linalg.norm(z) > 0.1)
+    pair = z[0::2] + 1j * z[1::2]
+    return pair / np.linalg.norm(pair)
+
+
+@settings(max_examples=60, deadline=None)
+@given(u2_coins(), unit_pairs(), st.integers(3, 40), st.data())
+def test_evolve_circle_matches_fourier_oracle(coin, pair, n, data):
+    # on Circle(n) the walk is diagonal in k = 2 pi j / n: each origin-start
+    # mode evolves as M_k^t (a, b), and psi(x) = (1/n) sum_j e^{-ikx} of it
+    t = data.draw(st.integers(0, 3 * n))
+    psi = evolve_circle(initial_state(pair, Circle(n)), coin, t)
+    k = 2 * np.pi * np.arange(n) / n
+    modes = np.linalg.matrix_power(transfer_matrix(coin, k), t) @ pair
+    expected = np.fft.fft(modes, axis=0) / n
+    assert psi.time == t
+    assert np.max(np.abs(psi.amplitudes - expected)) < 1e-12
+    assert abs(psi.norm() - 1.0) < 1e-12

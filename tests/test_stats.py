@@ -7,6 +7,7 @@ import pytest
 
 from qwalk import (
     Circle,
+    CoinOperator,
     DomainError,
     Line,
     WalkSpec,
@@ -212,6 +213,59 @@ def test_cesaro_average_beats_instantaneous_floor():
     avg_tv = tv_distance(cesaro_average(spec, 8 * n), "uniform_all")
     assert avg_tv < min(inst)
     assert avg_tv < 0.05
+
+
+def test_cesaro_average_of_the_classical_walk():
+    n, big_t = 9, 5
+    avg = cesaro_average(WalkSpec(Circle(n), classical=True), big_t)
+    mean = sum(classical_walk(n, t).masses for t in range(1, big_t + 1)) / big_t
+    assert np.max(np.abs(avg.masses - mean)) < 1e-16
+
+
+#: a complex U(2) coin: e^{0.3i} [[e^{0.7i} c, e^{-0.2i} s], [-e^{0.2i} s, e^{-0.7i} c]]
+COMPLEX_COIN = CoinOperator(np.exp(0.3j) * np.array([
+    [np.exp(0.7j) * math.cos(0.9), np.exp(-0.2j) * math.sin(0.9)],
+    [-np.exp(0.2j) * math.sin(0.9), np.exp(-0.7j) * math.cos(0.9)],
+]))
+SCAN_COINS = pytest.mark.parametrize(
+    "coin", [hadamard_coin(), theta_coin(1.2), COMPLEX_COIN],
+    ids=["hadamard", "theta-1.2", "complex"])
+
+
+@pytest.mark.parametrize("n", [31, 64])
+@SCAN_COINS
+def test_mixing_scan_equals_the_stepwise_definition(n, coin):
+    reference = "uniform_all" if n % 2 else "uniform_parity"
+    rep = mixing_time(WalkSpec(Circle(n), coin), 0.0, t_cap=3 * n)
+    assert not rep.reached and len(rep.tv_trace) == 3 * n
+    psi = initial_state("symmetric", Circle(n))
+    for tv in rep.tv_trace:
+        psi = evolve_circle(psi, coin, 1)
+        assert abs(tv - tv_distance(distribution(psi), reference)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [31, 64])
+def test_classical_scan_equals_the_classical_walk(n):
+    rep = mixing_time(WalkSpec(Circle(n), classical=True), 0.0, t_cap=4 * n)
+    for t, tv in enumerate(rep.tv_trace, start=1):
+        if n % 2:
+            target = np.full(n, 1 / n)
+        else:
+            target = np.where((np.arange(n) + t) % 2 == 0, 2 / n, 0.0)
+        assert tv == total_variation(classical_walk(n, t).masses, target)
+
+
+@pytest.mark.parametrize("n", [31, 64])
+@SCAN_COINS
+def test_cesaro_average_is_the_mean_of_the_distributions(n, coin):
+    big_t = 3 * n
+    avg = cesaro_average(WalkSpec(Circle(n), coin), big_t)
+    psi = initial_state("symmetric", Circle(n))
+    total = np.zeros(n)
+    for _ in range(big_t):
+        psi = evolve_circle(psi, coin, 1)
+        total += distribution(psi).masses
+    assert np.max(np.abs(avg.masses - total / big_t)) < 1e-14
 
 
 def test_classical_walk_line_exact():
