@@ -23,11 +23,9 @@ from .core import (
     CoinOperator,
     DomainError,
     Line,
-    StepMatrices,
     WaveFunction,
     hadamard_coin,
     initial_state,
-    step_matrices,
     theta_coin,
 )
 from .evolve import (
@@ -43,7 +41,6 @@ from .spectral import (
 )
 from .stats import (
     MixingReport,
-    MomentReport,
     WalkSpec,
     analytic_moment,
     cesaro_average,

@@ -59,7 +59,8 @@ SQRT2 = math.sqrt(2)
 #: Default interior margin (in alpha units) before the cone edge.
 DEFAULT_EPSILON = 0.02
 
-#: Panels of the composite Simpson rule used for density quadrature.
+#: Panels of the composite Simpson rule used for density quadrature
+#: (even, as the rule needs).
 QUADRATURE_PANELS = 2000
 
 #: Least ``panels * |u01|`` the quadrature accepts.  The substituted
@@ -196,21 +197,18 @@ def density(
 
 
 def density_integral(
-    weight,
-    coin: CoinOperator,
-    init: str | NDArray[np.complex128],
-    panels: int = QUADRATURE_PANELS,
+    weight, coin: CoinOperator, init: str | NDArray[np.complex128]
 ) -> float:
     """Integrate ``weight(alpha) p(alpha)`` over the open support.
 
-    Composite Simpson rule in ``u``, where ``alpha = |u00| sin u``;
-    ``panels`` is the number of subintervals (made even if needed).
-    Coins with ``panels * |u01|`` below :data:`MIN_PANELS_PER_WIDTH` are
-    rejected: their density peaks at the edges more sharply than the
-    panels resolve.
+    Composite Simpson rule in ``u``, where ``alpha = |u00| sin u``, on
+    :data:`QUADRATURE_PANELS` subintervals.  Coins with ``|u01|`` below
+    ``MIN_PANELS_PER_WIDTH / QUADRATURE_PANELS`` (0.012) are rejected:
+    their density peaks at the edges more sharply than the panels
+    resolve.
     """
     edge, width, tilt = _density_terms(coin, init)
-    n = panels + (panels % 2)
+    n = QUADRATURE_PANELS
     if n * width < MIN_PANELS_PER_WIDTH:
         raise DomainError(
             f"|u01| = {width:.3g} is below {MIN_PANELS_PER_WIDTH / n:.3g}: "

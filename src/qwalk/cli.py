@@ -32,7 +32,7 @@ from .core import (
 )
 from .evolve import distribution, evolve_circle, evolve_line
 from .spectral import evolve_spectral
-from .stats import WalkSpec, analytic_moment, mixing_time, moment
+from .stats import MOMENT_SPECS, WalkSpec, analytic_moment, mixing_time, moment
 from .symmetry import SIGMA_X, SIGMA_Y, SIGMA_Z, verify_symmetrizer
 
 USAGE_ERROR = 2
@@ -62,16 +62,12 @@ def _usage_error(message: str) -> NoReturn:
 
 
 def _coin_from_args(args) -> CoinOperator:
-    if getattr(args, "theta", None) is not None:
-        option, text = "--theta", args.theta
-    elif args.coin == "hadamard":
+    if args.coin == "hadamard":
         return hadamard_coin()
-    else:
-        option, text = "--coin", args.coin
     try:
-        theta = parse_theta(text)
+        theta = parse_theta(args.coin)
     except ValueError:
-        _usage_error(f"{option} {text!r} is not an angle like 1.2 or 0.5pi")
+        _usage_error(f"--coin {args.coin!r} is not an angle like 1.2 or 0.5pi")
     return theta_coin(theta)
 
 
@@ -158,6 +154,8 @@ def _has_oscillatory_form(coin: CoinOperator, init: str) -> bool:
 
 def cmd_asymptotic(args) -> None:
     coin = _coin_from_args(args)
+    if not isinstance(_topology_from_args(args), Line):
+        raise DomainError("the asymptotic formula is derived on the line")
     if not _has_oscillatory_form(coin, args.init):
         raise DomainError("the oscillatory asymptotic formula needs the Hadamard "
                           "coin and --init left")
@@ -182,13 +180,8 @@ def cmd_moments(args) -> None:
     if not isinstance(topo, Line):
         raise DomainError("moments are computed on the line")
     dist = distribution(evolve_line(initial_state(args.init, topo), coin, args.steps))
-    rows = []
-    for name, (m, absolute) in (("mean", (1, False)),
-                                ("abs_mean", (1, True)),
-                                ("second", (2, False))):
-        exact = moment(dist, m, absolute=absolute).value
-        analytic = analytic_moment(coin, args.init, name).value
-        rows.append([name, exact, analytic])
+    rows = [[name, moment(dist, *spec), analytic_moment(coin, args.init, name)]
+            for name, spec in MOMENT_SPECS.items()]
     _emit(args, ["moment", "simulation", "density"], rows)
 
 
@@ -216,7 +209,7 @@ def cmd_symmetry(args) -> None:
     rows = []
     for name, cand in (("sigma_x", SIGMA_X), ("sigma_y", SIGMA_Y),
                        ("sigma_z", SIGMA_Z)):
-        rep = verify_symmetrizer(coin, cand, args.k_samples)
+        rep = verify_symmetrizer(coin, cand)
         rows.append([name, rep.sign, float(rep.max_residual), rep.verdict])
     _emit(args, ["candidate", "sign", "max_residual", "verdict"], rows)
 
@@ -266,17 +259,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, steps_default=None):
+    def coin_and_output(p):
         p.add_argument("--coin", default="hadamard",
                        help="'hadamard', radians, or a multiple of pi like '0.5pi'")
-        p.add_argument("--theta", default=None,
-                       help="coin angle; overrides --coin")
+        p.add_argument("--format", default="csv", choices=["csv", "json"])
+        p.add_argument("--output", default="-", help="output path or '-' for stdout")
+
+    def common(p, steps_default=None):
+        coin_and_output(p)
         p.add_argument("--init", default="left",
                        choices=["left", "right", "symmetric"])
         p.add_argument("--topology", default="line",
                        help="'line' or 'circle:N'")
-        p.add_argument("--format", default="csv", choices=["csv", "json"])
-        p.add_argument("--output", default="-", help="output path or '-' for stdout")
         if steps_default is not None:
             p.add_argument("--steps", type=int, default=steps_default)
 
@@ -307,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("symmetry", help="check Pauli symmetrizer candidates")
-    common(p)
-    p.add_argument("--k-samples", type=int, default=64)
+    coin_and_output(p)
     p.set_defaults(func=cmd_symmetry)
 
     p = sub.add_parser("compare", help="exact vs spectral vs asymptotic")

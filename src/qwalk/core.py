@@ -13,7 +13,7 @@ a length-2 complex vector ``(psi_L, psi_R)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -23,11 +23,9 @@ __all__ = [
     "Circle",
     "WaveFunction",
     "CoinOperator",
-    "StepMatrices",
     "DomainError",
     "hadamard_coin",
     "theta_coin",
-    "step_matrices",
     "chirality_pair",
     "initial_state",
 ]
@@ -94,7 +92,7 @@ class WaveFunction:
     time: int = 0
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 2 or amps.shape[1] != 2:
             raise DomainError(f"amplitudes must have shape (n, 2), got {amps.shape}")
         if not np.all(np.isfinite(amps.view(np.float64))):
@@ -120,10 +118,11 @@ class WaveFunction:
 class CoinOperator:
     """A 2x2 unitary acting on the chirality.
 
-    Everything the package derives for a coin (step matrices, transfer
-    matrices, the cone edge ``|u00|``, the limiting density) is read off
-    ``matrix``; :func:`hadamard_coin` and :func:`theta_coin` are two
-    ways to build one.
+    Everything the package derives for a coin (the transfer matrix
+    ``diag(e^{-ik}, e^{ik}) matrix``, the symmetrizer check, the cone
+    edge ``|u00|``, the limiting density) is read off ``matrix``;
+    :func:`hadamard_coin` and :func:`theta_coin` are two ways to build
+    one.
     """
 
     matrix: NDArray[np.complex128]
@@ -135,23 +134,6 @@ class CoinOperator:
         if np.max(np.abs(m.conj().T @ m - np.eye(2))) >= 1e-14:
             raise DomainError("coin matrix must be unitary")
         object.__setattr__(self, "matrix", _freeze(m))
-
-
-@dataclass(frozen=True)
-class StepMatrices:
-    """The pair (M+, M-) splitting one coined step by shift direction.
-
-    One step of the walk reads ``psi(n, t+1) = M+ psi(n-1, t)
-    + M- psi(n+1, t)``: M+ feeds the rightward-moving (R) row and M-
-    the leftward-moving (L) row.
-    """
-
-    m_plus: NDArray[np.complex128] = field()
-    m_minus: NDArray[np.complex128] = field()
-
-    def __post_init__(self):
-        object.__setattr__(self, "m_plus", _freeze(self.m_plus))
-        object.__setattr__(self, "m_minus", _freeze(self.m_minus))
 
 
 def hadamard_coin() -> CoinOperator:
@@ -177,18 +159,6 @@ def theta_coin(theta: float) -> CoinOperator:
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return CoinOperator(np.array([[c, s], [-s, c]]))
-
-
-def step_matrices(coin: CoinOperator) -> StepMatrices:
-    """Split a coined step into its rightward/leftward matrices.
-
-    ``M-`` keeps the L row of the coin (amplitude that ends "left" and
-    shifts left), ``M+`` keeps the R row.
-    """
-    u = coin.matrix
-    m_minus = np.array([[u[0, 0], u[0, 1]], [0, 0]])
-    m_plus = np.array([[0, 0], [u[1, 0], u[1, 1]]])
-    return StepMatrices(m_plus=m_plus, m_minus=m_minus)
 
 
 #: Chirality state (|L> + i|R>)/sqrt2, the sigma_y eigenvector that

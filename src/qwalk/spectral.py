@@ -2,12 +2,14 @@
 
 Translation invariance makes one step diagonal in wavenumber: the
 transform ``psi~(k) = sum_n psi(n) e^{ikn}`` evolves by the 2x2 unitary
-transfer matrix ``M_k = e^{ik} M+ + e^{-ik} M-``, so ``psi~(k, t)
-= M_k^t psi~(k, 0)``.  Powers are taken through the eigendecomposition
-(two scalar phases), never by repeated multiplication.  Sampling k at
-``N >= 2t + support`` equally spaced points and inverting the discrete
-transform is *exact*: the t-step wavefunction fits in any window of N
-consecutive sites, so the sampling incurs no aliasing.
+transfer matrix ``M_k = e^{ik} M+ + e^{-ik} M-``, where ``M+`` and ``M-``
+keep the R and the L row of the coin ``U``; that is ``M_k = diag(e^{-ik},
+e^{ik}) U``, and ``psi~(k, t) = M_k^t psi~(k, 0)``.  Powers are taken
+through the eigendecomposition (two scalar phases), never by repeated
+multiplication.  Sampling k at ``N >= 2t + support`` equally spaced
+points and inverting the discrete transform is *exact*: the t-step
+wavefunction fits in any window of N consecutive sites, so the sampling
+incurs no aliasing.
 
 On the grid ``k_j = -pi + 2 pi j / N`` the phase ``e^{i k_j n}`` is
 ``(-1)^n e^{2 pi i j n / N}``, so both transforms are plain FFTs of
@@ -30,7 +32,6 @@ from .core import (
     Line,
     WaveFunction,
     check_steps,
-    step_matrices,
 )
 
 __all__ = [
@@ -41,10 +42,9 @@ __all__ = [
 
 
 def transfer_matrix(coin: CoinOperator, k: float | np.ndarray) -> np.ndarray:
-    """``M_k = e^{ik} M+ + e^{-ik} M-``: shape (2, 2), or (..., 2, 2) for array ``k``."""
-    sm = step_matrices(coin)
+    """``M_k = diag(e^{-ik}, e^{ik}) U``: shape (2, 2), or (..., 2, 2) for array ``k``."""
     k = np.asarray(k)[..., None, None]
-    return np.exp(1j * k) * sm.m_plus + np.exp(-1j * k) * sm.m_minus
+    return np.exp(1j * k * np.array([[-1.0], [1.0]])) * coin.matrix
 
 
 def _eig_unitary_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

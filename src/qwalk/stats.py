@@ -3,7 +3,9 @@
 Covers both sides of the quantum/classical comparison: the coined walk
 (via the direct evolver) and the exact dynamic-programming distribution
 of the classical symmetric random walk, so scaling fits carry no
-sampling noise.
+sampling noise.  Moments are plain floats: :func:`moment` of a walk's
+distribution and :func:`analytic_moment` of its limiting density, the
+named ones listed in :data:`MOMENT_SPECS`.
 
 On the circle both walks step in place: the coined walk through the
 circle kernel of :mod:`qwalk.evolve`, the classical one by a three-term
@@ -41,7 +43,6 @@ from .core import (
 from .evolve import ProbabilityDistribution, _circle_steps
 
 __all__ = [
-    "MomentReport",
     "MixingReport",
     "WalkSpec",
     "moment",
@@ -58,16 +59,6 @@ SQRT2 = math.sqrt(2)
 
 
 @dataclass(frozen=True)
-class MomentReport:
-    """A single moment of the scaled position alpha = n/t."""
-
-    order: int
-    value: float
-    source: str
-    absolute: bool = False
-
-
-@dataclass(frozen=True)
 class WalkSpec:
     """A runnable walk: topology, coin, start, and walk kind."""
 
@@ -81,8 +72,6 @@ class WalkSpec:
 class MixingReport:
     """First crossing of a target TV distance, with the full trace."""
 
-    topology_size: int
-    delta: float
     time: int | None
     tv_trace: NDArray[np.float64]
 
@@ -91,28 +80,22 @@ class MixingReport:
         return self.time is not None
 
 
-def moment(
-    dist: ProbabilityDistribution,
-    m: int,
-    t: int | None = None,
-    absolute: bool = False,
-) -> MomentReport:
+def moment(dist: ProbabilityDistribution, m: int, absolute: bool = False) -> float:
     """Empirical moment ``sum_n (n/t)^m P(n)`` of a line distribution."""
-    t = dist.time if t is None else t
-    if t < 1:
+    if dist.time < 1:
         raise DomainError("moments need t >= 1")
-    alpha = dist.sites / t
+    alpha = dist.sites / dist.time
     base = np.abs(alpha) if absolute else alpha
-    value = float(np.sum(base**m * dist.masses))
-    return MomentReport(order=m, value=value, source="exact", absolute=absolute)
+    return float(np.sum(base**m * dist.masses))
 
 
-_MOMENT_SPECS = {"mean": (1, False), "abs_mean": (1, True), "second": (2, False)}
+#: The named moments: ``(m, absolute)`` arguments of :func:`moment`.
+MOMENT_SPECS = {"mean": (1, False), "abs_mean": (1, True), "second": (2, False)}
 
 
 def analytic_moment(
     coin: CoinOperator, init: str | NDArray[np.complex128], m_spec: str
-) -> MomentReport:
+) -> float:
     """Moment of the limiting density by quadrature.
 
     ``init`` is anything :func:`qwalk.core.initial_state` accepts.  The
@@ -123,12 +106,10 @@ def analytic_moment(
     among them, raise :class:`DomainError`.
     """
     try:
-        m, absolute = _MOMENT_SPECS[m_spec]
+        m, absolute = MOMENT_SPECS[m_spec]
     except KeyError:
-        raise DomainError(f"m_spec must be one of {sorted(_MOMENT_SPECS)}") from None
-    value = density_moment(m, coin, init, absolute)
-    return MomentReport(order=m, value=value, source="density_quadrature",
-                        absolute=absolute)
+        raise DomainError(f"m_spec must be one of {sorted(MOMENT_SPECS)}") from None
+    return density_moment(m, coin, init, absolute)
 
 
 def interval_mass(
@@ -231,10 +212,7 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
         if tv <= delta:
             crossing = t
             break
-    return MixingReport(
-        topology_size=n, delta=delta, time=crossing,
-        tv_trace=np.array(trace, dtype=np.float64),
-    )
+    return MixingReport(time=crossing, tv_trace=np.array(trace, dtype=np.float64))
 
 
 def cesaro_average(spec: WalkSpec, big_t: int) -> ProbabilityDistribution:
@@ -293,14 +271,11 @@ def _classical_steps(d: np.ndarray, steps: int):
         yield d
 
 
-def classical_walk(topology: Topology | int, t: int) -> ProbabilityDistribution:
+def classical_walk(topology: Topology, t: int) -> ProbabilityDistribution:
     """Exact distribution of the classical symmetric random walk from site 0.
 
-    Computed by dynamic programming.  An integer topology is shorthand
-    for ``Circle(n)``.
+    Computed by dynamic programming.
     """
-    if isinstance(topology, int):
-        topology = Circle(topology)
     if t < 0:
         raise DomainError("t must be nonnegative")
 

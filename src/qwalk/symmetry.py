@@ -6,6 +6,11 @@ one consistent sign for the whole k-family.  Such an S reverses any
 bias coming from the initial chirality, and starting from an
 eigenvector of S yields an exactly symmetric distribution.
 
+``M_k = e^{ik} P_R U + e^{-ik} P_L U`` is a trigonometric polynomial of
+degree one, so the identity holds for every k exactly when it holds for
+its two coefficients: ``S^dag (P_R U) S = +-P_L U`` and ``S^dag (P_L U) S
+= +-P_R U``.  The check reads these off the coin, with no k-grid.
+
 For the rotation family (Hadamard included) ``S = sigma_y`` works; the
 minus sign shows up for the Hadamard coin.  No search over candidate
 unitaries is attempted: the checker verifies supplied candidates, and a
@@ -14,14 +19,12 @@ convenience sweep tries the three Pauli matrices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .core import CoinOperator, DomainError
-from .spectral import transfer_matrix
 
 __all__ = [
     "SIGMA_X",
@@ -51,41 +54,39 @@ class SymmetrizerReport:
 
 
 def verify_symmetrizer(
-    coin: CoinOperator,
-    candidate: NDArray[np.complex128],
-    k_samples: int = 64,
+    coin: CoinOperator, candidate: NDArray[np.complex128]
 ) -> SymmetrizerReport:
-    """Check ``S^dag M_k S = +-M_{-k}`` over a uniform k-sample.
+    """Check ``S^dag M_k S = +-M_{-k}`` for every k, exactly.
 
-    The sign is fixed by the first sample and must hold globally (a
-    per-k sign flip would not be a single phase redefinition).  A
+    Compares the coefficients of ``e^{ik}`` and ``e^{-ik}`` on both
+    sides, under the sign that fits them better; one sign must hold for
+    both (a per-k sign flip would not be a single phase redefinition).
+    ``max_residual`` is the largest entry of ``S^dag M_k S - sign
+    M_{-k}`` over all k, the sum of the two coefficient residuals.  A
     negative verdict is a valid result, not an error.
     """
     s = np.asarray(candidate, dtype=np.complex128)
     if s.shape != (2, 2) or np.max(np.abs(s.conj().T @ s - np.eye(2))) > 1e-13:
         raise DomainError("candidate must be a 2x2 unitary")
-    if k_samples < 16:
-        raise DomainError("need at least 16 k samples")
-
-    ks = np.linspace(-math.pi, math.pi, k_samples)
-    sign = 0
-    worst = 0.0
-    for k in ks:
-        lhs = s.conj().T @ transfer_matrix(coin, k) @ s
-        rhs = transfer_matrix(coin, -k)
-        if sign == 0:
-            sign = 1 if np.max(np.abs(lhs - rhs)) <= np.max(np.abs(lhs + rhs)) else -1
-        worst = max(worst, float(np.max(np.abs(lhs - sign * rhs))))
+    u = coin.matrix
+    m_plus, m_minus = u * [[0], [1]], u * [[1], [0]]  # P_R U, P_L U
+    lhs_plus, lhs_minus = s.conj().T @ m_plus @ s, s.conj().T @ m_minus @ s
+    residuals = {
+        sign: float(np.max(np.abs(lhs_plus - sign * m_minus)
+                           + np.abs(lhs_minus - sign * m_plus)))
+        for sign in (1, -1)
+    }
+    sign = min(residuals, key=residuals.get)
     return SymmetrizerReport(
-        candidate=s, sign=sign, max_residual=worst,
-        verdict=worst < RESIDUAL_TOL,
+        candidate=s, sign=sign, max_residual=residuals[sign],
+        verdict=residuals[sign] < RESIDUAL_TOL,
     )
 
 
-def find_symmetrizer(coin: CoinOperator, k_samples: int = 64) -> SymmetrizerReport | None:
+def find_symmetrizer(coin: CoinOperator) -> SymmetrizerReport | None:
     """Try the Pauli matrices in turn; return the first verified report."""
     for cand in (SIGMA_X, SIGMA_Y, SIGMA_Z):
-        report = verify_symmetrizer(coin, cand, k_samples)
+        report = verify_symmetrizer(coin, cand)
         if report.verdict:
             return report
     return None

@@ -85,12 +85,12 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_moment_table():
     d = _hadamard_left(80)
-    sim = (moment(d, 1).value, moment(d, 1, absolute=True).value, moment(d, 2).value)
+    sim = (moment(d, 1), moment(d, 1, absolute=True), moment(d, 2))
     sim_ref = (-0.293, 0.500, 0.293)
     quad = (
-        analytic_moment(hadamard_coin(), "left", "mean").value,
-        analytic_moment(hadamard_coin(), "left", "abs_mean").value,
-        analytic_moment(hadamard_coin(), "left", "second").value,
+        analytic_moment(hadamard_coin(), "left", "mean"),
+        analytic_moment(hadamard_coin(), "left", "abs_mean"),
+        analytic_moment(hadamard_coin(), "left", "second"),
     )
     quad_ref = (-1 + 1 / SQRT2, 0.5, 1 - 1 / SQRT2)
     sim_err = max(abs(a - b) for a, b in zip(sim, sim_ref))
@@ -183,7 +183,7 @@ def test_criterion_8_theta_family_laws():
     details = []
     for theta in (math.pi / 3, math.pi / 2, 2 * math.pi / 3):
         d = _theta_symmetric(theta, t)
-        got = moment(d, 1, absolute=True).value
+        got = moment(d, 1, absolute=True)
         target = 1 - theta / math.pi
         if abs(got - target) > 0.01:
             failures.append(f"abs mean off at theta={theta:.3f}")

@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from qwalk import distribution, evolve_line, hadamard_coin, initial_state
-from qwalk.cli import main, parse_theta
+from qwalk.cli import build_parser, main, parse_theta
 
 
 def run_cli(args, capsys):
@@ -88,7 +89,7 @@ def test_json_schema_and_config_echo(capsys):
 
 
 @pytest.mark.parametrize(
-    "coin", [["--coin", "hadamard"], ["--theta", "0.7pi"], ["--theta", "pi"]],
+    "coin", [["--coin", "hadamard"], ["--coin", "0.7pi"], ["--coin", "pi"]],
     ids=["hadamard", "theta", "theta-pi"])
 def test_simulate_circle_prints_no_negative_zero(capsys, coin):
     # parity-forbidden sites of an even cycle hold exact zeros
@@ -180,12 +181,6 @@ def test_compare_command_summaries(capsys):
     assert interior and all(abs(r["n"]) <= 64 for r in interior)
 
 
-def test_theta_flag_overrides_coin(capsys):
-    _, out_a, _ = run_cli(["simulate", "--steps", "20", "--theta", "0.5pi"], capsys)
-    _, out_b, _ = run_cli(["simulate", "--steps", "20", "--coin", "0.5pi"], capsys)
-    assert out_a == out_b
-
-
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
     code, out, _ = run_cli(
@@ -206,6 +201,24 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_each_subcommand_has_exactly_its_options():
+    walk = {"--coin", "--format", "--output", "--init", "--topology"}
+    expected = {
+        "simulate": walk | {"--steps"},
+        "spectral": walk | {"--steps"},
+        "asymptotic": walk | {"--steps", "--epsilon"},
+        "moments": walk | {"--steps"},
+        "mix": walk | {"--delta", "--t-cap", "--classical"},
+        "symmetry": {"--coin", "--format", "--output"},
+        "compare": walk | {"--steps", "--epsilon"},
+    }
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+    assert options == expected
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -215,6 +228,10 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--topology", "circle:abc"])
+    assert exc.value.code == 2
+    # symmetry reads only the coin, so it takes no topology
+    with pytest.raises(SystemExit) as exc:
+        main(["symmetry", "--topology", "circle:x"])
     assert exc.value.code == 2
     capsys.readouterr()
 
@@ -227,7 +244,7 @@ def test_domain_errors_exit_3(capsys):
     assert code == 3 and "error:" in err
     code, _, err = run_cli(["mix", "--delta", "0.3"], capsys)
     assert code == 3
-    code, _, err = run_cli(["simulate", "--theta", "1.2pi", "--steps", "5"], capsys)
+    code, _, err = run_cli(["simulate", "--coin", "1.2pi", "--steps", "5"], capsys)
     assert code == 3
 
 
@@ -237,14 +254,16 @@ def test_zero_steps_is_a_domain_error(command, capsys):
     assert code == 3 and err.startswith("error:") and err.count("\n") == 1
 
 
-def test_compare_refuses_circle(capsys):
-    code, _, err = run_cli(["compare", "--topology", "circle:31"], capsys)
-    assert code == 3 and err.startswith("error:") and err.count("\n") == 1
+@pytest.mark.parametrize("command", ["compare", "asymptotic"])
+def test_compare_refuses_circle(command, capsys):
+    code, out, err = run_cli([command, "--topology", "circle:31", "--steps", "10"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--coin", "abc"],
-    ["simulate", "--theta", "abc"],
+    ["simulate", "--coin", "halfpi"],
     ["simulate", "--topology", "circle:x"],
     ["mix", "--topology", "circle:31", "--delta", "nan"],
     ["mix", "--topology", "circle:31", "--delta", "0.3", "--t-cap", "0"],

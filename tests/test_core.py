@@ -1,4 +1,4 @@
-"""Coin matrices, step splitting, topologies and initial states."""
+"""Coin matrices, the transfer matrix at k = 0, topologies and initial states."""
 
 import math
 
@@ -15,8 +15,8 @@ from qwalk import (
     evolve_line,
     hadamard_coin,
     initial_state,
-    step_matrices,
     theta_coin,
+    transfer_matrix,
 )
 
 SQRT2 = math.sqrt(2)
@@ -51,26 +51,11 @@ def test_coin_operator_rejects_non_unitary():
         CoinOperator(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
-def test_step_matrices_hadamard():
-    sm = step_matrices(hadamard_coin())
-    assert np.allclose(sm.m_minus, np.array([[1, 1], [0, 0]]) / SQRT2)
-    assert np.allclose(sm.m_plus, np.array([[0, 0], [1, -1]]) / SQRT2)
-
-
-def test_step_matrices_sum_to_coin():
-    for coin in (hadamard_coin(), theta_coin(1.0), theta_coin(2.5)):
-        sm = step_matrices(coin)
-        assert np.allclose(sm.m_plus + sm.m_minus, coin.matrix)
-
-
-def test_transfer_combination_is_unitary():
-    # e^{ik} M+ + e^{-ik} M- must be unitary for every k
-    rng = np.random.default_rng(7)
-    for coin in (hadamard_coin(), theta_coin(0.3), theta_coin(2.9)):
-        sm = step_matrices(coin)
-        for k in rng.uniform(-math.pi, math.pi, 100):
-            mk = np.exp(1j * k) * sm.m_plus + np.exp(-1j * k) * sm.m_minus
-            assert np.max(np.abs(mk.conj().T @ mk - np.eye(2))) < 1e-14
+def test_transfer_matrix_at_zero_is_the_coin():
+    # M_0 = M+ + M-: the two shift directions together make one coin step
+    complex_coin = CoinOperator(np.array([[1, 1j], [1j, 1]]) / SQRT2)
+    for coin in (hadamard_coin(), theta_coin(1.0), theta_coin(2.5), complex_coin):
+        assert np.array_equal(transfer_matrix(coin, 0.0), coin.matrix)
 
 
 def test_initial_states():
@@ -111,6 +96,20 @@ def test_wavefunction_validation():
         WaveFunction(Circle(5), np.zeros((4, 2)))
     with pytest.raises(DomainError):
         WaveFunction(Line(), np.array([[np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_wavefunction_accepts_non_contiguous_amplitudes(dtype):
+    rows = np.zeros((2, 3), dtype=dtype)
+    rows[0, 1] = 1.0
+    psi = WaveFunction(Circle(3), rows.T)
+    assert psi.amplitudes.flags.c_contiguous
+    assert np.array_equal(psi.amplitudes, rows.T)
+    rows[1, 2] = np.nan
+    with pytest.raises(DomainError):
+        WaveFunction(Circle(3), rows.T)
+    with pytest.raises(DomainError):
+        WaveFunction(Line(), np.repeat(rows.T, 2, axis=0)[::2])
 
 
 def test_amplitudes_are_read_only():

@@ -37,21 +37,21 @@ def had_left_t80():
 
 
 def test_moment_zeroth_is_total_mass(had_left_t80):
-    assert moment(had_left_t80, 0).value == pytest.approx(1.0, abs=1e-12)
+    assert moment(had_left_t80, 0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_moments_at_t80_match_known_values(had_left_t80):
     # mean drifts left toward -(1 - 1/sqrt2); second moment toward 1/2
-    assert moment(had_left_t80, 1).value == pytest.approx(-0.293, abs=0.005)
-    assert moment(had_left_t80, 2).value == pytest.approx(0.293, abs=0.005)
-    assert moment(had_left_t80, 1, absolute=True).value == pytest.approx(
+    assert moment(had_left_t80, 1) == pytest.approx(-0.293, abs=0.005)
+    assert moment(had_left_t80, 2) == pytest.approx(0.293, abs=0.005)
+    assert moment(had_left_t80, 1, absolute=True) == pytest.approx(
         0.5, abs=0.005
     )
 
 
 def test_symmetric_start_mean_vanishes():
     d = distribution(evolve_line(initial_state("symmetric"), hadamard_coin(), 60))
-    assert moment(d, 1).value == pytest.approx(0.0, abs=1e-12)
+    assert moment(d, 1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_moment_needs_positive_time():
@@ -62,16 +62,16 @@ def test_moment_needs_positive_time():
 
 def test_analytic_moment_values():
     h = hadamard_coin()
-    assert analytic_moment(h, "left", "mean").value == pytest.approx(
+    assert analytic_moment(h, "left", "mean") == pytest.approx(
         -(1 - 1 / SQRT2), abs=1e-9
     )
-    assert analytic_moment(h, "left", "second").value == pytest.approx(
+    assert analytic_moment(h, "left", "second") == pytest.approx(
         1 - 1 / SQRT2, abs=1e-9
     )
-    assert analytic_moment(h, "left", "abs_mean").value == pytest.approx(
+    assert analytic_moment(h, "left", "abs_mean") == pytest.approx(
         0.5, abs=1e-9
     )
-    assert analytic_moment(theta_coin(math.pi / 3), "symmetric", "abs_mean").value == (
+    assert analytic_moment(theta_coin(math.pi / 3), "symmetric", "abs_mean") == (
         pytest.approx(2 / 3, abs=1e-9)
     )
     with pytest.raises(DomainError):
@@ -163,7 +163,7 @@ def test_mixing_time_classical_even_cycle_uses_parity_class():
     rep = mixing_time(WalkSpec(Circle(64), classical=True), 0.3, t_cap=2000)
     assert rep.reached and rep.time == 157
     for t in (1, 2, 156, 157):
-        parity_tv = tv_distance(classical_walk(64, t), "uniform_parity")
+        parity_tv = tv_distance(classical_walk(Circle(64), t), "uniform_parity")
         assert rep.tv_trace[t - 1] == pytest.approx(parity_tv, abs=1e-12)
 
 
@@ -218,7 +218,7 @@ def test_cesaro_average_beats_instantaneous_floor():
 def test_cesaro_average_of_the_classical_walk():
     n, big_t = 9, 5
     avg = cesaro_average(WalkSpec(Circle(n), classical=True), big_t)
-    mean = sum(classical_walk(n, t).masses for t in range(1, big_t + 1)) / big_t
+    mean = sum(classical_walk(Circle(n), t).masses for t in range(1, big_t + 1)) / big_t
     assert np.max(np.abs(avg.masses - mean)) < 1e-16
 
 
@@ -252,7 +252,7 @@ def test_classical_scan_equals_the_classical_walk(n):
             target = np.full(n, 1 / n)
         else:
             target = np.where((np.arange(n) + t) % 2 == 0, 2 / n, 0.0)
-        assert tv == total_variation(classical_walk(n, t).masses, target)
+        assert tv == total_variation(classical_walk(Circle(n), t).masses, target)
 
 
 @pytest.mark.parametrize("n", [31, 64])
@@ -273,12 +273,12 @@ def test_classical_walk_line_exact():
     assert np.allclose(d.masses, [0.25, 0, 0.5, 0, 0.25])
     d = classical_walk(Line(), 300)
     # diffusive scaling: variance of n is exactly t
-    assert moment(d, 2).value * 300 == pytest.approx(1.0, abs=1e-12)
-    assert moment(d, 1).value == pytest.approx(0.0, abs=1e-14)
+    assert moment(d, 2) * 300 == pytest.approx(1.0, abs=1e-12)
+    assert moment(d, 1) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_classical_walk_odd_circle_converges_to_uniform():
-    d = classical_walk(5, 2000)
+    d = classical_walk(Circle(5), 2000)
     assert np.max(np.abs(d.masses - 0.2)) < 1e-12
 
 

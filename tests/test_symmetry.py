@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_evolve import angles, u2_coins
 
 from qwalk import (
     DomainError,
@@ -52,7 +55,46 @@ def test_verify_rejects_bad_candidates():
     with pytest.raises(DomainError):
         verify_symmetrizer(hadamard_coin(), np.array([[1, 1], [0, 1]]))
     with pytest.raises(DomainError):
-        verify_symmetrizer(hadamard_coin(), SIGMA_Y, k_samples=4)
+        verify_symmetrizer(hadamard_coin(), np.eye(3))
+
+
+def grid_oracle(coin, s, n_k=2001):
+    """Best sign and largest entry of ``S^dag M_k S -+ M_{-k}`` on a k-grid.
+
+    ``M_k = e^{ik} M+ + e^{-ik} M-`` is built here from the coin's rows,
+    not through the package.
+    """
+    u = coin.matrix
+    m_plus = np.array([[0, 0], [u[1, 0], u[1, 1]]])
+    m_minus = np.array([[u[0, 0], u[0, 1]], [0, 0]])
+    k = np.linspace(-math.pi, math.pi, n_k)[:, None, None]
+    lhs = s.conj().T @ (np.exp(1j * k) * m_plus + np.exp(-1j * k) * m_minus) @ s
+    mirror = np.exp(-1j * k) * m_plus + np.exp(1j * k) * m_minus
+    residuals = {sign: float(np.max(np.abs(lhs - sign * mirror))) for sign in (1, -1)}
+    sign = min(residuals, key=residuals.get)
+    return sign, residuals[sign]
+
+
+candidates = st.one_of(
+    st.sampled_from([SIGMA_X, SIGMA_Y, SIGMA_Z]),
+    angles.map(lambda chi: np.exp(1j * chi) * SIGMA_Y),
+    u2_coins().map(lambda coin: coin.matrix),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u2_coins(), candidates)
+def test_exact_check_matches_the_k_grid_oracle(coin, s):
+    sign, grid_residual = grid_oracle(coin, s)
+    # residuals near the tolerance may round to either verdict
+    assume(not 1e-13 < grid_residual < 1e-11)
+    rep = verify_symmetrizer(coin, s)
+    assert rep.verdict == (grid_residual < 1e-12)
+    if rep.verdict:
+        assert rep.sign == sign
+    # the exact residual is the supremum over k, which the grid approaches
+    # from below to within a factor 1 - (1 - cos(pi / 1000)) / 4, about 1 - 1.2e-6
+    assert grid_residual - 1e-14 <= rep.max_residual <= grid_residual * (1 + 1e-5) + 1e-14
 
 
 def test_symmetric_initial_is_the_sigma_y_eigenvector():
@@ -82,4 +124,4 @@ def test_mirror_starts_have_opposite_means():
     coin = hadamard_coin()
     dl = distribution(evolve_line(initial_state("left"), coin, 80))
     dr = distribution(evolve_line(initial_state("right"), coin, 80))
-    assert moment(dl, 1).value + moment(dr, 1).value == pytest.approx(0.0, abs=1e-13)
+    assert moment(dl, 1) + moment(dr, 1) == pytest.approx(0.0, abs=1e-13)
