@@ -48,5 +48,5 @@ t = 400
 d = distribution(evolve_line(initial_state("left"), coin, t))
 print(f"\ninterior mass law at t = {t} (wavenumber margin eps):")
 for eps in (0.05, 0.2):
-    got = interval_mass(d, eps, margin="wavenumber")
+    got = interval_mass(d, coin, eps)
     print(f"  eps = {eps}: measured {got:.5f}, predicted {1 - 2 * eps / math.pi:.5f}")

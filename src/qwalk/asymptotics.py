@@ -82,7 +82,6 @@ class StationaryPointData:
     ``phi(alpha) = -(w_{k_alpha} + alpha k_alpha)``.
     """
 
-    alpha: float
     k_alpha: float
     phase: float
     curvature: float
@@ -110,7 +109,7 @@ def stationary_point(alpha: float) -> StationaryPointData:
     w = math.asin(math.sin(k) / SQRT2)
     phase = -(w + alpha * k)
     curv = (1 - alpha * alpha) * math.sqrt(1 - 2 * alpha * alpha)
-    return StationaryPointData(alpha=float(alpha), k_alpha=k, phase=phase, curvature=curv)
+    return StationaryPointData(k_alpha=k, phase=phase, curvature=curv)
 
 
 def asymptotic_wavefunction(
@@ -233,20 +232,20 @@ def density_moment(
     return density_integral(lambda a: a**m, coin, init)
 
 
-def frontier_peak(t: int, side: str, g_at_point: complex = 1.0) -> complex:
+def frontier_peak(t: int, side: str) -> float:
     """Leading ``t^{-1/3}`` term of the generic integral at the cone edge.
 
     The phase has a third-order stationary point at ``k = 0`` (left
-    edge, ``alpha = -1/sqrt2``) or ``k = pi`` (right edge); the caller
-    supplies the envelope value ``g`` at that point.
+    edge, ``alpha = -1/sqrt2``) or ``k = pi`` (right edge); the envelope
+    is taken as 1 at that point.
     """
     if t < 1:
         raise DomainError("t must be at least 1")
     scale = math.gamma(1 / 3) * (6 / t) ** (1 / 3)
     if side == "right":
-        return (g_at_point / (3 * math.pi)) * SQRT2 * scale * math.cos(
+        return (1 / (3 * math.pi)) * SQRT2 * scale * math.cos(
             math.pi * t / SQRT2 + math.pi / 6
         )
     if side == "left":
-        return (g_at_point / (6 * math.pi)) * math.sqrt(1.5) * scale
+        return (1 / (6 * math.pi)) * math.sqrt(1.5) * scale
     raise DomainError(f"side must be 'left' or 'right', got {side!r}")

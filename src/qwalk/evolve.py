@@ -24,13 +24,17 @@ odd (origin start) stay exactly zero, and the results hold them as
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+from numpy.typing import NDArray
 
 from .core import (
     Circle,
     CoinOperator,
     DomainError,
     Line,
+    Topology,
     WaveFunction,
     check_steps,
 )
@@ -41,12 +45,6 @@ __all__ = [
     "distribution",
     "ProbabilityDistribution",
 ]
-
-from dataclasses import dataclass
-
-from numpy.typing import NDArray
-
-from .core import Topology
 
 
 @dataclass(frozen=True)

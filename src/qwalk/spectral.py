@@ -114,15 +114,6 @@ def fourier_amplitudes(
     return _propagate(transfer_matrix(coin, k), init, t)
 
 
-def _grid_size(width: int, t: int, n_samples: int | None) -> int:
-    need = width + 2 * t
-    if n_samples is not None:
-        if n_samples < need:
-            raise DomainError(f"need at least {need} k-samples, got {n_samples}")
-        return n_samples
-    return _even_smooth_at_least(need)
-
-
 def _even_smooth_at_least(need: int) -> int:
     """Smallest even integer ``>= need`` with no prime factor above 5.
 
@@ -149,14 +140,12 @@ def evolve_spectral(
     init: WaveFunction,
     coin: CoinOperator,
     t: int,
-    n_samples: int | None = None,
 ) -> WaveFunction:
     """Evolve a line wavefunction ``t`` steps in the Fourier domain.
 
     Samples ``N`` equally spaced wavenumbers ``k_j = -pi + 2 pi j / N``
-    (``N`` = the smallest even 5-smooth integer at least support + 2t,
-    unless ``n_samples`` overrides it), applies
-    the eigendecomposed ``M_k^t`` at each, and inverts the discrete
+    (``N`` = the smallest even 5-smooth integer at least support + 2t),
+    applies the eigendecomposed ``M_k^t`` at each, and inverts the discrete
     transform over the output support.  The result is exact up to
     round-off and must agree with :func:`qwalk.evolve.evolve_line`.
 
@@ -171,7 +160,7 @@ def evolve_spectral(
 
     amps = init.amplitudes
     width = amps.shape[0]
-    n = _grid_size(width, t, n_samples)
+    n = _even_smooth_at_least(width + 2 * t)
     k = -math.pi + 2 * math.pi * np.arange(n) / n
 
     in_sites = init.sites

@@ -1,5 +1,10 @@
 """Moments, interval masses, total-variation distances and mixing times.
 
+Line statistics read the cone off the coin: :func:`interval_mass` cuts
+at a velocity derived from ``support_edge(coin)``.  Distances to
+uniform (:func:`tv_distance`, :func:`mixing_time`) are defined on the
+circle only, where the reference needs no coin.
+
 Covers both sides of the quantum/classical comparison: the coined walk
 (via the direct evolver) and the exact dynamic-programming distribution
 of the classical symmetric random walk, so scaling fits carry no
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .asymptotics import density_moment
+from .asymptotics import density_moment, support_edge
 from .core import (
     Circle,
     CoinOperator,
@@ -54,8 +59,6 @@ __all__ = [
     "cesaro_average",
     "classical_walk",
 ]
-
-SQRT2 = math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -112,29 +115,28 @@ def analytic_moment(
     return density_moment(m, coin, init, absolute)
 
 
-def interval_mass(
-    dist: ProbabilityDistribution, eps: float, margin: str = "alpha"
-) -> float:
-    """Interior mass of a Hadamard line distribution.
+def interval_mass(dist: ProbabilityDistribution, coin: CoinOperator, eps: float) -> float:
+    """Mass of a line distribution inside the coin's cone, ``eps`` short of its edge.
 
-    With ``margin="alpha"`` the interval is ``|n/t| <= 1/sqrt2 - eps``
-    directly.  With ``margin="wavenumber"`` eps is a margin on the
-    stationary wavenumber instead: the interval keeps the sites whose
-    stationary point lies in ``[eps, pi - eps]``, i.e. ``|n/t| <=
-    cos(eps)/sqrt(1 + cos^2(eps))``.  The wavenumber reading is the one
-    for which the interior mass obeys the ``1 - 2 eps/pi - O(1)/t``
-    law; under the alpha reading the edge divergence of the density
-    contributes an eps-dependent (not ``2 eps/pi``) deficit.
+    ``eps`` is measured in wavenumber: the interval is ``|n/t| <=
+    c cos(eps) / sqrt(1 - c^2 sin^2(eps))`` with ``c =
+    support_edge(coin)``.  Konno's weak limit puts ``(2/pi)
+    arctan(cot(eps)) = 1 - 2 eps/pi`` of the mass there, for every coin
+    and start.  For the Hadamard coin the cut is ``cos(eps) / sqrt(1 +
+    cos^2(eps))``, the velocity whose stationary wavenumber lies ``eps``
+    inside ``[0, pi]``.
+
+    At fixed eps the finite-t error is ``O(1/t)`` only once the cut,
+    about ``c (1 - c^2) eps^2 / 2`` inside the edge, clears the
+    ``t^{-2/3}``-wide edge layer: for t well above ``(c (1 - c^2)
+    eps^2 / 2)^{-3/2}``, which is about 10^5 for the Hadamard coin at
+    ``eps = 0.05``.  Before that, t times the error wanders with t.
     """
     t = dist.time
     if t < 1:
         raise DomainError("interval mass needs t >= 1")
-    if margin == "alpha":
-        cutoff = 1 / SQRT2 - eps
-    elif margin == "wavenumber":
-        cutoff = math.cos(eps) / math.sqrt(1 + math.cos(eps) ** 2)
-    else:
-        raise DomainError(f"margin must be 'alpha' or 'wavenumber', got {margin!r}")
+    c = support_edge(coin)
+    cutoff = c * math.cos(eps) / math.sqrt(1 - (c * math.sin(eps)) ** 2)
     alpha = dist.sites / t
     return float(np.sum(dist.masses[np.abs(alpha) <= cutoff]))
 
@@ -144,40 +146,31 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.asarray(p) - np.asarray(q))))
 
 
-def _line_window(t: int) -> tuple[int, int]:
-    half = math.ceil(t / SQRT2)
-    return -half, half
+def _uniform_target(n: int, t: int, parity: bool) -> NDArray[np.float64]:
+    """Uniform masses on the cycle of ``n`` sites at time ``t``.
+
+    With ``parity`` the target is uniform on the sites ``x`` with ``x +
+    t`` even, the class a walk from site 0 occupies, and zero elsewhere.
+    """
+    support = (np.arange(n) + t) % 2 == 0 if parity else np.ones(n, dtype=bool)
+    return np.where(support, 1.0 / np.count_nonzero(support), 0.0)
 
 
 def tv_distance(dist: ProbabilityDistribution, reference: str = "uniform_all") -> float:
-    """TV distance to a uniform reference on the natural comparison set.
+    """TV distance of a circle distribution to a uniform reference.
 
-    For circles the reference is uniform over all ``n`` sites
-    (``uniform_all``) or over the parity class reachable at
-    ``dist.time`` (``uniform_parity``).  For lines it is uniform over
-    the integer points in ``[-ceil(t/sqrt2), ceil(t/sqrt2)]``, again
-    optionally restricted to the reachable parity.  Mass of ``dist``
-    lying outside the reference window counts as pure discrepancy.
+    The reference is uniform over all ``n`` sites (``uniform_all``) or
+    over the parity class reachable at ``dist.time``
+    (``uniform_parity``); mass off that class counts as pure
+    discrepancy.  Lines have no uniform reference: their cone depends
+    on the coin, which a distribution does not carry.
     """
+    if not isinstance(dist.topology, Circle):
+        raise DomainError("tv_distance is defined on the circle")
     if reference not in ("uniform_all", "uniform_parity"):
         raise DomainError(f"unknown reference {reference!r}")
-    sites = dist.sites
-    masses = dist.masses
-    if isinstance(dist.topology, Circle):
-        in_window = np.ones(len(sites), dtype=bool)
-    else:
-        lo, hi = _line_window(dist.time)
-        in_window = (sites >= lo) & (sites <= hi)
-    if reference == "uniform_parity":
-        in_ref = in_window & ((sites + dist.time) % 2 == 0)
-    else:
-        in_ref = in_window
-    m = int(np.count_nonzero(in_ref))
-    if m == 0:
-        raise DomainError("empty reference window")
-    diff = np.abs(masses[in_ref] - 1.0 / m)
-    outside = float(np.sum(masses[~in_ref]))
-    return 0.5 * (float(np.sum(diff)) + outside)
+    target = _uniform_target(dist.topology.size, dist.time, reference == "uniform_parity")
+    return total_variation(dist.masses, target)
 
 
 def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
@@ -197,16 +190,12 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
     if t_cap < 1:
         raise DomainError(f"t_cap must be at least 1, got {t_cap}")
     n = spec.topology.size
-    if n % 2:
-        targets = [np.full(n, 1.0 / n)]
-    else:
-        # uniform on the occupied parity class x = t (mod 2)
-        targets = [np.where(np.arange(n) % 2 == p, 2.0 / n, 0.0) for p in (0, 1)]
+    targets = [_uniform_target(n, t, parity=n % 2 == 0) for t in (0, 1)]
     gap = np.empty(n)
     trace = []
     crossing: int | None = None
     for t, masses in enumerate(_masses(spec, t_cap), start=1):
-        np.subtract(masses, targets[t % len(targets)], out=gap)
+        np.subtract(masses, targets[t % 2], out=gap)
         tv = 0.5 * float(np.abs(gap, out=gap).sum())
         trace.append(tv)
         if tv <= delta:

@@ -103,7 +103,7 @@ def test_criterion_2_moment_table():
 
 def test_criterion_3_interval_mass_law():
     t, eps = 400, 0.05
-    got = interval_mass(_hadamard_left(t), eps, margin="wavenumber")
+    got = interval_mass(_hadamard_left(t), hadamard_coin(), eps)
     target = 1 - 2 * eps / math.pi
     ok = abs(got - target) < 5.0 / t
     line = _report(3, "interior mass follows 1 - 2*eps/pi", ok,

@@ -1,10 +1,13 @@
-"""Coin matrices, the transfer matrix at k = 0, topologies and initial states."""
+"""Coin matrices, the transfer matrix at k = 0, topologies, initial states
+and the defaulted parameters of the public functions."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import qwalk
 from qwalk import (
     Circle,
     CoinOperator,
@@ -136,3 +139,24 @@ def test_theta_half_pi_matches_hadamard_distributions():
         ph = distribution(evolve_line(initial_state(init), h, 50))
         pq = distribution(evolve_line(initial_state(init), q, 50))
         assert np.max(np.abs(ph.masses - pq.masses)) < 1e-13
+
+
+def test_public_defaults_are_pinned():
+    # every defaulted parameter of a public function is a setting to
+    # test; a new one must be added here on purpose
+    defaulted = {
+        f"{name}.{p.name}"
+        for name in qwalk.__all__
+        if inspect.isfunction(fn := getattr(qwalk, name))
+        for p in inspect.signature(fn).parameters.values()
+        if p.default is not p.empty
+    }
+    assert defaulted == {
+        "asymptotic_wavefunction.epsilon",
+        "p_asymptotic.epsilon",
+        "density_moment.absolute",
+        "moment.absolute",
+        "evolve_line.adjoint",
+        "initial_state.topology",
+        "tv_distance.reference",
+    }

@@ -144,21 +144,6 @@ def test_spectral_norm_is_exact():
     assert abs(psi.norm() - 1.0) < 1e-12
 
 
-def test_spectral_oversampling_changes_nothing():
-    psi0 = initial_state("left")
-    a = evolve_spectral(psi0, hadamard_coin(), 20)
-    b = evolve_spectral(psi0, hadamard_coin(), 20, n_samples=137)
-    by_a = dict(zip(a.sites.tolist(), a.amplitudes))
-    by_b = dict(zip(b.sites.tolist(), b.amplitudes))
-    for s in by_a:
-        assert np.max(np.abs(by_a[s] - by_b[s])) < 1e-12
-
-
-def test_spectral_rejects_undersampling():
-    with pytest.raises(DomainError):
-        evolve_spectral(initial_state("left"), hadamard_coin(), 20, n_samples=11)
-
-
 def test_spectral_rejects_circle_and_negative_t():
     from qwalk import Circle
 
@@ -191,14 +176,6 @@ def test_spectral_continues_from_evolved_state():
     assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
 
 
-def test_spectral_odd_sample_count():
-    psi0 = initial_state("symmetric")
-    a = evolve_line(psi0, hadamard_coin(), 20)
-    b = evolve_spectral(psi0, hadamard_coin(), 20, n_samples=45)
-    assert np.array_equal(a.sites, b.sites)
-    assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
-
-
 def test_spectral_memory_is_linear_in_t():
     # the dense n_out x N inverse DFT matrix at t = 4000 alone is 1 GB
     import tracemalloc
@@ -221,18 +198,11 @@ def test_spectral_rejects_too_many_steps():
 
 @pytest.mark.parametrize("width, t", [(1, 0), (1, 1), (1, 2000), (3, 200000), (17, 4321)])
 def test_default_grid_is_even_and_5_smooth(width, t):
-    from qwalk.spectral import _grid_size
+    from qwalk.spectral import _even_smooth_at_least
 
-    n = _grid_size(width, t, None)
+    n = _even_smooth_at_least(width + 2 * t)
     assert n % 2 == 0 and n >= width + 2 * t
     for p in (2, 3, 5):
         while n % p == 0:
             n //= p
     assert n == 1
-
-
-def test_explicit_sample_count_is_kept():
-    from qwalk.spectral import _grid_size
-
-    assert _grid_size(1, 20, 45) == 45
-    assert _grid_size(1, 20, 137) == 137

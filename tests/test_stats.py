@@ -30,6 +30,12 @@ from qwalk.evolve import ProbabilityDistribution
 
 SQRT2 = math.sqrt(2)
 
+#: a complex U(2) coin: e^{0.3i} [[e^{0.7i} c, e^{-0.2i} s], [-e^{0.2i} s, e^{-0.7i} c]]
+COMPLEX_COIN = CoinOperator(np.exp(0.3j) * np.array([
+    [np.exp(0.7j) * math.cos(0.9), np.exp(-0.2j) * math.sin(0.9)],
+    [-np.exp(0.2j) * math.sin(0.9), np.exp(-0.7j) * math.cos(0.9)],
+]))
+
 
 @pytest.fixture(scope="module")
 def had_left_t80():
@@ -81,7 +87,9 @@ def test_analytic_moment_values():
 
 
 def test_interval_mass_alpha_margin_monotone(had_left_t80):
-    masses = [interval_mass(had_left_t80, eps) for eps in (0.0, 0.05, 0.2)]
+    # the cut lies about 0.18 eps^2 inside the edge: at eps = 0.05 that
+    # is less than the site spacing 1/80 and drops no site
+    masses = [interval_mass(had_left_t80, hadamard_coin(), eps) for eps in (0.0, 0.2, 0.5)]
     assert masses[0] > masses[1] > masses[2] > 0
     assert masses[0] <= 1.0
 
@@ -92,17 +100,31 @@ def test_interval_mass_wavenumber_law():
     t = 400
     d = distribution(evolve_line(initial_state("left"), hadamard_coin(), t))
     for eps in (0.05, 0.2):
-        got = interval_mass(d, eps, margin="wavenumber")
+        got = interval_mass(d, hadamard_coin(), eps)
         assert got == pytest.approx(1 - 2 * eps / math.pi, abs=5.0 / t)
 
 
-def test_interval_mass_rejects_bad_margin(had_left_t80):
-    with pytest.raises(DomainError):
-        interval_mass(had_left_t80, 0.1, margin="site")
+@pytest.mark.parametrize(
+    "coin",
+    [theta_coin(math.pi / 3), theta_coin(1.2), theta_coin(2 * math.pi / 3),
+     theta_coin(2.6), COMPLEX_COIN],
+    ids=["theta-1.05", "theta-1.2", "theta-2.09", "theta-2.6", "complex"])
+def test_interval_mass_law_reads_the_cone_off_the_coin(coin):
+    # at eps = 1 the cut lies well clear of the t^(-2/3) edge layer
+    t, eps = 1600, 1.0
+    d = distribution(evolve_line(initial_state(np.array([0.6, 0.8j])), coin, t))
+    assert interval_mass(d, coin, eps) == pytest.approx(1 - 2 * eps / math.pi, abs=5.0 / t)
+
+
+def test_interval_mass_of_theta_half_pi_is_the_hadamard_one():
+    d = distribution(evolve_line(initial_state("symmetric"), hadamard_coin(), 400))
+    for eps in (0.0, 0.05, 0.2, 1.0):
+        assert interval_mass(d, theta_coin(math.pi / 2), eps) == interval_mass(
+            d, hadamard_coin(), eps)
 
 
 def test_mass_concentrates_inside_the_cone(had_left_t80):
-    inside = interval_mass(had_left_t80, 0.0)
+    inside = interval_mass(had_left_t80, hadamard_coin(), 0.0)
     assert inside >= 1 - 1.0 * 80 ** (-1 / 3)
 
 
@@ -134,17 +156,13 @@ def test_tv_distance_even_circle_parity_floor():
     assert tv_distance(d, "uniform_parity") < 0.5
 
 
-def test_tv_distance_line_window_golden():
-    # window is [-ceil(t/sqrt2), ceil(t/sqrt2)]; mass outside counts fully
+def test_tv_distance_refuses_line():
+    # a line's cone depends on the coin, which a distribution does not carry
     d = distribution(evolve_line(initial_state("left"), hadamard_coin(), 100))
-    assert tv_distance(d, "uniform_all") == pytest.approx(
-        0.5635197476244872, abs=1e-12
-    )
-    assert tv_distance(d, "uniform_parity") == pytest.approx(
-        0.4195155443728212, abs=1e-12
-    )
     with pytest.raises(DomainError):
-        tv_distance(d, "gaussian")
+        tv_distance(d, "uniform_all")
+    with pytest.raises(DomainError):
+        tv_distance(distribution(initial_state("left", Circle(7))), "gaussian")
 
 
 def test_mixing_time_quantum_linear_instance():
@@ -222,11 +240,6 @@ def test_cesaro_average_of_the_classical_walk():
     assert np.max(np.abs(avg.masses - mean)) < 1e-16
 
 
-#: a complex U(2) coin: e^{0.3i} [[e^{0.7i} c, e^{-0.2i} s], [-e^{0.2i} s, e^{-0.7i} c]]
-COMPLEX_COIN = CoinOperator(np.exp(0.3j) * np.array([
-    [np.exp(0.7j) * math.cos(0.9), np.exp(-0.2j) * math.sin(0.9)],
-    [-np.exp(0.2j) * math.sin(0.9), np.exp(-0.7j) * math.cos(0.9)],
-]))
 SCAN_COINS = pytest.mark.parametrize(
     "coin", [hadamard_coin(), theta_coin(1.2), COMPLEX_COIN],
     ids=["hadamard", "theta-1.2", "complex"])
