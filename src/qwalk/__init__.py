@@ -36,7 +36,6 @@ from .evolve import (
 )
 from .spectral import (
     evolve_spectral,
-    fourier_amplitudes,
     transfer_matrix,
 )
 from .stats import (

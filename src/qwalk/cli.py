@@ -141,8 +141,6 @@ def cmd_simulate(args) -> None:
 def cmd_spectral(args) -> None:
     coin = _coin_from_args(args)
     topo = _topology_from_args(args)
-    if not isinstance(topo, Line):
-        raise DomainError("the spectral route is implemented on the line")
     psi = evolve_spectral(initial_state(args.init, topo), coin, args.steps)
     _emit(args, WF_HEADER, _wavefunction_rows(psi))
 
@@ -154,8 +152,6 @@ def _has_oscillatory_form(coin: CoinOperator, init: str) -> bool:
 
 def cmd_asymptotic(args) -> None:
     coin = _coin_from_args(args)
-    if not isinstance(_topology_from_args(args), Line):
-        raise DomainError("the asymptotic formula is derived on the line")
     if not _has_oscillatory_form(coin, args.init):
         raise DomainError("the oscillatory asymptotic formula needs the Hadamard "
                           "coin and --init left")
@@ -176,10 +172,7 @@ def cmd_asymptotic(args) -> None:
 
 def cmd_moments(args) -> None:
     coin = _coin_from_args(args)
-    topo = _topology_from_args(args)
-    if not isinstance(topo, Line):
-        raise DomainError("moments are computed on the line")
-    dist = distribution(evolve_line(initial_state(args.init, topo), coin, args.steps))
+    dist = distribution(evolve_line(initial_state(args.init), coin, args.steps))
     rows = [[name, moment(dist, *spec), analytic_moment(coin, args.init, name)]
             for name, spec in MOMENT_SPECS.items()]
     _emit(args, ["moment", "simulation", "density"], rows)
@@ -216,12 +209,10 @@ def cmd_symmetry(args) -> None:
 
 def cmd_compare(args) -> None:
     coin = _coin_from_args(args)
-    if not isinstance(_topology_from_args(args), Line):
-        raise DomainError("compare runs on the line")
     t = args.steps
     if t < 1:
         raise DomainError("compare needs --steps >= 1")
-    psi0 = initial_state(args.init, Line())
+    psi0 = initial_state(args.init)
     exact = evolve_line(psi0, coin, t)
     spectral = evolve_spectral(psi0, coin, t)
     max_amp_diff = float(np.max(np.abs(exact.amplitudes - spectral.amplitudes)))
@@ -265,12 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default="csv", choices=["csv", "json"])
         p.add_argument("--output", default="-", help="output path or '-' for stdout")
 
-    def common(p, steps_default=None):
+    def common(p, steps_default=None, topology=True):
         coin_and_output(p)
         p.add_argument("--init", default="left",
                        choices=["left", "right", "symmetric"])
-        p.add_argument("--topology", default="line",
-                       help="'line' or 'circle:N'")
+        if topology:
+            p.add_argument("--topology", default="line",
+                           help="'line' or 'circle:N'")
         if steps_default is not None:
             p.add_argument("--steps", type=int, default=steps_default)
 
@@ -284,12 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asymptotic",
                        help="stationary-phase site probabilities (Hadamard, left start)")
-    common(p, steps_default=100)
+    common(p, steps_default=100, topology=False)
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.set_defaults(func=cmd_asymptotic)
 
     p = sub.add_parser("moments", help="moment table, simulation vs density")
-    common(p, steps_default=80)
+    common(p, steps_default=80, topology=False)
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("mix", help="TV-to-uniform trace and crossing time")
@@ -305,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_symmetry)
 
     p = sub.add_parser("compare", help="exact vs spectral vs asymptotic")
-    common(p, steps_default=64)
+    common(p, steps_default=64, topology=False)
     p.add_argument("--epsilon", type=float, default=0.1)
     p.set_defaults(func=cmd_compare)
 

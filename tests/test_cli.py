@@ -111,6 +111,19 @@ def test_spectral_command_agrees_with_simulate(capsys):
     assert np.max(np.abs(pa - pb)) < 1e-12
 
 
+def test_spectral_command_agrees_with_simulate_on_a_circle(capsys):
+    argv = ["--topology", "circle:15", "--steps", "40", "--coin", "1.2", "--init", "symmetric"]
+    _, out_a, _ = run_cli(["simulate", *argv], capsys)
+    _, out_b, _ = run_cli(["spectral", *argv], capsys)
+    _, rows_a = parse_csv(out_a)
+    _, rows_b = parse_csv(out_b)
+    a = np.array(rows_a, dtype=float)
+    b = np.array(rows_b, dtype=float)
+    assert a.shape == b.shape == (15, 6)
+    assert np.array_equal(a[:, 0], b[:, 0])
+    assert np.max(np.abs(a - b)) < 1e-12
+
+
 def test_asymptotic_command_interior_only(capsys):
     code, out, _ = run_cli(
         ["asymptotic", "--steps", "100", "--epsilon", "0.1"], capsys
@@ -202,13 +215,14 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
 
 
 def test_each_subcommand_has_exactly_its_options():
-    walk = {"--coin", "--format", "--output", "--init", "--topology"}
+    walk = {"--coin", "--format", "--output", "--init"}
+    anywhere = walk | {"--topology"}
     expected = {
-        "simulate": walk | {"--steps"},
-        "spectral": walk | {"--steps"},
+        "simulate": anywhere | {"--steps"},
+        "spectral": anywhere | {"--steps"},
         "asymptotic": walk | {"--steps", "--epsilon"},
         "moments": walk | {"--steps"},
-        "mix": walk | {"--delta", "--t-cap", "--classical"},
+        "mix": anywhere | {"--delta", "--t-cap", "--classical"},
         "symmetry": {"--coin", "--format", "--output"},
         "compare": walk | {"--steps", "--epsilon"},
     }
@@ -237,11 +251,7 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_domain_errors_exit_3(capsys):
-    # spectral route refuses circles; mix refuses lines
-    code, _, err = run_cli(
-        ["spectral", "--topology", "circle:9", "--steps", "5"], capsys
-    )
-    assert code == 3 and "error:" in err
+    # mix refuses lines; a coin angle outside [0, pi] is no theta coin
     code, _, err = run_cli(["mix", "--delta", "0.3"], capsys)
     assert code == 3
     code, _, err = run_cli(["simulate", "--coin", "1.2pi", "--steps", "5"], capsys)
@@ -254,11 +264,14 @@ def test_zero_steps_is_a_domain_error(command, capsys):
     assert code == 3 and err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["compare", "asymptotic"])
+@pytest.mark.parametrize("command", ["compare", "asymptotic", "moments"])
 def test_compare_refuses_circle(command, capsys):
-    code, out, err = run_cli([command, "--topology", "circle:31", "--steps", "10"], capsys)
-    assert code == 3 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    # the line-only commands take no --topology at all
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--topology", "circle:31", "--steps", "10"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --topology circle:31" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,6 +16,7 @@ from qwalk import (
     distribution,
     evolve_circle,
     evolve_line,
+    evolve_spectral,
     hadamard_coin,
     initial_state,
     theta_coin,
@@ -273,3 +274,15 @@ def test_evolve_circle_matches_fourier_oracle(coin, pair, n, data):
     assert psi.time == t
     assert np.max(np.abs(psi.amplitudes - expected)) < 1e-12
     assert abs(psi.norm() - 1.0) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(u2_coins(), unit_pairs(), st.integers(3, 40), st.data())
+def test_spectral_matches_recurrence_on_line_and_circle(coin, pair, n, data):
+    t = data.draw(st.integers(0, 3 * n))
+    for topology, evolve in ((Line(), evolve_line), (Circle(n), evolve_circle)):
+        psi0 = initial_state(pair, topology)
+        exact = evolve(psi0, coin, t)
+        spectral = evolve_spectral(psi0, coin, t)
+        assert spectral.topology == exact.topology and spectral.time == t
+        assert np.max(np.abs(spectral.amplitudes - exact.amplitudes)) < 1e-12

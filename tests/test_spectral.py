@@ -1,4 +1,4 @@
-"""Fourier-domain route: transfer matrices, eigensystems, exact evolution."""
+"""Fourier-domain route: transfer matrices, closed-form powers, exact evolution."""
 
 import math
 
@@ -6,26 +6,20 @@ import numpy as np
 import pytest
 
 from qwalk import (
+    Circle,
+    CoinOperator,
     DomainError,
     distribution,
     evolve_line,
     evolve_spectral,
-    fourier_amplitudes,
     hadamard_coin,
     initial_state,
     theta_coin,
     transfer_matrix,
 )
-from qwalk.spectral import _eig_unitary_2x2
+from qwalk.spectral import _propagate
 
 SQRT2 = math.sqrt(2)
-
-
-def same_pairs(a, b):
-    """Largest distance between two (..., 2) arrays of unordered pairs."""
-    direct = np.abs(a - b).max(axis=-1)
-    swapped = np.abs(a - b[..., ::-1]).max(axis=-1)
-    return float(np.max(np.minimum(direct, swapped)))
 
 
 def test_transfer_matrix_is_unitary_everywhere():
@@ -45,51 +39,61 @@ def test_hadamard_transfer_matrix_entries():
     assert np.max(np.abs(m - expect)) < 1e-15
 
 
+def trace_of_power(m, t):
+    """``tr M^t`` from ``_propagate`` applied to the two basis vectors."""
+    return (_propagate(m, np.array([1.0, 0.0]), t)[..., 0]
+            + _propagate(m, np.array([0.0, 1.0]), t)[..., 1])
+
+
 def test_dispersion_hadamard_branch():
-    # eigenvalues e^{-i w_k} and -e^{i w_k}, with sin w_k = sin k / sqrt2
+    # eigenvalues e^{-i w_k} and -e^{i w_k}, with sin w_k = sin k / sqrt2;
+    # tr M^t at t = 1 and 2 fixes both eigenvalues
     ks = np.linspace(-math.pi, math.pi, 41)
-    lams, _ = _eig_unitary_2x2(transfer_matrix(hadamard_coin(), ks))
+    m = transfer_matrix(hadamard_coin(), ks)
     w = np.arcsin(np.sin(ks) / SQRT2)
-    assert same_pairs(lams, np.stack([np.exp(-1j * w), -np.exp(1j * w)], axis=-1)) < 1e-12
+    for t in (1, 2, 7, 40):
+        expect = np.exp(-1j * w * t) + (-1) ** t * np.exp(1j * w * t)
+        assert np.max(np.abs(trace_of_power(m, t) - expect)) < 1e-12
 
 
 def test_dispersion_theta_branch():
     # eigenvalues e^{+-i w_k}, with cos w_k = cos(theta/2) cos k
     ks = np.linspace(-math.pi, math.pi, 41)
-    lams, _ = _eig_unitary_2x2(transfer_matrix(theta_coin(1.1), ks))
+    m = transfer_matrix(theta_coin(1.1), ks)
     w = np.arccos(math.cos(0.55) * np.cos(ks))
-    assert same_pairs(lams, np.stack([np.exp(1j * w), np.exp(-1j * w)], axis=-1)) < 1e-12
+    for t in (1, 2, 7, 40):
+        assert np.max(np.abs(trace_of_power(m, t) - 2 * np.cos(w * t))) < 1e-12
 
 
-def test_eigensystem_reconstructs_matrix():
+def test_propagate_matches_matrix_powers():
+    # includes the degenerate M_k = +-I of the identity coin at k = 0 and pi
     rng = np.random.default_rng(5)
-    for coin in (hadamard_coin(), theta_coin(0.4), theta_coin(3.0)):
-        for k in rng.uniform(-math.pi, math.pi, 100):
-            m = transfer_matrix(coin, k)
-            lam, v = _eig_unitary_2x2(m)
-            assert np.max(np.abs(v.conj().T @ v - np.eye(2))) < 1e-12
-            rebuilt = v @ np.diag(lam) @ v.conj().T
-            assert np.max(np.abs(rebuilt - m)) < 1e-12
-            assert np.max(np.abs(m @ v - v * lam)) < 1e-12
-
-
-def test_eigensystem_degenerate_identity_coin():
-    lam, v = _eig_unitary_2x2(transfer_matrix(theta_coin(0.0), 0.0))
-    assert abs(lam[0] - lam[1]) < 1e-12
-    assert np.allclose(np.abs(lam), 1.0)
-    assert np.max(np.abs(v.conj().T @ v - np.eye(2))) < 1e-12
+    z = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+    coins = [hadamard_coin(), theta_coin(0.4), theta_coin(3.0), theta_coin(0.0),
+             CoinOperator(np.diag([np.exp(0.3j), np.exp(-1.9j)])),
+             CoinOperator(np.array([[0, 1j], [np.exp(0.8j), 0]]))]
+    coins += [CoinOperator(np.linalg.qr(a)[0]) for a in z]
+    ks = np.concatenate([[0.0, math.pi, -math.pi], rng.uniform(-math.pi, math.pi, 100)])
+    psi = rng.normal(size=(len(ks), 2)) + 1j * rng.normal(size=(len(ks), 2))
+    for coin in coins:
+        m = transfer_matrix(coin, ks)
+        once = np.einsum("kij,kj->ki", m, psi)
+        twice = np.einsum("kij,kj->ki", m, once)
+        assert np.max(np.abs(_propagate(m, psi, 0) - psi)) < 1e-12
+        assert np.max(np.abs(_propagate(m, psi, 1) - once)) < 1e-12
+        assert np.max(np.abs(_propagate(m, psi, 2) - twice)) < 1e-12
 
 
 def test_fourier_amplitudes_identity_at_t0():
     init = np.array([0.6, 0.8j])
-    out = fourier_amplitudes(hadamard_coin(), init, 1.234, 0)
+    out = _propagate(transfer_matrix(hadamard_coin(), 1.234), init, 0)
     assert np.max(np.abs(out - init)) < 1e-13
 
 
 def test_fourier_amplitudes_one_step_left_start():
     # one step from (1, 0): psi~(k, 1) = (e^{-ik}, e^{ik}) / sqrt2
     for k in (0.0, 0.8, -2.5):
-        out = fourier_amplitudes(hadamard_coin(), np.array([1.0, 0.0]), k, 1)
+        out = _propagate(transfer_matrix(hadamard_coin(), k), np.array([1.0, 0.0]), 1)
         expect = np.array([np.exp(-1j * k), np.exp(1j * k)]) / SQRT2
         assert np.max(np.abs(out - expect)) < 1e-13
 
@@ -110,13 +114,8 @@ def test_fourier_amplitudes_match_closed_form():
                 / (2 * math.sqrt(1 + math.cos(k) ** 2))
                 * (np.exp(-1j * w * t) - (-1) ** t * np.exp(1j * w * t))
             )
-            out = fourier_amplitudes(coin, np.array([1.0, 0.0]), k, t)
+            out = _propagate(transfer_matrix(coin, k), np.array([1.0, 0.0]), t)
             assert np.max(np.abs(out - np.array([el, er]))) < 1e-12
-
-
-def test_fourier_amplitudes_rejects_unnormalised_init():
-    with pytest.raises(DomainError):
-        fourier_amplitudes(hadamard_coin(), np.array([1.0, 1.0]), 0.0, 1)
 
 
 @pytest.mark.parametrize("coin_key", ["hadamard", 0.9, 2.6])
@@ -144,13 +143,37 @@ def test_spectral_norm_is_exact():
     assert abs(psi.norm() - 1.0) < 1e-12
 
 
-def test_spectral_rejects_circle_and_negative_t():
-    from qwalk import Circle
-
-    with pytest.raises(DomainError):
-        evolve_spectral(initial_state("left", Circle(5)), hadamard_coin(), 3)
+def test_spectral_rejects_negative_t():
     with pytest.raises(DomainError):
         evolve_spectral(initial_state("left"), hadamard_coin(), -1)
+    with pytest.raises(DomainError):
+        evolve_spectral(initial_state("left", Circle(5)), hadamard_coin(), -1)
+
+
+@pytest.mark.parametrize("theta", [1e-10, 1e-8, 1e-6])
+def test_spectral_matches_recurrence_near_the_identity_coin(theta):
+    # the angle of a near-identity M_k is read off its traceless part,
+    # so it keeps full relative precision however small
+    coin = theta_coin(theta)
+    psi0 = initial_state("symmetric")
+    for t in (1, 100, 2000):
+        a = evolve_line(psi0, coin, t)
+        b = evolve_spectral(psi0, coin, t)
+        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
+
+
+@pytest.mark.parametrize("diagonal", [(1, 1), (1j, -1)], ids=["identity", "diag-i"])
+def test_spectral_error_grows_at_most_linearly_in_t(diagonal):
+    # a diagonal coin moves L and R ballistically, so the exact answer is
+    # two phases; 1j and -1 raise to exact powers
+    pair = np.array([0.6, 0.8j])
+    t = 10**5 + 1
+    psi = evolve_spectral(initial_state(pair), CoinOperator(np.diag(diagonal)), t)
+    exact = np.zeros((2 * t + 1, 2), dtype=np.complex128)
+    exact[0, 0] = pair[0] * diagonal[0] ** (t % 4)
+    exact[-1, 1] = pair[1] * diagonal[1] ** (t % 4)
+    assert np.array_equal(psi.sites, np.arange(-t, t + 1))
+    assert np.max(np.abs(psi.amplitudes - exact)) <= 1e-15 * t
 
 
 @pytest.mark.parametrize(
