@@ -65,11 +65,12 @@ def test_dispersion_theta_branch():
         assert np.max(np.abs(trace_of_power(m, t) - 2 * np.cos(w * t))) < 1e-12
 
 
-def test_propagate_matches_matrix_powers():
-    # includes the degenerate M_k = +-I of the identity coin at k = 0 and pi
+def test_eigensystem_reconstructs_matrix():
+    # the closed-form power rebuilds M^0 = I, M and M^2, and its trace at
+    # t = 7 is the power sum of the eigenvalues numpy finds for M
     rng = np.random.default_rng(5)
     z = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
-    coins = [hadamard_coin(), theta_coin(0.4), theta_coin(3.0), theta_coin(0.0),
+    coins = [hadamard_coin(), theta_coin(0.4), theta_coin(3.0),
              CoinOperator(np.diag([np.exp(0.3j), np.exp(-1.9j)])),
              CoinOperator(np.array([[0, 1j], [np.exp(0.8j), 0]]))]
     coins += [CoinOperator(np.linalg.qr(a)[0]) for a in z]
@@ -82,6 +83,23 @@ def test_propagate_matches_matrix_powers():
         assert np.max(np.abs(_propagate(m, psi, 0) - psi)) < 1e-12
         assert np.max(np.abs(_propagate(m, psi, 1) - once)) < 1e-12
         assert np.max(np.abs(_propagate(m, psi, 2) - twice)) < 1e-12
+        lam = np.linalg.eigvals(m)
+        expect = np.sum(lam ** 7, axis=-1)
+        assert np.max(np.abs(trace_of_power(m, 7) - expect)) < 1e-10
+
+
+def test_eigensystem_degenerate_identity_coin():
+    # the identity coin gives M_k = +-I at k = 0 and pi (a repeated
+    # eigenvalue, sin w == 0), and M_k = diag(e^{-ik}, e^{ik}) nearby
+    ks = np.array([0.0, math.pi, -math.pi, 1e-9, math.pi - 1e-9])
+    m = transfer_matrix(theta_coin(0.0), ks)
+    psi = np.array([0.6, 0.8j])
+    for t in (0, 1, 2, 5, 40):
+        out = _propagate(m, psi, t)
+        expect = np.stack([np.exp(-1j * ks * t) * psi[0],
+                           np.exp(1j * ks * t) * psi[1]], axis=-1)
+        assert np.all(np.isfinite(out))
+        assert np.max(np.abs(out - expect)) < 1e-12
 
 
 def test_fourier_amplitudes_identity_at_t0():
