@@ -9,14 +9,12 @@ unbiasedness diagnostics, for any U(2) coin.
 __version__ = "0.1.0"
 
 from .asymptotics import (
-    StationaryPointData,
     asymptotic_wavefunction,
     density,
     density_integral,
     density_moment,
     frontier_peak,
     p_asymptotic,
-    stationary_point,
 )
 from .core import (
     Circle,

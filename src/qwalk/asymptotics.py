@@ -12,39 +12,44 @@ for the initial pair ``(a, b)``.  Its moments have closed forms, which
 the tests use as the regression gate: ``E alpha = -lam (1 - |u01|)``,
 ``E alpha^2 = 1 - |u01|`` and ``E|alpha| = 1 - (2/pi) arccos|u00|``.
 
-Stationary phase (Hadamard coin, left start).  At scaled position
-``alpha = n/t`` the inverse-transform integrals are dominated by the
-stationary points of the phase ``-(w_k + alpha k)``, where ``sin w_k =
-sin k / sqrt2``.  Inside the propagation cone ``|alpha| < 1/sqrt2`` this
-yields a ``1/sqrt(t)`` wavefunction with an explicit oscillatory
-structure; at the cone edges the stationary point degenerates to third
-order and the amplitude drops to ``t^{-1/3}`` (the frontier peaks);
-outside, the amplitude decays faster than any inverse polynomial.
+Stationary phase (any U(2) coin with ``0 < |u00| < 1``, any initial
+pair).  The walk is ``psi(n, t) = (1/2pi) int e^{-ikn} M_k^t psi0 dk``
+with ``M_k`` the transfer matrix of :mod:`qwalk.spectral`.  Since
+``det M_k = det U``, the eigenvalues of ``M_k`` are ``e^{i(h +- w)}``
+with ``h = arg(det U) / 2`` the same for every k, and
 
-All interior formulas refuse evaluation within ``epsilon`` of the edge:
-the ``O(t^{-2/3})``-wide transition profile there is deliberately
-unmodeled, and the leading curvature term blows up as ``w'' -> 0``.
+    cos w(k) = c cos q,    c = |u00|,  q = k - phi,  phi = arg u00 - h.
 
-A note on the oscillatory probability formula: expanding the probability
-as |psi_L|^2 + |psi_R|^2 is consistent with the right-chirality envelope
-``sqrt(1 - alpha^2) cos(phi t + k_alpha + pi/4)`` (equivalently
-``-alpha cos(.) - sqrt(1 - 2 alpha^2) sin(.)``); this rendering is the
-one validated against the exact walk and is used throughout.
+``h`` is taken once per coin: a per-k value can jump by pi when
+``det U = -1`` and swap the branches.  The lower branch at k is the
+upper one at ``k + pi`` times ``(-1)^(n+t)``, so the two add on the
+parity-allowed sites and cancel on the others.  On the upper branch the
+phase ``t (h + w) - k n`` is stationary where ``w'(k) = alpha = n/t``.
+Inside the cone ``|alpha| < c`` that has two roots,
+
+    cos q = +-sqrt((c^2 - alpha^2) / (c^2 (1 - alpha^2))),  sign(sin q) = sign(alpha),
+
+with curvature ``w'' = c cos q (1 - alpha^2) / sin w``, and each adds
+
+    sqrt(2 / (pi t |w''|)) e^{i(t (h + w) - k n + sign(w'') pi/4)} P+ psi0,
+    P+ = (M_k - e^{i(h - w)} I) / (2i e^{ih} sin w).
+
+The amplitude is ``O(1/sqrt(t))``.  At the cone edge ``w'' -> 0``: the
+``O(t^{-2/3})``-wide transition layer there is deliberately unmodeled,
+so callers keep a margin inside the edge.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .core import CoinOperator, DomainError, chirality_pair
+from .spectral import transfer_matrix
 
 __all__ = [
-    "StationaryPointData",
-    "stationary_point",
     "p_asymptotic",
     "support_edge",
     "density",
@@ -55,9 +60,6 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2)
-
-#: Default interior margin (in alpha units) before the cone edge.
-DEFAULT_EPSILON = 0.02
 
 #: Panels of the composite Simpson rule used for density quadrature
 #: (even, as the rule needs).
@@ -74,78 +76,64 @@ def support_edge(coin: CoinOperator) -> float:
     return float(abs(coin.matrix[0, 0]))
 
 
-@dataclass(frozen=True)
-class StationaryPointData:
-    """Stationary point of the inverse-transform phase at one alpha.
+def _stationary_points(
+    coin: CoinOperator, alpha: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """``(h, k, w, w'')`` at the two upper-branch roots of ``w'(k) = alpha``.
 
-    ``curvature`` is ``|w''|`` at the stationary point; ``phase`` is
-    ``phi(alpha) = -(w_{k_alpha} + alpha k_alpha)``.
+    ``k``, ``w`` and ``w''`` have shape ``(2,) + alpha.shape``: row 0 is
+    the root with ``cos q > 0``, row 1 the one with ``cos q < 0``.
+    Needs ``|alpha| < |u00|``.
     """
-
-    k_alpha: float
-    phase: float
-    curvature: float
-
-
-def _require_interior(alpha: float, epsilon: float) -> None:
-    edge = 1 / SQRT2
-    if abs(alpha) > edge - epsilon:
-        raise DomainError(
-            f"|alpha| = {abs(alpha):.6g} is within {epsilon} of the cone edge "
-            f"{edge:.6g}; the transition region is unmodeled"
-        )
-
-
-def stationary_point(alpha: float) -> StationaryPointData:
-    """Solve the Hadamard stationary-phase condition at ``alpha``.
-
-    Requires ``|alpha| < 1/sqrt2`` strictly (use the frontier/decay
-    results otherwise).  ``k_alpha`` lies in [0, pi], with ``cos k_alpha
-    = -alpha / sqrt(1 - alpha^2)``.
-    """
-    if abs(alpha) >= 1 / SQRT2:
-        raise DomainError(f"stationary point needs |alpha| < {1 / SQRT2:.6g}")
-    k = math.acos(-alpha / math.sqrt(1 - alpha * alpha))
-    w = math.asin(math.sin(k) / SQRT2)
-    phase = -(w + alpha * k)
-    curv = (1 - alpha * alpha) * math.sqrt(1 - 2 * alpha * alpha)
-    return StationaryPointData(k_alpha=k, phase=phase, curvature=curv)
+    u = coin.matrix
+    c = abs(u[0, 0])
+    h = float(np.angle(np.linalg.det(u))) / 2
+    root = np.sqrt((c - alpha) * (c + alpha) / (c * c * (1 - alpha) * (1 + alpha)))
+    cos_q = np.stack([root, -root])
+    k = np.copysign(np.arccos(cos_q), alpha) + np.angle(u[0, 0]) - h
+    w = np.arccos(c * cos_q)
+    return h, k, w, c * cos_q * (1 - alpha * alpha) / np.sin(w)
 
 
 def asymptotic_wavefunction(
-    alpha: float, t: int, epsilon: float = DEFAULT_EPSILON
+    coin: CoinOperator, init: str | NDArray[np.complex128], t: int, sites: NDArray[np.int64]
 ) -> np.ndarray:
-    """Leading-order ``(psi_L, psi_R)`` for the Hadamard walk, left start.
+    """Leading-order ``(psi_L, psi_R)`` at ``sites`` after ``t`` steps.
 
-    ``alpha * t`` must be an integer; parity-forbidden sites give an
-    exact ``(0, 0)`` through the vanishing parity prefactor.
+    Returns shape ``(len(sites), 2)``.  ``init`` is anything
+    :func:`qwalk.core.chirality_pair` accepts; the walk starts at site 0.
+    Parity-forbidden sites hold exact zeros.  Needs ``0 < |u00| < 1``,
+    ``t >= 1``, integer ``sites`` and ``|n/t| < |u00|`` at every site;
+    the error grows without bound towards the edge, where ``w'' -> 0``.
     """
-    _require_interior(alpha, epsilon)
-    n = round(alpha * t)
-    if abs(alpha * t - n) > 1e-9:
-        raise DomainError("alpha * t must be an integer site")
-    if (n + t) % 2:
-        return np.zeros(2, dtype=np.complex128)
-    sp = stationary_point(alpha)
-    x = sp.phase * t + math.pi / 4
-    pref = 2 / math.sqrt(2 * math.pi * t * sp.curvature)
-    psi_l = (1 - alpha) * math.cos(x)
-    psi_r = math.sqrt(1 - alpha * alpha) * math.cos(x + sp.k_alpha)
-    return pref * np.array([psi_l, psi_r], dtype=np.complex128)
+    edge = support_edge(coin)
+    if not 0 < edge < 1:
+        raise DomainError(f"stationary phase needs 0 < |u00| < 1, got |u00| = {edge:.6g}")
+    if t < 1:
+        raise DomainError("stationary phase needs t >= 1")
+    sites = np.asarray(sites)
+    if sites.ndim != 1 or sites.dtype.kind not in "iu":
+        raise DomainError("sites must be a 1-D array of integers")
+    alpha = sites / t
+    if np.any(np.abs(alpha) >= edge):
+        raise DomainError(f"every |n/t| must lie inside the cone edge {edge:.6g}")
+    pair = chirality_pair(init)
+    h, k, w, curv = _stationary_points(coin, alpha)
+    lower = np.exp(1j * (h - w))[..., None] * pair
+    projected = (transfer_matrix(coin, k) @ pair - lower) / (
+        2j * np.exp(1j * h) * np.sin(w))[..., None]
+    amp = np.sqrt(2 / (math.pi * t * np.abs(curv))) * np.exp(
+        1j * (t * (h + w) - k * sites + np.sign(curv) * math.pi / 4))
+    psi = np.sum(amp[..., None] * projected, axis=0)
+    psi[(sites + t) % 2 == 1] = 0
+    return psi
 
 
-def p_asymptotic(alpha: float, t: int, epsilon: float = DEFAULT_EPSILON) -> float:
-    """Full oscillatory site probability for the Hadamard walk, left start.
-
-    Evaluates, for ``n = alpha t`` of the right parity,
-
-        P = (2 / (pi t |w''|)) [ (1-alpha)^2 cos^2(phi t + pi/4)
-            + (1-alpha^2) cos^2(phi t + k_alpha + pi/4) ]
-
-    and 0 at parity-forbidden sites.
-    """
-    psi = asymptotic_wavefunction(alpha, t, epsilon)
-    return float(np.sum(np.abs(psi) ** 2))
+def p_asymptotic(
+    coin: CoinOperator, init: str | NDArray[np.complex128], t: int, sites: NDArray[np.int64]
+) -> np.ndarray:
+    """Per-site squared norms of :func:`asymptotic_wavefunction`."""
+    return np.sum(np.abs(asymptotic_wavefunction(coin, init, t, sites)) ** 2, axis=1)
 
 
 def _density_terms(

@@ -20,12 +20,13 @@ from typing import NoReturn
 import numpy as np
 
 from . import __version__
-from .asymptotics import DEFAULT_EPSILON, p_asymptotic, support_edge
+from .asymptotics import p_asymptotic, support_edge
 from .core import (
     Circle,
     CoinOperator,
     DomainError,
     Line,
+    check_steps,
     hadamard_coin,
     initial_state,
     theta_coin,
@@ -145,29 +146,27 @@ def cmd_spectral(args) -> None:
     _emit(args, WF_HEADER, _wavefunction_rows(psi))
 
 
-def _has_oscillatory_form(coin: CoinOperator, init: str) -> bool:
-    """Whether :func:`p_asymptotic` describes this walk: Hadamard, left start."""
-    return init == "left" and np.array_equal(coin.matrix, hadamard_coin().matrix)
+def _interior(coin: CoinOperator, t: int, epsilon: float) -> np.ndarray:
+    """Parity-allowed sites of an origin start with ``|n/t| <= |u00| - epsilon``."""
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        _usage_error(f"--epsilon must be finite and nonnegative, got {epsilon!r}")
+    if t < 1:
+        raise DomainError("--steps must be at least 1")
+    check_steps(t)
+    sites = np.arange(-t, t + 1, 2)
+    return sites[np.abs(sites / t) <= support_edge(coin) - epsilon]
 
 
 def cmd_asymptotic(args) -> None:
     coin = _coin_from_args(args)
-    if not _has_oscillatory_form(coin, args.init):
-        raise DomainError("the oscillatory asymptotic formula needs the Hadamard "
-                          "coin and --init left")
     t = args.steps
-    if t < 1:
-        raise DomainError("the asymptotic formula needs --steps >= 1")
-    edge = support_edge(coin)
-    rows = []
-    for n in range(-t, t + 1):
-        if (n + t) % 2:
-            continue
-        alpha = n / t
-        if abs(alpha) > edge - args.epsilon:
-            continue
-        rows.append([n, float(alpha), p_asymptotic(alpha, t, args.epsilon)])
-    _emit(args, ["n", "alpha", "prob"], rows)
+    sites = _interior(coin, t, args.epsilon)
+    if sites.size == 0:
+        raise DomainError(f"no parity-allowed site has |n/t| <= |u00| - epsilon "
+                          f"= {support_edge(coin) - args.epsilon:.6g}")
+    probs = p_asymptotic(coin, args.init, t, sites)
+    _emit(args, ["n", "alpha", "prob"],
+          [[n, n / t, p] for n, p in zip(sites.tolist(), probs.tolist())])
 
 
 def cmd_moments(args) -> None:
@@ -210,36 +209,32 @@ def cmd_symmetry(args) -> None:
 def cmd_compare(args) -> None:
     coin = _coin_from_args(args)
     t = args.steps
-    if t < 1:
-        raise DomainError("compare needs --steps >= 1")
+    sites = _interior(coin, t, args.epsilon)
     psi0 = initial_state(args.init)
     exact = evolve_line(psi0, coin, t)
     spectral = evolve_spectral(psi0, coin, t)
     max_amp_diff = float(np.max(np.abs(exact.amplitudes - spectral.amplitudes)))
 
-    p_exact = distribution(exact)
-    p_spec = distribution(spectral)
-    edge = support_edge(coin)
-    oscillatory = _has_oscillatory_form(coin, args.init)
-
-    rows = []
-    l1 = 0.0
-    for i, n in enumerate(p_exact.sites.tolist()):
-        alpha = n / t
-        p_asym = None
-        if (oscillatory and (n + t) % 2 == 0
-                and abs(alpha) <= edge - args.epsilon):
-            p_asym = p_asymptotic(alpha, t, args.epsilon)
-            l1 += abs(p_asym - p_exact.masses[i])
-        rows.append([n, float(p_exact.masses[i]), float(p_spec.masses[i]), p_asym])
+    p_exact = distribution(exact).masses
+    p_spec = distribution(spectral).masses
+    p_asym = [None] * len(p_exact)
+    l1 = None
+    if 0 < support_edge(coin) < 1 and sites.size:
+        # exact and spectral hold sites -t..t, so site n sits at row n + t
+        probs = p_asymptotic(coin, args.init, t, sites)
+        l1 = float(np.sum(np.abs(probs - p_exact[sites + t])))
+        for n, p in zip(sites.tolist(), probs.tolist()):
+            p_asym[n + t] = p
+    rows = [list(row) for row in zip(exact.sites.tolist(), p_exact.tolist(),
+                                     p_spec.tolist(), p_asym)]
 
     print(f"max_abs_amplitude_diff_exact_spectral: {_fmt(max_amp_diff)}",
           file=sys.stderr)
-    if oscillatory:
+    if l1 is not None:
         print(f"l1_interior_exact_asymptotic: {_fmt(l1)}", file=sys.stderr)
     _emit(args, ["n", "p_exact", "p_spectral", "p_asymptotic"], rows,
           extra={"max_abs_amplitude_diff_exact_spectral": max_amp_diff,
-                 "l1_interior_exact_asymptotic": l1 if oscillatory else None})
+                 "l1_interior_exact_asymptotic": l1})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,9 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("asymptotic",
-                       help="stationary-phase site probabilities (Hadamard, left start)")
+                       help="stationary-phase site probabilities inside the cone")
     common(p, steps_default=100, topology=False)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--epsilon", type=float, default=0.02,
+                   help="margin kept inside the cone edge |u00|")
     p.set_defaults(func=cmd_asymptotic)
 
     p = sub.add_parser("moments", help="moment table, simulation vs density")
@@ -298,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="exact vs spectral vs asymptotic")
     common(p, steps_default=64, topology=False)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=float, default=0.1,
+                   help="margin kept inside the cone edge |u00|")
     p.set_defaults(func=cmd_compare)
 
     return parser

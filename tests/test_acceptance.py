@@ -113,12 +113,10 @@ def test_criterion_3_interval_mass_law():
 
 def test_criterion_4_asymptotic_fidelity():
     t, eps = 200, 0.1
-    d = _hadamard_left(t)
-    by_site = dict(zip(d.sites.tolist(), d.masses.tolist()))
-    l1 = 0.0
-    for n in range(-t, t + 1, 2):
-        if abs(n / t) <= 1 / SQRT2 - eps:
-            l1 += abs(p_asymptotic(n / t, t, eps) - by_site[n])
+    exact = _hadamard_left(t).masses
+    sites = np.arange(-t, t + 1, 2)
+    sites = sites[np.abs(sites / t) <= 1 / SQRT2 - eps]
+    l1 = np.sum(np.abs(p_asymptotic(hadamard_coin(), "left", t, sites) - exact[sites + t]))
     ok = l1 <= 0.05
     line = _report(4, "interior asymptotics match the exact walk", ok,
                    f"L1 {l1:.4f}")

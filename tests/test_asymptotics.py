@@ -1,16 +1,17 @@
-"""Stationary-phase formulas: interior wavefunction, density, frontier."""
+"""Large-time formulas: stationary phase for any coin, density, frontier."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_evolve import parts, u2_coins
 
 from qwalk import (
     CoinOperator,
     DomainError,
+    asymptotic_wavefunction,
     density,
     density_integral,
     density_moment,
@@ -20,10 +21,15 @@ from qwalk import (
     hadamard_coin,
     initial_state,
     p_asymptotic,
-    stationary_point,
     theta_coin,
+    transfer_matrix,
 )
-from qwalk.asymptotics import MIN_PANELS_PER_WIDTH, QUADRATURE_PANELS, support_edge
+from qwalk.asymptotics import (
+    MIN_PANELS_PER_WIDTH,
+    QUADRATURE_PANELS,
+    _stationary_points,
+    support_edge,
+)
 from qwalk.stats import analytic_moment, moment
 
 SQRT2 = math.sqrt(2)
@@ -35,51 +41,125 @@ def test_support_edge_values():
     assert support_edge(theta_coin(math.pi / 3)) == pytest.approx(math.cos(math.pi / 6))
 
 
-def test_stationary_point_at_origin():
-    sp = stationary_point(0.0)
-    assert sp.k_alpha == pytest.approx(math.pi / 2)
-    assert sp.phase == pytest.approx(-math.pi / 4)
-    assert sp.curvature == pytest.approx(1.0)
+def hadamard_left_closed_form(alpha, t):
+    """The Hadamard left-start stationary-phase formula, written out by hand.
+
+    Returns ``(k_alpha, |w''|, P)``: ``cos k_alpha = -alpha / sqrt(1 - alpha^2)``
+    with ``k_alpha`` in [0, pi], and at a parity-allowed site
+
+        P = (2 / (pi t |w''|)) [(1 - alpha)^2 cos^2(x) + (1 - alpha^2) cos^2(x + k_alpha)],
+        x = -(w + alpha k_alpha) t + pi/4,  sin w = sin(k_alpha) / sqrt2.
+    """
+    k = math.acos(-alpha / math.sqrt(1 - alpha * alpha))
+    w = math.asin(math.sin(k) / SQRT2)
+    curvature = (1 - alpha * alpha) * math.sqrt(1 - 2 * alpha * alpha)
+    x = -(w + alpha * k) * t + math.pi / 4
+    prob = 2 / (math.pi * t * curvature) * (
+        (1 - alpha) ** 2 * math.cos(x) ** 2 + (1 - alpha * alpha) * math.cos(x + k) ** 2)
+    return k, curvature, prob
 
 
-def test_stationary_point_at_half():
-    sp = stationary_point(0.5)
-    assert sp.k_alpha == pytest.approx(math.acos(-0.5 / math.sqrt(0.75)))
-    assert sp.curvature == pytest.approx(0.75 * math.sqrt(0.5))
+def interior_sites(coin, t, margin):
+    sites = np.arange(-t, t + 1, 2)
+    return sites[np.abs(sites / t) <= support_edge(coin) - margin]
 
 
-def test_stationary_condition_residual_hadamard():
-    # dw/dk + alpha = 0 at k_alpha, with dw/dk = cos k / sqrt(1 + cos^2 k)
-    for alpha in np.linspace(-0.69, 0.69, 1000):
-        sp = stationary_point(float(alpha))
-        slope = math.cos(sp.k_alpha) / math.sqrt(1 + math.cos(sp.k_alpha) ** 2)
-        assert abs(slope + alpha) < 1e-12
+def interior_l1(coin, init, t, margin=0.1):
+    """Summed |stationary phase - exact walk| over the interior parity-allowed sites."""
+    exact = distribution(evolve_line(initial_state(init), coin, t)).masses
+    sites = interior_sites(coin, t, margin)
+    return float(np.sum(np.abs(p_asymptotic(coin, init, t, sites) - exact[sites + t])))
 
 
-def test_stationary_point_refuses_outside_cone():
+def test_stationary_points_at_origin_and_half():
+    _, k, _, curv = _stationary_points(hadamard_coin(), np.array([0.0, 0.5]))
+    assert np.abs(curv[:, 0]) == pytest.approx([1.0, 1.0])
+    assert np.abs(curv[:, 1]) == pytest.approx([0.75 * math.sqrt(0.5)] * 2)
+    assert np.sort(k[:, 0] % (2 * math.pi)) == pytest.approx([math.pi / 2, 3 * math.pi / 2])
+
+
+def test_stationary_points_match_the_hadamard_closed_form():
+    # the two roots sit at pi -+ k_alpha, with curvatures -+|w''| of the
+    # hand-written Hadamard solution
+    alpha = np.linspace(-0.69, 0.69, 1001)
+    _, k, _, curv = _stationary_points(hadamard_coin(), alpha)
+    k_alpha, curvature = np.array(
+        [hadamard_left_closed_form(a, 100)[:2] for a in alpha.tolist()]).T
+    assert curv == pytest.approx(np.stack([curvature, -curvature]), rel=1e-12)
+    # e^{ik} = e^{i(pi +- k_alpha)} = -e^{+-i k_alpha}
+    assert np.max(np.abs(np.exp(1j * k) + np.exp(1j * np.stack([k_alpha, -k_alpha])))) < 1e-12
+
+
+COMPLEX_COIN = CoinOperator(np.exp(0.4j) * np.array([
+    [np.exp(-1.1j) * math.cos(0.9), np.exp(2.3j) * math.sin(0.9)],
+    [-np.exp(-2.3j) * math.sin(0.9), np.exp(1.1j) * math.cos(0.9)],
+]))
+
+
+@pytest.mark.parametrize("coin", [hadamard_coin(), theta_coin(1.2), COMPLEX_COIN],
+                         ids=["hadamard", "theta", "complex"])
+def test_stationary_points_solve_the_eigenphase_condition(coin):
+    # against numpy's eigenvalues of M_k: e^{i(h + w)} is one of them, and
+    # its phase has slope alpha and second derivative w'' at each root
+    alpha = np.linspace(-0.9, 0.9, 37) * support_edge(coin)
+    h, k, w, curv = _stationary_points(coin, alpha)
+    step = 1e-4
+
+    def upper_phase(kk):
+        eig = np.linalg.eigvals(transfer_matrix(coin, kk))
+        near = np.exp(1j * (h + w))[..., None]
+        return np.angle(np.take_along_axis(
+            eig, np.argmin(np.abs(eig - near), axis=-1)[..., None], -1)[..., 0] / near[..., 0])
+
+    assert np.max(np.abs(upper_phase(k))) < 1e-12
+    lo, hi = upper_phase(k - step), upper_phase(k + step)
+    assert np.max(np.abs((hi - lo) / (2 * step) - alpha)) < 1e-7
+    assert np.max(np.abs((hi + lo) / step**2 - curv)) < 1e-5
+
+
+@pytest.mark.parametrize("coin, sites, t", [
+    (CoinOperator([[0.6, 0.8], [0.8, -0.6]]), [0, 60], 100),
+    (hadamard_coin(), [-72], 100),
+    (theta_coin(0.0), [0], 10),
+    (hadamard_coin(), [2], 0),
+    (hadamard_coin(), [0.0, 2.0], 100),
+    (hadamard_coin(), [[0, 2]], 100),
+], ids=["edge", "outside", "identity", "t-0", "float-sites", "2d"])
+def test_stationary_phase_refuses_outside_its_domain(coin, sites, t):
     with pytest.raises(DomainError):
-        stationary_point(0.71)
-
-
-def test_interior_evaluation_refuses_near_edge():
-    with pytest.raises(DomainError):
-        p_asymptotic(0.70, 100, epsilon=0.02)
+        p_asymptotic(coin, "left", t, sites)
 
 
 def test_parity_forbidden_sites_give_zero():
-    assert p_asymptotic(1 / 100, 100) == 0.0
-    psi = __import__("qwalk").asymptotic_wavefunction(3 / 100, 100)
-    assert np.all(psi == 0)
+    psi = asymptotic_wavefunction(theta_coin(1.2), "symmetric", 100, [-3, 1, 2, 33])
+    assert psi.shape == (4, 2)
+    assert np.all(psi[[0, 1, 3]] == 0) and not np.any(np.signbit(psi[[0, 1, 3]].real))
+    assert np.all(psi[2] != 0)
 
 
 def test_probability_is_squared_wavefunction():
-    from qwalk import asymptotic_wavefunction
+    sites = [-40, -12, 0, 20, 52]
+    psi = asymptotic_wavefunction(COMPLEX_COIN, "right", 100, sites)
+    assert p_asymptotic(COMPLEX_COIN, "right", 100, sites) == pytest.approx(
+        np.sum(np.abs(psi) ** 2, axis=1), abs=1e-15)
 
-    for n in (-40, -12, 0, 20, 52):
-        psi = asymptotic_wavefunction(n / 100, 100)
-        assert p_asymptotic(n / 100, 100) == pytest.approx(
-            float(np.sum(np.abs(psi) ** 2)), abs=1e-15
-        )
+
+@pytest.mark.parametrize("t", [100, 200])
+def test_hadamard_left_start_matches_the_closed_form(t):
+    sites = interior_sites(hadamard_coin(), t, 0.02)
+    expected = [hadamard_left_closed_form(n / t, t)[2] for n in sites.tolist()]
+    got = p_asymptotic(hadamard_coin(), "left", t, sites)
+    assert np.max(np.abs(got - expected)) < 1e-14
+
+
+def test_global_phase_of_the_coin_drops_out():
+    # h moves with the phase (det -1 -> +1 at gamma = pi/2); the
+    # probabilities must not
+    sites = interior_sites(hadamard_coin(), 200, 0.02)
+    base = p_asymptotic(hadamard_coin(), "symmetric", 200, sites)
+    for gamma in (0.5 * math.pi, math.pi, -0.3, 2.0):
+        coin = CoinOperator(np.exp(1j * gamma) * hadamard_coin().matrix)
+        assert np.max(np.abs(p_asymptotic(coin, "symmetric", 200, sites) - base)) < 1e-13
 
 
 def test_slow_envelope_at_origin():
@@ -202,17 +282,23 @@ def test_confined_walk_has_zero_moments(coin):
         density(0.0, CoinOperator([[0, 1], [1, 0]]), "left")
 
 
-def test_interior_l1_agreement_with_exact_walk():
-    t = 100
-    d = distribution(evolve_line(initial_state("left"), hadamard_coin(), t))
-    by_site = dict(zip(d.sites.tolist(), d.masses.tolist()))
-    eps = 0.1
-    l1 = 0.0
-    for n in range(-t, t + 1, 2):
-        if abs(n / t) > 1 / SQRT2 - eps:
-            continue
-        l1 += abs(p_asymptotic(n / t, t, eps) - by_site[n])
-    assert l1 < 0.01
+@pytest.mark.parametrize("coin, init", [
+    (hadamard_coin(), "left"),
+    (hadamard_coin(), "symmetric"),
+    (theta_coin(1.2), "symmetric"),
+    (COMPLEX_COIN, "right"),
+], ids=["hadamard-left", "hadamard-symmetric", "theta-symmetric", "complex-right"])
+@pytest.mark.parametrize("t, bound", [(100, 0.01), (400, 0.002), (1600, 0.0005)])
+def test_interior_l1_falls_with_t(coin, init, t, bound):
+    assert interior_l1(coin, init, t) <= bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(u2_coins(), unit_pairs)
+def test_stationary_phase_matches_the_recurrence_for_any_coin(coin, pair):
+    # tested against evolve_line, so this route stays an independent oracle
+    assume(0.15 <= support_edge(coin) <= 0.95)
+    assert interior_l1(coin, pair, 400) <= 0.005
 
 
 def test_slow_envelope_tracks_local_average():

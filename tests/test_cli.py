@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from qwalk import distribution, evolve_line, hadamard_coin, initial_state
+from qwalk import distribution, evolve_line, hadamard_coin, initial_state, theta_coin
 from qwalk.cli import build_parser, main, parse_theta
 
 
@@ -281,7 +281,14 @@ def test_compare_refuses_circle(command, capsys):
     ["mix", "--topology", "circle:31", "--delta", "nan"],
     ["mix", "--topology", "circle:31", "--delta", "0.3", "--t-cap", "0"],
     ["mix", "--topology", "circle:31", "--delta", "0.3", "--t-cap", "-5"],
-], ids=["coin", "theta", "circle-size", "delta-nan", "t-cap-0", "t-cap-negative"])
+    ["compare", "--epsilon", "nan"],
+    ["compare", "--epsilon", "inf"],
+    ["compare", "--epsilon", "-1"],
+    ["asymptotic", "--epsilon", "nan"],
+    ["asymptotic", "--epsilon", "-1"],
+], ids=["coin", "theta", "circle-size", "delta-nan", "t-cap-0", "t-cap-negative",
+        "compare-epsilon-nan", "compare-epsilon-inf", "compare-epsilon-negative",
+        "asymptotic-epsilon-nan", "asymptotic-epsilon-negative"])
 def test_bad_values_are_one_line_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -322,20 +329,59 @@ def test_moments_of_confined_walk_are_zero(capsys):
         assert abs(density) < 1e-9
 
 
-@pytest.mark.parametrize("argv", [
-    ["--init", "right"], ["--init", "symmetric"], ["--coin", "1.2"], ["--coin", "0.5pi"],
-])
-def test_asymptotic_needs_hadamard_left_start(argv, capsys):
-    code, out, err = run_cli(["asymptotic", "--steps", "50", *argv], capsys)
+OTHER_WALKS = [["--init", "right"], ["--init", "symmetric"], ["--coin", "1.2"],
+               ["--coin", "1.2", "--init", "symmetric"], ["--coin", "0.5pi", "--init", "right"]]
+
+
+def exact_masses(argv, t):
+    """Distribution of the CLI walk named by ``argv``, indexed by site + t."""
+    opts = dict(zip(argv[::2], argv[1::2]))
+    coin = opts.get("--coin", "hadamard")
+    coin = hadamard_coin() if coin == "hadamard" else theta_coin(parse_theta(coin))
+    return distribution(evolve_line(initial_state(opts.get("--init", "left")), coin, t)).masses
+
+
+@pytest.mark.parametrize("argv", OTHER_WALKS)
+def test_asymptotic_serves_every_walk(argv, capsys):
+    code, out, _ = run_cli(["asymptotic", "--steps", "64", "--epsilon", "0.1", *argv], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    sites = np.array([int(r[0]) for r in rows])
+    prob = np.array([float(r[2]) for r in rows])
+    assert len(rows) > 20 and np.all(sites % 2 == 0)
+    assert np.sum(np.abs(prob - exact_masses(argv, 64)[sites + 64])) < 0.02
+
+
+@pytest.mark.parametrize("argv", OTHER_WALKS)
+def test_compare_fills_asymptotics_for_every_walk(argv, capsys):
+    code, out, err = run_cli(
+        ["compare", "--steps", "64", "--format", "json", *argv], capsys
+    )
+    assert code == 0
+    payload = json.loads(out)
+    have = [r for r in payload["data"] if r["p_asymptotic"] is not None]
+    sites = np.array([r["n"] for r in have])
+    prob = np.array([r["p_asymptotic"] for r in have])
+    l1 = np.sum(np.abs(prob - exact_masses(argv, 64)[sites + 64]))
+    assert len(have) > 20 and np.all(sites % 2 == 0)
+    assert payload["l1_interior_exact_asymptotic"] == pytest.approx(l1, abs=1e-15)
+    assert l1 < 0.02
+    assert payload["max_abs_amplitude_diff_exact_spectral"] < 1e-12
+    assert "l1_interior" in err
+
+
+@pytest.mark.parametrize("coin", ["0", "pi"])
+def test_asymptotic_needs_an_open_cone(coin, capsys):
+    # |u00| = 1 (no density) or |u00| ~ 0 (no interior site)
+    code, out, err = run_cli(["asymptotic", "--coin", coin], capsys)
     assert code == 3 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["--init", "right"], ["--coin", "1.2"]])
-def test_compare_leaves_asymptotics_out_for_other_walks(argv, capsys):
-    code, out, err = run_cli(
-        ["compare", "--steps", "64", "--format", "json", *argv], capsys
-    )
+@pytest.mark.parametrize("argv", [["--coin", "0"], ["--coin", "pi"], ["--epsilon", "5"]])
+def test_compare_without_interior_sites_reports_null(argv, capsys):
+    # an L1 over no site is no agreement: it is null, not 0.0
+    code, out, err = run_cli(["compare", "--steps", "64", "--format", "json", *argv], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["l1_interior_exact_asymptotic"] is None

@@ -152,8 +152,6 @@ def test_public_defaults_are_pinned():
         if p.default is not p.empty
     }
     assert defaulted == {
-        "asymptotic_wavefunction.epsilon",
-        "p_asymptotic.epsilon",
         "density_moment.absolute",
         "moment.absolute",
         "evolve_line.adjoint",

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qwalk import (
@@ -66,14 +66,6 @@ def test_antidiagonal_coin_confines_the_walker():
     assert set(live.tolist()) <= {-1, 0, 1}
 
 
-def test_norm_conserved_along_the_walk():
-    psi = initial_state("symmetric")
-    coin = hadamard_coin()
-    for _ in range(300):
-        psi = evolve_line(psi, coin, 1)
-        assert abs(psi.norm() - 1.0) < 1e-12
-
-
 def test_parity_forbidden_sites_are_exact_zeros():
     psi = evolve_line(initial_state("left"), hadamard_coin(), 101)
     odd = (psi.sites + 101) % 2 == 1
@@ -124,18 +116,6 @@ def test_circle_single_step():
     psi = evolve_circle(initial_state("left", Circle(9)), hadamard_coin(), 1)
     assert np.allclose(psi.amplitudes[1], [0, 1 / SQRT2])
     assert np.allclose(psi.amplitudes[8], [1 / SQRT2, 0])
-
-
-def test_circle_matches_folded_line():
-    # before wraparound interference the circle walk is the line walk mod n
-    n, t = 31, 14
-    coin = hadamard_coin()
-    line = evolve_line(initial_state("symmetric"), coin, t)
-    circ = evolve_circle(initial_state("symmetric", Circle(n)), coin, t)
-    folded = np.zeros((n, 2), dtype=np.complex128)
-    for site, amp in zip(line.sites.tolist(), line.amplitudes):
-        folded[site % n] += amp
-    assert np.max(np.abs(folded - circ.amplitudes)) < 1e-13
 
 
 def test_circle_wraps_after_half_size():
@@ -259,6 +239,38 @@ def unit_pairs(draw):
     assume(np.linalg.norm(z) > 0.1)
     pair = z[0::2] + 1j * z[1::2]
     return pair / np.linalg.norm(pair)
+
+
+SYMMETRIC = initial_state("symmetric").amplitudes[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(u2_coins(), unit_pairs())
+@example(hadamard_coin(), SYMMETRIC)
+def test_norm_conserved_along_the_walk(coin, pair):
+    psi = initial_state(pair)
+    for _ in range(300):
+        psi = evolve_line(psi, coin, 1)
+        assert abs(psi.norm() - 1.0) < 1e-12
+
+
+#: A cycle size n in 3..40 and a time t < n // 2, before the walk wraps.
+sizes_before_wrap = st.integers(3, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n // 2 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(u2_coins(), unit_pairs(), sizes_before_wrap)
+@example(hadamard_coin(), SYMMETRIC, (31, 14))
+def test_circle_matches_folded_line(coin, pair, size_and_time):
+    # before wraparound interference the circle walk is the line walk mod n
+    n, t = size_and_time
+    line = evolve_line(initial_state(pair), coin, t)
+    circ = evolve_circle(initial_state(pair, Circle(n)), coin, t)
+    folded = np.zeros((n, 2), dtype=np.complex128)
+    for site, amp in zip(line.sites.tolist(), line.amplitudes):
+        folded[site % n] += amp
+    assert np.max(np.abs(folded - circ.amplitudes)) < 1e-13
 
 
 @settings(max_examples=60, deadline=None)
