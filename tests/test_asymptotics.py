@@ -71,11 +71,29 @@ def interior_l1(coin, init, t, margin=0.1):
     return float(np.sum(np.abs(p_asymptotic(coin, init, t, sites) - exact[sites + t])))
 
 
-def test_stationary_points_at_origin_and_half():
-    _, k, _, curv = _stationary_points(hadamard_coin(), np.array([0.0, 0.5]))
-    assert np.abs(curv[:, 0]) == pytest.approx([1.0, 1.0])
-    assert np.abs(curv[:, 1]) == pytest.approx([0.75 * math.sqrt(0.5)] * 2)
-    assert np.sort(k[:, 0] % (2 * math.pi)) == pytest.approx([math.pi / 2, 3 * math.pi / 2])
+def test_stationary_point_at_origin():
+    # k_alpha = pi/2 and the step phase -(w + alpha k_alpha) = -pi/4, seen
+    # through e^{ik} = -e^{+-i k_alpha} and e^{i(h + w)} = -e^{-+i pi/4}
+    h, k, w, curv = _stationary_points(hadamard_coin(), np.array(0.0))
+    assert np.sort(k % (2 * math.pi)) == pytest.approx([math.pi / 2, 3 * math.pi / 2])
+    assert -np.exp(1j * (h + w)) == pytest.approx(np.exp([-0.25j * math.pi, 0.25j * math.pi]))
+    assert curv == pytest.approx([1.0, -1.0])
+
+
+def test_stationary_point_at_half():
+    _, k, _, curv = _stationary_points(hadamard_coin(), np.array(0.5))
+    assert np.angle(-np.exp(1j * k)) == pytest.approx(
+        [1, -1] * np.array(math.acos(-0.5 / math.sqrt(0.75))))
+    assert curv == pytest.approx([0.75 * math.sqrt(0.5), -0.75 * math.sqrt(0.5)])
+
+
+def test_stationary_condition_residual_hadamard():
+    # dw/dk + alpha = 0 at k_alpha, with dw/dk = cos k / sqrt(1 + cos^2 k)
+    # and cos k_alpha = -cos k at both roots
+    alpha = np.linspace(-0.69, 0.69, 1000)
+    _, k, _, _ = _stationary_points(hadamard_coin(), alpha)
+    cos_k_alpha = -np.cos(k)
+    assert np.max(np.abs(cos_k_alpha / np.sqrt(1 + cos_k_alpha**2) + alpha)) < 1e-12
 
 
 def test_stationary_points_match_the_hadamard_closed_form():
@@ -117,14 +135,24 @@ def test_stationary_points_solve_the_eigenphase_condition(coin):
     assert np.max(np.abs((hi + lo) / step**2 - curv)) < 1e-5
 
 
+def test_stationary_point_refuses_outside_cone():
+    for sites in ([-72], [0, 72]):
+        with pytest.raises(DomainError):
+            p_asymptotic(hadamard_coin(), "left", 100, sites)
+
+
+def test_interior_evaluation_refuses_near_edge():
+    # n/t = |u00| = 0.6 exactly: w'' = 0 there
+    with pytest.raises(DomainError):
+        p_asymptotic(CoinOperator([[0.6, 0.8], [0.8, -0.6]]), "left", 100, [0, 60])
+
+
 @pytest.mark.parametrize("coin, sites, t", [
-    (CoinOperator([[0.6, 0.8], [0.8, -0.6]]), [0, 60], 100),
-    (hadamard_coin(), [-72], 100),
     (theta_coin(0.0), [0], 10),
     (hadamard_coin(), [2], 0),
     (hadamard_coin(), [0.0, 2.0], 100),
     (hadamard_coin(), [[0, 2]], 100),
-], ids=["edge", "outside", "identity", "t-0", "float-sites", "2d"])
+], ids=["identity", "t-0", "float-sites", "2d"])
 def test_stationary_phase_refuses_outside_its_domain(coin, sites, t):
     with pytest.raises(DomainError):
         p_asymptotic(coin, "left", t, sites)
@@ -282,13 +310,23 @@ def test_confined_walk_has_zero_moments(coin):
         density(0.0, CoinOperator([[0, 1], [1, 0]]), "left")
 
 
-@pytest.mark.parametrize("coin, init", [
+FIXED_WALKS = [
     (hadamard_coin(), "left"),
     (hadamard_coin(), "symmetric"),
     (theta_coin(1.2), "symmetric"),
     (COMPLEX_COIN, "right"),
-], ids=["hadamard-left", "hadamard-symmetric", "theta-symmetric", "complex-right"])
-@pytest.mark.parametrize("t, bound", [(100, 0.01), (400, 0.002), (1600, 0.0005)])
+]
+
+
+def test_interior_l1_agreement_with_exact_walk():
+    for coin, init in FIXED_WALKS:
+        assert interior_l1(coin, init, 100) < 0.01
+
+
+@pytest.mark.parametrize("coin, init", FIXED_WALKS,
+                         ids=["hadamard-left", "hadamard-symmetric", "theta-symmetric",
+                              "complex-right"])
+@pytest.mark.parametrize("t, bound", [(400, 0.002), (1600, 0.0005)])
 def test_interior_l1_falls_with_t(coin, init, t, bound):
     assert interior_l1(coin, init, t) <= bound
 

@@ -329,7 +329,7 @@ def test_moments_of_confined_walk_are_zero(capsys):
         assert abs(density) < 1e-9
 
 
-OTHER_WALKS = [["--init", "right"], ["--init", "symmetric"], ["--coin", "1.2"],
+OTHER_WALKS = [["--init", "right"], ["--init", "symmetric"], ["--coin", "1.2"], ["--coin", "0.5pi"],
                ["--coin", "1.2", "--init", "symmetric"], ["--coin", "0.5pi", "--init", "right"]]
 
 
@@ -378,9 +378,7 @@ def test_asymptotic_needs_an_open_cone(coin, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["--coin", "0"], ["--coin", "pi"], ["--epsilon", "5"]])
-def test_compare_without_interior_sites_reports_null(argv, capsys):
-    # an L1 over no site is no agreement: it is null, not 0.0
+def assert_compare_has_no_asymptotics(argv, capsys):
     code, out, err = run_cli(["compare", "--steps", "64", "--format", "json", *argv], capsys)
     assert code == 0
     payload = json.loads(out)
@@ -388,3 +386,14 @@ def test_compare_without_interior_sites_reports_null(argv, capsys):
     assert all(r["p_asymptotic"] is None for r in payload["data"])
     assert payload["max_abs_amplitude_diff_exact_spectral"] < 1e-12
     assert "l1_interior" not in err
+
+
+@pytest.mark.parametrize("argv", [["--coin", "0"], ["--coin", "pi"]])
+def test_compare_leaves_asymptotics_out_for_other_walks(argv, capsys):
+    # walks without an open cone 0 < |u00| < 1 have no interior to serve
+    assert_compare_has_no_asymptotics(argv, capsys)
+
+
+def test_compare_without_interior_sites_reports_null(capsys):
+    # an L1 over no site is no agreement: it is null, not 0.0
+    assert_compare_has_no_asymptotics(["--epsilon", "5"], capsys)
