@@ -11,8 +11,8 @@ import math
 
 from qwalk import (
     Line,
-    analytic_moment,
     classical_walk,
+    density_moment,
     distribution,
     evolve_line,
     hadamard_coin,
@@ -29,8 +29,8 @@ print(f"Hadamard walk, left start, t = {T}")
 print(f"{'moment':<10} {'simulation':>12} {'density':>12}")
 for name, spec in MOMENT_SPECS.items():
     sim = moment(d, *spec)
-    quad = analytic_moment(hadamard_coin(), "left", name)
-    print(f"{name:<10} {sim:>12.6f} {quad:>12.6f}")
+    limit = density_moment(hadamard_coin(), "left", name)
+    print(f"{name:<10} {sim:>12.6f} {limit:>12.6f}")
 
 dc = classical_walk(Line(), T)
 print(f"\nclassical walk at the same t: <|alpha|> = "

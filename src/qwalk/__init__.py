@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .asymptotics import (
     asymptotic_wavefunction,
     density,
-    density_integral,
     density_moment,
     frontier_peak,
     p_asymptotic,
@@ -39,7 +38,6 @@ from .spectral import (
 from .stats import (
     MixingReport,
     WalkSpec,
-    analytic_moment,
     cesaro_average,
     classical_walk,
     interval_mass,

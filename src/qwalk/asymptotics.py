@@ -9,8 +9,11 @@ law to a density on ``|alpha| < |u00|`` that depends only on ``|u00|``,
     lam = |a|^2 - |b|^2 + 2 Re(u00 a conj(u01 b)) / |u00|^2
 
 for the initial pair ``(a, b)``.  Its moments have closed forms, which
-the tests use as the regression gate: ``E alpha = -lam (1 - |u01|)``,
-``E alpha^2 = 1 - |u01|`` and ``E|alpha| = 1 - (2/pi) arccos|u00|``.
+:func:`density_moment` serves: ``E alpha = -lam (1 - |u01|)``,
+``E alpha^2 = 1 - |u01|`` and ``E|alpha| = (2/pi) arcsin|u00|``.  With
+``1 - |u01| = |u00|^2 / (1 + |u01|)`` they stay exact as ``|u00| -> 0``
+(a walker confined near the origin) and as ``|u01| -> 0`` (a ballistic
+walker, where the density itself does not exist).
 
 Stationary phase (any U(2) coin with ``0 < |u00| < 1``, any initial
 pair).  The walk is ``psi(n, t) = (1/2pi) int e^{-ikn} M_k^t psi0 dk``
@@ -54,21 +57,11 @@ __all__ = [
     "support_edge",
     "density",
     "density_moment",
-    "density_integral",
     "frontier_peak",
     "asymptotic_wavefunction",
 ]
 
 SQRT2 = math.sqrt(2)
-
-#: Panels of the composite Simpson rule used for density quadrature
-#: (even, as the rule needs).
-QUADRATURE_PANELS = 2000
-
-#: Least ``panels * |u01|`` the quadrature accepts.  The substituted
-#: integrand has poles ``|u01|`` off the real axis, so the Simpson error
-#: falls like ``exp(-panels |u01|)``: about 4e-11 at this floor.
-MIN_PANELS_PER_WIDTH = 24
 
 
 def support_edge(coin: CoinOperator) -> float:
@@ -154,16 +147,6 @@ def _density_terms(
     return float(edge), float(width), float(tilt)
 
 
-def _density_u(sin_u, cos_u, width: float, tilt: float):
-    """Density times ``d alpha / d u`` under ``alpha = |u00| sin u``.
-
-    The ``|u00| cos u`` Jacobian cancels the edge singularity, and
-    ``1 - alpha^2`` is written as ``cos^2 u + |u01|^2 sin^2 u`` to avoid
-    cancellation near the edge.  This is the one place the formula lives.
-    """
-    return width * (1 - tilt * sin_u) / (math.pi * (cos_u**2 + (width * sin_u) ** 2))
-
-
 def density(
     alpha: float, coin: CoinOperator, init: str | NDArray[np.complex128]
 ) -> float:
@@ -171,53 +154,40 @@ def density(
 
     ``init`` is anything :func:`qwalk.core.initial_state` accepts.
     Diverges integrably like ``(|u00|^2 - alpha^2)^{-1/2}`` at the cone
-    edge; quadrature goes through :func:`density_integral`.  A coin with
-    ``u01 = 0`` has no density: the walker moves ballistically.
+    edge.  A coin with ``u01 = 0`` has no density: the walker moves
+    ballistically.
     """
     edge, width, tilt = _density_terms(coin, init)
     if abs(alpha) >= edge:
         raise DomainError(f"density support is |alpha| < {edge:.6g}")
     if width == 0:
         raise DomainError("u01 = 0: the walk moves ballistically and has no density")
-    root = math.sqrt(edge * edge - alpha * alpha)
-    return _density_u(alpha / edge, root / edge, width, tilt) / root
-
-
-def density_integral(
-    weight, coin: CoinOperator, init: str | NDArray[np.complex128]
-) -> float:
-    """Integrate ``weight(alpha) p(alpha)`` over the open support.
-
-    Composite Simpson rule in ``u``, where ``alpha = |u00| sin u``, on
-    :data:`QUADRATURE_PANELS` subintervals.  Coins with ``|u01|`` below
-    ``MIN_PANELS_PER_WIDTH / QUADRATURE_PANELS`` (0.012) are rejected:
-    their density peaks at the edges more sharply than the panels
-    resolve.
-    """
-    edge, width, tilt = _density_terms(coin, init)
-    n = QUADRATURE_PANELS
-    if n * width < MIN_PANELS_PER_WIDTH:
-        raise DomainError(
-            f"|u01| = {width:.3g} is below {MIN_PANELS_PER_WIDTH / n:.3g}: "
-            f"{n} quadrature panels cannot resolve this density"
-        )
-    u = np.linspace(-math.pi / 2, math.pi / 2, n + 1)
-    sin_u = np.sin(u)
-    y = weight(edge * sin_u) * _density_u(sin_u, np.cos(u), width, tilt)
-    h = math.pi / n
-    return float(h / 3 * (y[0] + y[-1] + 4 * np.sum(y[1:-1:2]) + 2 * np.sum(y[2:-1:2])))
+    root = math.sqrt((edge - alpha) * (edge + alpha))
+    return width * (1 - tilt * alpha / edge) / (math.pi * (1 - alpha) * (1 + alpha) * root)
 
 
 def density_moment(
-    m: int,
-    coin: CoinOperator,
-    init: str | NDArray[np.complex128],
-    absolute: bool = False,
+    coin: CoinOperator, init: str | NDArray[np.complex128], m_spec: str
 ) -> float:
-    """m-th moment of alpha under the limiting density."""
-    if absolute:
-        return density_integral(lambda a: np.abs(a) ** m, coin, init)
-    return density_integral(lambda a: a**m, coin, init)
+    """Named moment of alpha under the limiting density, in closed form.
+
+    ``m_spec`` is ``"mean"``, ``"second"`` or ``"abs_mean"`` (the mean
+    of ``|alpha|``).  Every coin and start is served, including the
+    ballistic ``u01 = 0``, whose limit law is a pair of point masses at
+    ``+-1``.  The Hadamard coin with a left start gives
+    (-1 + 1/sqrt2, 1 - 1/sqrt2, 1/2); ``theta_coin(theta)`` with a
+    symmetric start gives mean |alpha| = 1 - theta/pi.
+    """
+    edge, width, tilt = _density_terms(coin, init)
+    if m_spec == "mean":
+        # 0.0 - x rather than -x: an unbiased walk prints 0, not -0
+        return (0.0 - tilt * edge) / (1 + width)
+    if m_spec == "second":
+        return edge * edge / (1 + width)
+    if m_spec == "abs_mean":
+        # a coin passes the 1e-14 unitarity check with |u00| up to 1 + 5e-15
+        return 2 * math.asin(min(edge, 1.0)) / math.pi
+    raise DomainError(f"m_spec must be 'mean', 'second' or 'abs_mean', got {m_spec!r}")
 
 
 def frontier_peak(t: int, side: str) -> float:

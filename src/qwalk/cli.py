@@ -20,7 +20,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import __version__
-from .asymptotics import p_asymptotic, support_edge
+from .asymptotics import density_moment, p_asymptotic, support_edge
 from .core import (
     Circle,
     CoinOperator,
@@ -33,7 +33,7 @@ from .core import (
 )
 from .evolve import distribution, evolve_circle, evolve_line
 from .spectral import evolve_spectral
-from .stats import MOMENT_SPECS, WalkSpec, analytic_moment, mixing_time, moment
+from .stats import MOMENT_SPECS, WalkSpec, mixing_time, moment
 from .symmetry import SIGMA_X, SIGMA_Y, SIGMA_Z, verify_symmetrizer
 
 USAGE_ERROR = 2
@@ -172,7 +172,7 @@ def cmd_asymptotic(args) -> None:
 def cmd_moments(args) -> None:
     coin = _coin_from_args(args)
     dist = distribution(evolve_line(initial_state(args.init), coin, args.steps))
-    rows = [[name, moment(dist, *spec), analytic_moment(coin, args.init, name)]
+    rows = [[name, moment(dist, *spec), density_moment(coin, args.init, name)]
             for name, spec in MOMENT_SPECS.items()]
     _emit(args, ["moment", "simulation", "density"], rows)
 

@@ -149,6 +149,8 @@ def theta_coin(theta: float) -> CoinOperator:
     of ``i (theta/2) sigma_y``; any global-phase variant induces the
     same distributions).  theta = pi/2 is distribution-equivalent to
     the Hadamard coin; theta = 0 and theta = pi are the singular walks.
+    The cosine is taken as ``sin((pi - theta)/2)``, so theta = pi gives
+    an exact zero diagonal, as theta = 0 gives the exact identity.
 
     Parameters
     ----------
@@ -157,7 +159,7 @@ def theta_coin(theta: float) -> CoinOperator:
     """
     if not 0.0 <= theta <= math.pi:
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    c, s = math.sin((math.pi - theta) / 2), math.sin(theta / 2)
     return CoinOperator(np.array([[c, s], [-s, c]]))
 
 

@@ -8,9 +8,9 @@ circle only, where the reference needs no coin.
 Covers both sides of the quantum/classical comparison: the coined walk
 (via the direct evolver) and the exact dynamic-programming distribution
 of the classical symmetric random walk, so scaling fits carry no
-sampling noise.  Moments are plain floats: :func:`moment` of a walk's
-distribution and :func:`analytic_moment` of its limiting density, the
-named ones listed in :data:`MOMENT_SPECS`.
+sampling noise.  :func:`moment` returns the moments of a walk's
+distribution as plain floats; :data:`MOMENT_SPECS` names the three that
+:func:`qwalk.asymptotics.density_moment` gives for the limiting density.
 
 On the circle both walks step in place: the coined walk through the
 circle kernel of :mod:`qwalk.evolve`, the classical one by a three-term
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .asymptotics import density_moment, support_edge
+from .asymptotics import support_edge
 from .core import (
     Circle,
     CoinOperator,
@@ -51,7 +51,6 @@ __all__ = [
     "MixingReport",
     "WalkSpec",
     "moment",
-    "analytic_moment",
     "interval_mass",
     "total_variation",
     "tv_distance",
@@ -94,25 +93,6 @@ def moment(dist: ProbabilityDistribution, m: int, absolute: bool = False) -> flo
 
 #: The named moments: ``(m, absolute)`` arguments of :func:`moment`.
 MOMENT_SPECS = {"mean": (1, False), "abs_mean": (1, True), "second": (2, False)}
-
-
-def analytic_moment(
-    coin: CoinOperator, init: str | NDArray[np.complex128], m_spec: str
-) -> float:
-    """Moment of the limiting density by quadrature.
-
-    ``init`` is anything :func:`qwalk.core.initial_state` accepts.  The
-    Hadamard coin with a left start gives the moment table
-    (-1 + 1/sqrt2, 1/2, 1 - 1/sqrt2); ``theta_coin(theta)`` with a
-    symmetric start gives mean |alpha| = 1 - theta/pi.  Coins whose
-    density the quadrature cannot resolve, the singular theta = 0
-    among them, raise :class:`DomainError`.
-    """
-    try:
-        m, absolute = MOMENT_SPECS[m_spec]
-    except KeyError:
-        raise DomainError(f"m_spec must be one of {sorted(MOMENT_SPECS)}") from None
-    return density_moment(m, coin, init, absolute)
 
 
 def interval_mass(dist: ProbabilityDistribution, coin: CoinOperator, eps: float) -> float:

@@ -93,16 +93,16 @@ def find_symmetrizer(coin: CoinOperator) -> SymmetrizerReport | None:
 
 
 def symmetric_initial(coin: CoinOperator) -> NDArray[np.complex128]:
-    """Unit eigenvector of a verified symmetrizer for this coin.
+    """Unit +1 eigenvector of a verified symmetrizer for this coin.
 
-    For ``S = sigma_y`` this is ``(1, i)/sqrt2``; evolving from it
-    gives ``P(n, t) = P(-n, t)`` to round-off at every t.
+    The symmetrizer S is a Pauli matrix, Hermitian and unitary, so
+    ``(I + S)/2`` projects onto its +1 eigenspace; the first column of
+    that projector is nonzero for all three and has a real positive L
+    component.  For ``S = sigma_y`` this is ``(1, i)/sqrt2``; evolving
+    from it gives ``P(n, t) = P(-n, t)`` to round-off at every t.
     """
     report = find_symmetrizer(coin)
     if report is None:
         raise DomainError("no symmetrizer verified for this coin")
-    vals, vecs = np.linalg.eigh(report.candidate)
-    v = vecs[:, -1]
-    # fix the global phase so the L component is real nonnegative
-    phase = v[0] / abs(v[0]) if abs(v[0]) > 1e-12 else 1.0
-    return v / phase
+    v = np.eye(2) + report.candidate
+    return v[:, 0] / np.linalg.norm(v[:, 0])

@@ -16,7 +16,7 @@ import pytest
 from qwalk import (
     Circle,
     WalkSpec,
-    analytic_moment,
+    density_moment,
     distribution,
     evolve_line,
     evolve_spectral,
@@ -88,9 +88,9 @@ def test_criterion_2_moment_table():
     sim = (moment(d, 1), moment(d, 1, absolute=True), moment(d, 2))
     sim_ref = (-0.293, 0.500, 0.293)
     quad = (
-        analytic_moment(hadamard_coin(), "left", "mean"),
-        analytic_moment(hadamard_coin(), "left", "abs_mean"),
-        analytic_moment(hadamard_coin(), "left", "second"),
+        density_moment(hadamard_coin(), "left", "mean"),
+        density_moment(hadamard_coin(), "left", "abs_mean"),
+        density_moment(hadamard_coin(), "left", "second"),
     )
     quad_ref = (-1 + 1 / SQRT2, 0.5, 1 - 1 / SQRT2)
     sim_err = max(abs(a - b) for a, b in zip(sim, sim_ref))

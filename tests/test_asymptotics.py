@@ -13,7 +13,6 @@ from qwalk import (
     DomainError,
     asymptotic_wavefunction,
     density,
-    density_integral,
     density_moment,
     distribution,
     evolve_line,
@@ -24,13 +23,8 @@ from qwalk import (
     theta_coin,
     transfer_matrix,
 )
-from qwalk.asymptotics import (
-    MIN_PANELS_PER_WIDTH,
-    QUADRATURE_PANELS,
-    _stationary_points,
-    support_edge,
-)
-from qwalk.stats import analytic_moment, moment
+from qwalk.asymptotics import _stationary_points, support_edge
+from qwalk.stats import moment
 
 SQRT2 = math.sqrt(2)
 
@@ -206,33 +200,50 @@ def test_slow_envelope_start_variants_differ():
     assert left == pytest.approx((1 - a) * sym)
 
 
+def integrate_density(weight, coin, start, nodes=100):
+    """``int weight(alpha) density(alpha) d alpha`` by Gauss-Legendre in ``u``.
+
+    ``alpha = |u00| sin u`` turns the edge singularity into a smooth
+    integrand; the rule is split at ``u = 0``, where ``|alpha|`` has a kink.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    u = np.concatenate([x - 1, x + 1]) * math.pi / 4
+    edge = support_edge(coin)
+    alpha = edge * np.sin(u)
+    p = np.array([density(a, coin, start) for a in alpha])
+    return float(np.sum(np.tile(w, 2) * math.pi / 4 * weight(alpha) * p * edge * np.cos(u)))
+
+
 @pytest.mark.parametrize(
     "theta,start",
     [("hadamard", "left"), (math.pi / 3, "symmetric"),
      (math.pi / 2, "symmetric"), (2 * math.pi / 3, "symmetric")],
 )
 def test_density_normalises(theta, start):
+    # the closed-form moments are integrals of the density, to round-off
     coin = hadamard_coin() if theta == "hadamard" else theta_coin(theta)
-    assert density_integral(lambda a: np.ones_like(a), coin, start) == pytest.approx(
-        1.0, abs=1e-10
-    )
+    assert integrate_density(np.ones_like, coin, start) == pytest.approx(1.0, abs=1e-10)
+    for name, weight in (("mean", lambda a: a), ("second", lambda a: a * a),
+                         ("abs_mean", np.abs)):
+        assert integrate_density(weight, coin, start) == pytest.approx(
+            density_moment(coin, start, name), abs=1e-10)
 
 
 def test_density_moments_hadamard_left():
     coin = hadamard_coin()
-    assert density_moment(1, coin, "left") == pytest.approx(-(1 - 1 / SQRT2), abs=1e-10)
-    assert density_moment(2, coin, "left") == pytest.approx(1 - 1 / SQRT2, abs=1e-10)
-    assert density_moment(1, coin, "left", absolute=True) == pytest.approx(0.5, abs=1e-10)
+    assert density_moment(coin, "left", "mean") == pytest.approx(-(1 - 1 / SQRT2), abs=1e-10)
+    assert density_moment(coin, "left", "second") == pytest.approx(1 - 1 / SQRT2, abs=1e-10)
+    assert density_moment(coin, "left", "abs_mean") == pytest.approx(0.5, abs=1e-10)
 
 
 @pytest.mark.parametrize("theta", [math.pi / 3, math.pi / 2, 2 * math.pi / 3, 2.8])
 def test_density_abs_mean_theta_family(theta):
     # symmetric start: mean |alpha| = 1 - theta/pi, mean alpha = 0
     coin = theta_coin(theta)
-    assert density_moment(1, coin, "symmetric", absolute=True) == pytest.approx(
+    assert density_moment(coin, "symmetric", "abs_mean") == pytest.approx(
         1 - theta / math.pi, abs=1e-9
     )
-    assert density_moment(1, coin, "symmetric") == pytest.approx(0.0, abs=1e-12)
+    assert density_moment(coin, "symmetric", "mean") == pytest.approx(0.0, abs=1e-12)
 
 
 def closed_form_moments(coin, pair):
@@ -252,35 +263,27 @@ unit_pairs = st.tuples(parts, parts, parts, parts).filter(
 @settings(max_examples=200, deadline=None)
 @given(u2_coins(), unit_pairs)
 def test_density_moments_match_closed_forms(coin, pair):
-    # quadrature within 1e-9 of the closed forms, or a DomainError when the
-    # panels cannot resolve the density; never a nan, inf or wrong value
-    width = abs(coin.matrix[0, 1])
+    # every coin is served, never with a nan, inf or wrong value
     for name, value in closed_form_moments(coin, pair).items():
-        if width * QUADRATURE_PANELS < MIN_PANELS_PER_WIDTH:
-            with pytest.raises(DomainError):
-                analytic_moment(coin, pair, name)
-        else:
-            assert analytic_moment(coin, pair, name) == pytest.approx(value, abs=1e-9)
+        assert density_moment(coin, pair, name) == pytest.approx(value, abs=1e-9)
 
 
 @settings(max_examples=20, deadline=None)
 @given(u2_coins(), unit_pairs)
 def test_density_moments_match_the_walk_for_any_coin(coin, pair):
     t = 2000
-    if abs(coin.matrix[0, 1]) * QUADRATURE_PANELS < MIN_PANELS_PER_WIDTH:
-        return
     d = distribution(evolve_line(initial_state(pair), coin, t))
     for name, (m, absolute) in (("mean", (1, False)), ("second", (2, False)),
                                 ("abs_mean", (1, True))):
         exact = moment(d, m, absolute=absolute)
-        assert exact == pytest.approx(analytic_moment(coin, pair, name), abs=1e-3)
+        assert exact == pytest.approx(density_moment(coin, pair, name), abs=1e-3)
 
 
 def test_density_follows_the_start():
     # a right start mirrors a left one; the theta family tilts like Hadamard
     h = hadamard_coin()
-    assert density_moment(1, h, "right") == pytest.approx(1 - 1 / SQRT2, abs=1e-10)
-    assert density_moment(1, theta_coin(1.2), "left") == pytest.approx(
+    assert density_moment(h, "right", "mean") == pytest.approx(1 - 1 / SQRT2, abs=1e-10)
+    assert density_moment(theta_coin(1.2), "left", "mean") == pytest.approx(
         -(1 - math.sin(0.6)), abs=1e-10
     )
     assert density(0.3, h, "right") == pytest.approx(density(-0.3, h, "left"), abs=1e-15)
@@ -288,9 +291,13 @@ def test_density_follows_the_start():
 
 @pytest.mark.parametrize("theta", [0.0, 1e-13, 1e-4, 0.02])
 def test_unresolvable_density_is_a_domain_error(theta):
-    # |u01| = sin(theta/2) below 24 / 2000 = 0.012
-    with pytest.raises(DomainError):
-        analytic_moment(theta_coin(theta), "left", "abs_mean")
+    # the name predates the closed forms: |u01| = sin(theta/2) near 0 is
+    # served, and theta = 0 moves ballistically to the left
+    coin = theta_coin(theta)
+    served = {name: density_moment(coin, "left", name) for name in ("mean", "second", "abs_mean")}
+    assert served == pytest.approx(closed_form_moments(coin, np.array([1, 0])), abs=1e-12)
+    if theta == 0:
+        assert served == {"mean": -1.0, "second": 1.0, "abs_mean": 1.0}
 
 
 def test_density_needs_an_off_diagonal_coin_entry():
@@ -301,10 +308,10 @@ def test_density_needs_an_off_diagonal_coin_entry():
 @pytest.mark.parametrize("coin", [theta_coin(math.pi), CoinOperator([[0, 1], [1, 0]])],
                          ids=["theta-pi", "sigma-x"])
 def test_confined_walk_has_zero_moments(coin):
-    # |u00| ~ 0: X_t / t tends to a point mass at 0, which the quadrature
-    # reproduces without dividing by |u00|
+    # |u00| = 0: X_t / t tends to a point mass at 0, which the closed
+    # forms reproduce without dividing by |u00|
     for name in ("mean", "second", "abs_mean"):
-        value = analytic_moment(coin, "symmetric", name)
+        value = density_moment(coin, "symmetric", name)
         assert math.isfinite(value) and abs(value) < 1e-15
     with pytest.raises(DomainError):
         density(0.0, CoinOperator([[0, 1], [1, 0]]), "left")
@@ -359,8 +366,8 @@ def test_moment_deviation_decays_like_inverse_t():
     for t in (200, 400):
         d = distribution(evolve_line(initial_state("left"), coin, t))
         devs[t] = (
-            abs(moment(d, 1) - analytic_moment(coin, "left", "mean")),
-            abs(moment(d, 2) - analytic_moment(coin, "left", "second")),
+            abs(moment(d, 1) - density_moment(coin, "left", "mean")),
+            abs(moment(d, 2) - density_moment(coin, "left", "second")),
         )
     assert devs[200][0] / devs[400][0] > 1.6
     assert devs[200][1] / devs[400][1] > 1.6

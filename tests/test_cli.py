@@ -317,9 +317,19 @@ def test_moments_density_follows_init(argv, mean, capsys):
 
 @pytest.mark.parametrize("coin", ["0", "1e-13", "0.0001"])
 def test_moments_of_unresolvable_coin_exit_3(coin, capsys):
+    # the name predates the closed forms: |u01| near 0 is served, and
+    # theta = 0 moves ballistically, so the limit is the walk itself
     code, out, err = run_cli(["moments", "--coin", coin], capsys)
-    assert code == 3 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert code == 0 and err == ""
+    theta = parse_theta(coin)
+    width = math.sin(theta / 2)
+    limit = {"mean": -(1 - width), "second": 1 - width, "abs_mean": 1 - theta / math.pi}
+    table = density_table(out)
+    for name, (simulation, density) in table.items():
+        assert density == pytest.approx(limit[name], abs=1e-12)
+        assert simulation == pytest.approx(density, abs=1e-3)
+    if coin == "0":
+        assert table == {"mean": (-1, -1), "second": (1, 1), "abs_mean": (1, 1)}
 
 
 def test_moments_of_confined_walk_are_zero(capsys):
@@ -327,6 +337,7 @@ def test_moments_of_confined_walk_are_zero(capsys):
     assert code == 0
     for simulation, density in density_table(out).values():
         assert abs(density) < 1e-9
+    assert "-0" not in [v for row in parse_csv(out)[1] for v in row[1:]]
 
 
 OTHER_WALKS = [["--init", "right"], ["--init", "symmetric"], ["--coin", "1.2"], ["--coin", "0.5pi"],
@@ -372,10 +383,12 @@ def test_compare_fills_asymptotics_for_every_walk(argv, capsys):
 
 @pytest.mark.parametrize("coin", ["0", "pi"])
 def test_asymptotic_needs_an_open_cone(coin, capsys):
-    # |u00| = 1 (no density) or |u00| ~ 0 (no interior site)
-    code, out, err = run_cli(["asymptotic", "--coin", coin], capsys)
-    assert code == 3 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    # |u00| = 1 (no density) or |u00| = 0 (no interior site); with no
+    # margin the origin alone is inside |n/t| <= |u00| = 0 and is refused
+    for margin in ([], ["--epsilon", "0"]):
+        code, out, err = run_cli(["asymptotic", "--coin", coin, *margin], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def assert_compare_has_no_asymptotics(argv, capsys):
@@ -388,7 +401,8 @@ def assert_compare_has_no_asymptotics(argv, capsys):
     assert "l1_interior" not in err
 
 
-@pytest.mark.parametrize("argv", [["--coin", "0"], ["--coin", "pi"]])
+@pytest.mark.parametrize("argv", [["--coin", "0"], ["--coin", "pi"],
+                                  ["--coin", "pi", "--epsilon", "0"]])
 def test_compare_leaves_asymptotics_out_for_other_walks(argv, capsys):
     # walks without an open cone 0 < |u00| < 1 have no interior to serve
     assert_compare_has_no_asymptotics(argv, capsys)

@@ -34,6 +34,9 @@ def test_hadamard_matrix_values():
 def test_theta_coin_endpoints():
     assert np.allclose(theta_coin(0.0).matrix, np.eye(2))
     assert np.allclose(theta_coin(math.pi).matrix, [[0, 1], [-1, 0]])
+    # the singular ends are exact: no 6e-17 diagonal entry at theta = pi
+    assert np.array_equal(theta_coin(0.0).matrix, np.eye(2))
+    assert np.array_equal(np.diag(theta_coin(math.pi).matrix), [0, 0])
 
 
 def test_theta_coin_is_unitary_across_family():
@@ -152,7 +155,6 @@ def test_public_defaults_are_pinned():
         if p.default is not p.empty
     }
     assert defaulted == {
-        "density_moment.absolute",
         "moment.absolute",
         "evolve_line.adjoint",
         "initial_state.topology",

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_evolve import angles, u2_coins
+from test_evolve import angles, u2_coins, unit_pairs
 
 from qwalk import (
+    CoinOperator,
     DomainError,
     distribution,
     evolve_line,
@@ -97,10 +98,19 @@ def test_exact_check_matches_the_k_grid_oracle(coin, s):
     assert grid_residual - 1e-14 <= rep.max_residual <= grid_residual * (1 + 1e-5) + 1e-14
 
 
+def sigma_x_coin(theta):
+    """``[[cos, i sin], [i sin, cos]]`` of half-angle theta/2, which sigma_x reverses."""
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return CoinOperator(np.array([[c, 1j * s], [1j * s, c]]))
+
+
 def test_symmetric_initial_is_the_sigma_y_eigenvector():
-    pair = symmetric_initial(hadamard_coin())
-    assert np.allclose(pair, np.array([1.0, 1.0j]) / SQRT2)
-    assert np.linalg.norm(pair) == pytest.approx(1.0)
+    # and the sigma_x eigenvector for a coin that sigma_x reverses
+    for coin, expected in ((hadamard_coin(), np.array([1.0, 1.0j]) / SQRT2),
+                           (sigma_x_coin(1.2), np.array([1.0, 1.0]) / SQRT2)):
+        pair = symmetric_initial(coin)
+        assert np.allclose(pair, expected)
+        assert np.linalg.norm(pair) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("coin", [hadamard_coin(), theta_coin(1.0), theta_coin(2.2)])
@@ -110,12 +120,18 @@ def test_symmetric_start_gives_symmetric_distribution(coin):
     assert np.max(np.abs(d.masses - d.masses[::-1])) < 1e-13
 
 
-def test_left_right_starts_are_mirror_images():
-    # P_left(n, t) = P_right(-n, t) for the rotation coin
-    coin = theta_coin(1.1)
-    dl = distribution(evolve_line(initial_state("left"), coin, 80))
-    dr = distribution(evolve_line(initial_state("right"), coin, 80))
-    assert np.max(np.abs(dl.masses - dr.masses[::-1])) < 1e-13
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([theta_coin, sigma_x_coin]), st.floats(0, math.pi), angles,
+       unit_pairs(), st.integers(0, 200))
+@example(theta_coin, 1.1, 0.0, np.array([1.0, 0.0]), 80)
+def test_left_right_starts_are_mirror_images(family, theta, gamma, pair, t):
+    # S^dag M_k S = +-M_{-k} gives P_{S psi0}(n, t) = P_{psi0}(-n, t); the
+    # example is the old rotation-coin case, where S maps left to right
+    coin = CoinOperator(np.exp(1j * gamma) * family(theta).matrix)
+    s = find_symmetrizer(coin).candidate
+    d = distribution(evolve_line(initial_state(pair), coin, t))
+    mirror = distribution(evolve_line(initial_state(s @ pair), coin, t))
+    assert np.max(np.abs(mirror.masses - d.masses[::-1])) < 1e-13
 
 
 def test_mirror_starts_have_opposite_means():
