@@ -3,7 +3,12 @@
 Runs simulations and analyses and emits machine-readable CSV or JSON.
 Output is deterministic: identical configs produce byte-identical
 files.  Floats are printed with 17 significant digits so doubles
-round-trip losslessly.
+round-trip losslessly.  Tables are formatted a column at a time: a
+column of plain ints, or of finite plain floats, goes through one
+C-level formatter, and the JSON rows are spliced into the indented
+``json.dumps`` of the rest of the payload from one per-row template.
+The bytes are those of formatting each value on its own and dumping
+the whole payload at once.
 
 Exit codes: 0 success, 2 usage/config error, 3 domain error (a
 precondition of the dispatched operation was violated).
@@ -15,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 from typing import NoReturn
 
 import numpy as np
@@ -40,8 +46,7 @@ USAGE_ERROR = 2
 DOMAIN_ERROR = 3
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+_fmt = "{:.17g}".format
 
 
 def parse_theta(text: str) -> float:
@@ -85,44 +90,79 @@ def _topology_from_args(args):
     _usage_error(f"topology must be 'line' or 'circle:N', got {text!r}")
 
 
-def _emit(args, header: list[str], rows: list[list], extra: dict | None = None) -> None:
-    """Write the result as CSV (header + rows) or JSON (config echo + data)."""
-    if args.format == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join("" if v is None else
-                                  _fmt(v) if isinstance(v, float) else str(v)
-                                  for v in row))
-        text = "\n".join(lines) + "\n"
+def _csv_cell(v) -> str:
+    return "" if v is None else _fmt(v) if isinstance(v, float) else str(v)
+
+
+def _json_cell(v) -> str:
+    return "null" if v is None else json.dumps(v)
+
+
+def _column_cells(values: tuple, csv: bool):
+    """Lazy text of one column's cells, for CSV or as JSON values."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return map(_fmt if csv else float.__repr__, values)
+    return map(_csv_cell if csv else _json_cell, values)
+
+
+# where the rows go in the indented dump of the payload
+_EMPTY_DATA = '\n "data": []'
+
+
+def _emit(args, header: list[str], rows: list, extra: dict | None = None) -> None:
+    """Write the result as CSV (header + rows) or JSON (config echo + data).
+
+    ``rows`` holds one sequence of cells per row.  The text is built a
+    column at a time and written in pieces; JSON rows are objects with
+    sorted keys, as in ``json.dumps(payload, indent=1, sort_keys=True)``.
+    """
+    csv = args.format == "csv"
+    columns = list(zip(*rows))
+    if csv:
+        line = ",".join(["%s"] * len(header)) + "\n"
+        cells = zip(*[_column_cells(col, csv) for col in columns])
+        pieces = chain([",".join(header) + "\n"], map(line.__mod__, cells))
     else:
         config = {k: v for k, v in sorted(vars(args).items())
                   if k != "func" and v is not None}
-        payload = {
-            "schema_version": "1",
-            "config": config,
-            "data": [dict(zip(header, row)) for row in rows],
-        }
+        payload = {"schema_version": "1", "config": config, "data": []}
         if extra:
             payload.update(extra)
         text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        pieces = [text]
+        if rows:
+            # a repeated key keeps its last column, as a dict built from the row would
+            index = {key: i for i, key in enumerate(header)}
+            keys = sorted(index)
+            fields = ",\n".join(f"   {json.dumps(key).replace('%', '%%')}: %s" for key in keys)
+            template = ",\n  {\n" + fields + "\n  }"
+            cells = zip(*[_column_cells(columns[index[key]], csv) for key in keys])
+            head, _, tail = text.partition(_EMPTY_DATA)
+            # the first row goes without the separating comma
+            pieces = chain([head, '\n "data": [', template[1:] % next(cells)],
+                           map(template.__mod__, cells), ["\n ]", tail])
 
     if args.output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         try:
             fh = open(args.output, "w")
         except OSError as exc:
             _usage_error(f"cannot write --output {args.output!r}: {exc.strerror}")
         with fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
-def _wavefunction_rows(psi) -> list[list]:
-    rows = []
-    for site, (al, ar) in zip(psi.sites.tolist(), psi.amplitudes):
-        prob = abs(al) ** 2 + abs(ar) ** 2
-        rows.append([site, al.real, al.imag, ar.real, ar.imag, prob])
-    return rows
+def _wavefunction_rows(psi) -> list[tuple]:
+    amps = psi.amplitudes
+    left, right = amps.T.tolist()
+    # over Python complexes: numpy's vector abs differs in the last bit on some rows
+    prob = [abs(al) ** 2 + abs(ar) ** 2 for al, ar in zip(left, right)]
+    # the float64 view of the (L, R) columns is (L.re, L.im, R.re, R.im)
+    return list(zip(psi.sites.tolist(), *amps.view(np.float64).T.tolist(), prob))
 
 
 WF_HEADER = ["n", "psi_L_re", "psi_L_im", "psi_R_re", "psi_R_im", "prob"]
@@ -147,14 +187,19 @@ def cmd_spectral(args) -> None:
 
 
 def _interior(coin: CoinOperator, t: int, epsilon: float) -> np.ndarray:
-    """Parity-allowed sites of an origin start with ``|n/t| <= |u00| - epsilon``."""
+    """Parity-allowed sites of an origin start with ``|n/t| <= |u00| - epsilon``.
+
+    Sites with ``|n/t| >= |u00|`` are dropped too, so ``epsilon = 0``
+    serves the open cone that :func:`asymptotic_wavefunction` accepts.
+    """
     if not (math.isfinite(epsilon) and epsilon >= 0):
         _usage_error(f"--epsilon must be finite and nonnegative, got {epsilon!r}")
     if t < 1:
         raise DomainError("--steps must be at least 1")
     check_steps(t)
     sites = np.arange(-t, t + 1, 2)
-    return sites[np.abs(sites / t) <= support_edge(coin) - epsilon]
+    alpha, edge = np.abs(sites / t), support_edge(coin)
+    return sites[(alpha <= edge - epsilon) & (alpha < edge)]
 
 
 def cmd_asymptotic(args) -> None:
@@ -166,7 +211,7 @@ def cmd_asymptotic(args) -> None:
                           f"= {support_edge(coin) - args.epsilon:.6g}")
     probs = p_asymptotic(coin, args.init, t, sites)
     _emit(args, ["n", "alpha", "prob"],
-          [[n, n / t, p] for n, p in zip(sites.tolist(), probs.tolist())])
+          list(zip(sites.tolist(), (sites / t).tolist(), probs.tolist())))
 
 
 def cmd_moments(args) -> None:
@@ -189,7 +234,8 @@ def cmd_mix(args) -> None:
     spec = WalkSpec(topology=topo, coin=coin, init=args.init,
                     classical=args.classical)
     report = mixing_time(spec, args.delta, args.t_cap)
-    rows = [[t + 1, float(tv)] for t, tv in enumerate(report.tv_trace)]
+    trace = report.tv_trace.tolist()
+    rows = list(zip(range(1, len(trace) + 1), trace))
     crossing = report.time if report.reached else None
     print(f"crossing_time: {crossing if crossing is not None else 'not reached'}",
           file=sys.stderr)
@@ -225,8 +271,7 @@ def cmd_compare(args) -> None:
         l1 = float(np.sum(np.abs(probs - p_exact[sites + t])))
         for n, p in zip(sites.tolist(), probs.tolist()):
             p_asym[n + t] = p
-    rows = [list(row) for row in zip(exact.sites.tolist(), p_exact.tolist(),
-                                     p_spec.tolist(), p_asym)]
+    rows = list(zip(exact.sites.tolist(), p_exact.tolist(), p_spec.tolist(), p_asym))
 
     print(f"max_abs_amplitude_diff_exact_spectral: {_fmt(max_amp_diff)}",
           file=sys.stderr)

@@ -30,6 +30,7 @@ should therefore compare against ``uniform_parity``.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,7 +173,7 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
     n = spec.topology.size
     targets = [_uniform_target(n, t, parity=n % 2 == 0) for t in (0, 1)]
     gap = np.empty(n)
-    trace = []
+    trace = array("d")  # 8 bytes a step; a list of floats holds about 32
     crossing: int | None = None
     for t, masses in enumerate(_masses(spec, t_cap), start=1):
         np.subtract(masses, targets[t % 2], out=gap)
@@ -181,7 +182,7 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
         if tv <= delta:
             crossing = t
             break
-    return MixingReport(time=crossing, tv_trace=np.array(trace, dtype=np.float64))
+    return MixingReport(time=crossing, tv_trace=np.frombuffer(trace, dtype=np.float64))
 
 
 def cesaro_average(spec: WalkSpec, big_t: int) -> ProbabilityDistribution:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from qwalk import distribution, evolve_line, hadamard_coin, initial_state, theta_coin
-from qwalk.cli import build_parser, main, parse_theta
+from qwalk.asymptotics import support_edge
+from qwalk.cli import _emit, build_parser, main, parse_theta
 
 
 def run_cli(args, capsys):
@@ -411,3 +412,65 @@ def test_compare_leaves_asymptotics_out_for_other_walks(argv, capsys):
 def test_compare_without_interior_sites_reports_null(capsys):
     # an L1 over no site is no agreement: it is null, not 0.0
     assert_compare_has_no_asymptotics(["--epsilon", "5"], capsys)
+
+
+@pytest.mark.parametrize("command", ["asymptotic", "compare"])
+def test_zero_margin_serves_the_open_cone(command, capsys):
+    # |u00| = 0.5 exactly: n = +-32 at t = 64 sit on the cone edge and are left out
+    coin = "0.6666666666666666pi"
+    assert support_edge(theta_coin(parse_theta(coin))) == 0.5
+    code, out, err = run_cli([command, "--coin", coin, "--init", "symmetric",
+                              "--epsilon", "0", "--steps", "64", "--format", "json"], capsys)
+    assert code == 0 and not err.startswith("error")
+    payload = json.loads(out)
+    column = "prob" if command == "asymptotic" else "p_asymptotic"
+    served = {r["n"]: r[column] for r in payload["data"] if r[column] is not None}
+    assert sorted(served) == list(range(-30, 31, 2))
+    assert all(0 < p < 1 for p in served.values())
+    if command == "compare":
+        assert payload["l1_interior_exact_asymptotic"] < 0.1
+
+
+def oracle_text(args, header, rows, extra=None):
+    """The table as formatted one value at a time and dumped as one payload."""
+    if args.format == "csv":
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join("" if v is None else f"{v:.17g}" if isinstance(v, float)
+                                  else str(v) for v in row))
+        return "\n".join(lines) + "\n"
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
+    payload = {"schema_version": "1", "config": config,
+               "data": [dict(zip(header, row)) for row in rows]}
+    if extra:
+        payload.update(extra)
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072e-308, 1e300]
+EMIT_TABLES = [
+    # a mixed column of every cell kind, and columns each formatter serves whole
+    (["n", "cell", "alpha", "label"],
+     [[-3, None, 0.1, "sigma_x"], [0, 7, -0.0, "fails"], [2**70, "x", 1e-310, "%s"],
+      [5, True, 0.3, ""]] + [[i, v, v if math.isfinite(v) else 0.5, "a"]
+                             for i, v in enumerate(SPECIAL)]),
+    (["t", "tv"], [(t, 1 / t) for t in range(1, 40)]),
+    (["b", "a"], [(v, v) for v in SPECIAL]),
+    (["n", "alpha", "prob"], []),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("header, rows", EMIT_TABLES)
+@pytest.mark.parametrize("extra", [None, {"crossing_time": None, "l1": 0.25, "reached": True}])
+def test_emit_matches_the_per_value_oracle(fmt, header, rows, extra, tmp_path, capsys):
+    args = argparse.Namespace(command="mix", coin="1.2", steps=16, delta=None,
+                              format=fmt, output="-", func=main)
+    _emit(args, header, rows, extra)
+    expected = oracle_text(args, header, rows, extra)
+    assert capsys.readouterr().out == expected
+    args.output = str(tmp_path / "table.out")
+    _emit(args, header, rows, extra)
+    with open(args.output, newline="") as fh:
+        assert fh.read() == oracle_text(args, header, rows, extra)
+    assert capsys.readouterr().out == ""

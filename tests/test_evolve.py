@@ -82,6 +82,23 @@ def test_zeros_of_the_result_are_positive():
         assert not np.any(np.signbit(values[values == 0]))
 
 
+@pytest.mark.parametrize("coin", [hadamard_coin(), theta_coin(0.7), theta_coin(2.2)])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_real_input_steps_the_real_parts_alone(coin, adjoint):
+    # a real coin maps i psi to i U psi: the real-input path must give the
+    # imaginary parts of the complex path bit for bit, with +0.0 imaginary parts
+    psi = evolve_line(initial_state("left"), coin, 37 if adjoint else 0)
+    steps = 37 if adjoint else 64
+    real = evolve_line(psi, coin, steps, adjoint=adjoint)
+    turned = evolve_line(WaveFunction(psi.topology, 1j * psi.amplitudes, psi.time),
+                         coin, steps, adjoint=adjoint)
+    assert real.amplitudes.real.tobytes() == turned.amplitudes.imag.tobytes()
+    assert np.all(real.amplitudes.imag == 0)
+    assert not np.any(np.signbit(real.amplitudes.imag))
+    forbidden = real.amplitudes[(real.sites + real.time) % 2 == 1].view(np.float64)
+    assert np.all(forbidden == 0) and not np.any(np.signbit(forbidden))
+
+
 def test_adjoint_reverses_evolution():
     psi0 = initial_state("symmetric")
     coin = hadamard_coin()

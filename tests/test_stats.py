@@ -1,6 +1,7 @@
 """Moments, interval masses, TV distances, mixing and the classical walk."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,20 @@ def test_mixing_time_can_fail_to_reach():
     rep = mixing_time(spec, 0.1, t_cap=300)
     assert not rep.reached and rep.time is None
     assert len(rep.tv_trace) == 300
+
+
+def test_mixing_time_trace_memory():
+    # a 3-cycle classical walk never reaches TV 0; a list of Python floats
+    # peaked at about 4 MB over 10^5 steps, 32 bytes a step plus the copy
+    spec = WalkSpec(Circle(3), classical=True)
+    tracemalloc.start()
+    try:
+        rep = mixing_time(spec, 0.0, t_cap=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep.reached and len(rep.tv_trace) == 10**5
+    assert peak < 1.2e6
 
 
 def test_mixing_time_requires_circle():
