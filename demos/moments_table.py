@@ -20,27 +20,26 @@ from qwalk import (
     moment,
     theta_coin,
 )
-from qwalk.stats import MOMENT_SPECS
 
 T = 80
 
 d = distribution(evolve_line(initial_state("left"), hadamard_coin(), T))
 print(f"Hadamard walk, left start, t = {T}")
 print(f"{'moment':<10} {'simulation':>12} {'density':>12}")
-for name, spec in MOMENT_SPECS.items():
-    sim = moment(d, *spec)
+for name in ("mean", "abs_mean", "second"):
+    sim = moment(d, name)
     limit = density_moment(hadamard_coin(), "left", name)
     print(f"{name:<10} {sim:>12.6f} {limit:>12.6f}")
 
 dc = classical_walk(Line(), T)
 print(f"\nclassical walk at the same t: <|alpha|> = "
-      f"{moment(dc, 1, absolute=True):.4f}, <alpha^2> = "
-      f"{moment(dc, 2):.4f}  (diffusive, -> 0)")
+      f"{moment(dc, 'abs_mean'):.4f}, <alpha^2> = "
+      f"{moment(dc, 'second'):.4f}  (diffusive, -> 0)")
 
 print("\nrotation-coin family, symmetric start, t = 200")
 print(f"{'theta':>8} {'<|alpha|> sim':>14} {'1 - theta/pi':>14}")
 for frac, theta in (("pi/3", math.pi / 3), ("pi/2", math.pi / 2),
                     ("2pi/3", 2 * math.pi / 3)):
     dt = distribution(evolve_line(initial_state("symmetric"), theta_coin(theta), 200))
-    sim = moment(dt, 1, absolute=True)
+    sim = moment(dt, "abs_mean")
     print(f"{frac:>8} {sim:>14.5f} {1 - theta / math.pi:>14.5f}")

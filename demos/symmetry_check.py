@@ -45,7 +45,7 @@ print(f"max |P(n) - P(-n)| at t = {t} from the symmetric start: {asym:.2e}")
 
 d_left = distribution(evolve_line(initial_state("left"), coin, t))
 d_right = distribution(evolve_line(initial_state("right"), coin, t))
-print(f"for contrast, left start mean alpha = {moment(d_left, 1):+.4f}, "
-      f"right start mean alpha = {moment(d_right, 1):+.4f}")
+print(f"for contrast, left start mean alpha = {moment(d_left, 'mean'):+.4f}, "
+      f"right start mean alpha = {moment(d_right, 'mean'):+.4f}")
 print("the two biased runs are exact mirror images of each other:",
       np.max(np.abs(d_left.masses - d_right.masses[::-1])) < 1e-13)

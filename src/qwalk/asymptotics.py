@@ -49,7 +49,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import CoinOperator, DomainError, chirality_pair
+from .core import CoinOperator, DomainError, _site_masses, chirality_pair
 from .spectral import transfer_matrix
 
 __all__ = [
@@ -126,7 +126,7 @@ def p_asymptotic(
     coin: CoinOperator, init: str | NDArray[np.complex128], t: int, sites: NDArray[np.int64]
 ) -> np.ndarray:
     """Per-site squared norms of :func:`asymptotic_wavefunction`."""
-    return np.sum(np.abs(asymptotic_wavefunction(coin, init, t, sites)) ** 2, axis=1)
+    return _site_masses(asymptotic_wavefunction(coin, init, t, sites))
 
 
 def _density_terms(

@@ -8,10 +8,13 @@ column of plain ints, or of finite plain floats, goes through one
 C-level formatter, and the JSON rows are spliced into the indented
 ``json.dumps`` of the rest of the payload from one per-row template.
 The bytes are those of formatting each value on its own and dumping
-the whole payload at once.
+the whole payload at once.  Every site probability is squared from
+its amplitudes by the kernel behind :func:`qwalk.evolve.distribution`,
+so the routes print the same bits for the same amplitudes.
 
 Exit codes: 0 success, 2 usage/config error, 3 domain error (a
-precondition of the dispatched operation was violated).
+precondition of the dispatched operation was violated).  Either way
+the error is one ``error:`` line on stderr, argparse's own included.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .core import (
 )
 from .evolve import distribution, evolve_circle, evolve_line
 from .spectral import evolve_spectral
-from .stats import MOMENT_SPECS, WalkSpec, mixing_time, moment
+from .stats import WalkSpec, mixing_time, moment
 from .symmetry import SIGMA_X, SIGMA_Y, SIGMA_Z, verify_symmetrizer
 
 USAGE_ERROR = 2
@@ -157,12 +160,9 @@ def _emit(args, header: list[str], rows: list, extra: dict | None = None) -> Non
 
 
 def _wavefunction_rows(psi) -> list[tuple]:
-    amps = psi.amplitudes
-    left, right = amps.T.tolist()
-    # over Python complexes: numpy's vector abs differs in the last bit on some rows
-    prob = [abs(al) ** 2 + abs(ar) ** 2 for al, ar in zip(left, right)]
     # the float64 view of the (L, R) columns is (L.re, L.im, R.re, R.im)
-    return list(zip(psi.sites.tolist(), *amps.view(np.float64).T.tolist(), prob))
+    return list(zip(psi.sites.tolist(), *psi.amplitudes.view(np.float64).T.tolist(),
+                    distribution(psi).masses.tolist()))
 
 
 WF_HEADER = ["n", "psi_L_re", "psi_L_im", "psi_R_re", "psi_R_im", "prob"]
@@ -217,8 +217,8 @@ def cmd_asymptotic(args) -> None:
 def cmd_moments(args) -> None:
     coin = _coin_from_args(args)
     dist = distribution(evolve_line(initial_state(args.init), coin, args.steps))
-    rows = [[name, moment(dist, *spec), density_moment(coin, args.init, name)]
-            for name, spec in MOMENT_SPECS.items()]
+    rows = [[name, moment(dist, name), density_moment(coin, args.init, name)]
+            for name in ("mean", "abs_mean", "second")]
     _emit(args, ["moment", "simulation", "density"], rows)
 
 
@@ -234,12 +234,10 @@ def cmd_mix(args) -> None:
     spec = WalkSpec(topology=topo, coin=coin, init=args.init,
                     classical=args.classical)
     report = mixing_time(spec, args.delta, args.t_cap)
-    trace = report.tv_trace.tolist()
-    rows = list(zip(range(1, len(trace) + 1), trace))
-    crossing = report.time if report.reached else None
-    print(f"crossing_time: {crossing if crossing is not None else 'not reached'}",
+    rows = list(enumerate(report.tv_trace.tolist(), start=1))
+    print(f"crossing_time: {report.time if report.time is not None else 'not reached'}",
           file=sys.stderr)
-    _emit(args, ["t", "tv"], rows, extra={"crossing_time": crossing})
+    _emit(args, ["t", "tv"], rows, extra={"crossing_time": report.time})
 
 
 def cmd_symmetry(args) -> None:
@@ -282,8 +280,18 @@ def cmd_compare(args) -> None:
                  "l1_interior_exact_asymptotic": l1})
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line on one line.
+
+    Its subcommand parsers are of this class too.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        _usage_error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qwalk",
         description="Coined quantum walks on the line and circle.",
     )
@@ -349,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "steps", 0) is not None and getattr(args, "steps", 0) < 0:
+    if getattr(args, "steps", 0) < 0:
         parser.error("--steps must be nonnegative")
     try:
         args.func(args)

@@ -78,6 +78,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _site_masses(amps: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """``|psi_L|^2 + |psi_R|^2`` per row of ``(n, 2)`` amplitudes.
+
+    Every route squares amplitudes here, in one order, so they report
+    the same bits: ``(L.re^2 + R.re^2) + (L.im^2 + R.im^2)`` over the
+    float64 view, the order the circle scans of :mod:`qwalk.stats` sum
+    in from their buffers.
+    """
+    sq = np.square(amps.view(np.float64))  # columns L.re, L.im, R.re, R.im
+    return (sq[:, 0] + sq[:, 2]) + (sq[:, 1] + sq[:, 3])
+
+
 @dataclass(frozen=True)
 class WaveFunction:
     """Two-component amplitude field over lattice sites at a fixed time.
@@ -111,7 +123,7 @@ class WaveFunction:
         return np.arange(start, start + n)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
+        return float(np.sqrt(np.sum(_site_masses(self.amplitudes))))
 
 
 @dataclass(frozen=True)

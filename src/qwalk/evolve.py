@@ -36,6 +36,7 @@ from .core import (
     Line,
     Topology,
     WaveFunction,
+    _site_masses,
     check_steps,
 )
 
@@ -239,5 +240,4 @@ def _circle_steps(amps, coin, steps):
 
 def distribution(psi: WaveFunction) -> ProbabilityDistribution:
     """Site-observation probabilities ``|psi_L|^2 + |psi_R|^2``."""
-    masses = np.sum(np.abs(psi.amplitudes) ** 2, axis=1)
-    return ProbabilityDistribution(psi.topology, masses, psi.time)
+    return ProbabilityDistribution(psi.topology, _site_masses(psi.amplitudes), psi.time)

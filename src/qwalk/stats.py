@@ -8,9 +8,10 @@ circle only, where the reference needs no coin.
 Covers both sides of the quantum/classical comparison: the coined walk
 (via the direct evolver) and the exact dynamic-programming distribution
 of the classical symmetric random walk, so scaling fits carry no
-sampling noise.  :func:`moment` returns the moments of a walk's
-distribution as plain floats; :data:`MOMENT_SPECS` names the three that
-:func:`qwalk.asymptotics.density_moment` gives for the limiting density.
+sampling noise.  :func:`moment` returns a moment of a walk's
+distribution as a plain float, by the name under which
+:func:`qwalk.asymptotics.density_moment` gives it for the limiting
+density.
 
 On the circle both walks step in place: the coined walk through the
 circle kernel of :mod:`qwalk.evolve`, the classical one by a three-term
@@ -78,22 +79,21 @@ class MixingReport:
     time: int | None
     tv_trace: NDArray[np.float64]
 
-    @property
-    def reached(self) -> bool:
-        return self.time is not None
 
+def moment(dist: ProbabilityDistribution, name: str) -> float:
+    """Named empirical moment of ``alpha = n/t`` under a line distribution.
 
-def moment(dist: ProbabilityDistribution, m: int, absolute: bool = False) -> float:
-    """Empirical moment ``sum_n (n/t)^m P(n)`` of a line distribution."""
+    ``name`` is ``"mean"`` (``sum_n alpha P(n)``), ``"abs_mean"``
+    (``sum_n |alpha| P(n)``) or ``"second"`` (``sum_n alpha^2 P(n)``),
+    as for :func:`qwalk.asymptotics.density_moment`.
+    """
+    if name not in ("mean", "abs_mean", "second"):
+        raise DomainError(f"moment must be 'mean', 'abs_mean' or 'second', got {name!r}")
     if dist.time < 1:
         raise DomainError("moments need t >= 1")
     alpha = dist.sites / dist.time
-    base = np.abs(alpha) if absolute else alpha
-    return float(np.sum(base**m * dist.masses))
-
-
-#: The named moments: ``(m, absolute)`` arguments of :func:`moment`.
-MOMENT_SPECS = {"mean": (1, False), "abs_mean": (1, True), "second": (2, False)}
+    weight = alpha * alpha if name == "second" else np.abs(alpha) if name == "abs_mean" else alpha
+    return float(np.sum(weight * dist.masses))
 
 
 def interval_mass(dist: ProbabilityDistribution, coin: CoinOperator, eps: float) -> float:
@@ -218,6 +218,8 @@ def _masses(spec: WalkSpec, steps: int):
     row = np.empty(2 * n)
     masses = np.empty(n)
     for amps in _circle_steps(psi.amplitudes, spec.coin, steps):
+        # the sums of core._site_masses in its order, into reused buffers,
+        # so these masses are distribution()'s bit for bit
         w = amps.view(np.float64)  # (L, R) rows of interleaved re, im
         np.multiply(w, w, out=squares)
         np.add(*squares, out=row)

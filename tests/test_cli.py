@@ -55,7 +55,7 @@ def test_simulate_matches_library(capsys):
     _, rows = parse_csv(out)
     d = distribution(evolve_line(initial_state("symmetric"), hadamard_coin(), 40))
     got = np.array([float(r[5]) for r in rows])
-    assert np.max(np.abs(got - d.masses)) < 1e-15
+    assert np.array_equal(got, d.masses)
 
 
 def test_csv_floats_round_trip_losslessly(capsys):
@@ -195,6 +195,16 @@ def test_compare_command_summaries(capsys):
     assert interior and all(abs(r["n"]) <= 64 for r in interior)
 
 
+@pytest.mark.parametrize("coin", ["hadamard", "1.2"])
+def test_simulate_prob_is_compare_p_exact_byte_for_byte(coin, capsys):
+    walk = ["--steps", "64", "--init", "symmetric", "--coin", coin]
+    _, simulated, _ = run_cli(["simulate", *walk], capsys)
+    _, compared, _ = run_cli(["compare", *walk], capsys)
+    prob = [r[5] for r in parse_csv(simulated)[1]]
+    p_exact = [r[1] for r in parse_csv(compared)[1]]
+    assert len(prob) == 129 and prob == p_exact
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
     code, out, _ = run_cli(
@@ -287,9 +297,17 @@ def test_compare_refuses_circle(command, capsys):
     ["compare", "--epsilon", "-1"],
     ["asymptotic", "--epsilon", "nan"],
     ["asymptotic", "--epsilon", "-1"],
+    ["simulate", "--steps", "-3"],
+    ["simulate", "--steps", "abc"],
+    ["mix", "--topology", "circle:31", "--delta", "abc"],
+    ["mix", "--topology", "circle:31"],
+    ["simulate", "--no-such-option"],
+    ["no-such-command"],
 ], ids=["coin", "theta", "circle-size", "delta-nan", "t-cap-0", "t-cap-negative",
         "compare-epsilon-nan", "compare-epsilon-inf", "compare-epsilon-negative",
-        "asymptotic-epsilon-nan", "asymptotic-epsilon-negative"])
+        "asymptotic-epsilon-nan", "asymptotic-epsilon-negative", "steps-negative",
+        "steps-not-int", "delta-not-float", "delta-missing", "unknown-option",
+        "unknown-command"])
 def test_bad_values_are_one_line_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

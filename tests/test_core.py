@@ -155,7 +155,6 @@ def test_public_defaults_are_pinned():
         if p.default is not p.empty
     }
     assert defaulted == {
-        "moment.absolute",
         "evolve_line.adjoint",
         "initial_state.topology",
         "tv_distance.reference",

@@ -28,6 +28,7 @@ from qwalk import (
     tv_distance,
 )
 from qwalk.evolve import ProbabilityDistribution
+from qwalk.stats import _masses
 
 SQRT2 = math.sqrt(2)
 
@@ -43,28 +44,27 @@ def had_left_t80():
     return distribution(evolve_line(initial_state("left"), hadamard_coin(), 80))
 
 
-def test_moment_zeroth_is_total_mass(had_left_t80):
-    assert moment(had_left_t80, 0) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_moments_at_t80_match_known_values(had_left_t80):
     # mean drifts left toward -(1 - 1/sqrt2); second moment toward 1/2
-    assert moment(had_left_t80, 1) == pytest.approx(-0.293, abs=0.005)
-    assert moment(had_left_t80, 2) == pytest.approx(0.293, abs=0.005)
-    assert moment(had_left_t80, 1, absolute=True) == pytest.approx(
-        0.5, abs=0.005
-    )
+    assert moment(had_left_t80, "mean") == pytest.approx(-0.293, abs=0.005)
+    assert moment(had_left_t80, "second") == pytest.approx(0.293, abs=0.005)
+    assert moment(had_left_t80, "abs_mean") == pytest.approx(0.5, abs=0.005)
 
 
 def test_symmetric_start_mean_vanishes():
     d = distribution(evolve_line(initial_state("symmetric"), hadamard_coin(), 60))
-    assert moment(d, 1) == pytest.approx(0.0, abs=1e-12)
+    assert moment(d, "mean") == pytest.approx(0.0, abs=1e-12)
 
 
 def test_moment_needs_positive_time():
     d = distribution(initial_state("left"))
     with pytest.raises(DomainError):
-        moment(d, 1)
+        moment(d, "mean")
+
+
+def test_moment_names_are_those_of_the_density(had_left_t80):
+    with pytest.raises(DomainError, match="bogus"):
+        moment(had_left_t80, "bogus")
 
 
 def test_analytic_moment_values():
@@ -167,19 +167,19 @@ def test_tv_distance_refuses_line():
 
 def test_mixing_time_quantum_linear_instance():
     rep = mixing_time(WalkSpec(Circle(31)), 0.4446, t_cap=500)
-    assert rep.reached and rep.time == 23
+    assert rep.time == 23
     assert rep.tv_trace[-1] <= 0.4446
     assert np.all(rep.tv_trace[:-1] > 0.4446)
 
 
 def test_mixing_time_classical_instance():
     rep = mixing_time(WalkSpec(Circle(31), classical=True), 0.4446, t_cap=5000)
-    assert rep.reached and rep.time == 77
+    assert rep.time == 77
 
 
 def test_mixing_time_classical_even_cycle_uses_parity_class():
     rep = mixing_time(WalkSpec(Circle(64), classical=True), 0.3, t_cap=2000)
-    assert rep.reached and rep.time == 157
+    assert rep.time == 157
     for t in (1, 2, 156, 157):
         parity_tv = tv_distance(classical_walk(Circle(64), t), "uniform_parity")
         assert rep.tv_trace[t - 1] == pytest.approx(parity_tv, abs=1e-12)
@@ -189,7 +189,7 @@ def test_mixing_time_can_fail_to_reach():
     # theta = pi never spreads beyond three sites
     spec = WalkSpec(Circle(9), theta_coin(math.pi))
     rep = mixing_time(spec, 0.1, t_cap=300)
-    assert not rep.reached and rep.time is None
+    assert rep.time is None
     assert len(rep.tv_trace) == 300
 
 
@@ -203,7 +203,7 @@ def test_mixing_time_trace_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not rep.reached and len(rep.tv_trace) == 10**5
+    assert rep.time is None and len(rep.tv_trace) == 10**5
     assert peak < 1.2e6
 
 
@@ -264,11 +264,22 @@ SCAN_COINS = pytest.mark.parametrize(
 def test_mixing_scan_equals_the_stepwise_definition(n, coin):
     reference = "uniform_all" if n % 2 else "uniform_parity"
     rep = mixing_time(WalkSpec(Circle(n), coin), 0.0, t_cap=3 * n)
-    assert not rep.reached and len(rep.tv_trace) == 3 * n
+    assert rep.time is None and len(rep.tv_trace) == 3 * n
     psi = initial_state("symmetric", Circle(n))
     for tv in rep.tv_trace:
         psi = evolve_circle(psi, coin, 1)
-        assert abs(tv - tv_distance(distribution(psi), reference)) < 1e-13
+        assert tv == tv_distance(distribution(psi), reference)
+
+
+@pytest.mark.parametrize("n", [31, 64])
+@SCAN_COINS
+def test_scan_masses_are_the_distribution_bit_for_bit(n, coin):
+    # the scan squares its buffers in the order distribution() does
+    psi = initial_state("symmetric", Circle(n))
+    spec = WalkSpec(Circle(n), coin)
+    for t, masses in enumerate(_masses(spec, 2 * n), start=1):
+        expected = distribution(evolve_circle(psi, coin, t)).masses
+        assert masses.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", [31, 64])
@@ -300,8 +311,8 @@ def test_classical_walk_line_exact():
     assert np.allclose(d.masses, [0.25, 0, 0.5, 0, 0.25])
     d = classical_walk(Line(), 300)
     # diffusive scaling: variance of n is exactly t
-    assert moment(d, 2) * 300 == pytest.approx(1.0, abs=1e-12)
-    assert moment(d, 1) == pytest.approx(0.0, abs=1e-14)
+    assert moment(d, "second") * 300 == pytest.approx(1.0, abs=1e-12)
+    assert moment(d, "mean") == pytest.approx(0.0, abs=1e-14)
 
 
 def test_classical_walk_odd_circle_converges_to_uniform():

@@ -140,4 +140,4 @@ def test_mirror_starts_have_opposite_means():
     coin = hadamard_coin()
     dl = distribution(evolve_line(initial_state("left"), coin, 80))
     dr = distribution(evolve_line(initial_state("right"), coin, 80))
-    assert moment(dl, 1) + moment(dr, 1) == pytest.approx(0.0, abs=1e-13)
+    assert moment(dl, "mean") + moment(dr, "mean") == pytest.approx(0.0, abs=1e-13)
