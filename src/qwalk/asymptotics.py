@@ -35,7 +35,13 @@ Inside the cone ``|alpha| < c`` that has two roots,
 with curvature ``w'' = c cos q (1 - alpha^2) / sin w``, and each adds
 
     sqrt(2 / (pi t |w''|)) e^{i(t (h + w) - k n + sign(w'') pi/4)} P+ psi0,
-    P+ = (M_k - e^{i(h - w)} I) / (2i e^{ih} sin w).
+    P+ = (I - i T / sin w) / 2,
+
+where ``M_k = e^{ih} (cos(w) I + T)`` is the split of the transfer
+matrix into a phase and an SU(2) rotation with traceless part ``T``.
+The spectral route powers ``M_k`` from the same split
+(:func:`qwalk.spectral._split`), so both read ``h``, ``w`` and ``T``
+from one place, and both are tested against the recurrence.
 
 The amplitude is ``O(1/sqrt(t))``.  At the cone edge ``w'' -> 0``: the
 ``O(t^{-2/3})``-wide transition layer there is deliberately unmodeled,
@@ -50,7 +56,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import CoinOperator, DomainError, _site_masses, chirality_pair
-from .spectral import transfer_matrix
+from .spectral import _split
 
 __all__ = [
     "p_asymptotic",
@@ -80,7 +86,7 @@ def _stationary_points(
     """
     u = coin.matrix
     c = abs(u[0, 0])
-    h = float(np.angle(np.linalg.det(u))) / 2
+    h = _split(coin, 0.0)[0]  # the same at every k
     root = np.sqrt((c - alpha) * (c + alpha) / (c * c * (1 - alpha) * (1 + alpha)))
     cos_q = np.stack([root, -root])
     k = np.copysign(np.arccos(cos_q), alpha) + np.angle(u[0, 0]) - h
@@ -111,10 +117,9 @@ def asymptotic_wavefunction(
     if np.any(np.abs(alpha) >= edge):
         raise DomainError(f"every |n/t| must lie inside the cone edge {edge:.6g}")
     pair = chirality_pair(init)
-    h, k, w, curv = _stationary_points(coin, alpha)
-    lower = np.exp(1j * (h - w))[..., None] * pair
-    projected = (transfer_matrix(coin, k) @ pair - lower) / (
-        2j * np.exp(1j * h) * np.sin(w))[..., None]
+    _, k, _, curv = _stationary_points(coin, alpha)
+    h, w, sin, traceless = _split(coin, k)
+    projected = (pair - 1j * (traceless @ pair) / sin[..., None]) / 2
     amp = np.sqrt(2 / (math.pi * t * np.abs(curv))) * np.exp(
         1j * (t * (h + w) - k * sites + np.sign(curv) * math.pi / 4))
     psi = np.sum(amp[..., None] * projected, axis=0)

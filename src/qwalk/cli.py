@@ -229,8 +229,6 @@ def cmd_mix(args) -> None:
         _usage_error(f"--t-cap must be at least 1, got {args.t_cap}")
     coin = _coin_from_args(args)
     topo = _topology_from_args(args)
-    if not isinstance(topo, Circle):
-        raise DomainError("mix requires a circle topology")
     spec = WalkSpec(topology=topo, coin=coin, init=args.init,
                     classical=args.classical)
     report = mixing_time(spec, args.delta, args.t_cap)

@@ -60,13 +60,18 @@ class Line:
 
 @dataclass(frozen=True)
 class Circle:
-    """Cycle with ``size`` sites, labelled 0..size-1."""
+    """Cycle with ``size`` sites, labelled 0..size-1.
+
+    ``size`` runs from 3 to ``2 * MAX_STEPS + 1``, the widest window a
+    line walk from one site reaches, so no cycle outgrows the memory
+    guard of the evolvers.
+    """
 
     size: int
 
     def __post_init__(self):
-        if self.size < 3:
-            raise DomainError(f"circle needs at least 3 sites, got {self.size}")
+        if not 3 <= self.size <= 2 * MAX_STEPS + 1:
+            raise DomainError(f"circle needs 3 to {2 * MAX_STEPS + 1} sites, got {self.size}")
 
 
 Topology = Line | Circle

@@ -5,8 +5,12 @@ transform ``psi~(k) = sum_n psi(n) e^{ikn}`` evolves by the 2x2 unitary
 transfer matrix ``M_k = e^{ik} M+ + e^{-ik} M-``, where ``M+`` and ``M-``
 keep the R and the L row of the coin ``U``; that is ``M_k = diag(e^{-ik},
 e^{ik}) U``, and ``psi~(k, t) = M_k^t psi~(k, 0)``.  Powers are taken in
-closed form (an SU(2) rotation by ``t`` times its angle, see
-:func:`_propagate`), never by repeated multiplication.
+closed form, never by repeated multiplication: :func:`_split` writes
+``M_k = e^{ih} (cos(w) I + T)`` with ``T`` traceless and ``h = arg(det
+U) / 2`` taken once per coin, and :func:`_propagate` turns the SU(2)
+part by ``t`` times its angle.  The split is the only one in the
+package: :mod:`qwalk.asymptotics` reads its eigenphases ``h +- w`` and
+projectors ``(I -+ i T / sin w) / 2`` from it too.
 
 Both topologies use the grid ``k_j = 2 pi j / N``, on which
 ``e^{i k_j n} = e^{2 pi i j n / N}``, so the transforms are plain
@@ -51,38 +55,47 @@ def transfer_matrix(coin: CoinOperator, k: float | np.ndarray) -> np.ndarray:
     return np.exp(1j * k * np.array([[-1.0], [1.0]])) * coin.matrix
 
 
-def _propagate(m: np.ndarray, init: np.ndarray, t: int) -> np.ndarray:
-    """Apply ``M^t`` to ``init`` by the closed-form SU(2) power.
+def _split(coin: CoinOperator, k: float | np.ndarray):
+    """``(h, w, sin w, T)`` with ``M_k = e^{ih} (cos(w) I + T)`` and ``T`` traceless.
 
-    ``m``: (..., 2, 2) unitaries, ``init``: (..., 2) vectors.  Write
-    ``M = e^{ih} V`` with ``h = arg(det M) / 2`` and ``V`` in SU(2), so
-    ``V = cos(w) I + (V - cos(w) I)`` with the second term traceless and
-    ``(V - cos(w) I)^2 = -sin(w)^2 I``.  Then
-
-        ``M^t = e^{ith} [cos(tw) I + sin(tw) / sin(w) (V - cos(w) I)]``.
-
-    ``cos w = Re tr V / 2`` and ``sin w = |V - cos(w) I|_F / sqrt 2``:
-    the sine is read off the traceless part, not ``sqrt(1 - cos^2)``, so
-    a near-identity ``M`` keeps its small angle to full relative
-    precision.  Where ``sin w == 0`` the traceless part vanishes and the
-    ratio is taken as 0.
+    ``h = arg(det U) / 2`` is one float for the coin: ``det M_k = det U``
+    at every k, and a per-k value can jump by pi when ``det U = -1`` and
+    swap the branch labels.  With ``V = e^{-ih} M_k`` in SU(2), ``cos w =
+    Re tr V / 2`` and ``T = V - cos(w) I``, so ``T^2 = -sin(w)^2 I`` and
+    the eigenvalues of ``M_k`` are ``e^{i(h +- w)}``, with projectors
+    ``P+- = (I -+ i T / sin w) / 2`` where ``sin w > 0``.  ``sin w =
+    |T|_F / sqrt 2`` is read off the traceless part, not ``sqrt(1 -
+    cos^2)``, so a near-identity ``M_k`` keeps its small angle to full
+    relative precision; ``w`` lies in ``[0, pi]``.  ``T`` has shape
+    ``k.shape + (2, 2)``.
     """
-    a, b = m[..., 0, 0], m[..., 0, 1]
-    c, d = m[..., 1, 0], m[..., 1, 1]
-    half = np.angle(a * d - b * c) / 2
-    unphase = np.exp(-1j * half)
-    a, b, c, d = a * unphase, b * unphase, c * unphase, d * unphase
-    cos = (a.real + d.real) / 2
-    a -= cos
-    d -= cos
-    sin = np.sqrt((abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2) / 2)
-    tw = t * np.arctan2(sin, cos)
-    ratio = np.divide(np.sin(tw), sin, out=np.zeros_like(sin), where=sin > 0)
-    phase = np.exp(1j * t * half)
-    even, odd = phase * np.cos(tw), phase * ratio
-    x, y = init[..., 0], init[..., 1]
-    return np.stack([even * x + odd * (a * x + b * y),
-                     even * y + odd * (c * x + d * y)], axis=-1)
+    h = float(np.angle(np.linalg.det(coin.matrix))) / 2
+    v = np.exp(-1j * h) * transfer_matrix(coin, k)
+    cos = v.trace(axis1=-2, axis2=-1).real / 2
+    traceless = v - cos[..., None, None] * np.eye(2)
+    sin = np.sqrt(np.sum(np.square(traceless.view(np.float64)), axis=(-2, -1)) / 2)
+    return h, np.arctan2(sin, cos), sin, traceless
+
+
+def _propagate(
+    coin: CoinOperator, k: float | np.ndarray, init: np.ndarray, t: int
+) -> np.ndarray:
+    """Apply ``M_k^t`` to ``init`` by the closed-form SU(2) power.
+
+    ``init``: (..., 2) vectors, broadcast against ``k``.  With the split
+    ``M_k = e^{ih} (cos(w) I + T)`` of :func:`_split` (``h`` one float
+    for the coin, shared with the stationary-phase route) and ``T^2 =
+    -sin(w)^2 I``,
+
+        ``M_k^t = e^{ith} [cos(tw) I + sin(tw) / sin(w) T]``.
+
+    Where ``sin w == 0`` the traceless part vanishes and the ratio is
+    taken as 0.
+    """
+    h, w, sin, traceless = _split(coin, k)
+    ratio = np.divide(np.sin(t * w), sin, out=np.zeros_like(sin), where=sin > 0)
+    turned = np.einsum("...ij,...j->...i", traceless, init)
+    return np.exp(1j * t * h) * (np.cos(t * w)[..., None] * init + ratio[..., None] * turned)
 
 
 def _even_smooth_at_least(need: int) -> int:
@@ -151,7 +164,7 @@ def evolve_spectral(
     scattered[sites % n] = amps
     psi_k0 = np.fft.ifft(scattered, axis=0, norm="forward")
 
-    psi_kt = _propagate(transfer_matrix(coin, k), psi_k0, t)
+    psi_kt = _propagate(coin, k, psi_k0, t)
 
     out = np.fft.fft(psi_kt, axis=0, norm="forward")[out_sites % n]
     return WaveFunction(topology, out, init.time + t)

@@ -1,9 +1,14 @@
 """Moments, interval masses, total-variation distances and mixing times.
 
-Line statistics read the cone off the coin: :func:`interval_mass` cuts
-at a velocity derived from ``support_edge(coin)``.  Distances to
-uniform (:func:`tv_distance`, :func:`mixing_time`) are defined on the
-circle only, where the reference needs no coin.
+Line statistics (:func:`moment`, :func:`interval_mass`) are defined on
+the line only, where a site is a position; :func:`interval_mass` reads
+the cone off the coin, cutting at a velocity derived from
+``support_edge(coin)``.  Distances to uniform (:func:`tv_distance`,
+:func:`mixing_time`) are defined on the circle only, where the
+reference needs no coin.  The step counts of :func:`cesaro_average`
+and :func:`classical_walk` are capped at :data:`qwalk.core.MAX_STEPS`
+before anything is allocated; the mixing scan, which stops at its
+crossing, stops at that many steps too.
 
 Covers both sides of the quantum/classical comparison: the coined walk
 (via the direct evolver) and the exact dynamic-programming distribution
@@ -43,7 +48,9 @@ from .core import (
     CoinOperator,
     DomainError,
     Line,
+    MAX_STEPS,
     Topology,
+    check_steps,
     hadamard_coin,
     initial_state,
 )
@@ -80,6 +87,16 @@ class MixingReport:
     tv_trace: NDArray[np.float64]
 
 
+def _velocities(dist: ProbabilityDistribution) -> NDArray[np.float64]:
+    """``alpha = n/t`` per site of a line distribution at ``t >= 1``.
+
+    A circle has no velocity: its sites 0..n-1 are not positions on the line.
+    """
+    if not isinstance(dist.topology, Line) or dist.time < 1:
+        raise DomainError("moments and interval masses need a line distribution at t >= 1")
+    return dist.sites / dist.time
+
+
 def moment(dist: ProbabilityDistribution, name: str) -> float:
     """Named empirical moment of ``alpha = n/t`` under a line distribution.
 
@@ -89,9 +106,7 @@ def moment(dist: ProbabilityDistribution, name: str) -> float:
     """
     if name not in ("mean", "abs_mean", "second"):
         raise DomainError(f"moment must be 'mean', 'abs_mean' or 'second', got {name!r}")
-    if dist.time < 1:
-        raise DomainError("moments need t >= 1")
-    alpha = dist.sites / dist.time
+    alpha = _velocities(dist)
     weight = alpha * alpha if name == "second" else np.abs(alpha) if name == "abs_mean" else alpha
     return float(np.sum(weight * dist.masses))
 
@@ -113,12 +128,9 @@ def interval_mass(dist: ProbabilityDistribution, coin: CoinOperator, eps: float)
     eps^2 / 2)^{-3/2}``, which is about 10^5 for the Hadamard coin at
     ``eps = 0.05``.  Before that, t times the error wanders with t.
     """
-    t = dist.time
-    if t < 1:
-        raise DomainError("interval mass needs t >= 1")
+    alpha = _velocities(dist)
     c = support_edge(coin)
     cutoff = c * math.cos(eps) / math.sqrt(1 - (c * math.sin(eps)) ** 2)
-    alpha = dist.sites / t
     return float(np.sum(dist.masses[np.abs(alpha) <= cutoff]))
 
 
@@ -163,25 +175,31 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
     against uniform on the occupied parity class on an even one.
     The trace of (t, TV) values is always returned in full up to the
     crossing (or the cap, if never reached).  ``t_cap`` must be at
-    least 1; it is not bounded above, because the scan stops at the
-    crossing.
+    least 1.  The scan takes at most :data:`qwalk.core.MAX_STEPS` steps,
+    so the trace stays within 8 MB: a larger ``t_cap`` is accepted,
+    because the scan stops at the crossing, but a scan that reaches
+    ``MAX_STEPS`` without one raises :class:`DomainError` instead of
+    reporting no crossing up to ``t_cap``.
     """
     if not isinstance(spec.topology, Circle):
         raise DomainError("mixing_time is defined on the circle")
     if t_cap < 1:
         raise DomainError(f"t_cap must be at least 1, got {t_cap}")
+    steps = min(t_cap, MAX_STEPS)
     n = spec.topology.size
     targets = [_uniform_target(n, t, parity=n % 2 == 0) for t in (0, 1)]
     gap = np.empty(n)
     trace = array("d")  # 8 bytes a step; a list of floats holds about 32
     crossing: int | None = None
-    for t, masses in enumerate(_masses(spec, t_cap), start=1):
+    for t, masses in enumerate(_masses(spec, steps), start=1):
         np.subtract(masses, targets[t % 2], out=gap)
         tv = 0.5 * float(np.abs(gap, out=gap).sum())
         trace.append(tv)
         if tv <= delta:
             crossing = t
             break
+    if crossing is None and steps < t_cap:
+        raise DomainError(f"no crossing within {MAX_STEPS} steps; a longer scan is refused")
     return MixingReport(time=crossing, tv_trace=np.frombuffer(trace, dtype=np.float64))
 
 
@@ -196,6 +214,7 @@ def cesaro_average(spec: WalkSpec, big_t: int) -> ProbabilityDistribution:
         raise DomainError("cesaro_average is defined on the circle")
     if big_t < 1:
         raise DomainError("T must be at least 1")
+    check_steps(big_t)
     acc = np.zeros(spec.topology.size)
     for masses in _masses(spec, big_t):
         acc += masses
@@ -248,9 +267,7 @@ def classical_walk(topology: Topology, t: int) -> ProbabilityDistribution:
 
     Computed by dynamic programming.
     """
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-
+    check_steps(t)
     if isinstance(topology, Circle):
         d = np.zeros(topology.size)
         d[0] = 1.0

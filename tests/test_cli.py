@@ -269,6 +269,27 @@ def test_domain_errors_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--topology", "circle:1152921504606846976", "--steps", "1"],
+    ["spectral", "--topology", "circle:1152921504606846976", "--steps", "1"],
+    ["mix", "--topology", "circle:1152921504606846976", "--delta", "0.3"],
+], ids=["simulate-circle", "spectral-circle", "mix-circle"])
+def test_oversized_inputs_are_refused_before_allocation(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_mix_refuses_an_uncrossed_scan_past_the_step_cap(monkeypatch, capsys):
+    # the scan stops at the step cap (lowered here to keep the test fast)
+    # and reports neither a trace nor a crossing it has not looked for
+    monkeypatch.setattr("qwalk.stats.MAX_STEPS", 40)
+    argv = ["mix", "--topology", "circle:31", "--delta", "-1", "--t-cap", "41"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["compare", "asymptotic"])
 def test_zero_steps_is_a_domain_error(command, capsys):
     code, _, err = run_cli([command, "--steps", "0"], capsys)

@@ -95,6 +95,15 @@ def test_circle_size_floor():
         Circle(2)
 
 
+def test_circle_size_cap_is_the_widest_line_walk():
+    from qwalk.core import MAX_STEPS
+
+    assert Circle(2 * MAX_STEPS + 1).size == 2 * MAX_STEPS + 1
+    for size in (2 * MAX_STEPS + 2, 2**60):
+        with pytest.raises(DomainError):
+            Circle(size)
+
+
 def test_wavefunction_validation():
     with pytest.raises(DomainError):
         WaveFunction(Line(), np.zeros((3, 3)))

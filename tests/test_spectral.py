@@ -17,7 +17,7 @@ from qwalk import (
     theta_coin,
     transfer_matrix,
 )
-from qwalk.spectral import _propagate
+from qwalk.spectral import _propagate, _split
 
 SQRT2 = math.sqrt(2)
 
@@ -39,30 +39,30 @@ def test_hadamard_transfer_matrix_entries():
     assert np.max(np.abs(m - expect)) < 1e-15
 
 
-def trace_of_power(m, t):
-    """``tr M^t`` from ``_propagate`` applied to the two basis vectors."""
-    return (_propagate(m, np.array([1.0, 0.0]), t)[..., 0]
-            + _propagate(m, np.array([0.0, 1.0]), t)[..., 1])
+def trace_of_power(coin, k, t):
+    """``tr M_k^t`` from ``_propagate`` applied to the two basis vectors."""
+    return (_propagate(coin, k, np.array([1.0, 0.0]), t)[..., 0]
+            + _propagate(coin, k, np.array([0.0, 1.0]), t)[..., 1])
 
 
 def test_dispersion_hadamard_branch():
     # eigenvalues e^{-i w_k} and -e^{i w_k}, with sin w_k = sin k / sqrt2;
     # tr M^t at t = 1 and 2 fixes both eigenvalues
+    coin = hadamard_coin()
     ks = np.linspace(-math.pi, math.pi, 41)
-    m = transfer_matrix(hadamard_coin(), ks)
     w = np.arcsin(np.sin(ks) / SQRT2)
     for t in (1, 2, 7, 40):
         expect = np.exp(-1j * w * t) + (-1) ** t * np.exp(1j * w * t)
-        assert np.max(np.abs(trace_of_power(m, t) - expect)) < 1e-12
+        assert np.max(np.abs(trace_of_power(coin, ks, t) - expect)) < 1e-12
 
 
 def test_dispersion_theta_branch():
     # eigenvalues e^{+-i w_k}, with cos w_k = cos(theta/2) cos k
+    coin = theta_coin(1.1)
     ks = np.linspace(-math.pi, math.pi, 41)
-    m = transfer_matrix(theta_coin(1.1), ks)
     w = np.arccos(math.cos(0.55) * np.cos(ks))
     for t in (1, 2, 7, 40):
-        assert np.max(np.abs(trace_of_power(m, t) - 2 * np.cos(w * t))) < 1e-12
+        assert np.max(np.abs(trace_of_power(coin, ks, t) - 2 * np.cos(w * t))) < 1e-12
 
 
 def test_eigensystem_reconstructs_matrix():
@@ -80,38 +80,93 @@ def test_eigensystem_reconstructs_matrix():
         m = transfer_matrix(coin, ks)
         once = np.einsum("kij,kj->ki", m, psi)
         twice = np.einsum("kij,kj->ki", m, once)
-        assert np.max(np.abs(_propagate(m, psi, 0) - psi)) < 1e-12
-        assert np.max(np.abs(_propagate(m, psi, 1) - once)) < 1e-12
-        assert np.max(np.abs(_propagate(m, psi, 2) - twice)) < 1e-12
+        assert np.max(np.abs(_propagate(coin, ks, psi, 0) - psi)) < 1e-12
+        assert np.max(np.abs(_propagate(coin, ks, psi, 1) - once)) < 1e-12
+        assert np.max(np.abs(_propagate(coin, ks, psi, 2) - twice)) < 1e-12
         lam = np.linalg.eigvals(m)
         expect = np.sum(lam ** 7, axis=-1)
-        assert np.max(np.abs(trace_of_power(m, 7) - expect)) < 1e-10
+        assert np.max(np.abs(trace_of_power(coin, ks, 7) - expect)) < 1e-10
 
 
 def test_eigensystem_degenerate_identity_coin():
     # the identity coin gives M_k = +-I at k = 0 and pi (a repeated
     # eigenvalue, sin w == 0), and M_k = diag(e^{-ik}, e^{ik}) nearby
     ks = np.array([0.0, math.pi, -math.pi, 1e-9, math.pi - 1e-9])
-    m = transfer_matrix(theta_coin(0.0), ks)
     psi = np.array([0.6, 0.8j])
     for t in (0, 1, 2, 5, 40):
-        out = _propagate(m, psi, t)
+        out = _propagate(theta_coin(0.0), ks, psi, t)
         expect = np.stack([np.exp(-1j * ks * t) * psi[0],
                            np.exp(1j * ks * t) * psi[1]], axis=-1)
         assert np.all(np.isfinite(out))
         assert np.max(np.abs(out - expect)) < 1e-12
 
 
+# Hadamard has det U = -1; the identity has sin w = 0 at k = 0 and pi
+SPLIT_COINS = {
+    "hadamard": hadamard_coin(), "theta-0.4": theta_coin(0.4),
+    "theta-3.0": theta_coin(3.0), "identity": theta_coin(0.0),
+    "diagonal": CoinOperator(np.diag([np.exp(0.3j), np.exp(-1.9j)])),
+    "antidiagonal": CoinOperator(np.array([[0, 1j], [np.exp(0.8j), 0]])),
+    **{f"random-{i}": CoinOperator(np.linalg.qr(a)[0]) for i, a in enumerate(
+        np.random.default_rng(11).normal(size=(4, 2, 2, 2)) @ [1, 1j])},
+}
+
+
+# the wavenumber grid of evolve_spectral at t = 2000 from one site
+GRID_4050 = 2 * math.pi * np.arange(4050) / 4050
+
+
+@pytest.mark.parametrize("name", list(SPLIT_COINS))
+def test_split_gives_the_eigenphases_and_projectors(name):
+    coin = SPLIT_COINS[name]
+    rng = np.random.default_rng(13)
+    ks = np.concatenate([[0.0, math.pi, -math.pi], rng.uniform(-math.pi, math.pi, 200)])
+    if name == "hadamard":
+        # det M_k = -1, but its floating-point angle is +pi at some of these
+        # k and -pi at others: a per-k h would swap the branch labels there
+        angle = np.angle(np.linalg.det(transfer_matrix(coin, GRID_4050)))
+        assert np.any(angle > 0) and np.any(angle < 0)
+        ks = np.concatenate([ks, GRID_4050])
+    h, w, sin, traceless = _split(coin, ks)
+    assert type(h) is float
+    assert w.shape == sin.shape == ks.shape and traceless.shape == ks.shape + (2, 2)
+    # one branch labelling for every k: cos w = |u00| cos(k - phi)
+    u = coin.matrix
+    phi = np.angle(u[0, 0]) - h
+    assert np.max(np.abs(np.cos(w) - abs(u[0, 0]) * np.cos(ks - phi))) < 1e-12
+    assert np.all((0 <= w) & (w <= math.pi)) and np.all(sin >= 0)
+    m = transfer_matrix(coin, ks)
+    eye = np.eye(2)
+    assert np.max(np.abs(np.trace(traceless, axis1=-2, axis2=-1))) < 1e-15
+    square = traceless @ traceless + (sin * sin)[:, None, None] * eye
+    assert np.max(np.abs(square)) < 1e-12
+    # e^{i(h +- w)} are the eigenvalues numpy finds, as a set
+    lam = np.linalg.eigvals(m)
+    up, down = np.exp(1j * (h + w)), np.exp(1j * (h - w))
+    as_set = np.minimum(np.maximum(abs(up - lam[:, 0]), abs(down - lam[:, 1])),
+                        np.maximum(abs(up - lam[:, 1]), abs(down - lam[:, 0])))
+    assert np.max(as_set) < 1e-12
+    # P+- = (I -+ i T / sin w) / 2 wherever sin w > 0
+    distinct = sin > 0  # two distinct eigenvalues
+    assert np.count_nonzero(distinct) >= len(ks) - 3
+    turn = -1j * traceless[distinct] / sin[distinct, None, None]
+    p_up, p_down = (eye + turn) / 2, (eye - turn) / 2
+    assert np.max(np.abs(p_up + p_down - eye)) < 1e-12
+    for p, lam_p in ((p_up, up[distinct]), (p_down, down[distinct])):
+        assert np.max(np.abs(p @ p - p)) < 1e-12
+        assert np.max(np.abs(m[distinct] @ p - lam_p[:, None, None] * p)) < 1e-12
+
+
 def test_fourier_amplitudes_identity_at_t0():
     init = np.array([0.6, 0.8j])
-    out = _propagate(transfer_matrix(hadamard_coin(), 1.234), init, 0)
+    out = _propagate(hadamard_coin(), 1.234, init, 0)
     assert np.max(np.abs(out - init)) < 1e-13
 
 
 def test_fourier_amplitudes_one_step_left_start():
     # one step from (1, 0): psi~(k, 1) = (e^{-ik}, e^{ik}) / sqrt2
     for k in (0.0, 0.8, -2.5):
-        out = _propagate(transfer_matrix(hadamard_coin(), k), np.array([1.0, 0.0]), 1)
+        out = _propagate(hadamard_coin(), k, np.array([1.0, 0.0]), 1)
         expect = np.array([np.exp(-1j * k), np.exp(1j * k)]) / SQRT2
         assert np.max(np.abs(out - expect)) < 1e-13
 
@@ -132,7 +187,7 @@ def test_fourier_amplitudes_match_closed_form():
                 / (2 * math.sqrt(1 + math.cos(k) ** 2))
                 * (np.exp(-1j * w * t) - (-1) ** t * np.exp(1j * w * t))
             )
-            out = _propagate(transfer_matrix(coin, k), np.array([1.0, 0.0]), t)
+            out = _propagate(coin, k, np.array([1.0, 0.0]), t)
             assert np.max(np.abs(out - np.array([el, er]))) < 1e-12
 
 

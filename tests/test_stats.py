@@ -27,6 +27,7 @@ from qwalk import (
     total_variation,
     tv_distance,
 )
+from qwalk.core import MAX_STEPS
 from qwalk.evolve import ProbabilityDistribution
 from qwalk.stats import _masses
 
@@ -60,6 +61,16 @@ def test_moment_needs_positive_time():
     d = distribution(initial_state("left"))
     with pytest.raises(DomainError):
         moment(d, "mean")
+
+
+def test_moment_and_interval_mass_refuse_circles():
+    # sites 0..30 of a cycle are no line positions
+    psi = evolve_circle(initial_state("symmetric", Circle(31)), hadamard_coin(), 10)
+    d = distribution(psi)
+    with pytest.raises(DomainError):
+        moment(d, "mean")
+    with pytest.raises(DomainError):
+        interval_mass(d, hadamard_coin(), 0.05)
 
 
 def test_moment_names_are_those_of_the_density(had_left_t80):
@@ -216,6 +227,27 @@ def test_mixing_time_requires_circle():
 def test_mixing_time_rejects_cap_below_one(t_cap):
     with pytest.raises(DomainError):
         mixing_time(WalkSpec(Circle(31)), 0.3, t_cap)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: classical_walk(Line(), 2**60),
+    lambda: cesaro_average(WalkSpec(Circle(3), classical=True), MAX_STEPS + 1),
+], ids=["classical_walk", "cesaro_average"])
+def test_step_counts_are_capped_before_allocation(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_mixing_scan_stops_at_the_step_cap(monkeypatch):
+    # a t_cap above the cap is accepted, because the scan stops at the
+    # crossing; a scan that reaches the cap without one is refused
+    monkeypatch.setattr("qwalk.stats.MAX_STEPS", 40)
+    spec = WalkSpec(Circle(31))
+    assert mixing_time(spec, 1.0, 2**60).time == 1
+    rep = mixing_time(spec, -1.0, 40)
+    assert rep.time is None and len(rep.tv_trace) == 40
+    with pytest.raises(DomainError):
+        mixing_time(spec, -1.0, 41)
 
 
 def test_cesaro_average_single_term():
