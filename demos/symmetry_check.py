@@ -21,11 +21,11 @@ from qwalk import (
     theta_coin,
     verify_symmetrizer,
 )
-from qwalk.symmetry import SIGMA_X, SIGMA_Y, SIGMA_Z
+from qwalk.symmetry import PAULIS, SIGMA_Y
 
 coin = hadamard_coin()
 print("candidate check, Hadamard coin:")
-for name, cand in (("sigma_x", SIGMA_X), ("sigma_y", SIGMA_Y), ("sigma_z", SIGMA_Z)):
+for name, cand in PAULIS:
     rep = verify_symmetrizer(coin, cand)
     tag = f"verified (sign {rep.sign:+d})" if rep.verdict else "fails"
     print(f"  {name}: {tag}, max residual {rep.max_residual:.2e}")

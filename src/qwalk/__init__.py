@@ -31,10 +31,7 @@ from .evolve import (
     evolve_circle,
     evolve_line,
 )
-from .spectral import (
-    evolve_spectral,
-    transfer_matrix,
-)
+from .spectral import evolve_spectral
 from .stats import (
     MixingReport,
     WalkSpec,
@@ -43,14 +40,23 @@ from .stats import (
     interval_mass,
     mixing_time,
     moment,
-    total_variation,
     tv_distance,
 )
 from .symmetry import (
     SymmetrizerReport,
-    find_symmetrizer,
     symmetric_initial,
     verify_symmetrizer,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# written out by hand, a line or two per module, so that the submodules
+# imported above are no public names
+__all__ = [
+    "asymptotic_wavefunction", "density", "density_moment", "frontier_peak", "p_asymptotic",
+    "Circle", "CoinOperator", "DomainError", "Line", "WaveFunction",
+    "hadamard_coin", "initial_state", "theta_coin",
+    "ProbabilityDistribution", "distribution", "evolve_circle", "evolve_line",
+    "evolve_spectral",
+    "MixingReport", "WalkSpec", "cesaro_average", "classical_walk", "interval_mass",
+    "mixing_time", "moment", "tv_distance",
+    "SymmetrizerReport", "symmetric_initial", "verify_symmetrizer",
+]

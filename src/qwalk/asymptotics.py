@@ -23,16 +23,23 @@ with ``h = arg(det U) / 2`` the same for every k, and
 
     cos w(k) = c cos q,    c = |u00|,  q = k - phi,  phi = arg u00 - h.
 
-``h`` is taken once per coin: a per-k value can jump by pi when
-``det U = -1`` and swap the branches.  The lower branch at k is the
-upper one at ``k + pi`` times ``(-1)^(n+t)``, so the two add on the
-parity-allowed sites and cancel on the others.  On the upper branch the
-phase ``t (h + w) - k n`` is stationary where ``w'(k) = alpha = n/t``.
+:func:`qwalk.spectral._dispersion` gives ``(h, c, phi)``, with ``h``
+taken once per coin: a per-k value can jump by pi when ``det U = -1``
+and swap the branches.  The lower branch at k is the upper one at
+``k + pi`` times ``(-1)^(n+t)``, so the two add on the parity-allowed
+sites and cancel on the others.  On the upper branch the phase
+``t (h + w) - k n`` is stationary where ``w'(k) = alpha = n/t``.
 Inside the cone ``|alpha| < c`` that has two roots,
 
-    cos q = +-sqrt((c^2 - alpha^2) / (c^2 (1 - alpha^2))),  sign(sin q) = sign(alpha),
+    cos q = +-sqrt((c^2 - alpha^2) / (c^2 (1 - alpha^2))),  sign(sin q) = sign(alpha).
 
-with curvature ``w'' = c cos q (1 - alpha^2) / sin w``, and each adds
+Both have ``sin w = |u01| / sqrt(1 - alpha^2)``, so the curvature
+``w'' = c cos q (1 - alpha^2) / sin w`` takes the branch-free closed
+form
+
+    w'' = sign(cos q) (1 - alpha^2) sqrt(c^2 - alpha^2) / |u01|,
+
+and each root adds
 
     sqrt(2 / (pi t |w''|)) e^{i(t (h + w) - k n + sign(w'') pi/4)} P+ psi0,
     P+ = (I - i T / sin w) / 2,
@@ -56,16 +63,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import CoinOperator, DomainError, _site_masses, chirality_pair
-from .spectral import _split
-
-__all__ = [
-    "p_asymptotic",
-    "support_edge",
-    "density",
-    "density_moment",
-    "frontier_peak",
-    "asymptotic_wavefunction",
-]
+from .spectral import _dispersion, _split
 
 SQRT2 = math.sqrt(2)
 
@@ -77,21 +75,19 @@ def support_edge(coin: CoinOperator) -> float:
 
 def _stationary_points(
     coin: CoinOperator, alpha: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """``(h, k, w, w'')`` at the two upper-branch roots of ``w'(k) = alpha``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(k, w'')`` at the two upper-branch roots of ``w'(k) = alpha``.
 
-    ``k``, ``w`` and ``w''`` have shape ``(2,) + alpha.shape``: row 0 is
-    the root with ``cos q > 0``, row 1 the one with ``cos q < 0``.
-    Needs ``|alpha| < |u00|``.
+    Both have shape ``(2,) + alpha.shape``: row 0 is the root with ``cos
+    q > 0`` and ``w'' > 0``, row 1 the one with ``cos q < 0`` and ``w''
+    < 0``.  Needs ``|alpha| < |u00| < 1``.
     """
-    u = coin.matrix
-    c = abs(u[0, 0])
-    h = _split(coin, 0.0)[0]  # the same at every k
+    _, c, phi = _dispersion(coin)
     root = np.sqrt((c - alpha) * (c + alpha) / (c * c * (1 - alpha) * (1 + alpha)))
-    cos_q = np.stack([root, -root])
-    k = np.copysign(np.arccos(cos_q), alpha) + np.angle(u[0, 0]) - h
-    w = np.arccos(c * cos_q)
-    return h, k, w, c * cos_q * (1 - alpha * alpha) / np.sin(w)
+    k = np.copysign(np.arccos(np.stack([root, -root])), alpha) + phi
+    width = abs(coin.matrix[0, 1])
+    curv = (1 - alpha) * (1 + alpha) * np.sqrt((c - alpha) * (c + alpha)) / width
+    return k, np.stack([curv, -curv])
 
 
 def asymptotic_wavefunction(
@@ -117,7 +113,7 @@ def asymptotic_wavefunction(
     if np.any(np.abs(alpha) >= edge):
         raise DomainError(f"every |n/t| must lie inside the cone edge {edge:.6g}")
     pair = chirality_pair(init)
-    _, k, _, curv = _stationary_points(coin, alpha)
+    k, curv = _stationary_points(coin, alpha)
     h, w, sin, traceless = _split(coin, k)
     projected = (pair - 1j * (traceless @ pair) / sin[..., None]) / 2
     amp = np.sqrt(2 / (math.pi * t * np.abs(curv))) * np.exp(
@@ -163,8 +159,8 @@ def density(
     ballistically.
     """
     edge, width, tilt = _density_terms(coin, init)
-    if abs(alpha) >= edge:
-        raise DomainError(f"density support is |alpha| < {edge:.6g}")
+    if not abs(alpha) < edge:
+        raise DomainError(f"density support is |alpha| < {edge:.6g}, got {alpha}")
     if width == 0:
         raise DomainError("u01 = 0: the walk moves ballistically and has no density")
     root = math.sqrt((edge - alpha) * (edge + alpha))

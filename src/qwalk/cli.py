@@ -43,7 +43,7 @@ from .core import (
 from .evolve import distribution, evolve_circle, evolve_line
 from .spectral import evolve_spectral
 from .stats import WalkSpec, mixing_time, moment
-from .symmetry import SIGMA_X, SIGMA_Y, SIGMA_Z, verify_symmetrizer
+from .symmetry import PAULIS, verify_symmetrizer
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 3
@@ -241,8 +241,7 @@ def cmd_mix(args) -> None:
 def cmd_symmetry(args) -> None:
     coin = _coin_from_args(args)
     rows = []
-    for name, cand in (("sigma_x", SIGMA_X), ("sigma_y", SIGMA_Y),
-                       ("sigma_z", SIGMA_Z)):
+    for name, cand in PAULIS:
         rep = verify_symmetrizer(coin, cand)
         rows.append([name, rep.sign, float(rep.max_residual), rep.verdict])
     _emit(args, ["candidate", "sign", "max_residual", "verdict"], rows)

@@ -18,18 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-__all__ = [
-    "Line",
-    "Circle",
-    "WaveFunction",
-    "CoinOperator",
-    "DomainError",
-    "hadamard_coin",
-    "theta_coin",
-    "chirality_pair",
-    "initial_state",
-]
-
 NORM_TOL = 1e-12
 
 #: Maximum number of steps accepted by the evolvers (memory guard).
@@ -77,8 +65,13 @@ class Circle:
 Topology = Line | Circle
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.complex128)
+def _freeze(a, dtype) -> np.ndarray:
+    """A read-only C-contiguous copy of ``a`` as ``dtype``.
+
+    The copy is what the value objects hold: the caller's array stays
+    writeable, and writing to it later does not change the object.
+    """
+    a = np.array(a, dtype=dtype, order="C")
     a.flags.writeable = False
     return a
 
@@ -109,7 +102,7 @@ class WaveFunction:
     time: int = 0
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
+        amps = _freeze(self.amplitudes, np.complex128)
         if amps.ndim != 2 or amps.shape[1] != 2:
             raise DomainError(f"amplitudes must have shape (n, 2), got {amps.shape}")
         if not np.all(np.isfinite(amps.view(np.float64))):
@@ -118,7 +111,7 @@ class WaveFunction:
             raise DomainError("amplitude count must equal circle size")
         if self.time < 0:
             raise DomainError("time must be nonnegative")
-        object.__setattr__(self, "amplitudes", _freeze(amps))
+        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def sites(self) -> NDArray[np.int64]:
@@ -145,12 +138,12 @@ class CoinOperator:
     matrix: NDArray[np.complex128]
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        m = _freeze(self.matrix, np.complex128)
         if m.shape != (2, 2):
             raise DomainError("coin matrix must be 2x2")
         if np.max(np.abs(m.conj().T @ m - np.eye(2))) >= 1e-14:
             raise DomainError("coin matrix must be unitary")
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", m)
 
 
 def hadamard_coin() -> CoinOperator:

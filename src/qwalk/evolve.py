@@ -36,16 +36,10 @@ from .core import (
     Line,
     Topology,
     WaveFunction,
+    _freeze,
     _site_masses,
     check_steps,
 )
-
-__all__ = [
-    "evolve_line",
-    "evolve_circle",
-    "distribution",
-    "ProbabilityDistribution",
-]
 
 
 @dataclass(frozen=True)
@@ -57,9 +51,7 @@ class ProbabilityDistribution:
     time: int
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.masses, dtype=np.float64)
-        m.flags.writeable = False
-        object.__setattr__(self, "masses", m)
+        object.__setattr__(self, "masses", _freeze(self.masses, np.float64))
 
     @property
     def sites(self) -> NDArray[np.int64]:

@@ -6,11 +6,16 @@ transfer matrix ``M_k = e^{ik} M+ + e^{-ik} M-``, where ``M+`` and ``M-``
 keep the R and the L row of the coin ``U``; that is ``M_k = diag(e^{-ik},
 e^{ik}) U``, and ``psi~(k, t) = M_k^t psi~(k, 0)``.  Powers are taken in
 closed form, never by repeated multiplication: :func:`_split` writes
-``M_k = e^{ih} (cos(w) I + T)`` with ``T`` traceless and ``h = arg(det
-U) / 2`` taken once per coin, and :func:`_propagate` turns the SU(2)
-part by ``t`` times its angle.  The split is the only one in the
-package: :mod:`qwalk.asymptotics` reads its eigenphases ``h +- w`` and
-projectors ``(I -+ i T / sin w) / 2`` from it too.
+``M_k = e^{ih} (cos(w) I + T)`` with ``T`` traceless, and
+:func:`_propagate` turns the SU(2) part by ``t`` times its angle.  The
+split is the only one in the package: :mod:`qwalk.asymptotics` reads
+its eigenphases ``h +- w`` and projectors ``(I -+ i T / sin w) / 2``
+from it too.
+
+Every coin has the same dispersion, ``cos w(k) = c cos(k - phi)``,
+scaled by ``c = |u00|`` and shifted by ``phi = arg u00 - h``, with
+``h = arg(det U) / 2``.  :func:`_dispersion` gives ``(h, c, phi)`` and
+is the only place that takes ``h``, once per coin.
 
 Both topologies use the grid ``k_j = 2 pi j / N``, on which
 ``e^{i k_j n} = e^{2 pi i j n / N}``, so the transforms are plain
@@ -43,34 +48,43 @@ from .core import (
     check_steps,
 )
 
-__all__ = [
-    "transfer_matrix",
-    "evolve_spectral",
-]
 
-
-def transfer_matrix(coin: CoinOperator, k: float | np.ndarray) -> np.ndarray:
+def _transfer_matrix(coin: CoinOperator, k: float | np.ndarray) -> np.ndarray:
     """``M_k = diag(e^{-ik}, e^{ik}) U``: shape (2, 2), or (..., 2, 2) for array ``k``."""
     k = np.asarray(k)[..., None, None]
     return np.exp(1j * k * np.array([[-1.0], [1.0]])) * coin.matrix
 
 
+def _dispersion(coin: CoinOperator) -> tuple[float, float, float]:
+    """``(h, c, phi)`` of the dispersion ``cos w(k) = c cos(k - phi)``.
+
+    The eigenphases of ``M_k`` are ``h +- w(k)``.  ``h = arg(det U) / 2``
+    is one float for the coin: ``det M_k = det U`` at every k, and a
+    per-k value can jump by pi when ``det U = -1`` and swap the branch
+    labels.  ``c = |u00|`` is the edge velocity of the cone and
+    ``phi = arg u00 - h`` the wavenumber shift: the group velocity
+    ``w'`` reaches ``+-c`` at ``k = phi +- pi/2``.
+    """
+    u = coin.matrix
+    h = float(np.angle(np.linalg.det(u))) / 2
+    return h, float(abs(u[0, 0])), float(np.angle(u[0, 0])) - h
+
+
 def _split(coin: CoinOperator, k: float | np.ndarray):
     """``(h, w, sin w, T)`` with ``M_k = e^{ih} (cos(w) I + T)`` and ``T`` traceless.
 
-    ``h = arg(det U) / 2`` is one float for the coin: ``det M_k = det U``
-    at every k, and a per-k value can jump by pi when ``det U = -1`` and
-    swap the branch labels.  With ``V = e^{-ih} M_k`` in SU(2), ``cos w =
-    Re tr V / 2`` and ``T = V - cos(w) I``, so ``T^2 = -sin(w)^2 I`` and
-    the eigenvalues of ``M_k`` are ``e^{i(h +- w)}``, with projectors
-    ``P+- = (I -+ i T / sin w) / 2`` where ``sin w > 0``.  ``sin w =
-    |T|_F / sqrt 2`` is read off the traceless part, not ``sqrt(1 -
-    cos^2)``, so a near-identity ``M_k`` keeps its small angle to full
-    relative precision; ``w`` lies in ``[0, pi]``.  ``T`` has shape
-    ``k.shape + (2, 2)``.
+    ``h`` is the one float of :func:`_dispersion`.  With
+    ``V = e^{-ih} M_k`` in SU(2), ``cos w = Re tr V / 2`` and
+    ``T = V - cos(w) I``, so ``T^2 = -sin(w)^2 I`` and the eigenvalues of
+    ``M_k`` are ``e^{i(h +- w)}``, with projectors
+    ``P+- = (I -+ i T / sin w) / 2`` where ``sin w > 0``.
+    ``sin w = |T|_F / sqrt 2`` is read off the traceless part, not
+    ``sqrt(1 - cos^2)``, so a near-identity ``M_k`` keeps its small angle
+    to full relative precision; ``w`` lies in ``[0, pi]``.  ``T`` has
+    shape ``k.shape + (2, 2)``.
     """
-    h = float(np.angle(np.linalg.det(coin.matrix))) / 2
-    v = np.exp(-1j * h) * transfer_matrix(coin, k)
+    h = _dispersion(coin)[0]
+    v = np.exp(-1j * h) * _transfer_matrix(coin, k)
     cos = v.trace(axis1=-2, axis2=-1).real / 2
     traceless = v - cos[..., None, None] * np.eye(2)
     sin = np.sqrt(np.sum(np.square(traceless.view(np.float64)), axis=(-2, -1)) / 2)

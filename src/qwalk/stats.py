@@ -56,18 +56,6 @@ from .core import (
 )
 from .evolve import ProbabilityDistribution, _circle_steps
 
-__all__ = [
-    "MixingReport",
-    "WalkSpec",
-    "moment",
-    "interval_mass",
-    "total_variation",
-    "tv_distance",
-    "mixing_time",
-    "cesaro_average",
-    "classical_walk",
-]
-
 
 @dataclass(frozen=True)
 class WalkSpec:
@@ -127,14 +115,17 @@ def interval_mass(dist: ProbabilityDistribution, coin: CoinOperator, eps: float)
     ``t^{-2/3}``-wide edge layer: for t well above ``(c (1 - c^2)
     eps^2 / 2)^{-3/2}``, which is about 10^5 for the Hadamard coin at
     ``eps = 0.05``.  Before that, t times the error wanders with t.
+    ``eps`` must lie in ``[0, pi/2]``, where the law holds.
     """
+    if not 0 <= eps <= math.pi / 2:
+        raise DomainError(f"eps must lie in [0, pi/2], got {eps}")
     alpha = _velocities(dist)
     c = support_edge(coin)
     cutoff = c * math.cos(eps) / math.sqrt(1 - (c * math.sin(eps)) ** 2)
     return float(np.sum(dist.masses[np.abs(alpha) <= cutoff]))
 
 
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
+def _total_variation(p: np.ndarray, q: np.ndarray) -> float:
     """Half the l1 distance between two mass vectors on a shared support."""
     return 0.5 * float(np.sum(np.abs(np.asarray(p) - np.asarray(q))))
 
@@ -163,7 +154,7 @@ def tv_distance(dist: ProbabilityDistribution, reference: str = "uniform_all") -
     if reference not in ("uniform_all", "uniform_parity"):
         raise DomainError(f"unknown reference {reference!r}")
     target = _uniform_target(dist.topology.size, dist.time, reference == "uniform_parity")
-    return total_variation(dist.masses, target)
+    return _total_variation(dist.masses, target)
 
 
 def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:

@@ -26,19 +26,12 @@ from numpy.typing import NDArray
 
 from .core import CoinOperator, DomainError
 
-__all__ = [
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "SymmetrizerReport",
-    "verify_symmetrizer",
-    "find_symmetrizer",
-    "symmetric_initial",
-]
-
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+
+#: The Pauli matrices by name, in the order every sweep tries them.
+PAULIS = (("sigma_x", SIGMA_X), ("sigma_y", SIGMA_Y), ("sigma_z", SIGMA_Z))
 
 RESIDUAL_TOL = 1e-12
 
@@ -83,9 +76,9 @@ def verify_symmetrizer(
     )
 
 
-def find_symmetrizer(coin: CoinOperator) -> SymmetrizerReport | None:
+def _find_symmetrizer(coin: CoinOperator) -> SymmetrizerReport | None:
     """Try the Pauli matrices in turn; return the first verified report."""
-    for cand in (SIGMA_X, SIGMA_Y, SIGMA_Z):
+    for _, cand in PAULIS:
         report = verify_symmetrizer(coin, cand)
         if report.verdict:
             return report
@@ -101,7 +94,7 @@ def symmetric_initial(coin: CoinOperator) -> NDArray[np.complex128]:
     component.  For ``S = sigma_y`` this is ``(1, i)/sqrt2``; evolving
     from it gives ``P(n, t) = P(-n, t)`` to round-off at every t.
     """
-    report = find_symmetrizer(coin)
+    report = _find_symmetrizer(coin)
     if report is None:
         raise DomainError("no symmetrizer verified for this coin")
     v = np.eye(2) + report.candidate

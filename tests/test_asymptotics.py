@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_evolve import parts, u2_coins
+from test_spectral import EDGE_COINS, SPLIT_COINS
 
 from qwalk import (
     CoinOperator,
@@ -21,9 +22,9 @@ from qwalk import (
     initial_state,
     p_asymptotic,
     theta_coin,
-    transfer_matrix,
 )
 from qwalk.asymptotics import _stationary_points, support_edge
+from qwalk.spectral import _split, _transfer_matrix
 from qwalk.stats import moment
 
 SQRT2 = math.sqrt(2)
@@ -68,14 +69,15 @@ def interior_l1(coin, init, t, margin=0.1):
 def test_stationary_point_at_origin():
     # k_alpha = pi/2 and the step phase -(w + alpha k_alpha) = -pi/4, seen
     # through e^{ik} = -e^{+-i k_alpha} and e^{i(h + w)} = -e^{-+i pi/4}
-    h, k, w, curv = _stationary_points(hadamard_coin(), np.array(0.0))
+    k, curv = _stationary_points(hadamard_coin(), np.array(0.0))
+    h, w, _, _ = _split(hadamard_coin(), k)
     assert np.sort(k % (2 * math.pi)) == pytest.approx([math.pi / 2, 3 * math.pi / 2])
     assert -np.exp(1j * (h + w)) == pytest.approx(np.exp([-0.25j * math.pi, 0.25j * math.pi]))
     assert curv == pytest.approx([1.0, -1.0])
 
 
 def test_stationary_point_at_half():
-    _, k, _, curv = _stationary_points(hadamard_coin(), np.array(0.5))
+    k, curv = _stationary_points(hadamard_coin(), np.array(0.5))
     assert np.angle(-np.exp(1j * k)) == pytest.approx(
         [1, -1] * np.array(math.acos(-0.5 / math.sqrt(0.75))))
     assert curv == pytest.approx([0.75 * math.sqrt(0.5), -0.75 * math.sqrt(0.5)])
@@ -85,7 +87,7 @@ def test_stationary_condition_residual_hadamard():
     # dw/dk + alpha = 0 at k_alpha, with dw/dk = cos k / sqrt(1 + cos^2 k)
     # and cos k_alpha = -cos k at both roots
     alpha = np.linspace(-0.69, 0.69, 1000)
-    _, k, _, _ = _stationary_points(hadamard_coin(), alpha)
+    k, _ = _stationary_points(hadamard_coin(), alpha)
     cos_k_alpha = -np.cos(k)
     assert np.max(np.abs(cos_k_alpha / np.sqrt(1 + cos_k_alpha**2) + alpha)) < 1e-12
 
@@ -94,7 +96,7 @@ def test_stationary_points_match_the_hadamard_closed_form():
     # the two roots sit at pi -+ k_alpha, with curvatures -+|w''| of the
     # hand-written Hadamard solution
     alpha = np.linspace(-0.69, 0.69, 1001)
-    _, k, _, curv = _stationary_points(hadamard_coin(), alpha)
+    k, curv = _stationary_points(hadamard_coin(), alpha)
     k_alpha, curvature = np.array(
         [hadamard_left_closed_form(a, 100)[:2] for a in alpha.tolist()]).T
     assert curv == pytest.approx(np.stack([curvature, -curvature]), rel=1e-12)
@@ -114,11 +116,12 @@ def test_stationary_points_solve_the_eigenphase_condition(coin):
     # against numpy's eigenvalues of M_k: e^{i(h + w)} is one of them, and
     # its phase has slope alpha and second derivative w'' at each root
     alpha = np.linspace(-0.9, 0.9, 37) * support_edge(coin)
-    h, k, w, curv = _stationary_points(coin, alpha)
+    k, curv = _stationary_points(coin, alpha)
+    h, w, _, _ = _split(coin, k)
     step = 1e-4
 
     def upper_phase(kk):
-        eig = np.linalg.eigvals(transfer_matrix(coin, kk))
+        eig = np.linalg.eigvals(_transfer_matrix(coin, kk))
         near = np.exp(1j * (h + w))[..., None]
         return np.angle(np.take_along_axis(
             eig, np.argmin(np.abs(eig - near), axis=-1)[..., None], -1)[..., 0] / near[..., 0])
@@ -127,6 +130,18 @@ def test_stationary_points_solve_the_eigenphase_condition(coin):
     lo, hi = upper_phase(k - step), upper_phase(k + step)
     assert np.max(np.abs((hi - lo) / (2 * step) - alpha)) < 1e-7
     assert np.max(np.abs((hi + lo) / step**2 - curv)) < 1e-5
+
+
+@pytest.mark.parametrize("name", EDGE_COINS)
+def test_stationary_points_have_the_closed_form_sine(name):
+    # sin w = |u01| / sqrt(1 - alpha^2) at both roots, which turns
+    # w'' = c cos q (1 - alpha^2) / sin w into its branch-free closed form
+    coin = SPLIT_COINS[name]
+    alpha = np.linspace(-0.99, 0.99, 199) * support_edge(coin)
+    k, _ = _stationary_points(coin, alpha)
+    sin = _split(coin, k)[2]
+    expect = abs(coin.matrix[0, 1]) / np.sqrt(1 - alpha**2)
+    assert np.max(np.abs(sin - expect)) < 1e-14
 
 
 def test_stationary_point_refuses_outside_cone():
@@ -296,6 +311,12 @@ def test_unresolvable_density_is_a_domain_error(theta):
     assert served == pytest.approx(closed_form_moments(coin, np.array([1, 0])), abs=1e-12)
     if theta == 0:
         assert served == {"mean": -1.0, "second": 1.0, "abs_mean": 1.0}
+
+
+@pytest.mark.parametrize("alpha", [math.nan, -math.inf, -1 / SQRT2, 1 / SQRT2, 0.9, math.inf])
+def test_density_refuses_alpha_outside_its_support(alpha):
+    with pytest.raises(DomainError):
+        density(alpha, hadamard_coin(), "left")
 
 
 def test_density_needs_an_off_diagonal_coin_entry():

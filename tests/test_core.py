@@ -13,14 +13,15 @@ from qwalk import (
     CoinOperator,
     DomainError,
     Line,
+    ProbabilityDistribution,
     WaveFunction,
     distribution,
     evolve_line,
     hadamard_coin,
     initial_state,
     theta_coin,
-    transfer_matrix,
 )
+from qwalk.spectral import _transfer_matrix
 
 SQRT2 = math.sqrt(2)
 
@@ -57,11 +58,27 @@ def test_coin_operator_rejects_non_unitary():
         CoinOperator(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
+def test_value_objects_copy_their_arrays():
+    # each object holds a read-only copy: the caller's array stays
+    # writeable, and writing to it later leaves the object unchanged
+    amps, matrix, masses = np.zeros((3, 2), complex), np.eye(2, dtype=complex), np.full(3, 1 / 3)
+    held = [(WaveFunction(Line(), amps).amplitudes, amps),
+            (CoinOperator(matrix).matrix, matrix),
+            (ProbabilityDistribution(Line(), masses, 0).masses, masses)]
+    for own, given in held:
+        before = given.copy()
+        assert given.flags.writeable and not own.flags.writeable
+        given[0] = 7
+        assert np.array_equal(own, before)
+        with pytest.raises(ValueError, match="read-only"):
+            own[0] = 7
+
+
 def test_transfer_matrix_at_zero_is_the_coin():
     # M_0 = M+ + M-: the two shift directions together make one coin step
     complex_coin = CoinOperator(np.array([[1, 1j], [1j, 1]]) / SQRT2)
     for coin in (hadamard_coin(), theta_coin(1.0), theta_coin(2.5), complex_coin):
-        assert np.array_equal(transfer_matrix(coin, 0.0), coin.matrix)
+        assert np.array_equal(_transfer_matrix(coin, 0.0), coin.matrix)
 
 
 def test_initial_states():
@@ -168,3 +185,18 @@ def test_public_defaults_are_pinned():
         "initial_state.topology",
         "tv_distance.reference",
     }
+
+
+def test_public_names_are_pinned():
+    # the package's public surface, written out by hand; a new name must
+    # be added here on purpose, and no submodule counts as one
+    assert sorted(qwalk.__all__) == [
+        "Circle", "CoinOperator", "DomainError", "Line", "MixingReport",
+        "ProbabilityDistribution", "SymmetrizerReport", "WalkSpec", "WaveFunction",
+        "asymptotic_wavefunction", "cesaro_average", "classical_walk", "density",
+        "density_moment", "distribution", "evolve_circle", "evolve_line",
+        "evolve_spectral", "frontier_peak", "hadamard_coin", "initial_state",
+        "interval_mass", "mixing_time", "moment", "p_asymptotic",
+        "symmetric_initial", "theta_coin", "tv_distance", "verify_symmetrizer",
+    ]
+    assert not any(inspect.ismodule(getattr(qwalk, name)) for name in qwalk.__all__)

@@ -20,8 +20,8 @@ from qwalk import (
     hadamard_coin,
     initial_state,
     theta_coin,
-    transfer_matrix,
 )
+from qwalk.spectral import _transfer_matrix
 
 SQRT2 = math.sqrt(2)
 
@@ -261,6 +261,27 @@ def unit_pairs(draw):
 SYMMETRIC = initial_state("symmetric").amplitudes[0]
 
 
+@st.composite
+def state_pairs(draw):
+    """Two random multi-site states on one line window or on one cycle."""
+    n = draw(st.integers(3, 12))
+    raw = np.array(draw(st.lists(parts, min_size=8 * n, max_size=8 * n)))
+    amps = (raw[0::2] + 1j * raw[1::2]).reshape(2, n, 2)
+    topology = draw(st.sampled_from([Line(draw(st.integers(-20, 20))), Circle(n)]))
+    return [WaveFunction(topology, a) for a in amps]
+
+
+@settings(max_examples=60, deadline=None)
+@given(u2_coins(), state_pairs(), st.integers(0, 40))
+def test_walk_preserves_inner_products(coin, states, steps):
+    # unitarity beyond the norm: <U phi, U psi> = <phi, psi>
+    phi, psi = states
+    evolve = evolve_circle if isinstance(phi.topology, Circle) else evolve_line
+    before = np.vdot(phi.amplitudes, psi.amplitudes)
+    after = np.vdot(evolve(phi, coin, steps).amplitudes, evolve(psi, coin, steps).amplitudes)
+    assert abs(after - before) < 1e-12
+
+
 @settings(max_examples=30, deadline=None)
 @given(u2_coins(), unit_pairs())
 @example(hadamard_coin(), SYMMETRIC)
@@ -298,7 +319,7 @@ def test_evolve_circle_matches_fourier_oracle(coin, pair, n, data):
     t = data.draw(st.integers(0, 3 * n))
     psi = evolve_circle(initial_state(pair, Circle(n)), coin, t)
     k = 2 * np.pi * np.arange(n) / n
-    modes = np.linalg.matrix_power(transfer_matrix(coin, k), t) @ pair
+    modes = np.linalg.matrix_power(_transfer_matrix(coin, k), t) @ pair
     expected = np.fft.fft(modes, axis=0) / n
     assert psi.time == t
     assert np.max(np.abs(psi.amplitudes - expected)) < 1e-12

@@ -15,9 +15,8 @@ from qwalk import (
     hadamard_coin,
     initial_state,
     theta_coin,
-    transfer_matrix,
 )
-from qwalk.spectral import _propagate, _split
+from qwalk.spectral import _dispersion, _propagate, _split, _transfer_matrix
 
 SQRT2 = math.sqrt(2)
 
@@ -26,13 +25,13 @@ def test_transfer_matrix_is_unitary_everywhere():
     rng = np.random.default_rng(3)
     for coin in (hadamard_coin(), theta_coin(0.7), theta_coin(2.4)):
         for k in rng.uniform(-math.pi, math.pi, 100):
-            m = transfer_matrix(coin, k)
+            m = _transfer_matrix(coin, k)
             assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-14
 
 
 def test_hadamard_transfer_matrix_entries():
     k = 0.37
-    m = transfer_matrix(hadamard_coin(), k)
+    m = _transfer_matrix(hadamard_coin(), k)
     expect = np.array(
         [[np.exp(-1j * k), np.exp(-1j * k)], [np.exp(1j * k), -np.exp(1j * k)]]
     ) / SQRT2
@@ -77,7 +76,7 @@ def test_eigensystem_reconstructs_matrix():
     ks = np.concatenate([[0.0, math.pi, -math.pi], rng.uniform(-math.pi, math.pi, 100)])
     psi = rng.normal(size=(len(ks), 2)) + 1j * rng.normal(size=(len(ks), 2))
     for coin in coins:
-        m = transfer_matrix(coin, ks)
+        m = _transfer_matrix(coin, ks)
         once = np.einsum("kij,kj->ki", m, psi)
         twice = np.einsum("kij,kj->ki", m, once)
         assert np.max(np.abs(_propagate(coin, ks, psi, 0) - psi)) < 1e-12
@@ -124,18 +123,17 @@ def test_split_gives_the_eigenphases_and_projectors(name):
     if name == "hadamard":
         # det M_k = -1, but its floating-point angle is +pi at some of these
         # k and -pi at others: a per-k h would swap the branch labels there
-        angle = np.angle(np.linalg.det(transfer_matrix(coin, GRID_4050)))
+        angle = np.angle(np.linalg.det(_transfer_matrix(coin, GRID_4050)))
         assert np.any(angle > 0) and np.any(angle < 0)
         ks = np.concatenate([ks, GRID_4050])
     h, w, sin, traceless = _split(coin, ks)
-    assert type(h) is float
+    assert type(h) is float and h == _dispersion(coin)[0]
     assert w.shape == sin.shape == ks.shape and traceless.shape == ks.shape + (2, 2)
-    # one branch labelling for every k: cos w = |u00| cos(k - phi)
-    u = coin.matrix
-    phi = np.angle(u[0, 0]) - h
-    assert np.max(np.abs(np.cos(w) - abs(u[0, 0]) * np.cos(ks - phi))) < 1e-12
+    # one branch labelling for every k: cos w = c cos(k - phi)
+    _, c, phi = _dispersion(coin)
+    assert np.max(np.abs(np.cos(w) - c * np.cos(ks - phi))) < 1e-12
     assert np.all((0 <= w) & (w <= math.pi)) and np.all(sin >= 0)
-    m = transfer_matrix(coin, ks)
+    m = _transfer_matrix(coin, ks)
     eye = np.eye(2)
     assert np.max(np.abs(np.trace(traceless, axis1=-2, axis2=-1))) < 1e-15
     square = traceless @ traceless + (sin * sin)[:, None, None] * eye
@@ -155,6 +153,26 @@ def test_split_gives_the_eigenphases_and_projectors(name):
     for p, lam_p in ((p_up, up[distinct]), (p_down, down[distinct])):
         assert np.max(np.abs(p @ p - p)) < 1e-12
         assert np.max(np.abs(m[distinct] @ p - lam_p[:, None, None] * p)) < 1e-12
+
+
+#: The coins whose cone edge c lies strictly inside (0, 1), where w is smooth in k.
+EDGE_COINS = [name for name, coin in SPLIT_COINS.items() if 0 < _dispersion(coin)[1] < 1]
+
+
+@pytest.mark.parametrize("name", EDGE_COINS)
+def test_cone_edge_has_slope_c_and_third_derivative_c_u01_squared(name):
+    # at q = k - phi = +-pi/2 the group velocity w' = +-c is extremal and
+    # w''' = -+c |u01|^2 (w is even in q); O(step^4) central differences
+    coin = SPLIT_COINS[name]
+    _, c, phi = _dispersion(coin)
+    u01_squared = abs(coin.matrix[0, 1]) ** 2
+    step = 0.01
+    d1 = np.array([0, 1, -8, 0, 8, -1, 0]) / (12 * step)
+    d3 = np.array([1, -8, 13, 0, -13, 8, -1]) / (8 * step**3)
+    for sign in (1, -1):
+        w = _split(coin, phi + sign * math.pi / 2 + step * np.arange(-3, 4))[1]
+        assert d1 @ w == pytest.approx(sign * c, rel=1e-5)
+        assert d3 @ w == pytest.approx(-sign * c * u01_squared, rel=1e-5)
 
 
 def test_fourier_amplitudes_identity_at_t0():

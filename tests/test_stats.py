@@ -24,12 +24,11 @@ from qwalk import (
     mixing_time,
     moment,
     theta_coin,
-    total_variation,
     tv_distance,
 )
 from qwalk.core import MAX_STEPS
 from qwalk.evolve import ProbabilityDistribution
-from qwalk.stats import _masses
+from qwalk.stats import _masses, _total_variation
 
 SQRT2 = math.sqrt(2)
 
@@ -134,6 +133,15 @@ def test_interval_mass_of_theta_half_pi_is_the_hadamard_one():
             d, hadamard_coin(), eps)
 
 
+@pytest.mark.parametrize("eps", [math.nan, -math.inf, -0.1, 2.0, math.inf])
+def test_interval_mass_refuses_eps_outside_its_law(had_left_t80, eps):
+    # the law 1 - 2 eps / pi holds for eps in [0, pi/2], both ends served
+    with pytest.raises(DomainError):
+        interval_mass(had_left_t80, hadamard_coin(), eps)
+    for end in (0.0, math.pi / 2):
+        assert 0 < interval_mass(had_left_t80, hadamard_coin(), end) <= 1
+
+
 def test_mass_concentrates_inside_the_cone(had_left_t80):
     inside = interval_mass(had_left_t80, hadamard_coin(), 0.0)
     assert inside >= 1 - 1.0 * 80 ** (-1 / 3)
@@ -142,10 +150,10 @@ def test_mass_concentrates_inside_the_cone(had_left_t80):
 def test_total_variation_basics():
     p = np.array([0.5, 0.5, 0.0])
     q = np.array([0.0, 0.5, 0.5])
-    assert total_variation(p, p) == 0.0
-    assert total_variation(p, q) == pytest.approx(0.5)
+    assert _total_variation(p, p) == 0.0
+    assert _total_variation(p, q) == pytest.approx(0.5)
     r = np.array([1 / 3, 1 / 3, 1 / 3])
-    assert total_variation(p, q) <= total_variation(p, r) + total_variation(r, q)
+    assert _total_variation(p, q) <= _total_variation(p, r) + _total_variation(r, q)
 
 
 def test_tv_distance_point_mass_on_circle():
@@ -322,7 +330,7 @@ def test_classical_scan_equals_the_classical_walk(n):
             target = np.full(n, 1 / n)
         else:
             target = np.where((np.arange(n) + t) % 2 == 0, 2 / n, 0.0)
-        assert tv == total_variation(classical_walk(Circle(n), t).masses, target)
+        assert tv == _total_variation(classical_walk(Circle(n), t).masses, target)
 
 
 @pytest.mark.parametrize("n", [31, 64])

@@ -13,14 +13,13 @@ from qwalk import (
     DomainError,
     distribution,
     evolve_line,
-    find_symmetrizer,
     hadamard_coin,
     initial_state,
     symmetric_initial,
     theta_coin,
     verify_symmetrizer,
 )
-from qwalk.symmetry import SIGMA_X, SIGMA_Y, SIGMA_Z
+from qwalk.symmetry import SIGMA_X, SIGMA_Y, SIGMA_Z, _find_symmetrizer
 
 SQRT2 = math.sqrt(2)
 
@@ -47,7 +46,7 @@ def test_other_paulis_fail_for_hadamard():
 
 def test_find_symmetrizer_picks_sigma_y():
     for coin in (hadamard_coin(), theta_coin(1.3)):
-        rep = find_symmetrizer(coin)
+        rep = _find_symmetrizer(coin)
         assert rep is not None
         assert np.allclose(rep.candidate, SIGMA_Y)
 
@@ -128,7 +127,7 @@ def test_left_right_starts_are_mirror_images(family, theta, gamma, pair, t):
     # S^dag M_k S = +-M_{-k} gives P_{S psi0}(n, t) = P_{psi0}(-n, t); the
     # example is the old rotation-coin case, where S maps left to right
     coin = CoinOperator(np.exp(1j * gamma) * family(theta).matrix)
-    s = find_symmetrizer(coin).candidate
+    s = _find_symmetrizer(coin).candidate
     d = distribution(evolve_line(initial_state(pair), coin, t))
     mirror = distribution(evolve_line(initial_state(s @ pair), coin, t))
     assert np.max(np.abs(mirror.masses - d.masses[::-1])) < 1e-13
