@@ -103,8 +103,9 @@ def interval_mass(dist: ProbabilityDistribution, coin: CoinOperator, eps: float)
     """Mass of a line distribution inside the coin's cone, ``eps`` short of its edge.
 
     ``eps`` is measured in wavenumber: the interval is ``|n/t| <=
-    c cos(eps) / sqrt(1 - c^2 sin^2(eps))`` with ``c =
-    support_edge(coin)``.  Konno's weak limit puts ``(2/pi)
+    c cos(eps) / sqrt(cos^2(eps) + s^2 sin^2(eps))`` with ``c =
+    support_edge(coin)`` and ``s = |u01|``, which for a unitary coin is
+    ``c cos(eps) / sqrt(1 - c^2 sin^2(eps))``.  Konno's weak limit puts ``(2/pi)
     arctan(cot(eps)) = 1 - 2 eps/pi`` of the mass there, for every coin
     and start.  For the Hadamard coin the cut is ``cos(eps) / sqrt(1 +
     cos^2(eps))``, the velocity whose stationary wavenumber lies ``eps``
@@ -121,7 +122,10 @@ def interval_mass(dist: ProbabilityDistribution, coin: CoinOperator, eps: float)
         raise DomainError(f"eps must lie in [0, pi/2], got {eps}")
     alpha = _velocities(dist)
     c = support_edge(coin)
-    cutoff = c * math.cos(eps) / math.sqrt(1 - (c * math.sin(eps)) ** 2)
+    # unlike 1 - c^2 sin^2(eps), the hypot stays positive at eps = pi/2
+    # for c = 1, and real for a c that rounds above 1
+    s = abs(coin.matrix[0, 1])
+    cutoff = c * math.cos(eps) / math.hypot(math.cos(eps), s * math.sin(eps))
     return float(np.sum(dist.masses[np.abs(alpha) <= cutoff]))
 
 

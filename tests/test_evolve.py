@@ -111,6 +111,36 @@ def test_adjoint_reverses_evolution():
     assert np.max(np.abs(others)) < 1e-12
 
 
+#: The round-trip thetas of the benchmark: midpoints of four equal strata of [pi/4, 3pi/4].
+ROUND_TRIP_THETAS = [math.pi / 4 + (k + 0.5) * math.pi / 8 for k in range(4)]
+
+
+def test_long_walks_step_no_subnormals():
+    # the tails outside the cone decay through 2**-1022; an operation
+    # that underflows into a subnormal raises here
+    pair = np.array([0.6, 0.8j])
+    with np.errstate(under="raise"):
+        for theta in ROUND_TRIP_THETAS:
+            coin = theta_coin(theta)
+            back = evolve_line(evolve_line(initial_state(pair), coin, 2000), coin, 2000,
+                               adjoint=True)
+            expected = np.zeros_like(back.amplitudes)
+            expected[back.sites == 0] = pair
+            assert np.max(np.abs(back.amplitudes - expected)) < 1e-12
+        evolve_line(initial_state("left"), hadamard_coin(), 4000)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -900, 2.0 ** 900])
+def test_evolution_commutes_with_scaling(scale):
+    # the flush floor is relative to the input, so a tiny state keeps its walk
+    psi = initial_state(np.array([0.6, 0.8j]))
+    scaled = WaveFunction(psi.topology, scale * psi.amplitudes, psi.time)
+    want = scale * evolve_line(psi, hadamard_coin(), 2000).amplitudes
+    got = evolve_line(scaled, hadamard_coin(), 2000).amplitudes
+    assert np.any(got)
+    assert np.max(np.abs(got - want)) < 1e-12 * scale
+
+
 def test_adjoint_cannot_rewind_past_origin():
     psi = evolve_line(initial_state("left"), hadamard_coin(), 3)
     with pytest.raises(DomainError):

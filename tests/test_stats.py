@@ -142,6 +142,17 @@ def test_interval_mass_refuses_eps_outside_its_law(had_left_t80, eps):
         assert 0 < interval_mass(had_left_t80, hadamard_coin(), end) <= 1
 
 
+@pytest.mark.parametrize("coin", [theta_coin(0.0), CoinOperator(np.diag([1 + 4e-15, 1.0]))],
+                         ids=["identity", "u00-above-1"])
+def test_interval_mass_of_a_ballistic_coin_at_the_far_end(coin):
+    # |u00| = 1 makes 1 - c^2 sin^2(eps) vanish at eps = pi/2, and a |u00|
+    # that passes the unitarity check just above 1 makes it negative
+    assert abs(coin.matrix[0, 0]) >= 1
+    d = distribution(evolve_line(initial_state("left"), theta_coin(0.0), 50))
+    for eps in (0.0, 1.0, math.pi / 2):
+        assert interval_mass(d, coin, eps) == 1.0
+
+
 def test_mass_concentrates_inside_the_cone(had_left_t80):
     inside = interval_mass(had_left_t80, hadamard_coin(), 0.0)
     assert inside >= 1 - 1.0 * 80 ** (-1 / 3)
