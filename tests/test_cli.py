@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -169,6 +170,31 @@ def test_mix_classical_flag(capsys):
     )
     assert code == 0
     assert json.loads(out)["crossing_time"] == 77
+
+
+#: sha256 of stdout and of stderr of three ``mix`` runs, taken from the
+#: per-step circle kernels: the block kernel must not change an output byte
+MIX_DIGESTS = [
+    (["--topology", "circle:127", "--classical", "--delta", "0.4446"],
+     "142035be9e15455ce494a5a7254656bf2b88fe52bc17a39ea5dc2fe03510f197",
+     "cb3c0b282ada14a35a7612ab17ce549074d550fdac02ae60aa3ed681ff4c3c33"),
+    (["--topology", "circle:64", "--classical", "--delta", "0.3"],
+     "063147e3c8ab28a5e2478a5041365a9c866ea7aaf0a9e2fa72a40b2964e0f867",
+     "2746470a25f4c4261d0db200dba9da9bfd0f2493f2bbe3cb1f5e7519fef2a57b"),
+    (["--topology", "circle:127", "--init", "symmetric", "--delta", "0.4446",
+      "--format", "json"],
+     "ddfe86b88ee48c2054c5cdc6049841dc4134ef63206d8aa1ec173fe47af93bcc",
+     "f8e267e0e8003faed926060ef78d2ef78dad8295e03442fbeb732eff4466e050"),
+]
+
+
+@pytest.mark.parametrize("args, out_digest, err_digest", MIX_DIGESTS,
+                         ids=["classical-127", "classical-64", "quantum-127-json"])
+def test_mix_output_bytes_are_pinned(args, out_digest, err_digest, capsys):
+    code, out, err = run_cli(["mix", *args], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(err.encode()).hexdigest() == err_digest
 
 
 def test_symmetry_command(capsys):

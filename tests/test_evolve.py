@@ -141,6 +141,17 @@ def test_evolution_commutes_with_scaling(scale):
     assert np.max(np.abs(got - want)) < 1e-12 * scale
 
 
+def test_tiny_input_is_stepped_at_unit_scale():
+    # a 2**-900-scaled input is stepped at scale 1 and scaled back, so no
+    # step meets a subnormal and the result is the unit walk's, scaled
+    psi = initial_state(np.array([0.6, 0.8j]))
+    scaled = np.ldexp(psi.amplitudes.view(np.float64), -900).view(np.complex128)
+    unit = evolve_line(psi, hadamard_coin(), 4000).amplitudes
+    tiny = evolve_line(WaveFunction(psi.topology, scaled, 0), hadamard_coin(), 4000).amplitudes
+    assert np.any(tiny)
+    assert tiny.tobytes() == np.ldexp(unit.view(np.float64), -900).view(np.complex128).tobytes()
+
+
 def test_adjoint_cannot_rewind_past_origin():
     psi = evolve_line(initial_state("left"), hadamard_coin(), 3)
     with pytest.raises(DomainError):
@@ -186,6 +197,17 @@ def test_circle_parity_zeros_are_positive(coin):
         assert np.all(forbidden == 0)
         values = psi.amplitudes.view(np.float64)
         assert not np.any(np.signbit(values[values == 0]))
+
+
+def test_circle_walk_in_one_step_blocks_is_the_folded_line_walk():
+    # n = 8193 is past the ring's budget, so every block is one step; at
+    # t = 1000 the line walk flushes nothing and nothing wraps
+    n, t = 8193, 1000
+    line = evolve_line(initial_state("symmetric"), hadamard_coin(), t)
+    circ = evolve_circle(initial_state("symmetric", Circle(n)), hadamard_coin(), t)
+    folded = np.zeros((n, 2), dtype=np.complex128)
+    folded[line.sites % n] = line.amplitudes
+    assert circ.amplitudes.tobytes() == folded.tobytes()
 
 
 def test_distribution_normalises_and_sites_align():

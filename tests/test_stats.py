@@ -28,6 +28,7 @@ from qwalk import (
 )
 from qwalk.core import MAX_STEPS
 from qwalk.evolve import ProbabilityDistribution
+from qwalk.evolve import _ring_blocks
 from qwalk.stats import _masses, _total_variation
 
 SQRT2 = math.sqrt(2)
@@ -325,12 +326,109 @@ def test_mixing_scan_equals_the_stepwise_definition(n, coin):
 @pytest.mark.parametrize("n", [31, 64])
 @SCAN_COINS
 def test_scan_masses_are_the_distribution_bit_for_bit(n, coin):
-    # the scan squares its buffers in the order distribution() does
+    # the scan squares its blocks in the order distribution() does
     psi = initial_state("symmetric", Circle(n))
     spec = WalkSpec(Circle(n), coin)
-    for t, masses in enumerate(_masses(spec, 2 * n), start=1):
+    rows = [row.copy() for block in _masses(spec, 2 * n) for row in block]
+    assert len(rows) == 2 * n
+    for t, masses in enumerate(rows, start=1):
         expected = distribution(evolve_circle(psi, coin, t)).masses
         assert masses.tobytes() == expected.tobytes()
+
+
+def block_length(n, coin):
+    """The steps per block of the ring on ``Circle(n)``, read off its first block."""
+    rows = np.zeros((1, n)) if coin is None else np.zeros((2, n), dtype=np.complex128)
+    return len(next(_ring_blocks(rows, coin, 10**4)))
+
+
+def classical_steps(n, steps):
+    """The symmetric random walk from site 0, one step at a time."""
+    d = np.zeros(n)
+    d[0] = 1.0
+    for _ in range(steps):
+        d = (np.roll(d, 1) + np.roll(d, -1)) * 0.5
+        yield d
+
+
+def boundary_steps(b):
+    """Step counts short of, on and just past the first block boundaries."""
+    return sorted({1, b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1, 3 * b} - {0})
+
+
+#: block lengths 3 (capped by n), 8 (odd and even cycles), 9 (an even
+#: cycle, its parity targets alternating across an odd block), 15, and 63
+#: and 16 (the classical and the coined walk on n = 511)
+BLOCK_CYCLES = pytest.mark.parametrize("n", [3, 31, 64, 72, 127, 511])
+
+
+def test_block_lengths_of_the_boundary_cycles():
+    lengths = {n: (block_length(n, None), block_length(n, hadamard_coin()))
+               for n in (3, 31, 64, 72, 127, 511, 2047, 8193)}
+    assert lengths == {3: (3, 3), 31: (8, 8), 64: (8, 8), 72: (9, 9), 127: (15, 15),
+                       511: (63, 16), 2047: (16, 4), 8193: (3, 1)}
+
+
+@BLOCK_CYCLES
+@SCAN_COINS
+def test_circle_walk_is_stepwise_across_block_boundaries(n, coin):
+    psi = initial_state("symmetric", Circle(n))
+    b = block_length(n, coin)
+    stepwise = [psi]
+    for _ in range(3 * b + 1):
+        stepwise.append(evolve_circle(stepwise[-1], coin, 1))
+    for steps in boundary_steps(b):
+        got = evolve_circle(psi, coin, steps).amplitudes
+        assert got.tobytes() == stepwise[steps].amplitudes.tobytes()
+
+
+@BLOCK_CYCLES
+def test_classical_walk_is_stepwise_across_block_boundaries(n):
+    b = block_length(n, None)
+    stepwise = list(classical_steps(n, 3 * b + 1))
+    for steps in boundary_steps(b):
+        assert classical_walk(Circle(n), steps).masses.tobytes() == stepwise[steps - 1].tobytes()
+
+
+@BLOCK_CYCLES
+@pytest.mark.parametrize("coin", [None, hadamard_coin(), COMPLEX_COIN],
+                         ids=["classical", "hadamard", "complex"])
+def test_scans_are_stepwise_across_block_boundaries(n, coin):
+    # traces and Cesaro sums cut short of, on and past a block's end
+    spec = WalkSpec(Circle(n), classical=True) if coin is None else WalkSpec(Circle(n), coin)
+    b = block_length(n, coin)
+    if coin is None:
+        masses = list(classical_steps(n, 3 * b + 1))
+    else:
+        psi, masses = initial_state("symmetric", Circle(n)), []
+        for _ in range(3 * b + 1):
+            psi = evolve_circle(psi, coin, 1)
+            masses.append(distribution(psi).masses)
+    reference = "uniform_all" if n % 2 else "uniform_parity"
+    tvs = np.array([tv_distance(ProbabilityDistribution(Circle(n), m, t), reference)
+                    for t, m in enumerate(masses, start=1)])
+    for steps in boundary_steps(b):
+        rep = mixing_time(spec, -1.0, steps)
+        assert rep.time is None
+        assert rep.tv_trace.tobytes() == tvs[:steps].tobytes()
+        total = np.zeros(n)
+        for m in masses[:steps]:
+            total += m
+        assert cesaro_average(spec, steps).masses.tobytes() == (total / steps).tobytes()
+
+
+@pytest.mark.parametrize("n", [31, 72])
+def test_crossing_on_the_first_and_last_row_of_a_block(n):
+    # the classical TV falls strictly at first, so each trace value is
+    # first reached at its own step
+    spec = WalkSpec(Circle(n), classical=True)
+    b = block_length(n, None)
+    full = mixing_time(spec, -1.0, 4 * b).tv_trace
+    assert np.all(np.diff(full) < 0)
+    for t in (b, b + 1, 2 * b, 2 * b + 1):  # last row of a block, first of the next
+        rep = mixing_time(spec, full[t - 1], 10**4)
+        assert rep.time == t
+        assert rep.tv_trace.tobytes() == full[:t].tobytes()
 
 
 @pytest.mark.parametrize("n", [31, 64])

@@ -103,6 +103,14 @@ def sigma_x_coin(theta):
     return CoinOperator(np.array([[c, 1j * s], [1j * s, c]]))
 
 
+def test_find_symmetrizer_takes_the_least_residual():
+    # the identity verifies sigma_x and sigma_y exactly, and the tie goes
+    # to sigma_x; 1e-13 away from it only sigma_y stays exact
+    assert np.array_equal(_find_symmetrizer(theta_coin(0.0)).candidate, SIGMA_X)
+    rep = _find_symmetrizer(theta_coin(1e-13))
+    assert np.array_equal(rep.candidate, SIGMA_Y) and rep.max_residual == 0.0
+
+
 def test_symmetric_initial_is_the_sigma_y_eigenvector():
     # and the sigma_x eigenvector for a coin that sigma_x reverses
     for coin, expected in ((hadamard_coin(), np.array([1.0, 1.0j]) / SQRT2),
@@ -123,9 +131,12 @@ def test_symmetric_start_gives_symmetric_distribution(coin):
 @given(st.sampled_from([theta_coin, sigma_x_coin]), st.floats(0, math.pi), angles,
        unit_pairs(), st.integers(0, 200))
 @example(theta_coin, 1.1, 0.0, np.array([1.0, 0.0]), 80)
+@example(theta_coin, 1e-13, 0.0, np.array([0.7194014606174091j, 0.6945945136995674j]), 1)
 def test_left_right_starts_are_mirror_images(family, theta, gamma, pair, t):
     # S^dag M_k S = +-M_{-k} gives P_{S psi0}(n, t) = P_{psi0}(-n, t); the
-    # example is the old rotation-coin case, where S maps left to right
+    # first example is the old rotation-coin case, where S maps left to
+    # right; in the second, sigma_x verifies within 1e-13 of the identity,
+    # but only the exact sigma_y mirrors the walk to round-off
     coin = CoinOperator(np.exp(1j * gamma) * family(theta).matrix)
     s = _find_symmetrizer(coin).candidate
     d = distribution(evolve_line(initial_state(pair), coin, t))
