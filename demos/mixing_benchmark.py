@@ -17,7 +17,7 @@ print(f"{'n':>5} {'quantum t':>10} {'classical t':>12} {'ratio':>7}")
 rows = {}
 for n in SIZES:
     q = mixing_time(WalkSpec(Circle(n)), DELTA, t_cap=20 * n)
-    c = mixing_time(WalkSpec(Circle(n), classical=True), DELTA, t_cap=20 * n * n)
+    c = mixing_time(WalkSpec(Circle(n), coin=None), DELTA, t_cap=20 * n * n)
     rows[n] = (q.time, c.time)
     print(f"{n:>5} {q.time:>10} {c.time:>12} {c.time / q.time:>7.1f}")
 

@@ -12,7 +12,6 @@ from .asymptotics import (
     asymptotic_wavefunction,
     density,
     density_moment,
-    frontier_peak,
     p_asymptotic,
 )
 from .core import (
@@ -51,7 +50,7 @@ from .symmetry import (
 # written out by hand, a line or two per module, so that the submodules
 # imported above are no public names
 __all__ = [
-    "asymptotic_wavefunction", "density", "density_moment", "frontier_peak", "p_asymptotic",
+    "asymptotic_wavefunction", "density", "density_moment", "p_asymptotic",
     "Circle", "CoinOperator", "DomainError", "Line", "WaveFunction",
     "hadamard_coin", "initial_state", "theta_coin",
     "ProbabilityDistribution", "distribution", "evolve_circle", "evolve_line",

@@ -65,8 +65,6 @@ from numpy.typing import NDArray
 from .core import CoinOperator, DomainError, _site_masses, chirality_pair
 from .spectral import _dispersion, _split
 
-SQRT2 = math.sqrt(2)
-
 
 def support_edge(coin: CoinOperator) -> float:
     """Edge velocity ``|u00|`` of the propagation cone."""
@@ -190,21 +188,3 @@ def density_moment(
         return 2 * math.asin(min(edge, 1.0)) / math.pi
     raise DomainError(f"m_spec must be 'mean', 'second' or 'abs_mean', got {m_spec!r}")
 
-
-def frontier_peak(t: int, side: str) -> float:
-    """Leading ``t^{-1/3}`` term of the generic integral at the cone edge.
-
-    The phase has a third-order stationary point at ``k = 0`` (left
-    edge, ``alpha = -1/sqrt2``) or ``k = pi`` (right edge); the envelope
-    is taken as 1 at that point.
-    """
-    if t < 1:
-        raise DomainError("t must be at least 1")
-    scale = math.gamma(1 / 3) * (6 / t) ** (1 / 3)
-    if side == "right":
-        return (1 / (3 * math.pi)) * SQRT2 * scale * math.cos(
-            math.pi * t / SQRT2 + math.pi / 6
-        )
-    if side == "left":
-        return (1 / (6 * math.pi)) * math.sqrt(1.5) * scale
-    raise DomainError(f"side must be 'left' or 'right', got {side!r}")

@@ -229,8 +229,7 @@ def cmd_mix(args) -> None:
         _usage_error(f"--t-cap must be at least 1, got {args.t_cap}")
     coin = _coin_from_args(args)
     topo = _topology_from_args(args)
-    spec = WalkSpec(topology=topo, coin=coin, init=args.init,
-                    classical=args.classical)
+    spec = WalkSpec(topology=topo, coin=None if args.classical else coin, init=args.init)
     report = mixing_time(spec, args.delta, args.t_cap)
     rows = list(enumerate(report.tv_trace.tolist(), start=1))
     print(f"crossing_time: {report.time if report.time is not None else 'not reached'}",

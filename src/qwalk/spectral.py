@@ -118,20 +118,15 @@ def _even_smooth_at_least(need: int) -> int:
     Such lengths keep the FFT on its fast radix-2/3/5 kernels; a length
     like 400002 = 2 * 3 * 66667 costs about 1.7x as much.
     """
-    best = 2
-    while best < need:
-        best *= 2
-    p5 = 2
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            m = p35
-            while m < need:
-                m *= 2
-            best = min(best, m)
-            p35 *= 3
-        p5 *= 5
-    return best
+    n = max(2, need + need % 2)
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 2
 
 
 def evolve_spectral(

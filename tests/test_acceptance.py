@@ -160,7 +160,7 @@ def test_criterion_7_mixing_scaling():
     classical = {}
     for n in (31, 63, 127):
         q = mixing_time(WalkSpec(Circle(n)), DELTA0, t_cap=20 * n)
-        c = mixing_time(WalkSpec(Circle(n), classical=True), DELTA0, t_cap=20 * n * n)
+        c = mixing_time(WalkSpec(Circle(n), coin=None), DELTA0, t_cap=20 * n * n)
         assert q.time is not None and c.time is not None
         quantum[n], classical[n] = q.time, c.time
     elapsed = time.perf_counter() - start

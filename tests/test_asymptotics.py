@@ -17,7 +17,6 @@ from qwalk import (
     density_moment,
     distribution,
     evolve_line,
-    frontier_peak,
     hadamard_coin,
     initial_state,
     p_asymptotic,
@@ -390,25 +389,6 @@ def test_moment_deviation_decays_like_inverse_t():
         )
     assert devs[200][0] / devs[400][0] > 1.6
     assert devs[200][1] / devs[400][1] > 1.6
-
-
-def test_frontier_peak_scale_ratio():
-    # the t^{-1/3} law gives an exact factor 2 between t and 8t
-    for t in (50, 100, 400):
-        left_t = frontier_peak(t, "left")
-        left_8t = frontier_peak(8 * t, "left")
-        assert abs(left_t / left_8t) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_frontier_peak_values():
-    val = frontier_peak(100, "left")
-    expect = (1 / (6 * math.pi)) * math.sqrt(1.5) * math.gamma(1 / 3) * (6 / 100) ** (1 / 3)
-    assert val == pytest.approx(expect, abs=1e-15)
-    osc = frontier_peak(100, "right")
-    amp = (SQRT2 / (3 * math.pi)) * math.gamma(1 / 3) * (6 / 100) ** (1 / 3)
-    assert abs(osc) <= amp + 1e-15
-    with pytest.raises(DomainError):
-        frontier_peak(10, "top")
 
 
 def test_frontier_probability_decay_exponent():

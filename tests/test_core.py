@@ -1,6 +1,7 @@
 """Coin matrices, the transfer matrix at k = 0, topologies, initial states
-and the defaulted parameters of the public functions."""
+and the defaulted parameters of the public functions and dataclasses."""
 
+import dataclasses
 import inspect
 import math
 
@@ -171,19 +172,28 @@ def test_theta_half_pi_matches_hadamard_distributions():
 
 
 def test_public_defaults_are_pinned():
-    # every defaulted parameter of a public function is a setting to
-    # test; a new one must be added here on purpose
-    defaulted = {
-        f"{name}.{p.name}"
-        for name in qwalk.__all__
-        if inspect.isfunction(fn := getattr(qwalk, name))
-        for p in inspect.signature(fn).parameters.values()
-        if p.default is not p.empty
-    }
-    assert defaulted == {
+    # every defaulted parameter of a public function, and every defaulted
+    # field of a public dataclass, is a setting to test; a new one must
+    # be added here on purpose
+    def defaulted(kind):
+        return {
+            f"{name}.{p.name}"
+            for name in qwalk.__all__
+            if kind(obj := getattr(qwalk, name))
+            for p in inspect.signature(obj).parameters.values()
+            if p.default is not p.empty
+        }
+
+    assert defaulted(inspect.isfunction) == {
         "evolve_line.adjoint",
         "initial_state.topology",
         "tv_distance.reference",
+    }
+    assert defaulted(dataclasses.is_dataclass) == {
+        "Line.offset",
+        "WalkSpec.coin",
+        "WalkSpec.init",
+        "WaveFunction.time",
     }
 
 
@@ -195,7 +205,7 @@ def test_public_names_are_pinned():
         "ProbabilityDistribution", "SymmetrizerReport", "WalkSpec", "WaveFunction",
         "asymptotic_wavefunction", "cesaro_average", "classical_walk", "density",
         "density_moment", "distribution", "evolve_circle", "evolve_line",
-        "evolve_spectral", "frontier_peak", "hadamard_coin", "initial_state",
+        "evolve_spectral", "hadamard_coin", "initial_state",
         "interval_mass", "mixing_time", "moment", "p_asymptotic",
         "symmetric_initial", "theta_coin", "tv_distance", "verify_symmetrizer",
     ]

@@ -320,3 +320,15 @@ def test_default_grid_is_even_and_5_smooth(width, t):
         while n % p == 0:
             n //= p
     assert n == 1
+
+
+def test_default_grid_is_the_smallest_such_length():
+    # the even 5-smooth lengths up to 2^14, built as products, against
+    # the scan's answer for every need up to the last of them
+    from qwalk.spectral import _even_smooth_at_least
+
+    top = 2**14
+    lengths = sorted(n for n in (2**a * 3**b * 5**c for a in range(1, 15) for b in range(9)
+                                 for c in range(7)) if n <= top)
+    expected = np.array(lengths)[np.searchsorted(lengths, np.arange(top + 1))]
+    assert [_even_smooth_at_least(need) for need in range(top + 1)] == expected.tolist()

@@ -29,7 +29,7 @@ from qwalk import (
 from qwalk.core import MAX_STEPS
 from qwalk.evolve import ProbabilityDistribution
 from qwalk.evolve import _ring_blocks
-from qwalk.stats import _masses, _total_variation
+from qwalk.stats import _masses
 
 SQRT2 = math.sqrt(2)
 
@@ -159,15 +159,6 @@ def test_mass_concentrates_inside_the_cone(had_left_t80):
     assert inside >= 1 - 1.0 * 80 ** (-1 / 3)
 
 
-def test_total_variation_basics():
-    p = np.array([0.5, 0.5, 0.0])
-    q = np.array([0.0, 0.5, 0.5])
-    assert _total_variation(p, p) == 0.0
-    assert _total_variation(p, q) == pytest.approx(0.5)
-    r = np.array([1 / 3, 1 / 3, 1 / 3])
-    assert _total_variation(p, q) <= _total_variation(p, r) + _total_variation(r, q)
-
-
 def test_tv_distance_point_mass_on_circle():
     d = distribution(initial_state("left", Circle(7)))
     assert tv_distance(d, "uniform_all") == pytest.approx(1 - 1 / 7)
@@ -204,12 +195,12 @@ def test_mixing_time_quantum_linear_instance():
 
 
 def test_mixing_time_classical_instance():
-    rep = mixing_time(WalkSpec(Circle(31), classical=True), 0.4446, t_cap=5000)
+    rep = mixing_time(WalkSpec(Circle(31), coin=None), 0.4446, t_cap=5000)
     assert rep.time == 77
 
 
 def test_mixing_time_classical_even_cycle_uses_parity_class():
-    rep = mixing_time(WalkSpec(Circle(64), classical=True), 0.3, t_cap=2000)
+    rep = mixing_time(WalkSpec(Circle(64), coin=None), 0.3, t_cap=2000)
     assert rep.time == 157
     for t in (1, 2, 156, 157):
         parity_tv = tv_distance(classical_walk(Circle(64), t), "uniform_parity")
@@ -227,7 +218,7 @@ def test_mixing_time_can_fail_to_reach():
 def test_mixing_time_trace_memory():
     # a 3-cycle classical walk never reaches TV 0; a list of Python floats
     # peaked at about 4 MB over 10^5 steps, 32 bytes a step plus the copy
-    spec = WalkSpec(Circle(3), classical=True)
+    spec = WalkSpec(Circle(3), coin=None)
     tracemalloc.start()
     try:
         rep = mixing_time(spec, 0.0, t_cap=10**5)
@@ -251,7 +242,7 @@ def test_mixing_time_rejects_cap_below_one(t_cap):
 
 @pytest.mark.parametrize("call", [
     lambda: classical_walk(Line(), 2**60),
-    lambda: cesaro_average(WalkSpec(Circle(3), classical=True), MAX_STEPS + 1),
+    lambda: cesaro_average(WalkSpec(Circle(3), coin=None), MAX_STEPS + 1),
 ], ids=["classical_walk", "cesaro_average"])
 def test_step_counts_are_capped_before_allocation(call):
     with pytest.raises(DomainError):
@@ -301,7 +292,7 @@ def test_cesaro_average_beats_instantaneous_floor():
 
 def test_cesaro_average_of_the_classical_walk():
     n, big_t = 9, 5
-    avg = cesaro_average(WalkSpec(Circle(n), classical=True), big_t)
+    avg = cesaro_average(WalkSpec(Circle(n), coin=None), big_t)
     mean = sum(classical_walk(Circle(n), t).masses for t in range(1, big_t + 1)) / big_t
     assert np.max(np.abs(avg.masses - mean)) < 1e-16
 
@@ -395,7 +386,7 @@ def test_classical_walk_is_stepwise_across_block_boundaries(n):
                          ids=["classical", "hadamard", "complex"])
 def test_scans_are_stepwise_across_block_boundaries(n, coin):
     # traces and Cesaro sums cut short of, on and past a block's end
-    spec = WalkSpec(Circle(n), classical=True) if coin is None else WalkSpec(Circle(n), coin)
+    spec = WalkSpec(Circle(n), coin)
     b = block_length(n, coin)
     if coin is None:
         masses = list(classical_steps(n, 3 * b + 1))
@@ -421,7 +412,7 @@ def test_scans_are_stepwise_across_block_boundaries(n, coin):
 def test_crossing_on_the_first_and_last_row_of_a_block(n):
     # the classical TV falls strictly at first, so each trace value is
     # first reached at its own step
-    spec = WalkSpec(Circle(n), classical=True)
+    spec = WalkSpec(Circle(n), coin=None)
     b = block_length(n, None)
     full = mixing_time(spec, -1.0, 4 * b).tv_trace
     assert np.all(np.diff(full) < 0)
@@ -433,13 +424,13 @@ def test_crossing_on_the_first_and_last_row_of_a_block(n):
 
 @pytest.mark.parametrize("n", [31, 64])
 def test_classical_scan_equals_the_classical_walk(n):
-    rep = mixing_time(WalkSpec(Circle(n), classical=True), 0.0, t_cap=4 * n)
+    rep = mixing_time(WalkSpec(Circle(n), coin=None), 0.0, t_cap=4 * n)
     for t, tv in enumerate(rep.tv_trace, start=1):
         if n % 2:
             target = np.full(n, 1 / n)
         else:
             target = np.where((np.arange(n) + t) % 2 == 0, 2 / n, 0.0)
-        assert tv == _total_variation(classical_walk(Circle(n), t).masses, target)
+        assert tv == 0.5 * float(np.sum(np.abs(classical_walk(Circle(n), t).masses - target)))
 
 
 @pytest.mark.parametrize("n", [31, 64])
