@@ -67,8 +67,8 @@ from .spectral import _dispersion, _split
 
 
 def support_edge(coin: CoinOperator) -> float:
-    """Edge velocity ``|u00|`` of the propagation cone."""
-    return float(abs(coin.matrix[0, 0]))
+    """Edge velocity ``|u00|`` of the propagation cone, the ``c`` of the dispersion."""
+    return _dispersion(coin)[1]
 
 
 def _stationary_points(

@@ -12,9 +12,10 @@ the whole payload at once.  Every site probability is squared from
 its amplitudes by the kernel behind :func:`qwalk.evolve.distribution`,
 so the routes print the same bits for the same amplitudes.
 
-Exit codes: 0 success, 2 usage/config error, 3 domain error (a
-precondition of the dispatched operation was violated).  Either way
-the error is one ``error:`` line on stderr, argparse's own included.
+Exit codes: 0 success, 2 usage/config error or a failed write of the
+output (a closed pipe, a full disk), 3 domain error (a precondition of
+the dispatched operation was violated).  Either way the error is one
+``error:`` line on stderr, argparse's own included.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from itertools import chain
 from typing import NoReturn
@@ -148,15 +150,20 @@ def _emit(args, header: list[str], rows: list, extra: dict | None = None) -> Non
             pieces = chain([head, '\n "data": [', template[1:] % next(cells)],
                            map(template.__mod__, cells), ["\n ]", tail])
 
-    if args.output == "-":
-        sys.stdout.writelines(pieces)
-    else:
-        try:
-            fh = open(args.output, "w")
-        except OSError as exc:
+    try:
+        if args.output == "-":
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        else:
+            with open(args.output, "w") as fh:
+                fh.writelines(pieces)
+    except OSError as exc:
+        if args.output != "-":
             _usage_error(f"cannot write --output {args.output!r}: {exc.strerror}")
-        with fh:
-            fh.writelines(pieces)
+        # Python flushes stdout again at exit: what it still buffers goes to
+        # the null device, so that flush neither fails nor prints a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _usage_error(f"cannot write to standard output: {exc.strerror}")
 
 
 def _wavefunction_rows(psi) -> list[tuple]:
@@ -186,29 +193,27 @@ def cmd_spectral(args) -> None:
     _emit(args, WF_HEADER, _wavefunction_rows(psi))
 
 
-def _interior(coin: CoinOperator, t: int, epsilon: float) -> np.ndarray:
-    """Parity-allowed sites of an origin start with ``|n/t| <= |u00| - epsilon``.
+#: margin kept inside the cone edge |u00|: the interior formula of
+#: stationary phase does not hold in the Airy layer at the edge
+_MARGIN = 0.1
 
-    Sites with ``|n/t| >= |u00|`` are dropped too, so ``epsilon = 0``
-    serves the open cone that :func:`asymptotic_wavefunction` accepts.
-    """
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        _usage_error(f"--epsilon must be finite and nonnegative, got {epsilon!r}")
+
+def _interior(coin: CoinOperator, t: int) -> np.ndarray:
+    """Parity-allowed sites of an origin start with ``|n/t| <= |u00| - _MARGIN``."""
     if t < 1:
         raise DomainError("--steps must be at least 1")
     check_steps(t)
     sites = np.arange(-t, t + 1, 2)
-    alpha, edge = np.abs(sites / t), support_edge(coin)
-    return sites[(alpha <= edge - epsilon) & (alpha < edge)]
+    return sites[np.abs(sites / t) <= support_edge(coin) - _MARGIN]
 
 
 def cmd_asymptotic(args) -> None:
     coin = _coin_from_args(args)
     t = args.steps
-    sites = _interior(coin, t, args.epsilon)
+    sites = _interior(coin, t)
     if sites.size == 0:
-        raise DomainError(f"no parity-allowed site has |n/t| <= |u00| - epsilon "
-                          f"= {support_edge(coin) - args.epsilon:.6g}")
+        raise DomainError(f"no parity-allowed site has |n/t| <= |u00| - {_MARGIN} "
+                          f"= {support_edge(coin) - _MARGIN:.6g}")
     probs = p_asymptotic(coin, args.init, t, sites)
     _emit(args, ["n", "alpha", "prob"],
           list(zip(sites.tolist(), (sites / t).tolist(), probs.tolist())))
@@ -227,9 +232,16 @@ def cmd_mix(args) -> None:
         _usage_error(f"--delta must be finite, got {args.delta!r}")
     if args.t_cap < 1:
         _usage_error(f"--t-cap must be at least 1, got {args.t_cap}")
-    coin = _coin_from_args(args)
     topo = _topology_from_args(args)
-    spec = WalkSpec(topology=topo, coin=None if args.classical else coin, init=args.init)
+    if args.classical:
+        if {args.coin, args.init} != {None}:
+            _usage_error("--classical walks without a coin or a start: drop --coin and --init")
+        spec = WalkSpec(topo, coin=None)
+    else:
+        # the coined walk's defaults, filled in here so the config echo shows them
+        args.coin = "hadamard" if args.coin is None else args.coin
+        args.init = "left" if args.init is None else args.init
+        spec = WalkSpec(topo, _coin_from_args(args), args.init)
     report = mixing_time(spec, args.delta, args.t_cap)
     rows = list(enumerate(report.tv_trace.tolist(), start=1))
     print(f"crossing_time: {report.time if report.time is not None else 'not reached'}",
@@ -249,7 +261,7 @@ def cmd_symmetry(args) -> None:
 def cmd_compare(args) -> None:
     coin = _coin_from_args(args)
     t = args.steps
-    sites = _interior(coin, t, args.epsilon)
+    sites = _interior(coin, t)
     psi0 = initial_state(args.init)
     exact = evolve_line(psi0, coin, t)
     spectral = evolve_spectral(psi0, coin, t)
@@ -259,7 +271,7 @@ def cmd_compare(args) -> None:
     p_spec = distribution(spectral).masses
     p_asym = [None] * len(p_exact)
     l1 = None
-    if 0 < support_edge(coin) < 1 and sites.size:
+    if sites.size and support_edge(coin) < 1:
         # exact and spectral hold sites -t..t, so site n sits at row n + t
         probs = p_asymptotic(coin, args.init, t, sites)
         l1 = float(np.sum(np.abs(probs - p_exact[sites + t])))
@@ -321,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asymptotic",
                        help="stationary-phase site probabilities inside the cone")
     common(p, steps_default=100, topology=False)
-    p.add_argument("--epsilon", type=float, default=0.02,
-                   help="margin kept inside the cone edge |u00|")
     p.set_defaults(func=cmd_asymptotic)
 
     p = sub.add_parser("moments", help="moment table, simulation vs density")
@@ -334,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--t-cap", type=int, default=10000)
     p.add_argument("--classical", action="store_true",
-                   help="run the exact classical DP walk instead")
-    p.set_defaults(func=cmd_mix)
+                   help="run the exact classical DP walk instead; takes no --coin or --init")
+    # None tells a given option from one left out; cmd_mix fills in the coined defaults
+    p.set_defaults(func=cmd_mix, coin=None, init=None)
 
     p = sub.add_parser("symmetry", help="check Pauli symmetrizer candidates")
     coin_and_output(p)
@@ -343,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="exact vs spectral vs asymptotic")
     common(p, steps_default=64, topology=False)
-    p.add_argument("--epsilon", type=float, default=0.1,
-                   help="margin kept inside the cone edge |u00|")
     p.set_defaults(func=cmd_compare)
 
     return parser

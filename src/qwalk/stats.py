@@ -29,10 +29,6 @@ after another.  One helper, ``_tv_rows``, takes every TV distance, of
 a scan's block and of :func:`tv_distance`'s single distribution alike.
 Every trace, crossing and average is therefore the per-step one bit for
 bit, and no distribution object is built per step.
-On one 511-cycle the classical scan to its crossing (20 710 steps) took
-72 ms a step at a time and takes 31 ms in blocks; the coined scan on
-n = 2047 went from 34 to 29 ms and the Cesaro average over 4088 steps
-on n = 511 from 32 to 25 ms (one thread of a 2-vCPU VM, best of seven).
 
 Parity caveat for circles: at any fixed time a walk started from one
 site occupies a single parity class.  On an odd cycle the classes wrap

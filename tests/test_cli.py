@@ -6,10 +6,14 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qwalk
 from qwalk import distribution, evolve_line, hadamard_coin, initial_state, theta_coin
 from qwalk.asymptotics import support_edge
 from qwalk.cli import _emit, build_parser, main, parse_theta
@@ -128,7 +132,7 @@ def test_spectral_command_agrees_with_simulate_on_a_circle(capsys):
 
 def test_asymptotic_command_interior_only(capsys):
     code, out, _ = run_cli(
-        ["asymptotic", "--steps", "100", "--epsilon", "0.1"], capsys
+        ["asymptotic", "--steps", "100"], capsys
     )
     assert code == 0
     header, rows = parse_csv(out)
@@ -169,7 +173,10 @@ def test_mix_classical_flag(capsys):
         capsys,
     )
     assert code == 0
-    assert json.loads(out)["crossing_time"] == 77
+    payload = json.loads(out)
+    assert payload["crossing_time"] == 77
+    # the classical walk has no coin and no start, so the echo names none
+    assert "coin" not in payload["config"] and "init" not in payload["config"]
 
 
 #: sha256 of stdout and of stderr of three ``mix`` runs, taken from the
@@ -197,6 +204,16 @@ def test_mix_output_bytes_are_pinned(args, out_digest, err_digest, capsys):
     assert hashlib.sha256(err.encode()).hexdigest() == err_digest
 
 
+def test_compare_output_bytes_are_pinned(capsys):
+    # the stationary-phase column sits on the fixed interior |n/t| <= |u00| - 0.1
+    code, out, err = run_cli(["compare", "--steps", "2000", "--init", "left"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7231bbee63a1c97326f89ddb9657d8ca92d1cebd9e6ab124b1505f750c07d588")
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "bc9543ba31908931eebe7b589ef2eca9b4dc895be26f9a8fa8858017192c88a4")
+
+
 def test_symmetry_command(capsys):
     code, out, _ = run_cli(["symmetry", "--coin", "0.3pi"], capsys)
     assert code == 0
@@ -209,7 +226,7 @@ def test_symmetry_command(capsys):
 
 def test_compare_command_summaries(capsys):
     code, out, err = run_cli(
-        ["compare", "--steps", "64", "--format", "json", "--epsilon", "0.1"], capsys
+        ["compare", "--steps", "64", "--format", "json"], capsys
     )
     assert code == 0
     payload = json.loads(out)
@@ -251,17 +268,50 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
+def run_qwalk(argv, **streams):
+    """Run the CLI in a fresh interpreter, as the ``qwalk`` script does."""
+    src = os.path.dirname(os.path.dirname(qwalk.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-m", "qwalk.cli", *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **streams)
+
+
+def assert_one_write_error(proc):
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+def test_a_closed_pipe_is_a_one_line_error():
+    # as in `qwalk simulate --steps 4000 | head -1`: the table outgrows the pipe
+    proc = run_qwalk(["simulate", "--steps", "4000"], stdout=subprocess.PIPE)
+    assert proc.stdout.readline().startswith("n,psi_L_re")
+    proc.stdout.close()
+    assert_one_write_error(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("steps", ["3", "4000"])
+def test_a_full_device_is_a_one_line_error(steps):
+    # a short table fails only when stdout is flushed, a long one while written
+    with open("/dev/full", "w") as full:
+        assert_one_write_error(run_qwalk(["simulate", "--steps", steps], stdout=full))
+    assert_one_write_error(run_qwalk(["simulate", "--steps", steps, "--output", "/dev/full"],
+                                     stdout=subprocess.DEVNULL))
+
+
 def test_each_subcommand_has_exactly_its_options():
     walk = {"--coin", "--format", "--output", "--init"}
     anywhere = walk | {"--topology"}
     expected = {
         "simulate": anywhere | {"--steps"},
         "spectral": anywhere | {"--steps"},
-        "asymptotic": walk | {"--steps", "--epsilon"},
+        "asymptotic": walk | {"--steps"},
         "moments": walk | {"--steps"},
         "mix": anywhere | {"--delta", "--t-cap", "--classical"},
         "symmetry": {"--coin", "--format", "--output"},
-        "compare": walk | {"--steps", "--epsilon"},
+        "compare": walk | {"--steps"},
     }
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -339,11 +389,10 @@ def test_compare_refuses_circle(command, capsys):
     ["mix", "--topology", "circle:31", "--delta", "nan"],
     ["mix", "--topology", "circle:31", "--delta", "0.3", "--t-cap", "0"],
     ["mix", "--topology", "circle:31", "--delta", "0.3", "--t-cap", "-5"],
-    ["compare", "--epsilon", "nan"],
-    ["compare", "--epsilon", "inf"],
-    ["compare", "--epsilon", "-1"],
-    ["asymptotic", "--epsilon", "nan"],
-    ["asymptotic", "--epsilon", "-1"],
+    ["mix", "--topology", "circle:31", "--delta", "0.3", "--classical", "--coin", "1.2"],
+    ["mix", "--topology", "circle:31", "--delta", "0.3", "--classical", "--init", "left"],
+    ["compare", "--epsilon", "0.1"],
+    ["asymptotic", "--epsilon", "0.1"],
     ["simulate", "--steps", "-3"],
     ["simulate", "--steps", "abc"],
     ["mix", "--topology", "circle:31", "--delta", "abc"],
@@ -351,10 +400,9 @@ def test_compare_refuses_circle(command, capsys):
     ["simulate", "--no-such-option"],
     ["no-such-command"],
 ], ids=["coin", "theta", "circle-size", "delta-nan", "t-cap-0", "t-cap-negative",
-        "compare-epsilon-nan", "compare-epsilon-inf", "compare-epsilon-negative",
-        "asymptotic-epsilon-nan", "asymptotic-epsilon-negative", "steps-negative",
-        "steps-not-int", "delta-not-float", "delta-missing", "unknown-option",
-        "unknown-command"])
+        "classical-coin", "classical-init", "compare-epsilon", "asymptotic-epsilon",
+        "steps-negative", "steps-not-int", "delta-not-float", "delta-missing",
+        "unknown-option", "unknown-command"])
 def test_bad_values_are_one_line_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -420,7 +468,7 @@ def exact_masses(argv, t):
 
 @pytest.mark.parametrize("argv", OTHER_WALKS)
 def test_asymptotic_serves_every_walk(argv, capsys):
-    code, out, _ = run_cli(["asymptotic", "--steps", "64", "--epsilon", "0.1", *argv], capsys)
+    code, out, _ = run_cli(["asymptotic", "--steps", "64", *argv], capsys)
     assert code == 0
     _, rows = parse_csv(out)
     sites = np.array([int(r[0]) for r in rows])
@@ -449,12 +497,10 @@ def test_compare_fills_asymptotics_for_every_walk(argv, capsys):
 
 @pytest.mark.parametrize("coin", ["0", "pi"])
 def test_asymptotic_needs_an_open_cone(coin, capsys):
-    # |u00| = 1 (no density) or |u00| = 0 (no interior site); with no
-    # margin the origin alone is inside |n/t| <= |u00| = 0 and is refused
-    for margin in ([], ["--epsilon", "0"]):
-        code, out, err = run_cli(["asymptotic", "--coin", coin, *margin], capsys)
-        assert code == 3 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+    # |u00| = 1 (no density) or |u00| = 0 (no interior site)
+    code, out, err = run_cli(["asymptotic", "--coin", coin], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def assert_compare_has_no_asymptotics(argv, capsys):
@@ -467,30 +513,30 @@ def assert_compare_has_no_asymptotics(argv, capsys):
     assert "l1_interior" not in err
 
 
-@pytest.mark.parametrize("argv", [["--coin", "0"], ["--coin", "pi"],
-                                  ["--coin", "pi", "--epsilon", "0"]])
+@pytest.mark.parametrize("argv", [["--coin", "0"], ["--coin", "pi"]])
 def test_compare_leaves_asymptotics_out_for_other_walks(argv, capsys):
     # walks without an open cone 0 < |u00| < 1 have no interior to serve
     assert_compare_has_no_asymptotics(argv, capsys)
 
 
 def test_compare_without_interior_sites_reports_null(capsys):
-    # an L1 over no site is no agreement: it is null, not 0.0
-    assert_compare_has_no_asymptotics(["--epsilon", "5"], capsys)
+    # |u00| = |cos(0.475 pi)| ~ 0.079 lies inside the margin, so no site is
+    # served, and an L1 over no site is no agreement: it is null, not 0.0
+    assert_compare_has_no_asymptotics(["--coin", "0.95pi"], capsys)
 
 
 @pytest.mark.parametrize("command", ["asymptotic", "compare"])
-def test_zero_margin_serves_the_open_cone(command, capsys):
-    # |u00| = 0.5 exactly: n = +-32 at t = 64 sit on the cone edge and are left out
+def test_the_fixed_margin_serves_the_inner_cone(command, capsys):
+    # |u00| = 0.5 exactly: at t = 64 the sites with |n/t| <= 0.5 - 0.1 are served
     coin = "0.6666666666666666pi"
     assert support_edge(theta_coin(parse_theta(coin))) == 0.5
     code, out, err = run_cli([command, "--coin", coin, "--init", "symmetric",
-                              "--epsilon", "0", "--steps", "64", "--format", "json"], capsys)
+                              "--steps", "64", "--format", "json"], capsys)
     assert code == 0 and not err.startswith("error")
     payload = json.loads(out)
     column = "prob" if command == "asymptotic" else "p_asymptotic"
     served = {r["n"]: r[column] for r in payload["data"] if r[column] is not None}
-    assert sorted(served) == list(range(-30, 31, 2))
+    assert sorted(served) == list(range(-24, 25, 2))
     assert all(0 < p < 1 for p in served.values())
     if command == "compare":
         assert payload["l1_interior_exact_asymptotic"] < 0.1
