@@ -8,13 +8,7 @@ mutated.
 The line kernel steps in place in a co-moving frame (see
 :func:`evolve_line`): the shift is absorbed into where each chirality
 column is stored, so a step is a 2x2 mix of two aligned slices, with no
-new array and no data movement.  Far outside the cone the amplitudes
-decay exponentially, and float64 arithmetic on the subnormals below
-2**-1022 is many times slower; so every 32 steps the kernel sets to
-+0.0 each real or imaginary part below a floor of 2**-600 times the
-input's largest one.  That changes the result by at most
-``ceil(steps / 32) * 2 sqrt(n + 2 steps) * floor`` in 2-norm (see
-:func:`evolve_line`).
+new array and no data movement.
 
 The circle kernel (:func:`_ring_blocks`) steps the cycle in halo blocks
 of B <= 64 steps through a ring of B + 1 slots of n + 2B sites.  The
@@ -27,6 +21,31 @@ ring stays near 2**15 float64 entries, 256 KiB, and past that size a
 block is one step.  The kernel yields each block's rows, so the scans
 of :mod:`qwalk.stats` reduce once per block without building a
 wavefunction.
+
+Both kernels follow one underflow policy.  Far outside the cone the
+amplitudes decay exponentially, and float64 arithmetic on the
+subnormals below 2**-1022 is many times slower.  So each kernel takes
+``floor = 2**-600 M`` from its input, ``M`` the input's largest real or
+imaginary part, and every F <= 32 steps, starting with the first, sets
+to +0.0 each real or imaginary part below ``floor`` (:func:`_flush`):
+the line before every 32nd step (F = 32), the ring at the start of
+every ``max(1, 32 // B)``-th block (F = B max(1, 32 // B), between 17
+and 32 for a coined walk, 32 when B divides 32), on the core of the
+slot the block starts from, so that its halo is copied flushed.  A
+flush touches at most ``4 width`` float64 entries, ``width`` the
+line's ``n + 2 steps`` sites or the cycle's n, so it moves the state by
+less than ``2 sqrt(width) floor`` in 2-norm, and the steps are unitary:
+the result moves by at most ``ceil(steps / F) * 2 sqrt(width) * floor``.
+Because the floor is relative to ``M``, a scaled input gives the
+scaled result.  A step shrinks an entry by at most a factor ``c``, the
+smallest nonzero real or imaginary part of a coin entry, so,
+cancellation aside, no subnormal is stepped while ``floor * c**32 >=
+2**-1022``.  :func:`evolve_line` and :func:`evolve_circle` step an
+input with ``M < 2**-20`` at unit scale (:func:`_at_unit_scale`), so
+the steps see ``M >= 2**-20`` for every input (a unit-norm one on fewer
+than 2**38 sites needs no rescale), and no subnormal is stepped for any
+coin with ``c >= 1.7e-4``.  The classical walk on the ring is not
+flushed (:func:`_ring_blocks` gives the measurement).
 
 Parity bookkeeping comes for free: amplitudes at sites with ``n + t``
 odd (origin start) stay exactly zero, and the results hold them as
@@ -60,7 +79,7 @@ _FLUSH_FLOOR = 2.0 ** -600
 #: adds about 4% to a walk with nothing to flush.
 _FLUSH_EVERY = 32
 #: Inputs whose largest float64 entry lies below this are stepped
-#: scaled up by a power of two (see :func:`evolve_line`).
+#: scaled up by a power of two (see :func:`_at_unit_scale`).
 _SCALE_BELOW = 2.0 ** -20
 #: Float64 entries of the B steps of a circle block (256 KiB, in the L2
 #: cache), and the longest block.  Measured at n = 2047, a 2**16 budget
@@ -121,28 +140,11 @@ def evolve_line(
     about ``(n + 2s) / 2`` entries (``n + 2s`` on the float64 view), and
     every 32nd step three more per mixed row for the flush below.
 
-    The amplitudes decay exponentially outside the cone, through the
-    subnormal floats, on which every operation is many times slower.
-    So before every 32nd step, starting with the first, each real or
-    imaginary part in the stepped windows below ``floor = 2**-600 M`` in
-    magnitude is set to +0.0, where ``M`` is the largest real or
-    imaginary part of ``psi``.  In exact arithmetic a flush moves the
-    state by less than ``2 sqrt(width) floor`` in 2-norm (it touches at
-    most ``4 width`` float64 entries, ``width = n + 2 steps``), and the
-    steps are unitary, so the result moves by at most ``ceil(steps /
-    32) * 2 sqrt(width) * floor``.  On the Hadamard walk to t = 4000 and
-    on theta-coin round trips to t = 2000, every entry above 1e-150
-    came out bit for bit as without the flush.  Because the floor is
-    relative to ``M``, a scaled input gives the scaled result.  A step
-    shrinks an entry by at most a factor ``c``, the smallest nonzero
-    real or imaginary part of a coin entry, so, cancellation aside, no
-    subnormal is stepped while ``floor * c**32 >= 2**-1022``.  An input
-    with ``M < 2**-20`` is multiplied by the power of two that brings
-    ``M`` into [0.5, 1), stepped, and scaled back by ``np.ldexp``, which
-    rounds each entry once: so the steps see ``M >= 2**-20`` for every
-    input, and no subnormal is stepped for any coin with ``c >=
-    1.7e-4``.  An input with ``M >= 2**-20`` (a unit-norm ``psi`` on
-    fewer than 2**38 sites) is stepped as it is.
+    The underflowing tails are flushed before every 32nd step, starting
+    with the first, and a tiny input is stepped at unit scale: the
+    module docstring states the policy and its bound.  On the Hadamard
+    walk to t = 4000 and on theta-coin round trips to t = 2000, every
+    entry above 1e-150 came out bit for bit as without the flush.
     """
     if not isinstance(psi.topology, Line):
         raise DomainError("evolve_line needs line topology")
@@ -150,22 +152,16 @@ def evolve_line(
     if adjoint and steps > psi.time:
         raise DomainError("cannot rewind past t = 0")
 
-    u = coin.matrix
-    amps = psi.amplitudes
-    big = np.max(np.abs(amps.view(np.float64)), initial=0.0)
-    # a tiny input is stepped at M in [0.5, 1) and scaled back, exactly
-    shift = -int(np.frexp(big)[1]) if 0 < big < _SCALE_BELOW else 0
-    if shift:
-        amps = np.ldexp(amps.view(np.float64), shift).view(np.complex128)
-        big = np.ldexp(big, shift)
+    amps, unscale = _at_unit_scale(psi.amplitudes)
+    floor = _FLUSH_FLOOR * np.max(np.abs(amps.view(np.float64)), initial=0.0)
     n = amps.shape[0]
     width = n + 2 * steps
     # The adjoint frame is the forward frame with the columns swapped:
     # it mixes (R, L) by U^dag with rows and columns reversed, one step
     # of window later.
-    a_col, b_col, mix, first = 0, 1, u, 0
+    a_col, b_col, mix, first = 0, 1, coin.matrix, 0
     if adjoint:
-        a_col, b_col, mix, first = 1, 0, u.conj().T[::-1, ::-1], 1
+        a_col, b_col, mix, first = 1, 0, mix.conj().T[::-1, ::-1], 1
     real = not np.any(mix.imag)
     if real:
         mix = mix.real
@@ -174,7 +170,6 @@ def evolve_line(
     if real and not np.any(amps.imag):
         amps = amps.real
 
-    floor = _FLUSH_FLOOR * big
     out = np.zeros((width, 2), dtype=np.complex128)
     for p in (0, 1):
         if not np.any(amps[p::2]):
@@ -190,10 +185,34 @@ def evolve_line(
         out[p::2, a_col] += work[0]
         out[p::2, b_col] += work[1]
 
-    if shift:
-        out = np.ldexp(out.view(np.float64), -shift).view(np.complex128)
     t = psi.time - steps if adjoint else psi.time + steps
-    return WaveFunction(Line(offset=psi.topology.offset - steps), out, t)
+    return WaveFunction(Line(offset=psi.topology.offset - steps), unscale(out), t)
+
+
+def _at_unit_scale(amps):
+    """Return ``amps`` at unit scale and the map that scales a result back.
+
+    Both are the identity unless the largest real or imaginary part
+    ``M`` of the complex ``amps`` lies in (0, 2**-20).  Then ``amps`` is
+    multiplied by the power of two that brings ``M`` into [0.5, 1),
+    exactly, and the map undoes it by ``np.ldexp``, which rounds each
+    entry of the result once.
+    """
+    big = np.max(np.abs(amps.view(np.float64)), initial=0.0)
+    if not 0 < big < _SCALE_BELOW:
+        return amps, lambda out: out
+    shift = -int(np.frexp(big)[1])
+    scaled = np.ldexp(amps.view(np.float64), shift).view(np.complex128)
+    return scaled, lambda out: np.ldexp(out.view(np.float64), -shift).view(np.complex128)
+
+
+def _flush(parts, floor, scratch):
+    """Set each entry of the float64 array ``parts`` below ``floor`` in magnitude to +0.0.
+
+    ``scratch`` is a float64 buffer at least as long, overwritten: an
+    absolute value, a comparison and a masked copy.
+    """
+    np.copyto(parts, 0.0, where=np.abs(parts, out=scratch[:len(parts)]) < floor)
 
 
 def _mix_steps(work, mix, m, steps, first, floor):
@@ -206,15 +225,9 @@ def _mix_steps(work, mix, m, steps, first, floor):
     ``(m + 2s + 1) // 2`` class entries from 0 in ``a`` and from
     ``steps - s`` in ``b``.
 
-    Before every ``_FLUSH_EVERY``-th step, starting with the first, each
-    float64 entry of the two windows (a real or imaginary part) below
-    ``floor`` in magnitude is set to +0.0, through the scratch row ``x``:
-    an absolute value, a comparison and a masked copy per window.  A
-    flush moves the class by less than ``floor`` times the square root
-    of the number of float64 entries it reads, and the mix is unitary;
-    no subnormal is stepped while ``floor * c**_FLUSH_EVERY >=
-    2**-1022`` for the smallest nonzero real or imaginary part ``c`` of
-    a ``mix`` entry (see :func:`evolve_line` for the bounds in full).
+    Before every ``_FLUSH_EVERY``-th step, starting with the first, the
+    two windows are flushed below ``floor`` through the scratch row
+    ``t1`` (:func:`_flush`; the module docstring states the bound).
     """
     a, b, t1, t2 = work
     scale = len(a) // ((m + 2 * steps + 1) // 2)
@@ -225,8 +238,8 @@ def _mix_steps(work, mix, m, steps, first, floor):
         av, bv = a[:k], b[lo:lo + k]
         x, y = t1[:k], t2[:k]
         if (s - first) % _FLUSH_EVERY == 0:
-            for v in (av.view(np.float64), bv.view(np.float64)):
-                np.copyto(v, 0.0, where=np.abs(v, out=x.view(np.float64)) < floor)
+            for v in (av, bv):
+                _flush(v.view(np.float64), floor, t1.view(np.float64))
         np.multiply(bv, w01, out=x)
         np.multiply(av, w10, out=y)
         av *= w00
@@ -249,12 +262,14 @@ def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunc
         raise DomainError("evolve_circle needs circle topology")
     check_steps(steps)
 
-    block = psi.amplitudes.T[None]
-    for block in _ring_blocks(psi.amplitudes.T, coin, steps):
+    amps, unscale = _at_unit_scale(psi.amplitudes)
+    block = amps.T[None]
+    for block in _ring_blocks(amps.T, coin, steps):
         pass
     # adding +0.0 turns the -0.0 a negative coin entry leaves on a
     # parity-forbidden site into +0.0
-    return WaveFunction(psi.topology, np.add(block[-1].T, 0.0, order="C"), psi.time + steps)
+    out = unscale(np.add(block[-1].T, 0.0, order="C"))
+    return WaveFunction(psi.topology, out, psi.time + steps)
 
 
 def _ring_blocks(rows, coin, steps):
@@ -286,6 +301,17 @@ def _ring_blocks(rows, coin, steps):
     more the windows add at most an eighth of n to the work of a step:
     at n = 127, blocks of n/2 or more took 1.1 ms for the coined scan,
     against 0.6 ms at n/8.
+
+    A coined walk is flushed below ``floor = 2**-600 M``, ``M`` the
+    largest real or imaginary part of ``rows``, at the start of every
+    ``max(1, 32 // B)``-th block, on the core of the slot the block
+    starts from (see the module docstring).  The classical walk is not:
+    its nonnegative masses never cancel, only a few of them are
+    subnormal (44 to 66 at n = 8191, t = 3000 to 6000), and the flush
+    cost time.  On the classical scan of n = 511 (20 710 steps, a flush
+    every 64) it read 1.4 to 2.6 ms more out of about 50 (the median of
+    paired differences, slower in 18 of 22 interleaved pairs), 2.2 us a
+    flush.
     """
     c, n = rows.shape
     floats = 1 if coin is None else 4
@@ -325,8 +351,13 @@ def _ring_blocks(rows, coin, steps):
     # blocks alternate between the forward and the backward direction, so
     # each starts from the slot the one before it ended on
     faces = face(1, min(b, steps)), face(-1, max(0, min(b, steps - b)))
+    floor = _FLUSH_FLOOR * np.max(np.abs(ring[0].view(np.float64)))
     for start in range(0, steps, b):
         halo, plans, block = faces[start // b % 2]
+        if coin is not None and start // b % max(1, _FLUSH_EVERY // b) == 0:
+            # the core of the slot the block starts from; its halo is copied below
+            for part in ring[start // b % 2 * b, :, b:b + n]:
+                _flush(part.view(np.float64), floor, tmp.view(np.float64))
         for halo_sites, ends in halo:
             np.copyto(halo_sites, ends)
         if steps - start < b:  # the last block

@@ -130,24 +130,42 @@ def test_long_walks_step_no_subnormals():
         evolve_line(initial_state("left"), hadamard_coin(), 4000)
 
 
+@pytest.mark.parametrize("n, t", [(8191, 6000), (4095, 4088)])
+def test_long_circle_walks_step_no_subnormals(n, t):
+    # on an odd cycle the class reached the long way round stays in the
+    # tail outside the cone until t ~ sqrt(2) n, so the ring flushes too
+    with np.errstate(under="raise"):
+        psi = evolve_circle(initial_state("symmetric", Circle(n)), hadamard_coin(), t)
+    assert abs(psi.norm() - 1.0) < 1e-12
+
+
+#: Both kernels, the ring on a cycle the walk to t = 4000 does not wrap.
+SCALED_WALKS = pytest.mark.parametrize("evolve, topology", [
+    (evolve_line, Line()),
+    (evolve_circle, Circle(8191)),
+], ids=["line", "circle"])
+
+
+@SCALED_WALKS
 @pytest.mark.parametrize("scale", [2.0 ** -900, 2.0 ** 900])
-def test_evolution_commutes_with_scaling(scale):
+def test_evolution_commutes_with_scaling(scale, evolve, topology):
     # the flush floor is relative to the input, so a tiny state keeps its walk
-    psi = initial_state(np.array([0.6, 0.8j]))
+    psi = initial_state(np.array([0.6, 0.8j]), topology)
     scaled = WaveFunction(psi.topology, scale * psi.amplitudes, psi.time)
-    want = scale * evolve_line(psi, hadamard_coin(), 2000).amplitudes
-    got = evolve_line(scaled, hadamard_coin(), 2000).amplitudes
+    want = scale * evolve(psi, hadamard_coin(), 2000).amplitudes
+    got = evolve(scaled, hadamard_coin(), 2000).amplitudes
     assert np.any(got)
     assert np.max(np.abs(got - want)) < 1e-12 * scale
 
 
-def test_tiny_input_is_stepped_at_unit_scale():
+@SCALED_WALKS
+def test_tiny_input_is_stepped_at_unit_scale(evolve, topology):
     # a 2**-900-scaled input is stepped at scale 1 and scaled back, so no
     # step meets a subnormal and the result is the unit walk's, scaled
-    psi = initial_state(np.array([0.6, 0.8j]))
+    psi = initial_state(np.array([0.6, 0.8j]), topology)
     scaled = np.ldexp(psi.amplitudes.view(np.float64), -900).view(np.complex128)
-    unit = evolve_line(psi, hadamard_coin(), 4000).amplitudes
-    tiny = evolve_line(WaveFunction(psi.topology, scaled, 0), hadamard_coin(), 4000).amplitudes
+    unit = evolve(psi, hadamard_coin(), 4000).amplitudes
+    tiny = evolve(WaveFunction(psi.topology, scaled, 0), hadamard_coin(), 4000).amplitudes
     assert np.any(tiny)
     assert tiny.tobytes() == np.ldexp(unit.view(np.float64), -900).view(np.complex128).tobytes()
 
