@@ -2,15 +2,22 @@
 
 Runs simulations and analyses and emits machine-readable CSV or JSON.
 Output is deterministic: identical configs produce byte-identical
-files.  Floats are printed with 17 significant digits so doubles
-round-trip losslessly.  Tables are formatted a column at a time: a
-column of plain ints, or of finite plain floats, goes through one
-C-level formatter, and the JSON rows are spliced into the indented
-``json.dumps`` of the rest of the payload from one per-row template.
-The bytes are those of formatting each value on its own and dumping
-the whole payload at once.  Every site probability is squared from
-its amplitudes by the kernel behind :func:`qwalk.evolve.distribution`,
-so the routes print the same bits for the same amplitudes.
+files on one machine.  What the recurrence computes (``simulate``,
+``mix``, the ``n`` and ``p_exact`` columns of ``compare``) is the same
+at every SIMD level numpy dispatches to; values that go through its
+dispatched transcendentals (the spectral and stationary-phase routes)
+can differ in the last bit between CPUs.  Floats are printed with 17
+significant digits so doubles round-trip losslessly.  Tables are formatted from one %-template per
+row, with one conversion per column: ``%d`` for a column of plain
+ints, ``%.17g`` (CSV) or ``%r`` (JSON) for a column of finite plain
+floats, and ``%s`` over each cell's own text for any other column.  A
+chunk of rows is formatted by one % operation and written as it is
+made, and the JSON rows are spliced into the indented ``json.dumps`` of
+the rest of the payload.  The bytes are those of formatting each value
+on its own and dumping the whole payload at once.  Every site
+probability is squared from its amplitudes by the kernel behind
+:func:`qwalk.evolve.distribution`, so the routes print the same bits
+for the same amplitudes.
 
 Exit codes: 0 success, 2 usage/config error or a failed write of the
 output (a closed pipe, a full disk), 3 domain error (a precondition of
@@ -26,7 +33,7 @@ import math
 import os
 import sys
 from itertools import chain
-from typing import NoReturn
+from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
@@ -103,33 +110,62 @@ def _json_cell(v) -> str:
     return "null" if v is None else json.dumps(v)
 
 
-def _column_cells(values: tuple, csv: bool):
-    """Lazy text of one column's cells, for CSV or as JSON values."""
+def _column_spec(values: tuple, csv: bool) -> tuple[str, tuple, Callable | None]:
+    """One column's %-conversion, for CSV or as JSON values, its cells and their text.
+
+    The text function is None where the conversion takes the cells as
+    they are; a ``%s`` column is converted a chunk at a time.
+    """
     kinds = set(map(type, values))
     if kinds == {int}:
-        return map(int.__repr__, values)
+        return "%d", values, None
     if kinds == {float} and all(map(math.isfinite, values)):
-        return map(_fmt if csv else float.__repr__, values)
-    return map(_csv_cell if csv else _json_cell, values)
+        return "%.17g" if csv else "%r", values, None
+    return "%s", values, _csv_cell if csv else _json_cell
 
 
+#: rows formatted by one % operation
+_CHUNK = 256
 # where the rows go in the indented dump of the payload
 _EMPTY_DATA = '\n "data": []'
+
+
+def _formatted(template: str, specs: list) -> Iterator[str]:
+    """The rows' text, ``_CHUNK`` rows a piece, from ``template`` and ``_column_spec``s.
+
+    ``template`` holds one row with the specs' conversions in order; a
+    piece interleaves slices of their columns and formats them at once.
+    The repeated template and the cell list are built once and reused:
+    building them per piece left the benchmark's peak RSS higher.
+    """
+    width, count = len(specs), len(specs[0][1])
+    rows = min(_CHUNK, count)
+    page, cells = template * rows, [None] * (width * rows)
+    for start in range(0, count, _CHUNK):
+        stop = min(start + _CHUNK, count)
+        if stop - start < rows:  # the last piece is shorter
+            page, cells = template * (stop - start), cells[:width * (stop - start)]
+        for i, (_, column, text) in enumerate(specs):
+            part = column[start:stop]
+            cells[i::width] = part if text is None else map(text, part)
+        yield page % tuple(cells)
 
 
 def _emit(args, header: list[str], rows: list, extra: dict | None = None) -> None:
     """Write the result as CSV (header + rows) or JSON (config echo + data).
 
-    ``rows`` holds one sequence of cells per row.  The text is built a
-    column at a time and written in pieces; JSON rows are objects with
-    sorted keys, as in ``json.dumps(payload, indent=1, sort_keys=True)``.
+    ``rows`` holds one sequence of cells per row.  Each column takes one
+    %-conversion (:func:`_column_spec`), the row template joins them,
+    and each chunk of rows is formatted by one % operation and written
+    as it is made; JSON rows are objects with sorted keys, as in
+    ``json.dumps(payload, indent=1, sort_keys=True)``.
     """
     csv = args.format == "csv"
     columns = list(zip(*rows))
     if csv:
-        line = ",".join(["%s"] * len(header)) + "\n"
-        cells = zip(*[_column_cells(col, csv) for col in columns])
-        pieces = chain([",".join(header) + "\n"], map(line.__mod__, cells))
+        specs = [_column_spec(column, csv) for column in columns]
+        template = ",".join(spec[0] for spec in specs) + "\n"
+        pieces = chain([",".join(header) + "\n"], _formatted(template, specs) if rows else [])
     else:
         config = {k: v for k, v in sorted(vars(args).items())
                   if k != "func" and v is not None}
@@ -142,13 +178,13 @@ def _emit(args, header: list[str], rows: list, extra: dict | None = None) -> Non
             # a repeated key keeps its last column, as a dict built from the row would
             index = {key: i for i, key in enumerate(header)}
             keys = sorted(index)
-            fields = ",\n".join(f"   {json.dumps(key).replace('%', '%%')}: %s" for key in keys)
-            template = ",\n  {\n" + fields + "\n  }"
-            cells = zip(*[_column_cells(columns[index[key]], csv) for key in keys])
+            specs = [_column_spec(columns[index[key]], csv) for key in keys]
+            fields = ",\n".join(f"   {json.dumps(key).replace('%', '%%')}: {spec[0]}"
+                                for key, spec in zip(keys, specs))
+            chunks = _formatted(",\n  {\n" + fields + "\n  }", specs)
             head, _, tail = text.partition(_EMPTY_DATA)
             # the first row goes without the separating comma
-            pieces = chain([head, '\n "data": [', template[1:] % next(cells)],
-                           map(template.__mod__, cells), ["\n ]", tail])
+            pieces = chain([head, '\n "data": [', next(chunks)[1:]], chunks, ["\n ]", tail])
 
     try:
         if args.output == "-":

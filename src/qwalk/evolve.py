@@ -196,14 +196,15 @@ def _at_unit_scale(amps):
     ``M`` of the complex ``amps`` lies in (0, 2**-20).  Then ``amps`` is
     multiplied by the power of two that brings ``M`` into [0.5, 1),
     exactly, and the map undoes it by ``np.ldexp``, which rounds each
-    entry of the result once.
+    entry of the result once; adding +0.0 then turns the -0.0 a negative
+    entry that underflows there leaves into +0.0.
     """
     big = np.max(np.abs(amps.view(np.float64)), initial=0.0)
     if not 0 < big < _SCALE_BELOW:
         return amps, lambda out: out
     shift = -int(np.frexp(big)[1])
     scaled = np.ldexp(amps.view(np.float64), shift).view(np.complex128)
-    return scaled, lambda out: np.ldexp(out.view(np.float64), -shift).view(np.complex128)
+    return scaled, lambda out: (np.ldexp(out.view(np.float64), -shift) + 0.0).view(np.complex128)
 
 
 def _flush(parts, floor, scratch):
@@ -228,10 +229,19 @@ def _mix_steps(work, mix, m, steps, first, floor):
     Before every ``_FLUSH_EVERY``-th step, starting with the first, the
     two windows are flushed below ``floor`` through the scratch row
     ``t1`` (:func:`_flush`; the module docstring states the bound).
+
+    A step is six ufunc calls with positional outputs, and the coin
+    entries are 0-d arrays of the mix's dtype: a ufunc converts a numpy
+    scalar operand to an array anew on every call, and on windows of a
+    few thousand entries that conversion is a measurable share of the
+    step.  The operands and their order are those of
+    ``x = b w01; y = a w10; a = a w00 + x; b = b w11 + y``, so every bit
+    is the same.
     """
     a, b, t1, t2 = work
     scale = len(a) // ((m + 2 * steps + 1) // 2)
-    (w00, w01), (w10, w11) = mix
+    w00, w01, w10, w11 = map(np.array, mix.ravel())
+    multiply, add = np.multiply, np.add
     for s in range(first, first + steps):
         k = scale * ((m + 2 * s + 1) // 2)
         lo = scale * (steps - s)
@@ -240,12 +250,12 @@ def _mix_steps(work, mix, m, steps, first, floor):
         if (s - first) % _FLUSH_EVERY == 0:
             for v in (av, bv):
                 _flush(v.view(np.float64), floor, t1.view(np.float64))
-        np.multiply(bv, w01, out=x)
-        np.multiply(av, w10, out=y)
-        av *= w00
-        av += x
-        bv *= w11
-        bv += y
+        multiply(bv, w01, x)
+        multiply(av, w10, y)
+        multiply(av, w00, av)
+        add(av, x, av)
+        multiply(bv, w11, bv)
+        add(bv, y, bv)
 
 
 def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunction:
@@ -320,10 +330,13 @@ def _ring_blocks(rows, coin, steps):
     ring = np.zeros((b + 1, c, width), dtype=rows.dtype)
     ring[0, :, b:b + n] = rows
     views, k = ring, 1  # view entries per site
-    if coin is not None:
+    if coin is None:
+        half = np.array(0.5)
+    else:
         u = coin.matrix
         real = not np.any(u.imag)
-        (w00, w01), (w10, w11) = u.real if real else u
+        # 0-d arrays, as in _mix_steps
+        w00, w01, w10, w11 = map(np.array, (u.real if real else u).ravel())
         if real:
             views, k = ring.view(np.float64), 2
     tmp = np.empty(k * (width - 2), dtype=views.dtype)
@@ -352,6 +365,7 @@ def _ring_blocks(rows, coin, steps):
     # each starts from the slot the one before it ended on
     faces = face(1, min(b, steps)), face(-1, max(0, min(b, steps - b)))
     floor = _FLUSH_FLOOR * np.max(np.abs(ring[0].view(np.float64)))
+    multiply, add = np.multiply, np.add
     for start in range(0, steps, b):
         halo, plans, block = faces[start // b % 2]
         if coin is not None and start // b % max(1, _FLUSH_EVERY // b) == 0:
@@ -364,16 +378,16 @@ def _ring_blocks(rows, coin, steps):
             plans, block = plans[:steps - start], block[:steps - start]
         if coin is None:
             for d_left, d_right, new in plans:
-                np.add(d_left, d_right, out=new)
-                new *= 0.5
+                add(d_left, d_right, new)
+                multiply(new, half, new)
         else:
             for a_right, b_right, new_a, a_left, b_left, new_b, x in plans:
-                np.multiply(a_right, w00, out=new_a)
-                np.multiply(b_right, w01, out=x)
-                new_a += x
-                np.multiply(a_left, w10, out=new_b)
-                np.multiply(b_left, w11, out=x)
-                new_b += x
+                multiply(a_right, w00, new_a)
+                multiply(b_right, w01, x)
+                add(new_a, x, new_a)
+                multiply(a_left, w10, new_b)
+                multiply(b_left, w11, x)
+                add(new_b, x, new_b)
         yield block
 
 
