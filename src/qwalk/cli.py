@@ -214,11 +214,8 @@ WF_HEADER = ["n", "psi_L_re", "psi_L_im", "psi_R_re", "psi_R_im", "prob"]
 def cmd_simulate(args) -> None:
     coin = _coin_from_args(args)
     topo = _topology_from_args(args)
-    psi = initial_state(args.init, topo)
-    if isinstance(topo, Circle):
-        psi = evolve_circle(psi, coin, args.steps)
-    else:
-        psi = evolve_line(psi, coin, args.steps)
+    evolve = evolve_circle if isinstance(topo, Circle) else evolve_line
+    psi = evolve(initial_state(args.init, topo), coin, args.steps)
     _emit(args, WF_HEADER, _wavefunction_rows(psi))
 
 
@@ -287,10 +284,8 @@ def cmd_mix(args) -> None:
 
 def cmd_symmetry(args) -> None:
     coin = _coin_from_args(args)
-    rows = []
-    for name, cand in PAULIS:
-        rep = verify_symmetrizer(coin, cand)
-        rows.append([name, rep.sign, float(rep.max_residual), rep.verdict])
+    reports = [(name, verify_symmetrizer(coin, cand)) for name, cand in PAULIS]
+    rows = [[name, rep.sign, float(rep.max_residual), rep.verdict] for name, rep in reports]
     _emit(args, ["candidate", "sign", "max_residual", "verdict"], rows)
 
 

@@ -13,6 +13,7 @@ a length-2 complex vector ``(psi_L, psi_R)``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +29,24 @@ class DomainError(ValueError):
     """A parameter violates an operation's stated precondition."""
 
 
+def _as_index(value: int, name: str) -> int:
+    """``value`` as ``operator.index`` reads it, or :class:`DomainError` if it cannot.
+
+    Python and NumPy integers pass; a float such as 2.5 or a string does
+    not, whatever its value.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_steps(steps: int) -> None:
-    """Reject a negative step count or one above :data:`MAX_STEPS`.
+    """Reject a non-integer, a negative step count or one above :data:`MAX_STEPS`.
 
     Evolvers call this before they allocate anything sized by ``steps``.
     """
-    if steps < 0:
+    if _as_index(steps, "steps") < 0:
         raise DomainError("steps must be nonnegative")
     if steps > MAX_STEPS:
         raise DomainError(f"steps capped at {MAX_STEPS}")
@@ -41,24 +54,27 @@ def check_steps(steps: int) -> None:
 
 @dataclass(frozen=True)
 class Line:
-    """Unbounded line topology; ``offset`` is the site of the first entry."""
+    """Unbounded line topology; ``offset`` is the integer site of the first entry."""
 
     offset: int = 0
+
+    def __post_init__(self):
+        _as_index(self.offset, "line offset")
 
 
 @dataclass(frozen=True)
 class Circle:
     """Cycle with ``size`` sites, labelled 0..size-1.
 
-    ``size`` runs from 3 to ``2 * MAX_STEPS + 1``, the widest window a
-    line walk from one site reaches, so no cycle outgrows the memory
-    guard of the evolvers.
+    ``size`` is an integer from 3 to ``2 * MAX_STEPS + 1``, the widest
+    window a line walk from one site reaches, so no cycle outgrows the
+    memory guard of the evolvers.
     """
 
     size: int
 
     def __post_init__(self):
-        if not 3 <= self.size <= 2 * MAX_STEPS + 1:
+        if not 3 <= _as_index(self.size, "circle size") <= 2 * MAX_STEPS + 1:
             raise DomainError(f"circle needs 3 to {2 * MAX_STEPS + 1} sites, got {self.size}")
 
 
@@ -76,16 +92,27 @@ def _freeze(a, dtype) -> np.ndarray:
     return a
 
 
-def _site_masses(amps: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """``|psi_L|^2 + |psi_R|^2`` per row of ``(n, 2)`` amplitudes.
+def _row_masses(rows: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """``|psi_L|^2 + |psi_R|^2`` per site of ``(..., 2, n)`` (L, R) amplitude rows.
 
     Every route squares amplitudes here, in one order, so they report
     the same bits: ``(L.re^2 + R.re^2) + (L.im^2 + R.im^2)`` over the
-    float64 view, the order the circle scans of :mod:`qwalk.stats` sum
-    in from their buffers.
+    float64 view.  The last axis must be contiguous; the circle scans of
+    :mod:`qwalk.stats` pass their ring blocks as they are.
     """
-    sq = np.square(amps.view(np.float64))  # columns L.re, L.im, R.re, R.im
-    return (sq[:, 0] + sq[:, 2]) + (sq[:, 1] + sq[:, 3])
+    w = rows.view(np.float64)  # (L, R) rows of interleaved re, im
+    s = w[..., 0, :] * w[..., 0, :]
+    s += w[..., 1, :] * w[..., 1, :]
+    return s[..., 0::2] + s[..., 1::2]
+
+
+def _site_masses(amps: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """:func:`_row_masses` of ``(n, 2)`` amplitudes, one mass per row.
+
+    The rows are transposed into a copy, which puts the sites along the
+    contiguous last axis that :func:`_row_masses` reads.
+    """
+    return _row_masses(np.ascontiguousarray(amps.T))
 
 
 @dataclass(frozen=True)
@@ -116,9 +143,8 @@ class WaveFunction:
     @property
     def sites(self) -> NDArray[np.int64]:
         """Absolute site index for each row of ``amplitudes``."""
-        n = self.amplitudes.shape[0]
         start = self.topology.offset if isinstance(self.topology, Line) else 0
-        return np.arange(start, start + n)
+        return np.arange(start, start + len(self.amplitudes))
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(_site_masses(self.amplitudes))))
@@ -141,7 +167,8 @@ class CoinOperator:
         m = _freeze(self.matrix, np.complex128)
         if m.shape != (2, 2):
             raise DomainError("coin matrix must be 2x2")
-        if np.max(np.abs(m.conj().T @ m - np.eye(2))) >= 1e-14:
+        # written so that a NaN entry fails it too
+        if not np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-14:
             raise DomainError("coin matrix must be unitary")
         object.__setattr__(self, "matrix", m)
 
@@ -199,7 +226,8 @@ def chirality_pair(chirality: str | NDArray[np.complex128]) -> NDArray[np.comple
     pair = np.asarray(chirality, dtype=np.complex128)
     if pair.shape != (2,):
         raise DomainError("custom chirality must be a length-2 pair")
-    if abs(np.linalg.norm(pair) - 1.0) > NORM_TOL:
+    # written so that a NaN entry fails it too
+    if not abs(np.linalg.norm(pair) - 1.0) <= NORM_TOL:
         raise DomainError("custom chirality must have unit norm")
     return pair
 

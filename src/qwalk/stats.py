@@ -20,8 +20,10 @@ name under which :func:`qwalk.asymptotics.density_moment` gives it for
 the limiting density.
 
 On the circle both walks step through the halo-block ring of
-:mod:`qwalk.evolve`, the classical one by a three-term average, and
-yield their site masses a block of up to 64 steps at a time.
+:mod:`qwalk.evolve`, the classical one by the average of the two
+neighbours, and yield their site masses a block of up to 64 steps at a
+time; the coined walk's are squared by :func:`qwalk.core._row_masses`,
+the one squaring of the package.
 :func:`mixing_time` and :func:`cesaro_average` reduce once per block:
 the TV distances of all its rows, the first of them at or below delta,
 and the running sum, whose rows a reduction down the block adds one
@@ -55,6 +57,8 @@ from .core import (
     Line,
     MAX_STEPS,
     Topology,
+    _as_index,
+    _row_masses,
     check_steps,
     hadamard_coin,
     initial_state,
@@ -192,16 +196,17 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
     against uniform over all sites on an odd cycle and against uniform
     on the occupied parity class on an even one.
     The trace of (t, TV) values is always returned in full up to the
-    crossing (or the cap, if never reached).  ``t_cap`` must be at
-    least 1.  The scan takes at most :data:`qwalk.core.MAX_STEPS` steps,
-    so the trace stays within 8 MB: a larger ``t_cap`` is accepted,
-    because the scan stops at the crossing, but a scan that reaches
-    ``MAX_STEPS`` without one raises :class:`DomainError` instead of
-    reporting no crossing up to ``t_cap``.
+    crossing (or the cap, if never reached).  ``t_cap`` must be an
+    integer of at least 1.  The scan takes at most
+    :data:`qwalk.core.MAX_STEPS` steps, so the trace stays within 8 MB:
+    a larger ``t_cap`` is accepted, because the scan stops at the
+    crossing, but a scan that reaches ``MAX_STEPS`` without one raises
+    :class:`DomainError` instead of reporting no crossing up to
+    ``t_cap``.
     """
     if not isinstance(spec.topology, Circle):
         raise DomainError("mixing_time is defined on the circle")
-    if t_cap < 1:
+    if _as_index(t_cap, "t_cap") < 1:
         raise DomainError(f"t_cap must be at least 1, got {t_cap}")
     steps = min(t_cap, MAX_STEPS)
     n = spec.topology.size
@@ -243,49 +248,42 @@ def cesaro_average(spec: WalkSpec, big_t: int) -> ProbabilityDistribution:
     return ProbabilityDistribution(spec.topology, acc / big_t, big_t)
 
 
+def _start_rows(spec: WalkSpec) -> NDArray:
+    """The circle walk ``spec`` at t = 0, as :func:`qwalk.evolve._ring_blocks` takes it.
+
+    That is the ``(1, n)`` unit mass at site 0 for ``coin=None`` and the
+    ``(2, n)`` (L, R) rows of ``initial_state(spec.init)`` otherwise.
+    """
+    if spec.coin is None:
+        return np.eye(1, spec.topology.size)
+    return initial_state(spec.init, spec.topology).amplitudes.T
+
+
 def _masses(spec: WalkSpec, steps: int):
     """Yield the ``(m, n)`` site masses of the circle walk ``spec``, a block at a time.
 
-    The rows are the walk after each of the block's ``m`` steps, in a
-    buffer the next block overwrites.
+    The rows are the walk after each of the block's ``m`` steps.  The
+    coined walk's are squared by :func:`qwalk.core._row_masses`, so they
+    are ``distribution()``'s bit for bit; the classical walk's are a view
+    that the next block overwrites.
     """
-    n = spec.topology.size
-    if spec.coin is None:
-        d = np.zeros((1, n))
-        d[0, 0] = 1.0
-        for rows in _ring_blocks(d, None, steps):
-            yield rows[:, 0]
-        return
-    psi = initial_state(spec.init, spec.topology)
-    sums = squares = masses = None
-    for amps in _ring_blocks(psi.amplitudes.T, spec.coin, steps):
-        m = len(amps)
-        if sums is None:  # the first block is the longest
-            (sums, squares), masses = np.empty((2, m, 2 * n)), np.empty((m, n))
-        # the sums of core._site_masses in its order, into reused buffers,
-        # so these masses are distribution()'s bit for bit
-        w = amps.view(np.float64)  # (L, R) rows of interleaved re, im
-        s = np.multiply(w[:, 0], w[:, 0], out=sums[:m])
-        s += np.multiply(w[:, 1], w[:, 1], out=squares[:m])
-        yield np.add(s[:, 0::2], s[:, 1::2], out=masses[:m])
+    for block in _ring_blocks(_start_rows(spec), spec.coin, steps):
+        yield block[:, 0] if spec.coin is None else _row_masses(block)
 
 
 def classical_walk(topology: Topology, t: int) -> ProbabilityDistribution:
     """Exact distribution of the classical symmetric random walk from site 0.
 
-    Computed by dynamic programming.
+    Computed by dynamic programming: the last row :func:`_masses` gives.
+    On the line the walk runs on the cycle of 2t + 1 sites (3 at t = 0),
+    whose ends the mass reaches only at step t, so the wrap never carries
+    any; turning it by t puts site -t first.
     """
     check_steps(t)
-    if isinstance(topology, Circle):
-        d = np.zeros(topology.size)
-        d[0] = 1.0
-    else:
-        # a cycle of 2t + 1 sites: mass reaches its ends only at step t,
-        # so the wrap never carries any
-        d = np.zeros(2 * t + 1)
-        d[t] = 1.0
-        topology = Line(offset=-t)
-    block = d[None, None]
-    for block in _ring_blocks(d[None], None, t):
+    spec = WalkSpec(topology if isinstance(topology, Circle) else Circle(max(3, 2 * t + 1)), None)
+    masses = _start_rows(spec)
+    for masses in _masses(spec, t):
         pass
-    return ProbabilityDistribution(topology, block[-1, 0], t)
+    if isinstance(topology, Circle):
+        return ProbabilityDistribution(topology, masses[-1], t)
+    return ProbabilityDistribution(Line(offset=-t), np.roll(masses[-1], t)[:2 * t + 1], t)

@@ -59,7 +59,8 @@ def verify_symmetrizer(
     negative verdict is a valid result, not an error.
     """
     s = np.asarray(candidate, dtype=np.complex128)
-    if s.shape != (2, 2) or np.max(np.abs(s.conj().T @ s - np.eye(2))) > 1e-13:
+    # written so that a NaN entry fails it too
+    if s.shape != (2, 2) or not np.max(np.abs(s.conj().T @ s - np.eye(2))) <= 1e-13:
         raise DomainError("candidate must be a 2x2 unitary")
     u = coin.matrix
     m_plus, m_minus = u * [[0], [1]], u * [[1], [0]]  # P_R U, P_L U

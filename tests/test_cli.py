@@ -371,6 +371,10 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--topology", "circle:abc"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--topology", "ring"])
+    assert exc.value.code == 2
+    assert "topology must be 'line' or 'circle:N', got 'ring'" in capsys.readouterr().err
     # symmetry reads only the coin, so it takes no topology
     with pytest.raises(SystemExit) as exc:
         main(["symmetry", "--topology", "circle:x"])

@@ -15,13 +15,21 @@ from qwalk import (
     DomainError,
     Line,
     ProbabilityDistribution,
+    WalkSpec,
     WaveFunction,
+    cesaro_average,
+    classical_walk,
     distribution,
+    evolve_circle,
     evolve_line,
+    evolve_spectral,
     hadamard_coin,
     initial_state,
+    mixing_time,
+    p_asymptotic,
     theta_coin,
 )
+from qwalk.core import chirality_pair
 from qwalk.spectral import _transfer_matrix
 
 SQRT2 = math.sqrt(2)
@@ -57,6 +65,37 @@ def test_theta_coin_rejects_out_of_range():
 def test_coin_operator_rejects_non_unitary():
     with pytest.raises(DomainError):
         CoinOperator(np.array([[1.0, 0.0], [0.0, 2.0]]))
+    with pytest.raises(DomainError, match="coin matrix must be 2x2"):
+        CoinOperator(np.eye(3))
+
+
+def test_coin_operator_rejects_nan():
+    with pytest.raises(DomainError, match="coin matrix must be unitary"):
+        CoinOperator(np.full((2, 2), np.nan))
+
+
+def test_chirality_pair_rejects_nan():
+    with pytest.raises(DomainError, match="custom chirality must have unit norm"):
+        chirality_pair(np.array([np.nan, 0]))
+    with pytest.raises(DomainError, match="custom chirality must have unit norm"):
+        p_asymptotic(hadamard_coin(), np.array([np.nan, 0]), 10, np.array([0, 2]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: evolve_line(initial_state("left"), hadamard_coin(), 2.5),
+    lambda: evolve_circle(initial_state("left", Circle(5)), hadamard_coin(), 2.5),
+    lambda: evolve_spectral(initial_state("left"), hadamard_coin(), 2.5),
+    lambda: mixing_time(WalkSpec(Circle(5)), 0.1, 2.5),
+    lambda: cesaro_average(WalkSpec(Circle(5)), 2.5),
+    lambda: classical_walk(Line(), 2.5),
+    lambda: initial_state("left", Circle(3.5)),
+    lambda: Circle("5"),
+    lambda: Line(offset=0.5),
+], ids=["evolve_line", "evolve_circle", "evolve_spectral", "mixing_time", "cesaro_average",
+        "classical_walk", "circle-3.5", "circle-str", "line-offset"])
+def test_non_integer_steps_and_sizes_are_domain_errors(call):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()
 
 
 def test_value_objects_copy_their_arrays():
@@ -97,6 +136,8 @@ def test_initial_state_custom_pair():
     assert psi.norm() == pytest.approx(1.0)
     with pytest.raises(DomainError):
         initial_state(np.array([1.0, 1.0]))  # not unit norm
+    with pytest.raises(DomainError, match="custom chirality must be a length-2 pair"):
+        chirality_pair([1, 0, 0])
     with pytest.raises(DomainError):
         initial_state("sideways")
 
@@ -106,6 +147,13 @@ def test_initial_state_on_circle():
     assert psi.amplitudes.shape == (9, 2)
     assert psi.amplitudes[0, 0] == 1.0
     assert np.count_nonzero(psi.amplitudes) == 1
+
+
+def test_numpy_integers_are_steps_and_sizes():
+    psi = evolve_circle(initial_state("left", Circle(np.int64(5))), hadamard_coin(), np.int32(3))
+    assert psi.time == 3
+    assert Line(offset=np.int64(-2)).offset == -2
+    assert mixing_time(WalkSpec(Circle(5)), 0.5, np.int64(10)).time is not None
 
 
 def test_circle_size_floor():
@@ -129,6 +177,8 @@ def test_wavefunction_validation():
         WaveFunction(Circle(5), np.zeros((4, 2)))
     with pytest.raises(DomainError):
         WaveFunction(Line(), np.array([[np.nan, 0.0]]))
+    with pytest.raises(DomainError, match="time must be nonnegative"):
+        WaveFunction(Line(), np.array([[1.0, 0.0]]), time=-1)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])

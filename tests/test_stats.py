@@ -261,6 +261,13 @@ def test_mixing_scan_stops_at_the_step_cap(monkeypatch):
         mixing_time(spec, -1.0, 41)
 
 
+def test_cesaro_average_refuses_a_line_and_zero_terms():
+    with pytest.raises(DomainError, match="cesaro_average is defined on the circle"):
+        cesaro_average(WalkSpec(Line()), 10)
+    with pytest.raises(DomainError, match="T must be at least 1"):
+        cesaro_average(WalkSpec(Circle(5)), 0)
+
+
 def test_cesaro_average_single_term():
     spec = WalkSpec(Circle(9), init="left")
     avg = cesaro_average(spec, 1)
@@ -453,6 +460,12 @@ def test_classical_walk_line_exact():
     # diffusive scaling: variance of n is exactly t
     assert moment(d, "second") * 300 == pytest.approx(1.0, abs=1e-12)
     assert moment(d, "mean") == pytest.approx(0.0, abs=1e-14)
+
+
+def test_classical_walk_at_zero_steps_is_the_start():
+    d = classical_walk(Line(), 0)
+    assert d.sites.tolist() == [0] and d.masses.tolist() == [1.0]
+    assert classical_walk(Circle(4), 0).masses.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_classical_walk_odd_circle_converges_to_uniform():

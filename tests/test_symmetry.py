@@ -58,6 +58,19 @@ def test_verify_rejects_bad_candidates():
         verify_symmetrizer(hadamard_coin(), np.eye(3))
 
 
+def test_verify_rejects_a_nan_candidate():
+    with pytest.raises(DomainError, match="candidate must be a 2x2 unitary"):
+        verify_symmetrizer(hadamard_coin(), np.full((2, 2), np.nan))
+
+
+def test_symmetric_initial_refuses_a_coin_without_a_pauli_symmetrizer():
+    # diag(1, i) R diag(1, e^{0.7i}) for a real rotation R: no Pauli mirrors it
+    rotation = np.array([[0.6, 0.8], [-0.8, 0.6]])
+    coin = CoinOperator(np.diag([1, 1j]) @ rotation @ np.diag([1, np.exp(0.7j)]))
+    with pytest.raises(DomainError, match="no symmetrizer verified for this coin"):
+        symmetric_initial(coin)
+
+
 def grid_oracle(coin, s, n_k=2001):
     """Best sign and largest entry of ``S^dag M_k S -+ M_{-k}`` on a k-grid.
 
