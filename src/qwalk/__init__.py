@@ -19,13 +19,13 @@ from .core import (
     CoinOperator,
     DomainError,
     Line,
+    ProbabilityDistribution,
     WaveFunction,
     hadamard_coin,
     initial_state,
     theta_coin,
 )
 from .evolve import (
-    ProbabilityDistribution,
     distribution,
     evolve_circle,
     evolve_line,

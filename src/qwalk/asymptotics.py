@@ -62,7 +62,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import CoinOperator, DomainError, _site_masses, chirality_pair
+from .core import CoinOperator, DomainError, _as_index, _site_masses, chirality_pair
 from .spectral import _dispersion, _split
 
 
@@ -96,13 +96,15 @@ def asymptotic_wavefunction(
     Returns shape ``(len(sites), 2)``.  ``init`` is anything
     :func:`qwalk.core.chirality_pair` accepts; the walk starts at site 0.
     Parity-forbidden sites hold exact zeros.  Needs ``0 < |u00| < 1``,
-    ``t >= 1``, integer ``sites`` and ``|n/t| < |u00|`` at every site;
-    the error grows without bound towards the edge, where ``w'' -> 0``.
+    an integer ``t >= 1`` (a float such as 10.5 or a string is refused,
+    whatever its value, as :func:`qwalk.core.check_steps` refuses it),
+    integer ``sites`` and ``|n/t| < |u00|`` at every site; the error
+    grows without bound towards the edge, where ``w'' -> 0``.
     """
     edge = support_edge(coin)
     if not 0 < edge < 1:
         raise DomainError(f"stationary phase needs 0 < |u00| < 1, got |u00| = {edge:.6g}")
-    if t < 1:
+    if _as_index(t, "t") < 1:
         raise DomainError("stationary phase needs t >= 1")
     sites = np.asarray(sites)
     if sites.ndim != 1 or sites.dtype.kind not in "iu":

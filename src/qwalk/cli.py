@@ -19,10 +19,14 @@ probability is squared from its amplitudes by the kernel behind
 :func:`qwalk.evolve.distribution`, so the routes print the same bits
 for the same amplitudes.
 
-Exit codes: 0 success, 2 usage/config error or a failed write of the
-output (a closed pipe, a full disk), 3 domain error (a precondition of
-the dispatched operation was violated).  Either way the error is one
-``error:`` line on stderr, argparse's own included.
+Exit codes: 0 success; 2 when the command line cannot be parsed or its
+options conflict, or the output cannot be written (a closed pipe, a
+full disk); 3 when the library refuses a value, as
+:class:`qwalk.core.DomainError`.  The CLI only parses: every rule on a
+parsed value (the sign and cap of ``--steps``, a finite ``--delta``, a
+``--t-cap`` of at least 1) is checked once, by the library call that
+takes it.  Either way the error is one ``error:`` line on stderr,
+argparse's own included.
 """
 
 from __future__ import annotations
@@ -56,9 +60,6 @@ from .symmetry import PAULIS, verify_symmetrizer
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 3
-
-
-_fmt = "{:.17g}".format
 
 
 def parse_theta(text: str) -> float:
@@ -103,7 +104,7 @@ def _topology_from_args(args):
 
 
 def _csv_cell(v) -> str:
-    return "" if v is None else _fmt(v) if isinstance(v, float) else str(v)
+    return "" if v is None else "%.17g" % v if isinstance(v, float) else str(v)
 
 
 def _json_cell(v) -> str:
@@ -232,10 +233,15 @@ _MARGIN = 0.1
 
 
 def _interior(coin: CoinOperator, t: int) -> np.ndarray:
-    """Parity-allowed sites of an origin start with ``|n/t| <= |u00| - _MARGIN``."""
+    """Parity-allowed sites of an origin start with ``|n/t| <= |u00| - _MARGIN``.
+
+    :func:`qwalk.core.check_steps` refuses a negative or oversized ``t``
+    before the sites are allocated; stationary phase needs ``t >= 1``
+    on top of that.
+    """
+    check_steps(t)
     if t < 1:
         raise DomainError("--steps must be at least 1")
-    check_steps(t)
     sites = np.arange(-t, t + 1, 2)
     return sites[np.abs(sites / t) <= support_edge(coin) - _MARGIN]
 
@@ -261,10 +267,6 @@ def cmd_moments(args) -> None:
 
 
 def cmd_mix(args) -> None:
-    if not math.isfinite(args.delta):
-        _usage_error(f"--delta must be finite, got {args.delta!r}")
-    if args.t_cap < 1:
-        _usage_error(f"--t-cap must be at least 1, got {args.t_cap}")
     topo = _topology_from_args(args)
     if args.classical:
         if {args.coin, args.init} != {None}:
@@ -310,10 +312,9 @@ def cmd_compare(args) -> None:
             p_asym[n + t] = p
     rows = list(zip(exact.sites.tolist(), p_exact.tolist(), p_spec.tolist(), p_asym))
 
-    print(f"max_abs_amplitude_diff_exact_spectral: {_fmt(max_amp_diff)}",
-          file=sys.stderr)
+    print("max_abs_amplitude_diff_exact_spectral: %.17g" % max_amp_diff, file=sys.stderr)
     if l1 is not None:
-        print(f"l1_interior_exact_asymptotic: {_fmt(l1)}", file=sys.stderr)
+        print("l1_interior_exact_asymptotic: %.17g" % l1, file=sys.stderr)
     _emit(args, ["n", "p_exact", "p_spectral", "p_asymptotic"], rows,
           extra={"max_abs_amplitude_diff_exact_spectral": max_amp_diff,
                  "l1_interior_exact_asymptotic": l1})
@@ -393,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "steps", 0) < 0:
-        parser.error("--steps must be nonnegative")
     try:
         args.func(args)
     except DomainError as exc:

@@ -81,6 +81,18 @@ class Circle:
 Topology = Line | Circle
 
 
+def _check_count_and_time(topology: Topology, count: int, time: int) -> None:
+    """Refuse a count other than a circle's size, or a time that is not an integer >= 0.
+
+    The rules :class:`WaveFunction` and :class:`ProbabilityDistribution`
+    share: ``count`` is the number of sites the value holds.
+    """
+    if isinstance(topology, Circle) and count != topology.size:
+        raise DomainError(f"{count} sites given for a circle of {topology.size}")
+    if _as_index(time, "time") < 0:
+        raise DomainError("time must be nonnegative")
+
+
 def _freeze(a, dtype) -> np.ndarray:
     """A read-only C-contiguous copy of ``a`` as ``dtype``.
 
@@ -121,7 +133,10 @@ class WaveFunction:
 
     ``amplitudes`` has shape ``(n_sites, 2)`` with columns (L, R).
     On the line, entry ``j`` lives at site ``topology.offset + j``; on
-    the circle, entry ``j`` lives at site ``j``.
+    the circle, entry ``j`` lives at site ``j``, and there are exactly
+    ``topology.size`` rows.  The amplitudes must be finite and ``time``
+    an integer of at least 0 (a float such as 2.5 is refused, whatever
+    its value).
     """
 
     topology: Topology
@@ -134,10 +149,7 @@ class WaveFunction:
             raise DomainError(f"amplitudes must have shape (n, 2), got {amps.shape}")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise DomainError("amplitudes must be finite")
-        if isinstance(self.topology, Circle) and amps.shape[0] != self.topology.size:
-            raise DomainError("amplitude count must equal circle size")
-        if self.time < 0:
-            raise DomainError("time must be nonnegative")
+        _check_count_and_time(self.topology, len(amps), self.time)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -148,6 +160,35 @@ class WaveFunction:
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(_site_masses(self.amplitudes))))
+
+
+@dataclass(frozen=True)
+class ProbabilityDistribution:
+    """Site masses observed at a fixed time.
+
+    ``masses`` is a 1-D array of finite numbers, one per site, as for
+    :class:`WaveFunction`: on the circle exactly ``topology.size`` of
+    them.  ``time`` is an integer of at least 0.  Anything else is
+    refused with :class:`DomainError`.  A walk's masses are nonnegative
+    and sum to 1 up to rounding; neither is checked, since rounding
+    leaves no exact sum to check against.
+    """
+
+    topology: Topology
+    masses: NDArray[np.float64]
+    time: int
+
+    def __post_init__(self):
+        masses = _freeze(self.masses, np.float64)
+        if masses.ndim != 1 or not np.all(np.isfinite(masses)):
+            raise DomainError("masses must be a 1-D array of finite numbers")
+        _check_count_and_time(self.topology, len(masses), self.time)
+        object.__setattr__(self, "masses", masses)
+
+    @property
+    def sites(self) -> NDArray[np.int64]:
+        start = self.topology.offset if isinstance(self.topology, Line) else 0
+        return np.arange(start, start + len(self.masses))
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,6 @@ odd (origin start) stay exactly zero, and the results hold them as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -64,9 +62,8 @@ from .core import (
     CoinOperator,
     DomainError,
     Line,
-    Topology,
+    ProbabilityDistribution,
     WaveFunction,
-    _freeze,
     _site_masses,
     check_steps,
 )
@@ -82,28 +79,9 @@ _FLUSH_EVERY = 32
 #: scaled up by a power of two (see :func:`_at_unit_scale`).
 _SCALE_BELOW = 2.0 ** -20
 #: Float64 entries of the B steps of a circle block (256 KiB, in the L2
-#: cache), and the longest block.  Measured at n = 2047, a 2**16 budget
-#: cost 0.85 MB more peak memory, and 32-step blocks ran the coined scan
-#: slower (41 ms against 34).
+#: cache).  Measured at n = 2047, a 2**16 budget cost 0.85 MB more peak
+#: memory, and 32-step blocks ran the coined scan slower (41 ms against 34).
 _RING_FLOATS = 2 ** 15
-_RING_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class ProbabilityDistribution:
-    """Nonnegative site masses summing to 1, observed at a fixed time."""
-
-    topology: Topology
-    masses: NDArray[np.float64]
-    time: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "masses", _freeze(self.masses, np.float64))
-
-    @property
-    def sites(self) -> NDArray[np.int64]:
-        start = self.topology.offset if isinstance(self.topology, Line) else 0
-        return np.arange(start, start + len(self.masses))
 
 
 def evolve_line(
@@ -162,9 +140,7 @@ def evolve_line(
     a_col, b_col, mix, first = 0, 1, coin.matrix, 0
     if adjoint:
         a_col, b_col, mix, first = 1, 0, mix.conj().T[::-1, ::-1], 1
-    real = not np.any(mix.imag)
-    if real:
-        mix = mix.real
+    real, entries = _coin_entries(mix)
     # a real coin never mixes real and imaginary parts: with no
     # imaginary input there is nothing to step but the real parts
     if real and not np.any(amps.imag):
@@ -179,7 +155,7 @@ def evolve_line(
         n_in = (n - p + 1) // 2
         work[0, :n_in] = amps[p::2, a_col]
         work[1, steps:steps + n_in] = amps[p::2, b_col]
-        _mix_steps(work.view(np.float64) if real else work, mix, n - p, steps, first,
+        _mix_steps(work.view(np.float64) if real else work, entries, n - p, steps, first,
                    floor)
         # adding into +0.0 keeps every zero of the result a +0.0
         out[p::2, a_col] += work[0]
@@ -207,6 +183,20 @@ def _at_unit_scale(amps):
     return scaled, lambda out: (np.ldexp(out.view(np.float64), -shift) + 0.0).view(np.complex128)
 
 
+def _coin_entries(matrix):
+    """``(real, (w00, w01, w10, w11))`` of a 2x2 coin matrix, for the step kernels.
+
+    ``real`` says that no entry has a nonzero imaginary part; the four
+    entries are then those of the real part, which steps the float64
+    view.  They are 0-d arrays of the matrix's (or its real part's)
+    dtype: a ufunc converts a numpy scalar operand to an array anew on
+    every call, and on windows of a few thousand entries that
+    conversion is a measurable share of the step.
+    """
+    real = not np.any(matrix.imag)
+    return real, tuple(map(np.array, (matrix.real if real else matrix).ravel()))
+
+
 def _flush(parts, floor, scratch):
     """Set each entry of the float64 array ``parts`` below ``floor`` in magnitude to +0.0.
 
@@ -216,7 +206,7 @@ def _flush(parts, floor, scratch):
     np.copyto(parts, 0.0, where=np.abs(parts, out=scratch[:len(parts)]) < floor)
 
 
-def _mix_steps(work, mix, m, steps, first, floor):
+def _mix_steps(work, entries, m, steps, first, floor):
     """Apply ``(a, b) <- mix (a, b)`` in place for ``s = first .. first+steps-1``.
 
     ``work`` holds the rows ``a, b`` and two scratch rows of
@@ -230,17 +220,14 @@ def _mix_steps(work, mix, m, steps, first, floor):
     two windows are flushed below ``floor`` through the scratch row
     ``t1`` (:func:`_flush`; the module docstring states the bound).
 
-    A step is six ufunc calls with positional outputs, and the coin
-    entries are 0-d arrays of the mix's dtype: a ufunc converts a numpy
-    scalar operand to an array anew on every call, and on windows of a
-    few thousand entries that conversion is a measurable share of the
-    step.  The operands and their order are those of
-    ``x = b w01; y = a w10; a = a w00 + x; b = b w11 + y``, so every bit
-    is the same.
+    ``entries`` are the four entries of ``mix`` from
+    :func:`_coin_entries`.  A step is six ufunc calls with positional
+    outputs.  The operands and their order are those of ``x = b w01;
+    y = a w10; a = a w00 + x; b = b w11 + y``, so every bit is the same.
     """
     a, b, t1, t2 = work
     scale = len(a) // ((m + 2 * steps + 1) // 2)
-    w00, w01, w10, w11 = map(np.array, mix.ravel())
+    w00, w01, w10, w11 = entries
     multiply, add = np.multiply, np.add
     for s in range(first, first + steps):
         k = scale * ((m + 2 * s + 1) // 2)
@@ -304,13 +291,14 @@ def _ring_blocks(rows, coin, steps):
     the arithmetic of the per-step recurrence, so every row is its row
     bit for bit; a real coin matrix runs on the float64 view.
 
-    ``B = min(64, n, max(8, n // 8), 2**15 // (f n))``, at least 1, with
+    ``B = min(n, max(8, n // 8), 2**15 // (f n))``, at least 1, with
     ``f`` the float64 entries of one site in one slot (1 classical, 4
     coined), so ``B n f <= 2**15`` and the ring stays near 256 KiB; past
-    ``n = 2**15 / f`` a block is one step.  On a cycle of 64 sites or
-    more the windows add at most an eighth of n to the work of a step:
-    at n = 127, blocks of n/2 or more took 1.1 ms for the coined scan,
-    against 0.6 ms at n/8.
+    ``n = 2**15 / f`` a block is one step.  No block is longer than 64
+    steps: ``max(8, n // 8) <= 64`` up to n = 512, and past it ``2**15
+    // (f n) <= 63``.  On a cycle of 64 sites or more the windows add at
+    most an eighth of n to the work of a step: at n = 127, blocks of n/2
+    or more took 1.1 ms for the coined scan, against 0.6 ms at n/8.
 
     A coined walk is flushed below ``floor = 2**-600 M``, ``M`` the
     largest real or imaginary part of ``rows``, at the start of every
@@ -325,7 +313,7 @@ def _ring_blocks(rows, coin, steps):
     """
     c, n = rows.shape
     floats = 1 if coin is None else 4
-    b = max(1, min(_RING_BLOCK, n, max(8, n // 8), _RING_FLOATS // (floats * n)))
+    b = max(1, min(n, max(8, n // 8), _RING_FLOATS // (floats * n)))
     width = n + 2 * b
     ring = np.zeros((b + 1, c, width), dtype=rows.dtype)
     ring[0, :, b:b + n] = rows
@@ -333,10 +321,7 @@ def _ring_blocks(rows, coin, steps):
     if coin is None:
         half = np.array(0.5)
     else:
-        u = coin.matrix
-        real = not np.any(u.imag)
-        # 0-d arrays, as in _mix_steps
-        w00, w01, w10, w11 = map(np.array, (u.real if real else u).ravel())
+        real, (w00, w01, w10, w11) = _coin_entries(coin.matrix)
         if real:
             views, k = ring.view(np.float64), 2
     tmp = np.empty(k * (width - 2), dtype=views.dtype)

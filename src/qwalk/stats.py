@@ -197,7 +197,9 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
     on the occupied parity class on an even one.
     The trace of (t, TV) values is always returned in full up to the
     crossing (or the cap, if never reached).  ``t_cap`` must be an
-    integer of at least 1.  The scan takes at most
+    integer of at least 1 and ``delta`` finite: no TV distance is at or
+    below NaN or -inf, and every one is at or below +inf, so none of
+    them is a target a scan can look for.  The scan takes at most
     :data:`qwalk.core.MAX_STEPS` steps, so the trace stays within 8 MB:
     a larger ``t_cap`` is accepted, because the scan stops at the
     crossing, but a scan that reaches ``MAX_STEPS`` without one raises
@@ -208,6 +210,8 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
         raise DomainError("mixing_time is defined on the circle")
     if _as_index(t_cap, "t_cap") < 1:
         raise DomainError(f"t_cap must be at least 1, got {t_cap}")
+    if not math.isfinite(delta):
+        raise DomainError(f"delta must be finite, got {delta!r}")
     steps = min(t_cap, MAX_STEPS)
     n = spec.topology.size
     trace = array("d")  # 8 bytes a step; a list of floats holds about 32
@@ -237,9 +241,9 @@ def cesaro_average(spec: WalkSpec, big_t: int) -> ProbabilityDistribution:
     """
     if not isinstance(spec.topology, Circle):
         raise DomainError("cesaro_average is defined on the circle")
+    check_steps(big_t)
     if big_t < 1:
         raise DomainError("T must be at least 1")
-    check_steps(big_t)
     acc = np.zeros(spec.topology.size)
     for masses in _masses(spec, big_t):
         # a reduction down the rows adds them one after another, in the

@@ -366,9 +366,6 @@ def test_usage_errors_exit_2(capsys):
         main(["no-such-command"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--steps", "-3"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
         main(["simulate", "--topology", "circle:abc"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
@@ -431,28 +428,40 @@ def test_compare_refuses_circle(command, capsys):
     ["simulate", "--coin", "abc"],
     ["simulate", "--coin", "halfpi"],
     ["simulate", "--topology", "circle:x"],
-    ["mix", "--topology", "circle:31", "--delta", "nan"],
-    ["mix", "--topology", "circle:31", "--delta", "0.3", "--t-cap", "0"],
-    ["mix", "--topology", "circle:31", "--delta", "0.3", "--t-cap", "-5"],
     ["mix", "--topology", "circle:31", "--delta", "0.3", "--classical", "--coin", "1.2"],
     ["mix", "--topology", "circle:31", "--delta", "0.3", "--classical", "--init", "left"],
     ["compare", "--epsilon", "0.1"],
     ["asymptotic", "--epsilon", "0.1"],
-    ["simulate", "--steps", "-3"],
     ["simulate", "--steps", "abc"],
     ["mix", "--topology", "circle:31", "--delta", "abc"],
     ["mix", "--topology", "circle:31"],
     ["simulate", "--no-such-option"],
     ["no-such-command"],
-], ids=["coin", "theta", "circle-size", "delta-nan", "t-cap-0", "t-cap-negative",
-        "classical-coin", "classical-init", "compare-epsilon", "asymptotic-epsilon",
-        "steps-negative", "steps-not-int", "delta-not-float", "delta-missing",
-        "unknown-option", "unknown-command"])
+], ids=["coin", "theta", "circle-size", "classical-coin", "classical-init",
+        "compare-epsilon", "asymptotic-epsilon", "steps-not-int", "delta-not-float",
+        "delta-missing", "unknown-option", "unknown-command"])
 def test_bad_values_are_one_line_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     err = capsys.readouterr().err
     assert exc.value.code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["mix", "--topology", "circle:31", "--delta", "nan"],
+    ["mix", "--topology", "circle:31", "--delta", "inf"],
+    ["mix", "--topology", "circle:31", "--delta=-inf"],
+    ["mix", "--topology", "circle:31", "--delta", "0.3", "--t-cap", "0"],
+    ["mix", "--topology", "circle:31", "--delta", "0.3", "--t-cap", "-5"],
+    ["simulate", "--steps", "-3"],
+    ["simulate", "--steps", "1048577"],
+], ids=["delta-nan", "delta-inf", "delta-minus-inf", "t-cap-0", "t-cap-negative",
+        "steps-negative", "steps-over-cap"])
+def test_refused_values_are_one_line_domain_errors(argv, capsys):
+    # the CLI parses; the library call that takes the value refuses it
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
 
 

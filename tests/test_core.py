@@ -28,6 +28,7 @@ from qwalk import (
     mixing_time,
     p_asymptotic,
     theta_coin,
+    tv_distance,
 )
 from qwalk.core import chirality_pair
 from qwalk.spectral import _transfer_matrix
@@ -87,12 +88,18 @@ def test_chirality_pair_rejects_nan():
     lambda: evolve_spectral(initial_state("left"), hadamard_coin(), 2.5),
     lambda: mixing_time(WalkSpec(Circle(5)), 0.1, 2.5),
     lambda: cesaro_average(WalkSpec(Circle(5)), 2.5),
+    lambda: cesaro_average(WalkSpec(Circle(5)), "5"),
     lambda: classical_walk(Line(), 2.5),
+    lambda: p_asymptotic(hadamard_coin(), "left", 10.5, np.array([0, 2])),
+    lambda: p_asymptotic(hadamard_coin(), "left", "10", np.array([0, 2])),
+    lambda: WaveFunction(Line(), [[1, 0]], time=2.5),
+    lambda: ProbabilityDistribution(Line(), [1.0], 2.5),
     lambda: initial_state("left", Circle(3.5)),
     lambda: Circle("5"),
     lambda: Line(offset=0.5),
 ], ids=["evolve_line", "evolve_circle", "evolve_spectral", "mixing_time", "cesaro_average",
-        "classical_walk", "circle-3.5", "circle-str", "line-offset"])
+        "cesaro_average-str", "classical_walk", "p_asymptotic", "p_asymptotic-str",
+        "wavefunction-time", "distribution-time", "circle-3.5", "circle-str", "line-offset"])
 def test_non_integer_steps_and_sizes_are_domain_errors(call):
     with pytest.raises(DomainError, match="must be an integer"):
         call()
@@ -179,6 +186,19 @@ def test_wavefunction_validation():
         WaveFunction(Line(), np.array([[np.nan, 0.0]]))
     with pytest.raises(DomainError, match="time must be nonnegative"):
         WaveFunction(Line(), np.array([[1.0, 0.0]]), time=-1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tv_distance(ProbabilityDistribution(Circle(3), [1.0], 0)),
+    lambda: ProbabilityDistribution(Circle(3), [0.2, 0.3], 0),
+    lambda: ProbabilityDistribution(Line(), [0.5, np.nan], 0),
+    lambda: ProbabilityDistribution(Line(), [[0.5, 0.5]], 0),
+    lambda: ProbabilityDistribution(Line(), 1.0, 0),
+    lambda: ProbabilityDistribution(Line(), [1.0], -1),
+], ids=["circle-one-mass", "circle-two-masses", "nan", "2-d", "0-d", "negative-time"])
+def test_distribution_validation(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])

@@ -234,6 +234,13 @@ def test_mixing_time_requires_circle():
         mixing_time(WalkSpec(Line()), 0.3, 100)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_mixing_time_rejects_a_non_finite_delta(delta):
+    # NaN and -inf are never reached and +inf always is: none is a target
+    with pytest.raises(DomainError, match="delta must be finite"):
+        mixing_time(WalkSpec(Circle(5)), delta, 50)
+
+
 @pytest.mark.parametrize("t_cap", [0, -5])
 def test_mixing_time_rejects_cap_below_one(t_cap):
     with pytest.raises(DomainError):
