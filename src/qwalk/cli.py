@@ -7,15 +7,19 @@ files on one machine.  What the recurrence computes (``simulate``,
 at every SIMD level numpy dispatches to; values that go through its
 dispatched transcendentals (the spectral and stationary-phase routes)
 can differ in the last bit between CPUs.  Floats are printed with 17
-significant digits so doubles round-trip losslessly.  Tables are formatted from one %-template per
-row, with one conversion per column: ``%d`` for a column of plain
-ints, ``%.17g`` (CSV) or ``%r`` (JSON) for a column of finite plain
-floats, and ``%s`` over each cell's own text for any other column.  A
-chunk of rows is formatted by one % operation and written as it is
-made, and the JSON rows are spliced into the indented ``json.dumps`` of
-the rest of the payload.  The bytes are those of formatting each value
-on its own and dumping the whole payload at once.  Every site
-probability is squared from its amplitudes by the kernel behind
+significant digits so doubles round-trip losslessly.  Each command
+hands the writer one numpy record array, one field per column, and
+each column's conversion comes from its field's dtype: ``%d`` for an
+integer field, ``%.17g`` (CSV) or ``%r`` (JSON) for a float field of
+finite values, and ``%s`` over each cell's own text for any other field
+(object, str, bool, or a float field holding NaN or inf).  A chunk of
+rows is turned into Python values, formatted by one % operation and
+written as it is made, so apart from that chunk the writer holds only
+the record array (48 bytes a row for a wavefunction table).  The JSON
+rows are spliced into the indented ``json.dumps`` of the rest of the
+payload.  The bytes are those of formatting each value on its own and
+dumping the whole payload at once.  Every site probability is squared
+from its amplitudes by the kernel behind
 :func:`qwalk.evolve.distribution`, so the routes print the same bits
 for the same amplitudes.
 
@@ -35,6 +39,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from itertools import chain
 from typing import Callable, Iterator, NoReturn
@@ -111,18 +116,20 @@ def _json_cell(v) -> str:
     return "null" if v is None else json.dumps(v)
 
 
-def _column_spec(values: tuple, csv: bool) -> tuple[str, tuple, Callable | None]:
-    """One column's %-conversion, for CSV or as JSON values, its cells and their text.
+def _column_spec(column: np.ndarray, csv: bool) -> tuple[str, np.ndarray, Callable | None]:
+    """One field's %-conversion, for CSV or as JSON values, the field and its cells' text.
 
-    The text function is None where the conversion takes the cells as
-    they are; a ``%s`` column is converted a chunk at a time.
+    The conversion comes from the field's dtype: ``%d`` for an integer
+    field, ``%.17g`` (CSV) or ``%r`` (JSON) for a float field of finite
+    values, and ``%s`` over each cell's own text for any other field
+    (object, str, bool, or a float field holding NaN or inf).  The text
+    function is None where the conversion takes the cells as they are.
     """
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        return "%d", values, None
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return "%.17g" if csv else "%r", values, None
-    return "%s", values, _csv_cell if csv else _json_cell
+    if column.dtype.kind in "iu":
+        return "%d", column, None
+    if column.dtype.kind == "f" and np.isfinite(column).all():
+        return "%.17g" if csv else "%r", column, None
+    return "%s", column, _csv_cell if csv else _json_cell
 
 
 #: rows formatted by one % operation
@@ -135,9 +142,11 @@ def _formatted(template: str, specs: list) -> Iterator[str]:
     """The rows' text, ``_CHUNK`` rows a piece, from ``template`` and ``_column_spec``s.
 
     ``template`` holds one row with the specs' conversions in order; a
-    piece interleaves slices of their columns and formats them at once.
-    The repeated template and the cell list are built once and reused:
-    building them per piece left the benchmark's peak RSS higher.
+    piece takes one slice of each field as Python values (``tolist``),
+    interleaves them and formats them at once, so no Python object
+    outlives the piece it was made for.  The repeated template and the
+    cell list are built once and reused: building them per piece left
+    the benchmark's peak RSS higher.
     """
     width, count = len(specs), len(specs[0][1])
     rows = min(_CHUNK, count)
@@ -147,26 +156,27 @@ def _formatted(template: str, specs: list) -> Iterator[str]:
         if stop - start < rows:  # the last piece is shorter
             page, cells = template * (stop - start), cells[:width * (stop - start)]
         for i, (_, column, text) in enumerate(specs):
-            part = column[start:stop]
+            part = column[start:stop].tolist()
             cells[i::width] = part if text is None else map(text, part)
         yield page % tuple(cells)
 
 
-def _emit(args, header: list[str], rows: list, extra: dict | None = None) -> None:
+def _emit(args, header: list[str], rows: np.recarray, extra: dict | None = None) -> None:
     """Write the result as CSV (header + rows) or JSON (config echo + data).
 
-    ``rows`` holds one sequence of cells per row.  Each column takes one
-    %-conversion (:func:`_column_spec`), the row template joins them,
+    ``rows`` is a record array with one field per name of ``header``;
+    ``len(rows)`` is the row count.  Each field takes one %-conversion
+    from its dtype (:func:`_column_spec`), the row template joins them,
     and each chunk of rows is formatted by one % operation and written
-    as it is made; JSON rows are objects with sorted keys, as in
-    ``json.dumps(payload, indent=1, sort_keys=True)``.
+    as it is made, so apart from the chunk being formatted the writer
+    holds only the record array.  JSON rows are objects with sorted
+    keys, as in ``json.dumps(payload, indent=1, sort_keys=True)``.
     """
     csv = args.format == "csv"
-    columns = list(zip(*rows))
     if csv:
-        specs = [_column_spec(column, csv) for column in columns]
+        specs = [_column_spec(rows[key], csv) for key in header]
         template = ",".join(spec[0] for spec in specs) + "\n"
-        pieces = chain([",".join(header) + "\n"], _formatted(template, specs) if rows else [])
+        pieces = chain([",".join(header) + "\n"], _formatted(template, specs))
     else:
         config = {k: v for k, v in sorted(vars(args).items())
                   if k != "func" and v is not None}
@@ -175,11 +185,9 @@ def _emit(args, header: list[str], rows: list, extra: dict | None = None) -> Non
             payload.update(extra)
         text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
         pieces = [text]
-        if rows:
-            # a repeated key keeps its last column, as a dict built from the row would
-            index = {key: i for i, key in enumerate(header)}
-            keys = sorted(index)
-            specs = [_column_spec(columns[index[key]], csv) for key in keys]
+        if len(rows):
+            keys = sorted(header)
+            specs = [_column_spec(rows[key], csv) for key in keys]
             fields = ",\n".join(f"   {json.dumps(key).replace('%', '%%')}: {spec[0]}"
                                 for key, spec in zip(keys, specs))
             chunks = _formatted(",\n  {\n" + fields + "\n  }", specs)
@@ -203,10 +211,10 @@ def _emit(args, header: list[str], rows: list, extra: dict | None = None) -> Non
         _usage_error(f"cannot write to standard output: {exc.strerror}")
 
 
-def _wavefunction_rows(psi) -> list[tuple]:
+def _wavefunction_table(psi) -> np.recarray:
     # the float64 view of the (L, R) columns is (L.re, L.im, R.re, R.im)
-    return list(zip(psi.sites.tolist(), *psi.amplitudes.view(np.float64).T.tolist(),
-                    distribution(psi).masses.tolist()))
+    return np.rec.fromarrays([psi.sites, *psi.amplitudes.view(np.float64).T,
+                              distribution(psi).masses], names=WF_HEADER)
 
 
 WF_HEADER = ["n", "psi_L_re", "psi_L_im", "psi_R_re", "psi_R_im", "prob"]
@@ -217,14 +225,14 @@ def cmd_simulate(args) -> None:
     topo = _topology_from_args(args)
     evolve = evolve_circle if isinstance(topo, Circle) else evolve_line
     psi = evolve(initial_state(args.init, topo), coin, args.steps)
-    _emit(args, WF_HEADER, _wavefunction_rows(psi))
+    _emit(args, WF_HEADER, _wavefunction_table(psi))
 
 
 def cmd_spectral(args) -> None:
     coin = _coin_from_args(args)
     topo = _topology_from_args(args)
     psi = evolve_spectral(initial_state(args.init, topo), coin, args.steps)
-    _emit(args, WF_HEADER, _wavefunction_rows(psi))
+    _emit(args, WF_HEADER, _wavefunction_table(psi))
 
 
 #: margin kept inside the cone edge |u00|: the interior formula of
@@ -254,16 +262,17 @@ def cmd_asymptotic(args) -> None:
         raise DomainError(f"no parity-allowed site has |n/t| <= |u00| - {_MARGIN} "
                           f"= {support_edge(coin) - _MARGIN:.6g}")
     probs = p_asymptotic(coin, args.init, t, sites)
-    _emit(args, ["n", "alpha", "prob"],
-          list(zip(sites.tolist(), (sites / t).tolist(), probs.tolist())))
+    header = ["n", "alpha", "prob"]
+    _emit(args, header, np.rec.fromarrays([sites, sites / t, probs], names=header))
 
 
 def cmd_moments(args) -> None:
     coin = _coin_from_args(args)
     dist = distribution(evolve_line(initial_state(args.init), coin, args.steps))
-    rows = [[name, moment(dist, name), density_moment(coin, args.init, name)]
+    header = ["moment", "simulation", "density"]
+    rows = [(name, moment(dist, name), density_moment(coin, args.init, name))
             for name in ("mean", "abs_mean", "second")]
-    _emit(args, ["moment", "simulation", "density"], rows)
+    _emit(args, header, np.rec.fromrecords(rows, names=header))
 
 
 def cmd_mix(args) -> None:
@@ -278,17 +287,19 @@ def cmd_mix(args) -> None:
         args.init = "left" if args.init is None else args.init
         spec = WalkSpec(topo, _coin_from_args(args), args.init)
     report = mixing_time(spec, args.delta, args.t_cap)
-    rows = list(enumerate(report.tv_trace.tolist(), start=1))
+    header, trace = ["t", "tv"], report.tv_trace
     print(f"crossing_time: {report.time if report.time is not None else 'not reached'}",
           file=sys.stderr)
-    _emit(args, ["t", "tv"], rows, extra={"crossing_time": report.time})
+    _emit(args, header, np.rec.fromarrays([np.arange(1, trace.size + 1), trace], names=header),
+          extra={"crossing_time": report.time})
 
 
 def cmd_symmetry(args) -> None:
     coin = _coin_from_args(args)
     reports = [(name, verify_symmetrizer(coin, cand)) for name, cand in PAULIS]
-    rows = [[name, rep.sign, float(rep.max_residual), rep.verdict] for name, rep in reports]
-    _emit(args, ["candidate", "sign", "max_residual", "verdict"], rows)
+    header = ["candidate", "sign", "max_residual", "verdict"]
+    rows = [(name, rep.sign, rep.max_residual, rep.verdict) for name, rep in reports]
+    _emit(args, header, np.rec.fromrecords(rows, names=header))
 
 
 def cmd_compare(args) -> None:
@@ -302,20 +313,19 @@ def cmd_compare(args) -> None:
 
     p_exact = distribution(exact).masses
     p_spec = distribution(spectral).masses
-    p_asym = [None] * len(p_exact)
+    p_asym = np.full(len(p_exact), None, dtype=object)
     l1 = None
     if sites.size and support_edge(coin) < 1:
         # exact and spectral hold sites -t..t, so site n sits at row n + t
         probs = p_asymptotic(coin, args.init, t, sites)
         l1 = float(np.sum(np.abs(probs - p_exact[sites + t])))
-        for n, p in zip(sites.tolist(), probs.tolist()):
-            p_asym[n + t] = p
-    rows = list(zip(exact.sites.tolist(), p_exact.tolist(), p_spec.tolist(), p_asym))
+        p_asym[sites + t] = probs.tolist()
 
     print("max_abs_amplitude_diff_exact_spectral: %.17g" % max_amp_diff, file=sys.stderr)
     if l1 is not None:
         print("l1_interior_exact_asymptotic: %.17g" % l1, file=sys.stderr)
-    _emit(args, ["n", "p_exact", "p_spectral", "p_asymptotic"], rows,
+    header = ["n", "p_exact", "p_spectral", "p_asymptotic"]
+    _emit(args, header, np.rec.fromarrays([exact.sites, p_exact, p_spec, p_asym], names=header),
           extra={"max_abs_amplitude_diff_exact_spectral": max_amp_diff,
                  "l1_interior_exact_asymptotic": l1})
 
@@ -323,8 +333,17 @@ def cmd_compare(args) -> None:
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reports a bad command line on one line.
 
-    Its subcommand parsers are of this class too.
+    Its subcommand parsers are of this class too.  A word that starts
+    with ``-`` and then a digit, ``.digit``, ``inf`` or ``nan`` is a
+    negative number, so ``--delta -inf`` and ``--coin -0.5pi`` read
+    their value as ``--delta=-inf`` and ``--coin=-0.5pi`` do.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern differs between Python versions, and none
+        # of them takes "-inf" or "-nan"; older ones miss "-0.5pi" and "-1e-3"
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan).*", re.IGNORECASE)
 
     def error(self, message: str) -> NoReturn:
         _usage_error(message)

@@ -13,6 +13,7 @@ a length-2 complex vector ``(psi_L, psi_R)``.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -39,6 +40,18 @@ def _as_index(value: int, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _as_real(value: float, name: str) -> float:
+    """``value`` as a float, or :class:`DomainError` if it is not a real number.
+
+    The float counterpart of :func:`_as_index`: Python and NumPy reals
+    pass; a string, None or a complex number does not, whatever its
+    value.
+    """
+    if not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def check_steps(steps: int) -> None:
@@ -235,7 +248,7 @@ def theta_coin(theta: float) -> CoinOperator:
     theta : float
         Family parameter in [0, pi].
     """
-    if not 0.0 <= theta <= math.pi:
+    if not 0.0 <= _as_real(theta, "theta") <= math.pi:
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
     c, s = math.sin((math.pi - theta) / 2), math.sin(theta / 2)
     return CoinOperator(np.array([[c, s], [-s, c]]))

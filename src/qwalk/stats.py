@@ -58,6 +58,7 @@ from .core import (
     MAX_STEPS,
     Topology,
     _as_index,
+    _as_real,
     _row_masses,
     check_steps,
     hadamard_coin,
@@ -130,7 +131,7 @@ def interval_mass(dist: ProbabilityDistribution, coin: CoinOperator, eps: float)
     ``eps = 0.05``.  Before that, t times the error wanders with t.
     ``eps`` must lie in ``[0, pi/2]``, where the law holds.
     """
-    if not 0 <= eps <= math.pi / 2:
+    if not 0 <= _as_real(eps, "eps") <= math.pi / 2:
         raise DomainError(f"eps must lie in [0, pi/2], got {eps}")
     alpha = _velocities(dist)
     c = support_edge(coin)
@@ -210,7 +211,7 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
         raise DomainError("mixing_time is defined on the circle")
     if _as_index(t_cap, "t_cap") < 1:
         raise DomainError(f"t_cap must be at least 1, got {t_cap}")
-    if not math.isfinite(delta):
+    if not math.isfinite(_as_real(delta, "delta")):
         raise DomainError(f"delta must be finite, got {delta!r}")
     steps = min(t_cap, MAX_STEPS)
     n = spec.topology.size

@@ -9,6 +9,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from functools import cache
 
 import numpy as np
 import pytest
@@ -299,6 +301,33 @@ def test_output_file(tmp_path, capsys):
     assert header[0] == "n" and len(rows) == 17
 
 
+def traced_peak(call) -> int:
+    """The peak of the memory ``tracemalloc`` sees allocated while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@cache
+def walk_peak(command: str, t: int) -> int:
+    evolve = {"simulate": evolve_line, "spectral": evolve_spectral}[command]
+    return traced_peak(lambda: evolve(initial_state("left"), hadamard_coin(), t))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["simulate", "spectral"])
+def test_the_writer_holds_a_few_bytes_a_row_over_the_walk(command, fmt):
+    # the record array takes 48 B a row and the walk's own peak covers
+    # most of it; a Python object per cell (some 300 B a row) does not fit
+    t = 20000
+    peak = traced_peak(lambda: main([command, "--steps", str(t), "--format", fmt,
+                                     "--output", os.devnull]))
+    assert peak - walk_peak(command, t) <= 64 * (2 * t + 1)
+
+
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "out.csv"
     with pytest.raises(SystemExit) as exc:
@@ -465,6 +494,22 @@ def test_refused_values_are_one_line_domain_errors(argv, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["mix", "--topology", "circle:31", "--delta"], "-inf"),
+    (["mix", "--topology", "circle:31", "--delta"], "-nan"),
+    (["simulate", "--coin"], "-0.5pi"),
+    (["simulate", "--coin"], "-1e-3"),
+    (["simulate", "--steps"], "-3"),
+], ids=["delta-minus-inf", "delta-minus-nan", "coin-minus-pi", "coin-exponent", "steps"])
+def test_a_negative_value_reads_the_same_in_both_spellings(argv, value, capsys):
+    # "--opt -x" and "--opt=-x" give the one value to the library, which refuses it
+    *head, option = argv
+    spaced = run_cli([*head, option, value], capsys)
+    assert spaced == run_cli([*head, f"{option}={value}"], capsys)
+    code, out, err = spaced
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
 
 def density_table(out):
     _, rows = parse_csv(out)
@@ -629,20 +674,42 @@ EMIT_TABLES = [
 ]
 
 
+def object_table(header, rows):
+    """``rows`` as the writer takes them: a record array, here of object fields."""
+    return np.rec.fromarrays([np.array([row[i] for row in rows], dtype=object)
+                              for i in range(len(header))], names=header)
+
+
+# typed fields, one per dtype branch of the writer: int64, finite float64
+# (with -0.0 and the smallest subnormal) and float64 holding NaN and +-inf;
+# then a typed table of more than two chunks, the last one partial
+TYPED_TABLES = [
+    (["n", "x", "special"], np.rec.fromarrays(
+        [np.array([-2**63, -3, 0, 1, 2**31, 2**53 + 1, 2**62, 2**63 - 1], dtype=np.int64),
+         np.array([0.1, -0.0, 0.0, 5e-324, 2.2250738585072e-308, 1e300, -1.5, 1 / 3]),
+         np.array(SPECIAL)], names=["n", "x", "special"])),
+    (["t", "tv"], np.rec.fromarrays(
+        [np.arange(1, 2 * _CHUNK + 38), 1 / np.arange(1, 2 * _CHUNK + 38)], names=["t", "tv"])),
+]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("header, rows", EMIT_TABLES)
+@pytest.mark.parametrize("header, rows", [(header, object_table(header, rows))
+                                          for header, rows in EMIT_TABLES] + TYPED_TABLES)
 @pytest.mark.parametrize("extra", [None, {"crossing_time": None, "l1": 0.25, "reached": True}])
 def test_emit_matches_the_per_value_oracle(fmt, header, rows, extra, tmp_path, capsys):
     args = argparse.Namespace(command="mix", coin="1.2", steps=16, delta=None,
                               format=fmt, output="-", func=main)
     _emit(args, header, rows, extra)
-    # compared as lists of lines, which is the same check: pytest's diff of
-    # two long unequal strings takes minutes, of two lists it names a line
-    lines = oracle_text(args, header, rows, extra).splitlines(keepends=True)
+    # the oracle formats the Python values the record array holds, one by
+    # one; compared as lists of lines, which is the same check: pytest's
+    # diff of two long unequal strings takes minutes, of two lists it
+    # names a line
+    lines = oracle_text(args, header, rows.tolist(), extra).splitlines(keepends=True)
     assert capsys.readouterr().out.splitlines(keepends=True) == lines
     args.output = str(tmp_path / "table.out")
     _emit(args, header, rows, extra)
     with open(args.output, newline="") as fh:
         assert fh.read().splitlines(keepends=True) == (
-            oracle_text(args, header, rows, extra).splitlines(keepends=True))
+            oracle_text(args, header, rows.tolist(), extra).splitlines(keepends=True))
     assert capsys.readouterr().out == ""

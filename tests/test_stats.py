@@ -241,6 +241,20 @@ def test_mixing_time_rejects_a_non_finite_delta(delta):
         mixing_time(WalkSpec(Circle(5)), delta, 50)
 
 
+@pytest.mark.parametrize("value", ["0.3", None, 0.3 + 0j])
+@pytest.mark.parametrize("call", [
+    lambda value: mixing_time(WalkSpec(Circle(5)), value, 10),
+    lambda value: theta_coin(value),
+    lambda value: interval_mass(distribution(evolve_line(initial_state("left"),
+                                                         hadamard_coin(), 4)),
+                                hadamard_coin(), value),
+], ids=["mixing_time-delta", "theta_coin-theta", "interval_mass-eps"])
+def test_numeric_parameters_refuse_what_is_not_a_real(call, value):
+    # a string, None or a complex number is a domain error, not a TypeError
+    with pytest.raises(DomainError, match="must be a real number"):
+        call(value)
+
+
 @pytest.mark.parametrize("t_cap", [0, -5])
 def test_mixing_time_rejects_cap_below_one(t_cap):
     with pytest.raises(DomainError):
