@@ -23,13 +23,13 @@ with ``h = arg(det U) / 2`` the same for every k, and
 
     cos w(k) = c cos q,    c = |u00|,  q = k - phi,  phi = arg u00 - h.
 
-:func:`qwalk.spectral._dispersion` gives ``(h, c, phi)``, with ``h``
-taken once per coin: a per-k value can jump by pi when ``det U = -1``
-and swap the branches.  The lower branch at k is the upper one at
-``k + pi`` times ``(-1)^(n+t)``, so the two add on the parity-allowed
-sites and cancel on the others.  On the upper branch the phase
-``t (h + w) - k n`` is stationary where ``w'(k) = alpha = n/t``.
-Inside the cone ``|alpha| < c`` that has two roots,
+:func:`qwalk.spectral._dispersion` gives ``(h, c, s, phi)``, with
+``s = |u01|`` and ``h`` taken once per coin: a per-k value can jump
+by pi when ``det U = -1`` and swap the branches.  The lower branch at
+k is the upper one at ``k + pi`` times ``(-1)^(n+t)``, so the two add
+on the parity-allowed sites and cancel on the others.  On the upper
+branch the phase ``t (h + w) - k n`` is stationary where ``w'(k) =
+alpha = n/t``.  Inside the cone ``|alpha| < c`` that has two roots,
 
     cos q = +-sqrt((c^2 - alpha^2) / (c^2 (1 - alpha^2))),  sign(sin q) = sign(alpha).
 
@@ -46,9 +46,10 @@ and each root adds
 
 where ``M_k = e^{ih} (cos(w) I + T)`` is the split of the transfer
 matrix into a phase and an SU(2) rotation with traceless part ``T``.
-The spectral route powers ``M_k`` from the same split
-(:func:`qwalk.spectral._split`), so both read ``h``, ``w`` and ``T``
-from one place, and both are tested against the recurrence.
+:func:`qwalk.spectral._split` gives ``h``, ``w``, ``sin w`` and
+``T psi0`` in closed form, with no matrix built per root; the spectral
+route powers ``M_k`` from the same split, so both read them from one
+place, and both are tested against the recurrence.
 
 The amplitude is ``O(1/sqrt(t))``.  At the cone edge ``w'' -> 0``: the
 ``O(t^{-2/3})``-wide transition layer there is deliberately unmodeled,
@@ -62,7 +63,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import CoinOperator, DomainError, _as_index, _site_masses, chirality_pair
+from .core import CoinOperator, DomainError, _as_index, _as_real, _site_masses, chirality_pair
 from .spectral import _dispersion, _split
 
 
@@ -80,11 +81,10 @@ def _stationary_points(
     q > 0`` and ``w'' > 0``, row 1 the one with ``cos q < 0`` and ``w''
     < 0``.  Needs ``|alpha| < |u00| < 1``.
     """
-    _, c, phi = _dispersion(coin)
+    _, c, s, phi = _dispersion(coin)
     root = np.sqrt((c - alpha) * (c + alpha) / (c * c * (1 - alpha) * (1 + alpha)))
     k = np.copysign(np.arccos(np.stack([root, -root])), alpha) + phi
-    width = abs(coin.matrix[0, 1])
-    curv = (1 - alpha) * (1 + alpha) * np.sqrt((c - alpha) * (c + alpha)) / width
+    curv = (1 - alpha) * (1 + alpha) * np.sqrt((c - alpha) * (c + alpha)) / s
     return k, np.stack([curv, -curv])
 
 
@@ -114,8 +114,8 @@ def asymptotic_wavefunction(
         raise DomainError(f"every |n/t| must lie inside the cone edge {edge:.6g}")
     pair = chirality_pair(init)
     k, curv = _stationary_points(coin, alpha)
-    h, w, sin, traceless = _split(coin, k)
-    projected = (pair - 1j * (traceless @ pair) / sin[..., None]) / 2
+    h, w, sin, turned = _split(coin, k, pair)
+    projected = (pair - 1j * turned / sin[..., None]) / 2
     amp = np.sqrt(2 / (math.pi * t * np.abs(curv))) * np.exp(
         1j * (t * (h + w) - k * sites + np.sign(curv) * math.pi / 4))
     psi = np.sum(amp[..., None] * projected, axis=0)
@@ -141,11 +141,11 @@ def _density_terms(
     """
     u = coin.matrix
     a, b = chirality_pair(init)
-    edge, width = abs(u[0, 0]), abs(u[0, 1])
+    _, edge, width, _ = _dispersion(coin)
     tilt = edge * (abs(a) ** 2 - abs(b) ** 2)
     if edge > 0:
         tilt += 2 * (u[0, 0] * a * np.conj(u[0, 1] * b)).real / edge
-    return float(edge), float(width), float(tilt)
+    return edge, width, float(tilt)
 
 
 def density(
@@ -159,7 +159,7 @@ def density(
     ballistically.
     """
     edge, width, tilt = _density_terms(coin, init)
-    if not abs(alpha) < edge:
+    if not abs(_as_real(alpha, "alpha")) < edge:
         raise DomainError(f"density support is |alpha| < {edge:.6g}, got {alpha}")
     if width == 0:
         raise DomainError("u01 = 0: the walk moves ballistically and has no density")

@@ -75,7 +75,7 @@ def parse_theta(text: str) -> float:
     text = text.strip().lower()
     if text.endswith("pi"):
         head = text[:-2].strip()
-        factor = 1.0 if head in ("", "+") else float(head)
+        factor = float(head + "1") if head in ("", "+", "-") else float(head)
         return factor * math.pi
     return float(text)
 
@@ -334,16 +334,17 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser that reports a bad command line on one line.
 
     Its subcommand parsers are of this class too.  A word that starts
-    with ``-`` and then a digit, ``.digit``, ``inf`` or ``nan`` is a
-    negative number, so ``--delta -inf`` and ``--coin -0.5pi`` read
-    their value as ``--delta=-inf`` and ``--coin=-0.5pi`` do.
+    with ``-`` and then a digit, ``.digit``, ``inf``, ``nan`` or ``pi``
+    is a negative number, so ``--delta -inf``, ``--coin -0.5pi`` and
+    ``--coin -pi`` read their value as ``--delta=-inf``,
+    ``--coin=-0.5pi`` and ``--coin=-pi`` do.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse's own pattern differs between Python versions, and none
-        # of them takes "-inf" or "-nan"; older ones miss "-0.5pi" and "-1e-3"
-        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan).*", re.IGNORECASE)
+        # of them takes "-inf", "-nan" or "-pi"; older ones miss "-0.5pi" and "-1e-3"
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan|pi).*", re.IGNORECASE)
 
     def error(self, message: str) -> NoReturn:
         _usage_error(message)

@@ -2,8 +2,9 @@
 
 Line statistics (:func:`moment`, :func:`interval_mass`) are defined on
 the line only, where a site is a position; :func:`interval_mass` reads
-the cone off the coin, cutting at a velocity derived from
-``support_edge(coin)``.  Distances to uniform (:func:`tv_distance`,
+the cone off the coin, cutting at a velocity derived from its edge
+``|u00|`` and ``|u01|``, as :func:`qwalk.spectral._dispersion` gives
+them.  Distances to uniform (:func:`tv_distance`,
 :func:`mixing_time`) are defined on the circle only, where the
 reference needs no coin.  The step counts of :func:`cesaro_average`
 and :func:`classical_walk` are capped at :data:`qwalk.core.MAX_STEPS`
@@ -49,7 +50,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .asymptotics import support_edge
 from .core import (
     Circle,
     CoinOperator,
@@ -65,6 +65,7 @@ from .core import (
     initial_state,
 )
 from .evolve import ProbabilityDistribution, _ring_blocks
+from .spectral import _dispersion
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,8 @@ def interval_mass(dist: ProbabilityDistribution, coin: CoinOperator, eps: float)
     """Mass of a line distribution inside the coin's cone, ``eps`` short of its edge.
 
     ``eps`` is measured in wavenumber: the interval is ``|n/t| <=
-    c cos(eps) / sqrt(cos^2(eps) + s^2 sin^2(eps))`` with ``c =
-    support_edge(coin)`` and ``s = |u01|``, which for a unitary coin is
+    c cos(eps) / sqrt(cos^2(eps) + s^2 sin^2(eps))`` with ``c = |u00|``,
+    the cone edge, and ``s = |u01|``, which for a unitary coin is
     ``c cos(eps) / sqrt(1 - c^2 sin^2(eps))``.  Konno's weak limit puts ``(2/pi)
     arctan(cot(eps)) = 1 - 2 eps/pi`` of the mass there, for every coin
     and start.  For the Hadamard coin the cut is ``cos(eps) / sqrt(1 +
@@ -134,10 +135,9 @@ def interval_mass(dist: ProbabilityDistribution, coin: CoinOperator, eps: float)
     if not 0 <= _as_real(eps, "eps") <= math.pi / 2:
         raise DomainError(f"eps must lie in [0, pi/2], got {eps}")
     alpha = _velocities(dist)
-    c = support_edge(coin)
+    _, c, s, _ = _dispersion(coin)
     # unlike 1 - c^2 sin^2(eps), the hypot stays positive at eps = pi/2
     # for c = 1, and real for a c that rounds above 1
-    s = abs(coin.matrix[0, 1])
     cutoff = c * math.cos(eps) / math.hypot(math.cos(eps), s * math.sin(eps))
     return float(np.sum(dist.masses[np.abs(alpha) <= cutoff]))
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_evolve import parts, u2_coins
-from test_spectral import EDGE_COINS, SPLIT_COINS
+from test_spectral import EDGE_COINS, SPLIT_COINS, transfer_matrix
 
 from qwalk import (
     CoinOperator,
@@ -23,7 +23,7 @@ from qwalk import (
     theta_coin,
 )
 from qwalk.asymptotics import _stationary_points, support_edge
-from qwalk.spectral import _split, _transfer_matrix
+from qwalk.spectral import _split
 from qwalk.stats import moment
 
 SQRT2 = math.sqrt(2)
@@ -69,7 +69,7 @@ def test_stationary_point_at_origin():
     # k_alpha = pi/2 and the step phase -(w + alpha k_alpha) = -pi/4, seen
     # through e^{ik} = -e^{+-i k_alpha} and e^{i(h + w)} = -e^{-+i pi/4}
     k, curv = _stationary_points(hadamard_coin(), np.array(0.0))
-    h, w, _, _ = _split(hadamard_coin(), k)
+    h, w, _, _ = _split(hadamard_coin(), k, np.array([1.0, 0.0]))
     assert np.sort(k % (2 * math.pi)) == pytest.approx([math.pi / 2, 3 * math.pi / 2])
     assert -np.exp(1j * (h + w)) == pytest.approx(np.exp([-0.25j * math.pi, 0.25j * math.pi]))
     assert curv == pytest.approx([1.0, -1.0])
@@ -116,11 +116,11 @@ def test_stationary_points_solve_the_eigenphase_condition(coin):
     # its phase has slope alpha and second derivative w'' at each root
     alpha = np.linspace(-0.9, 0.9, 37) * support_edge(coin)
     k, curv = _stationary_points(coin, alpha)
-    h, w, _, _ = _split(coin, k)
+    h, w, _, _ = _split(coin, k, np.array([1.0, 0.0]))
     step = 1e-4
 
     def upper_phase(kk):
-        eig = np.linalg.eigvals(_transfer_matrix(coin, kk))
+        eig = np.linalg.eigvals(transfer_matrix(coin, kk))
         near = np.exp(1j * (h + w))[..., None]
         return np.angle(np.take_along_axis(
             eig, np.argmin(np.abs(eig - near), axis=-1)[..., None], -1)[..., 0] / near[..., 0])
@@ -138,7 +138,7 @@ def test_stationary_points_have_the_closed_form_sine(name):
     coin = SPLIT_COINS[name]
     alpha = np.linspace(-0.99, 0.99, 199) * support_edge(coin)
     k, _ = _stationary_points(coin, alpha)
-    sin = _split(coin, k)[2]
+    sin = _split(coin, k, np.array([1.0, 0.0]))[2]
     expect = abs(coin.matrix[0, 1]) / np.sqrt(1 - alpha**2)
     assert np.max(np.abs(sin - expect)) < 1e-14
 

@@ -36,6 +36,7 @@ def parse_csv(text):
 def test_parse_theta():
     assert parse_theta("0.5pi") == pytest.approx(math.pi / 2)
     assert parse_theta("pi") == pytest.approx(math.pi)
+    assert parse_theta("-pi") == pytest.approx(-math.pi)
     assert parse_theta("1.5707963267948966") == pytest.approx(math.pi / 2)
     with pytest.raises(ValueError):
         parse_theta("twopi")
@@ -498,9 +499,11 @@ def test_refused_values_are_one_line_domain_errors(argv, capsys):
     (["mix", "--topology", "circle:31", "--delta"], "-inf"),
     (["mix", "--topology", "circle:31", "--delta"], "-nan"),
     (["simulate", "--coin"], "-0.5pi"),
+    (["simulate", "--coin"], "-pi"),
     (["simulate", "--coin"], "-1e-3"),
     (["simulate", "--steps"], "-3"),
-], ids=["delta-minus-inf", "delta-minus-nan", "coin-minus-pi", "coin-exponent", "steps"])
+], ids=["delta-minus-inf", "delta-minus-nan", "coin-minus-pi", "coin-minus-bare-pi",
+        "coin-exponent", "steps"])
 def test_a_negative_value_reads_the_same_in_both_spellings(argv, value, capsys):
     # "--opt -x" and "--opt=-x" give the one value to the library, which refuses it
     *head, option = argv

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from test_spectral import transfer_matrix
 
 import qwalk
 from qwalk import (
@@ -31,7 +32,6 @@ from qwalk import (
     tv_distance,
 )
 from qwalk.core import chirality_pair
-from qwalk.spectral import _transfer_matrix
 
 SQRT2 = math.sqrt(2)
 
@@ -125,7 +125,7 @@ def test_transfer_matrix_at_zero_is_the_coin():
     # M_0 = M+ + M-: the two shift directions together make one coin step
     complex_coin = CoinOperator(np.array([[1, 1j], [1j, 1]]) / SQRT2)
     for coin in (hadamard_coin(), theta_coin(1.0), theta_coin(2.5), complex_coin):
-        assert np.array_equal(_transfer_matrix(coin, 0.0), coin.matrix)
+        assert np.array_equal(transfer_matrix(coin, 0.0), coin.matrix)
 
 
 def test_initial_states():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from test_spectral import transfer_matrix
 
 from qwalk import (
     Circle,
@@ -21,7 +22,6 @@ from qwalk import (
     initial_state,
     theta_coin,
 )
-from qwalk.spectral import _transfer_matrix
 
 SQRT2 = math.sqrt(2)
 
@@ -393,7 +393,7 @@ def test_evolve_circle_matches_fourier_oracle(coin, pair, n, data):
     t = data.draw(st.integers(0, 3 * n))
     psi = evolve_circle(initial_state(pair, Circle(n)), coin, t)
     k = 2 * np.pi * np.arange(n) / n
-    modes = np.linalg.matrix_power(_transfer_matrix(coin, k), t) @ pair
+    modes = np.linalg.matrix_power(transfer_matrix(coin, k), t) @ pair
     expected = np.fft.fft(modes, axis=0) / n
     assert psi.time == t
     assert np.max(np.abs(psi.amplitudes - expected)) < 1e-12

@@ -16,22 +16,28 @@ from qwalk import (
     initial_state,
     theta_coin,
 )
-from qwalk.spectral import _dispersion, _propagate, _split, _transfer_matrix
+from qwalk.spectral import _dispersion, _propagate, _split
 
 SQRT2 = math.sqrt(2)
+
+
+def transfer_matrix(coin, k):
+    """The oracle ``M_k = diag(e^{-ik}, e^{ik}) U``: shape (2, 2), or (..., 2, 2) for array k."""
+    k = np.asarray(k)[..., None, None]
+    return np.exp(1j * k * np.array([[-1.0], [1.0]])) * coin.matrix
 
 
 def test_transfer_matrix_is_unitary_everywhere():
     rng = np.random.default_rng(3)
     for coin in (hadamard_coin(), theta_coin(0.7), theta_coin(2.4)):
         for k in rng.uniform(-math.pi, math.pi, 100):
-            m = _transfer_matrix(coin, k)
+            m = transfer_matrix(coin, k)
             assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-14
 
 
 def test_hadamard_transfer_matrix_entries():
     k = 0.37
-    m = _transfer_matrix(hadamard_coin(), k)
+    m = transfer_matrix(hadamard_coin(), k)
     expect = np.array(
         [[np.exp(-1j * k), np.exp(-1j * k)], [np.exp(1j * k), -np.exp(1j * k)]]
     ) / SQRT2
@@ -76,7 +82,7 @@ def test_eigensystem_reconstructs_matrix():
     ks = np.concatenate([[0.0, math.pi, -math.pi], rng.uniform(-math.pi, math.pi, 100)])
     psi = rng.normal(size=(len(ks), 2)) + 1j * rng.normal(size=(len(ks), 2))
     for coin in coins:
-        m = _transfer_matrix(coin, ks)
+        m = transfer_matrix(coin, ks)
         once = np.einsum("kij,kj->ki", m, psi)
         twice = np.einsum("kij,kj->ki", m, once)
         assert np.max(np.abs(_propagate(coin, ks, psi, 0) - psi)) < 1e-12
@@ -123,17 +129,24 @@ def test_split_gives_the_eigenphases_and_projectors(name):
     if name == "hadamard":
         # det M_k = -1, but its floating-point angle is +pi at some of these
         # k and -pi at others: a per-k h would swap the branch labels there
-        angle = np.angle(np.linalg.det(_transfer_matrix(coin, GRID_4050)))
+        angle = np.angle(np.linalg.det(transfer_matrix(coin, GRID_4050)))
         assert np.any(angle > 0) and np.any(angle < 0)
         ks = np.concatenate([ks, GRID_4050])
-    h, w, sin, traceless = _split(coin, ks)
+    # T's columns are T e_0 and T e_1
+    h, w, sin, first = _split(coin, ks, np.array([1.0, 0.0]))
+    traceless = np.stack([first, _split(coin, ks, np.array([0.0, 1.0]))[3]], axis=-1)
     assert type(h) is float and h == _dispersion(coin)[0]
     assert w.shape == sin.shape == ks.shape and traceless.shape == ks.shape + (2, 2)
+    # T psi of any vectors, broadcast against k, is the matrix's product
+    psi = rng.normal(size=(len(ks), 2)) + 1j * rng.normal(size=(len(ks), 2))
+    assert np.max(np.abs(_split(coin, ks, psi)[3]
+                         - np.einsum("kij,kj->ki", traceless, psi))) < 1e-15
     # one branch labelling for every k: cos w = c cos(k - phi)
-    _, c, phi = _dispersion(coin)
+    _, c, s, phi = _dispersion(coin)
+    assert s == abs(coin.matrix[0, 1])
     assert np.max(np.abs(np.cos(w) - c * np.cos(ks - phi))) < 1e-12
     assert np.all((0 <= w) & (w <= math.pi)) and np.all(sin >= 0)
-    m = _transfer_matrix(coin, ks)
+    m = transfer_matrix(coin, ks)
     eye = np.eye(2)
     assert np.max(np.abs(np.trace(traceless, axis1=-2, axis2=-1))) < 1e-15
     square = traceless @ traceless + (sin * sin)[:, None, None] * eye
@@ -164,13 +177,14 @@ def test_cone_edge_has_slope_c_and_third_derivative_c_u01_squared(name):
     # at q = k - phi = +-pi/2 the group velocity w' = +-c is extremal and
     # w''' = -+c |u01|^2 (w is even in q); O(step^4) central differences
     coin = SPLIT_COINS[name]
-    _, c, phi = _dispersion(coin)
+    _, c, _, phi = _dispersion(coin)
     u01_squared = abs(coin.matrix[0, 1]) ** 2
     step = 0.01
     d1 = np.array([0, 1, -8, 0, 8, -1, 0]) / (12 * step)
     d3 = np.array([1, -8, 13, 0, -13, 8, -1]) / (8 * step**3)
     for sign in (1, -1):
-        w = _split(coin, phi + sign * math.pi / 2 + step * np.arange(-3, 4))[1]
+        w = _split(coin, phi + sign * math.pi / 2 + step * np.arange(-3, 4),
+                   np.array([1.0, 0.0]))[1]
         assert d1 @ w == pytest.approx(sign * c, rel=1e-5)
         assert d3 @ w == pytest.approx(-sign * c * u01_squared, rel=1e-5)
 
@@ -301,6 +315,25 @@ def test_spectral_memory_is_linear_in_t():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_spectral_route_builds_no_matrix_per_wavenumber():
+    # M_k^t is applied to the (N, 2) vectors directly: the route peaked at
+    # 203 B a wavenumber here, and at 288 B while it built (N, 2, 2)
+    # transfer matrices and their traceless parts (64 B a wavenumber each)
+    import tracemalloc
+
+    from qwalk.spectral import _even_smooth_at_least
+
+    t = 20000
+    n = _even_smooth_at_least(1 + 2 * t)
+    tracemalloc.start()
+    try:
+        evolve_spectral(initial_state("left"), hadamard_coin(), t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 240 * n
 
 
 def test_spectral_rejects_too_many_steps():

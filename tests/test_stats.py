@@ -14,6 +14,7 @@ from qwalk import (
     WalkSpec,
     cesaro_average,
     classical_walk,
+    density,
     density_moment,
     distribution,
     evolve_circle,
@@ -248,7 +249,8 @@ def test_mixing_time_rejects_a_non_finite_delta(delta):
     lambda value: interval_mass(distribution(evolve_line(initial_state("left"),
                                                          hadamard_coin(), 4)),
                                 hadamard_coin(), value),
-], ids=["mixing_time-delta", "theta_coin-theta", "interval_mass-eps"])
+    lambda value: density(value, hadamard_coin(), "left"),
+], ids=["mixing_time-delta", "theta_coin-theta", "interval_mass-eps", "density-alpha"])
 def test_numeric_parameters_refuse_what_is_not_a_real(call, value):
     # a string, None or a complex number is a domain error, not a TypeError
     with pytest.raises(DomainError, match="must be a real number"):
