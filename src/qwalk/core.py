@@ -106,6 +106,17 @@ def _check_count_and_time(topology: Topology, count: int, time: int) -> None:
         raise DomainError("time must be nonnegative")
 
 
+def _sites(topology: Topology, count: int) -> NDArray[np.int64]:
+    """The site of each of ``count`` rows on ``topology``.
+
+    Row 0 is site ``offset`` on a line and site 0 on a circle; each row
+    after it is the next site.  :class:`WaveFunction` and
+    :class:`ProbabilityDistribution` both read their sites here.
+    """
+    start = topology.offset if isinstance(topology, Line) else 0
+    return np.arange(start, start + count)
+
+
 def _freeze(a, dtype) -> np.ndarray:
     """A read-only C-contiguous copy of ``a`` as ``dtype``.
 
@@ -168,8 +179,7 @@ class WaveFunction:
     @property
     def sites(self) -> NDArray[np.int64]:
         """Absolute site index for each row of ``amplitudes``."""
-        start = self.topology.offset if isinstance(self.topology, Line) else 0
-        return np.arange(start, start + len(self.amplitudes))
+        return _sites(self.topology, len(self.amplitudes))
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(_site_masses(self.amplitudes))))
@@ -200,8 +210,8 @@ class ProbabilityDistribution:
 
     @property
     def sites(self) -> NDArray[np.int64]:
-        start = self.topology.offset if isinstance(self.topology, Line) else 0
-        return np.arange(start, start + len(self.masses))
+        """Absolute site index for each entry of ``masses``."""
+        return _sites(self.topology, len(self.masses))
 
 
 @dataclass(frozen=True)
@@ -290,19 +300,20 @@ def initial_state(
     chirality: str | NDArray[np.complex128],
     topology: Topology = Line(),
 ) -> WaveFunction:
-    """Unit-norm wavefunction concentrated at the origin site.
+    """Unit-norm wavefunction at time 0, concentrated on row 0 of ``topology``.
+
+    Row 0 is site ``topology.offset`` on a line, where it is the only
+    row, and site 0 on a circle, whose other ``size - 1`` rows hold
+    zeros.
 
     Parameters
     ----------
     chirality : {"left", "right", "symmetric"} or array_like
         Starting chirality, as :func:`chirality_pair` reads it.
     topology : Line or Circle
-        Where the walk lives.  The origin is site 0.
+        Where the walk lives and starts.
     """
     pair = chirality_pair(chirality)
-    if isinstance(topology, Circle):
-        amps = np.zeros((topology.size, 2), dtype=np.complex128)
-        amps[0] = pair
-        return WaveFunction(topology, amps, 0)
-    amps = pair[np.newaxis, :]
-    return WaveFunction(Line(offset=0), amps, 0)
+    amps = np.zeros((topology.size if isinstance(topology, Circle) else 1, 2), np.complex128)
+    amps[0] = pair
+    return WaveFunction(topology, amps)

@@ -29,9 +29,9 @@ subnormals below 2**-1022 is many times slower.  So each kernel takes
 imaginary part, and every F <= 32 steps, starting with the first, sets
 to +0.0 each real or imaginary part below ``floor`` (:func:`_flush`):
 the line before every 32nd step (F = 32), the ring at the start of
-every ``max(1, 32 // B)``-th block (F = B max(1, 32 // B), between 17
-and 32 for a coined walk, 32 when B divides 32), on the core of the
-slot the block starts from, so that its halo is copied flushed.  A
+every ``32 // B``-th block (F = B (32 // B), between 17 and 32, and 32
+when B divides 32; a coined block has B <= 32 steps), on the core of
+the slot the block starts from, so that its halo is copied flushed.  A
 flush touches at most ``4 width`` float64 entries, ``width`` the
 line's ``n + 2 steps`` sites or the cycle's n, so it moves the state by
 less than ``2 sqrt(width) floor`` in 2-norm, and the steps are unitary:
@@ -55,7 +55,6 @@ odd (origin start) stay exactly zero, and the results hold them as
 from __future__ import annotations
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .core import (
     Circle,
@@ -296,20 +295,22 @@ def _ring_blocks(rows, coin, steps):
     coined), so ``B n f <= 2**15`` and the ring stays near 256 KiB; past
     ``n = 2**15 / f`` a block is one step.  No block is longer than 64
     steps: ``max(8, n // 8) <= 64`` up to n = 512, and past it ``2**15
-    // (f n) <= 63``.  On a cycle of 64 sites or more the windows add at
-    most an eighth of n to the work of a step: at n = 127, blocks of n/2
-    or more took 1.1 ms for the coined scan, against 0.6 ms at n/8.
+    // (f n) <= 63``.  A coined block is at most 32 steps: ``max(8, n //
+    8) > 32`` needs n >= 264, where ``8192 // n <= 31``.  On a cycle of
+    64 sites or more the windows add at most an eighth of n to the work
+    of a step: at n = 127, blocks of n/2 or more took 1.1 ms for the
+    coined scan, against 0.6 ms at n/8.
 
     A coined walk is flushed below ``floor = 2**-600 M``, ``M`` the
     largest real or imaginary part of ``rows``, at the start of every
-    ``max(1, 32 // B)``-th block, on the core of the slot the block
-    starts from (see the module docstring).  The classical walk is not:
-    its nonnegative masses never cancel, only a few of them are
-    subnormal (44 to 66 at n = 8191, t = 3000 to 6000), and the flush
-    cost time.  On the classical scan of n = 511 (20 710 steps, a flush
-    every 64) it read 1.4 to 2.6 ms more out of about 50 (the median of
-    paired differences, slower in 18 of 22 interleaved pairs), 2.2 us a
-    flush.
+    ``32 // B``-th block (at least 1, since B <= 32), on the core of the
+    slot the block starts from (see the module docstring).  The
+    classical walk is not: its nonnegative masses never cancel, only a
+    few of them are subnormal (44 to 66 at n = 8191, t = 3000 to 6000),
+    and the flush cost time.  On the classical scan of n = 511 (20 710
+    steps, a flush every 64) it read 1.4 to 2.6 ms more out of about 50
+    (the median of paired differences, slower in 18 of 22 interleaved
+    pairs), 2.2 us a flush.
     """
     c, n = rows.shape
     floats = 1 if coin is None else 4
@@ -353,7 +354,7 @@ def _ring_blocks(rows, coin, steps):
     multiply, add = np.multiply, np.add
     for start in range(0, steps, b):
         halo, plans, block = faces[start // b % 2]
-        if coin is not None and start // b % max(1, _FLUSH_EVERY // b) == 0:
+        if coin is not None and start // b % (_FLUSH_EVERY // b) == 0:
             # the core of the slot the block starts from; its halo is copied below
             for part in ring[start // b % 2 * b, :, b:b + n]:
                 _flush(part.view(np.float64), floor, tmp.view(np.float64))

@@ -37,8 +37,11 @@ Parity caveat for circles: at any fixed time a walk started from one
 site occupies a single parity class.  On an odd cycle the classes wrap
 into each other, so the instantaneous distribution can approach uniform;
 on an even cycle half the sites are always empty, putting a floor of
-1/2 under the distance to uniform over all sites.  Even-cycle runs
-should therefore compare against ``uniform_parity``.
+1/2 under the distance to uniform over all sites.  So
+:func:`tv_distance` takes its reference by name, with no default: an
+instantaneous walk on an even cycle needs ``uniform_parity``, a Cesaro
+average (which fills both classes) ``uniform_all``.  An odd cycle has
+no parity classes, and ``uniform_parity`` is refused there.
 """
 
 from __future__ import annotations
@@ -145,16 +148,15 @@ def interval_mass(dist: ProbabilityDistribution, coin: CoinOperator, eps: float)
 def _uniform_targets(n: int, parity: bool) -> NDArray[np.float64]:
     """Uniform masses on the cycle of ``n`` sites at even and at odd times.
 
-    Row ``t`` is the target at a time of parity ``t``.  With ``parity``
-    it is uniform on the sites ``x`` with ``x + t`` even, the class a
-    walk from site 0 occupies, and zero elsewhere; without, both rows
-    are uniform on all ``n`` sites.
+    Row ``t`` is the target at a time of parity ``t``.  With ``parity``,
+    for an even ``n`` only, it is uniform on the ``n/2`` sites ``x``
+    with ``x + t`` even, the class a walk from site 0 occupies, and zero
+    elsewhere; without, both rows are uniform on all ``n`` sites.
     """
     if not parity:
         return np.full((2, n), 1.0 / n)
     targets = np.zeros((2, n))
-    targets[0, 0::2] = 1.0 / ((n + 1) // 2)
-    targets[1, 1::2] = 1.0 / (n // 2)
+    targets[0, 0::2] = targets[1, 1::2] = 2.0 / n
     return targets
 
 
@@ -172,20 +174,28 @@ def _tv_rows(masses: NDArray[np.float64], targets: NDArray[np.float64],
     return 0.5 * np.abs(gap, out=gap).sum(axis=1)
 
 
-def tv_distance(dist: ProbabilityDistribution, reference: str = "uniform_all") -> float:
-    """TV distance of a circle distribution to a uniform reference.
+def tv_distance(dist: ProbabilityDistribution, reference: str) -> float:
+    """TV distance of a circle distribution to a named uniform reference.
 
-    The reference is uniform over all ``n`` sites (``uniform_all``) or
-    over the parity class reachable at ``dist.time``
-    (``uniform_parity``); mass off that class counts as pure
-    discrepancy.  Lines have no uniform reference: their cone depends
-    on the coin, which a distribution does not carry.
+    ``reference`` has no default, since the right one depends on the
+    distribution.  ``uniform_all`` is uniform over all ``n`` sites, the
+    reference for an odd cycle and for a Cesaro average.
+    ``uniform_parity`` is uniform over the ``n/2`` sites of the parity
+    class a walk from site 0 occupies at ``dist.time``, the reference
+    for an instantaneous walk on an even cycle; mass off that class
+    counts as pure discrepancy.  An odd cycle has no parity classes, so
+    ``uniform_parity`` there raises :class:`DomainError`.  Lines have no
+    uniform reference: their cone depends on the coin, which a
+    distribution does not carry.
     """
     if not isinstance(dist.topology, Circle):
         raise DomainError("tv_distance is defined on the circle")
     if reference not in ("uniform_all", "uniform_parity"):
         raise DomainError(f"unknown reference {reference!r}")
-    targets = _uniform_targets(dist.topology.size, reference == "uniform_parity")
+    n, parity = dist.topology.size, reference == "uniform_parity"
+    if parity and n % 2:
+        raise DomainError(f"uniform_parity needs an even cycle; Circle({n}) has no parity classes")
+    targets = _uniform_targets(n, parity)
     return float(_tv_rows(dist.masses[None], targets, dist.time)[0])
 
 
@@ -277,12 +287,16 @@ def _masses(spec: WalkSpec, steps: int):
 
 
 def classical_walk(topology: Topology, t: int) -> ProbabilityDistribution:
-    """Exact distribution of the classical symmetric random walk from site 0.
+    """Exact distribution of the classical symmetric random walk after ``t`` steps.
 
-    Computed by dynamic programming: the last row :func:`_masses` gives.
-    On the line the walk runs on the cycle of 2t + 1 sites (3 at t = 0),
-    whose ends the mass reaches only at step t, so the wrap never carries
-    any; turning it by t puts site -t first.
+    The walk starts where :func:`qwalk.core.initial_state` puts the
+    quantum walker: on site 0 of a circle, and on site ``o`` of
+    ``Line(offset=o)``, whose result then holds the sites ``o - t ..
+    o + t``.  Computed by dynamic programming: the last row
+    :func:`_masses` gives.  On the line the walk runs on the cycle of
+    2t + 1 sites (3 at t = 0), whose ends the mass reaches only at step
+    t, so the wrap never carries any; turning it by t puts site
+    ``o - t`` first.
     """
     check_steps(t)
     spec = WalkSpec(topology if isinstance(topology, Circle) else Circle(max(3, 2 * t + 1)), None)
@@ -291,4 +305,5 @@ def classical_walk(topology: Topology, t: int) -> ProbabilityDistribution:
         pass
     if isinstance(topology, Circle):
         return ProbabilityDistribution(topology, masses[-1], t)
-    return ProbabilityDistribution(Line(offset=-t), np.roll(masses[-1], t)[:2 * t + 1], t)
+    return ProbabilityDistribution(Line(offset=topology.offset - t),
+                                   np.roll(masses[-1], t)[:2 * t + 1], t)

@@ -38,9 +38,12 @@ RESIDUAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SymmetrizerReport:
-    """Outcome of checking one candidate S against a coin's M_k family."""
+    """Outcome of checking one candidate S against a coin's M_k family.
 
-    candidate: NDArray[np.complex128]
+    The ``sign`` that fits better, the ``max_residual`` under it and the
+    ``verdict``; the candidate is the caller's own argument.
+    """
+
     sign: int
     max_residual: float
     verdict: bool
@@ -71,35 +74,36 @@ def verify_symmetrizer(
         for sign in (1, -1)
     }
     sign = min(residuals, key=residuals.get)
-    return SymmetrizerReport(
-        candidate=s, sign=sign, max_residual=residuals[sign],
-        verdict=residuals[sign] < RESIDUAL_TOL,
-    )
+    return SymmetrizerReport(sign=sign, max_residual=residuals[sign],
+                             verdict=residuals[sign] < RESIDUAL_TOL)
 
 
-def _find_symmetrizer(coin: CoinOperator) -> SymmetrizerReport | None:
-    """The verified Pauli report with the least residual, or None.
+def _find_symmetrizer(coin: CoinOperator) -> NDArray[np.complex128] | None:
+    """The verified Pauli matrix with the least residual, or None.
 
     Ties go to the earlier Pauli in :data:`PAULIS`.  A coin within
     ``RESIDUAL_TOL`` of the identity verifies more than one Pauli; the
     exact one among them mirrors the walk to round-off, the others only
     to about their residual.
     """
-    verified = [r for r in (verify_symmetrizer(coin, cand) for _, cand in PAULIS) if r.verdict]
-    return min(verified, key=lambda r: r.max_residual, default=None)
+    verified = [(r.max_residual, pauli) for _, pauli in PAULIS
+                if (r := verify_symmetrizer(coin, pauli)).verdict]
+    return min(verified, key=lambda v: v[0], default=(None, None))[1]
 
 
 def symmetric_initial(coin: CoinOperator) -> NDArray[np.complex128]:
     """Unit +1 eigenvector of a verified symmetrizer for this coin.
 
-    The symmetrizer S is a Pauli matrix, Hermitian and unitary, so
-    ``(I + S)/2`` projects onto its +1 eigenspace; the first column of
-    that projector is nonzero for all three and has a real positive L
-    component.  For ``S = sigma_y`` this is ``(1, i)/sqrt2``; evolving
-    from it gives ``P(n, t) = P(-n, t)`` to round-off at every t.
+    The symmetrizer S is the Pauli matrix :func:`_find_symmetrizer`
+    returns, Hermitian and unitary, so ``(I + S)/2`` projects onto its
+    +1 eigenspace; the first column of that projector is nonzero for
+    all three and has a real positive L component.  For ``S = sigma_y``
+    this is ``(1, i)/sqrt2``; evolving from it gives ``P(n, t) = P(-n,
+    t)`` to round-off at every t.  A coin that no Pauli verifies raises
+    :class:`DomainError`.
     """
-    report = _find_symmetrizer(coin)
-    if report is None:
+    pauli = _find_symmetrizer(coin)
+    if pauli is None:
         raise DomainError("no symmetrizer verified for this coin")
-    v = np.eye(2) + report.candidate
+    v = np.eye(2) + pauli
     return v[:, 0] / np.linalg.norm(v[:, 0])

@@ -1,9 +1,12 @@
-"""Coin matrices, the transfer matrix at k = 0, topologies, initial states
-and the defaulted parameters of the public functions and dataclasses."""
+"""Coin matrices, the transfer matrix at k = 0, topologies, initial states,
+the defaulted parameters of the public functions and dataclasses, and the
+imports of the package's modules."""
 
+import ast
 import dataclasses
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +159,14 @@ def test_initial_state_on_circle():
     assert np.count_nonzero(psi.amplitudes) == 1
 
 
+def test_initial_state_starts_at_the_line_offset():
+    # row 0 of the topology, on a line as on a circle
+    psi = initial_state("left", Line(offset=5))
+    assert psi.sites.tolist() == [5]
+    assert psi.topology == Line(offset=5)
+    assert distribution(psi).sites.tolist() == [5]
+
+
 def test_numpy_integers_are_steps_and_sizes():
     psi = evolve_circle(initial_state("left", Circle(np.int64(5))), hadamard_coin(), np.int32(3))
     assert psi.time == 3
@@ -257,7 +268,6 @@ def test_public_defaults_are_pinned():
     assert defaulted(inspect.isfunction) == {
         "evolve_line.adjoint",
         "initial_state.topology",
-        "tv_distance.reference",
     }
     assert defaulted(dataclasses.is_dataclass) == {
         "Line.offset",
@@ -280,3 +290,21 @@ def test_public_names_are_pinned():
         "symmetric_initial", "theta_coin", "tv_distance", "verify_symmetrizer",
     ]
     assert not any(inspect.ismodule(getattr(qwalk, name)) for name in qwalk.__all__)
+
+
+def test_every_module_reads_the_names_it_imports():
+    # __init__.py is exempt: its imports are the package's re-exports
+    unread = []
+    for path in sorted(Path(qwalk.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.stem}.{name}" for name in sorted(imported - read)]
+    assert unread == []

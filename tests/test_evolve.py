@@ -22,6 +22,7 @@ from qwalk import (
     initial_state,
     theta_coin,
 )
+from qwalk.evolve import _ring_blocks
 
 SQRT2 = math.sqrt(2)
 
@@ -410,3 +411,11 @@ def test_spectral_matches_recurrence_on_line_and_circle(coin, pair, n, data):
         spectral = evolve_spectral(psi0, coin, t)
         assert spectral.topology == exact.topology and spectral.time == t
         assert np.max(np.abs(spectral.amplitudes - exact.amplitudes)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 8, 64, 248, 255, 256, 257, 264, 511, 2047])
+def test_coined_ring_blocks_are_at_most_32_steps(n):
+    # max(8, n // 8) passes 32 only from n = 264, where 2**15 // (4 n) <= 31,
+    # so a coined block never outruns the flush period of 32 steps
+    rows = initial_state("left", Circle(n)).amplitudes.T
+    assert len(next(_ring_blocks(rows, hadamard_coin(), 64))) <= 32

@@ -188,6 +188,14 @@ def test_tv_distance_refuses_line():
         tv_distance(distribution(initial_state("left", Circle(7))), "gaussian")
 
 
+def test_tv_distance_refuses_parity_on_an_odd_cycle():
+    # an odd cycle wraps the parity classes into each other, so there is
+    # no class to be uniform on; a point mass used to read 0.75 here
+    d = distribution(initial_state("left", Circle(7)))
+    with pytest.raises(DomainError, match="even cycle"):
+        tv_distance(d, "uniform_parity")
+
+
 def test_mixing_time_quantum_linear_instance():
     rep = mixing_time(WalkSpec(Circle(31)), 0.4446, t_cap=500)
     assert rep.time == 23
@@ -489,6 +497,48 @@ def test_classical_walk_at_zero_steps_is_the_start():
     d = classical_walk(Line(), 0)
     assert d.sites.tolist() == [0] and d.masses.tolist() == [1.0]
     assert classical_walk(Circle(4), 0).masses.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+def test_classical_walk_starts_at_the_line_offset():
+    # the walker starts on row 0 of the line, as initial_state puts it
+    d = classical_walk(Line(offset=5), 3)
+    assert d.sites.tolist() == list(range(2, 9))
+    assert d.masses.tobytes() == classical_walk(Line(), 3).masses.tobytes()
+
+
+def _closed_form_tv(n, times):
+    """TV of the classical walk from site 0 on ``Circle(n)`` to the scan's target.
+
+    ``P_t = irfft(cos(2 pi j / n)^t)``, j = 0..n/2: the walk's own
+    eigenmodes, with no step of the ring.  The target is uniform on all
+    sites of an odd cycle, and on the parity class ``x + t`` even of an
+    even one.
+    """
+    times = np.asarray(times)[:, None]
+    p = np.fft.irfft(np.cos(2 * np.pi * np.arange(n // 2 + 1) / n) ** times, n)
+    if n % 2:
+        target = np.full(p.shape, 1.0 / n)
+    else:
+        target = np.where((np.arange(n) + times) % 2 == 0, 2.0 / n, 0.0)
+    return 0.5 * np.abs(p - target).sum(axis=1)
+
+
+@pytest.mark.parametrize("n, delta, crossing", [
+    (31, 0.4446, 77), (64, 0.3, 157), (127, 0.4446, 1280), (511, 0.4446, 20710),
+])
+def test_classical_scan_matches_its_closed_form(n, delta, crossing):
+    # The bound is t eps at the crossing t, the relative error of cos(k)^t
+    # in the slowest mode; the largest differences measured were 3.3e-15,
+    # 2.1e-15, 4.7e-15 and 4.9e-13 against bounds of 1.7e-14, 3.5e-14,
+    # 2.8e-13 and 4.6e-12.  The full trace is compared up to n = 127, and
+    # at n = 511 the crossing and the step before it.
+    rep = mixing_time(WalkSpec(Circle(n), coin=None), delta, t_cap=20 * n * n)
+    assert rep.time == crossing
+    times = np.arange(1, crossing + 1) if n < 511 else np.array([crossing - 1, crossing])
+    oracle = _closed_form_tv(n, times)
+    assert np.max(np.abs(rep.tv_trace[times - 1] - oracle)) <= crossing * np.finfo(float).eps
+    assert oracle[-1] <= delta < oracle[-2]
+    assert np.all(oracle[:-1] > delta)
 
 
 def test_classical_walk_odd_circle_converges_to_uniform():

@@ -46,9 +46,9 @@ def test_other_paulis_fail_for_hadamard():
 
 def test_find_symmetrizer_picks_sigma_y():
     for coin in (hadamard_coin(), theta_coin(1.3)):
-        rep = _find_symmetrizer(coin)
-        assert rep is not None
-        assert np.allclose(rep.candidate, SIGMA_Y)
+        pauli = _find_symmetrizer(coin)
+        assert pauli is not None
+        assert np.allclose(pauli, SIGMA_Y)
 
 
 def test_verify_rejects_bad_candidates():
@@ -119,9 +119,10 @@ def sigma_x_coin(theta):
 def test_find_symmetrizer_takes_the_least_residual():
     # the identity verifies sigma_x and sigma_y exactly, and the tie goes
     # to sigma_x; 1e-13 away from it only sigma_y stays exact
-    assert np.array_equal(_find_symmetrizer(theta_coin(0.0)).candidate, SIGMA_X)
-    rep = _find_symmetrizer(theta_coin(1e-13))
-    assert np.array_equal(rep.candidate, SIGMA_Y) and rep.max_residual == 0.0
+    assert np.array_equal(_find_symmetrizer(theta_coin(0.0)), SIGMA_X)
+    pauli = _find_symmetrizer(theta_coin(1e-13))
+    assert np.array_equal(pauli, SIGMA_Y)
+    assert verify_symmetrizer(theta_coin(1e-13), pauli).max_residual == 0.0
 
 
 def test_symmetric_initial_is_the_sigma_y_eigenvector():
@@ -151,7 +152,7 @@ def test_left_right_starts_are_mirror_images(family, theta, gamma, pair, t):
     # right; in the second, sigma_x verifies within 1e-13 of the identity,
     # but only the exact sigma_y mirrors the walk to round-off
     coin = CoinOperator(np.exp(1j * gamma) * family(theta).matrix)
-    s = _find_symmetrizer(coin).candidate
+    s = _find_symmetrizer(coin)
     d = distribution(evolve_line(initial_state(pair), coin, t))
     mirror = distribution(evolve_line(initial_state(s @ pair), coin, t))
     assert np.max(np.abs(mirror.masses - d.masses[::-1])) < 1e-13
