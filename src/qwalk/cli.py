@@ -6,7 +6,11 @@ files on one machine.  What the recurrence computes (``simulate``,
 ``mix``, the ``n`` and ``p_exact`` columns of ``compare``) is the same
 at every SIMD level numpy dispatches to; values that go through its
 dispatched transcendentals (the spectral and stationary-phase routes)
-can differ in the last bit between CPUs.  Floats are printed with 17
+can differ in the last bit between CPUs.  The parity-forbidden sites
+(``n + t`` odd from a one-site start) are exact +0.0 from both routes
+on every CPU, printed as ``0`` (CSV) or ``0.0`` (JSON): the spectral
+route transforms each parity class on its own sublattice and never
+writes the other class's rows.  Floats are printed with 17
 significant digits so doubles round-trip losslessly.  Each command
 hands the writer one numpy record array, one field per column, and
 each column's conversion comes from its field's dtype: ``%d`` for an

@@ -19,15 +19,29 @@ scaled by ``c = |u00|`` and shifted by ``phi = arg u00 - h``, with
 with ``s = |u01|``, and is the only place that computes them.
 
 Both topologies use the grid ``k_j = 2 pi j / N``, on which
-``e^{i k_j n} = e^{2 pi i j n / N}``, so the transforms are plain
-length-N FFTs with site ``n`` at index ``n mod N``:
+``e^{i k_j n} = e^{2 pi i j n / N}``:
 
 - on ``Circle(n)``, ``N = n``: the ``e^{i k_j}`` are exactly the n-th
   roots of unity, whose plane waves diagonalise the cycle's shift, so
   the route is exact at every t;
-- on a ``Line``, ``N`` is at least ``2t + support``: the t-step
-  wavefunction fits in any window of N consecutive sites, so sampling
-  k on the grid incurs no aliasing.
+- on a ``Line``, ``N`` is the smallest even 5-smooth length of at least
+  ``2t + support``: the t-step wavefunction fits in any window of N
+  consecutive sites, so sampling k on the grid incurs no aliasing.
+
+A step moves every site by one, so when N is even the walk never mixes
+the parity classes of the sites: class ``p`` at time 0 is class ``q =
+(p + t) mod 2`` at time t, and ``M_{k+pi} = -M_k``.  The transforms
+therefore run on sublattices.  Let ``d = 2 - N mod 2``: 2 on the line
+and on even cycles, 1 on odd cycles.  Each occupied class ``p < d`` is
+scattered from site ``p + d m`` to index ``m mod N/d``.  One
+length-``N/d`` inverse FFT and the twiddle ``e^{i p k_j}`` give its
+transform at the ``N/d`` wavenumbers ``k_j``, ``j < N/d``; the rest of
+the grid repeats them up to a sign.  ``M_k^t`` turns them, and the
+twiddle ``e^{-i q k_j}`` and one length-``N/d`` FFT give the sites
+``q + d m`` of class ``q``.  The two twiddles are applied as one,
+``e^{i (p - q) k_j}``.  The rows of a class that no occupied class
+reaches are never written, so the forbidden sites of a one-class start
+are exact +0.0, as in the recurrence.
 
 :func:`evolve_spectral` costs O(N log N) time and O(N) memory.  Its
 round-off grows about like ``1e-16 t`` (see its docstring for the
@@ -143,25 +157,28 @@ def evolve_spectral(
 
     Samples ``N`` wavenumbers ``k_j = 2 pi j / N``: ``N = n`` on
     ``Circle(n)``, and on a line the smallest even 5-smooth integer at
-    least support + 2t.  The input is scattered to index ``site mod N``,
-    transformed by one FFT, turned by ``M_k^t`` at each ``k_j`` and
-    transformed back; on a line the output window (support grown by t
-    per side) is gathered from the same indices.  Time is
-    O(N log N) and memory O(N): ``M_k^t`` is applied to the ``(N, 2)``
-    vectors directly, and the traced peak of the Hadamard walk from one
-    site is 203 B per wavenumber at t = 20 000 (288 B while a
+    least support + 2t.  Each occupied parity class of the input is
+    scattered to its sublattice of ``N/d`` indices, transformed by one
+    length-``N/d`` FFT, turned by ``M_k^t`` at ``N/d`` wavenumbers,
+    twiddled and transformed back into the rows of the class it reaches
+    (see the module docstring); on a line the output window is the
+    support grown by t per side.  Rows that no occupied class reaches
+    stay exact +0.0.  Time is O(N log N) and memory O(N): ``M_k^t`` is
+    applied to the ``(N/d, 2)`` vectors directly, and the traced peak of
+    the Hadamard walk from one site is 139 B per wavenumber at t = 20 000
+    (203 B with length-N transforms of both classes, 288 B while a
     ``(N, 2, 2)`` matrix was built per wavenumber).
 
     The result is exact up to round-off and must agree with
     :func:`qwalk.evolve.evolve_line` or :func:`qwalk.evolve.evolve_circle`.
     The largest amplitude error grows about like ``1e-16 t`` and is
     bounded by ``1e-15 t`` (tested at t = 10^5): against the exact
-    ballistic answer of the identity coin and of diagonal complex coins
-    (origin start) it measured 9.5e-12 to 1.2e-11 at t = 10^5 and
-    8.8e-11 to 1.2e-10 at t = 10^6.  Against the recurrence it stayed
-    below 3.2e-13 on the line up to t = 2000 and on cycles of 3 to 127
-    sites up to t = 20n, for the Hadamard, near-identity, diagonal,
-    antidiagonal and random U(2) coins.
+    ballistic answer of the identity coin and of ``diag(i, -1)``
+    (origin start) it measured 4.9e-12 and 9.2e-12 at t = 10^5 and
+    4.9e-11 and 6.9e-11 at t = 10^6.  Against the recurrence it stayed
+    below 2.0e-13 on the line up to t = 2000 and below 3.5e-13 on cycles
+    of 3 to 127 sites up to t = 20n, for the Hadamard, near-identity,
+    diagonal, antidiagonal and random U(2) coins.
     """
     check_steps(t)
     amps = init.amplitudes
@@ -173,15 +190,22 @@ def evolve_spectral(
     else:
         n = init.topology.size
         out_sites, topology = sites, init.topology
-    k = 2 * math.pi * np.arange(n) / n
+    d = 2 - n % 2
+    length = n // d
+    k = 2 * math.pi * np.arange(length) / n
 
-    # norm="forward" leaves ifft unscaled and scales fft by 1/N, which
-    # are exactly the forward and inverse transforms of the walk.
-    scattered = np.zeros((n, 2), dtype=np.complex128)
-    scattered[sites % n] = amps
-    psi_k0 = np.fft.ifft(scattered, axis=0, norm="forward")
-
-    psi_kt = _propagate(coin, k, psi_k0, t)
-
-    out = np.fft.fft(psi_kt, axis=0, norm="forward")[out_sites % n]
+    out = np.zeros((len(out_sites), 2), dtype=np.complex128)
+    for p in range(d):
+        rows = slice((p - sites[0]) % d, None, d)
+        if not amps[rows].any():
+            continue
+        q = (p + t) % d
+        # norm="forward" leaves ifft unscaled and scales fft by d/N, which
+        # are exactly the forward and inverse transforms of one class.
+        scattered = np.zeros((length, 2), dtype=np.complex128)
+        scattered[(sites[rows] - p) // d % length] = amps[rows]
+        psi_kt = _propagate(coin, k, np.fft.ifft(scattered, axis=0, norm="forward"), t)
+        psi_kt *= np.exp(1j * (p - q) * k)[:, None]
+        into = slice((q - out_sites[0]) % d, None, d)
+        out[into] = np.fft.fft(psi_kt, axis=0, norm="forward")[(out_sites[into] - q) // d % length]
     return WaveFunction(topology, out, init.time + t)

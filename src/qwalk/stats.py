@@ -108,6 +108,10 @@ def moment(dist: ProbabilityDistribution, name: str) -> float:
     ``name`` is ``"mean"`` (``sum_n alpha P(n)``), ``"abs_mean"``
     (``sum_n |alpha| P(n)``) or ``"second"`` (``sum_n alpha^2 P(n)``),
     as for :func:`qwalk.asymptotics.density_moment`.
+
+    ``alpha`` is the site label over the time, as for the paper's walk
+    from the origin: the walk's start is not subtracted, so a walk from
+    ``Line(offset=o)`` reads a mean larger by ``o/t``.
     """
     if name not in ("mean", "abs_mean", "second"):
         raise DomainError(f"moment must be 'mean', 'abs_mean' or 'second', got {name!r}")
@@ -134,6 +138,10 @@ def interval_mass(dist: ProbabilityDistribution, coin: CoinOperator, eps: float)
     eps^2 / 2)^{-3/2}``, which is about 10^5 for the Hadamard coin at
     ``eps = 0.05``.  Before that, t times the error wanders with t.
     ``eps`` must lie in ``[0, pi/2]``, where the law holds.
+
+    ``n/t`` is the site label over the time, as for the paper's walk
+    from the origin: the walk's start is not subtracted, so the cone of
+    a walk from ``Line(offset=o)`` is read shifted by ``o/t``.
     """
     if not 0 <= _as_real(eps, "eps") <= math.pi / 2:
         raise DomainError(f"eps must lie in [0, pi/2], got {eps}")

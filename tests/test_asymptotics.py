@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_evolve import parts, u2_coins
-from test_spectral import EDGE_COINS, SPLIT_COINS, transfer_matrix
+from test_spectral import EDGE_COINS, SPLIT_COINS, parts, transfer_matrix, u2_coins
 
 from qwalk import (
     CoinOperator,

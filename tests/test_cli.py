@@ -121,6 +121,25 @@ def test_spectral_command_agrees_with_simulate(capsys):
     assert np.max(np.abs(pa - pb)) < 1e-12
 
 
+def test_spectral_route_prints_exact_zeros_on_the_forbidden_sites(capsys):
+    # the Fourier route never writes the sites n with n + t odd, so they print
+    # as the recurrence's zeros at every SIMD level, and only they are zero
+    code, out, _ = run_cli(["compare", "--steps", "64"], capsys)
+    assert code == 0
+    header, rows = parse_csv(out)
+    column = header.index("p_spectral")
+    assert len(rows) == 129
+    assert [r[column] == "0" for r in rows] == [int(r[0]) % 2 == 1 for r in rows]
+    code, out, _ = run_cli(["spectral", "--steps", "64", "--init", "symmetric",
+                            "--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out, parse_float=str)["data"]
+    assert len(data) == 129
+    fields = ["psi_L_re", "psi_L_im", "psi_R_re", "psi_R_im", "prob"]
+    values = [[r[key] for key in fields] for r in data]
+    assert [v == ["0.0"] * 5 for v in values] == [r["n"] % 2 == 1 for r in data]
+
+
 def test_spectral_command_agrees_with_simulate_on_a_circle(capsys):
     argv = ["--topology", "circle:15", "--steps", "40", "--coin", "1.2", "--init", "symmetric"]
     _, out_a, _ = run_cli(["simulate", *argv], capsys)

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_spectral import transfer_matrix
+from test_spectral import parts, transfer_matrix, u2_coins, unit_pairs
 
 from qwalk import (
     Circle,
@@ -243,26 +243,6 @@ def test_distribution_normalises_and_sites_align():
 
 # --- property tests over random U(2) coins and states ----------------------
 
-angles = st.floats(-math.pi, math.pi)
-parts = st.floats(-1.0, 1.0)
-
-
-@st.composite
-def u2_coins(draw):
-    """A random U(2) coin; about half are real and take the float64 path."""
-    phi = draw(angles)
-    c, s = math.cos(phi), math.sin(phi)
-    if draw(st.booleans()):
-        sign = draw(st.sampled_from([1.0, -1.0]))
-        matrix = np.array([[c, s], [-sign * s, sign * c]])
-    else:
-        alpha, beta, gamma = draw(angles), draw(angles), draw(angles)
-        matrix = np.exp(1j * alpha) * np.array([
-            [np.exp(1j * beta) * c, np.exp(1j * gamma) * s],
-            [-np.exp(-1j * gamma) * s, np.exp(-1j * beta) * c],
-        ])
-    return CoinOperator(matrix)
-
 
 @st.composite
 def line_states(draw):
@@ -323,14 +303,6 @@ def test_origin_start_forbidden_sites_are_positive_zeros(coin, pair, steps, back
     psi = evolve_line(psi, coin, min(back, steps), adjoint=True)
     forbidden = psi.amplitudes[(psi.sites + psi.time) % 2 == 1].view(np.float64)
     assert np.all(forbidden == 0) and not np.any(np.signbit(forbidden))
-
-
-@st.composite
-def unit_pairs(draw):
-    z = np.array(draw(st.tuples(parts, parts, parts, parts)))
-    assume(np.linalg.norm(z) > 0.1)
-    pair = z[0::2] + 1j * z[1::2]
-    return pair / np.linalg.norm(pair)
 
 
 SYMMETRIC = initial_state("symmetric").amplitudes[0]

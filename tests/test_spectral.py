@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qwalk import (
     Circle,
     CoinOperator,
     DomainError,
+    Line,
+    WaveFunction,
     distribution,
+    evolve_circle,
     evolve_line,
     evolve_spectral,
     hadamard_coin,
@@ -19,6 +24,35 @@ from qwalk import (
 from qwalk.spectral import _dispersion, _propagate, _split
 
 SQRT2 = math.sqrt(2)
+
+# random U(2) coins and unit (L, R) pairs, shared by the property tests
+angles = st.floats(-math.pi, math.pi)
+parts = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def u2_coins(draw):
+    """A random U(2) coin; about half are real and take the float64 path."""
+    phi = draw(angles)
+    c, s = math.cos(phi), math.sin(phi)
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        matrix = np.array([[c, s], [-sign * s, sign * c]])
+    else:
+        alpha, beta, gamma = draw(angles), draw(angles), draw(angles)
+        matrix = np.exp(1j * alpha) * np.array([
+            [np.exp(1j * beta) * c, np.exp(1j * gamma) * s],
+            [-np.exp(-1j * gamma) * s, np.exp(-1j * beta) * c],
+        ])
+    return CoinOperator(matrix)
+
+
+@st.composite
+def unit_pairs(draw):
+    z = np.array(draw(st.tuples(parts, parts, parts, parts)))
+    assume(np.linalg.norm(z) > 0.1)
+    pair = z[0::2] + 1j * z[1::2]
+    return pair / np.linalg.norm(pair)
 
 
 def transfer_matrix(coin, k):
@@ -304,6 +338,79 @@ def test_spectral_continues_from_evolved_state():
     assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
 
 
+# --- exact parity zeros: each class is transformed on its own sublattice ----
+
+#: the line at any offset and even cycles, where a class maps to one class
+SUBLATTICE_TOPOLOGIES = st.one_of(st.builds(Line, st.integers(-20, 20)),
+                                  st.sampled_from([Circle(4), Circle(64)]))
+
+
+def assert_positive_zeros(amps):
+    values = amps.view(np.float64)
+    assert np.all(values == 0) and not np.any(np.signbit(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(u2_coins(), unit_pairs(), SUBLATTICE_TOPOLOGIES, st.integers(0, 63),
+       st.integers(0, 200))
+def test_sublattice_forbidden_sites_are_positive_zeros(coin, pair, topology, site, t):
+    # a one-site start reaches only the sites n with n - site + t even; the
+    # rows of the other class are never written, not cancelled by round-off
+    if isinstance(topology, Line):
+        psi0, site = WaveFunction(topology, [pair]), topology.offset
+    else:
+        amps = np.zeros((topology.size, 2), dtype=np.complex128)
+        site %= topology.size
+        amps[site] = pair
+        psi0 = WaveFunction(topology, amps)
+    psi = evolve_spectral(psi0, coin, t)
+    forbidden = (psi.sites - site + t) % 2 == 1
+    assert_positive_zeros(psi.amplitudes[forbidden])
+    assert abs(psi.norm() - 1.0) < 1e-12
+
+
+@st.composite
+def two_class_starts(draw):
+    """Random amplitudes on 2 to 9 consecutive sites, both parity classes occupied."""
+    topology = draw(SUBLATTICE_TOPOLOGIES)
+    ring = isinstance(topology, Circle)
+    width = draw(st.integers(2, min(9, topology.size) if ring else 9))
+    raw = np.array(draw(st.lists(parts, min_size=4 * width, max_size=4 * width)))
+    block = (raw[0::2] + 1j * raw[1::2]).reshape(width, 2)
+    assume(block[0::2].any() and block[1::2].any())
+    if not ring:
+        return WaveFunction(topology, block)
+    amps = np.zeros((topology.size, 2), dtype=np.complex128)
+    amps[(draw(st.integers(0, topology.size - 1)) + np.arange(width)) % topology.size] = block
+    return WaveFunction(topology, amps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(u2_coins(), two_class_starts(), st.integers(0, 200))
+def test_sublattice_classes_evolve_apart_bit_for_bit(coin, psi0, t):
+    # the rows each class reaches hold, bit for bit, what that class alone
+    # gives, and each class alone leaves the other rows +0.0
+    psi = evolve_spectral(psi0, coin, t)
+    for parity in (0, 1):
+        alone = psi0.amplitudes.copy()
+        alone[psi0.sites % 2 != parity] = 0
+        part = evolve_spectral(WaveFunction(psi0.topology, alone), coin, t)
+        reached = (part.sites - parity + t) % 2 == 0
+        assert part.amplitudes[reached].tobytes() == psi.amplitudes[reached].tobytes()
+        assert_positive_zeros(part.amplitudes[~reached])
+
+
+@pytest.mark.parametrize("n", [7, 31])
+def test_spectral_error_on_odd_cycles_grows_at_most_linearly_in_t(n):
+    # an odd cycle joins the two classes (d = 1): one length-n transform
+    psi0 = initial_state("symmetric", Circle(n))
+    for coin in SPLIT_COINS.values():
+        for t in (1, 20 * n, 10**4):
+            spectral = evolve_spectral(psi0, coin, t)
+            assert np.max(np.abs(spectral.amplitudes
+                                 - evolve_circle(psi0, coin, t).amplitudes)) <= 1e-15 * t
+
+
 def test_spectral_memory_is_linear_in_t():
     # the dense n_out x N inverse DFT matrix at t = 4000 alone is 1 GB
     import tracemalloc
@@ -318,8 +425,9 @@ def test_spectral_memory_is_linear_in_t():
 
 
 def test_spectral_route_builds_no_matrix_per_wavenumber():
-    # M_k^t is applied to the (N, 2) vectors directly: the route peaked at
-    # 203 B a wavenumber here, and at 288 B while it built (N, 2, 2)
+    # M_k^t is applied to the (N/2, 2) vectors of each class directly: the
+    # route peaked at 139 B a wavenumber here (203 B with length-N
+    # transforms of both classes), and at 288 B while it built (N, 2, 2)
     # transfer matrices and their traceless parts (64 B a wavenumber each)
     import tracemalloc
 

@@ -74,6 +74,16 @@ def test_moment_and_interval_mass_refuse_circles():
         interval_mass(d, hadamard_coin(), 0.05)
 
 
+def test_velocity_is_the_site_label_over_t():
+    # alpha = n/t reads the site label, as for the paper's walk from the
+    # origin: a start at site 5 shifts the mean by 5/t
+    t, coin = 100, hadamard_coin()
+    origin = distribution(evolve_line(initial_state("symmetric"), coin, t))
+    moved = distribution(evolve_line(initial_state("symmetric", Line(offset=5)), coin, t))
+    assert np.array_equal(moved.masses, origin.masses)
+    assert abs(moment(moved, "mean") - (moment(origin, "mean") + 5 / t)) < 1e-12
+
+
 def test_moment_names_are_those_of_the_density(had_left_t80):
     with pytest.raises(DomainError, match="bogus"):
         moment(had_left_t80, "bogus")

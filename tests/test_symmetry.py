@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_evolve import angles, u2_coins, unit_pairs
+from test_spectral import angles, u2_coins, unit_pairs
 
 from qwalk import (
     CoinOperator,
