@@ -27,6 +27,10 @@ from its amplitudes by the kernel behind
 :func:`qwalk.evolve.distribution`, so the routes print the same bits
 for the same amplitudes.
 
+The parser is built on the first call of :func:`main` and reused by
+every later call in the process, so a caller that runs many commands
+in one process (a test suite, a benchmark, a notebook) builds it once.
+
 Exit codes: 0 success; 2 when the command line cannot be parsed or its
 options conflict, or the output cannot be written (a closed pipe, a
 full disk); 3 when the library refuses a value, as
@@ -45,6 +49,7 @@ import math
 import os
 import re
 import sys
+from functools import cache
 from itertools import chain
 from typing import Callable, Iterator, NoReturn
 
@@ -182,8 +187,7 @@ def _emit(args, header: list[str], rows: np.recarray, extra: dict | None = None)
         template = ",".join(spec[0] for spec in specs) + "\n"
         pieces = chain([",".join(header) + "\n"], _formatted(template, specs))
     else:
-        config = {k: v for k, v in sorted(vars(args).items())
-                  if k != "func" and v is not None}
+        config = {k: v for k, v in sorted(vars(args).items()) if v is not None}
         payload = {"schema_version": "1", "config": config, "data": []}
         if extra:
             payload.update(extra)
@@ -354,7 +358,17 @@ class _Parser(argparse.ArgumentParser):
         _usage_error(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Building the root parser, its 7 subcommand parsers and their options
+    costs as much as a short command, so it is done once per process.
+    Parsing leaves no state in the parser: each ``parse_args`` fills a
+    new namespace from immutable defaults, and callers must not change
+    the parser either.  Subcommand ``name`` runs ``cmd_name``, which
+    :func:`main` looks up.
+    """
     parser = _Parser(
         prog="qwalk",
         description="Coined quantum walks on the line and circle.",
@@ -380,20 +394,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="evolve by the direct recurrence")
     common(p, steps_default=100)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("spectral", help="evolve by the Fourier-domain route")
     common(p, steps_default=100)
-    p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("asymptotic",
                        help="stationary-phase site probabilities inside the cone")
     common(p, steps_default=100, topology=False)
-    p.set_defaults(func=cmd_asymptotic)
 
     p = sub.add_parser("moments", help="moment table, simulation vs density")
     common(p, steps_default=80, topology=False)
-    p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("mix", help="TV-to-uniform trace and crossing time")
     common(p)
@@ -402,24 +412,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classical", action="store_true",
                    help="run the exact classical DP walk instead; takes no --coin or --init")
     # None tells a given option from one left out; cmd_mix fills in the coined defaults
-    p.set_defaults(func=cmd_mix, coin=None, init=None)
+    p.set_defaults(coin=None, init=None)
 
     p = sub.add_parser("symmetry", help="check Pauli symmetrizer candidates")
     coin_and_output(p)
-    p.set_defaults(func=cmd_symmetry)
 
     p = sub.add_parser("compare", help="exact vs spectral vs asymptotic")
     common(p, steps_default=64, topology=False)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line; return 0, or 3 when the library refuses a value.
+
+    A usage error raises ``SystemExit(2)``, and ``--version``
+    ``SystemExit(0)``.  The parser is built on the first call and reused
+    by every later call in the process (:func:`build_parser`).  The
+    command function is looked up by name on each call, not kept in the
+    parser, so a wrapper put on ``cmd_name`` after the first call runs.
+    """
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        globals()[f"cmd_{args.command}"](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR

@@ -129,8 +129,8 @@ def evolve_line(
     if adjoint and steps > psi.time:
         raise DomainError("cannot rewind past t = 0")
 
-    amps, unscale = _at_unit_scale(psi.amplitudes)
-    floor = _FLUSH_FLOOR * np.max(np.abs(amps.view(np.float64)), initial=0.0)
+    amps, big, unscale = _at_unit_scale(psi.amplitudes)
+    floor = _FLUSH_FLOOR * big
     n = amps.shape[0]
     width = n + 2 * steps
     # The adjoint frame is the forward frame with the columns swapped:
@@ -165,21 +165,22 @@ def evolve_line(
 
 
 def _at_unit_scale(amps):
-    """Return ``amps`` at unit scale and the map that scales a result back.
+    """Return ``amps`` at unit scale, its largest part and the map that scales a result back.
 
-    Both are the identity unless the largest real or imaginary part
-    ``M`` of the complex ``amps`` lies in (0, 2**-20).  Then ``amps`` is
-    multiplied by the power of two that brings ``M`` into [0.5, 1),
+    They are ``amps``, its largest real or imaginary part ``M`` and the
+    identity unless ``M`` lies in (0, 2**-20).  Then ``amps`` and ``M``
+    are multiplied by the power of two that brings ``M`` into [0.5, 1),
     exactly, and the map undoes it by ``np.ldexp``, which rounds each
     entry of the result once; adding +0.0 then turns the -0.0 a negative
     entry that underflows there leaves into +0.0.
     """
     big = np.max(np.abs(amps.view(np.float64)), initial=0.0)
     if not 0 < big < _SCALE_BELOW:
-        return amps, lambda out: out
+        return amps, big, lambda out: out
     shift = -int(np.frexp(big)[1])
     scaled = np.ldexp(amps.view(np.float64), shift).view(np.complex128)
-    return scaled, lambda out: (np.ldexp(out.view(np.float64), -shift) + 0.0).view(np.complex128)
+    return (scaled, np.ldexp(big, shift),
+            lambda out: (np.ldexp(out.view(np.float64), -shift) + 0.0).view(np.complex128))
 
 
 def _coin_entries(matrix):
@@ -258,7 +259,7 @@ def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunc
         raise DomainError("evolve_circle needs circle topology")
     check_steps(steps)
 
-    amps, unscale = _at_unit_scale(psi.amplitudes)
+    amps, _, unscale = _at_unit_scale(psi.amplitudes)
     block = amps.T[None]
     for block in _ring_blocks(amps.T, coin, steps):
         pass
@@ -325,7 +326,9 @@ def _ring_blocks(rows, coin, steps):
         real, (w00, w01, w10, w11) = _coin_entries(coin.matrix)
         if real:
             views, k = ring.view(np.float64), 2
-    tmp = np.empty(k * (width - 2), dtype=views.dtype)
+        # the scratch row of a coined step and of the flush
+        tmp = np.empty(k * (width - 2), dtype=views.dtype)
+        floor = _FLUSH_FLOOR * np.max(np.abs(ring[0].view(np.float64)))
 
     def face(sign, count):
         # the views of one ring direction, cut once: cutting them every
@@ -350,7 +353,6 @@ def _ring_blocks(rows, coin, steps):
     # blocks alternate between the forward and the backward direction, so
     # each starts from the slot the one before it ended on
     faces = face(1, min(b, steps)), face(-1, max(0, min(b, steps - b)))
-    floor = _FLUSH_FLOOR * np.max(np.abs(ring[0].view(np.float64)))
     multiply, add = np.multiply, np.add
     for start in range(0, steps, b):
         halo, plans, block = faces[start // b % 2]

@@ -153,18 +153,19 @@ def interval_mass(dist: ProbabilityDistribution, coin: CoinOperator, eps: float)
     return float(np.sum(dist.masses[np.abs(alpha) <= cutoff]))
 
 
-def _uniform_targets(n: int, parity: bool) -> NDArray[np.float64]:
-    """Uniform masses on the cycle of ``n`` sites at even and at odd times.
+def _uniform_targets(n: int, parity: bool, rows: int) -> NDArray[np.float64]:
+    """Uniform masses on the cycle of ``n`` sites, alternating in time, ``(rows, n)``.
 
-    Row ``t`` is the target at a time of parity ``t``.  With ``parity``,
-    for an even ``n`` only, it is uniform on the ``n/2`` sites ``x``
-    with ``x + t`` even, the class a walk from site 0 occupies, and zero
-    elsewhere; without, both rows are uniform on all ``n`` sites.
+    Row ``r`` is the target at a time of parity ``r % 2``.  With
+    ``parity``, for an even ``n`` only, it is uniform on the ``n/2``
+    sites ``x`` with ``x + r`` even, the class a walk from site 0
+    occupies, and zero elsewhere; without, every row is uniform on all
+    ``n`` sites.
     """
     if not parity:
-        return np.full((2, n), 1.0 / n)
-    targets = np.zeros((2, n))
-    targets[0, 0::2] = targets[1, 1::2] = 2.0 / n
+        return np.full((rows, n), 1.0 / n)
+    targets = np.zeros((rows, n))
+    targets[0::2, 0::2] = targets[1::2, 1::2] = 2.0 / n
     return targets
 
 
@@ -173,12 +174,12 @@ def _tv_rows(masses: NDArray[np.float64], targets: NDArray[np.float64],
     """TV distance of each row of an ``(m, n)`` mass block to its target.
 
     Row ``i`` is observed at time ``t + i`` and is compared with
-    ``targets[(t + i) % 2]``, a row of :func:`_uniform_targets`.  Every
-    TV distance of the module is taken here, so the scan's trace and
-    :func:`tv_distance` agree bit for bit.
+    ``targets[t % 2 + i]``, a row of :func:`_uniform_targets` with at
+    least ``m + 1`` rows, so the targets of a block are one contiguous
+    slice.  Every TV distance of the module is taken here, so the scan's
+    trace and :func:`tv_distance` agree bit for bit.
     """
-    gap = targets[(t + np.arange(len(masses))) % 2]  # a fresh (m, n) copy
-    np.subtract(masses, gap, out=gap)
+    gap = np.subtract(masses, targets[t % 2:t % 2 + len(masses)])
     return 0.5 * np.abs(gap, out=gap).sum(axis=1)
 
 
@@ -203,7 +204,7 @@ def tv_distance(dist: ProbabilityDistribution, reference: str) -> float:
     n, parity = dist.topology.size, reference == "uniform_parity"
     if parity and n % 2:
         raise DomainError(f"uniform_parity needs an even cycle; Circle({n}) has no parity classes")
-    targets = _uniform_targets(n, parity)
+    targets = _uniform_targets(n, parity, 2)
     return float(_tv_rows(dist.masses[None], targets, dist.time)[0])
 
 
@@ -235,9 +236,11 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
     n = spec.topology.size
     trace = array("d")  # 8 bytes a step; a list of floats holds about 32
     crossing: int | None = None
-    targets = _uniform_targets(n, parity=n % 2 == 0)
+    targets = None
     t = 0
     for masses in _masses(spec, steps):
+        if targets is None:  # the first block is the longest
+            targets = _uniform_targets(n, n % 2 == 0, len(masses) + 1)
         tv = _tv_rows(masses, targets, t + 1)
         hits = np.flatnonzero(tv <= delta)
         if hits.size:

@@ -18,7 +18,7 @@ import pytest
 import qwalk
 from qwalk import distribution, evolve_line, hadamard_coin, initial_state, theta_coin
 from qwalk.asymptotics import p_asymptotic, support_edge
-from qwalk.cli import _CHUNK, _emit, build_parser, main, parse_theta
+from qwalk.cli import _CHUNK, _Parser, _emit, build_parser, main, parse_theta
 from qwalk.spectral import evolve_spectral
 
 
@@ -436,6 +436,42 @@ def test_domain_errors_exit_3(capsys):
     assert code == 3
 
 
+def test_one_parser_serves_many_calls_and_keeps_nothing_between_them(monkeypatch, capsys):
+    # cmd_mix fills args.coin and args.init on its namespace: the classical
+    # call after it would refuse a coin or a start that leaked into it
+    built = []
+    init = _Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Parser, "__init__", counting_init)
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    coined = ["mix", "--topology", "circle:15", "--delta", "0.4446", "--t-cap", "300",
+              "--format", "json"]
+    first = call(coined)
+    assert first[0] == 0
+    assert json.loads(first[1])["config"]["coin"] == "hadamard"
+    code, out, _ = call(["mix", "--topology", "circle:15", "--delta", "0.4446",
+                         "--t-cap", "3000", "--classical", "--format", "json"])
+    assert code == 0
+    assert "coin" not in json.loads(out)["config"] and "init" not in json.loads(out)["config"]
+    assert call(["simulate", "--steps", "abc"])[0] == 2
+    assert call(["mix", "--topology", "circle:31", "--delta=nan"])[0] == 3
+    assert call(["--version"])[:2] == (0, qwalk.__version__ + "\n")
+    assert call(coined) == first
+    # at most one tree: the root parser and its 7 subcommand parsers
+    assert len(built) <= 8
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--topology", "circle:1152921504606846976", "--steps", "1"],
     ["spectral", "--topology", "circle:1152921504606846976", "--steps", "1"],
@@ -671,7 +707,7 @@ def oracle_text(args, header, rows, extra=None):
             lines.append(",".join("" if v is None else f"{v:.17g}" if isinstance(v, float)
                                   else str(v) for v in row))
         return "\n".join(lines) + "\n"
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
+    config = {k: v for k, v in sorted(vars(args).items()) if v is not None}
     payload = {"schema_version": "1", "config": config,
                "data": [dict(zip(header, row)) for row in rows]}
     if extra:
@@ -721,7 +757,7 @@ TYPED_TABLES = [
 @pytest.mark.parametrize("extra", [None, {"crossing_time": None, "l1": 0.25, "reached": True}])
 def test_emit_matches_the_per_value_oracle(fmt, header, rows, extra, tmp_path, capsys):
     args = argparse.Namespace(command="mix", coin="1.2", steps=16, delta=None,
-                              format=fmt, output="-", func=main)
+                              format=fmt, output="-")
     _emit(args, header, rows, extra)
     # the oracle formats the Python values the record array holds, one by
     # one; compared as lists of lines, which is the same check: pytest's
