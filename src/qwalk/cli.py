@@ -121,10 +121,6 @@ def _csv_cell(v) -> str:
     return "" if v is None else "%.17g" % v if isinstance(v, float) else str(v)
 
 
-def _json_cell(v) -> str:
-    return "null" if v is None else json.dumps(v)
-
-
 def _column_spec(column: np.ndarray, csv: bool) -> tuple[str, np.ndarray, Callable | None]:
     """One field's %-conversion, for CSV or as JSON values, the field and its cells' text.
 
@@ -138,7 +134,7 @@ def _column_spec(column: np.ndarray, csv: bool) -> tuple[str, np.ndarray, Callab
         return "%d", column, None
     if column.dtype.kind == "f" and np.isfinite(column).all():
         return "%.17g" if csv else "%r", column, None
-    return "%s", column, _csv_cell if csv else _json_cell
+    return "%s", column, _csv_cell if csv else json.dumps
 
 
 #: rows formatted by one % operation
@@ -187,7 +183,7 @@ def _emit(args, header: list[str], rows: np.recarray, extra: dict | None = None)
         template = ",".join(spec[0] for spec in specs) + "\n"
         pieces = chain([",".join(header) + "\n"], _formatted(template, specs))
     else:
-        config = {k: v for k, v in sorted(vars(args).items()) if v is not None}
+        config = {k: v for k, v in vars(args).items() if v is not None}
         payload = {"schema_version": "1", "config": config, "data": []}
         if extra:
             payload.update(extra)

@@ -264,26 +264,22 @@ def theta_coin(theta: float) -> CoinOperator:
     return CoinOperator(np.array([[c, s], [-s, c]]))
 
 
-#: Chirality state (|L> + i|R>)/sqrt2, the sigma_y eigenvector that
-#: generates symmetric distributions for the whole coin family.
-SYMMETRIC_PAIR = np.array([1.0, 1.0j]) / math.sqrt(2)
-
-
 def chirality_pair(chirality: str | NDArray[np.complex128]) -> NDArray[np.complex128]:
     """The unit chirality pair ``(a, b)`` named or given by ``chirality``.
 
     Parameters
     ----------
     chirality : {"left", "right", "symmetric"} or array_like
-        ``"symmetric"`` means (|L> + i|R>)/sqrt2; an explicit length-2
-        complex pair must have unit norm.
+        ``"symmetric"`` means (|L> + i|R>)/sqrt2, the sigma_y eigenvector
+        that generates symmetric distributions for the whole coin
+        family; an explicit length-2 complex pair must have unit norm.
     """
     if isinstance(chirality, str):
         try:
             return {
                 "left": np.array([1.0, 0.0j]),
                 "right": np.array([0.0j, 1.0]),
-                "symmetric": SYMMETRIC_PAIR.copy(),
+                "symmetric": np.array([1.0, 1.0j]) / math.sqrt(2),
             }[chirality]
         except KeyError:
             raise DomainError(f"unknown chirality {chirality!r}") from None

@@ -22,9 +22,9 @@ the limiting density.
 
 On the circle both walks step through the halo-block ring of
 :mod:`qwalk.evolve`, the classical one by the average of the two
-neighbours, and yield their site masses a block of up to 64 steps at a
-time; the coined walk's are squared by :func:`qwalk.core._row_masses`,
-the one squaring of the package.
+neighbours, and yield their site masses a block at a time; the coined
+walk's are squared by :func:`qwalk.core._row_masses`, the one squaring
+of the package.
 :func:`mixing_time` and :func:`cesaro_average` reduce once per block:
 the TV distances of all its rows, the first of them at or below delta,
 and the running sum, whose rows a reduction down the block adds one
@@ -153,33 +153,27 @@ def interval_mass(dist: ProbabilityDistribution, coin: CoinOperator, eps: float)
     return float(np.sum(dist.masses[np.abs(alpha) <= cutoff]))
 
 
-def _uniform_targets(n: int, parity: bool, rows: int) -> NDArray[np.float64]:
-    """Uniform masses on the cycle of ``n`` sites, alternating in time, ``(rows, n)``.
+def _tv_rows(masses: NDArray[np.float64], parity: bool, t: int) -> NDArray[np.float64]:
+    """TV distance of each row of an ``(m, n)`` mass block to uniform.
 
-    Row ``r`` is the target at a time of parity ``r % 2``.  With
-    ``parity``, for an even ``n`` only, it is uniform on the ``n/2``
-    sites ``x`` with ``x + r`` even, the class a walk from site 0
-    occupies, and zero elsewhere; without, every row is uniform on all
-    ``n`` sites.
+    Row ``i`` is the walk at time ``t + i``.  Without ``parity`` its
+    reference is ``1/n`` on every site; with ``parity``, for an even
+    ``n`` only, it is ``2/n`` on the sites ``x`` with ``x = t + i (mod
+    2)``, the class a walk from site 0 occupies then, and zero
+    elsewhere.  The reference is subtracted as a scalar, from the whole
+    block or from each class's rows, and never built as an array:
+    ``p - 0.0`` is ``p``, and a scalar subtracts as a row full of it
+    would, so the gaps and their row sums are those against an explicit
+    reference row bit for bit.  Every TV distance of the module is taken
+    here, so the scan's trace and :func:`tv_distance` agree bit for bit.
     """
-    if not parity:
-        return np.full((rows, n), 1.0 / n)
-    targets = np.zeros((rows, n))
-    targets[0::2, 0::2] = targets[1::2, 1::2] = 2.0 / n
-    return targets
-
-
-def _tv_rows(masses: NDArray[np.float64], targets: NDArray[np.float64],
-             t: int) -> NDArray[np.float64]:
-    """TV distance of each row of an ``(m, n)`` mass block to its target.
-
-    Row ``i`` is observed at time ``t + i`` and is compared with
-    ``targets[t % 2 + i]``, a row of :func:`_uniform_targets` with at
-    least ``m + 1`` rows, so the targets of a block are one contiguous
-    slice.  Every TV distance of the module is taken here, so the scan's
-    trace and :func:`tv_distance` agree bit for bit.
-    """
-    gap = np.subtract(masses, targets[t % 2:t % 2 + len(masses)])
+    n = masses.shape[1]
+    if parity:
+        gap = masses.copy()
+        for x in (0, 1):
+            gap[(x - t) % 2::2, x::2] -= 2.0 / n
+    else:
+        gap = np.subtract(masses, 1.0 / n)
     return 0.5 * np.abs(gap, out=gap).sum(axis=1)
 
 
@@ -204,8 +198,7 @@ def tv_distance(dist: ProbabilityDistribution, reference: str) -> float:
     n, parity = dist.topology.size, reference == "uniform_parity"
     if parity and n % 2:
         raise DomainError(f"uniform_parity needs an even cycle; Circle({n}) has no parity classes")
-    targets = _uniform_targets(n, parity, 2)
-    return float(_tv_rows(dist.masses[None], targets, dist.time)[0])
+    return float(_tv_rows(dist.masses[None], parity, dist.time)[0])
 
 
 def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
@@ -233,22 +226,17 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
     if not math.isfinite(_as_real(delta, "delta")):
         raise DomainError(f"delta must be finite, got {delta!r}")
     steps = min(t_cap, MAX_STEPS)
-    n = spec.topology.size
+    parity = spec.topology.size % 2 == 0
     trace = array("d")  # 8 bytes a step; a list of floats holds about 32
     crossing: int | None = None
-    targets = None
-    t = 0
     for masses in _masses(spec, steps):
-        if targets is None:  # the first block is the longest
-            targets = _uniform_targets(n, n % 2 == 0, len(masses) + 1)
-        tv = _tv_rows(masses, targets, t + 1)
+        tv = _tv_rows(masses, parity, len(trace) + 1)
         hits = np.flatnonzero(tv <= delta)
         if hits.size:
             trace.frombytes(tv[:hits[0] + 1].tobytes())
-            crossing = t + int(hits[0]) + 1
+            crossing = len(trace)
             break
         trace.frombytes(tv.tobytes())
-        t += len(masses)
     if crossing is None and steps < t_cap:
         raise DomainError(f"no crossing within {MAX_STEPS} steps; a longer scan is refused")
     return MixingReport(time=crossing, tv_trace=np.frombuffer(trace, dtype=np.float64))

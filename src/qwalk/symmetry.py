@@ -40,13 +40,17 @@ RESIDUAL_TOL = 1e-12
 class SymmetrizerReport:
     """Outcome of checking one candidate S against a coin's M_k family.
 
-    The ``sign`` that fits better, the ``max_residual`` under it and the
-    ``verdict``; the candidate is the caller's own argument.
+    The ``sign`` that fits better and the ``max_residual`` under it;
+    the candidate is the caller's own argument.
     """
 
     sign: int
     max_residual: float
-    verdict: bool
+
+    @property
+    def verdict(self) -> bool:
+        """Whether ``max_residual`` lies below :data:`RESIDUAL_TOL`."""
+        return self.max_residual < RESIDUAL_TOL
 
 
 def verify_symmetrizer(
@@ -74,8 +78,7 @@ def verify_symmetrizer(
         for sign in (1, -1)
     }
     sign = min(residuals, key=residuals.get)
-    return SymmetrizerReport(sign=sign, max_residual=residuals[sign],
-                             verdict=residuals[sign] < RESIDUAL_TOL)
+    return SymmetrizerReport(sign=sign, max_residual=residuals[sign])
 
 
 def _find_symmetrizer(coin: CoinOperator) -> NDArray[np.complex128] | None:

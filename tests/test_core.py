@@ -292,6 +292,34 @@ def test_public_names_are_pinned():
     assert not any(inspect.ismodule(getattr(qwalk, name)) for name in qwalk.__all__)
 
 
+def test_no_private_top_level_name_is_orphaned():
+    # a module-level _name (function, class or assignment) that no module
+    # of the package reads is dead code; dunder names are exempt
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(qwalk.__file__).parent.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    orphans = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            orphans += [f"{stem}.{name}" for name in names
+                        if name.startswith("_") and not name.startswith("__")
+                        and name not in read]
+    assert orphans == []
+
+
 def test_every_module_reads_the_names_it_imports():
     # __init__.py is exempt: its imports are the package's re-exports
     unread = []

@@ -189,6 +189,25 @@ def test_tv_distance_even_circle_parity_floor():
     assert tv_distance(d, "uniform_parity") < 0.5
 
 
+@pytest.mark.parametrize("n, reference", [(8, "uniform_parity"), (10, "uniform_parity"),
+                                          (9, "uniform_all")])
+def test_tv_distance_against_an_explicit_reference(n, reference):
+    # the reference built site by site, apart from stats: 2/n on the
+    # class x = t (mod 2) a walk from site 0 occupies, or 1/n everywhere;
+    # the masses fill both classes, so off-class mass counts too
+    rng = np.random.default_rng(n)
+    for t in range(4):
+        p = rng.random(n)
+        p /= p.sum()
+        if reference == "uniform_parity":
+            ref = np.array([2 / n if x % 2 == t % 2 else 0.0 for x in range(n)])
+        else:
+            ref = np.array([1 / n for _ in range(n)])
+        expected = 0.5 * sum(abs(p[x] - ref[x]) for x in range(n))
+        got = tv_distance(ProbabilityDistribution(Circle(n), p, t), reference)
+        assert got == pytest.approx(expected, rel=1e-14, abs=0)
+
+
 def test_tv_distance_refuses_line():
     # a line's cone depends on the coin, which a distribution does not carry
     d = distribution(evolve_line(initial_state("left"), hadamard_coin(), 100))
