@@ -354,68 +354,56 @@ class _Parser(argparse.ArgumentParser):
         _usage_error(message)
 
 
+#: one row per subcommand, in --help order: its help, its --steps default
+#: (None: no --steps) and whether it takes --init and --topology
+_SUBCOMMANDS = {
+    "simulate": ("evolve by the direct recurrence", 100, True, True),
+    "spectral": ("evolve by the Fourier-domain route", 100, True, True),
+    "asymptotic": ("stationary-phase site probabilities inside the cone", 100, True, False),
+    "moments": ("moment table, simulation vs density", 80, True, False),
+    "mix": ("TV-to-uniform trace and crossing time", None, True, True),
+    "symmetry": ("check Pauli symmetrizer candidates", None, False, False),
+    "compare": ("exact vs spectral vs asymptotic", 64, True, False),
+}
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later one.
 
-    Building the root parser, its 7 subcommand parsers and their options
-    costs as much as a short command, so it is done once per process.
-    Parsing leaves no state in the parser: each ``parse_args`` fills a
-    new namespace from immutable defaults, and callers must not change
-    the parser either.  Subcommand ``name`` runs ``cmd_name``, which
-    :func:`main` looks up.
+    Each subcommand is one row of :data:`_SUBCOMMANDS`: every one takes
+    ``--coin``, ``--format`` and ``--output``, then the ``--init``,
+    ``--topology`` and ``--steps`` its row names, in that order.  Only
+    ``mix`` has options of its own on top.  Building the root parser,
+    its 7 subcommand parsers and their options costs as much as a short
+    command, so it is done once per process.  Parsing leaves no state in
+    the parser: each ``parse_args`` fills a new namespace from immutable
+    defaults, and callers must not change the parser either.  Subcommand
+    ``name`` runs ``cmd_name``, which :func:`main` looks up.
     """
-    parser = _Parser(
-        prog="qwalk",
-        description="Coined quantum walks on the line and circle.",
-    )
+    parser = _Parser(prog="qwalk", description="Coined quantum walks on the line and circle.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def coin_and_output(p):
+    for name, (text, steps, init, topology) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--coin", default="hadamard",
                        help="'hadamard', radians, or a multiple of pi like '0.5pi'")
         p.add_argument("--format", default="csv", choices=["csv", "json"])
         p.add_argument("--output", default="-", help="output path or '-' for stdout")
-
-    def common(p, steps_default=None, topology=True):
-        coin_and_output(p)
-        p.add_argument("--init", default="left",
-                       choices=["left", "right", "symmetric"])
+        if init:
+            p.add_argument("--init", default="left", choices=["left", "right", "symmetric"])
         if topology:
-            p.add_argument("--topology", default="line",
-                           help="'line' or 'circle:N'")
-        if steps_default is not None:
-            p.add_argument("--steps", type=int, default=steps_default)
+            p.add_argument("--topology", default="line", help="'line' or 'circle:N'")
+        if steps is not None:
+            p.add_argument("--steps", type=int, default=steps)
 
-    p = sub.add_parser("simulate", help="evolve by the direct recurrence")
-    common(p, steps_default=100)
-
-    p = sub.add_parser("spectral", help="evolve by the Fourier-domain route")
-    common(p, steps_default=100)
-
-    p = sub.add_parser("asymptotic",
-                       help="stationary-phase site probabilities inside the cone")
-    common(p, steps_default=100, topology=False)
-
-    p = sub.add_parser("moments", help="moment table, simulation vs density")
-    common(p, steps_default=80, topology=False)
-
-    p = sub.add_parser("mix", help="TV-to-uniform trace and crossing time")
-    common(p)
+    p = sub.choices["mix"]
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--t-cap", type=int, default=10000)
     p.add_argument("--classical", action="store_true",
                    help="run the exact classical DP walk instead; takes no --coin or --init")
     # None tells a given option from one left out; cmd_mix fills in the coined defaults
     p.set_defaults(coin=None, init=None)
-
-    p = sub.add_parser("symmetry", help="check Pauli symmetrizer candidates")
-    coin_and_output(p)
-
-    p = sub.add_parser("compare", help="exact vs spectral vs asymptotic")
-    common(p, steps_default=64, topology=False)
-
     return parser
 
 

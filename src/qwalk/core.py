@@ -118,12 +118,17 @@ def _sites(topology: Topology, count: int) -> NDArray[np.int64]:
 
 
 def _freeze(a, dtype) -> np.ndarray:
-    """A read-only C-contiguous copy of ``a`` as ``dtype``.
+    """A read-only C-contiguous copy of ``a`` as ``dtype``, with every -0.0 made +0.0.
 
     The copy is what the value objects hold: the caller's array stays
     writeable, and writing to it later does not change the object.
+    Adding +0.0 in place turns each -0.0 (a real or an imaginary part)
+    into +0.0 and keeps every other entry bit for bit, so no route
+    needs a fix-up of its own for the zeros it leaves, and a printed
+    value never reads ``-0``.
     """
     a = np.array(a, dtype=dtype, order="C")
+    a += 0.0  # in place: np.add would return a scalar for 0-d input
     a.flags.writeable = False
     return a
 
@@ -160,7 +165,8 @@ class WaveFunction:
     the circle, entry ``j`` lives at site ``j``, and there are exactly
     ``topology.size`` rows.  The amplitudes must be finite and ``time``
     an integer of at least 0 (a float such as 2.5 is refused, whatever
-    its value).
+    its value).  The object holds a read-only copy of the amplitudes in
+    which every -0.0 real or imaginary part is +0.0 (:func:`_freeze`).
     """
 
     topology: Topology
@@ -194,7 +200,8 @@ class ProbabilityDistribution:
     them.  ``time`` is an integer of at least 0.  Anything else is
     refused with :class:`DomainError`.  A walk's masses are nonnegative
     and sum to 1 up to rounding; neither is checked, since rounding
-    leaves no exact sum to check against.
+    leaves no exact sum to check against.  The object holds a read-only
+    copy of the masses in which every -0.0 is +0.0 (:func:`_freeze`).
     """
 
     topology: Topology

@@ -49,7 +49,7 @@ flushed (:func:`_ring_blocks` gives the measurement).
 
 Parity bookkeeping comes for free: amplitudes at sites with ``n + t``
 odd (origin start) stay exactly zero, and the results hold them as
-+0.0.
++0.0, as every :class:`~qwalk.core.WaveFunction` holds its zeros.
 """
 
 from __future__ import annotations
@@ -156,9 +156,8 @@ def evolve_line(
         work[1, steps:steps + n_in] = amps[p::2, b_col]
         _mix_steps(work.view(np.float64) if real else work, entries, n - p, steps, first,
                    floor)
-        # adding into +0.0 keeps every zero of the result a +0.0
-        out[p::2, a_col] += work[0]
-        out[p::2, b_col] += work[1]
+        out[p::2, a_col] = work[0]
+        out[p::2, b_col] = work[1]
 
     t = psi.time - steps if adjoint else psi.time + steps
     return WaveFunction(Line(offset=psi.topology.offset - steps), unscale(out), t)
@@ -171,8 +170,10 @@ def _at_unit_scale(amps):
     identity unless ``M`` lies in (0, 2**-20).  Then ``amps`` and ``M``
     are multiplied by the power of two that brings ``M`` into [0.5, 1),
     exactly, and the map undoes it by ``np.ldexp``, which rounds each
-    entry of the result once; adding +0.0 then turns the -0.0 a negative
-    entry that underflows there leaves into +0.0.
+    entry of the result once.  A negative entry that underflows there
+    leaves -0.0, which :class:`~qwalk.core.WaveFunction` holds as +0.0.
+    The map reads ``out`` as float64, so its last axis must be
+    contiguous.
     """
     big = np.max(np.abs(amps.view(np.float64)), initial=0.0)
     if not 0 < big < _SCALE_BELOW:
@@ -180,7 +181,7 @@ def _at_unit_scale(amps):
     shift = -int(np.frexp(big)[1])
     scaled = np.ldexp(amps.view(np.float64), shift).view(np.complex128)
     return (scaled, np.ldexp(big, shift),
-            lambda out: (np.ldexp(out.view(np.float64), -shift) + 0.0).view(np.complex128))
+            lambda out: np.ldexp(out.view(np.float64), -shift).view(np.complex128))
 
 
 def _coin_entries(matrix):
@@ -263,10 +264,8 @@ def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunc
     block = amps.T[None]
     for block in _ring_blocks(amps.T, coin, steps):
         pass
-    # adding +0.0 turns the -0.0 a negative coin entry leaves on a
-    # parity-forbidden site into +0.0
-    out = unscale(np.add(block[-1].T, 0.0, order="C"))
-    return WaveFunction(psi.topology, out, psi.time + steps)
+    return WaveFunction(psi.topology, unscale(np.ascontiguousarray(block[-1].T)),
+                        psi.time + steps)
 
 
 def _ring_blocks(rows, coin, steps):

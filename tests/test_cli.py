@@ -410,6 +410,44 @@ def test_each_subcommand_has_exactly_its_options():
     assert options == expected
 
 
+COIN = (("--coin",), "hadamard", None, None, False)
+FORMAT = (("--format",), "csv", None, ["csv", "json"], False)
+OUTPUT = (("--output",), "-", None, None, False)
+INIT = (("--init",), "left", None, ["left", "right", "symmetric"], False)
+TOPOLOGY = (("--topology",), "line", None, None, False)
+
+
+def steps_option(default):
+    return (("--steps",), default, int, None, False)
+
+
+#: each subcommand's arguments in --help order, as (option strings, default,
+#: type, choices, required); mix leaves --coin and --init None for cmd_mix
+SUBCOMMAND_ARGUMENTS = {
+    "simulate": [COIN, FORMAT, OUTPUT, INIT, TOPOLOGY, steps_option(100)],
+    "spectral": [COIN, FORMAT, OUTPUT, INIT, TOPOLOGY, steps_option(100)],
+    "asymptotic": [COIN, FORMAT, OUTPUT, INIT, steps_option(100)],
+    "moments": [COIN, FORMAT, OUTPUT, INIT, steps_option(80)],
+    "mix": [(("--coin",), None, None, None, False), FORMAT, OUTPUT,
+            (("--init",), None, None, ["left", "right", "symmetric"], False), TOPOLOGY,
+            (("--delta",), None, float, None, True), (("--t-cap",), 10000, int, None, False),
+            (("--classical",), False, None, None, False)],
+    "symmetry": [COIN, FORMAT, OUTPUT],
+    "compare": [COIN, FORMAT, OUTPUT, INIT, steps_option(64)],
+}
+
+
+def test_each_subcommand_argument_is_pinned():
+    # defaults, types and choices, not help text: argparse words its help
+    # differently from one Python version to the next
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    arguments = {name: [(tuple(a.option_strings), a.default, a.type, a.choices, a.required)
+                        for a in p._actions if not isinstance(a, argparse._HelpAction)]
+                 for name, p in sub.choices.items()}
+    assert list(arguments.items()) == list(SUBCOMMAND_ARGUMENTS.items())
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -500,7 +538,7 @@ def test_zero_steps_is_a_domain_error(command, capsys):
 
 
 @pytest.mark.parametrize("command", ["compare", "asymptotic", "moments"])
-def test_compare_refuses_circle(command, capsys):
+def test_line_only_commands_take_no_topology(command, capsys):
     # the line-only commands take no --topology at all
     with pytest.raises(SystemExit) as exc:
         main([command, "--topology", "circle:31", "--steps", "10"])
@@ -587,9 +625,9 @@ def test_moments_density_follows_init(argv, mean, capsys):
 
 
 @pytest.mark.parametrize("coin", ["0", "1e-13", "0.0001"])
-def test_moments_of_unresolvable_coin_exit_3(coin, capsys):
-    # the name predates the closed forms: |u01| near 0 is served, and
-    # theta = 0 moves ballistically, so the limit is the walk itself
+def test_moments_of_a_near_identity_coin_are_served(coin, capsys):
+    # |u01| near 0 is served by the closed forms, and theta = 0 moves
+    # ballistically, so the limit is the walk itself
     code, out, err = run_cli(["moments", "--coin", coin], capsys)
     assert code == 0 and err == ""
     theta = parse_theta(coin)

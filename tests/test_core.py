@@ -34,7 +34,7 @@ from qwalk import (
     theta_coin,
     tv_distance,
 )
-from qwalk.core import chirality_pair
+from qwalk.core import _freeze, chirality_pair
 
 SQRT2 = math.sqrt(2)
 
@@ -122,6 +122,33 @@ def test_value_objects_copy_their_arrays():
         assert np.array_equal(own, before)
         with pytest.raises(ValueError, match="read-only"):
             own[0] = 7
+
+
+#: float64 parts with -0.0 beside +0.0, subnormals of both signs and normal values
+PARTS = np.array([-0.0, 0.0, 5e-324, -5e-324, -2.2e-308, 1e-310, -0.0, 1.0,
+                  -0.5, -0.0, 1e300, -0.0, 0.0, -1e-320, 0.25, -0.0])
+
+
+@pytest.mark.parametrize("held, given", [
+    (lambda a: WaveFunction(Line(), a).amplitudes, PARTS.view(np.complex128).reshape(4, 2)),
+    (lambda a: ProbabilityDistribution(Line(), a, 0).masses, PARTS),
+    (lambda a: _freeze(a, np.float64), np.array(-0.0)),
+    (lambda a: _freeze(a, np.float64), np.array(-5e-324)),
+    (lambda a: _freeze(a, np.complex128), np.array(complex(-0.0, -0.0))),
+], ids=["wavefunction", "distribution", "0-d", "0-d-subnormal", "0-d-complex"])
+def test_value_objects_hold_no_negative_zero(held, given):
+    # bit patterns: each -0.0 part becomes +0.0, every other part is kept,
+    # and the caller's array keeps its -0.0
+    def bits(a):
+        return np.atleast_1d(a).view(np.float64).view(np.uint64)
+
+    before = bits(given).copy()
+    parts = before.view(np.float64)
+    expected = np.where(parts == 0, 0.0, parts).view(np.uint64)
+    own = held(given)
+    assert own.shape == given.shape
+    assert np.array_equal(bits(own), expected)
+    assert np.array_equal(bits(given), before)
 
 
 def test_transfer_matrix_at_zero_is_the_coin():
