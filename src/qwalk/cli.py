@@ -125,14 +125,17 @@ def _column_spec(column: np.ndarray, csv: bool) -> tuple[str, np.ndarray, Callab
     """One field's %-conversion, for CSV or as JSON values, the field and its cells' text.
 
     The conversion comes from the field's dtype: ``%d`` for an integer
-    field, ``%.17g`` (CSV) or ``%r`` (JSON) for a float field of finite
-    values, and ``%s`` over each cell's own text for any other field
-    (object, str, bool, or a float field holding NaN or inf).  The text
-    function is None where the conversion takes the cells as they are.
+    field, ``%.17g`` for any float field in CSV (it prints NaN and inf
+    as :func:`_csv_cell` does: ``nan``, ``inf``, ``-inf``), ``%r`` for a
+    float field of finite values in JSON, and ``%s`` over each cell's
+    own text for any other field (object, str, bool, or a JSON float
+    field holding NaN or inf, which ``json.dumps`` prints as ``NaN``
+    and ``Infinity``).  The text function is None where the conversion
+    takes the cells as they are.
     """
     if column.dtype.kind in "iu":
         return "%d", column, None
-    if column.dtype.kind == "f" and np.isfinite(column).all():
+    if column.dtype.kind == "f" and (csv or np.isfinite(column).all()):
         return "%.17g" if csv else "%r", column, None
     return "%s", column, _csv_cell if csv else json.dumps
 

@@ -67,12 +67,19 @@ def check_steps(steps: int) -> None:
 
 @dataclass(frozen=True)
 class Line:
-    """Unbounded line topology; ``offset`` is the integer site of the first entry."""
+    """Unbounded line topology; ``offset`` is the integer site of the first entry.
+
+    ``offset`` lies within +-2**62.  Every window a route reaches lies at
+    most :data:`MAX_STEPS` sites past its input, so its sites stay
+    int64; a walk whose result would start past that bound is refused
+    when the result's line is built.
+    """
 
     offset: int = 0
 
     def __post_init__(self):
-        _as_index(self.offset, "line offset")
+        if abs(_as_index(self.offset, "line offset")) > 2**62:
+            raise DomainError(f"line offset must lie within +-2**62, got {self.offset}")
 
 
 @dataclass(frozen=True)

@@ -36,16 +36,19 @@ flush touches at most ``4 width`` float64 entries, ``width`` the
 line's ``n + 2 steps`` sites or the cycle's n, so it moves the state by
 less than ``2 sqrt(width) floor`` in 2-norm, and the steps are unitary:
 the result moves by at most ``ceil(steps / F) * 2 sqrt(width) * floor``.
-Because the floor is relative to ``M``, a scaled input gives the
-scaled result.  A step shrinks an entry by at most a factor ``c``, the
-smallest nonzero real or imaginary part of a coin entry, so,
-cancellation aside, no subnormal is stepped while ``floor * c**32 >=
-2**-1022``.  :func:`evolve_line` and :func:`evolve_circle` step an
-input with ``M < 2**-20`` at unit scale (:func:`_at_unit_scale`), so
-the steps see ``M >= 2**-20`` for every input (a unit-norm one on fewer
-than 2**38 sites needs no rescale), and no subnormal is stepped for any
-coin with ``c >= 1.7e-4``.  The classical walk on the ring is not
-flushed (:func:`_ring_blocks` gives the measurement).
+A step shrinks an entry by at most a factor ``c``, the smallest
+nonzero real or imaginary part of a coin entry, so, cancellation
+aside, no subnormal is stepped while ``floor * c**32 >= 2**-1022``.
+:func:`evolve_line` and :func:`evolve_circle` take one scale rule
+(:func:`_at_unit_scale`): an input with ``M < 1/2`` is multiplied by
+the power of two that brings ``M`` into [1/2, 1), and the result is
+scaled back in place; no input is scaled down.  So the steps see ``M >=
+1/2``, the floor is at least 2**-601, and no subnormal is stepped for
+any coin with ``c >= 1.1e-4``.  A power of two scales exactly, and
+with the floor relative to ``M`` every step at the scaled magnitude is
+the scaled step, so a scaled input gives the scaled result bit for
+bit, up to the one rounding of the scale-back.  The classical walk on
+the ring is not flushed (:func:`_ring_blocks` gives the measurement).
 
 Parity bookkeeping comes for free: amplitudes at sites with ``n + t``
 odd (origin start) stay exactly zero, and the results hold them as
@@ -74,9 +77,6 @@ _FLUSH_FLOOR = 2.0 ** -600
 #: Steps between flushes: a flush costs about one step, so one in 32
 #: adds about 4% to a walk with nothing to flush.
 _FLUSH_EVERY = 32
-#: Inputs whose largest float64 entry lies below this are stepped
-#: scaled up by a power of two (see :func:`_at_unit_scale`).
-_SCALE_BELOW = 2.0 ** -20
 #: Float64 entries of the B steps of a circle block (256 KiB, in the L2
 #: cache).  Measured at n = 2047, a 2**16 budget cost 0.85 MB more peak
 #: memory, and 32-step blocks ran the coined scan slower (41 ms against 34).
@@ -118,10 +118,11 @@ def evolve_line(
     every 32nd step three more per mixed row for the flush below.
 
     The underflowing tails are flushed before every 32nd step, starting
-    with the first, and a tiny input is stepped at unit scale: the
-    module docstring states the policy and its bound.  On the Hadamard
-    walk to t = 4000 and on theta-coin round trips to t = 2000, every
-    entry above 1e-150 came out bit for bit as without the flush.
+    with the first, and an input whose largest part lies below 1/2 is
+    stepped scaled up by a power of two: the module docstring states
+    the policy and its bound.  On the Hadamard walk to t = 4000 and on
+    theta-coin round trips to t = 2000, every entry above 1e-150 came
+    out bit for bit as without the flush.
     """
     if not isinstance(psi.topology, Line):
         raise DomainError("evolve_line needs line topology")
@@ -164,24 +165,23 @@ def evolve_line(
 
 
 def _at_unit_scale(amps):
-    """Return ``amps`` at unit scale, its largest part and the map that scales a result back.
+    """Return ``amps`` at unit scale, its largest part there and the map that scales a result back.
 
-    They are ``amps``, its largest real or imaginary part ``M`` and the
-    identity unless ``M`` lies in (0, 2**-20).  Then ``amps`` and ``M``
-    are multiplied by the power of two that brings ``M`` into [0.5, 1),
-    exactly, and the map undoes it by ``np.ldexp``, which rounds each
-    entry of the result once.  A negative entry that underflows there
-    leaves -0.0, which :class:`~qwalk.core.WaveFunction` holds as +0.0.
-    The map reads ``out`` as float64, so its last axis must be
-    contiguous.
+    ``M``, the largest real or imaginary part of ``amps``, is brought
+    into [0.5, 1) if it lies in (0, 0.5): ``amps`` and ``M`` are
+    multiplied by that power of two, exactly.  Any other input is
+    returned as a copy at its own scale, never scaled down.  The map
+    undoes the scaling in place by ``np.ldexp`` on the float64 view of
+    the caller's fresh result, which it returns as complex; that rounds
+    each entry once.  A negative entry that underflows there leaves
+    -0.0, which :class:`~qwalk.core.WaveFunction` holds as +0.0.  The
+    result's last axis must be contiguous.
     """
     big = np.max(np.abs(amps.view(np.float64)), initial=0.0)
-    if not 0 < big < _SCALE_BELOW:
-        return amps, big, lambda out: out
-    shift = -int(np.frexp(big)[1])
+    shift = max(0, -int(np.frexp(big)[1]))
     scaled = np.ldexp(amps.view(np.float64), shift).view(np.complex128)
     return (scaled, np.ldexp(big, shift),
-            lambda out: np.ldexp(out.view(np.float64), -shift).view(np.complex128))
+            lambda out: np.ldexp(w := out.view(np.float64), -shift, out=w).view(np.complex128))
 
 
 def _coin_entries(matrix):

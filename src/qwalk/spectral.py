@@ -162,12 +162,14 @@ def evolve_spectral(
     length-``N/d`` FFT, turned by ``M_k^t`` at ``N/d`` wavenumbers,
     twiddled and transformed back into the rows of the class it reaches
     (see the module docstring); on a line the output window is the
-    support grown by t per side.  Rows that no occupied class reaches
-    stay exact +0.0.  Time is O(N log N) and memory O(N): ``M_k^t`` is
-    applied to the ``(N/d, 2)`` vectors directly, and the traced peak of
-    the Hadamard walk from one site is 139 B per wavenumber at t = 20 000
-    (203 B with length-N transforms of both classes, 288 B while a
-    ``(N, 2, 2)`` matrix was built per wavenumber).
+    input's rows grown by t per side, as in
+    :func:`qwalk.evolve.evolve_line`, also for an empty input.  Rows
+    that no occupied class reaches stay exact +0.0.  Time is O(N log N)
+    and memory O(N): ``M_k^t`` is applied to the ``(N/d, 2)`` vectors
+    directly, and the traced peak of the Hadamard walk from one site is
+    139 B per wavenumber at t = 20 000 (203 B with length-N transforms
+    of both classes, 288 B while a ``(N, 2, 2)`` matrix was built per
+    wavenumber).
 
     The result is exact up to round-off and must agree with
     :func:`qwalk.evolve.evolve_line` or :func:`qwalk.evolve.evolve_circle`.
@@ -181,22 +183,22 @@ def evolve_spectral(
     diagonal, antidiagonal and random U(2) coins.
     """
     check_steps(t)
-    amps = init.amplitudes
-    sites = init.sites
-    if isinstance(init.topology, Line):
+    amps, sites = init.amplitudes, init.sites
+    topology, start, grow = init.topology, 0, 0
+    if isinstance(topology, Line):
+        start, grow = topology.offset, t
         n = _even_smooth_at_least(amps.shape[0] + 2 * t)
-        out_sites = np.arange(sites[0] - t, sites[-1] + t + 1)
-        topology = Line(offset=int(out_sites[0]))
+        topology = Line(offset=start - t)
     else:
-        n = init.topology.size
-        out_sites, topology = sites, init.topology
+        n = topology.size
+    out_sites = np.arange(start - grow, start + amps.shape[0] + grow)
     d = 2 - n % 2
     length = n // d
     k = 2 * math.pi * np.arange(length) / n
 
     out = np.zeros((len(out_sites), 2), dtype=np.complex128)
     for p in range(d):
-        rows = slice((p - sites[0]) % d, None, d)
+        rows = slice((p - start) % d, None, d)
         if not amps[rows].any():
             continue
         q = (p + t) % d
@@ -206,6 +208,6 @@ def evolve_spectral(
         scattered[(sites[rows] - p) // d % length] = amps[rows]
         psi_kt = _propagate(coin, k, np.fft.ifft(scattered, axis=0, norm="forward"), t)
         psi_kt *= np.exp(1j * (p - q) * k)[:, None]
-        into = slice((q - out_sites[0]) % d, None, d)
+        into = slice((q - start + grow) % d, None, d)
         out[into] = np.fft.fft(psi_kt, axis=0, norm="forward")[(out_sites[into] - q) // d % length]
     return WaveFunction(topology, out, init.time + t)

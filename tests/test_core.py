@@ -201,6 +201,21 @@ def test_numpy_integers_are_steps_and_sizes():
     assert mixing_time(WalkSpec(Circle(5)), 0.5, np.int64(10)).time is not None
 
 
+def test_line_offset_is_bounded_so_sites_stay_int64():
+    for offset in (2**62, -2**62):
+        assert Line(offset=offset).offset == offset
+    for offset in (2**62 + 1, -2**62 - 1, 2**63 - 2):
+        with pytest.raises(DomainError):
+            Line(offset=offset)
+    for evolve in (evolve_line, evolve_spectral):
+        sites = evolve(initial_state("left", Line(offset=2**62)), hadamard_coin(), 3).sites
+        assert sites.dtype == np.int64
+        assert sites.tolist() == list(range(2**62 - 3, 2**62 + 4))
+        # a walk whose result would start past the bound is refused
+        with pytest.raises(DomainError):
+            evolve(initial_state("left", Line(offset=-2**62)), hadamard_coin(), 1)
+
+
 def test_circle_size_floor():
     with pytest.raises(DomainError):
         Circle(2)

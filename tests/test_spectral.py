@@ -270,6 +270,21 @@ def test_spectral_matches_direct_evolution(coin_key, init):
     assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
 
 
+@pytest.mark.parametrize("offset", [0, 3, -3])
+@pytest.mark.parametrize("t", [0, 1, 3])
+@pytest.mark.parametrize("rows", [0, 4], ids=["empty", "zero"])
+def test_line_routes_agree_on_a_state_with_no_amplitude(rows, t, offset):
+    # both routes take the input's rows grown by t per side, from the
+    # offsets alone, so an empty input is a window of 2t zero rows
+    psi0 = WaveFunction(Line(offset=offset), np.zeros((rows, 2)), 0)
+    a = evolve_line(psi0, hadamard_coin(), t)
+    b = evolve_spectral(psi0, hadamard_coin(), t)
+    assert a.topology == b.topology == Line(offset=offset - t)
+    assert a.sites.tolist() == b.sites.tolist() == list(range(offset - t, offset + rows + t))
+    assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
+    assert not np.any(b.amplitudes)
+
+
 def test_spectral_identity_coin_point_mass():
     psi = evolve_spectral(initial_state("left"), theta_coin(0.0), 7)
     d = distribution(psi)
