@@ -167,6 +167,22 @@ def test_evolution_commutes_with_scaling(scale, evolve, topology):
     assert not np.any(np.signbit(parts[parts == 0]))
 
 
+@SCALED_WALKS
+def test_tiny_input_is_stepped_at_unit_scale(evolve, topology):
+    # a 2**-900-scaled input is stepped at scale 1 and scaled back, so no
+    # step meets a subnormal and the result is the unit walk's, scaled;
+    # an entry that underflows in the scale-back is +0.0, never -0.0
+    psi = initial_state(np.array([0.6, 0.8j]), topology)
+    scaled = np.ldexp(psi.amplitudes.view(np.float64), -900).view(np.complex128)
+    unit = evolve(psi, hadamard_coin(), 4000).amplitudes
+    tiny = evolve(WaveFunction(psi.topology, scaled, 0), hadamard_coin(), 4000).amplitudes
+    assert np.any(tiny)
+    expected = np.ldexp(unit.view(np.float64), -900) + 0.0
+    assert tiny.tobytes() == expected.view(np.complex128).tobytes()
+    parts = tiny.view(np.float64)
+    assert not np.any(np.signbit(parts[parts == 0]))
+
+
 def test_adjoint_cannot_rewind_past_origin():
     psi = evolve_line(initial_state("left"), hadamard_coin(), 3)
     with pytest.raises(DomainError):
