@@ -99,7 +99,10 @@ def asymptotic_wavefunction(
     an integer ``t >= 1`` (a float such as 10.5 or a string is refused,
     whatever its value, as :func:`qwalk.core.check_steps` refuses it),
     integer ``sites`` and ``|n/t| < |u00|`` at every site; the error
-    grows without bound towards the edge, where ``w'' -> 0``.
+    grows without bound towards the edge, where ``w'' -> 0``.  Any
+    Python int ``t`` is taken, but the phase ``t (h + w)`` is a float64,
+    so it loses its meaning once ``t`` times the rounding error of ``h +
+    w`` nears a radian.
     """
     edge = support_edge(coin)
     if not 0 < edge < 1:
@@ -119,7 +122,7 @@ def asymptotic_wavefunction(
     amp = np.sqrt(2 / (math.pi * t * np.abs(curv))) * np.exp(
         1j * (t * (h + w) - k * sites + np.sign(curv) * math.pi / 4))
     psi = np.sum(amp[..., None] * projected, axis=0)
-    psi[(sites + t) % 2 == 1] = 0
+    psi[sites % 2 != t % 2] = 0
     return psi
 
 

@@ -39,16 +39,18 @@ the result moves by at most ``ceil(steps / F) * 2 sqrt(width) * floor``.
 A step shrinks an entry by at most a factor ``c``, the smallest
 nonzero real or imaginary part of a coin entry, so, cancellation
 aside, no subnormal is stepped while ``floor * c**32 >= 2**-1022``.
-:func:`evolve_line` and :func:`evolve_circle` take one scale rule
-(:func:`_at_unit_scale`): an input with ``M < 1/2`` is multiplied by
-the power of two that brings ``M`` into [1/2, 1), and the result is
-scaled back in place; no input is scaled down.  So the steps see ``M >=
-1/2``, the floor is at least 2**-601, and no subnormal is stepped for
-any coin with ``c >= 1.1e-4``.  A power of two scales exactly, and
-with the floor relative to ``M`` every step at the scaled magnitude is
-the scaled step, so a scaled input gives the scaled result bit for
-bit, up to the one rounding of the scale-back.  The classical walk on
-the ring is not flushed (:func:`_ring_blocks` gives the measurement).
+Both kernels take one scale rule (:func:`_unit_scale`): if ``M < 1/2``,
+each multiplies the buffer it has just filled from the input (the
+line's class rows, the ring's first slot) in place by the power of two
+that brings ``M`` into [1/2, 1), and scales its result back in place.
+The input is never copied, and none is scaled down.  So the steps see
+``M >= 1/2``, the floor is at least 2**-601, and no subnormal is
+stepped for any coin with ``c >= 1.1e-4``.  A power of two scales
+exactly, and with the floor relative to ``M`` every step at the scaled
+magnitude is the scaled step, so a scaled input gives the scaled result
+bit for bit, up to the one rounding of the scale-back.  The classical
+walk on the ring is not flushed (:func:`_ring_blocks` gives the
+measurement).
 
 Parity bookkeeping comes for free: amplitudes at sites with ``n + t``
 odd (origin start) stay exactly zero, and the results hold them as
@@ -118,11 +120,12 @@ def evolve_line(
     every 32nd step three more per mixed row for the flush below.
 
     The underflowing tails are flushed before every 32nd step, starting
-    with the first, and an input whose largest part lies below 1/2 is
-    stepped scaled up by a power of two: the module docstring states
-    the policy and its bound.  On the Hadamard walk to t = 4000 and on
-    theta-coin round trips to t = 2000, every entry above 1e-150 came
-    out bit for bit as without the flush.
+    with the first.  If the input's largest part lies below 1/2, the
+    class rows are scaled up in place by a power of two as they are
+    loaded, and the result is scaled back in place: the module docstring
+    states the policy and its bound.  On the Hadamard walk to t = 4000
+    and on theta-coin round trips to t = 2000, every entry above 1e-150
+    came out bit for bit as without the flush.
     """
     if not isinstance(psi.topology, Line):
         raise DomainError("evolve_line needs line topology")
@@ -130,8 +133,8 @@ def evolve_line(
     if adjoint and steps > psi.time:
         raise DomainError("cannot rewind past t = 0")
 
-    amps, big, unscale = _at_unit_scale(psi.amplitudes)
-    floor = _FLUSH_FLOOR * big
+    amps = psi.amplitudes
+    shift, floor = _unit_scale(amps.view(np.float64))
     n = amps.shape[0]
     width = n + 2 * steps
     # The adjoint frame is the forward frame with the columns swapped:
@@ -155,33 +158,31 @@ def evolve_line(
         n_in = (n - p + 1) // 2
         work[0, :n_in] = amps[p::2, a_col]
         work[1, steps:steps + n_in] = amps[p::2, b_col]
-        _mix_steps(work.view(np.float64) if real else work, entries, n - p, steps, first,
-                   floor)
+        np.ldexp(view := work.view(np.float64), shift, out=view)
+        _mix_steps(view if real else work, entries, n - p, steps, first, floor)
         out[p::2, a_col] = work[0]
         out[p::2, b_col] = work[1]
 
+    np.ldexp(parts := out.view(np.float64), -shift, out=parts)
     t = psi.time - steps if adjoint else psi.time + steps
-    return WaveFunction(Line(offset=psi.topology.offset - steps), unscale(out), t)
+    return WaveFunction(Line(offset=psi.topology.offset - steps), out, t)
 
 
-def _at_unit_scale(amps):
-    """Return ``amps`` at unit scale, its largest part there and the map that scales a result back.
+def _unit_scale(parts):
+    """``(shift, floor)``: how a kernel steps the float64 array ``parts`` at unit scale.
 
-    ``M``, the largest real or imaginary part of ``amps``, is brought
-    into [0.5, 1) if it lies in (0, 0.5): ``amps`` and ``M`` are
-    multiplied by that power of two, exactly.  Any other input is
-    returned as a copy at its own scale, never scaled down.  The map
-    undoes the scaling in place by ``np.ldexp`` on the float64 view of
-    the caller's fresh result, which it returns as complex; that rounds
-    each entry once.  A negative entry that underflows there leaves
-    -0.0, which :class:`~qwalk.core.WaveFunction` holds as +0.0.  The
-    result's last axis must be contiguous.
+    ``M``, the largest magnitude in ``parts``, times ``2**shift`` lies
+    in [1/2, 1) if ``M`` lies in (0, 1/2); for any other ``M`` the
+    shift is 0, so nothing is scaled down.  ``floor = 2**-600 M
+    2**shift`` is the flush floor of the scaled walk.  The kernel scales
+    the buffer it has filled in place, ``np.ldexp(view, shift,
+    out=view)``, exactly, and its result back by ``-shift``, which
+    rounds each entry once.  A negative entry that underflows there
+    leaves -0.0, which :class:`~qwalk.core.WaveFunction` holds as +0.0.
     """
-    big = np.max(np.abs(amps.view(np.float64)), initial=0.0)
+    big = np.max(np.abs(parts), initial=0.0)
     shift = max(0, -int(np.frexp(big)[1]))
-    scaled = np.ldexp(amps.view(np.float64), shift).view(np.complex128)
-    return (scaled, np.ldexp(big, shift),
-            lambda out: np.ldexp(w := out.view(np.float64), -shift, out=w).view(np.complex128))
+    return shift, _FLUSH_FLOOR * np.ldexp(big, shift)
 
 
 def _coin_entries(matrix):
@@ -254,18 +255,22 @@ def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunc
     steps run in the halo-block ring of :func:`_ring_blocks`, and the
     result is the last row of its last block: memory is O(n), and a
     step costs six vector operations over a window of n to n + 2B - 2
-    sites, with no intermediate wavefunction.
+    sites, with no intermediate wavefunction.  That row is at the scale
+    of the ring's first slot, and is scaled back in place: the input is
+    not copied.
     """
     if not isinstance(psi.topology, Circle):
         raise DomainError("evolve_circle needs circle topology")
     check_steps(steps)
 
-    amps, _, unscale = _at_unit_scale(psi.amplitudes)
-    block = amps.T[None]
-    for block in _ring_blocks(amps.T, coin, steps):
+    if steps == 0:  # no block runs, so there is no ring row to scale back
+        return psi
+    for block in _ring_blocks(psi.amplitudes.T, coin, steps):
         pass
-    return WaveFunction(psi.topology, unscale(np.ascontiguousarray(block[-1].T)),
-                        psi.time + steps)
+    # the ring's first slot held the input and zeros, so this is its shift
+    shift, _ = _unit_scale(psi.amplitudes.view(np.float64))
+    np.ldexp(parts := block[-1].view(np.float64), -shift, out=parts)
+    return WaveFunction(psi.topology, block[-1].T, psi.time + steps)
 
 
 def _ring_blocks(rows, coin, steps):
@@ -301,10 +306,14 @@ def _ring_blocks(rows, coin, steps):
     of a step: at n = 127, blocks of n/2 or more took 1.1 ms for the
     coined scan, against 0.6 ms at n/8.
 
+    The first slot is scaled in place as :func:`_unit_scale` says for
+    ``rows``, and every yield is at that scale: :func:`evolve_circle`
+    scales its last row back, and the scans of :mod:`qwalk.stats`
+    start from a unit mass or a unit-norm state, which is not scaled.
     A coined walk is flushed below ``floor = 2**-600 M``, ``M`` the
-    largest real or imaginary part of ``rows``, at the start of every
-    ``32 // B``-th block (at least 1, since B <= 32), on the core of the
-    slot the block starts from (see the module docstring).  The
+    largest real or imaginary part of the scaled slot, at the start of
+    every ``32 // B``-th block (at least 1, since B <= 32), on the core
+    of the slot the block starts from (see the module docstring).  The
     classical walk is not: its nonnegative masses never cancel, only a
     few of them are subnormal (44 to 66 at n = 8191, t = 3000 to 6000),
     and the flush cost time.  On the classical scan of n = 511 (20 710
@@ -318,6 +327,8 @@ def _ring_blocks(rows, coin, steps):
     width = n + 2 * b
     ring = np.zeros((b + 1, c, width), dtype=rows.dtype)
     ring[0, :, b:b + n] = rows
+    shift, floor = _unit_scale(slot := ring[0].view(np.float64))
+    np.ldexp(slot, shift, out=slot)
     views, k = ring, 1  # view entries per site
     if coin is None:
         half = np.array(0.5)
@@ -327,7 +338,6 @@ def _ring_blocks(rows, coin, steps):
             views, k = ring.view(np.float64), 2
         # the scratch row of a coined step and of the flush
         tmp = np.empty(k * (width - 2), dtype=views.dtype)
-        floor = _FLUSH_FLOOR * np.max(np.abs(ring[0].view(np.float64)))
 
     def face(sign, count):
         # the views of one ring direction, cut once: cutting them every

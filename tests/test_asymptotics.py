@@ -172,6 +172,15 @@ def test_parity_forbidden_sites_give_zero():
     assert np.all(psi[2] != 0)
 
 
+@pytest.mark.parametrize("t", [2**63, 2**70])
+def test_huge_t_keeps_exact_parity_zeros(t):
+    # t past the int64 range must not be converted to it
+    psi = asymptotic_wavefunction(hadamard_coin(), "left", t, np.array([-3, 0, 1, 2]))
+    assert np.all(np.isfinite(psi))
+    zeros = psi[[0, 2]].view(np.float64)
+    assert np.all(zeros == 0) and not np.any(np.signbit(zeros))
+
+
 def test_probability_is_squared_wavefunction():
     sites = [-40, -12, 0, 20, 52]
     psi = asymptotic_wavefunction(COMPLEX_COIN, "right", 100, sites)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_cli import traced_peak
 from test_spectral import parts, transfer_matrix, u2_coins, unit_pairs
 
 from qwalk import (
@@ -148,18 +149,23 @@ SCALED_WALKS = pytest.mark.parametrize("evolve, topology", [
 
 
 @SCALED_WALKS
-@pytest.mark.parametrize("scale", [2.0 ** -900, 2.0 ** -10, 2.0 ** 900])
-def test_evolution_commutes_with_scaling(scale, evolve, topology):
+@pytest.mark.parametrize("scale, steps", [
+    # the 4000-step cases keep the ids they had before steps was a parameter
+    pytest.param(scale, steps, id=str(scale) if steps == 4000 else f"{scale}-{steps}-steps")
+    for steps in (4000, 0, 1) for scale in (2.0 ** -900, 2.0 ** -10, 2.0 ** 900)
+])
+def test_evolution_commutes_with_scaling(scale, steps, evolve, topology):
     # a state scaled by a power of two gives the scaled walk bit for bit:
     # the steps see its largest part at 1/2 or above (2**-900 and 2**-10
     # are stepped scaled up, 2**900 as given) and the flush floor is
     # relative to it; an entry that underflows in the scale-back is +0.0,
-    # never -0.0
+    # never -0.0.  With no step taken the kernels' buffers are not the
+    # input, so scaling them back in place leaves the input as it is.
     psi = initial_state(np.array([0.6, 0.8j]), topology)
     shift = math.frexp(scale)[1] - 1
     scaled = np.ldexp(psi.amplitudes.view(np.float64), shift).view(np.complex128)
-    unit = evolve(psi, hadamard_coin(), 4000).amplitudes
-    got = evolve(WaveFunction(psi.topology, scaled, 0), hadamard_coin(), 4000).amplitudes
+    unit = evolve(psi, hadamard_coin(), steps).amplitudes
+    got = evolve(WaveFunction(psi.topology, scaled, 0), hadamard_coin(), steps).amplitudes
     assert np.any(got)
     expected = np.ldexp(unit.view(np.float64), shift) + 0.0
     assert got.tobytes() == expected.view(np.complex128).tobytes()
@@ -181,6 +187,25 @@ def test_tiny_input_is_stepped_at_unit_scale(evolve, topology):
     assert tiny.tobytes() == expected.view(np.complex128).tobytes()
     parts = tiny.view(np.float64)
     assert not np.any(np.signbit(parts[parts == 0]))
+
+
+@pytest.mark.parametrize("evolve, topology, coin, steps, extra, per_row", [
+    (evolve_line, Line(), theta_coin(0.9), 4000, {"adjoint": True}, 216),
+    (evolve_line, Line(), theta_coin(0.9), 100, {}, 112),
+    (evolve_circle, Circle(2047), hadamard_coin(), 2000, {}, 224),
+], ids=["line-adjoint", "line-forward", "circle"])
+def test_kernels_hold_no_copy_of_the_input(evolve, topology, coin, steps, extra, per_row):
+    # traced bytes per input row, on an input with every site of a class
+    # occupied (8001 rows on the line, all 2047 sites of the cycle).  The
+    # line holds its result, the class buffer of four half-width rows and
+    # the frozen result, 32 B a result row each: about 2 result rows an
+    # input row on the way back to t = 0 (200 B traced) and 1 to t = 100
+    # (103 B).  The ring at n = 2047 holds 5 slots of 32 B a site, then
+    # the frozen result (198 B).  A 32 B scaled copy of the input, or a
+    # second copy of the result, does not fit.
+    psi = evolve(initial_state(np.array([0.6, 0.8j]), topology), coin, 4000)
+    peak = traced_peak(lambda: evolve(psi, coin, steps, **extra))
+    assert peak <= per_row * len(psi.amplitudes)
 
 
 def test_adjoint_cannot_rewind_past_origin():
