@@ -4,7 +4,9 @@ A left-chirality start drifts left; the walk is nonetheless unbiased in
 the sense that a single chirality unitary S with S^dag M_k S = +-M_{-k}
 maps every run onto its mirror image.  Among the Pauli matrices only
 sigma_y works; starting from its eigenvector (|L> + i|R>)/sqrt2 the
-distribution is symmetric to round-off at every step.
+distribution is symmetric to round-off at every step.  A coin that no
+Pauli matrix verifies still has a symmetric start, in closed form:
+(1, i e^{i(arg u00 - arg u01)})/sqrt2.
 """
 
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 
 from qwalk import (
+    CoinOperator,
     distribution,
     evolve_line,
     hadamard_coin,
@@ -49,3 +52,15 @@ print(f"for contrast, left start mean alpha = {moment(d_left, 'mean'):+.4f}, "
       f"right start mean alpha = {moment(d_right, 'mean'):+.4f}")
 print("the two biased runs are exact mirror images of each other:",
       np.max(np.abs(d_left.masses - d_right.masses[::-1])) < 1e-13)
+
+# diag(1, i) R diag(1, e^{0.7i}) for a real rotation R
+rotation = np.array([[0.6, 0.8], [-0.8, 0.6]])
+phased = CoinOperator(np.diag([1, 1j]) @ rotation @ np.diag([1, np.exp(0.7j)]))
+print("\ncoin diag(1, i) R diag(1, e^{0.7i}):")
+for name, cand in PAULIS:
+    print(f"  {name}: verdict {verify_symmetrizer(phased, cand).verdict}")
+pair = symmetric_initial(phased)
+print(f"closed-form symmetric start: ({pair[0]:.4f}, {pair[1]:.4f})")
+d_phased = distribution(evolve_line(initial_state(pair), phased, t))
+print(f"max |P(n) - P(-n)| at t = {t}: "
+      f"{np.max(np.abs(d_phased.masses - d_phased.masses[::-1])):.2e}")

@@ -228,6 +228,17 @@ class ProbabilityDistribution:
         return _sites(self.topology, len(self.masses))
 
 
+def _unitarity_error(m: NDArray[np.complex128]) -> float:
+    """Largest entry of ``|m^dag m - I|`` for a 2x2 ``m``, with no warning.
+
+    A NaN entry gives NaN, and an entry too large to square gives inf
+    or NaN: each fails a ``< tol`` check, and is refused there rather
+    than warned about here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.max(np.abs(m.conj().T @ m - np.eye(2)))
+
+
 @dataclass(frozen=True)
 class CoinOperator:
     """A 2x2 unitary acting on the chirality.
@@ -246,7 +257,7 @@ class CoinOperator:
         if m.shape != (2, 2):
             raise DomainError("coin matrix must be 2x2")
         # written so that a NaN entry fails it too
-        if not np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-14:
+        if not _unitarity_error(m) < 1e-14:
             raise DomainError("coin matrix must be unitary")
         object.__setattr__(self, "matrix", m)
 
@@ -284,9 +295,12 @@ def chirality_pair(chirality: str | NDArray[np.complex128]) -> NDArray[np.comple
     Parameters
     ----------
     chirality : {"left", "right", "symmetric"} or array_like
-        ``"symmetric"`` means (|L> + i|R>)/sqrt2, the sigma_y eigenvector
-        that generates symmetric distributions for the whole coin
-        family; an explicit length-2 complex pair must have unit norm.
+        ``"symmetric"`` means (|L> + i|R>)/sqrt2, the symmetric start of
+        every coin with ``arg u00 = arg u01`` (the Hadamard coin and
+        every :func:`theta_coin`), bit for bit what
+        :func:`qwalk.symmetry.symmetric_initial` returns for them; any
+        other coin takes ``symmetric_initial(coin)``.  An explicit
+        length-2 complex pair must have unit norm.
     """
     if isinstance(chirality, str):
         try:
@@ -300,8 +314,10 @@ def chirality_pair(chirality: str | NDArray[np.complex128]) -> NDArray[np.comple
     pair = np.asarray(chirality, dtype=np.complex128)
     if pair.shape != (2,):
         raise DomainError("custom chirality must be a length-2 pair")
+    with np.errstate(over="ignore"):  # a huge entry gives inf, refused below
+        norm = np.linalg.norm(pair)
     # written so that a NaN entry fails it too
-    if not abs(np.linalg.norm(pair) - 1.0) <= NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise DomainError("custom chirality must have unit norm")
     return pair
 

@@ -12,19 +12,22 @@ its two coefficients: ``S^dag (P_R U) S = +-P_L U`` and ``S^dag (P_L U) S
 = +-P_R U``.  The check reads these off the coin, with no k-grid.
 
 For the rotation family (Hadamard included) ``S = sigma_y`` works; the
-minus sign shows up for the Hadamard coin.  No search over candidate
-unitaries is attempted: the checker verifies supplied candidates, and a
-convenience sweep tries the three Pauli matrices.
+minus sign shows up for the Hadamard coin.  :func:`verify_symmetrizer`
+is this exact check for a candidate the caller supplies, such as one of
+:data:`PAULIS`; nothing searches over candidates.  The symmetric start
+of every U(2) coin is in closed form (:func:`symmetric_initial`), also
+for the coins no such S verifies.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import CoinOperator, DomainError
+from .core import CoinOperator, DomainError, _unitarity_error
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -67,7 +70,7 @@ def verify_symmetrizer(
     """
     s = np.asarray(candidate, dtype=np.complex128)
     # written so that a NaN entry fails it too
-    if s.shape != (2, 2) or not np.max(np.abs(s.conj().T @ s - np.eye(2))) <= 1e-13:
+    if s.shape != (2, 2) or not _unitarity_error(s) <= 1e-13:
         raise DomainError("candidate must be a 2x2 unitary")
     u = coin.matrix
     m_plus, m_minus = u * [[0], [1]], u * [[1], [0]]  # P_R U, P_L U
@@ -81,32 +84,34 @@ def verify_symmetrizer(
     return SymmetrizerReport(sign=sign, max_residual=residuals[sign])
 
 
-def _find_symmetrizer(coin: CoinOperator) -> NDArray[np.complex128] | None:
-    """The verified Pauli matrix with the least residual, or None.
-
-    Ties go to the earlier Pauli in :data:`PAULIS`.  A coin within
-    ``RESIDUAL_TOL`` of the identity verifies more than one Pauli; the
-    exact one among them mirrors the walk to round-off, the others only
-    to about their residual.
-    """
-    verified = [(r.max_residual, pauli) for _, pauli in PAULIS
-                if (r := verify_symmetrizer(coin, pauli)).verdict]
-    return min(verified, key=lambda v: v[0], default=(None, None))[1]
-
-
 def symmetric_initial(coin: CoinOperator) -> NDArray[np.complex128]:
-    """Unit +1 eigenvector of a verified symmetrizer for this coin.
+    """The start ``(1, i e^{i(arg u00 - arg u01)})/sqrt2``, whose walk is mirror-symmetric.
 
-    The symmetrizer S is the Pauli matrix :func:`_find_symmetrizer`
-    returns, Hermitian and unitary, so ``(I + S)/2`` projects onto its
-    +1 eigenspace; the first column of that projector is nonzero for
-    all three and has a real positive L component.  For ``S = sigma_y``
-    this is ``(1, i)/sqrt2``; evolving from it gives ``P(n, t) = P(-n,
-    t)`` to round-off at every t.  A coin that no Pauli verifies raises
-    :class:`DomainError`.
+    Every coin factors as ``U = e^{ih} D_beta R D_gamma``, where ``D_d =
+    diag(e^{id}, e^{-id})`` and R is a real rotation (Tregenna,
+    Flanagan, Maile and Kendon, New J. Phys. 5, 83, 2003).  The shift
+    commutes with every D, and ``D_{beta+gamma}`` in front of R only
+    moves k by ``beta + gamma``, which from a one-site start multiplies
+    each site by a phase.  So the walk of U from psi0 has the site
+    masses of the walk of R from ``D_gamma psi0``, which sigma_y
+    mirrors: the mirror map of U is ``S_U = D_gamma^-1 sigma_y
+    D_gamma`` with ``gamma = (arg u00 - arg u01)/2``, and this start is
+    its +1 eigenvector.  Evolving from it gives ``P(n, t) = P(-n, t)``
+    to round-off at every t.  Where u00 or u01 is 0, ``np.angle(0) =
+    0`` still gives ``|a| = |b|``, which is all a ballistic walk or a
+    pure swap needs.  In k, ``S_U`` reflects about ``beta + gamma``,
+    and :func:`verify_symmetrizer` about 0, so unless ``2 (beta +
+    gamma)`` is a multiple of pi no Pauli matrix passes that check for
+    the coin, though this start is symmetric all the same.
+
+    For the Hadamard coin and every :func:`qwalk.core.theta_coin` the
+    phase is 0 and the result is ``chirality_pair("symmetric")`` bit
+    for bit.  For ``[[1, i], [i, 1]]/sqrt2``, ``i e^{-i pi/2}`` rounds
+    and the result lies within about 4e-17 of ``(1, 1)/sqrt2``.  That
+    last bit matters only to bitwise symmetry: at t = 100 it leaves an
+    asymmetry of 3.1e-17, where the exact ``(1, 1)/sqrt2`` leaves none;
+    a general coin's walk leaves a few ``eps t`` (eps = 2.2e-16).
     """
-    pauli = _find_symmetrizer(coin)
-    if pauli is None:
-        raise DomainError("no symmetrizer verified for this coin")
-    v = np.eye(2) + pauli
-    return v[:, 0] / np.linalg.norm(v[:, 0])
+    u = coin.matrix
+    phase = np.angle(u[0, 0]) - np.angle(u[0, 1])
+    return np.array([1, 1j * np.exp(1j * phase)]) / math.sqrt(2)

@@ -71,6 +71,9 @@ def test_coin_operator_rejects_non_unitary():
         CoinOperator(np.array([[1.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(DomainError, match="coin matrix must be 2x2"):
         CoinOperator(np.eye(3))
+    # refused, not warned about: 1e200 overflows the unitarity check
+    with pytest.raises(DomainError, match="coin matrix must be unitary"):
+        CoinOperator(np.array([[1e200, 0], [0, 1]]))
 
 
 def test_coin_operator_rejects_nan():
@@ -173,6 +176,8 @@ def test_initial_state_custom_pair():
     assert psi.norm() == pytest.approx(1.0)
     with pytest.raises(DomainError):
         initial_state(np.array([1.0, 1.0]))  # not unit norm
+    with pytest.raises(DomainError, match="custom chirality must have unit norm"):
+        initial_state(np.array([1e200, 0]))  # its norm overflows, with no warning
     with pytest.raises(DomainError, match="custom chirality must be a length-2 pair"):
         chirality_pair([1, 0, 0])
     with pytest.raises(DomainError):

@@ -11,17 +11,40 @@ from test_spectral import angles, u2_coins, unit_pairs
 from qwalk import (
     CoinOperator,
     DomainError,
+    density_moment,
     distribution,
     evolve_line,
+    evolve_spectral,
     hadamard_coin,
     initial_state,
     symmetric_initial,
     theta_coin,
     verify_symmetrizer,
 )
-from qwalk.symmetry import SIGMA_X, SIGMA_Y, SIGMA_Z, _find_symmetrizer
+from qwalk.asymptotics import _density_terms
+from qwalk.core import chirality_pair
+from qwalk.symmetry import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 SQRT2 = math.sqrt(2)
+EPS = np.finfo(float).eps
+
+
+def mirror_map(coin):
+    """``S_U = D_gamma^-1 sigma_y D_gamma``, ``D_gamma = diag(e^{i gamma}, e^{-i gamma})``.
+
+    ``gamma = (arg u00 - arg u01)/2``: the map that takes every start of
+    the coin's walk to its mirror image, built here, not by the package.
+    """
+    u = coin.matrix
+    gamma = (np.angle(u[0, 0]) - np.angle(u[0, 1])) / 2
+    d = np.diag([np.exp(1j * gamma), np.exp(-1j * gamma)])
+    return d.conj().T @ SIGMA_Y @ d
+
+
+def asymmetry(psi):
+    """Largest ``|P(n) - P(-n)|`` of a line wavefunction centred on the origin."""
+    m = distribution(psi).masses
+    return np.max(np.abs(m - m[::-1]))
 
 
 def test_sigma_y_reverses_hadamard_with_minus_sign():
@@ -44,18 +67,14 @@ def test_other_paulis_fail_for_hadamard():
     assert not verify_symmetrizer(hadamard_coin(), SIGMA_Z).verdict
 
 
-def test_find_symmetrizer_picks_sigma_y():
-    for coin in (hadamard_coin(), theta_coin(1.3)):
-        pauli = _find_symmetrizer(coin)
-        assert pauli is not None
-        assert np.allclose(pauli, SIGMA_Y)
-
-
 def test_verify_rejects_bad_candidates():
     with pytest.raises(DomainError):
         verify_symmetrizer(hadamard_coin(), np.array([[1, 1], [0, 1]]))
     with pytest.raises(DomainError):
         verify_symmetrizer(hadamard_coin(), np.eye(3))
+    # refused, not warned about: inf^2 - inf is NaN in the unitarity check
+    with pytest.raises(DomainError, match="candidate must be a 2x2 unitary"):
+        verify_symmetrizer(hadamard_coin(), np.full((2, 2), np.inf))
 
 
 def test_verify_rejects_a_nan_candidate():
@@ -63,12 +82,49 @@ def test_verify_rejects_a_nan_candidate():
         verify_symmetrizer(hadamard_coin(), np.full((2, 2), np.nan))
 
 
-def test_symmetric_initial_refuses_a_coin_without_a_pauli_symmetrizer():
-    # diag(1, i) R diag(1, e^{0.7i}) for a real rotation R: no Pauli mirrors it
+def test_symmetric_initial_serves_a_coin_without_a_pauli_symmetrizer():
+    # diag(1, i) R diag(1, e^{0.7i}) for a real rotation R: no Pauli passes
+    # the sigma-check, yet the closed-form start is symmetric
     rotation = np.array([[0.6, 0.8], [-0.8, 0.6]])
     coin = CoinOperator(np.diag([1, 1j]) @ rotation @ np.diag([1, np.exp(0.7j)]))
-    with pytest.raises(DomainError, match="no symmetrizer verified for this coin"):
-        symmetric_initial(coin)
+    assert not any(verify_symmetrizer(coin, pauli).verdict for _, pauli in PAULIS)
+    pair = symmetric_initial(coin)
+    assert np.allclose(pair, np.array([1, 1j * np.exp(-0.7j)]) / SQRT2)
+    assert asymmetry(evolve_line(initial_state(pair), coin, 100)) <= 8 * EPS * 100
+
+
+@pytest.mark.parametrize("coin", [hadamard_coin()] + [
+    theta_coin(theta) for theta in (0.0, 1e-13, 0.3, math.pi / 2, 2.9, math.pi)],
+    ids=["hadamard", "0", "1e-13", "0.3", "pi/2", "2.9", "pi"])
+def test_symmetric_initial_is_the_named_pair_byte_for_byte(coin):
+    # so the CLI's --init symmetric is the library's symmetric start for
+    # every coin the CLI takes; np.angle and np.exp run at every SIMD level
+    pair, named = symmetric_initial(coin), chirality_pair("symmetric")
+    assert pair.dtype == named.dtype
+    assert pair.tobytes() == named.tobytes()
+
+
+# C in the bounds below: over about 20 000 random coins the worst reading was
+# 3.75 eps t on the recurrence and 4.75 eps t on the spectral route, both
+# at t = 1, where a few roundings of masses near 1/2 dominate; per step
+# it falls with t, to 0.28 eps t at t = 301 on the recurrence and
+# 0.003 eps t at t = 5000 on the spectral route.
+@pytest.mark.parametrize("evolve, t_max", [(evolve_line, 301), (evolve_spectral, 5000)],
+                         ids=["recurrence", "spectral"])
+@settings(max_examples=200, deadline=None)
+@given(coin=u2_coins(), data=st.data())
+def test_symmetric_start_is_mirror_symmetric(evolve, t_max, coin, data):
+    t = data.draw(st.integers(0, t_max), label="t")
+    assert asymmetry(evolve(initial_state(symmetric_initial(coin)), coin, t)) <= 8 * EPS * t
+
+
+@settings(max_examples=200, deadline=None)
+@given(u2_coins())
+def test_symmetric_start_has_no_tilt(coin):
+    # Konno's tilt lam |u00|; the worst of 6000 random coins read 3.2 eps
+    pair = symmetric_initial(coin)
+    assert abs(_density_terms(coin, pair)[2]) <= 8 * EPS
+    assert abs(density_moment(coin, pair, "mean")) <= 8 * EPS
 
 
 def grid_oracle(coin, s, n_k=2001):
@@ -116,15 +172,6 @@ def sigma_x_coin(theta):
     return CoinOperator(np.array([[c, 1j * s], [1j * s, c]]))
 
 
-def test_find_symmetrizer_takes_the_least_residual():
-    # the identity verifies sigma_x and sigma_y exactly, and the tie goes
-    # to sigma_x; 1e-13 away from it only sigma_y stays exact
-    assert np.array_equal(_find_symmetrizer(theta_coin(0.0)), SIGMA_X)
-    pauli = _find_symmetrizer(theta_coin(1e-13))
-    assert np.array_equal(pauli, SIGMA_Y)
-    assert verify_symmetrizer(theta_coin(1e-13), pauli).max_residual == 0.0
-
-
 def test_symmetric_initial_is_the_sigma_y_eigenvector():
     # and the sigma_x eigenvector for a coin that sigma_x reverses
     for coin, expected in ((hadamard_coin(), np.array([1.0, 1.0j]) / SQRT2),
@@ -141,18 +188,17 @@ def test_symmetric_start_gives_symmetric_distribution(coin):
     assert np.max(np.abs(d.masses - d.masses[::-1])) < 1e-13
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([theta_coin, sigma_x_coin]), st.floats(0, math.pi), angles,
-       unit_pairs(), st.integers(0, 200))
-@example(theta_coin, 1.1, 0.0, np.array([1.0, 0.0]), 80)
-@example(theta_coin, 1e-13, 0.0, np.array([0.7194014606174091j, 0.6945945136995674j]), 1)
-def test_left_right_starts_are_mirror_images(family, theta, gamma, pair, t):
-    # S^dag M_k S = +-M_{-k} gives P_{S psi0}(n, t) = P_{psi0}(-n, t); the
-    # first example is the old rotation-coin case, where S maps left to
-    # right; in the second, sigma_x verifies within 1e-13 of the identity,
-    # but only the exact sigma_y mirrors the walk to round-off
-    coin = CoinOperator(np.exp(1j * gamma) * family(theta).matrix)
-    s = _find_symmetrizer(coin)
+@settings(max_examples=200, deadline=None)
+@given(u2_coins(), unit_pairs(), st.integers(0, 200))
+@example(theta_coin(1.1), np.array([1.0, 0.0]), 80)
+@example(theta_coin(1e-13), np.array([0.7194014606174091j, 0.6945945136995674j]), 1)
+def test_left_right_starts_are_mirror_images(coin, pair, t):
+    # P_{S_U psi0}(n, t) = P_{psi0}(-n, t) for every coin; the first example
+    # is the old rotation-coin case, where S maps left to right; in the
+    # second, sigma_x verifies within 1e-13 of the identity, but only the
+    # exact sigma_y, which is S_U there, mirrors the walk to round-off.
+    # Over 6000 random coins and starts the worst reading at t = 200 was 2.5e-14.
+    s = mirror_map(coin)
     d = distribution(evolve_line(initial_state(pair), coin, t))
     mirror = distribution(evolve_line(initial_state(s @ pair), coin, t))
     assert np.max(np.abs(mirror.masses - d.masses[::-1])) < 1e-13
