@@ -72,6 +72,17 @@ def support_edge(coin: CoinOperator) -> float:
     return _dispersion(coin)[1]
 
 
+def _check_time(t: int) -> None:
+    """Refuse a ``t`` that is not an integer of at least 1, as stationary phase needs.
+
+    The one owner of that rule: :func:`asymptotic_wavefunction` checks
+    ``t`` here, and so does the CLI before it lays out the sites of a
+    walk of ``t`` steps.
+    """
+    if _as_index(t, "t") < 1:
+        raise DomainError("stationary phase needs t >= 1")
+
+
 def _stationary_points(
     coin: CoinOperator, alpha: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -107,8 +118,7 @@ def asymptotic_wavefunction(
     edge = support_edge(coin)
     if not 0 < edge < 1:
         raise DomainError(f"stationary phase needs 0 < |u00| < 1, got |u00| = {edge:.6g}")
-    if _as_index(t, "t") < 1:
-        raise DomainError("stationary phase needs t >= 1")
+    _check_time(t)
     sites = np.asarray(sites)
     if sites.ndim != 1 or sites.dtype.kind not in "iu":
         raise DomainError("sites must be a 1-D array of integers")

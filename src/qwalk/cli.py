@@ -35,7 +35,8 @@ Exit codes: 0 success; 2 when the command line cannot be parsed or its
 options conflict, or the output cannot be written (a closed pipe, a
 full disk); 3 when the library refuses a value, as
 :class:`qwalk.core.DomainError`.  The CLI only parses: every rule on a
-parsed value (the sign and cap of ``--steps``, a finite ``--delta``, a
+parsed value (the sign and cap of ``--steps``, the ``--steps`` of at
+least 1 that stationary phase needs, a finite ``--delta``, a
 ``--t-cap`` of at least 1) is checked once, by the library call that
 takes it.  Either way the error is one ``error:`` line on stderr,
 argparse's own included.
@@ -56,7 +57,7 @@ from typing import Callable, Iterator, NoReturn
 import numpy as np
 
 from . import __version__
-from .asymptotics import density_moment, p_asymptotic, support_edge
+from .asymptotics import _check_time, density_moment, p_asymptotic, support_edge
 from .core import (
     Circle,
     CoinOperator,
@@ -251,12 +252,12 @@ def _interior(coin: CoinOperator, t: int) -> np.ndarray:
     """Parity-allowed sites of an origin start with ``|n/t| <= |u00| - _MARGIN``.
 
     :func:`qwalk.core.check_steps` refuses a negative or oversized ``t``
-    before the sites are allocated; stationary phase needs ``t >= 1``
-    on top of that.
+    before the sites are allocated, and :func:`qwalk.asymptotics._check_time`
+    a ``t`` of 0, which stationary phase does not take, before ``n/t``
+    divides by it.
     """
     check_steps(t)
-    if t < 1:
-        raise DomainError("--steps must be at least 1")
+    _check_time(t)
     sites = np.arange(-t, t + 1, 2)
     return sites[np.abs(sites / t) <= support_edge(coin) - _MARGIN]
 
@@ -287,7 +288,7 @@ def cmd_mix(args) -> None:
     if args.classical:
         if {args.coin, args.init} != {None}:
             _usage_error("--classical walks without a coin or a start: drop --coin and --init")
-        spec = WalkSpec(topo, coin=None)
+        spec = WalkSpec(topo, None, None)
     else:
         # the coined walk's defaults, filled in here so the config echo shows them
         args.coin = "hadamard" if args.coin is None else args.coin

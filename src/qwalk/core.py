@@ -101,12 +101,17 @@ class Circle:
 Topology = Line | Circle
 
 
-def _check_count_and_time(topology: Topology, count: int, time: int) -> None:
-    """Refuse a count other than a circle's size, or a time that is not an integer >= 0.
+def _check_sites_and_time(topology: Topology, count: int, time: int) -> None:
+    """Refuse a topology that is not a line or circle, a wrong count, or a bad time.
 
     The rules :class:`WaveFunction` and :class:`ProbabilityDistribution`
-    share: ``count`` is the number of sites the value holds.
+    share: ``topology`` is a :class:`Line` or a :class:`Circle`
+    (:func:`_sites` would read any other object as a line at offset 0),
+    ``count``, the number of sites the value holds, is a circle's size,
+    and ``time`` is an integer of at least 0.
     """
+    if not isinstance(topology, Topology):
+        raise DomainError(f"topology must be a Line or a Circle, got {topology!r}")
     if isinstance(topology, Circle) and count != topology.size:
         raise DomainError(f"{count} sites given for a circle of {topology.size}")
     if _as_index(time, "time") < 0:
@@ -186,7 +191,7 @@ class WaveFunction:
             raise DomainError(f"amplitudes must have shape (n, 2), got {amps.shape}")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise DomainError("amplitudes must be finite")
-        _check_count_and_time(self.topology, len(amps), self.time)
+        _check_sites_and_time(self.topology, len(amps), self.time)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -219,7 +224,7 @@ class ProbabilityDistribution:
         masses = _freeze(self.masses, np.float64)
         if masses.ndim != 1 or not np.all(np.isfinite(masses)):
             raise DomainError("masses must be a 1-D array of finite numbers")
-        _check_count_and_time(self.topology, len(masses), self.time)
+        _check_sites_and_time(self.topology, len(masses), self.time)
         object.__setattr__(self, "masses", masses)
 
     @property

@@ -150,18 +150,21 @@ def evolve_line(
         amps = amps.real
 
     out = np.zeros((width, 2), dtype=np.complex128)
-    for p in (0, 1):
-        if not np.any(amps[p::2]):
-            continue
-        # rows: the a and b columns of this class, then two scratch rows
-        work = np.zeros((4, (width - p + 1) // 2), dtype=amps.dtype)
-        n_in = (n - p + 1) // 2
-        work[0, :n_in] = amps[p::2, a_col]
-        work[1, steps:steps + n_in] = amps[p::2, b_col]
-        np.ldexp(view := work.view(np.float64), shift, out=view)
-        _mix_steps(view if real else work, entries, n - p, steps, first, floor)
-        out[p::2, a_col] = work[0]
-        out[p::2, b_col] = work[1]
+    # a walk that leaves float64 overflows to inf or NaN, which
+    # WaveFunction refuses below: with no warning ahead of the refusal
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in (0, 1):
+            if not np.any(amps[p::2]):
+                continue
+            # rows: the a and b columns of this class, then two scratch rows
+            work = np.zeros((4, (width - p + 1) // 2), dtype=amps.dtype)
+            n_in = (n - p + 1) // 2
+            work[0, :n_in] = amps[p::2, a_col]
+            work[1, steps:steps + n_in] = amps[p::2, b_col]
+            np.ldexp(view := work.view(np.float64), shift, out=view)
+            _mix_steps(view if real else work, entries, n - p, steps, first, floor)
+            out[p::2, a_col] = work[0]
+            out[p::2, b_col] = work[1]
 
     np.ldexp(parts := out.view(np.float64), -shift, out=parts)
     t = psi.time - steps if adjoint else psi.time + steps
@@ -265,8 +268,11 @@ def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunc
 
     if steps == 0:  # no block runs, so there is no ring row to scale back
         return psi
-    for block in _ring_blocks(psi.amplitudes.T, coin, steps):
-        pass
+    # as in evolve_line; the generator runs only while this loop asks it
+    # for a block, so the error state covers its steps and no other code
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _ring_blocks(psi.amplitudes.T, coin, steps):
+            pass
     # the ring's first slot held the input and zeros, so this is its shift
     shift, _ = _unit_scale(psi.amplitudes.view(np.float64))
     np.ldexp(parts := block[-1].view(np.float64), -shift, out=parts)
@@ -389,5 +395,12 @@ def _ring_blocks(rows, coin, steps):
 
 
 def distribution(psi: WaveFunction) -> ProbabilityDistribution:
-    """Site-observation probabilities ``|psi_L|^2 + |psi_R|^2``."""
-    return ProbabilityDistribution(psi.topology, _site_masses(psi.amplitudes), psi.time)
+    """Site-observation probabilities ``|psi_L|^2 + |psi_R|^2``.
+
+    A mass too large for float64 (an amplitude above about 1e154) is
+    inf, and :class:`~qwalk.core.ProbabilityDistribution` refuses it
+    with :class:`DomainError`, not an overflow warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        masses = _site_masses(psi.amplitudes)
+    return ProbabilityDistribution(psi.topology, masses, psi.time)

@@ -197,17 +197,21 @@ def evolve_spectral(
     k = 2 * math.pi * np.arange(length) / n
 
     out = np.zeros((len(out_sites), 2), dtype=np.complex128)
-    for p in range(d):
-        rows = slice((p - start) % d, None, d)
-        if not amps[rows].any():
-            continue
-        q = (p + t) % d
-        # norm="forward" leaves ifft unscaled and scales fft by d/N, which
-        # are exactly the forward and inverse transforms of one class.
-        scattered = np.zeros((length, 2), dtype=np.complex128)
-        scattered[(sites[rows] - p) // d % length] = amps[rows]
-        psi_kt = _propagate(coin, k, np.fft.ifft(scattered, axis=0, norm="forward"), t)
-        psi_kt *= np.exp(1j * (p - q) * k)[:, None]
-        into = slice((q - start + grow) % d, None, d)
-        out[into] = np.fft.fft(psi_kt, axis=0, norm="forward")[(out_sites[into] - q) // d % length]
+    # a walk that leaves float64 overflows to inf or NaN, which
+    # WaveFunction refuses below: with no warning ahead of the refusal
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(d):
+            rows = slice((p - start) % d, None, d)
+            if not amps[rows].any():
+                continue
+            q = (p + t) % d
+            # norm="forward" leaves ifft unscaled and scales fft by d/N, which
+            # are exactly the forward and inverse transforms of one class.
+            scattered = np.zeros((length, 2), dtype=np.complex128)
+            scattered[(sites[rows] - p) // d % length] = amps[rows]
+            psi_kt = _propagate(coin, k, np.fft.ifft(scattered, axis=0, norm="forward"), t)
+            psi_kt *= np.exp(1j * (p - q) * k)[:, None]
+            into = slice((q - start + grow) % d, None, d)
+            out[into] = np.fft.fft(psi_kt, axis=0, norm="forward")[
+                (out_sites[into] - q) // d % length]
     return WaveFunction(topology, out, init.time + t)

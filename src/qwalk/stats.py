@@ -5,17 +5,20 @@ the line only, where a site is a position; :func:`interval_mass` reads
 the cone off the coin, cutting at a velocity derived from its edge
 ``|u00|`` and ``|u01|``, as :func:`qwalk.spectral._dispersion` gives
 them.  Distances to uniform (:func:`tv_distance`,
-:func:`mixing_time`) are defined on the circle only, where the
-reference needs no coin.  The step counts of :func:`cesaro_average`
-and :func:`classical_walk` are capped at :data:`qwalk.core.MAX_STEPS`
-before anything is allocated; the mixing scan, which stops at its
-crossing, stops at that many steps too.
+:func:`mixing_time`) and Cesaro averages are defined on the circle
+only, where the reference needs no coin: :func:`tv_distance` refuses a
+line distribution, and the scans take a :class:`WalkSpec`, which
+refuses any topology but a circle when it is built.  The step counts
+of :func:`cesaro_average` and :func:`classical_walk` are capped at
+:data:`qwalk.core.MAX_STEPS` before anything is allocated; the mixing
+scan, which stops at its crossing, stops at that many steps too.
 
 Covers both sides of the quantum/classical comparison: the coined walk
 (via the direct evolver) and the exact dynamic-programming distribution
 of the classical symmetric random walk, so scaling fits carry no
 sampling noise.  A :class:`WalkSpec` with ``coin=None`` is the
-classical walk; there is no separate switch for it.  :func:`moment`
+classical walk, and takes ``init=None``; there is no separate switch
+for it, and none of its fields has a default.  :func:`moment`
 returns a moment of a walk's distribution as a plain float, by the
 name under which :func:`qwalk.asymptotics.density_moment` gives it for
 the limiting density.
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -64,7 +67,6 @@ from .core import (
     _as_real,
     _row_masses,
     check_steps,
-    hadamard_coin,
     initial_state,
 )
 from .evolve import ProbabilityDistribution, _ring_blocks
@@ -73,15 +75,26 @@ from .spectral import _dispersion
 
 @dataclass(frozen=True)
 class WalkSpec:
-    """A runnable walk: topology, coin and start.
+    """A runnable circle walk: topology, coin and start, none of them defaulted.
 
+    ``topology`` is a :class:`~qwalk.core.Circle`, where
+    :func:`mixing_time` and :func:`cesaro_average` are defined.
     ``coin=None`` is the classical symmetric random walk from site 0,
-    which has no chirality and so ignores ``init``.
+    which has no chirality and so takes ``init=None``; a coin takes a
+    start, anything :func:`qwalk.core.initial_state` accepts.  Both rules
+    are checked here, once: any other spec raises :class:`DomainError`
+    when it is built.
     """
 
-    topology: Topology
-    coin: CoinOperator | None = field(default_factory=hadamard_coin)
-    init: str = "symmetric"
+    topology: Circle
+    coin: CoinOperator | None
+    init: str | NDArray[np.complex128] | None
+
+    def __post_init__(self):
+        if not isinstance(self.topology, Circle):
+            raise DomainError(f"a WalkSpec is defined on the circle, got {self.topology!r}")
+        if (self.coin is None) != (self.init is None):
+            raise DomainError("a coin needs a start; the classical walk (coin=None) takes none")
 
 
 @dataclass(frozen=True)
@@ -219,14 +232,11 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
     :class:`DomainError` instead of reporting no crossing up to
     ``t_cap``.
     """
-    if not isinstance(spec.topology, Circle):
-        raise DomainError("mixing_time is defined on the circle")
     if _as_index(t_cap, "t_cap") < 1:
         raise DomainError(f"t_cap must be at least 1, got {t_cap}")
     if not math.isfinite(_as_real(delta, "delta")):
         raise DomainError(f"delta must be finite, got {delta!r}")
-    steps = min(t_cap, MAX_STEPS)
-    parity = spec.topology.size % 2 == 0
+    steps, parity = min(t_cap, MAX_STEPS), spec.topology.size % 2 == 0
     trace = array("d")  # 8 bytes a step; a list of floats holds about 32
     crossing: int | None = None
     for masses in _masses(spec, steps):
@@ -249,8 +259,6 @@ def cesaro_average(spec: WalkSpec, big_t: int) -> ProbabilityDistribution:
     Cesaro average is the standard time-averaged notion that can.
     ``coin=None`` averages the symmetric random walk from site 0.
     """
-    if not isinstance(spec.topology, Circle):
-        raise DomainError("cesaro_average is defined on the circle")
     check_steps(big_t)
     if big_t < 1:
         raise DomainError("T must be at least 1")
@@ -298,7 +306,8 @@ def classical_walk(topology: Topology, t: int) -> ProbabilityDistribution:
     ``o - t`` first.
     """
     check_steps(t)
-    spec = WalkSpec(topology if isinstance(topology, Circle) else Circle(max(3, 2 * t + 1)), None)
+    ring = topology if isinstance(topology, Circle) else Circle(max(3, 2 * t + 1))
+    spec = WalkSpec(ring, None, None)
     masses = _start_rows(spec)
     for masses in _masses(spec, t):
         pass

@@ -33,7 +33,7 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
-#: The Pauli matrices by name, in the order every sweep tries them.
+#: The Pauli matrices by name, in the order the ``symmetry`` subcommand prints its rows.
 PAULIS = (("sigma_x", SIGMA_X), ("sigma_y", SIGMA_Y), ("sigma_z", SIGMA_Z))
 
 RESIDUAL_TOL = 1e-12

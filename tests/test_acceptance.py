@@ -159,8 +159,8 @@ def test_criterion_7_mixing_scaling():
     quantum = {}
     classical = {}
     for n in (31, 63, 127):
-        q = mixing_time(WalkSpec(Circle(n)), DELTA0, t_cap=20 * n)
-        c = mixing_time(WalkSpec(Circle(n), coin=None), DELTA0, t_cap=20 * n * n)
+        q = mixing_time(WalkSpec(Circle(n), hadamard_coin(), "symmetric"), DELTA0, t_cap=20 * n)
+        c = mixing_time(WalkSpec(Circle(n), None, None), DELTA0, t_cap=20 * n * n)
         assert q.time is not None and c.time is not None
         quantum[n], classical[n] = q.time, c.time
     elapsed = time.perf_counter() - start

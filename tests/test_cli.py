@@ -7,10 +7,12 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,28 @@ def run_cli(args, capsys):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def readme_cli_lines():
+    """The ``qwalk ...`` lines of the ``sh`` block under README's "## CLI"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+README_CLI = readme_cli_lines()
+
+
+def test_readme_cli_examples_are_found():
+    assert len(README_CLI) >= 8
+    assert all(line.startswith("qwalk ") for line in README_CLI)
+
+
+@pytest.mark.parametrize("line", README_CLI)
+def test_readme_cli_example_runs(line, capsys):
+    code, out, _ = run_cli(shlex.split(line)[1:], capsys)
+    assert code == 0 and out
 
 
 def test_parse_theta():

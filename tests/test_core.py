@@ -92,9 +92,9 @@ def test_chirality_pair_rejects_nan():
     lambda: evolve_line(initial_state("left"), hadamard_coin(), 2.5),
     lambda: evolve_circle(initial_state("left", Circle(5)), hadamard_coin(), 2.5),
     lambda: evolve_spectral(initial_state("left"), hadamard_coin(), 2.5),
-    lambda: mixing_time(WalkSpec(Circle(5)), 0.1, 2.5),
-    lambda: cesaro_average(WalkSpec(Circle(5)), 2.5),
-    lambda: cesaro_average(WalkSpec(Circle(5)), "5"),
+    lambda: mixing_time(WalkSpec(Circle(5), hadamard_coin(), "symmetric"), 0.1, 2.5),
+    lambda: cesaro_average(WalkSpec(Circle(5), hadamard_coin(), "symmetric"), 2.5),
+    lambda: cesaro_average(WalkSpec(Circle(5), hadamard_coin(), "symmetric"), "5"),
     lambda: classical_walk(Line(), 2.5),
     lambda: p_asymptotic(hadamard_coin(), "left", 10.5, np.array([0, 2])),
     lambda: p_asymptotic(hadamard_coin(), "left", "10", np.array([0, 2])),
@@ -203,7 +203,8 @@ def test_numpy_integers_are_steps_and_sizes():
     psi = evolve_circle(initial_state("left", Circle(np.int64(5))), hadamard_coin(), np.int32(3))
     assert psi.time == 3
     assert Line(offset=np.int64(-2)).offset == -2
-    assert mixing_time(WalkSpec(Circle(5)), 0.5, np.int64(10)).time is not None
+    spec = WalkSpec(Circle(5), hadamard_coin(), "symmetric")
+    assert mixing_time(spec, 0.5, np.int64(10)).time is not None
 
 
 def test_line_offset_is_bounded_so_sites_stay_int64():
@@ -244,6 +245,18 @@ def test_wavefunction_validation():
         WaveFunction(Line(), np.array([[np.nan, 0.0]]))
     with pytest.raises(DomainError, match="time must be nonnegative"):
         WaveFunction(Line(), np.array([[1.0, 0.0]]), time=-1)
+    # no topology but a Line or a Circle: _sites would read one as a line
+    with pytest.raises(DomainError, match="topology must be a Line or a Circle"):
+        WaveFunction("line", np.zeros((1, 2)))
+    # a walk that leaves float64 is refused, with no overflow warning first
+    ring = np.zeros((3, 2))
+    ring[0] = 1.5e308
+    for evolve, psi in [(evolve_line, WaveFunction(Line(), ring[:1])),
+                        (evolve_circle, WaveFunction(Circle(3), ring)),
+                        (evolve_spectral, WaveFunction(Line(), ring[:1])),
+                        (evolve_spectral, WaveFunction(Circle(3), ring))]:
+        with pytest.raises(DomainError, match="amplitudes must be finite"):
+            evolve(psi, hadamard_coin(), 1)
 
 
 @pytest.mark.parametrize("call", [
@@ -253,7 +266,13 @@ def test_wavefunction_validation():
     lambda: ProbabilityDistribution(Line(), [[0.5, 0.5]], 0),
     lambda: ProbabilityDistribution(Line(), 1.0, 0),
     lambda: ProbabilityDistribution(Line(), [1.0], -1),
-], ids=["circle-one-mass", "circle-two-masses", "nan", "2-d", "0-d", "negative-time"])
+    lambda: ProbabilityDistribution(None, np.array([1.0]), 0),
+    # masses too large for float64: refused, with no overflow warning first
+    lambda: distribution(WaveFunction(Line(), [[1e200, 0]])),
+    lambda: distribution(evolve_line(
+        WaveFunction(Line(), np.array([[0.6, 0.8j]]) * 2.0 ** 900), hadamard_coin(), 10)),
+], ids=["circle-one-mass", "circle-two-masses", "nan", "2-d", "0-d", "negative-time",
+        "no-topology", "overflowing-masses", "2**900-walk"])
 def test_distribution_validation(call):
     with pytest.raises(DomainError):
         call()
@@ -318,8 +337,6 @@ def test_public_defaults_are_pinned():
     }
     assert defaulted(dataclasses.is_dataclass) == {
         "Line.offset",
-        "WalkSpec.coin",
-        "WalkSpec.init",
         "WaveFunction.time",
     }
 

@@ -226,19 +226,19 @@ def test_tv_distance_refuses_parity_on_an_odd_cycle():
 
 
 def test_mixing_time_quantum_linear_instance():
-    rep = mixing_time(WalkSpec(Circle(31)), 0.4446, t_cap=500)
+    rep = mixing_time(WalkSpec(Circle(31), hadamard_coin(), "symmetric"), 0.4446, t_cap=500)
     assert rep.time == 23
     assert rep.tv_trace[-1] <= 0.4446
     assert np.all(rep.tv_trace[:-1] > 0.4446)
 
 
 def test_mixing_time_classical_instance():
-    rep = mixing_time(WalkSpec(Circle(31), coin=None), 0.4446, t_cap=5000)
+    rep = mixing_time(WalkSpec(Circle(31), None, None), 0.4446, t_cap=5000)
     assert rep.time == 77
 
 
 def test_mixing_time_classical_even_cycle_uses_parity_class():
-    rep = mixing_time(WalkSpec(Circle(64), coin=None), 0.3, t_cap=2000)
+    rep = mixing_time(WalkSpec(Circle(64), None, None), 0.3, t_cap=2000)
     assert rep.time == 157
     for t in (1, 2, 156, 157):
         parity_tv = tv_distance(classical_walk(Circle(64), t), "uniform_parity")
@@ -247,7 +247,7 @@ def test_mixing_time_classical_even_cycle_uses_parity_class():
 
 def test_mixing_time_can_fail_to_reach():
     # theta = pi never spreads beyond three sites
-    spec = WalkSpec(Circle(9), theta_coin(math.pi))
+    spec = WalkSpec(Circle(9), theta_coin(math.pi), "symmetric")
     rep = mixing_time(spec, 0.1, t_cap=300)
     assert rep.time is None
     assert len(rep.tv_trace) == 300
@@ -256,7 +256,7 @@ def test_mixing_time_can_fail_to_reach():
 def test_mixing_time_trace_memory():
     # a 3-cycle classical walk never reaches TV 0; a list of Python floats
     # peaked at about 4 MB over 10^5 steps, 32 bytes a step plus the copy
-    spec = WalkSpec(Circle(3), coin=None)
+    spec = WalkSpec(Circle(3), None, None)
     tracemalloc.start()
     try:
         rep = mixing_time(spec, 0.0, t_cap=10**5)
@@ -267,21 +267,32 @@ def test_mixing_time_trace_memory():
     assert peak < 1.2e6
 
 
+@pytest.mark.parametrize("topology, coin, init", [
+    (Line(), hadamard_coin(), "left"),
+    (Circle(5), None, "left"),
+    (Circle(5), hadamard_coin(), None),
+], ids=["line", "classical-with-start", "coin-without-start"])
+def test_walk_spec_refuses_a_walk_it_cannot_run(topology, coin, init):
+    # refused once, when the spec is built, and by no scan that takes it
+    with pytest.raises(DomainError):
+        WalkSpec(topology, coin, init)
+
+
 def test_mixing_time_requires_circle():
     with pytest.raises(DomainError):
-        mixing_time(WalkSpec(Line()), 0.3, 100)
+        mixing_time(WalkSpec(Line(), hadamard_coin(), "symmetric"), 0.3, 100)
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
 def test_mixing_time_rejects_a_non_finite_delta(delta):
     # NaN and -inf are never reached and +inf always is: none is a target
     with pytest.raises(DomainError, match="delta must be finite"):
-        mixing_time(WalkSpec(Circle(5)), delta, 50)
+        mixing_time(WalkSpec(Circle(5), hadamard_coin(), "symmetric"), delta, 50)
 
 
 @pytest.mark.parametrize("value", ["0.3", None, 0.3 + 0j])
 @pytest.mark.parametrize("call", [
-    lambda value: mixing_time(WalkSpec(Circle(5)), value, 10),
+    lambda value: mixing_time(WalkSpec(Circle(5), hadamard_coin(), "symmetric"), value, 10),
     lambda value: theta_coin(value),
     lambda value: interval_mass(distribution(evolve_line(initial_state("left"),
                                                          hadamard_coin(), 4)),
@@ -297,12 +308,12 @@ def test_numeric_parameters_refuse_what_is_not_a_real(call, value):
 @pytest.mark.parametrize("t_cap", [0, -5])
 def test_mixing_time_rejects_cap_below_one(t_cap):
     with pytest.raises(DomainError):
-        mixing_time(WalkSpec(Circle(31)), 0.3, t_cap)
+        mixing_time(WalkSpec(Circle(31), hadamard_coin(), "symmetric"), 0.3, t_cap)
 
 
 @pytest.mark.parametrize("call", [
     lambda: classical_walk(Line(), 2**60),
-    lambda: cesaro_average(WalkSpec(Circle(3), coin=None), MAX_STEPS + 1),
+    lambda: cesaro_average(WalkSpec(Circle(3), None, None), MAX_STEPS + 1),
 ], ids=["classical_walk", "cesaro_average"])
 def test_step_counts_are_capped_before_allocation(call):
     with pytest.raises(DomainError):
@@ -313,7 +324,7 @@ def test_mixing_scan_stops_at_the_step_cap(monkeypatch):
     # a t_cap above the cap is accepted, because the scan stops at the
     # crossing; a scan that reaches the cap without one is refused
     monkeypatch.setattr("qwalk.stats.MAX_STEPS", 40)
-    spec = WalkSpec(Circle(31))
+    spec = WalkSpec(Circle(31), hadamard_coin(), "symmetric")
     assert mixing_time(spec, 1.0, 2**60).time == 1
     rep = mixing_time(spec, -1.0, 40)
     assert rep.time is None and len(rep.tv_trace) == 40
@@ -322,14 +333,14 @@ def test_mixing_scan_stops_at_the_step_cap(monkeypatch):
 
 
 def test_cesaro_average_refuses_a_line_and_zero_terms():
-    with pytest.raises(DomainError, match="cesaro_average is defined on the circle"):
-        cesaro_average(WalkSpec(Line()), 10)
+    with pytest.raises(DomainError, match="WalkSpec is defined on the circle"):
+        cesaro_average(WalkSpec(Line(), hadamard_coin(), "symmetric"), 10)
     with pytest.raises(DomainError, match="T must be at least 1"):
-        cesaro_average(WalkSpec(Circle(5)), 0)
+        cesaro_average(WalkSpec(Circle(5), hadamard_coin(), "symmetric"), 0)
 
 
 def test_cesaro_average_single_term():
-    spec = WalkSpec(Circle(9), init="left")
+    spec = WalkSpec(Circle(9), hadamard_coin(), "left")
     avg = cesaro_average(spec, 1)
     inst = distribution(evolve_circle(initial_state("left", Circle(9)), hadamard_coin(), 1))
     assert np.allclose(avg.masses, inst.masses)
@@ -338,7 +349,7 @@ def test_cesaro_average_single_term():
 def test_cesaro_identity_coin_uniformises():
     # a ballistic walker visits each of the n sites once per lap
     n = 7
-    avg = cesaro_average(WalkSpec(Circle(n), theta_coin(0.0), init="left"), n)
+    avg = cesaro_average(WalkSpec(Circle(n), theta_coin(0.0), "left"), n)
     assert np.allclose(avg.masses, np.full(n, 1 / n), atol=1e-14)
 
 
@@ -346,7 +357,7 @@ def test_cesaro_average_beats_instantaneous_floor():
     # time averaging converges although the instantaneous distribution
     # keeps oscillating well away from uniform
     n = 63
-    spec = WalkSpec(Circle(n))
+    spec = WalkSpec(Circle(n), hadamard_coin(), "symmetric")
     psi = initial_state("symmetric", Circle(n))
     inst = []
     for _ in range(8 * n):
@@ -359,7 +370,7 @@ def test_cesaro_average_beats_instantaneous_floor():
 
 def test_cesaro_average_of_the_classical_walk():
     n, big_t = 9, 5
-    avg = cesaro_average(WalkSpec(Circle(n), coin=None), big_t)
+    avg = cesaro_average(WalkSpec(Circle(n), None, None), big_t)
     mean = sum(classical_walk(Circle(n), t).masses for t in range(1, big_t + 1)) / big_t
     assert np.max(np.abs(avg.masses - mean)) < 1e-16
 
@@ -373,7 +384,7 @@ SCAN_COINS = pytest.mark.parametrize(
 @SCAN_COINS
 def test_mixing_scan_equals_the_stepwise_definition(n, coin):
     reference = "uniform_all" if n % 2 else "uniform_parity"
-    rep = mixing_time(WalkSpec(Circle(n), coin), 0.0, t_cap=3 * n)
+    rep = mixing_time(WalkSpec(Circle(n), coin, "symmetric"), 0.0, t_cap=3 * n)
     assert rep.time is None and len(rep.tv_trace) == 3 * n
     psi = initial_state("symmetric", Circle(n))
     for tv in rep.tv_trace:
@@ -386,7 +397,7 @@ def test_mixing_scan_equals_the_stepwise_definition(n, coin):
 def test_scan_masses_are_the_distribution_bit_for_bit(n, coin):
     # the scan squares its blocks in the order distribution() does
     psi = initial_state("symmetric", Circle(n))
-    spec = WalkSpec(Circle(n), coin)
+    spec = WalkSpec(Circle(n), coin, "symmetric")
     rows = [row.copy() for block in _masses(spec, 2 * n) for row in block]
     assert len(rows) == 2 * n
     for t, masses in enumerate(rows, start=1):
@@ -453,7 +464,7 @@ def test_classical_walk_is_stepwise_across_block_boundaries(n):
                          ids=["classical", "hadamard", "complex"])
 def test_scans_are_stepwise_across_block_boundaries(n, coin):
     # traces and Cesaro sums cut short of, on and past a block's end
-    spec = WalkSpec(Circle(n), coin)
+    spec = WalkSpec(Circle(n), coin, None if coin is None else "symmetric")
     b = block_length(n, coin)
     if coin is None:
         masses = list(classical_steps(n, 3 * b + 1))
@@ -479,7 +490,7 @@ def test_scans_are_stepwise_across_block_boundaries(n, coin):
 def test_crossing_on_the_first_and_last_row_of_a_block(n):
     # the classical TV falls strictly at first, so each trace value is
     # first reached at its own step
-    spec = WalkSpec(Circle(n), coin=None)
+    spec = WalkSpec(Circle(n), None, None)
     b = block_length(n, None)
     full = mixing_time(spec, -1.0, 4 * b).tv_trace
     assert np.all(np.diff(full) < 0)
@@ -491,7 +502,7 @@ def test_crossing_on_the_first_and_last_row_of_a_block(n):
 
 @pytest.mark.parametrize("n", [31, 64])
 def test_classical_scan_equals_the_classical_walk(n):
-    rep = mixing_time(WalkSpec(Circle(n), coin=None), 0.0, t_cap=4 * n)
+    rep = mixing_time(WalkSpec(Circle(n), None, None), 0.0, t_cap=4 * n)
     for t, tv in enumerate(rep.tv_trace, start=1):
         if n % 2:
             target = np.full(n, 1 / n)
@@ -504,7 +515,7 @@ def test_classical_scan_equals_the_classical_walk(n):
 @SCAN_COINS
 def test_cesaro_average_is_the_mean_of_the_distributions(n, coin):
     big_t = 3 * n
-    avg = cesaro_average(WalkSpec(Circle(n), coin), big_t)
+    avg = cesaro_average(WalkSpec(Circle(n), coin, "symmetric"), big_t)
     psi = initial_state("symmetric", Circle(n))
     total = np.zeros(n)
     for _ in range(big_t):
@@ -561,7 +572,7 @@ def test_classical_scan_matches_its_closed_form(n, delta, crossing):
     # 2.1e-15, 4.7e-15 and 4.9e-13 against bounds of 1.7e-14, 3.5e-14,
     # 2.8e-13 and 4.6e-12.  The full trace is compared up to n = 127, and
     # at n = 511 the crossing and the step before it.
-    rep = mixing_time(WalkSpec(Circle(n), coin=None), delta, t_cap=20 * n * n)
+    rep = mixing_time(WalkSpec(Circle(n), None, None), delta, t_cap=20 * n * n)
     assert rep.time == crossing
     times = np.arange(1, crossing + 1) if n < 511 else np.array([crossing - 1, crossing])
     oracle = _closed_form_tv(n, times)
