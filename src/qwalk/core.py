@@ -54,15 +54,19 @@ def _as_real(value: float, name: str) -> float:
     return float(value)
 
 
-def check_steps(steps: int) -> None:
-    """Reject a non-integer, a negative step count or one above :data:`MAX_STEPS`.
+def check_steps(steps: int) -> int:
+    """``steps`` as the Python int :func:`_as_index` reads, if it lies in 0..:data:`MAX_STEPS`.
 
-    Evolvers call this before they allocate anything sized by ``steps``.
+    A non-integer, a negative step count or one above the cap raises
+    :class:`DomainError`.  Evolvers call this before they allocate
+    anything sized by ``steps``, and step with the int it returns: a
+    NumPy integer such as ``np.uint8(200)`` would wrap in ``2 * steps``.
     """
-    if _as_index(steps, "steps") < 0:
+    if (steps := _as_index(steps, "steps")) < 0:
         raise DomainError("steps must be nonnegative")
     if steps > MAX_STEPS:
         raise DomainError(f"steps capped at {MAX_STEPS}")
+    return steps
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,8 @@ class Line:
     offset: int = 0
 
     def __post_init__(self):
-        if abs(_as_index(self.offset, "line offset")) > 2**62:
+        object.__setattr__(self, "offset", _as_index(self.offset, "line offset"))
+        if abs(self.offset) > 2**62:
             raise DomainError(f"line offset must lie within +-2**62, got {self.offset}")
 
 
@@ -94,28 +99,33 @@ class Circle:
     size: int
 
     def __post_init__(self):
-        if not 3 <= _as_index(self.size, "circle size") <= 2 * MAX_STEPS + 1:
+        object.__setattr__(self, "size", _as_index(self.size, "circle size"))
+        if not 3 <= self.size <= 2 * MAX_STEPS + 1:
             raise DomainError(f"circle needs 3 to {2 * MAX_STEPS + 1} sites, got {self.size}")
 
 
 Topology = Line | Circle
 
 
-def _check_sites_and_time(topology: Topology, count: int, time: int) -> None:
+def _check_sites_and_time(record: WaveFunction | ProbabilityDistribution, count: int) -> None:
     """Refuse a topology that is not a line or circle, a wrong count, or a bad time.
 
     The rules :class:`WaveFunction` and :class:`ProbabilityDistribution`
-    share: ``topology`` is a :class:`Line` or a :class:`Circle`
+    share: ``record.topology`` is a :class:`Line` or a :class:`Circle`
     (:func:`_sites` would read any other object as a line at offset 0),
-    ``count``, the number of sites the value holds, is a circle's size,
-    and ``time`` is an integer of at least 0.
+    ``count``, the number of sites the record holds, is a circle's size,
+    and ``record.time`` is an integer of at least 0.  The record then
+    holds that time as the Python int :func:`_as_index` reads, so a
+    NumPy integer such as ``np.uint8(250)`` does not wrap in ``time + steps``.
     """
+    topology = record.topology
     if not isinstance(topology, Topology):
         raise DomainError(f"topology must be a Line or a Circle, got {topology!r}")
     if isinstance(topology, Circle) and count != topology.size:
         raise DomainError(f"{count} sites given for a circle of {topology.size}")
-    if _as_index(time, "time") < 0:
+    if (time := _as_index(record.time, "time")) < 0:
         raise DomainError("time must be nonnegative")
+    object.__setattr__(record, "time", time)
 
 
 def _sites(topology: Topology, count: int) -> NDArray[np.int64]:
@@ -168,7 +178,7 @@ def _site_masses(amps: NDArray[np.complex128]) -> NDArray[np.float64]:
     return _row_masses(np.ascontiguousarray(amps.T))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveFunction:
     """Two-component amplitude field over lattice sites at a fixed time.
 
@@ -179,6 +189,7 @@ class WaveFunction:
     an integer of at least 0 (a float such as 2.5 is refused, whatever
     its value).  The object holds a read-only copy of the amplitudes in
     which every -0.0 real or imaginary part is +0.0 (:func:`_freeze`).
+    It compares and hashes by identity.
     """
 
     topology: Topology
@@ -191,7 +202,7 @@ class WaveFunction:
             raise DomainError(f"amplitudes must have shape (n, 2), got {amps.shape}")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise DomainError("amplitudes must be finite")
-        _check_sites_and_time(self.topology, len(amps), self.time)
+        _check_sites_and_time(self, len(amps))
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -203,7 +214,7 @@ class WaveFunction:
         return float(np.sqrt(np.sum(_site_masses(self.amplitudes))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityDistribution:
     """Site masses observed at a fixed time.
 
@@ -214,6 +225,7 @@ class ProbabilityDistribution:
     and sum to 1 up to rounding; neither is checked, since rounding
     leaves no exact sum to check against.  The object holds a read-only
     copy of the masses in which every -0.0 is +0.0 (:func:`_freeze`).
+    It compares and hashes by identity.
     """
 
     topology: Topology
@@ -224,7 +236,7 @@ class ProbabilityDistribution:
         masses = _freeze(self.masses, np.float64)
         if masses.ndim != 1 or not np.all(np.isfinite(masses)):
             raise DomainError("masses must be a 1-D array of finite numbers")
-        _check_sites_and_time(self.topology, len(masses), self.time)
+        _check_sites_and_time(self, len(masses))
         object.__setattr__(self, "masses", masses)
 
     @property
@@ -244,7 +256,7 @@ def _unitarity_error(m: NDArray[np.complex128]) -> float:
         return np.max(np.abs(m.conj().T @ m - np.eye(2)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoinOperator:
     """A 2x2 unitary acting on the chirality.
 
@@ -252,7 +264,7 @@ class CoinOperator:
     ``diag(e^{-ik}, e^{ik}) matrix``, the symmetrizer check, the cone
     edge ``|u00|``, the limiting density) is read off ``matrix``;
     :func:`hadamard_coin` and :func:`theta_coin` are two ways to build
-    one.
+    one.  A coin compares and hashes by identity.
     """
 
     matrix: NDArray[np.complex128]

@@ -129,7 +129,7 @@ def evolve_line(
     """
     if not isinstance(psi.topology, Line):
         raise DomainError("evolve_line needs line topology")
-    check_steps(steps)
+    steps = check_steps(steps)
     if adjoint and steps > psi.time:
         raise DomainError("cannot rewind past t = 0")
 
@@ -264,7 +264,7 @@ def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunc
     """
     if not isinstance(psi.topology, Circle):
         raise DomainError("evolve_circle needs circle topology")
-    check_steps(steps)
+    steps = check_steps(steps)
 
     if steps == 0:  # no block runs, so there is no ring row to scale back
         return psi

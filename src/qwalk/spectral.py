@@ -167,9 +167,7 @@ def evolve_spectral(
     that no occupied class reaches stay exact +0.0.  Time is O(N log N)
     and memory O(N): ``M_k^t`` is applied to the ``(N/d, 2)`` vectors
     directly, and the traced peak of the Hadamard walk from one site is
-    139 B per wavenumber at t = 20 000 (203 B with length-N transforms
-    of both classes, 288 B while a ``(N, 2, 2)`` matrix was built per
-    wavenumber).
+    139 B per wavenumber at t = 20 000.
 
     The result is exact up to round-off and must agree with
     :func:`qwalk.evolve.evolve_line` or :func:`qwalk.evolve.evolve_circle`.
@@ -182,7 +180,7 @@ def evolve_spectral(
     of 3 to 127 sites up to t = 20n, for the Hadamard, near-identity,
     diagonal, antidiagonal and random U(2) coins.
     """
-    check_steps(t)
+    t = check_steps(t)
     amps, sites = init.amplitudes, init.sites
     topology, start, grow = init.topology, 0, 0
     if isinstance(topology, Line):

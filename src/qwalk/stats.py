@@ -66,6 +66,7 @@ from .core import (
     _as_index,
     _as_real,
     _row_masses,
+    chirality_pair,
     check_steps,
     initial_state,
 )
@@ -73,7 +74,7 @@ from .evolve import ProbabilityDistribution, _ring_blocks
 from .spectral import _dispersion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkSpec:
     """A runnable circle walk: topology, coin and start, none of them defaulted.
 
@@ -81,9 +82,11 @@ class WalkSpec:
     :func:`mixing_time` and :func:`cesaro_average` are defined.
     ``coin=None`` is the classical symmetric random walk from site 0,
     which has no chirality and so takes ``init=None``; a coin takes a
-    start, anything :func:`qwalk.core.initial_state` accepts.  Both rules
-    are checked here, once: any other spec raises :class:`DomainError`
-    when it is built.
+    start that :func:`qwalk.core.chirality_pair` accepts, as
+    :func:`qwalk.core.initial_state` does.  These rules are checked
+    here, once: any other spec raises :class:`DomainError` when it is
+    built.  A spec compares and hashes by identity, so two specs of one
+    classical walk compare unequal.
     """
 
     topology: Circle
@@ -95,11 +98,16 @@ class WalkSpec:
             raise DomainError(f"a WalkSpec is defined on the circle, got {self.topology!r}")
         if (self.coin is None) != (self.init is None):
             raise DomainError("a coin needs a start; the classical walk (coin=None) takes none")
+        if self.coin is not None:
+            chirality_pair(self.init)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingReport:
-    """First crossing of a target TV distance, with the full trace."""
+    """First crossing of a target TV distance, with the full trace.
+
+    A report compares and hashes by identity.
+    """
 
     time: int | None
     tv_trace: NDArray[np.float64]
@@ -232,7 +240,7 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
     :class:`DomainError` instead of reporting no crossing up to
     ``t_cap``.
     """
-    if _as_index(t_cap, "t_cap") < 1:
+    if (t_cap := _as_index(t_cap, "t_cap")) < 1:
         raise DomainError(f"t_cap must be at least 1, got {t_cap}")
     if not math.isfinite(_as_real(delta, "delta")):
         raise DomainError(f"delta must be finite, got {delta!r}")
@@ -259,8 +267,7 @@ def cesaro_average(spec: WalkSpec, big_t: int) -> ProbabilityDistribution:
     Cesaro average is the standard time-averaged notion that can.
     ``coin=None`` averages the symmetric random walk from site 0.
     """
-    check_steps(big_t)
-    if big_t < 1:
+    if (big_t := check_steps(big_t)) < 1:
         raise DomainError("T must be at least 1")
     acc = np.zeros(spec.topology.size)
     for masses in _masses(spec, big_t):
@@ -305,7 +312,7 @@ def classical_walk(topology: Topology, t: int) -> ProbabilityDistribution:
     t, so the wrap never carries any; turning it by t puts site
     ``o - t`` first.
     """
-    check_steps(t)
+    t = check_steps(t)
     ring = topology if isinstance(topology, Circle) else Circle(max(3, 2 * t + 1))
     spec = WalkSpec(ring, None, None)
     masses = _start_rows(spec)

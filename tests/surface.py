@@ -1,0 +1,117 @@
+"""The package's surface: what CI prints and the tier-1 pins read.
+
+Run as ``PYTHONPATH=src python tests/surface.py src/qwalk/*.py``.  It
+prints, for the net source size tracked across changes, the code lines
+(not blank, not only a comment, not part of a docstring) per module
+given and in total, then the CLI options summed over subcommands
+(without --help) and each subcommand's option names, the defaulted
+parameters of the public functions and the defaulted fields of the
+public dataclasses, each counted and then listed by name, the fields of
+the public dataclasses, counted and then listed per class, and the
+public names the package exports, counted and then listed.
+
+The tests in ``test_core.py`` and ``test_cli.py`` pin the same figures
+by reading them from here; this module holds no test of its own.
+"""
+
+import argparse
+import ast
+import dataclasses
+import inspect
+import sys
+import tokenize
+
+import qwalk
+from qwalk.cli import build_parser
+
+#: tokens that make no line a code line
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+#: the nodes whose first statement may be a docstring
+_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_lines(path) -> int:
+    """The lines of the Python source ``path`` that hold a token of a statement.
+
+    A line that is blank, holds only a comment or lies within a module,
+    class or function docstring does not count, also within a statement
+    that spans several lines; every other line of such a statement does.
+    """
+    with open(path, "rb") as f:
+        lines = {n for tok in tokenize.tokenize(f.readline) if tok.type not in _LAYOUT
+                 for n in range(tok.start[0], tok.end[0] + 1)}
+    with open(path, "rb") as f:
+        tree = ast.parse(f.read())
+    for node in ast.walk(tree):
+        if isinstance(node, _SCOPES) and ast.get_docstring(node, clean=False) is not None:
+            doc = node.body[0]
+            lines -= set(range(doc.lineno, doc.end_lineno + 1))
+    return len(lines)
+
+
+def arguments() -> dict[str, list[tuple]]:
+    """Each subcommand's arguments in --help order, without --help.
+
+    An argument reads ``(option strings, default, type, choices,
+    required)``: no help text, which argparse words differently from one
+    Python version to the next.
+    """
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [(tuple(a.option_strings), a.default, a.type, a.choices, a.required)
+                   for a in p._actions if not isinstance(a, argparse._HelpAction)]
+            for name, p in sub.choices.items()}
+
+
+def defaulted(kind) -> list[str]:
+    """``name.parameter`` for each defaulted parameter of each public name ``kind`` accepts.
+
+    ``kind`` is :func:`inspect.isfunction` for the public functions and
+    :func:`dataclasses.is_dataclass` for the public dataclasses, whose
+    parameters are their fields.
+    """
+    return [f"{name}.{p.name}"
+            for name in public_names()
+            if kind(obj := getattr(qwalk, name))
+            for p in inspect.signature(obj).parameters.values()
+            if p.default is not p.empty]
+
+
+def fields() -> dict[str, list[str]]:
+    """The field names of each public dataclass, by class name."""
+    return {name: [f.name for f in dataclasses.fields(obj)]
+            for name in public_names()
+            if dataclasses.is_dataclass(obj := getattr(qwalk, name))}
+
+
+def public_names() -> list[str]:
+    """The names in ``qwalk.__all__``, sorted."""
+    return sorted(qwalk.__all__)
+
+
+def main(paths) -> None:
+    counts = [code_lines(path) for path in paths]
+    for path, count in zip(paths, counts):
+        print(f"{count:5d} code lines in {path}")
+    print(f"{sum(counts)} code lines (not blank, comment or docstring)")
+    options = {name: sorted(o for strings, *_ in args for o in strings)
+               for name, args in arguments().items()}
+    print(f"{sum(map(len, options.values()))} CLI options "
+          "(summed over subcommands, without --help)")
+    for name, names in options.items():
+        print(f"  {name}: {' '.join(names)}")
+    for kind, what in ((inspect.isfunction, "parameters of public functions"),
+                       (dataclasses.is_dataclass, "fields of public dataclasses")):
+        names = defaulted(kind)
+        print(f"{len(names)} defaulted {what}")
+        print(f"  {' '.join(names)}")
+    by_class = fields()
+    print(f"{sum(map(len, by_class.values()))} fields of public dataclasses")
+    for name, names in by_class.items():
+        print(f"  {name}: {' '.join(names)}")
+    print(f"{len(public_names())} public names in qwalk.__all__")
+    print(*public_names())
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

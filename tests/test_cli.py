@@ -16,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import surface
 
 import qwalk
 from qwalk import distribution, evolve_line, hadamard_coin, initial_state, theta_coin
 from qwalk.asymptotics import p_asymptotic, support_edge
-from qwalk.cli import _CHUNK, _Parser, _emit, build_parser, main, parse_theta
+from qwalk.cli import _CHUNK, _Parser, _emit, main, parse_theta
 from qwalk.spectral import evolve_spectral
 
 
@@ -415,25 +416,6 @@ def test_a_full_device_is_a_one_line_error(steps):
                                      stdout=subprocess.DEVNULL))
 
 
-def test_each_subcommand_has_exactly_its_options():
-    walk = {"--coin", "--format", "--output", "--init"}
-    anywhere = walk | {"--topology"}
-    expected = {
-        "simulate": anywhere | {"--steps"},
-        "spectral": anywhere | {"--steps"},
-        "asymptotic": walk | {"--steps"},
-        "moments": walk | {"--steps"},
-        "mix": anywhere | {"--delta", "--t-cap", "--classical"},
-        "symmetry": {"--coin", "--format", "--output"},
-        "compare": walk | {"--steps"},
-    }
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    options = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
-               for name, p in sub.choices.items()}
-    assert options == expected
-
-
 COIN = (("--coin",), "hadamard", None, None, False)
 FORMAT = (("--format",), "csv", None, ["csv", "json"], False)
 OUTPUT = (("--output",), "-", None, None, False)
@@ -462,14 +444,9 @@ SUBCOMMAND_ARGUMENTS = {
 
 
 def test_each_subcommand_argument_is_pinned():
-    # defaults, types and choices, not help text: argparse words its help
-    # differently from one Python version to the next
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    arguments = {name: [(tuple(a.option_strings), a.default, a.type, a.choices, a.required)
-                        for a in p._actions if not isinstance(a, argparse._HelpAction)]
-                 for name, p in sub.choices.items()}
-    assert list(arguments.items()) == list(SUBCOMMAND_ARGUMENTS.items())
+    # every option string of every subcommand, with its default, type and
+    # choices, and the subcommands in --help order
+    assert list(surface.arguments().items()) == list(SUBCOMMAND_ARGUMENTS.items())
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,5 +1,6 @@
 """Coin matrices, the transfer matrix at k = 0, topologies, initial states,
-the defaulted parameters of the public functions and dataclasses, and the
+the package's surface as ``surface`` derives it (its defaulted parameters,
+dataclass fields and public names, and the code-line count), and the
 imports of the package's modules."""
 
 import ast
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import surface
 from test_spectral import transfer_matrix
 
 import qwalk
@@ -205,6 +207,17 @@ def test_numpy_integers_are_steps_and_sizes():
     assert Line(offset=np.int64(-2)).offset == -2
     spec = WalkSpec(Circle(5), hadamard_coin(), "symmetric")
     assert mixing_time(spec, 0.5, np.int64(10)).time is not None
+    # a small integer type would wrap in 2 * steps or time + steps: the
+    # routes step with the Python int, and the records hold it
+    left, steps = initial_state("left"), np.uint8(200)
+    for evolve in (evolve_line, evolve_spectral):
+        assert len(evolve(left, hadamard_coin(), steps).amplitudes) == 401
+    assert len(classical_walk(Line(), steps).masses) == 401
+    late = evolve_line(WaveFunction(Line(), [[1, 0]], np.uint8(250)), hadamard_coin(), 10)
+    assert type(late.time) is int and late.time == 260
+    assert type(Line(offset=np.int8(-3)).offset) is int
+    assert type(Circle(np.uint8(5)).size) is int
+    assert type(distribution(late).time) is int
 
 
 def test_line_offset_is_bounded_so_sites_stay_int64():
@@ -292,6 +305,21 @@ def test_wavefunction_accepts_non_contiguous_amplitudes(dtype):
         WaveFunction(Line(), np.repeat(rows.T, 2, axis=0)[::2])
 
 
+@pytest.mark.parametrize("make", [
+    hadamard_coin,
+    lambda: initial_state("left"),
+    lambda: distribution(initial_state("left")),
+    lambda: mixing_time(WalkSpec(Circle(5), None, None), 0.5, 10),
+    lambda: WalkSpec(Circle(5), hadamard_coin(), "left"),
+], ids=["coin", "wavefunction", "distribution", "mixing-report", "walk-spec"])
+def test_records_that_hold_arrays_compare_by_identity(make):
+    # == on their arrays would raise, and so would a hash of them
+    one, other = make(), make()
+    assert one == one and one != other
+    assert one in [one] and other not in [one]
+    assert len({one, other, one}) == 2
+
+
 def test_amplitudes_are_read_only():
     psi = initial_state("left")
     with pytest.raises(ValueError):
@@ -322,29 +350,64 @@ def test_public_defaults_are_pinned():
     # every defaulted parameter of a public function, and every defaulted
     # field of a public dataclass, is a setting to test; a new one must
     # be added here on purpose
-    def defaulted(kind):
-        return {
-            f"{name}.{p.name}"
-            for name in qwalk.__all__
-            if kind(obj := getattr(qwalk, name))
-            for p in inspect.signature(obj).parameters.values()
-            if p.default is not p.empty
-        }
-
-    assert defaulted(inspect.isfunction) == {
+    assert set(surface.defaulted(inspect.isfunction)) == {
         "evolve_line.adjoint",
         "initial_state.topology",
     }
-    assert defaulted(dataclasses.is_dataclass) == {
+    assert set(surface.defaulted(dataclasses.is_dataclass)) == {
         "Line.offset",
         "WaveFunction.time",
     }
 
 
+def test_public_dataclass_fields_are_pinned():
+    # every field of a public dataclass is a value to build, check and
+    # test; a new one must be added here on purpose
+    assert surface.fields() == {
+        "Circle": ["size"],
+        "CoinOperator": ["matrix"],
+        "Line": ["offset"],
+        "MixingReport": ["time", "tv_trace"],
+        "ProbabilityDistribution": ["topology", "masses", "time"],
+        "SymmetrizerReport": ["sign", "max_residual"],
+        "WalkSpec": ["topology", "coin", "init"],
+        "WaveFunction": ["topology", "amplitudes", "time"],
+    }
+
+
+def test_code_lines_counts_statements_only(tmp_path):
+    # the count CI prints per module: each line that holds a token of a
+    # statement, a string expression that is no docstring included, and
+    # no blank, comment-only or docstring line, inside a call or not
+    source = tmp_path / "sample.py"
+    source.write_text('''"""Module docstring,
+over two lines."""
+
+# a comment
+import math  # a trailing comment
+
+
+class Thing:
+    """Class docstring."""
+
+    def method(self):
+        """Function
+        docstring."""
+        """A string expression over two lines,
+        not a docstring."""
+        return math.hypot(
+            3,  # a comment inside a call
+
+            4,
+        )
+''')
+    assert surface.code_lines(source) == 9
+
+
 def test_public_names_are_pinned():
     # the package's public surface, written out by hand; a new name must
     # be added here on purpose, and no submodule counts as one
-    assert sorted(qwalk.__all__) == [
+    assert surface.public_names() == [
         "Circle", "CoinOperator", "DomainError", "Line", "MixingReport",
         "ProbabilityDistribution", "SymmetrizerReport", "WalkSpec", "WaveFunction",
         "asymptotic_wavefunction", "cesaro_average", "classical_walk", "density",

@@ -271,16 +271,15 @@ def test_mixing_time_trace_memory():
     (Line(), hadamard_coin(), "left"),
     (Circle(5), None, "left"),
     (Circle(5), hadamard_coin(), None),
-], ids=["line", "classical-with-start", "coin-without-start"])
+    (Circle(5), hadamard_coin(), "sideways"),
+    (Circle(5), hadamard_coin(), np.array([1.0, 0.0, 0.0])),
+    (Circle(5), hadamard_coin(), np.array([1.0, 1.0])),
+], ids=["line", "classical-with-start", "coin-without-start", "unknown-start",
+        "length-3-start", "non-unit-start"])
 def test_walk_spec_refuses_a_walk_it_cannot_run(topology, coin, init):
     # refused once, when the spec is built, and by no scan that takes it
     with pytest.raises(DomainError):
         WalkSpec(topology, coin, init)
-
-
-def test_mixing_time_requires_circle():
-    with pytest.raises(DomainError):
-        mixing_time(WalkSpec(Line(), hadamard_coin(), "symmetric"), 0.3, 100)
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
