@@ -18,8 +18,9 @@ step copies a ghost column: six vector operations a step and two slice
 copies a block, with the arithmetic of the recurrence, so every row is
 the per-step one bit for bit.  Memory is O(n): B is chosen so that the
 ring stays near 2**15 float64 entries, 256 KiB, and past that size a
-block is one step.  The kernel yields each block's rows, so the scans
-of :mod:`qwalk.stats` reduce once per block without building a
+block is one step.  The kernel yields each block's rows, and
+:func:`_circle_masses` squares them into the site masses that the scans
+of :mod:`qwalk.stats` reduce once per block, without building a
 wavefunction.
 
 Both kernels follow one underflow policy.  Far outside the cone the
@@ -42,7 +43,9 @@ aside, no subnormal is stepped while ``floor * c**32 >= 2**-1022``.
 Both kernels take one scale rule (:func:`_unit_scale`): if ``M < 1/2``,
 each multiplies the buffer it has just filled from the input (the
 line's class rows, the ring's first slot) in place by the power of two
-that brings ``M`` into [1/2, 1), and scales its result back in place.
+that brings ``M`` into [1/2, 1), and scales its result back in place;
+the ring yields the shift it applied with each block, so its callers
+undo it without working it out again.
 The input is never copied, and none is scaled down.  So the steps see
 ``M >= 1/2``, the floor is at least 2**-601, and no subnormal is
 stepped for any coin with ``c >= 1.1e-4``.  A power of two scales
@@ -68,8 +71,10 @@ from .core import (
     Line,
     ProbabilityDistribution,
     WaveFunction,
+    _row_masses,
     _site_masses,
     check_steps,
+    initial_state,
 )
 
 #: Flush floor relative to the input's largest float64 entry: 2**-600
@@ -259,8 +264,8 @@ def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunc
     result is the last row of its last block: memory is O(n), and a
     step costs six vector operations over a window of n to n + 2B - 2
     sites, with no intermediate wavefunction.  That row is at the scale
-    of the ring's first slot, and is scaled back in place: the input is
-    not copied.
+    of the ring's first slot, and is scaled back in place by the shift
+    the ring yields with it: the input is not copied.
     """
     if not isinstance(psi.topology, Circle):
         raise DomainError("evolve_circle needs circle topology")
@@ -271,23 +276,22 @@ def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunc
     # as in evolve_line; the generator runs only while this loop asks it
     # for a block, so the error state covers its steps and no other code
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in _ring_blocks(psi.amplitudes.T, coin, steps):
+        for block, shift in _ring_blocks(psi.amplitudes.T, coin, steps):
             pass
-    # the ring's first slot held the input and zeros, so this is its shift
-    shift, _ = _unit_scale(psi.amplitudes.view(np.float64))
     np.ldexp(parts := block[-1].view(np.float64), -shift, out=parts)
     return WaveFunction(psi.topology, block[-1].T, psi.time + steps)
 
 
 def _ring_blocks(rows, coin, steps):
-    """Step a cycle walk ``steps`` times in halo blocks, yielding each block.
+    """Step a cycle walk ``steps`` times in halo blocks, yielding each block and its scale.
 
     ``rows`` is the walk at the start: the ``(2, n)`` (L, R) amplitude
     rows of the coined walk, or with ``coin=None`` the ``(1, n)`` masses
     of the symmetric random walk, ``d'(x) = (d(x-1) + d(x+1)) / 2``.
-    Each yield is the ``(m, c, n)`` view of the walk after the next
-    ``m`` steps, in time order (``m = B`` but in the last block); the
-    next block overwrites it, so copy what must outlive the block.
+    Each yield is ``(block, shift)``: ``block`` is the ``(m, c, n)``
+    view of the walk after the next ``m`` steps, in time order (``m =
+    B`` but in the last block), times ``2**shift``; the next block
+    overwrites it, so copy what must outlive the block.
 
     The ring holds ``B + 1`` slots of ``n + 2B`` sites.  A block starts
     from a slot whose sites ``B..B+n-1`` hold the walk and whose ``B``
@@ -312,20 +316,23 @@ def _ring_blocks(rows, coin, steps):
     of a step: at n = 127, blocks of n/2 or more took 1.1 ms for the
     coined scan, against 0.6 ms at n/8.
 
-    The first slot is scaled in place as :func:`_unit_scale` says for
-    ``rows``, and every yield is at that scale: :func:`evolve_circle`
-    scales its last row back, and the scans of :mod:`qwalk.stats`
-    start from a unit mass or a unit-norm state, which is not scaled.
-    A coined walk is flushed below ``floor = 2**-600 M``, ``M`` the
-    largest real or imaginary part of the scaled slot, at the start of
-    every ``32 // B``-th block (at least 1, since B <= 32), on the core
-    of the slot the block starts from (see the module docstring).  The
-    classical walk is not: its nonnegative masses never cancel, only a
-    few of them are subnormal (44 to 66 at n = 8191, t = 3000 to 6000),
-    and the flush cost time.  On the classical scan of n = 511 (20 710
-    steps, a flush every 64) it read 1.4 to 2.6 ms more out of about 50
-    (the median of paired differences, slower in 18 of 22 interleaved
-    pairs), 2.2 us a flush.
+    The first slot is scaled in place by ``2**shift`` as
+    :func:`_unit_scale` says for ``rows``, and every block is at that
+    scale, so its callers undo the yielded ``shift`` and never work it
+    out themselves: :func:`evolve_circle` on its last row, and
+    :func:`_circle_masses` on its squared rows, by ``2 * shift``.  A
+    unit-norm start is scaled when its largest part lies below 1/2, as
+    that of ``(1 + 1j, 1 + 1j) / 2`` rounded just short of unit norm
+    does; a unit mass is not.  A coined walk is flushed below ``floor =
+    2**-600 M``, ``M`` the largest real or imaginary part of the scaled
+    slot, at the start of every ``32 // B``-th block (at least 1, since
+    B <= 32), on the core of the slot the block starts from (see the
+    module docstring).  The classical walk is not: its nonnegative
+    masses never cancel, only a few of them are subnormal (44 to 66 at
+    n = 8191, t = 3000 to 6000), and the flush cost time.  On the
+    classical scan of n = 511 (20 710 steps, a flush every 64) it read
+    1.4 to 2.6 ms more out of about 50 (the median of paired
+    differences, slower in 18 of 22 interleaved pairs), 2.2 us a flush.
     """
     c, n = rows.shape
     floats = 1 if coin is None else 4
@@ -391,7 +398,28 @@ def _ring_blocks(rows, coin, steps):
                 multiply(a_left, w10, new_b)
                 multiply(b_left, w11, x)
                 add(new_b, x, new_b)
-        yield block
+        yield block, shift
+
+
+def _circle_masses(topology, coin, init, steps):
+    """Yield the ``(m, n)`` site masses of a circle walk, a block of rows at a time.
+
+    The walk is the one a :class:`~qwalk.stats.WalkSpec` of these fields
+    runs: with ``coin=None`` the symmetric random walk from a unit mass
+    at site 0, and otherwise the coined walk from ``initial_state(init,
+    topology)``.  The rows are the walk after each of a block's ``m``
+    steps.  The classical rows are a view that the next block
+    overwrites; the coined ones are squared by
+    :func:`qwalk.core._row_masses` into a new array, on which the ring's
+    scale is undone in place, so they are ``distribution()``'s bit for
+    bit wherever no mass is subnormal, and at every shift of 0.
+    """
+    rows = np.eye(1, topology.size) if coin is None else initial_state(init, topology).amplitudes.T
+    for block, shift in _ring_blocks(rows, coin, steps):
+        masses = block[:, 0] if coin is None else _row_masses(block)
+        if shift:  # a unit mass is never scaled, so this is a coined walk
+            np.ldexp(masses, -2 * shift, out=masses)
+        yield masses
 
 
 def distribution(psi: WaveFunction) -> ProbabilityDistribution:

@@ -23,11 +23,8 @@ returns a moment of a walk's distribution as a plain float, by the
 name under which :func:`qwalk.asymptotics.density_moment` gives it for
 the limiting density.
 
-On the circle both walks step through the halo-block ring of
-:mod:`qwalk.evolve`, the classical one by the average of the two
-neighbours, and yield their site masses a block at a time; the coined
-walk's are squared by :func:`qwalk.core._row_masses`, the one squaring
-of the package.
+Both circle walks come as site masses a block of steps at a time from
+:func:`qwalk.evolve._circle_masses`, which owns their ring and its scale.
 :func:`mixing_time` and :func:`cesaro_average` reduce once per block:
 the TV distances of all its rows, the first of them at or below delta,
 and the running sum, whose rows a reduction down the block adds one
@@ -62,15 +59,15 @@ from .core import (
     DomainError,
     Line,
     MAX_STEPS,
+    ProbabilityDistribution,
     Topology,
     _as_index,
     _as_real,
-    _row_masses,
+    _freeze,
     chirality_pair,
     check_steps,
-    initial_state,
 )
-from .evolve import ProbabilityDistribution, _ring_blocks
+from .evolve import _circle_masses
 from .spectral import _dispersion
 
 
@@ -85,7 +82,9 @@ class WalkSpec:
     start that :func:`qwalk.core.chirality_pair` accepts, as
     :func:`qwalk.core.initial_state` does.  These rules are checked
     here, once: any other spec raises :class:`DomainError` when it is
-    built.  A spec compares and hashes by identity, so two specs of one
+    built.  A coined spec's ``init`` is then the checked pair, a
+    read-only copy, so changing the caller's array afterwards changes
+    nothing.  A spec compares and hashes by identity, so two specs of one
     classical walk compare unequal.
     """
 
@@ -99,18 +98,25 @@ class WalkSpec:
         if (self.coin is None) != (self.init is None):
             raise DomainError("a coin needs a start; the classical walk (coin=None) takes none")
         if self.coin is not None:
-            chirality_pair(self.init)
+            object.__setattr__(self, "init", _freeze(chirality_pair(self.init), np.complex128))
 
 
 @dataclass(frozen=True, eq=False)
 class MixingReport:
     """First crossing of a target TV distance, with the full trace.
 
-    A report compares and hashes by identity.
+    The trace is held read-only: a trace that can be written is copied,
+    and one given read-only is held as it is, as :func:`mixing_time`
+    hands over its scan's, which a copy would double.  A report compares
+    and hashes by identity.
     """
 
     time: int | None
     tv_trace: NDArray[np.float64]
+
+    def __post_init__(self):
+        if np.asarray(self.tv_trace).flags.writeable:
+            object.__setattr__(self, "tv_trace", _freeze(self.tv_trace, np.float64))
 
 
 def _velocities(dist: ProbabilityDistribution) -> NDArray[np.float64]:
@@ -247,7 +253,7 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
     steps, parity = min(t_cap, MAX_STEPS), spec.topology.size % 2 == 0
     trace = array("d")  # 8 bytes a step; a list of floats holds about 32
     crossing: int | None = None
-    for masses in _masses(spec, steps):
+    for masses in _circle_masses(spec.topology, spec.coin, spec.init, steps):
         tv = _tv_rows(masses, parity, len(trace) + 1)
         hits = np.flatnonzero(tv <= delta)
         if hits.size:
@@ -257,7 +263,8 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
         trace.frombytes(tv.tobytes())
     if crossing is None and steps < t_cap:
         raise DomainError(f"no crossing within {MAX_STEPS} steps; a longer scan is refused")
-    return MixingReport(time=crossing, tv_trace=np.frombuffer(trace, dtype=np.float64))
+    # handed over read-only, so the report holds it without a copy of 8 bytes a step
+    return MixingReport(crossing, np.frombuffer(memoryview(trace).toreadonly(), np.float64))
 
 
 def cesaro_average(spec: WalkSpec, big_t: int) -> ProbabilityDistribution:
@@ -270,34 +277,11 @@ def cesaro_average(spec: WalkSpec, big_t: int) -> ProbabilityDistribution:
     if (big_t := check_steps(big_t)) < 1:
         raise DomainError("T must be at least 1")
     acc = np.zeros(spec.topology.size)
-    for masses in _masses(spec, big_t):
+    for masses in _circle_masses(spec.topology, spec.coin, spec.init, big_t):
         # a reduction down the rows adds them one after another, in the
         # order of a running sum
         acc = np.add.reduce(np.concatenate((acc[None], masses)), axis=0)
     return ProbabilityDistribution(spec.topology, acc / big_t, big_t)
-
-
-def _start_rows(spec: WalkSpec) -> NDArray:
-    """The circle walk ``spec`` at t = 0, as :func:`qwalk.evolve._ring_blocks` takes it.
-
-    That is the ``(1, n)`` unit mass at site 0 for ``coin=None`` and the
-    ``(2, n)`` (L, R) rows of ``initial_state(spec.init)`` otherwise.
-    """
-    if spec.coin is None:
-        return np.eye(1, spec.topology.size)
-    return initial_state(spec.init, spec.topology).amplitudes.T
-
-
-def _masses(spec: WalkSpec, steps: int):
-    """Yield the ``(m, n)`` site masses of the circle walk ``spec``, a block at a time.
-
-    The rows are the walk after each of the block's ``m`` steps.  The
-    coined walk's are squared by :func:`qwalk.core._row_masses`, so they
-    are ``distribution()``'s bit for bit; the classical walk's are a view
-    that the next block overwrites.
-    """
-    for block in _ring_blocks(_start_rows(spec), spec.coin, steps):
-        yield block[:, 0] if spec.coin is None else _row_masses(block)
 
 
 def classical_walk(topology: Topology, t: int) -> ProbabilityDistribution:
@@ -307,16 +291,15 @@ def classical_walk(topology: Topology, t: int) -> ProbabilityDistribution:
     quantum walker: on site 0 of a circle, and on site ``o`` of
     ``Line(offset=o)``, whose result then holds the sites ``o - t ..
     o + t``.  Computed by dynamic programming: the last row
-    :func:`_masses` gives.  On the line the walk runs on the cycle of
-    2t + 1 sites (3 at t = 0), whose ends the mass reaches only at step
-    t, so the wrap never carries any; turning it by t puts site
-    ``o - t`` first.
+    :func:`qwalk.evolve._circle_masses` gives.  On the line the walk
+    runs on the cycle of 2t + 1 sites (3 at t = 0), whose ends the mass
+    reaches only at step t, so the wrap never carries any; turning it
+    by t puts site ``o - t`` first.
     """
     t = check_steps(t)
     ring = topology if isinstance(topology, Circle) else Circle(max(3, 2 * t + 1))
-    spec = WalkSpec(ring, None, None)
-    masses = _start_rows(spec)
-    for masses in _masses(spec, t):
+    masses = np.eye(1, ring.size)  # the start, if no step is taken
+    for masses in _circle_masses(ring, None, None, t):
         pass
     if isinstance(topology, Circle):
         return ProbabilityDistribution(topology, masses[-1], t)

@@ -141,11 +141,14 @@ def test_long_circle_walks_step_no_subnormals(n, t):
     assert abs(psi.norm() - 1.0) < 1e-12
 
 
-#: Both kernels, the ring on a cycle the walk to t = 4000 does not wrap.
+#: Both kernels: the ring on a cycle the walk to t = 4000 does not wrap,
+#: whose coined blocks are 1 step long, and on Circle(127), whose 15-step
+#: blocks leave a last block of several rows to scale back.
 SCALED_WALKS = pytest.mark.parametrize("evolve, topology", [
     (evolve_line, Line()),
     (evolve_circle, Circle(8191)),
-], ids=["line", "circle"])
+    (evolve_circle, Circle(127)),
+], ids=["line", "circle", "circle-127"])
 
 
 @SCALED_WALKS
@@ -423,4 +426,4 @@ def test_coined_ring_blocks_are_at_most_32_steps(n):
     # max(8, n // 8) passes 32 only from n = 264, where 2**15 // (4 n) <= 31,
     # so a coined block never outruns the flush period of 32 steps
     rows = initial_state("left", Circle(n)).amplitudes.T
-    assert len(next(_ring_blocks(rows, hadamard_coin(), 64))) <= 32
+    assert len(next(_ring_blocks(rows, hadamard_coin(), 64))[0]) <= 32

@@ -27,10 +27,8 @@ from qwalk import (
     theta_coin,
     tv_distance,
 )
-from qwalk.core import MAX_STEPS
-from qwalk.evolve import ProbabilityDistribution
-from qwalk.evolve import _ring_blocks
-from qwalk.stats import _masses
+from qwalk.core import MAX_STEPS, ProbabilityDistribution
+from qwalk.evolve import _circle_masses, _ring_blocks
 
 SQRT2 = math.sqrt(2)
 
@@ -265,6 +263,8 @@ def test_mixing_time_trace_memory():
         tracemalloc.stop()
     assert rep.time is None and len(rep.tv_trace) == 10**5
     assert peak < 1.2e6
+    # the report holds the scan's trace read-only, with no copy of it
+    assert not rep.tv_trace.flags.writeable
 
 
 @pytest.mark.parametrize("topology, coin, init", [
@@ -280,6 +280,16 @@ def test_walk_spec_refuses_a_walk_it_cannot_run(topology, coin, init):
     # refused once, when the spec is built, and by no scan that takes it
     with pytest.raises(DomainError):
         WalkSpec(topology, coin, init)
+
+
+def test_walk_spec_keeps_its_checked_start():
+    # a later write to the caller's array reaches neither the spec nor
+    # its scans, so the start it was checked with is the start it runs
+    init = np.array([0.6, 0.8j])
+    spec = WalkSpec(Circle(5), hadamard_coin(), init)
+    trace = mixing_time(spec, -1.0, 10).tv_trace
+    init[:] = [3.0, 4.0]
+    assert mixing_time(spec, -1.0, 10).tv_trace.tobytes() == trace.tobytes()
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
@@ -391,23 +401,36 @@ def test_mixing_scan_equals_the_stepwise_definition(n, coin):
         assert tv == tv_distance(distribution(psi), reference)
 
 
-@pytest.mark.parametrize("n", [31, 64])
+#: a start that chirality_pair accepts, whose largest part lies just
+#: below 1/2, so the ring steps it scaled by 2 and its masses by 4
+BORDERLINE_START = np.array([0.5 + 0.5j, 0.5 + 0.5j]) * (1 - 4e-13)
+
+
+@pytest.mark.parametrize("n, init", [
+    # the symmetric cases keep the ids they had before init was a parameter
+    *[pytest.param(n, "symmetric", id=str(n)) for n in (31, 64)],
+    *[pytest.param(n, BORDERLINE_START, id=f"borderline-{n}") for n in (9, 64, 127)],
+])
 @SCAN_COINS
-def test_scan_masses_are_the_distribution_bit_for_bit(n, coin):
-    # the scan squares its blocks in the order distribution() does
-    psi = initial_state("symmetric", Circle(n))
-    spec = WalkSpec(Circle(n), coin, "symmetric")
-    rows = [row.copy() for block in _masses(spec, 2 * n) for row in block]
+def test_scan_masses_are_the_distribution_bit_for_bit(n, init, coin):
+    # the scan squares its blocks in the order distribution() does, and
+    # undoes the ring's scale on the squares
+    psi = initial_state(init, Circle(n))
+    spec = WalkSpec(Circle(n), coin, init)
+    rows = [row.copy() for block in _circle_masses(spec.topology, coin, spec.init, 2 * n)
+            for row in block]
     assert len(rows) == 2 * n
     for t, masses in enumerate(rows, start=1):
         expected = distribution(evolve_circle(psi, coin, t)).masses
         assert masses.tobytes() == expected.tobytes()
+    assert mixing_time(spec, -1.0, 2 * n).tv_trace.max() <= 1
+    assert abs(cesaro_average(spec, 2 * n).masses.sum() - 1) < 1e-12
 
 
 def block_length(n, coin):
     """The steps per block of the ring on ``Circle(n)``, read off its first block."""
     rows = np.zeros((1, n)) if coin is None else np.zeros((2, n), dtype=np.complex128)
-    return len(next(_ring_blocks(rows, coin, 10**4)))
+    return len(next(_ring_blocks(rows, coin, 10**4))[0])
 
 
 def classical_steps(n, steps):
