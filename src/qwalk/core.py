@@ -160,13 +160,16 @@ def _row_masses(rows: NDArray[np.complex128]) -> NDArray[np.float64]:
 
     Every route squares amplitudes here, in one order, so they report
     the same bits: ``(L.re^2 + R.re^2) + (L.im^2 + R.im^2)`` over the
-    float64 view.  The last axis must be contiguous; the circle scans of
+    float64 view of complex rows, and ``L^2 + R^2`` of float64 rows,
+    the real walk the circle ring steps for a real coin (the summands of
+    either half, as :func:`qwalk.evolve._circle_masses` adds them for a
+    mirror start).  The last axis must be contiguous; the circle scans of
     :mod:`qwalk.stats` pass their ring blocks as they are.
     """
-    w = rows.view(np.float64)  # (L, R) rows of interleaved re, im
+    w = rows.view(np.float64)  # (L, R) rows of interleaved re, im, or real parts
     s = w[..., 0, :] * w[..., 0, :]
     s += w[..., 1, :] * w[..., 1, :]
-    return s[..., 0::2] + s[..., 1::2]
+    return s[..., 0::2] + s[..., 1::2] if np.iscomplexobj(rows) else s
 
 
 def _site_masses(amps: NDArray[np.complex128]) -> NDArray[np.float64]:

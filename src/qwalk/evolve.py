@@ -17,11 +17,35 @@ writes the next slot over a window one site shorter per side, so no
 step copies a ghost column: six vector operations a step and two slice
 copies a block, with the arithmetic of the recurrence, so every row is
 the per-step one bit for bit.  Memory is O(n): B is chosen so that the
-ring stays near 2**15 float64 entries, 256 KiB, and past that size a
-block is one step.  The kernel yields each block's rows, and
+ring stays within 2**15 float64 entries, 256 KiB, and past that size
+a block is one step.  The kernel yields each block's rows, and
 :func:`_circle_masses` squares them into the site masses that the scans
 of :mod:`qwalk.stats` reduce once per block, without building a
 wavefunction.
+
+A real coin never mixes real and imaginary parts, so they evolve as two
+independent real walks, and the ring steps real rows wherever one of
+them is all there is to step: :func:`evolve_circle` on a real input, as
+:func:`evolve_line` does on the line, and :func:`_circle_masses` from a
+real start and from a mirror start.  A mirror start holds a real part
+on one chirality and an imaginary part of equal magnitude on the other,
+as the named start ``"symmetric"``, ``(1, i)/sqrt2``, does.  Under a
+coin whose entries pair exactly, ``w00 = w11, w01 = -w10`` (every theta
+coin) or ``w00 = -w11, w01 = w10`` (the Hadamard coin), the imaginary
+walk is then the real one reflected, ``x -> -x`` with L and R swapped,
+up to signs: the reflection behind ``P(x) = P(-x)`` (Tregenna,
+Flanagan, Maile and Kendon, New J. Phys. 5, 83, 2003).  So the site
+masses are ``m(x) + m(-x mod n)``, ``m`` those of the real walk, and
+they are ``distribution()``'s bit for bit, because the reflection only
+flips signs and swaps summands.  Entries that pair only to the last
+bit, as those of a QR-drawn orthogonal coin often do, do not pair.
+
+The same bits at every SIMD level numpy dispatches to: the recurrence
+of a real coin, on the line and on the ring, and the mirrored masses,
+since each float64 entry takes one rounded multiply or add at every
+level.  Not the same: the recurrence of a complex coin, because numpy's
+complex multiply fuses the multiply-add at the levels that have FMA, so
+its last bits can differ between CPUs.
 
 Both kernels follow one underflow policy.  Far outside the cone the
 amplitudes decay exponentially, and float64 arithmetic on the
@@ -74,7 +98,7 @@ from .core import (
     _row_masses,
     _site_masses,
     check_steps,
-    initial_state,
+    chirality_pair,
 )
 
 #: Flush floor relative to the input's largest float64 entry: 2**-600
@@ -263,9 +287,13 @@ def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunc
     steps run in the halo-block ring of :func:`_ring_blocks`, and the
     result is the last row of its last block: memory is O(n), and a
     step costs six vector operations over a window of n to n + 2B - 2
-    sites, with no intermediate wavefunction.  That row is at the scale
-    of the ring's first slot, and is scaled back in place by the shift
-    the ring yields with it: the input is not copied.
+    sites, with no intermediate wavefunction.  A real coin matrix runs
+    on the float64 view, and on input with no nonzero imaginary part the
+    ring steps the real parts alone, handed over as a view of the input,
+    at half the work; the imaginary parts of that result are +0.0.  The
+    last row is at the scale of the ring's first slot, and is scaled
+    back in place by the shift the ring yields with it: the input is
+    not copied.
     """
     if not isinstance(psi.topology, Circle):
         raise DomainError("evolve_circle needs circle topology")
@@ -273,10 +301,12 @@ def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunc
 
     if steps == 0:  # no block runs, so there is no ring row to scale back
         return psi
+    real = not np.any(coin.matrix.imag) and not np.any(psi.amplitudes.imag)
+    rows = psi.amplitudes.T.real if real else psi.amplitudes.T  # the real parts as a view
     # as in evolve_line; the generator runs only while this loop asks it
     # for a block, so the error state covers its steps and no other code
     with np.errstate(over="ignore", invalid="ignore"):
-        for block, shift in _ring_blocks(psi.amplitudes.T, coin, steps):
+        for block, shift in _ring_blocks(rows, coin, steps):
             pass
     np.ldexp(parts := block[-1].view(np.float64), -shift, out=parts)
     return WaveFunction(psi.topology, block[-1].T, psi.time + steps)
@@ -286,12 +316,14 @@ def _ring_blocks(rows, coin, steps):
     """Step a cycle walk ``steps`` times in halo blocks, yielding each block and its scale.
 
     ``rows`` is the walk at the start: the ``(2, n)`` (L, R) amplitude
-    rows of the coined walk, or with ``coin=None`` the ``(1, n)`` masses
-    of the symmetric random walk, ``d'(x) = (d(x-1) + d(x+1)) / 2``.
-    Each yield is ``(block, shift)``: ``block`` is the ``(m, c, n)``
-    view of the walk after the next ``m`` steps, in time order (``m =
-    B`` but in the last block), times ``2**shift``; the next block
-    overwrites it, so copy what must outlive the block.
+    rows of the coined walk, complex, or float64 with a real coin (the
+    real walk alone), or with ``coin=None`` the ``(1, n)`` masses of
+    the symmetric random walk, ``d'(x) = (d(x-1) + d(x+1)) / 2``.  The
+    ring takes the dtype of ``rows``.  Each yield is ``(block, shift)``:
+    ``block`` is the ``(m, c, n)`` view of the walk after the next ``m``
+    steps, in time order (``m = B`` but in the last block), times
+    ``2**shift``; the next block overwrites it, so copy what must
+    outlive the block.
 
     The ring holds ``B + 1`` slots of ``n + 2B`` sites.  A block starts
     from a slot whose sites ``B..B+n-1`` hold the walk and whose ``B``
@@ -303,11 +335,20 @@ def _ring_blocks(rows, coin, steps):
     two slice copies refresh its halo, and the core is never copied.
     A classical step is two vector operations and a coined one six, with
     the arithmetic of the per-step recurrence, so every row is its row
-    bit for bit; a real coin matrix runs on the float64 view.
+    bit for bit; a real coin matrix runs on the float64 view of a
+    complex ring (two view entries per site), or on real rows as they
+    are.  The views of each ring direction are cut once, the backward
+    one when the second block starts, so a scan that ends within its
+    first block never cuts them.
 
     ``B = min(n, max(8, n // 8), 2**15 // (f n))``, at least 1, with
-    ``f`` the float64 entries of one site in one slot (1 classical, 4
-    coined), so ``B n f <= 2**15`` and the ring stays near 256 KiB; past
+    ``f`` the float64 entries of one site in one slot of a complex ring:
+    1 classical and 4 coined, also for real rows, which so keep the
+    complex ring's blocks and flushes in half its memory.  (With ``f =
+    2`` for real rows, the Hadamard scans of n = 127, 511 and 2047 and
+    a theta-coin Cesaro average on n = 511 ran in 90 ms against 96,
+    best of 5 in process, but their traced peak rose from 0.60 to 0.94
+    MB.)  So ``B n f <= 2**15`` and the ring stays within 256 KiB; past
     ``n = 2**15 / f`` a block is one step.  No block is longer than 64
     steps: ``max(8, n // 8) <= 64`` up to n = 512, and past it ``2**15
     // (f n) <= 63``.  A coined block is at most 32 steps: ``max(8, n //
@@ -347,7 +388,7 @@ def _ring_blocks(rows, coin, steps):
         half = np.array(0.5)
     else:
         real, (w00, w01, w10, w11) = _coin_entries(coin.matrix)
-        if real:
+        if real and ring.dtype == np.complex128:
             views, k = ring.view(np.float64), 2
         # the scratch row of a coined step and of the flush
         tmp = np.empty(k * (width - 2), dtype=views.dtype)
@@ -374,9 +415,11 @@ def _ring_blocks(rows, coin, steps):
 
     # blocks alternate between the forward and the backward direction, so
     # each starts from the slot the one before it ended on
-    faces = face(1, min(b, steps)), face(-1, max(0, min(b, steps - b)))
+    faces = [face(1, min(b, steps))]
     multiply, add = np.multiply, np.add
     for start in range(0, steps, b):
+        if start == b:  # the backward views, cut on first use
+            faces.append(face(-1, min(b, steps - b)))
         halo, plans, block = faces[start // b % 2]
         if coin is not None and start // b % (_FLUSH_EVERY // b) == 0:
             # the core of the slot the block starts from; its halo is copied below
@@ -406,17 +449,42 @@ def _circle_masses(topology, coin, init, steps):
 
     The walk is the one a :class:`~qwalk.stats.WalkSpec` of these fields
     runs: with ``coin=None`` the symmetric random walk from a unit mass
-    at site 0, and otherwise the coined walk from ``initial_state(init,
-    topology)``.  The rows are the walk after each of a block's ``m``
-    steps.  The classical rows are a view that the next block
-    overwrites; the coined ones are squared by
-    :func:`qwalk.core._row_masses` into a new array, on which the ring's
-    scale is undone in place, so they are ``distribution()``'s bit for
-    bit wherever no mass is subnormal, and at every shift of 0.
+    at site 0, and otherwise the coined walk from the pair
+    ``chirality_pair(init)`` at site 0, where ``initial_state(init,
+    topology)`` puts it; the start rows are built here, as real rows
+    where the ring steps real ones, and no wavefunction is.  The rows
+    are the walk after each of a block's ``m`` steps.  The classical
+    rows are a view that the next block overwrites; the coined ones are
+    squared by :func:`qwalk.core._row_masses` into a new array, on which
+    the ring's scale is undone in place, so they are
+    ``distribution()``'s bit for bit wherever no mass is subnormal, and
+    at every shift of 0.
+
+    With a real coin, a real start steps its real parts alone, and so
+    does a mirror start (see the module docstring) if the coin's entries
+    pair exactly: the masses of its real walk, ``m(x)``, then become
+    ``m(x) + m(-x mod n)`` in place, before the scale is undone, as the
+    complex walk's squares are summed.  Every other start, and every
+    complex coin, steps the complex rows.
     """
-    rows = np.eye(1, topology.size) if coin is None else initial_state(init, topology).amplitudes.T
+    # what the walk holds at site 0: a unit mass, or the chirality pair
+    mirror, pair = False, np.ones(1) if coin is None else chirality_pair(init)
+    if coin is not None and not np.any(coin.matrix.imag):
+        (w00, w01), (w10, w11) = coin.matrix.real.tolist()
+        (re_l, re_r), (im_l, im_r) = np.abs([pair.real, pair.imag]).tolist()
+        # a paired coin, and one real and one imaginary part of equal
+        # magnitude on opposite chiralities (see the module docstring)
+        mirror = ((w00 == w11 and w01 == -w10 or w00 == -w11 and w01 == w10)
+                  and re_l == im_r and re_r == im_l and 0 in (re_l, re_r))
+        if mirror or not np.any(pair.imag):
+            pair = pair.real
+    rows = np.zeros((len(pair), topology.size), dtype=pair.dtype)
+    rows[:, 0] = pair
     for block, shift in _ring_blocks(rows, coin, steps):
         masses = block[:, 0] if coin is None else _row_masses(block)
+        if mirror:  # m(x) + m(-x mod n); a ufunc buffers the overlapping operand
+            masses[:, 1:] += masses[:, :0:-1]
+            masses[:, 0] += masses[:, 0]
         if shift:  # a unit mass is never scaled, so this is a coined walk
             np.ldexp(masses, -2 * shift, out=masses)
         yield masses

@@ -27,7 +27,7 @@ from qwalk import (
     theta_coin,
     tv_distance,
 )
-from qwalk.core import MAX_STEPS, ProbabilityDistribution
+from qwalk.core import MAX_STEPS, ProbabilityDistribution, WaveFunction, _row_masses
 from qwalk.evolve import _circle_masses, _ring_blocks
 
 SQRT2 = math.sqrt(2)
@@ -506,6 +506,106 @@ def test_scans_are_stepwise_across_block_boundaries(n, coin):
         for m in masses[:steps]:
             total += m
         assert cesaro_average(spec, steps).masses.tobytes() == (total / steps).tobytes()
+
+
+@pytest.fixture
+def ring_starts(monkeypatch):
+    """The start rows ``qwalk.evolve`` hands its ring, one array per ring built."""
+    starts = []
+
+    def spy(rows, coin, steps):
+        starts.append(rows)
+        return _ring_blocks(rows, coin, steps)
+
+    monkeypatch.setattr("qwalk.evolve._ring_blocks", spy)
+    return starts
+
+
+def complex_ring_masses(n, coin, init, steps):
+    """The site masses after each step, the start stepped as complex rows on the ring."""
+    masses = []
+    for block, shift in _ring_blocks(initial_state(init, Circle(n)).amplitudes.T, coin, steps):
+        squares = _row_masses(block)
+        np.ldexp(squares, -2 * shift, out=squares)
+        masses.extend(squares)
+    return masses
+
+
+#: a real orthogonal coin from a QR draw: its entries pair in magnitude
+#: only up to the last bit, so its walk has no exact mirror image
+QR_COIN = CoinOperator(np.linalg.qr(np.random.default_rng(0).normal(size=(2, 2)))[0])
+
+
+@pytest.mark.parametrize("n", [31, 64])
+@pytest.mark.parametrize("init", [np.array([1, 1j]) / SQRT2, np.array([1, -1j]) / SQRT2, "left"],
+                         ids=["plus-i", "minus-i", "left"])
+@pytest.mark.parametrize("coin", [
+    theta_coin(0.0), theta_coin(1.2), theta_coin(math.pi), hadamard_coin(),
+    CoinOperator(np.array([[0.6, 0.8], [0.8, -0.6]])),
+], ids=["theta-0", "theta-1.2", "theta-pi", "hadamard", "reflection-0.6"])
+def test_real_ring_scans_are_the_complex_ring_bit_for_bit(n, init, coin, ring_starts):
+    # a real coin steps a real start's real walk alone, and from (1, +-i)/sqrt2,
+    # if its entries pair, also adds the masses at x and -x, where the
+    # imaginary walk's would be
+    spec = WalkSpec(Circle(n), coin, init)
+    b = block_length(n, coin)
+    steps = 5 * b + 1  # past the flush at the start of block 32 // b
+    expected = complex_ring_masses(n, coin, init, steps)
+    got = [row.copy() for block in _circle_masses(spec.topology, coin, spec.init, steps)
+           for row in block]
+    assert [rows.dtype for rows in ring_starts] == [np.float64]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    reference = "uniform_all" if n % 2 else "uniform_parity"
+    tvs = np.array([tv_distance(ProbabilityDistribution(Circle(n), m, t), reference)
+                    for t, m in enumerate(expected, start=1)])
+    for t in [*boundary_steps(b), steps]:
+        assert mixing_time(spec, -1.0, t).tv_trace.tobytes() == tvs[:t].tobytes()
+        total = np.zeros(n)
+        for m in expected[:t]:
+            total += m
+        assert cesaro_average(spec, t).masses.tobytes() == (total / t).tobytes()
+
+
+@pytest.mark.parametrize("n", [31, 64])
+@pytest.mark.parametrize("coin, init", [
+    (QR_COIN, np.array([1, 1j]) / SQRT2),
+    (hadamard_coin(), BORDERLINE_START),
+], ids=["qr-coin-symmetric", "hadamard-borderline"])
+def test_starts_without_a_mirror_image_step_the_complex_ring(n, coin, init, ring_starts):
+    (w00, _), (_, w11) = coin.matrix.real
+    assert coin is not QR_COIN or abs(w00) != abs(w11)
+    b = block_length(n, coin)
+    expected = complex_ring_masses(n, coin, init, 5 * b + 1)
+    got = [row.copy() for block in _circle_masses(Circle(n), coin, init, 5 * b + 1)
+           for row in block]
+    assert [rows.dtype for rows in ring_starts] == [np.complex128]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+#: real inputs on Circle(31): a unit mass on L, and real parts whose
+#: largest lies below 1/2, so the ring scales its first slot up by 2
+REAL_INPUTS = {
+    "left": initial_state("left", Circle(31)).amplitudes,
+    "scaled": np.random.default_rng(3).uniform(-0.3, 0.3, size=(31, 2)) + 0j,
+}
+
+
+@pytest.mark.parametrize("coin", [hadamard_coin(), theta_coin(1.2), QR_COIN],
+                         ids=["hadamard", "theta-1.2", "qr-coin"])
+@pytest.mark.parametrize("name", list(REAL_INPUTS))
+def test_real_input_steps_the_real_ring_in_evolve_circle(name, coin, ring_starts):
+    psi = WaveFunction(Circle(31), REAL_INPUTS[name], 0)
+    steps = 5 * block_length(31, coin) + 1
+    for block, shift in _ring_blocks(psi.amplitudes.T, coin, steps):
+        pass
+    row = block[-1].copy()
+    np.ldexp(row.view(np.float64), -shift, out=row.view(np.float64))
+    assert shift == (name == "scaled")
+    got = evolve_circle(psi, coin, steps)
+    # the real parts are handed over as a view of the input, not a copy
+    assert [rows.dtype for rows in ring_starts] == [np.float64]
+    assert np.shares_memory(ring_starts[0], psi.amplitudes)
+    assert got.amplitudes.tobytes() == WaveFunction(Circle(31), row.T, steps).amplitudes.tobytes()
 
 
 @pytest.mark.parametrize("n", [31, 72])
