@@ -32,19 +32,30 @@ every later call in the process, so a caller that runs many commands
 in one process (a test suite, a benchmark, a notebook) builds it once.
 
 Exit codes: 0 success; 2 when the command line cannot be parsed or its
-options conflict, or the output cannot be written (a closed pipe, a
-full disk); 3 when the library refuses a value, as
+options conflict, or the output cannot be written (a missing directory,
+a closed pipe, a full disk); 3 when the library refuses a value, as
 :class:`qwalk.core.DomainError`.  The CLI only parses: every rule on a
 parsed value (the sign and cap of ``--steps``, the ``--steps`` of at
 least 1 that stationary phase needs, a finite ``--delta``, a
 ``--t-cap`` of at least 1) is checked once, by the library call that
 takes it.  Either way the error is one ``error:`` line on stderr,
 argparse's own included.
+
+A file ``--output`` is opened as the shell's ``>`` opens it, created or
+truncated, once the command line is parsed and before the command runs,
+and it is held open while the command runs: an unwritable target exits
+2 before any work.  A command line that does not parse leaves the
+target as it was; a command that fails after the open (exit 2 or 3)
+leaves it empty, and a write that fails part way leaves what was
+written.  Integer values (``--steps``, ``--t-cap``, the N of
+``circle:N``) are read by Python's ``int``, so ``1_0`` reads as 10,
+and the decimal digits of any script read as their ASCII digits do.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -217,6 +228,14 @@ def _emit(args, header: list[str], rows: np.recarray, extra: dict | None = None)
         # the null device, so that flush neither fails nor prints a traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         _usage_error(f"cannot write to standard output: {exc.strerror}")
+
+
+def _opened(output: str):
+    """``--output`` opened for writing, created or truncated, or a no-op context for ``"-"``."""
+    try:
+        return contextlib.nullcontext() if output == "-" else open(output, "w")
+    except OSError as exc:
+        _usage_error(f"cannot write --output {output!r}: {exc.strerror}")
 
 
 def _wavefunction_table(psi) -> np.recarray:
@@ -421,11 +440,14 @@ def main(argv: list[str] | None = None) -> int:
     parser, so a wrapper put on ``cmd_name`` after the first call runs.
     """
     args = build_parser().parse_args(argv)
-    try:
-        globals()[f"cmd_{args.command}"](args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR
+    # held open while the command runs, so a named pipe keeps its reader
+    # until _emit has opened it again and written the table
+    with _opened(args.output):
+        try:
+            globals()[f"cmd_{args.command}"](args)
+        except DomainError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return DOMAIN_ERROR
     return 0
 
 

@@ -14,14 +14,21 @@ The circle kernel (:func:`_ring_blocks`) steps the cycle in halo blocks
 of B <= 64 steps through a ring of B + 1 slots of n + 2B sites.  The
 first slot of a block carries B wrapped sites per side, and each step
 writes the next slot over a window one site shorter per side, so no
-step copies a ghost column: six vector operations a step and two slice
-copies a block, with the arithmetic of the recurrence, so every row is
-the per-step one bit for bit.  Memory is O(n): B is chosen so that the
-ring stays within 2**15 float64 entries, 256 KiB, and past that size
-a block is one step.  The kernel yields each block's rows, and
-:func:`_circle_masses` squares them into the site masses that the scans
-of :mod:`qwalk.stats` reduce once per block, without building a
-wavefunction.
+step copies a ghost column: a coined step is the six vector operations
+of :func:`_step`, and a block adds two slice copies.  Memory is O(n): B
+is chosen so that the ring stays within 2**15 float64 entries, 256 KiB,
+and past that size a block is one step.  The kernel yields each block's
+rows, and :func:`_circle_masses` squares them into the site masses that
+the scans of :mod:`qwalk.stats` reduce once per block, without building
+a wavefunction.
+
+The arithmetic of a step has one owner, :func:`_step`, the only code
+that multiplies or adds coin entries.  Both kernels hand it the windows
+they cut, the line two aligned slices to mix in place, the ring a slot
+to mix into the next, so they differ only in layout: co-moving windows
+on the line, halo slots on the ring.  So a cycle walk in blocks of one
+step, which flush at the line's steps, is the line walk folded onto
+the cycle bit for bit until it wraps.
 
 A real coin never mixes real and imaginary parts, so they evolve as two
 independent real walks, and the ring steps real rows wherever one of
@@ -41,11 +48,12 @@ flips signs and swaps summands.  Entries that pair only to the last
 bit, as those of a QR-drawn orthogonal coin often do, do not pair.
 
 The same bits at every SIMD level numpy dispatches to: the recurrence
-of a real coin, on the line and on the ring, and the mirrored masses,
-since each float64 entry takes one rounded multiply or add at every
-level.  Not the same: the recurrence of a complex coin, because numpy's
-complex multiply fuses the multiply-add at the levels that have FMA, so
-its last bits can differ between CPUs.
+of a real coin, on the line and on the ring, whose bits both come from
+:func:`_step`, and the mirrored masses, since each float64 entry takes
+one rounded multiply or add at every level.  Not the same: the
+recurrence of a complex coin, because numpy's complex multiply fuses
+the multiply-add at the levels that have FMA, so its last bits can
+differ between CPUs.
 
 Both kernels follow one underflow policy.  Far outside the cone the
 amplitudes decay exponentially, and float64 arithmetic on the
@@ -76,8 +84,7 @@ stepped for any coin with ``c >= 1.1e-4``.  A power of two scales
 exactly, and with the floor relative to ``M`` every step at the scaled
 magnitude is the scaled step, so a scaled input gives the scaled result
 bit for bit, up to the one rounding of the scale-back.  The classical
-walk on the ring is not flushed (:func:`_ring_blocks` gives the
-measurement).
+walk on the ring is not flushed (:func:`_ring_blocks` says why).
 
 Parity bookkeeping comes for free: amplitudes at sites with ``n + t``
 odd (origin start) stay exactly zero, and the results hold them as
@@ -109,8 +116,7 @@ _FLUSH_FLOOR = 2.0 ** -600
 #: adds about 4% to a walk with nothing to flush.
 _FLUSH_EVERY = 32
 #: Float64 entries of the B steps of a circle block (256 KiB, in the L2
-#: cache).  Measured at n = 2047, a 2**16 budget cost 0.85 MB more peak
-#: memory, and 32-step blocks ran the coined scan slower (41 ms against 34).
+#: cache).
 _RING_FLOATS = 2 ** 15
 
 
@@ -240,6 +246,31 @@ def _flush(parts, floor, scratch):
     np.copyto(parts, 0.0, where=np.abs(parts, out=scratch[:len(parts)]) < floor)
 
 
+def _step(plans, entries):
+    """Apply one step of ``(a, b) <- mix (a, b)`` for each plan, in order: the only coin arithmetic.
+
+    A plan is ``(a_r, b_r, a', a_l, b_l, b', x, y)``: it writes ``a' =
+    w00 a_r + w01 b_r`` and ``b' = w10 a_l + w11 b_l`` through the
+    scratch windows ``x`` and ``y``, as the six ufunc calls with
+    positional outputs of ``x = b_r w01; y = a_l w10; a' = a_r w00 + x;
+    b' = b_l w11 + y``.  Both kernels step by these calls, so they share
+    every operand and its order, and each entry takes one rounded
+    multiply or add.  The order is also safe in place, where the line
+    passes ``a_r = a_l = a'`` and ``b_r = b_l = b'``: ``x`` and ``y``
+    read b and a before the step overwrites them.  ``entries`` are the
+    four entries of ``mix`` from :func:`_coin_entries`.
+    """
+    w00, w01, w10, w11 = entries
+    multiply, add = np.multiply, np.add
+    for a_right, b_right, new_a, a_left, b_left, new_b, x, y in plans:
+        multiply(b_right, w01, x)
+        multiply(a_left, w10, y)
+        multiply(a_right, w00, new_a)
+        add(new_a, x, new_a)
+        multiply(b_left, w11, new_b)
+        add(new_b, y, new_b)
+
+
 def _mix_steps(work, entries, m, steps, first, floor):
     """Apply ``(a, b) <- mix (a, b)`` in place for ``s = first .. first+steps-1``.
 
@@ -250,33 +281,23 @@ def _mix_steps(work, entries, m, steps, first, floor):
     ``(m + 2s + 1) // 2`` class entries from 0 in ``a`` and from
     ``steps - s`` in ``b``.
 
-    Before every ``_FLUSH_EVERY``-th step, starting with the first, the
-    two windows are flushed below ``floor`` through the scratch row
-    ``t1`` (:func:`_flush`; the module docstring states the bound).
-
-    ``entries`` are the four entries of ``mix`` from
-    :func:`_coin_entries`.  A step is six ufunc calls with positional
-    outputs.  The operands and their order are those of ``x = b w01;
-    y = a w10; a = a w00 + x; b = b w11 + y``, so every bit is the same.
+    The steps run a flush period of ``_FLUSH_EVERY`` steps at a time:
+    the period's windows are cut into in-place plans, the two windows of
+    its first step are flushed below ``floor`` through the scratch row
+    ``t1`` (:func:`_flush`; the module docstring states the bound), and
+    :func:`_step` steps the plans with ``entries``.
     """
     a, b, t1, t2 = work
     scale = len(a) // ((m + 2 * steps + 1) // 2)
-    w00, w01, w10, w11 = entries
-    multiply, add = np.multiply, np.add
-    for s in range(first, first + steps):
-        k = scale * ((m + 2 * s + 1) // 2)
-        lo = scale * (steps - s)
-        av, bv = a[:k], b[lo:lo + k]
-        x, y = t1[:k], t2[:k]
-        if (s - first) % _FLUSH_EVERY == 0:
-            for v in (av, bv):
-                _flush(v.view(np.float64), floor, t1.view(np.float64))
-        multiply(bv, w01, x)
-        multiply(av, w10, y)
-        multiply(av, w00, av)
-        add(av, x, av)
-        multiply(bv, w11, bv)
-        add(bv, y, bv)
+    for start in range(first, first + steps, _FLUSH_EVERY):
+        plans = []
+        for s in range(start, min(start + _FLUSH_EVERY, first + steps)):
+            k, lo = scale * ((m + 2 * s + 1) // 2), scale * (steps - s)
+            av, bv = a[:k], b[lo:lo + k]
+            plans.append((av, bv, av, av, bv, bv, t1[:k], t2[:k]))
+        for v in plans[0][:2]:
+            _flush(v.view(np.float64), floor, t1.view(np.float64))
+        _step(plans, entries)
 
 
 def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunction:
@@ -286,11 +307,11 @@ def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunc
     folded mod n (the wrapped-around unbounded-line wavefunction).  The
     steps run in the halo-block ring of :func:`_ring_blocks`, and the
     result is the last row of its last block: memory is O(n), and a
-    step costs six vector operations over a window of n to n + 2B - 2
-    sites, with no intermediate wavefunction.  A real coin matrix runs
-    on the float64 view, and on input with no nonzero imaginary part the
-    ring steps the real parts alone, handed over as a view of the input,
-    at half the work; the imaginary parts of that result are +0.0.  The
+    step is one :func:`_step` over a window of n to n + 2B - 2 sites,
+    with no intermediate wavefunction.  A real coin matrix runs on the
+    float64 view, and on input with no nonzero imaginary part the ring
+    steps the real parts alone, handed over as a view of the input, at
+    half the work; the imaginary parts of that result are +0.0.  The
     last row is at the scale of the ring's first slot, and is scaled
     back in place by the shift the ring yields with it: the input is
     not copied.
@@ -333,29 +354,25 @@ def _ring_blocks(rows, coin, steps):
     copies a ghost column.  After ``B`` steps the core ``B..B+n-1`` is
     exact, and the next block runs the ring backwards from that slot:
     two slice copies refresh its halo, and the core is never copied.
-    A classical step is two vector operations and a coined one six, with
-    the arithmetic of the per-step recurrence, so every row is its row
+    A classical step is two vector operations, ``(d(x-1) + d(x+1)) *
+    0.5``, and a coined one is :func:`_step` on the plan of its window,
+    with two scratch rows, so every row is the per-step recurrence's row
     bit for bit; a real coin matrix runs on the float64 view of a
     complex ring (two view entries per site), or on real rows as they
-    are.  The views of each ring direction are cut once, the backward
-    one when the second block starts, so a scan that ends within its
-    first block never cuts them.
+    are.  The views of each ring direction are cut once, the
+    backward one when the second block starts, so a scan that ends
+    within its first block never cuts them.
 
     ``B = min(n, max(8, n // 8), 2**15 // (f n))``, at least 1, with
     ``f`` the float64 entries of one site in one slot of a complex ring:
     1 classical and 4 coined, also for real rows, which so keep the
-    complex ring's blocks and flushes in half its memory.  (With ``f =
-    2`` for real rows, the Hadamard scans of n = 127, 511 and 2047 and
-    a theta-coin Cesaro average on n = 511 ran in 90 ms against 96,
-    best of 5 in process, but their traced peak rose from 0.60 to 0.94
-    MB.)  So ``B n f <= 2**15`` and the ring stays within 256 KiB; past
-    ``n = 2**15 / f`` a block is one step.  No block is longer than 64
-    steps: ``max(8, n // 8) <= 64`` up to n = 512, and past it ``2**15
-    // (f n) <= 63``.  A coined block is at most 32 steps: ``max(8, n //
-    8) > 32`` needs n >= 264, where ``8192 // n <= 31``.  On a cycle of
-    64 sites or more the windows add at most an eighth of n to the work
-    of a step: at n = 127, blocks of n/2 or more took 1.1 ms for the
-    coined scan, against 0.6 ms at n/8.
+    complex ring's blocks and flushes in half its memory.  So ``B n f
+    <= 2**15`` and the ring stays within 256 KiB; past ``n = 2**15 / f``
+    a block is one step.  No block is longer than 64 steps: ``max(8, n
+    // 8) <= 64`` up to n = 512, and past it ``2**15 // (f n) <= 63``.
+    A coined block is at most 32 steps: ``max(8, n // 8) > 32`` needs
+    n >= 264, where ``8192 // n <= 31``.  On a cycle of 64 sites or
+    more the windows add at most an eighth of n to the work of a step.
 
     The first slot is scaled in place by ``2**shift`` as
     :func:`_unit_scale` says for ``rows``, and every block is at that
@@ -369,11 +386,8 @@ def _ring_blocks(rows, coin, steps):
     slot, at the start of every ``32 // B``-th block (at least 1, since
     B <= 32), on the core of the slot the block starts from (see the
     module docstring).  The classical walk is not: its nonnegative
-    masses never cancel, only a few of them are subnormal (44 to 66 at
-    n = 8191, t = 3000 to 6000), and the flush cost time.  On the
-    classical scan of n = 511 (20 710 steps, a flush every 64) it read
-    1.4 to 2.6 ms more out of about 50 (the median of paired
-    differences, slower in 18 of 22 interleaved pairs), 2.2 us a flush.
+    masses never cancel, and only a few of them are subnormal (44 to 66
+    at n = 8191, t = 3000 to 6000).
     """
     c, n = rows.shape
     floats = 1 if coin is None else 4
@@ -387,15 +401,14 @@ def _ring_blocks(rows, coin, steps):
     if coin is None:
         half = np.array(0.5)
     else:
-        real, (w00, w01, w10, w11) = _coin_entries(coin.matrix)
+        real, entries = _coin_entries(coin.matrix)
         if real and ring.dtype == np.complex128:
             views, k = ring.view(np.float64), 2
-        # the scratch row of a coined step and of the flush
-        tmp = np.empty(k * (width - 2), dtype=views.dtype)
+        # the scratch rows of a coined step, the first also of the flush
+        tmp = np.empty((2, k * (width - 2)), dtype=views.dtype)
 
     def face(sign, count):
-        # the views of one ring direction, cut once: cutting them every
-        # step costs about 3 us, as much as the arithmetic at n = 511
+        # the views of one ring direction, cut once, not every step
         slots = views[::sign]
         first = slots[0]  # the last b core sites wrap left, the first b right
         halo = ((first[:, :k * b], first[:, k * n:k * (n + b)]),
@@ -410,7 +423,8 @@ def _ring_blocks(rows, coin, steps):
             else:  # new L at x mixes site x + 1, new R at x site x - 1
                 (a, b_), (new_a, new_b) = slots[j], slots[j + 1]
                 plans.append((a[hi:hi + w], b_[hi:hi + w], new_a[mid:mid + w],
-                              a[lo:lo + w], b_[lo:lo + w], new_b[mid:mid + w], tmp[:w]))
+                              a[lo:lo + w], b_[lo:lo + w], new_b[mid:mid + w],
+                              tmp[0, :w], tmp[1, :w]))
         return halo, plans, ring[::sign][1:, :, b:b + n]
 
     # blocks alternate between the forward and the backward direction, so
@@ -424,7 +438,7 @@ def _ring_blocks(rows, coin, steps):
         if coin is not None and start // b % (_FLUSH_EVERY // b) == 0:
             # the core of the slot the block starts from; its halo is copied below
             for part in ring[start // b % 2 * b, :, b:b + n]:
-                _flush(part.view(np.float64), floor, tmp.view(np.float64))
+                _flush(part.view(np.float64), floor, tmp[0].view(np.float64))
         for halo_sites, ends in halo:
             np.copyto(halo_sites, ends)
         if steps - start < b:  # the last block
@@ -434,13 +448,7 @@ def _ring_blocks(rows, coin, steps):
                 add(d_left, d_right, new)
                 multiply(new, half, new)
         else:
-            for a_right, b_right, new_a, a_left, b_left, new_b, x in plans:
-                multiply(a_right, w00, new_a)
-                multiply(b_right, w01, x)
-                add(new_a, x, new_a)
-                multiply(a_left, w10, new_b)
-                multiply(b_left, w11, x)
-                add(new_b, x, new_b)
+            _step(plans, entries)
         yield block, shift
 
 

@@ -85,7 +85,7 @@ def verify_symmetrizer(
 
 
 def symmetric_initial(coin: CoinOperator) -> NDArray[np.complex128]:
-    """The start ``(1, i e^{i(arg u00 - arg u01)})/sqrt2``, whose walk is mirror-symmetric.
+    """The mirror-symmetric start ``(1, i p)/sqrt2``, ``p = (u00/|u00|) conj(u01/|u01|)``.
 
     Every coin factors as ``U = e^{ih} D_beta R D_gamma``, where ``D_d =
     diag(e^{id}, e^{-id})`` and R is a real rotation (Tregenna,
@@ -95,23 +95,26 @@ def symmetric_initial(coin: CoinOperator) -> NDArray[np.complex128]:
     each site by a phase.  So the walk of U from psi0 has the site
     masses of the walk of R from ``D_gamma psi0``, which sigma_y
     mirrors: the mirror map of U is ``S_U = D_gamma^-1 sigma_y
-    D_gamma`` with ``gamma = (arg u00 - arg u01)/2``, and this start is
-    its +1 eigenvector.  Evolving from it gives ``P(n, t) = P(-n, t)``
-    to round-off at every t.  Where u00 or u01 is 0, ``np.angle(0) =
-    0`` still gives ``|a| = |b|``, which is all a ballistic walk or a
-    pure swap needs.  In k, ``S_U`` reflects about ``beta + gamma``,
-    and :func:`verify_symmetrizer` about 0, so unless ``2 (beta +
-    gamma)`` is a multiple of pi no Pauli matrix passes that check for
-    the coin, though this start is symmetric all the same.
+    D_gamma`` with ``gamma = (arg u00 - arg u01)/2``, and this start,
+    with ``p = e^{2 i gamma}``, is its +1 eigenvector.  Evolving from it
+    gives ``P(n, t) = P(-n, t)`` to round-off at every t.  A zero u00 or
+    u01 counts as phase factor 1, which still gives ``|a| = |b|``, all
+    a ballistic walk or a pure swap needs.  In k, ``S_U`` reflects about
+    ``beta + gamma``, and :func:`verify_symmetrizer` about 0, so unless
+    ``2 (beta + gamma)`` is a multiple of pi no Pauli matrix passes that
+    check for the coin, though this start is symmetric all the same.
 
-    For the Hadamard coin and every :func:`qwalk.core.theta_coin` the
-    phase is 0 and the result is ``chirality_pair("symmetric")`` bit
-    for bit.  For ``[[1, i], [i, 1]]/sqrt2``, ``i e^{-i pi/2}`` rounds
-    and the result lies within about 4e-17 of ``(1, 1)/sqrt2``.  That
-    last bit matters only to bitwise symmetry: at t = 100 it leaves an
-    asymmetry of 3.1e-17, where the exact ``(1, 1)/sqrt2`` leaves none;
-    a general coin's walk leaves a few ``eps t`` (eps = 2.2e-16).
+    The phase factor is arithmetic on the coin's two entries, with no
+    transcendental, and exact where they lie on the real or imaginary
+    axis: ``p = +-1`` for every real coin, so its start is ``(1, +-i)/
+    sqrt2`` exactly, the mirror start of :mod:`qwalk.evolve`.  For the
+    Hadamard coin and every :func:`qwalk.core.theta_coin` the result is
+    ``chirality_pair("symmetric")`` bit for bit, and for ``[[1, i], [i,
+    1]]/sqrt2`` it is ``(1, 1)/sqrt2``.  No part of the result is -0.0.
     """
-    u = coin.matrix
-    phase = np.angle(u[0, 0]) - np.angle(u[0, 1])
-    return np.array([1, 1j * np.exp(1j * phase)]) / math.sqrt(2)
+    # each nonzero entry over its largest part first, so that a subnormal
+    # entry's |z| keeps every bit of its direction
+    scaled = (z / max(abs(z.real), abs(z.imag)) if z else 1 for z in coin.matrix[0].tolist())
+    p00, p01 = (z / abs(z) for z in scaled)
+    # + 0.0 turns the -0.0 that a sign pattern leaves in i p into +0.0
+    return np.array([1, 1j * p00 * p01.conjugate()]) / math.sqrt(2) + 0.0

@@ -383,6 +383,51 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("command", list(surface.arguments()))
+def test_an_unwritable_output_runs_no_command(command, tmp_path, monkeypatch, capsys):
+    # the target is opened before dispatch, so no command computes a table
+    # that cannot be written
+    ran = []
+    for name in surface.arguments():
+        monkeypatch.setattr(qwalk.cli, f"cmd_{name}", lambda args, name=name: ran.append(name))
+    target = tmp_path / "missing-dir" / "out.csv"
+    argv = [command, "--output", str(target), *(["--delta", "0.3"] if command == "mix" else [])]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and ran == []
+    assert err.startswith("error: cannot write --output") and err.count("\n") == 1
+
+
+def test_a_refused_value_leaves_an_opened_output_empty(tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    target.write_text("an earlier table\n")
+    code, out, err = run_cli(["simulate", "--coin", "1.2pi", "--output", str(target)], capsys)
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert target.read_text() == ""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_named_pipe_output_gets_the_whole_table(tmp_path, capsys):
+    # the target is held open from before the command until the table is
+    # written, so the reader sees no end of file in between
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    proc = run_qwalk(["simulate", "--steps", "3", "--output", str(fifo)])
+    with open(fifo) as reader:
+        text = reader.read()
+    assert proc.wait(timeout=60) == 0 and proc.stderr.read() == ""
+    assert text == run_cli(["simulate", "--steps", "3"], capsys)[1]
+
+
+def test_integers_are_read_by_python_int(capsys):
+    # an underscore and the decimal digits of any script are accepted
+    code, spelled, _ = run_cli(["simulate", "--steps", "1_0",
+                                "--topology", "circle:\u0661\u0661"], capsys)
+    assert code == 0
+    assert spelled == run_cli(["simulate", "--steps", "10", "--topology", "circle:11"], capsys)[1]
+
+
 def run_qwalk(argv, **streams):
     """Run the CLI in a fresh interpreter, as the ``qwalk`` script does."""
     src = os.path.dirname(os.path.dirname(qwalk.__file__))

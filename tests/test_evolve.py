@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cli import traced_peak
 from test_spectral import parts, transfer_matrix, u2_coins, unit_pairs
+from test_stats import COMPLEX_COIN
 
 from qwalk import (
     Circle,
@@ -258,12 +259,19 @@ def test_circle_parity_zeros_are_positive(coin):
         assert not np.any(np.signbit(values[values == 0]))
 
 
-def test_circle_walk_in_one_step_blocks_is_the_folded_line_walk():
-    # n = 8193 is past the ring's budget, so every block is one step; at
-    # t = 1000 the line walk flushes nothing and nothing wraps
+@pytest.mark.parametrize("coin, init", [
+    (hadamard_coin(), "left"),
+    (hadamard_coin(), "symmetric"),
+    (COMPLEX_COIN, "symmetric"),
+], ids=["real-rows", "float64-view", "complex"])
+def test_circle_walk_in_one_step_blocks_is_the_folded_line_walk(coin, init):
+    # n = 8193 is past the ring's budget, so every block is one step, and
+    # both kernels flush at the same steps; at t = 1000 nothing wraps.  The
+    # cases step real rows, the float64 view and complex arithmetic: each
+    # compares two kernels of one run, so it holds at every SIMD level
     n, t = 8193, 1000
-    line = evolve_line(initial_state("symmetric"), hadamard_coin(), t)
-    circ = evolve_circle(initial_state("symmetric", Circle(n)), hadamard_coin(), t)
+    line = evolve_line(initial_state(init), coin, t)
+    circ = evolve_circle(initial_state(init, Circle(n)), coin, t)
     folded = np.zeros((n, 2), dtype=np.complex128)
     folded[line.sites % n] = line.amplitudes
     assert circ.amplitudes.tobytes() == folded.tobytes()

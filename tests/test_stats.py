@@ -24,6 +24,7 @@ from qwalk import (
     interval_mass,
     mixing_time,
     moment,
+    symmetric_initial,
     theta_coin,
     tv_distance,
 )
@@ -580,6 +581,21 @@ def test_starts_without_a_mirror_image_step_the_complex_ring(n, coin, init, ring
            for row in block]
     assert [rows.dtype for rows in ring_starts] == [np.complex128]
     assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("coin", [
+    CoinOperator(np.array([[0.6, -0.8], [0.8, 0.6]])),
+    CoinOperator(np.array([[-0.6, 0.8], [0.8, 0.6]])),
+], ids=["rotation", "reflection"])
+def test_symmetric_start_of_an_opposite_sign_coin_is_a_mirror_start(coin, ring_starts):
+    # u00 and u01 of opposite signs: the start is (1, -i)/sqrt2 exactly, so
+    # the scan steps the real walk alone, and the line walk is mirror-symmetric
+    # bit for bit, where a rounded phase leaves a real part on both chiralities
+    pair = symmetric_initial(coin)
+    cesaro_average(WalkSpec(Circle(31), coin, pair), 40)
+    assert [rows.dtype for rows in ring_starts] == [np.float64]
+    masses = distribution(evolve_line(initial_state(pair), coin, 200)).masses
+    assert masses.tobytes() == masses[::-1].tobytes()
 
 
 #: real inputs on Circle(31): a unit mass on L, and real parts whose

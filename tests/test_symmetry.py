@@ -98,10 +98,42 @@ def test_symmetric_initial_serves_a_coin_without_a_pauli_symmetrizer():
     ids=["hadamard", "0", "1e-13", "0.3", "pi/2", "2.9", "pi"])
 def test_symmetric_initial_is_the_named_pair_byte_for_byte(coin):
     # so the CLI's --init symmetric is the library's symmetric start for
-    # every coin the CLI takes; np.angle and np.exp run at every SIMD level
+    # every coin the CLI takes, at every SIMD level
     pair, named = symmetric_initial(coin), chirality_pair("symmetric")
     assert pair.dtype == named.dtype
     assert pair.tobytes() == named.tobytes()
+
+
+#: coins and the second entry of sqrt2 times their exact symmetric start:
+#: a real coin of each sign pattern of (u00, u01), rotations and
+#: reflections, whose start is (1, +-i)/sqrt2 with the sign of u00 u01, and
+#: an imaginary off-diagonal, whose start is (1, 1)/sqrt2
+EXACT_STARTS = {
+    "++": ([[0.6, 0.8], [0.8, -0.6]], complex(0.0, 1.0)),
+    "+-": ([[0.6, -0.8], [0.8, 0.6]], complex(0.0, -1.0)),
+    "-+": ([[-0.6, 0.8], [0.8, 0.6]], complex(0.0, -1.0)),
+    "--": ([[-0.6, -0.8], [0.8, -0.6]], complex(0.0, 1.0)),
+    "imaginary-off-diagonal": (np.array([[1, 1j], [1j, 1]]) / SQRT2, complex(1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_STARTS))
+def test_symmetric_initial_is_exact_byte_for_byte(name):
+    # with no -0.0 part: a rounded phase would leave a part of about 1e-16
+    # where the exact start holds 0
+    matrix, second = EXACT_STARTS[name]
+    pair = symmetric_initial(CoinOperator(np.array(matrix)))
+    assert pair.tobytes() == (np.array([1, second]) / SQRT2).tobytes()
+
+
+def test_symmetric_initial_of_a_subnormal_entry_is_a_unit_pair():
+    # a subnormal u01 holds some 35 bits: divided by its own modulus as it
+    # is, it leaves a pair about 1e-11 off unit norm
+    tiny = complex(1.2e-313, 1.9e-313)
+    pair = symmetric_initial(CoinOperator(np.array([[1, tiny], [-tiny.conjugate(), 1]])))
+    assert abs(np.linalg.norm(pair) - 1.0) <= EPS
+    expected = np.array([1, 1j * np.exp(-1j * np.angle(tiny))]) / SQRT2
+    assert np.max(np.abs(pair - expected)) <= EPS
 
 
 # C in the bounds below: over about 20 000 random coins the worst reading was
