@@ -26,9 +26,17 @@ The arithmetic of a step has one owner, :func:`_step`, the only code
 that multiplies or adds coin entries.  Both kernels hand it the windows
 they cut, the line two aligned slices to mix in place, the ring a slot
 to mix into the next, so they differ only in layout: co-moving windows
-on the line, halo slots on the ring.  So a cycle walk in blocks of one
-step, which flush at the line's steps, is the line walk folded onto
-the cycle bit for bit until it wraps.
+on the line, halo slots on the ring.  So for a real coin, whose entries
+each take one rounded multiply or add whatever the window, a cycle walk
+in blocks of one step, which flush at the line's steps, is the line
+walk folded onto the cycle bit for bit until it wraps.  A complex coin
+need not be: numpy's in-place complex multiply takes another loop for
+a 1-element array than for longer ones, and the line steps a 1-element
+window in a walk of one step from a parity class of one entry (see
+:func:`_mix_steps`), where the ring's windows are at least n long.
+There, from generic complex pairs on Circle(8193) under two random
+U(2) coins, 15 of 40 walks differed in the last bit (numpy 2.4); at
+t = 2, 3, 5, 33 and 100 all 200 matched.
 
 A real coin never mixes real and imaginary parts, so they evolve as two
 independent real walks, and the ring steps real rows wherever one of
@@ -151,8 +159,13 @@ def evolve_line(
     steps the real parts alone, at half the work; the imaginary parts
     of that result are +0.0.  Memory is O(n + 2 steps); a step costs
     six in-place vector operations per occupied parity class, each over
-    about ``(n + 2s) / 2`` entries (``n + 2s`` on the float64 view), and
-    every 32nd step three more per mixed row for the flush below.
+    the window of the last step of its 32-step flush period, about
+    ``(n + 2s) / 2`` entries and at most 31 more (twice as many on the
+    float64 view), and every 32nd step three more per mixed row for the
+    flush below.  The longer windows change no bit of a real coin's
+    result (:func:`_mix_steps` says why); a complex coin's result can
+    differ in the last bit from that of a kernel that steps each step's
+    own window.
 
     The underflowing tails are flushed before every 32nd step, starting
     with the first.  If the input's largest part lies below 1/2, the
@@ -191,15 +204,16 @@ def evolve_line(
         for p in (0, 1):
             if not np.any(amps[p::2]):
                 continue
-            # rows: the a and b columns of this class, then two scratch rows
-            work = np.zeros((4, (width - p + 1) // 2), dtype=amps.dtype)
-            n_in = (n - p + 1) // 2
+            # rows: the a and b columns of this class, then two scratch
+            # rows, each padded for the windows of _mix_steps
+            size, n_in = (width - p + 1) // 2, (n - p + 1) // 2
+            work = np.zeros((4, size + _FLUSH_EVERY), dtype=amps.dtype)
             work[0, :n_in] = amps[p::2, a_col]
             work[1, steps:steps + n_in] = amps[p::2, b_col]
             np.ldexp(view := work.view(np.float64), shift, out=view)
             _mix_steps(view if real else work, entries, n - p, steps, first, floor)
-            out[p::2, a_col] = work[0]
-            out[p::2, b_col] = work[1]
+            out[p::2, a_col] = work[0, :size]
+            out[p::2, b_col] = work[1, :size]
 
     np.ldexp(parts := out.view(np.float64), -shift, out=parts)
     t = psi.time - steps if adjoint else psi.time + steps
@@ -274,27 +288,45 @@ def _step(plans, entries):
 def _mix_steps(work, entries, m, steps, first, floor):
     """Apply ``(a, b) <- mix (a, b)`` in place for ``s = first .. first+steps-1``.
 
-    ``work`` holds the rows ``a, b`` and two scratch rows of
-    ``(m + 2 steps + 1) // 2`` class entries each, as complex numbers,
-    as their float64 view (two view entries per class entry) or as
-    real parts alone.  At step ``s`` the window covers the
-    ``(m + 2s + 1) // 2`` class entries from 0 in ``a`` and from
-    ``steps - s`` in ``b``.
+    ``work`` holds the rows ``a, b`` and two scratch rows of ``E +
+    _FLUSH_EVERY`` class entries each, ``E = steps + (m + 1) // 2``, as
+    complex numbers, as their float64 view (two view entries per class
+    entry) or as real parts alone.  At step ``s`` the live window covers
+    the ``k_s = s + (m + 1) // 2`` class entries from 0 in ``a`` and
+    from ``steps - s`` in ``b``, which end at entry E.
 
-    The steps run a flush period of ``_FLUSH_EVERY`` steps at a time:
-    the period's windows are cut into in-place plans, the two windows of
-    its first step are flushed below ``floor`` through the scratch row
-    ``t1`` (:func:`_flush`; the module docstring states the bound), and
-    :func:`_step` steps the plans with ``entries``.
+    The steps run a flush period of ``_FLUSH_EVERY`` steps at a time,
+    and every step of a period runs over the window of its last step,
+    ``K`` class entries: ``a[:K]`` and the scratch windows are cut once
+    a period and ``b`` once a step, from ``steps - s``, so ``b``'s
+    window runs ``K - k_s < _FLUSH_EVERY`` entries past E, into the
+    padding.  The extra entries are not live: ``a[k_s:K]`` lies past
+    ``a``'s window and pairs with entries of ``b`` at or past E, so both
+    hold +-0 and stepping them writes +-0.  When the live window later
+    grows over such an entry, a +-0 operand leaves every nonzero result
+    bit for bit (``x + 0 = x``, ``0 w = 0``), and only the sign of an
+    exact zero can change, which :class:`~qwalk.core.WaveFunction` holds
+    as +0.0.  So a real coin, whose entries each take one rounded
+    multiply or add, gives the bits of the live windows alone.  A
+    complex coin can differ in the last bit from a kernel that steps
+    each step's own window: numpy's in-place complex multiply takes
+    another loop for a 1-element array than for longer ones, and such a
+    kernel steps a 1-element window at the first step from a class of
+    one entry, this one only in a walk of one step.  The two windows of
+    each period's first step are flushed below ``floor`` through the
+    scratch row ``t1`` (:func:`_flush`; the module docstring states the
+    bound), and :func:`_step` steps the period's plans with ``entries``.
     """
     a, b, t1, t2 = work
-    scale = len(a) // ((m + 2 * steps + 1) // 2)
+    scale = len(a) // ((m + 2 * steps + 1) // 2 + _FLUSH_EVERY)
     for start in range(first, first + steps, _FLUSH_EVERY):
+        stop = min(start + _FLUSH_EVERY, first + steps)
+        k = scale * ((m + 2 * stop - 1) // 2)  # the window of step stop - 1
+        av, x, y = a[:k], t1[:k], t2[:k]
         plans = []
-        for s in range(start, min(start + _FLUSH_EVERY, first + steps)):
-            k, lo = scale * ((m + 2 * s + 1) // 2), scale * (steps - s)
-            av, bv = a[:k], b[lo:lo + k]
-            plans.append((av, bv, av, av, bv, bv, t1[:k], t2[:k]))
+        for lo in range(scale * (steps - start), scale * (steps - stop), -scale):
+            bv = b[lo:lo + k]
+            plans.append((av, bv, av, av, bv, bv, x, y))
         for v in plans[0][:2]:
             _flush(v.view(np.float64), floor, t1.view(np.float64))
         _step(plans, entries)

@@ -227,8 +227,15 @@ def test_mix_classical_flag(capsys):
     assert "coin" not in payload["config"] and "init" not in payload["config"]
 
 
-#: sha256 of stdout and of stderr of three ``mix`` runs, taken from the
-#: per-step circle kernels: the block kernel must not change an output byte
+#: sha256 of stdout and of stderr of four ``mix`` runs.  The first three
+#: were taken from the per-step circle kernels: the block kernel must not
+#: change an output byte.  The fourth, a theta coin from the left start,
+#: has masses that are not mirror-symmetric, so a ring that mirrors the
+#: walk or swaps its rows changes its bytes, as does a step with w10 and
+#: w11 swapped.  No mix pin can see a transposed coin or one with w00 and
+#: w11 swapped: for the Hadamard and theta coins that is the same coin or
+#: the coin conjugated by diag(1, -1) up to sign, with the same masses from
+#: every named start.  The line pins see both, through the same step.
 MIX_DIGESTS = [
     (["--topology", "circle:127", "--classical", "--delta", "0.4446"],
      "142035be9e15455ce494a5a7254656bf2b88fe52bc17a39ea5dc2fe03510f197",
@@ -240,11 +247,15 @@ MIX_DIGESTS = [
       "--format", "json"],
      "ddfe86b88ee48c2054c5cdc6049841dc4134ef63206d8aa1ec173fe47af93bcc",
      "f8e267e0e8003faed926060ef78d2ef78dad8295e03442fbeb732eff4466e050"),
+    (["--topology", "circle:127", "--coin", "1.2", "--init", "left", "--delta", "0.4446"],
+     "3d211d0da0bb43f3df62155ee727c846b3fba1d61f9a08aa0fa6c14fb1c08f46",
+     "f07f1cc76a6bac2b7aad321cfa052dcbc95d4e025847fb3835fe7c142b007bfe"),
 ]
 
 
 @pytest.mark.parametrize("args, out_digest, err_digest", MIX_DIGESTS,
-                         ids=["classical-127", "classical-64", "quantum-127-json"])
+                         ids=["classical-127", "classical-64", "quantum-127-json",
+                              "theta-left-127"])
 def test_mix_output_bytes_are_pinned(args, out_digest, err_digest, capsys):
     code, out, err = run_cli(["mix", *args], capsys)
     assert code == 0

@@ -1,5 +1,6 @@
 """Direct recurrence evolution on the line and circle."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -133,6 +134,38 @@ def test_long_walks_step_no_subnormals():
         evolve_line(initial_state("left"), hadamard_coin(), 4000)
 
 
+#: sha256 of the amplitude bytes of line walks that the CLI pins do not
+#: reach, ``steps[0]`` steps forward and then ``steps[1]`` back by the
+#: adjoint walk: a theta walk from a complex pair and its round trip, and
+#: a 5-row complex input on Line(offset=-3) at time 50 with both parity
+#: classes occupied.  A real coin gives each entry one rounded multiply or
+#: add, so the bytes hold at every SIMD level, and they hold for any window
+#: the kernel steps: entries past the live window are zeros.
+FIVE_ROWS = WaveFunction(Line(offset=-3), np.array([
+    [0.5 + 0.1j, -0.2 + 0.3j], [0.1 - 0.4j, 0.3j], [-0.25, 0.2 + 0.2j],
+    [0.15j, -0.1 - 0.35j], [0.3 + 0.05j, 0.0]]), 50)
+LINE_DIGESTS = [
+    (theta_coin(0.9817), initial_state(np.array([0.36 + 0.48j, 0.64 - 0.48j])), (2000, 2000),
+     ("9d314f9b0b8ce1c57b5a91e94e080be7490020d9addfdf78045b85dfbfe1981b",
+      "a461c0d55fca1d35306d4692658736b2b2bedc4d350864d2296a70d806949069")),
+    (hadamard_coin(), FIVE_ROWS, (777, 50),
+     ("c35f16d32e7c0edc9f3ee00a547a2e4f0357773594c845a486e9785a6aa2527a",
+      "300fda15376fcbbd666de6dbbf685c45eaf4aab0276c0388e5128bbbd0ba3568")),
+    (theta_coin(1.3), FIVE_ROWS, (777, 50),
+     ("1fbc8e564dfbf820b314321af49fdd14f337ae5d9c26d74b173926e9fd890d38",
+      "25cb9ee0ef42cd5ebaf9854062a6d98de1d427a9e0000f2df34028dd608477f2")),
+]
+
+
+@pytest.mark.parametrize("coin, psi, steps, digests", LINE_DIGESTS,
+                         ids=["theta-pair-round-trip", "hadamard-five-rows", "theta-five-rows"])
+def test_line_walk_bytes_are_pinned(coin, psi, steps, digests):
+    forward = evolve_line(psi, coin, steps[0])
+    back = evolve_line(forward, coin, steps[1], adjoint=True)
+    got = tuple(hashlib.sha256(w.amplitudes.tobytes()).hexdigest() for w in (forward, back))
+    assert got == digests
+
+
 @pytest.mark.parametrize("n, t", [(8191, 6000), (4095, 4088)])
 def test_long_circle_walks_step_no_subnormals(n, t):
     # on an odd cycle the class reached the long way round stays in the
@@ -262,13 +295,16 @@ def test_circle_parity_zeros_are_positive(coin):
 @pytest.mark.parametrize("coin, init", [
     (hadamard_coin(), "left"),
     (hadamard_coin(), "symmetric"),
+    (theta_coin(1.3), np.array([0.36 + 0.48j, 0.64 - 0.48j])),
     (COMPLEX_COIN, "symmetric"),
-], ids=["real-rows", "float64-view", "complex"])
+], ids=["real-rows", "float64-view", "theta-complex-pair", "complex"])
 def test_circle_walk_in_one_step_blocks_is_the_folded_line_walk(coin, init):
     # n = 8193 is past the ring's budget, so every block is one step, and
     # both kernels flush at the same steps; at t = 1000 nothing wraps.  The
-    # cases step real rows, the float64 view and complex arithmetic: each
-    # compares two kernels of one run, so it holds at every SIMD level
+    # cases step real rows, the float64 view of a generic complex pair and
+    # complex arithmetic: each compares two kernels of one run, so it holds
+    # at every SIMD level.  The claim is for real coins; the complex case
+    # holds here, and the module docstring says where a complex coin need not
     n, t = 8193, 1000
     line = evolve_line(initial_state(init), coin, t)
     circ = evolve_circle(initial_state(init, Circle(n)), coin, t)
