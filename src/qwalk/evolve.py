@@ -26,17 +26,11 @@ The arithmetic of a step has one owner, :func:`_step`, the only code
 that multiplies or adds coin entries.  Both kernels hand it the windows
 they cut, the line two aligned slices to mix in place, the ring a slot
 to mix into the next, so they differ only in layout: co-moving windows
-on the line, halo slots on the ring.  So for a real coin, whose entries
-each take one rounded multiply or add whatever the window, a cycle walk
-in blocks of one step, which flush at the line's steps, is the line
-walk folded onto the cycle bit for bit until it wraps.  A complex coin
-need not be: numpy's in-place complex multiply takes another loop for
-a 1-element array than for longer ones, and the line steps a 1-element
-window in a walk of one step from a parity class of one entry (see
-:func:`_mix_steps`), where the ring's windows are at least n long.
-There, from generic complex pairs on Circle(8193) under two random
-U(2) coins, 15 of 40 walks differed in the last bit (numpy 2.4); at
-t = 2, 3, 5, 33 and 100 all 200 matched.
+on the line, halo slots on the ring.  Both flush at the same steps
+(below), and every window is at least 2 entries long, so numpy takes
+the same loop for every multiply and add of both.  So every cycle
+walk, for every coin, start and cycle size, is the line walk folded
+onto the cycle bit for bit until it wraps.
 
 A real coin never mixes real and imaginary parts, so they evolve as two
 independent real walks, and the ring steps real rows wherever one of
@@ -61,22 +55,27 @@ of a real coin, on the line and on the ring, whose bits both come from
 one rounded multiply or add at every level.  Not the same: the
 recurrence of a complex coin, because numpy's complex multiply fuses
 the multiply-add at the levels that have FMA, so its last bits can
-differ between CPUs.
+differ between CPUs.  Measured under two complex coins with every
+dispatched feature off against the native level (numpy 2.4), the line
+walk to t = 4000 from a left start differed in 12 056 of 32 004
+float64 parts, by at most 4.9e-16, and the ``Circle(127)`` TV trace
+by at most 1.0e-15.  The fold rule above compares the two kernels of
+one run, so it holds at every level for every coin.
 
 Both kernels follow one underflow policy.  Far outside the cone the
 amplitudes decay exponentially, and float64 arithmetic on the
 subnormals below 2**-1022 is many times slower.  So each kernel takes
 ``floor = 2**-600 M`` from its input, ``M`` the input's largest real or
-imaginary part, and every F <= 32 steps, starting with the first, sets
-to +0.0 each real or imaginary part below ``floor`` (:func:`_flush`):
-the line before every 32nd step (F = 32), the ring at the start of
-every ``32 // B``-th block (F = B (32 // B), between 17 and 32, and 32
-when B divides 32; a coined block has B <= 32 steps), on the core of
-the slot the block starts from, so that its halo is copied flushed.  A
-flush touches at most ``4 width`` float64 entries, ``width`` the
-line's ``n + 2 steps`` sites or the cycle's n, so it moves the state by
-less than ``2 sqrt(width) floor`` in 2-norm, and the steps are unitary:
-the result moves by at most ``ceil(steps / F) * 2 sqrt(width) * floor``.
+imaginary part, and before every 32nd step, starting with the first,
+sets to +0.0 each real or imaginary part below ``floor``
+(:func:`_flush`); the ring, whose coined blocks are powers of two of
+at most 32 steps, at the start of each block that starts at a multiple
+of 32 steps, on the core of the slot the block starts from, so that
+its halo is copied flushed.  A flush touches at most ``4 width``
+float64 entries, ``width`` the line's ``n + 2 steps`` sites or the
+cycle's n, so it moves the state by less than ``2 sqrt(width) floor``
+in 2-norm, and the steps are unitary: the result moves by at most
+``ceil(steps / 32) * 2 sqrt(width) * floor``.
 A step shrinks an entry by at most a factor ``c``, the smallest
 nonzero real or imaginary part of a coin entry, so, cancellation
 aside, no subnormal is stepped while ``floor * c**32 >= 2**-1022``.
@@ -159,13 +158,12 @@ def evolve_line(
     steps the real parts alone, at half the work; the imaginary parts
     of that result are +0.0.  Memory is O(n + 2 steps); a step costs
     six in-place vector operations per occupied parity class, each over
-    the window of the last step of its 32-step flush period, about
-    ``(n + 2s) / 2`` entries and at most 31 more (twice as many on the
-    float64 view), and every 32nd step three more per mixed row for the
-    flush below.  The longer windows change no bit of a real coin's
-    result (:func:`_mix_steps` says why); a complex coin's result can
-    differ in the last bit from that of a kernel that steps each step's
-    own window.
+    the window of the last step of its 32-step flush period, and at
+    least 2 entries: about ``(n + 2s) / 2`` entries and at most 31 more
+    (twice as many on the float64 view), and every 32nd step three more
+    per mixed row for the flush below.  The longer windows only step
+    zeros past the live ones, so they keep the module docstring's fold
+    rule (:func:`_mix_steps` says why).
 
     The underflowing tails are flushed before every 32nd step, starting
     with the first.  If the input's largest part lies below 1/2, the
@@ -297,31 +295,30 @@ def _mix_steps(work, entries, m, steps, first, floor):
 
     The steps run a flush period of ``_FLUSH_EVERY`` steps at a time,
     and every step of a period runs over the window of its last step,
-    ``K`` class entries: ``a[:K]`` and the scratch windows are cut once
-    a period and ``b`` once a step, from ``steps - s``, so ``b``'s
-    window runs ``K - k_s < _FLUSH_EVERY`` entries past E, into the
-    padding.  The extra entries are not live: ``a[k_s:K]`` lies past
-    ``a``'s window and pairs with entries of ``b`` at or past E, so both
-    hold +-0 and stepping them writes +-0.  When the live window later
-    grows over such an entry, a +-0 operand leaves every nonzero result
-    bit for bit (``x + 0 = x``, ``0 w = 0``), and only the sign of an
-    exact zero can change, which :class:`~qwalk.core.WaveFunction` holds
-    as +0.0.  So a real coin, whose entries each take one rounded
-    multiply or add, gives the bits of the live windows alone.  A
-    complex coin can differ in the last bit from a kernel that steps
-    each step's own window: numpy's in-place complex multiply takes
-    another loop for a 1-element array than for longer ones, and such a
-    kernel steps a 1-element window at the first step from a class of
-    one entry, this one only in a walk of one step.  The two windows of
-    each period's first step are flushed below ``floor`` through the
-    scratch row ``t1`` (:func:`_flush`; the module docstring states the
-    bound), and :func:`_step` steps the period's plans with ``entries``.
+    ``K`` class entries and at least 2: ``a[:K]`` and the scratch
+    windows are cut once a period and ``b`` once a step, from ``steps -
+    s``, so ``b``'s window runs ``K - k_s < _FLUSH_EVERY`` entries past
+    E, into the padding.  The extra entries are not live: ``a[k_s:K]``
+    lies past ``a``'s window and pairs with entries of ``b`` at or past
+    E, so both hold +-0 and stepping them writes +-0.  When the live
+    window later grows over such an entry, a +-0 operand leaves every
+    nonzero result bit for bit (``x + 0 = x``, ``0 w = 0``), and only
+    the sign of an exact zero can change, which
+    :class:`~qwalk.core.WaveFunction` holds as +0.0.  So a live entry
+    takes the same bits in every window of 2 or more entries, for every
+    coin, and ``K`` is at least 2, as the ring's windows are, because
+    numpy's in-place complex multiply takes another loop for a 1-element
+    array: the module docstring's fold rule rests on both.  The two
+    windows of each period's first step are flushed below ``floor``
+    through the scratch row ``t1`` (:func:`_flush`; the module docstring
+    states the bound), and :func:`_step` steps the period's plans with
+    ``entries``.
     """
     a, b, t1, t2 = work
     scale = len(a) // ((m + 2 * steps + 1) // 2 + _FLUSH_EVERY)
     for start in range(first, first + steps, _FLUSH_EVERY):
         stop = min(start + _FLUSH_EVERY, first + steps)
-        k = scale * ((m + 2 * stop - 1) // 2)  # the window of step stop - 1
+        k = scale * max(2, (m + 2 * stop - 1) // 2)  # the window of step stop - 1
         av, x, y = a[:k], t1[:k], t2[:k]
         plans = []
         for lo in range(scale * (steps - start), scale * (steps - stop), -scale):
@@ -335,8 +332,9 @@ def _mix_steps(work, entries, m, steps, first, floor):
 def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunction:
     """Evolve a circle wavefunction; same recurrence with indices mod n.
 
-    For ``steps < floor(n/2)`` the result equals the line evolution
-    folded mod n (the wrapped-around unbounded-line wavefunction).  The
+    For ``steps < floor(n/2)`` the result is the line evolution folded
+    mod n (the wrapped-around unbounded-line wavefunction), bit for bit
+    by the module docstring's fold rule.  The
     steps run in the halo-block ring of :func:`_ring_blocks`, and the
     result is the last row of its last block: memory is O(n), and a
     step is one :func:`_step` over a window of n to n + 2B - 2 sites,
@@ -395,16 +393,17 @@ def _ring_blocks(rows, coin, steps):
     backward one when the second block starts, so a scan that ends
     within its first block never cuts them.
 
-    ``B = min(n, max(8, n // 8), 2**15 // (f n))``, at least 1, with
-    ``f`` the float64 entries of one site in one slot of a complex ring:
-    1 classical and 4 coined, also for real rows, which so keep the
-    complex ring's blocks and flushes in half its memory.  So ``B n f
-    <= 2**15`` and the ring stays within 256 KiB; past ``n = 2**15 / f``
-    a block is one step.  No block is longer than 64 steps: ``max(8, n
-    // 8) <= 64`` up to n = 512, and past it ``2**15 // (f n) <= 63``.
-    A coined block is at most 32 steps: ``max(8, n // 8) > 32`` needs
-    n >= 264, where ``8192 // n <= 31``.  On a cycle of 64 sites or
-    more the windows add at most an eighth of n to the work of a step.
+    ``B`` is the largest power of two not above ``min(n, max(8, n //
+    4), 2**15 // (f n))``, and at least 1, with ``f`` the float64
+    entries of one site in one slot of a complex ring: 1 classical and
+    4 coined, also for real rows, which so keep the complex ring's
+    blocks and flushes in half its memory.  So ``B n f <= 2**15`` and
+    the ring stays within 256 KiB; past ``n = 2**15 / f`` a block is one
+    step.  A block is at most 64 steps, and a coined one at most 32, a
+    divisor of the flush period: ``max(8, n // 4)`` stays below 128 up
+    to n = 511 and below 64 up to n = 255, and past these ``2**15 // (f
+    n)`` is at most 64 and 32.  From n = 32 on ``B <= n / 4``, so the
+    windows of a block add at most a quarter of n to its average step.
 
     The first slot is scaled in place by ``2**shift`` as
     :func:`_unit_scale` says for ``rows``, and every block is at that
@@ -415,15 +414,15 @@ def _ring_blocks(rows, coin, steps):
     that of ``(1 + 1j, 1 + 1j) / 2`` rounded just short of unit norm
     does; a unit mass is not.  A coined walk is flushed below ``floor =
     2**-600 M``, ``M`` the largest real or imaginary part of the scaled
-    slot, at the start of every ``32 // B``-th block (at least 1, since
-    B <= 32), on the core of the slot the block starts from (see the
-    module docstring).  The classical walk is not: its nonnegative
-    masses never cancel, and only a few of them are subnormal (44 to 66
-    at n = 8191, t = 3000 to 6000).
+    slot, at the start of each block that starts at a multiple of 32
+    steps, which are the line's flush steps, on the core of the slot
+    the block starts from (see the module docstring).  The classical
+    walk is not: its nonnegative masses never cancel, and only a few of
+    them are subnormal (44 to 66 at n = 8191, t = 3000 to 6000).
     """
     c, n = rows.shape
     floats = 1 if coin is None else 4
-    b = max(1, min(n, max(8, n // 8), _RING_FLOATS // (floats * n)))
+    b = 1 << (max(1, min(n, max(8, n // 4), _RING_FLOATS // (floats * n))).bit_length() - 1)
     width = n + 2 * b
     ring = np.zeros((b + 1, c, width), dtype=rows.dtype)
     ring[0, :, b:b + n] = rows
@@ -467,7 +466,7 @@ def _ring_blocks(rows, coin, steps):
         if start == b:  # the backward views, cut on first use
             faces.append(face(-1, min(b, steps - b)))
         halo, plans, block = faces[start // b % 2]
-        if coin is not None and start // b % (_FLUSH_EVERY // b) == 0:
+        if coin is not None and start % _FLUSH_EVERY == 0:
             # the core of the slot the block starts from; its halo is copied below
             for part in ring[start // b % 2 * b, :, b:b + n]:
                 _flush(part.view(np.float64), floor, tmp[0].view(np.float64))

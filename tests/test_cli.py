@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -11,12 +12,15 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 import surface
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qwalk
 from qwalk import distribution, evolve_line, hadamard_coin, initial_state, theta_coin
@@ -866,3 +870,146 @@ def test_emit_matches_the_per_value_oracle(fmt, header, rows, extra, tmp_path, c
         assert fh.read().splitlines(keepends=True) == (
             oracle_text(args, header, rows.tolist(), extra).splitlines(keepends=True))
     assert capsys.readouterr().out == ""
+
+
+# --- the CLI contract as one property over command lines -------------------
+
+#: valid values at small sizes, by option
+VALID_VALUES = {
+    "--coin": st.sampled_from(["hadamard", "0.5pi", "pi", "0"]) | st.floats(0, math.pi).map(repr),
+    "--format": st.sampled_from(["csv", "json"]),
+    "--output": st.just("-"),
+    "--init": st.sampled_from(["left", "right", "symmetric"]),
+    "--topology": st.sampled_from(["line", "circle:3", "circle:4"])
+    | st.integers(3, 64).map("circle:{}".format),
+    "--steps": st.integers(0, 64).map(str),
+    # the classical TV on an even cycle is 1/2 at every t
+    "--delta": st.just("0.5") | st.floats(0, 1).map(repr),
+    "--t-cap": st.integers(1, 64).map(str),
+}
+#: spellings at the edge, by option: any of them but --output, which is
+#: given only targets it cannot open, so that no run writes a file
+EDGE_VALUES = {option: ["", "nan", "inf", "1e308", "1e-320", "1_0", "١١", "circle:2",
+                        "circle:", "ring:5", "xml", "-1"] for option in VALID_VALUES}
+EDGE_VALUES["--output"] = ["", os.path.join(os.devnull, "x")]
+
+
+@st.composite
+def command_lines(draw):
+    """``(argv, values)``: a subcommand and some of its options, ``values`` by option."""
+    command = draw(st.sampled_from(list(surface.arguments())))
+    argv, values = [command], {}
+    for (option,), default, _, _, required in surface.arguments()[command]:
+        # a required option is left out one time in eight, any other in two
+        if draw(st.integers(0, 7)) < (1 if required else 4):
+            continue
+        if default is False:  # a flag
+            argv.append(option)
+            values[option] = True
+            continue
+        edge = draw(st.integers(0, 7)) == 0
+        value = draw(st.sampled_from(EDGE_VALUES[option]) if edge else VALID_VALUES[option])
+        argv += [option, value]
+        values[option] = value
+    if draw(st.integers(0, 15)) == 0:
+        argv.append("--bogus")
+    return argv, values
+
+
+def config_echo(command, values):
+    """The ``config`` a JSON table echoes: every option's parsed value or default."""
+    config = {"command": command}
+    for (option,), default, kind, *_ in surface.arguments()[command]:
+        value = values.get(option, default)
+        if option in values and kind is not None:
+            value = kind(value)
+        config[option[2:].replace("-", "_")] = value
+    if command == "mix" and not config["classical"]:
+        config["coin"] = config["coin"] or "hadamard"
+        config["init"] = config["init"] or "left"
+    return {key: value for key, value in config.items() if value is not None}
+
+
+def table_rows(out, fmt):
+    """The rows of a table as dicts of cells: text from CSV, values from JSON."""
+    if fmt == "csv":
+        header, rows = parse_csv(out)
+        return [dict(zip(header, row)) for row in rows]
+    return json.loads(out)["data"]
+
+
+def is_zero_cell(cell, fmt):
+    """A cell printed as a +0.0: ``0`` in CSV, ``0.0`` in JSON."""
+    return cell == "0" if fmt == "csv" else cell == 0 and math.copysign(1, cell) == 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+@example((["mix", "--classical", "--topology", "circle:4", "--delta", "0.5"],
+          {"--classical": True, "--topology": "circle:4", "--delta": "0.5"}))
+def test_every_command_line_ends_in_a_table_or_one_error_line(line):
+    # exit 0, 2 or 3, with no RuntimeWarning; a failure writes nothing to
+    # stdout and one error line to stderr; a table's invariants hold.  The
+    # example crosses at t = 1, where its TV equals delta
+    argv, values = line
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    if code:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        return
+
+    command = argv[0]
+    config = config_echo(command, values)
+    fmt = config["format"]
+    rows = table_rows(out, fmt)
+    cells = {key: [row[key] for row in rows] for key in rows[0]} if rows else {}
+
+    def number(key):  # a column's numbers, None for an empty CSV cell
+        if fmt == "json":
+            return cells[key]
+        return [None if c == "" else float(c) for c in cells[key]]
+
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["schema_version"] == "1" and payload["config"] == config
+    t = config.get("steps")
+    size = int(config.get("topology", "line").partition(":")[2] or 0)
+    if command in ("simulate", "spectral", "compare"):
+        assert len(rows) == (size or 2 * t + 1)
+        probs = ["p_exact", "p_spectral"] if command == "compare" else ["prob"]
+        zeros = probs if command == "compare" else ["psi_L_re", "psi_L_im", "psi_R_re",
+                                                    "psi_R_im", "prob"]
+        for key in probs:
+            assert abs(sum(number(key)) - 1) < 1e-12
+        if size % 2 == 0:  # the line, or an even cycle: n + t odd holds exact zeros
+            forbidden = [i for i, n in enumerate(number("n")) if (int(n) + t) % 2]
+            assert all(is_zero_cell(cells[key][i], fmt) for key in zeros for i in forbidden)
+            if command == "compare":  # stationary phase gives no forbidden site
+                assert all(number("p_asymptotic")[i] is None for i in forbidden)
+    elif command == "asymptotic":
+        for n, alpha in zip(number("n"), number("alpha")):
+            assert (int(n) + t) % 2 == 0 and alpha == n / t and abs(alpha) < 1
+        assert all(math.isfinite(p) for p in number("prob"))
+    elif command == "moments":
+        assert cells["moment"] == ["mean", "abs_mean", "second"]
+    elif command == "symmetry":
+        assert cells["candidate"] == ["sigma_x", "sigma_y", "sigma_z"]
+    else:  # mix
+        tv, delta = number("tv"), config["delta"]
+        assert [int(x) for x in number("t")] == list(range(1, len(rows) + 1))
+        assert all(0 <= x <= 1 for x in tv)
+        crossing = err.removeprefix("crossing_time: ").strip()
+        if crossing == "not reached":
+            assert len(tv) == config["t_cap"] and min(tv) > delta
+        else:
+            assert int(crossing) == len(tv) and tv[-1] <= delta < min(tv[:-1], default=math.inf)
+        if fmt == "json":
+            assert payload["crossing_time"] == (None if crossing == "not reached" else len(tv))

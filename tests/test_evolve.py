@@ -299,13 +299,38 @@ def test_circle_parity_zeros_are_positive(coin):
     (COMPLEX_COIN, "symmetric"),
 ], ids=["real-rows", "float64-view", "theta-complex-pair", "complex"])
 def test_circle_walk_in_one_step_blocks_is_the_folded_line_walk(coin, init):
-    # n = 8193 is past the ring's budget, so every block is one step, and
-    # both kernels flush at the same steps; at t = 1000 nothing wraps.  The
-    # cases step real rows, the float64 view of a generic complex pair and
-    # complex arithmetic: each compares two kernels of one run, so it holds
-    # at every SIMD level.  The claim is for real coins; the complex case
-    # holds here, and the module docstring says where a complex coin need not
+    # n = 8193 is past the ring's budget, so every block is one step; at
+    # t = 1000 nothing wraps.  The cases step real rows, the float64 view of
+    # a generic complex pair and complex arithmetic: each compares two
+    # kernels of one run, so it holds at every SIMD level
     n, t = 8193, 1000
+    line = evolve_line(initial_state(init), coin, t)
+    circ = evolve_circle(initial_state(init, Circle(n)), coin, t)
+    folded = np.zeros((n, 2), dtype=np.complex128)
+    folded[line.sites % n] = line.amplitudes
+    assert circ.amplitudes.tobytes() == folded.tobytes()
+
+
+#: random U(2) coins (QR of complex Gaussian matrices) and generic complex pairs
+RANDOM_U2 = [CoinOperator(np.linalg.qr(z)[0])
+             for z in np.random.default_rng(44).normal(size=(4, 2, 2, 2)) @ [1, 1j]]
+RANDOM_PAIRS = np.random.default_rng(45).normal(size=(5, 2, 2)) @ [1, 1j]
+
+
+@pytest.mark.parametrize("coin, init, n, t", [
+    # the coined blocks 2, 4, 8, 16 and 32, each a divisor of the flush period
+    *[pytest.param(COMPLEX_COIN, np.array([0.6, 0.8j]), n, (n - 1) // 2, id=f"B{b}-{n}")
+      for b, n in ((2, 4001), (4, 2047), (8, 1024), (16, 512), (32, 256))],
+    # cycles where blocks of 7, 5 and 3 steps would flush off the line's steps
+    *[pytest.param(theta_coin(theta), "left", n, (n - 1) // 2, id=f"theta{theta}-{n}")
+      for n in (1100, 1500, 2730) for theta in (2.2, 2.6, 2.9)],
+    # one step from a parity class of one entry on the line
+    *[pytest.param(coin, pair / np.linalg.norm(pair), 127, 1, id=f"u2-{i}-pair{j}")
+      for i, coin in enumerate(RANDOM_U2) for j, pair in enumerate(RANDOM_PAIRS)],
+])
+def test_every_cycle_walk_is_the_folded_line_walk(coin, init, n, t):
+    # for every coin, block length and start, until the walk wraps; both
+    # walks run in one process, so this holds at every SIMD level
     line = evolve_line(initial_state(init), coin, t)
     circ = evolve_circle(initial_state(init, Circle(n)), coin, t)
     folded = np.zeros((n, 2), dtype=np.complex128)
@@ -427,15 +452,19 @@ sizes_before_wrap = st.integers(3, 40).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(u2_coins(), unit_pairs(), sizes_before_wrap)
 @example(hadamard_coin(), SYMMETRIC, (31, 14))
+@example(CoinOperator(np.diag([np.exp(0.3j), np.exp(-1.9j)])),
+         np.array([0.36 + 0.48j, 0.64 - 0.48j]), (4, 1))
 def test_circle_matches_folded_line(coin, pair, size_and_time):
-    # before wraparound interference the circle walk is the line walk mod n
+    # before wraparound interference the circle walk is the line walk mod n,
+    # bit for bit: the second example steps a complex coin once from a line
+    # class of one entry
     n, t = size_and_time
     line = evolve_line(initial_state(pair), coin, t)
     circ = evolve_circle(initial_state(pair, Circle(n)), coin, t)
     folded = np.zeros((n, 2), dtype=np.complex128)
     for site, amp in zip(line.sites.tolist(), line.amplitudes):
         folded[site % n] += amp
-    assert np.max(np.abs(folded - circ.amplitudes)) < 1e-13
+    assert circ.amplitudes.tobytes() == folded.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -467,7 +496,9 @@ def test_spectral_matches_recurrence_on_line_and_circle(coin, pair, n, data):
 
 @pytest.mark.parametrize("n", [3, 8, 64, 248, 255, 256, 257, 264, 511, 2047])
 def test_coined_ring_blocks_are_at_most_32_steps(n):
-    # max(8, n // 8) passes 32 only from n = 264, where 2**15 // (4 n) <= 31,
-    # so a coined block never outruns the flush period of 32 steps
+    # a block is the largest power of two not above a minimum that stays
+    # below 64: max(8, n // 4) reaches 64 only from n = 256, where
+    # 2**15 // (4 n) <= 32.  So a coined block divides the flush period of
+    # 32 steps, and the ring flushes at the line's steps
     rows = initial_state("left", Circle(n)).amplitudes.T
-    assert len(next(_ring_blocks(rows, hadamard_coin(), 64))[0]) <= 32
+    assert 32 % len(next(_ring_blocks(rows, hadamard_coin(), 64))[0]) == 0

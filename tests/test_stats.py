@@ -448,17 +448,19 @@ def boundary_steps(b):
     return sorted({1, b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1, 3 * b} - {0})
 
 
-#: block lengths 3 (capped by n), 8 (odd and even cycles), 9 (an even
-#: cycle, its parity targets alternating across an odd block), 15, and 63
-#: and 16 (the classical and the coined walk on n = 511)
-BLOCK_CYCLES = pytest.mark.parametrize("n", [3, 31, 64, 72, 127, 511])
+#: block lengths 2 (capped by n), 8, 16 (odd and even cycles), 64 and 16
+#: (the classical and the coined walk on n = 511), and 2 and 1 on an even
+#: cycle past the ring's budget, whose parity targets alternate across
+#: its one-step coined blocks: every block is a power of two, so no odd
+#: block other than 1 is left
+BLOCK_CYCLES = pytest.mark.parametrize("n", [3, 31, 64, 72, 127, 511, 8194])
 
 
 def test_block_lengths_of_the_boundary_cycles():
     lengths = {n: (block_length(n, None), block_length(n, hadamard_coin()))
-               for n in (3, 31, 64, 72, 127, 511, 2047, 8193)}
-    assert lengths == {3: (3, 3), 31: (8, 8), 64: (8, 8), 72: (9, 9), 127: (15, 15),
-                       511: (63, 16), 2047: (16, 4), 8193: (3, 1)}
+               for n in (3, 31, 64, 72, 127, 511, 2047, 8193, 8194)}
+    assert lengths == {3: (2, 2), 31: (8, 8), 64: (16, 16), 72: (16, 16), 127: (16, 16),
+                       511: (64, 16), 2047: (16, 4), 8193: (2, 1), 8194: (2, 1)}
 
 
 @BLOCK_CYCLES
