@@ -54,6 +54,16 @@ place, and both are tested against the recurrence.
 The amplitude is ``O(1/sqrt(t))``.  At the cone edge ``w'' -> 0``: the
 ``O(t^{-2/3})``-wide transition layer there is deliberately unmodeled,
 so callers keep a margin inside the edge.
+
+The bits are not the same at every SIMD level numpy dispatches to: the
+phase ``t (h + w)`` multiplies a last-bit difference in ``w`` by t.
+Measured for the Hadamard coin at t = 10^5 on the sites with ``|n/t| <
+0.6`` (numpy 2.4), with every dispatched feature off against the native
+level, 68 329 of 479 996 float64 parts differed from the left start and
+77 199 from the symmetric start (39 500 and 39 457 with only X86_V4 and
+AVX-512 off), by at most 4.8e-13 against a largest part of 6.9e-3, and
+3.7e-13 against 4.9e-3: at most ``3.4 eps t`` times the largest part,
+``eps = 2**-52``.
 """
 
 from __future__ import annotations

@@ -11,10 +11,11 @@ column is stored, so a step is a 2x2 mix of two aligned slices, with no
 new array and no data movement.
 
 The circle kernel (:func:`_ring_blocks`) steps the cycle in halo blocks
-of B <= 64 steps through a ring of B + 1 slots of n + 2B sites.  The
-first slot of a block carries B wrapped sites per side, and each step
-writes the next slot over a window one site shorter per side, so no
-step copies a ghost column: a coined step is the six vector operations
+of B steps, at most 32 for a coined walk and 90 for the classical one,
+through a ring of B + 1 slots of n + 2B sites.  The first slot of a
+block carries B wrapped sites per side, and each step writes the next
+slot over a window one site shorter per side, so no step copies a
+ghost column: a coined step is the six vector operations
 of :func:`_step`, and a block adds two slice copies.  Memory is O(n): B
 is chosen so that the ring stays within 2**15 float64 entries, 256 KiB,
 and past that size a block is one step.  The kernel yields each block's
@@ -152,13 +153,14 @@ def evolve_line(
 
     Partner indices differ by an even number, so the even and odd
     buffer entries never mix: each parity class is evolved as its own
-    contiguous array and a class that is zero at input is skipped (an
-    origin start pays for half the sites).  A real coin matrix runs on
-    the float64 view, and on input with no nonzero imaginary part it
-    steps the real parts alone, at half the work; the imaginary parts
-    of that result are +0.0.  Memory is O(n + 2 steps); a step costs
-    six in-place vector operations per occupied parity class, each over
-    the window of the last step of its 32-step flush period, and at
+    contiguous array by :func:`_mix_steps` and a class that is zero at
+    input is skipped (an origin start pays for half the sites).  A real
+    coin matrix runs on the float64 view, and on a class with no nonzero
+    imaginary part it steps the real parts alone, at half the work; the
+    imaginary parts of that class's result are +0.0.  Both classes share
+    one scale and one flush floor.  Memory is O(n + 2 steps); a step
+    costs six in-place vector operations per occupied parity class, each
+    over the window of the last step of its 32-step flush period, and at
     least 2 entries: about ``(n + 2s) / 2`` entries and at most 31 more
     (twice as many on the float64 view), and every 32nd step three more
     per mixed row for the flush below.  The longer windows only step
@@ -172,6 +174,13 @@ def evolve_line(
     states the policy and its bound.  On the Hadamard walk to t = 4000
     and on theta-coin round trips to t = 2000, every entry above 1e-150
     came out bit for bit as without the flush.
+
+    The rounding error grows about as ``t**(2/3)``: from the left start,
+    every amplitude of the Hadamard walk lies within ``eps t**(2/3)``,
+    ``eps = 2**-52``, of the exact walk in integers (``tests/exact.py``),
+    which the tests check at t = 100, 500, 1000 and 2000.  The largest
+    errors there are 3.0e-15, 8.9e-15, 1.45e-14 and 2.26e-14, 0.63 to
+    0.65 of the bound.
     """
     if not isinstance(psi.topology, Line):
         raise DomainError("evolve_line needs line topology")
@@ -181,37 +190,21 @@ def evolve_line(
 
     amps = psi.amplitudes
     shift, floor = _unit_scale(amps.view(np.float64))
-    n = amps.shape[0]
-    width = n + 2 * steps
     # The adjoint frame is the forward frame with the columns swapped:
     # it mixes (R, L) by U^dag with rows and columns reversed, one step
     # of window later.
     a_col, b_col, mix, first = 0, 1, coin.matrix, 0
     if adjoint:
         a_col, b_col, mix, first = 1, 0, mix.conj().T[::-1, ::-1], 1
-    real, entries = _coin_entries(mix)
-    # a real coin never mixes real and imaginary parts: with no
-    # imaginary input there is nothing to step but the real parts
-    if real and not np.any(amps.imag):
-        amps = amps.real
 
-    out = np.zeros((width, 2), dtype=np.complex128)
+    out = np.zeros((amps.shape[0] + 2 * steps, 2), dtype=np.complex128)
     # a walk that leaves float64 overflows to inf or NaN, which
     # WaveFunction refuses below: with no warning ahead of the refusal
     with np.errstate(over="ignore", invalid="ignore"):
         for p in (0, 1):
-            if not np.any(amps[p::2]):
-                continue
-            # rows: the a and b columns of this class, then two scratch
-            # rows, each padded for the windows of _mix_steps
-            size, n_in = (width - p + 1) // 2, (n - p + 1) // 2
-            work = np.zeros((4, size + _FLUSH_EVERY), dtype=amps.dtype)
-            work[0, :n_in] = amps[p::2, a_col]
-            work[1, steps:steps + n_in] = amps[p::2, b_col]
-            np.ldexp(view := work.view(np.float64), shift, out=view)
-            _mix_steps(view if real else work, entries, n - p, steps, first, floor)
-            out[p::2, a_col] = work[0, :size]
-            out[p::2, b_col] = work[1, :size]
+            if np.any(cls := amps[p::2]):
+                out[p::2, a_col], out[p::2, b_col] = _mix_steps(
+                    cls[:, a_col], cls[:, b_col], mix, steps, first, shift, floor)
 
     np.ldexp(parts := out.view(np.float64), -shift, out=parts)
     t = psi.time - steps if adjoint else psi.time + steps
@@ -283,15 +276,24 @@ def _step(plans, entries):
         add(new_b, y, new_b)
 
 
-def _mix_steps(work, entries, m, steps, first, floor):
-    """Apply ``(a, b) <- mix (a, b)`` in place for ``s = first .. first+steps-1``.
+def _mix_steps(a_in, b_in, mix, steps, first, shift, floor):
+    """One parity class of :func:`evolve_line`: its rows ``(a, b)`` after ``steps`` steps.
 
-    ``work`` holds the rows ``a, b`` and two scratch rows of ``E +
-    _FLUSH_EVERY`` class entries each, ``E = steps + (m + 1) // 2``, as
-    complex numbers, as their float64 view (two view entries per class
-    entry) or as real parts alone.  At step ``s`` the live window covers
-    the ``k_s = s + (m + 1) // 2`` class entries from 0 in ``a`` and
-    from ``steps - s`` in ``b``, which end at entry E.
+    ``a_in`` and ``b_in`` are the class's ``n`` entries of the two
+    columns in the walk's frame, and ``mix`` is the frame's coin matrix;
+    ``shift`` and ``floor`` are the walk's :func:`_unit_scale`.  The
+    class steps as complex numbers under a complex ``mix``, and under a
+    real one as real parts alone if neither column has a nonzero
+    imaginary part (their result's imaginary parts are then +0.0), and
+    otherwise as the float64 view, two view entries per class entry.
+    The rows ``a, b`` and two scratch rows hold ``E + _FLUSH_EVERY``
+    class entries each, ``E = n + steps``: ``a`` from entry 0 and ``b``
+    from entry ``steps``.  They are scaled in place by ``2**shift`` and
+    stepped by ``(a, b) <- mix (a, b)`` for ``s = first ..
+    first+steps-1``, and the first E entries of ``a`` and ``b`` are
+    returned, at that scale.  At step ``s`` the live window covers the
+    ``k_s = n + s`` class entries from 0 in ``a`` and from ``steps - s``
+    in ``b``, which end at entry E.
 
     The steps run a flush period of ``_FLUSH_EVERY`` steps at a time,
     and every step of a period runs over the window of its last step,
@@ -312,21 +314,33 @@ def _mix_steps(work, entries, m, steps, first, floor):
     windows of each period's first step are flushed below ``floor``
     through the scratch row ``t1`` (:func:`_flush`; the module docstring
     states the bound), and :func:`_step` steps the period's plans with
-    ``entries``.
+    the entries of ``mix``.
     """
-    a, b, t1, t2 = work
-    scale = len(a) // ((m + 2 * steps + 1) // 2 + _FLUSH_EVERY)
+    real, entries = _coin_entries(mix)
+    # a real coin never mixes real and imaginary parts: with no
+    # imaginary input there is nothing to step but the real parts
+    if real and not (np.any(a_in.imag) or np.any(b_in.imag)):
+        a_in, b_in = a_in.real, b_in.real
+    n = len(a_in)
+    work = np.zeros((4, n + steps + _FLUSH_EVERY), dtype=a_in.dtype)
+    work[0, :n] = a_in
+    work[1, steps:steps + n] = b_in
+    np.ldexp(parts := work.view(np.float64), shift, out=parts)
+    rows = parts if real else work
+    f = rows.shape[1] // work.shape[1]  # view entries per class entry
+    a, b, t1, t2 = rows
     for start in range(first, first + steps, _FLUSH_EVERY):
         stop = min(start + _FLUSH_EVERY, first + steps)
-        k = scale * max(2, (m + 2 * stop - 1) // 2)  # the window of step stop - 1
+        k = f * max(2, n + stop - 1)  # the window of step stop - 1
         av, x, y = a[:k], t1[:k], t2[:k]
         plans = []
-        for lo in range(scale * (steps - start), scale * (steps - stop), -scale):
+        for lo in range(f * (steps - start), f * (steps - stop), -f):
             bv = b[lo:lo + k]
             plans.append((av, bv, av, av, bv, bv, x, y))
         for v in plans[0][:2]:
             _flush(v.view(np.float64), floor, t1.view(np.float64))
         _step(plans, entries)
+    return work[0, :n + steps], work[1, :n + steps]
 
 
 def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunction:
@@ -393,17 +407,19 @@ def _ring_blocks(rows, coin, steps):
     backward one when the second block starts, so a scan that ends
     within its first block never cuts them.
 
-    ``B`` is the largest power of two not above ``min(n, max(8, n //
-    4), 2**15 // (f n))``, and at least 1, with ``f`` the float64
-    entries of one site in one slot of a complex ring: 1 classical and
-    4 coined, also for real rows, which so keep the complex ring's
-    blocks and flushes in half its memory.  So ``B n f <= 2**15`` and
-    the ring stays within 256 KiB; past ``n = 2**15 / f`` a block is one
-    step.  A block is at most 64 steps, and a coined one at most 32, a
-    divisor of the flush period: ``max(8, n // 4)`` stays below 128 up
-    to n = 511 and below 64 up to n = 255, and past these ``2**15 // (f
-    n)`` is at most 64 and 32.  From n = 32 on ``B <= n / 4``, so the
-    windows of a block add at most a quarter of n to its average step.
+    ``B`` is ``min(n, max(8, n // 4), 2**15 // (f n))``, and at least
+    1, with ``f`` the float64 entries of one site in one slot of a
+    complex ring: 1 classical and 4 coined, also for real rows, which
+    so keep the complex ring's blocks and flushes in half its memory.
+    A coined ``B`` is then rounded down to a power of two.  So ``B n f
+    <= 2**15`` and the ring stays within 256 KiB; past ``n = 2**15 /
+    f`` a block is one step.  A coined block is at most 32 steps, a
+    divisor of the flush period: ``max(8, n // 4)`` stays below 64 up
+    to n = 255, and past that ``2**15 // (4 n)`` is at most 32.  The
+    classical walk is never flushed, so its block need divide nothing;
+    it is at most 90 steps, at n = 360 to 364, where ``n // 4`` meets
+    ``2**15 // n``.  From n = 32 on ``B <= n / 4``, so the windows of a
+    block add at most a quarter of n to its average step.
 
     The first slot is scaled in place by ``2**shift`` as
     :func:`_unit_scale` says for ``rows``, and every block is at that
@@ -421,8 +437,9 @@ def _ring_blocks(rows, coin, steps):
     them are subnormal (44 to 66 at n = 8191, t = 3000 to 6000).
     """
     c, n = rows.shape
-    floats = 1 if coin is None else 4
-    b = 1 << (max(1, min(n, max(8, n // 4), _RING_FLOATS // (floats * n))).bit_length() - 1)
+    b = max(1, min(n, max(8, n // 4), _RING_FLOATS // (n if coin is None else 4 * n)))
+    if coin is not None:  # a power of two, which divides the flush period
+        b = 1 << (b.bit_length() - 1)
     width = n + 2 * b
     ring = np.zeros((b + 1, c, width), dtype=rows.dtype)
     ring[0, :, b:b + n] = rows

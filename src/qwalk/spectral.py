@@ -45,7 +45,14 @@ are exact +0.0, as in the recurrence.
 
 :func:`evolve_spectral` costs O(N log N) time and O(N) memory.  Its
 round-off grows about like ``1e-16 t`` (see its docstring for the
-measured figures).
+measured figures).  Its bits are not the same at every SIMD level
+numpy dispatches to, for any coin: the FFTs and the complex products
+round differently with wider vectors or FMA.  Its ``1e-15 t`` bound
+holds at every level.  Measured for the Hadamard walk at t = 10^5 from
+the left and the symmetric start (numpy 2.4), with X86_V4 and AVX-512
+off and with every dispatched feature off, against the native level:
+400 002 of the 400 004 nonzero float64 parts differed, by at most
+1.4e-13, where the bound is 1e-10.
 
 This module is the independent oracle for :mod:`qwalk.evolve`.
 """

@@ -138,12 +138,19 @@ def test_long_walks_step_no_subnormals():
 #: reach, ``steps[0]`` steps forward and then ``steps[1]`` back by the
 #: adjoint walk: a theta walk from a complex pair and its round trip, and
 #: a 5-row complex input on Line(offset=-3) at time 50 with both parity
-#: classes occupied.  A real coin gives each entry one rounded multiply or
-#: add, so the bytes hold at every SIMD level, and they hold for any window
-#: the kernel steps: entries past the live window are zeros.
+#: classes occupied, and a 6-row input there whose even class is real and
+#: whose odd class is complex, as it is and scaled by 2**-700: under a
+#: real coin each class picks its own arithmetic, the real parts alone for
+#: the even class and the float64 view for the odd one, at one shared
+#: scale.  A real coin gives each entry one rounded multiply or add, so
+#: the bytes hold at every SIMD level, and they hold for any window the
+#: kernel steps: entries past the live window are zeros.
 FIVE_ROWS = WaveFunction(Line(offset=-3), np.array([
     [0.5 + 0.1j, -0.2 + 0.3j], [0.1 - 0.4j, 0.3j], [-0.25, 0.2 + 0.2j],
     [0.15j, -0.1 - 0.35j], [0.3 + 0.05j, 0.0]]), 50)
+MIXED_ROWS = np.array([
+    [0.5, -0.2], [0.1 - 0.4j, 0.3j], [-0.25, 0.2], [0.15j, -0.1 - 0.35j],
+    [0.3, 0.45], [-0.05 + 0.2j, 0.1]])
 LINE_DIGESTS = [
     (theta_coin(0.9817), initial_state(np.array([0.36 + 0.48j, 0.64 - 0.48j])), (2000, 2000),
      ("9d314f9b0b8ce1c57b5a91e94e080be7490020d9addfdf78045b85dfbfe1981b",
@@ -154,11 +161,18 @@ LINE_DIGESTS = [
     (theta_coin(1.3), FIVE_ROWS, (777, 50),
      ("1fbc8e564dfbf820b314321af49fdd14f337ae5d9c26d74b173926e9fd890d38",
       "25cb9ee0ef42cd5ebaf9854062a6d98de1d427a9e0000f2df34028dd608477f2")),
+    (theta_coin(1.3), WaveFunction(Line(offset=-3), MIXED_ROWS, 50), (777, 50),
+     ("d324165ce248db6be44e81eeb7746a4388d40f4bc1e20a7b1ef96822619dfe82",
+      "a23fdbdc30d6b8ead365384808d89a0839e56b043d9defb06b017eceac90a9c6")),
+    (theta_coin(1.3), WaveFunction(Line(offset=-3), MIXED_ROWS * 2.0 ** -700, 50), (777, 50),
+     ("f62ef1f9e0a9c20a1109338e99f74b462fe989532bd41aa3869187e895303016",
+      "35dd1a71f8078f2a04ec675e7ac5a4c09c71184f0daaa62a02f5022224b8b92d")),
 ]
 
 
 @pytest.mark.parametrize("coin, psi, steps, digests", LINE_DIGESTS,
-                         ids=["theta-pair-round-trip", "hadamard-five-rows", "theta-five-rows"])
+                         ids=["theta-pair-round-trip", "hadamard-five-rows", "theta-five-rows",
+                              "theta-mixed-classes", "theta-mixed-classes-tiny"])
 def test_line_walk_bytes_are_pinned(coin, psi, steps, digests):
     forward = evolve_line(psi, coin, steps[0])
     back = evolve_line(forward, coin, steps[1], adjoint=True)

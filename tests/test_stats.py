@@ -448,19 +448,19 @@ def boundary_steps(b):
     return sorted({1, b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1, 3 * b} - {0})
 
 
-#: block lengths 2 (capped by n), 8, 16 (odd and even cycles), 64 and 16
-#: (the classical and the coined walk on n = 511), and 2 and 1 on an even
-#: cycle past the ring's budget, whose parity targets alternate across
-#: its one-step coined blocks: every block is a power of two, so no odd
-#: block other than 1 is left
+#: block lengths 3 and 2 (the classical and the coined walk, capped by
+#: n), 8, 16 (odd and even cycles), 18 and 16, 31 and 16, 64 and 16
+#: (n = 511), and 3 and 1 on an even cycle past the ring's budget, whose
+#: parity targets alternate across its one-step coined blocks: a coined
+#: block is a power of two, and the classical blocks cover odd lengths too
 BLOCK_CYCLES = pytest.mark.parametrize("n", [3, 31, 64, 72, 127, 511, 8194])
 
 
 def test_block_lengths_of_the_boundary_cycles():
     lengths = {n: (block_length(n, None), block_length(n, hadamard_coin()))
                for n in (3, 31, 64, 72, 127, 511, 2047, 8193, 8194)}
-    assert lengths == {3: (2, 2), 31: (8, 8), 64: (16, 16), 72: (16, 16), 127: (16, 16),
-                       511: (64, 16), 2047: (16, 4), 8193: (2, 1), 8194: (2, 1)}
+    assert lengths == {3: (3, 2), 31: (8, 8), 64: (16, 16), 72: (18, 16), 127: (31, 16),
+                       511: (64, 16), 2047: (16, 4), 8193: (3, 1), 8194: (3, 1)}
 
 
 @BLOCK_CYCLES
