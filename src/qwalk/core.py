@@ -273,6 +273,9 @@ class CoinOperator:
     matrix: NDArray[np.complex128]
 
     def __post_init__(self):
+        # numbers only: numpy would parse "1" as 1, and "h" is no coin
+        if np.asarray(self.matrix).dtype.kind not in "biufc":
+            raise DomainError("coin matrix entries must be numbers")
         m = _freeze(self.matrix, np.complex128)
         if m.shape != (2, 2):
             raise DomainError("coin matrix must be 2x2")

@@ -17,7 +17,7 @@ block carries B wrapped sites per side, and each step writes the next
 slot over a window one site shorter per side, so no step copies a
 ghost column: a coined step is the six vector operations
 of :func:`_step`, and a block adds two slice copies.  Memory is O(n): B
-is chosen so that the ring stays within 2**15 float64 entries, 256 KiB,
+is chosen by the bytes a slot holds, so that B slots stay within 256 KiB,
 and past that size a block is one step.  The kernel yields each block's
 rows, and :func:`_circle_masses` squares them into the site masses that
 the scans of :mod:`qwalk.stats` reduce once per block, without building
@@ -407,19 +407,18 @@ def _ring_blocks(rows, coin, steps):
     backward one when the second block starts, so a scan that ends
     within its first block never cuts them.
 
-    ``B`` is ``min(n, max(8, n // 4), 2**15 // (f n))``, and at least
-    1, with ``f`` the float64 entries of one site in one slot of a
-    complex ring: 1 classical and 4 coined, also for real rows, which
-    so keep the complex ring's blocks and flushes in half its memory.
-    A coined ``B`` is then rounded down to a power of two.  So ``B n f
-    <= 2**15`` and the ring stays within 256 KiB; past ``n = 2**15 /
-    f`` a block is one step.  A coined block is at most 32 steps, a
-    divisor of the flush period: ``max(8, n // 4)`` stays below 64 up
-    to n = 255, and past that ``2**15 // (4 n)`` is at most 32.  The
-    classical walk is never flushed, so its block need divide nothing;
-    it is at most 90 steps, at n = 360 to 364, where ``n // 4`` meets
-    ``2**15 // n``.  From n = 32 on ``B <= n / 4``, so the windows of a
-    block add at most a quarter of n to its average step.
+    One rule sizes every block by the bytes a slot holds, ``8 f n``,
+    ``f`` the float64 entries of one site: 1 classical, 2 for real
+    coined rows and 4 for complex ones.  ``B`` is ``min(n, max(8, n //
+    4), 2**15 // (f n))``, and at least 1, so ``B n f <= 2**15`` and
+    the B slots of a block stay within 256 KiB; past ``n = 2**15 / f``
+    a block is one step.  A coined ``B`` is then the largest power of
+    two not above ``min(B, 32)``, so it divides the flush period (the
+    cap binds only on real rows at n = 256, where both terms are 64).
+    The classical walk is never flushed, so its block need divide
+    nothing; it is at most 90 steps, at n = 360 to 364, where ``n // 4``
+    meets ``2**15 // n``.  From n = 32 on ``B <= n / 4``, so the windows
+    of a block add at most a quarter of n to its average step.
 
     The first slot is scaled in place by ``2**shift`` as
     :func:`_unit_scale` says for ``rows``, and every block is at that
@@ -437,9 +436,9 @@ def _ring_blocks(rows, coin, steps):
     them are subnormal (44 to 66 at n = 8191, t = 3000 to 6000).
     """
     c, n = rows.shape
-    b = max(1, min(n, max(8, n // 4), _RING_FLOATS // (n if coin is None else 4 * n)))
+    b = max(1, min(n, max(8, n // 4), _RING_FLOATS * 8 // rows.nbytes))
     if coin is not None:  # a power of two, which divides the flush period
-        b = 1 << (b.bit_length() - 1)
+        b = 1 << (min(b, _FLUSH_EVERY).bit_length() - 1)
     width = n + 2 * b
     ring = np.zeros((b + 1, c, width), dtype=rows.dtype)
     ring[0, :, b:b + n] = rows
@@ -519,9 +518,10 @@ def _circle_masses(topology, coin, init, steps):
     With a real coin, a real start steps its real parts alone, and so
     does a mirror start (see the module docstring) if the coin's entries
     pair exactly: the masses of its real walk, ``m(x)``, then become
-    ``m(x) + m(-x mod n)`` in place, before the scale is undone, as the
-    complex walk's squares are summed.  Every other start, and every
-    complex coin, steps the complex rows.
+    ``M(x) = m(x) + m(-x mod n)`` in place on sites 0 .. n // 2, as the
+    complex walk's squares are summed, and copied to ``M(n - x)``, the
+    same bits since an add commutes, before the scale is undone.  Every
+    other start, and every complex coin, steps the complex rows.
     """
     # what the walk holds at site 0: a unit mass, or the chirality pair
     mirror, pair = False, np.ones(1) if coin is None else chirality_pair(init)
@@ -534,13 +534,15 @@ def _circle_masses(topology, coin, init, steps):
                   and re_l == im_r and re_r == im_l and 0 in (re_l, re_r))
         if mirror or not np.any(pair.imag):
             pair = pair.real
-    rows = np.zeros((len(pair), topology.size), dtype=pair.dtype)
+    h = (n := topology.size) // 2
+    rows = np.zeros((len(pair), n), dtype=pair.dtype)
     rows[:, 0] = pair
     for block, shift in _ring_blocks(rows, coin, steps):
         masses = block[:, 0] if coin is None else _row_masses(block)
-        if mirror:  # m(x) + m(-x mod n); a ufunc buffers the overlapping operand
-            masses[:, 1:] += masses[:, :0:-1]
+        if mirror:  # m(x) + m(-x mod n) on sites 0 .. h, then its mirror image
+            masses[:, 1:h + 1] += masses[:, n - 1:n - h - 1:-1]
             masses[:, 0] += masses[:, 0]
+            masses[:, h + 1:] = masses[:, n - h - 1:0:-1]
         if shift:  # a unit mass is never scaled, so this is a coined walk
             np.ldexp(masses, -2 * shift, out=masses)
         yield masses

@@ -231,7 +231,7 @@ def test_mix_classical_flag(capsys):
     assert "coin" not in payload["config"] and "init" not in payload["config"]
 
 
-#: sha256 of stdout and of stderr of four ``mix`` runs.  The first three
+#: sha256 of stdout and of stderr of six ``mix`` runs.  The first three
 #: were taken from the per-step circle kernels: the block kernel must not
 #: change an output byte.  The fourth, a theta coin from the left start,
 #: has masses that are not mirror-symmetric, so a ring that mirrors the
@@ -240,6 +240,9 @@ def test_mix_classical_flag(capsys):
 #: w11 swapped: for the Hadamard and theta coins that is the same coin or
 #: the coin conjugated by diag(1, -1) up to sign, with the same masses from
 #: every named start.  The line pins see both, through the same step.
+#: The last two were taken with the real walk of a symmetric start in the
+#: blocks of a complex ring: the real ring's longer blocks, on n = 511 and
+#: 2047, and its mirror fold must not change an output byte either.
 MIX_DIGESTS = [
     (["--topology", "circle:127", "--classical", "--delta", "0.4446"],
      "142035be9e15455ce494a5a7254656bf2b88fe52bc17a39ea5dc2fe03510f197",
@@ -254,12 +257,18 @@ MIX_DIGESTS = [
     (["--topology", "circle:127", "--coin", "1.2", "--init", "left", "--delta", "0.4446"],
      "3d211d0da0bb43f3df62155ee727c846b3fba1d61f9a08aa0fa6c14fb1c08f46",
      "f07f1cc76a6bac2b7aad321cfa052dcbc95d4e025847fb3835fe7c142b007bfe"),
+    (["--topology", "circle:511", "--init", "symmetric", "--delta", "0.4446"],
+     "0364b857811128810780b665f21e435d14f867c82e44cc7ff5f22bbf94aa4f13",
+     "487b775a506914300c72f26fe53085ee53586c501a3c076b6a9f0a026e384a6a"),
+    (["--topology", "circle:2047", "--init", "symmetric", "--delta", "0.4446"],
+     "fe6c6b8b6014a348a85518baa92d42e5d6668d8ac8b9342df92465071d5ab3f2",
+     "988089feb87fed5ec6a7785d69a4811b6cd91a4b6b3c7d5b7b9a25e5011d80dd"),
 ]
 
 
 @pytest.mark.parametrize("args, out_digest, err_digest", MIX_DIGESTS,
                          ids=["classical-127", "classical-64", "quantum-127-json",
-                              "theta-left-127"])
+                              "theta-left-127", "quantum-511", "quantum-2047"])
 def test_mix_output_bytes_are_pinned(args, out_digest, err_digest, capsys):
     code, out, err = run_cli(["mix", *args], capsys)
     assert code == 0

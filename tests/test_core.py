@@ -79,6 +79,22 @@ def test_coin_operator_rejects_non_unitary():
         CoinOperator(np.array([[1e200, 0], [0, 1]]))
 
 
+@pytest.mark.parametrize("matrix", [[["1", "0"], ["0", "1"]], "h", None],
+                         ids=["strings", "name", "none"])
+def test_coin_operator_rejects_what_is_not_a_number(matrix):
+    # numpy would parse the strings as the identity
+    with pytest.raises(DomainError, match="coin matrix entries must be numbers"):
+        CoinOperator(matrix)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[True, False], [False, True]], [[0, 1], [1, 0]], np.eye(2, dtype=np.uint8),
+    np.eye(2, dtype=np.float32), [[1, 0], [0, 1j]], np.eye(2, dtype=np.complex64)],
+    ids=["bool", "int", "uint", "float32", "complex", "complex64"])
+def test_coin_operator_takes_every_numeric_dtype(matrix):
+    assert np.array_equal(CoinOperator(matrix).matrix, matrix)
+
+
 def test_coin_operator_rejects_nan():
     with pytest.raises(DomainError, match="coin matrix must be unitary"):
         CoinOperator(np.full((2, 2), np.nan))

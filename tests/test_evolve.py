@@ -508,11 +508,14 @@ def test_spectral_matches_recurrence_on_line_and_circle(coin, pair, n, data):
         assert np.max(np.abs(spectral.amplitudes - exact.amplitudes)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [3, 8, 64, 248, 255, 256, 257, 264, 511, 2047])
-def test_coined_ring_blocks_are_at_most_32_steps(n):
-    # a block is the largest power of two not above a minimum that stays
-    # below 64: max(8, n // 4) reaches 64 only from n = 256, where
-    # 2**15 // (4 n) <= 32.  So a coined block divides the flush period of
-    # 32 steps, and the ring flushes at the line's steps
+@pytest.mark.parametrize("n, real", [
+    pytest.param(n, real, id=f"real-{n}" if real else str(n))
+    for real in (False, True) for n in (3, 8, 64, 248, 255, 256, 257, 264, 511, 2047)])
+def test_coined_ring_blocks_are_at_most_32_steps(n, real):
+    # a coined block is the largest power of two not above 32 and the
+    # budget's bound, so it divides the flush period and the ring flushes
+    # at the line's steps.  Real rows need the cap: at n = 256 both
+    # max(8, n // 4) and 2**15 // (2 n) are 64
     rows = initial_state("left", Circle(n)).amplitudes.T
+    rows = rows.real if real else rows
     assert 32 % len(next(_ring_blocks(rows, hadamard_coin(), 64))[0]) == 0

@@ -1,5 +1,6 @@
 """Moments, interval masses, TV distances, mixing and the classical walk."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -268,6 +269,21 @@ def test_mixing_time_trace_memory():
     assert not rep.tv_trace.flags.writeable
 
 
+def test_real_ring_scan_memory():
+    # the symmetric Hadamard scan on Circle(2047) steps the real walk in
+    # 8-step blocks; the ring, each block's masses and the trace peaked at
+    # 0.92 MB, against 0.59 MB with the 4-step blocks of complex rows
+    spec = WalkSpec(Circle(2047), hadamard_coin(), "symmetric")
+    tracemalloc.start()
+    try:
+        rep = mixing_time(spec, 0.4446, t_cap=10 * 2047)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.time == 1914
+    assert peak < 1.2e6
+
+
 @pytest.mark.parametrize("topology, coin, init", [
     (Line(), hadamard_coin(), "left"),
     (Circle(5), None, "left"),
@@ -409,7 +425,9 @@ BORDERLINE_START = np.array([0.5 + 0.5j, 0.5 + 0.5j]) * (1 - 4e-13)
 
 @pytest.mark.parametrize("n, init", [
     # the symmetric cases keep the ids they had before init was a parameter
-    *[pytest.param(n, "symmetric", id=str(n)) for n in (31, 64)],
+    # 3 and 4 are the smallest odd and even cycles of the mirror fold,
+    # which sums sites 0 .. n // 2 and copies the rest
+    *[pytest.param(n, "symmetric", id=str(n)) for n in (3, 4, 31, 64)],
     *[pytest.param(n, BORDERLINE_START, id=f"borderline-{n}") for n in (9, 64, 127)],
 ])
 @SCAN_COINS
@@ -428,9 +446,22 @@ def test_scan_masses_are_the_distribution_bit_for_bit(n, init, coin):
     assert abs(cesaro_average(spec, 2 * n).masses.sum() - 1) < 1e-12
 
 
-def block_length(n, coin):
-    """The steps per block of the ring on ``Circle(n)``, read off its first block."""
-    rows = np.zeros((1, n)) if coin is None else np.zeros((2, n), dtype=np.complex128)
+def test_theta_cesaro_average_bytes_are_pinned():
+    # taken when the real ring on Circle(511) stepped 16-step blocks and
+    # its mirror fold summed the whole cycle: 32-step blocks and a fold
+    # over half the cycle must not change a byte
+    avg = cesaro_average(WalkSpec(Circle(511), theta_coin(1.3), "symmetric"), 4088)
+    assert hashlib.sha256(avg.masses.tobytes()).hexdigest() == (
+        "d518fd455520f73df1fd2920b017ff781f641c554e1a2808d2d9a12144cc907b")
+
+
+def block_length(n, coin, dtype=np.complex128):
+    """The steps per block of the ring on ``Circle(n)``, read off its first block.
+
+    A coined ring holds rows of ``dtype``: complex, or float64 for the
+    real walk that a real coin's scans step from a real or mirror start.
+    """
+    rows = np.zeros((1, n)) if coin is None else np.zeros((2, n), dtype=dtype)
     return len(next(_ring_blocks(rows, coin, 10**4))[0])
 
 
@@ -463,6 +494,16 @@ def test_block_lengths_of_the_boundary_cycles():
                        511: (64, 16), 2047: (16, 4), 8193: (3, 1), 8194: (3, 1)}
 
 
+def test_block_lengths_of_real_rows():
+    # a real row holds half the bytes of a complex one, so where the ring's
+    # 256 KiB budget binds its blocks take twice the steps, up to the flush
+    # period of 32: uncapped, n = 256 would take 64-step blocks
+    lengths = {n: block_length(n, hadamard_coin(), np.float64)
+               for n in (127, 256, 300, 511, 1023, 2047, 4095, 8191, 16383)}
+    assert lengths == {127: 16, 256: 32, 300: 32, 511: 32, 1023: 16, 2047: 8, 4095: 4,
+                       8191: 2, 16383: 1}
+
+
 @BLOCK_CYCLES
 @SCAN_COINS
 def test_circle_walk_is_stepwise_across_block_boundaries(n, coin):
@@ -490,7 +531,8 @@ def test_classical_walk_is_stepwise_across_block_boundaries(n):
 def test_scans_are_stepwise_across_block_boundaries(n, coin):
     # traces and Cesaro sums cut short of, on and past a block's end
     spec = WalkSpec(Circle(n), coin, None if coin is None else "symmetric")
-    b = block_length(n, coin)
+    # the Hadamard scan from the symmetric start steps the real walk alone
+    b = block_length(n, coin, np.complex128 if coin is COMPLEX_COIN else np.float64)
     if coin is None:
         masses = list(classical_steps(n, 3 * b + 1))
     else:
