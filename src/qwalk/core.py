@@ -139,8 +139,25 @@ def _sites(topology: Topology, count: int) -> NDArray[np.int64]:
     return np.arange(start, start + count)
 
 
-def _freeze(a, dtype) -> np.ndarray:
-    """A read-only C-contiguous copy of ``a`` as ``dtype``, with every -0.0 made +0.0.
+def _numbers(a, dtype, what: str) -> np.ndarray:
+    """A new C-contiguous ``dtype`` array of ``a``, or :class:`DomainError` if ``a`` is not numbers.
+
+    Numbers are what numpy reads as a bool, integer, float or complex
+    array, so a string is refused even where numpy would parse it ("1"
+    as 1), and so is a dict, None, or a ragged or malformed list, for
+    which numpy raises its own ValueError or TypeError.  The error reads
+    ``what`` followed by "must be numbers".
+    """
+    try:
+        if (a := np.asarray(a)).dtype.kind in "biufc":
+            return np.array(a, dtype=dtype, order="C")
+    except (ValueError, TypeError):
+        pass
+    raise DomainError(f"{what} must be numbers")
+
+
+def _freeze(a, dtype, what: str) -> np.ndarray:
+    """A read-only :func:`_numbers` copy of ``a`` as ``dtype``, with every -0.0 made +0.0.
 
     The copy is what the value objects hold: the caller's array stays
     writeable, and writing to it later does not change the object.
@@ -149,7 +166,7 @@ def _freeze(a, dtype) -> np.ndarray:
     needs a fix-up of its own for the zeros it leaves, and a printed
     value never reads ``-0``.
     """
-    a = np.array(a, dtype=dtype, order="C")
+    a = _numbers(a, dtype, what)
     a += 0.0  # in place: np.add would return a scalar for 0-d input
     a.flags.writeable = False
     return a
@@ -188,9 +205,9 @@ class WaveFunction:
     ``amplitudes`` has shape ``(n_sites, 2)`` with columns (L, R).
     On the line, entry ``j`` lives at site ``topology.offset + j``; on
     the circle, entry ``j`` lives at site ``j``, and there are exactly
-    ``topology.size`` rows.  The amplitudes must be finite and ``time``
-    an integer of at least 0 (a float such as 2.5 is refused, whatever
-    its value).  The object holds a read-only copy of the amplitudes in
+    ``topology.size`` rows.  The amplitudes must be finite numbers
+    (:func:`_numbers`) and ``time`` an integer of at least 0 (a float
+    such as 2.5 is refused, whatever its value).  The object holds a read-only copy of the amplitudes in
     which every -0.0 real or imaginary part is +0.0 (:func:`_freeze`).
     It compares and hashes by identity.
     """
@@ -200,7 +217,7 @@ class WaveFunction:
     time: int = 0
 
     def __post_init__(self):
-        amps = _freeze(self.amplitudes, np.complex128)
+        amps = _freeze(self.amplitudes, np.complex128, "amplitudes")
         if amps.ndim != 2 or amps.shape[1] != 2:
             raise DomainError(f"amplitudes must have shape (n, 2), got {amps.shape}")
         if not np.all(np.isfinite(amps.view(np.float64))):
@@ -236,7 +253,7 @@ class ProbabilityDistribution:
     time: int
 
     def __post_init__(self):
-        masses = _freeze(self.masses, np.float64)
+        masses = _freeze(self.masses, np.float64, "masses")
         if masses.ndim != 1 or not np.all(np.isfinite(masses)):
             raise DomainError("masses must be a 1-D array of finite numbers")
         _check_sites_and_time(self, len(masses))
@@ -273,10 +290,7 @@ class CoinOperator:
     matrix: NDArray[np.complex128]
 
     def __post_init__(self):
-        # numbers only: numpy would parse "1" as 1, and "h" is no coin
-        if np.asarray(self.matrix).dtype.kind not in "biufc":
-            raise DomainError("coin matrix entries must be numbers")
-        m = _freeze(self.matrix, np.complex128)
+        m = _freeze(self.matrix, np.complex128, "coin matrix entries")
         if m.shape != (2, 2):
             raise DomainError("coin matrix must be 2x2")
         # written so that a NaN entry fails it too
@@ -322,8 +336,8 @@ def chirality_pair(chirality: str | NDArray[np.complex128]) -> NDArray[np.comple
         every coin with ``arg u00 = arg u01`` (the Hadamard coin and
         every :func:`theta_coin`), bit for bit what
         :func:`qwalk.symmetry.symmetric_initial` returns for them; any
-        other coin takes ``symmetric_initial(coin)``.  An explicit
-        length-2 complex pair must have unit norm.
+        other coin takes ``symmetric_initial(coin)``.  An explicit pair
+        must be two numbers (:func:`_numbers`) of unit norm.
     """
     if isinstance(chirality, str):
         try:
@@ -334,7 +348,7 @@ def chirality_pair(chirality: str | NDArray[np.complex128]) -> NDArray[np.comple
             }[chirality]
         except KeyError:
             raise DomainError(f"unknown chirality {chirality!r}") from None
-    pair = np.asarray(chirality, dtype=np.complex128)
+    pair = _numbers(chirality, np.complex128, "custom chirality entries")
     if pair.shape != (2,):
         raise DomainError("custom chirality must be a length-2 pair")
     with np.errstate(over="ignore"):  # a huge entry gives inf, refused below

@@ -50,18 +50,20 @@ they are ``distribution()``'s bit for bit, because the reflection only
 flips signs and swaps summands.  Entries that pair only to the last
 bit, as those of a QR-drawn orthogonal coin often do, do not pair.
 
-The same bits at every SIMD level numpy dispatches to: the recurrence
-of a real coin, on the line and on the ring, whose bits both come from
-:func:`_step`, and the mirrored masses, since each float64 entry takes
-one rounded multiply or add at every level.  Not the same: the
-recurrence of a complex coin, because numpy's complex multiply fuses
-the multiply-add at the levels that have FMA, so its last bits can
-differ between CPUs.  Measured under two complex coins with every
-dispatched feature off against the native level (numpy 2.4), the line
-walk to t = 4000 from a left start differed in 12 056 of 32 004
-float64 parts, by at most 4.9e-16, and the ``Circle(127)`` TV trace
-by at most 1.0e-15.  The fold rule above compares the two kernels of
-one run, so it holds at every level for every coin.
+Each kernel steps rows in their own dtype, with the coin's entries
+typed to match (:func:`_coin_entries`): float64 rows in real
+arithmetic, complex rows in complex arithmetic, and only the line also
+steps the float64 view of complex rows under a real coin.  A real
+coin's entries have an imaginary part of exactly 0, so each part of a
+complex product rounds once, and complex rows keep the real walk's
+bits, up to the sign of an exact zero.  So the recurrence of a real
+coin and the mirrored masses have the same bits at every SIMD level
+numpy dispatches to: each float64 part takes one rounded multiply or
+add at every level.  A complex coin's recurrence does not, because
+numpy's complex multiply fuses the multiply-add at the levels that
+have FMA, so its last bits can differ between CPUs (CHANGES.md records
+by how much).  The fold rule above compares the two kernels of one
+run, so it holds at every level for every coin.
 
 Both kernels follow one underflow policy.  Far outside the cone the
 amplitudes decay exponentially, and float64 arithmetic on the
@@ -171,16 +173,12 @@ def evolve_line(
     with the first.  If the input's largest part lies below 1/2, the
     class rows are scaled up in place by a power of two as they are
     loaded, and the result is scaled back in place: the module docstring
-    states the policy and its bound.  On the Hadamard walk to t = 4000
-    and on theta-coin round trips to t = 2000, every entry above 1e-150
-    came out bit for bit as without the flush.
+    states the policy and its bound.
 
     The rounding error grows about as ``t**(2/3)``: from the left start,
     every amplitude of the Hadamard walk lies within ``eps t**(2/3)``,
     ``eps = 2**-52``, of the exact walk in integers (``tests/exact.py``),
-    which the tests check at t = 100, 500, 1000 and 2000.  The largest
-    errors there are 3.0e-15, 8.9e-15, 1.45e-14 and 2.26e-14, 0.63 to
-    0.65 of the bound.
+    which the tests check at t = 100, 500, 1000 and 2000.
     """
     if not isinstance(psi.topology, Line):
         raise DomainError("evolve_line needs line topology")
@@ -228,18 +226,17 @@ def _unit_scale(parts):
     return shift, _FLUSH_FLOOR * np.ldexp(big, shift)
 
 
-def _coin_entries(matrix):
-    """``(real, (w00, w01, w10, w11))`` of a 2x2 coin matrix, for the step kernels.
+def _coin_entries(matrix, dtype):
+    """``(w00, w01, w10, w11)`` of a 2x2 coin matrix, typed for the rows they step.
 
-    ``real`` says that no entry has a nonzero imaginary part; the four
-    entries are then those of the real part, which steps the float64
-    view.  They are 0-d arrays of the matrix's (or its real part's)
-    dtype: a ufunc converts a numpy scalar operand to an array anew on
-    every call, and on windows of a few thousand entries that
-    conversion is a measurable share of the step.
+    ``dtype`` is that of the rows: float64 rows take the real parts, so
+    a kernel steps them only under a real coin (no entry with a nonzero
+    imaginary part), and complex rows take the entries as they are.
+    Each is a 0-d array: a ufunc converts a numpy scalar operand to an
+    array anew on every call, and on windows of a few thousand entries
+    that conversion is a measurable share of the step.
     """
-    real = not np.any(matrix.imag)
-    return real, tuple(map(np.array, (matrix.real if real else matrix).ravel()))
+    return tuple(map(np.array, (matrix.real if dtype == np.float64 else matrix).ravel()))
 
 
 def _flush(parts, floor, scratch):
@@ -316,7 +313,7 @@ def _mix_steps(a_in, b_in, mix, steps, first, shift, floor):
     states the bound), and :func:`_step` steps the period's plans with
     the entries of ``mix``.
     """
-    real, entries = _coin_entries(mix)
+    real = not np.any(mix.imag)
     # a real coin never mixes real and imaginary parts: with no
     # imaginary input there is nothing to step but the real parts
     if real and not (np.any(a_in.imag) or np.any(b_in.imag)):
@@ -327,6 +324,7 @@ def _mix_steps(a_in, b_in, mix, steps, first, shift, floor):
     work[1, steps:steps + n] = b_in
     np.ldexp(parts := work.view(np.float64), shift, out=parts)
     rows = parts if real else work
+    entries = _coin_entries(mix, rows.dtype)
     f = rows.shape[1] // work.shape[1]  # view entries per class entry
     a, b, t1, t2 = rows
     for start in range(first, first + steps, _FLUSH_EVERY):
@@ -348,17 +346,16 @@ def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunc
 
     For ``steps < floor(n/2)`` the result is the line evolution folded
     mod n (the wrapped-around unbounded-line wavefunction), bit for bit
-    by the module docstring's fold rule.  The
-    steps run in the halo-block ring of :func:`_ring_blocks`, and the
-    result is the last row of its last block: memory is O(n), and a
-    step is one :func:`_step` over a window of n to n + 2B - 2 sites,
-    with no intermediate wavefunction.  A real coin matrix runs on the
-    float64 view, and on input with no nonzero imaginary part the ring
-    steps the real parts alone, handed over as a view of the input, at
-    half the work; the imaginary parts of that result are +0.0.  The
-    last row is at the scale of the ring's first slot, and is scaled
-    back in place by the shift the ring yields with it: the input is
-    not copied.
+    by the module docstring's fold rule.  The steps run in the
+    halo-block ring of :func:`_ring_blocks`, and the result is the last
+    row of its last block: memory is O(n), and a step is one
+    :func:`_step` over a window of n to n + 2B - 2 sites, with no
+    intermediate wavefunction.  Under a real coin, input with no nonzero
+    imaginary part steps its real parts alone, a view of the input, at
+    half the work, and the result's imaginary parts are +0.0; any other
+    input steps its complex rows, with the real walk's bits under a real
+    coin (see the module docstring).  The last row is scaled back in
+    place by the shift the ring yields with it: the input is not copied.
     """
     if not isinstance(psi.topology, Circle):
         raise DomainError("evolve_circle needs circle topology")
@@ -384,11 +381,13 @@ def _ring_blocks(rows, coin, steps):
     rows of the coined walk, complex, or float64 with a real coin (the
     real walk alone), or with ``coin=None`` the ``(1, n)`` masses of
     the symmetric random walk, ``d'(x) = (d(x-1) + d(x+1)) / 2``.  The
-    ring takes the dtype of ``rows``.  Each yield is ``(block, shift)``:
-    ``block`` is the ``(m, c, n)`` view of the walk after the next ``m``
-    steps, in time order (``m = B`` but in the last block), times
-    ``2**shift``; the next block overwrites it, so copy what must
-    outlive the block.
+    ring steps in the dtype of ``rows``: float64 rows in real arithmetic,
+    complex rows in complex arithmetic for every coin, which under a
+    real coin keeps the real walk's bits (see the module docstring).
+    Each yield is ``(block, shift)``: ``block`` is the ``(m, c, n)`` view
+    of the walk after the next ``m`` steps, in time order (``m = B`` but
+    in the last block), times ``2**shift``; the next block overwrites
+    it, so copy what must outlive the block.
 
     The ring holds ``B + 1`` slots of ``n + 2B`` sites.  A block starts
     from a slot whose sites ``B..B+n-1`` hold the walk and whose ``B``
@@ -398,14 +397,14 @@ def _ring_blocks(rows, coin, steps):
     copies a ghost column.  After ``B`` steps the core ``B..B+n-1`` is
     exact, and the next block runs the ring backwards from that slot:
     two slice copies refresh its halo, and the core is never copied.
-    A classical step is two vector operations, ``(d(x-1) + d(x+1)) *
-    0.5``, and a coined one is :func:`_step` on the plan of its window,
-    with two scratch rows, so every row is the per-step recurrence's row
-    bit for bit; a real coin matrix runs on the float64 view of a
-    complex ring (two view entries per site), or on real rows as they
-    are.  The views of each ring direction are cut once, the
-    backward one when the second block starts, so a scan that ends
-    within its first block never cuts them.
+    Each step's plan is cut from one window triple, ``left``, ``right``
+    and ``new``: a classical step is two vector operations,
+    ``(d(x-1) + d(x+1)) * 0.5``, and a coined one is :func:`_step` on
+    the plan of its window, with two scratch rows, so every row is the
+    per-step recurrence's row bit for bit.  The views of both ring
+    directions are cut once, before the first block: the backward
+    direction's plans number ``min(B, steps - B)``, so a walk of one
+    block cuts none of them.
 
     One rule sizes every block by the bytes a slot holds, ``8 f n``,
     ``f`` the float64 entries of one site: 1 classical, 2 for real
@@ -433,7 +432,7 @@ def _ring_blocks(rows, coin, steps):
     steps, which are the line's flush steps, on the core of the slot
     the block starts from (see the module docstring).  The classical
     walk is not: its nonnegative masses never cancel, and only a few of
-    them are subnormal (44 to 66 at n = 8191, t = 3000 to 6000).
+    them are subnormal (CHANGES.md records a count).
     """
     c, n = rows.shape
     b = max(1, min(n, max(8, n // 4), _RING_FLOATS * 8 // rows.nbytes))
@@ -444,43 +443,34 @@ def _ring_blocks(rows, coin, steps):
     ring[0, :, b:b + n] = rows
     shift, floor = _unit_scale(slot := ring[0].view(np.float64))
     np.ldexp(slot, shift, out=slot)
-    views, k = ring, 1  # view entries per site
     if coin is None:
         half = np.array(0.5)
     else:
-        real, entries = _coin_entries(coin.matrix)
-        if real and ring.dtype == np.complex128:
-            views, k = ring.view(np.float64), 2
+        entries = _coin_entries(coin.matrix, ring.dtype)
         # the scratch rows of a coined step, the first also of the flush
-        tmp = np.empty((2, k * (width - 2)), dtype=views.dtype)
+        tmp = np.empty((2, width - 2), dtype=ring.dtype)
 
     def face(sign, count):
         # the views of one ring direction, cut once, not every step
-        slots = views[::sign]
+        slots = ring[::sign]
         first = slots[0]  # the last b core sites wrap left, the first b right
-        halo = ((first[:, :k * b], first[:, k * n:k * (n + b)]),
-                (first[:, k * (n + b):], first[:, k * b:2 * k * b]))
+        halo = ((first[:, :b], first[:, n:n + b]), (first[:, n + b:], first[:, b:2 * b]))
         plans = []
         for j in range(count):
             # the window of step j: sites j .. n+2b-j-1 in, j+1 .. n+2b-j-2 out
-            w, lo, mid, hi = k * (width - 2 * j - 2), k * j, k * (j + 1), k * (j + 2)
-            if coin is None:
-                (d,), (new,) = slots[j], slots[j + 1]
-                plans.append((d[lo:lo + w], d[hi:hi + w], new[mid:mid + w]))
-            else:  # new L at x mixes site x + 1, new R at x site x - 1
-                (a, b_), (new_a, new_b) = slots[j], slots[j + 1]
-                plans.append((a[hi:hi + w], b_[hi:hi + w], new_a[mid:mid + w],
-                              a[lo:lo + w], b_[lo:lo + w], new_b[mid:mid + w],
-                              tmp[0, :w], tmp[1, :w]))
-        return halo, plans, ring[::sign][1:, :, b:b + n]
+            w = width - 2 * j - 2
+            left, right = slots[j, :, j:j + w], slots[j, :, j + 2:j + w + 2]
+            new = slots[j + 1, :, j + 1:j + w + 1]
+            # coined: new L at x mixes site x + 1, new R at x site x - 1
+            plans.append((*left, *right, *new) if coin is None
+                         else (*right, new[0], *left, new[1], *tmp[:, :w]))
+        return halo, plans, slots[1:, :, b:b + n]
 
     # blocks alternate between the forward and the backward direction, so
     # each starts from the slot the one before it ended on
-    faces = [face(1, min(b, steps))]
+    faces = face(1, min(b, steps)), face(-1, min(b, steps - b))
     multiply, add = np.multiply, np.add
     for start in range(0, steps, b):
-        if start == b:  # the backward views, cut on first use
-            faces.append(face(-1, min(b, steps - b)))
         halo, plans, block = faces[start // b % 2]
         if coin is not None and start % _FLUSH_EVERY == 0:
             # the core of the slot the block starts from; its halo is copied below

@@ -98,25 +98,28 @@ class WalkSpec:
         if (self.coin is None) != (self.init is None):
             raise DomainError("a coin needs a start; the classical walk (coin=None) takes none")
         if self.coin is not None:
-            object.__setattr__(self, "init", _freeze(chirality_pair(self.init), np.complex128))
+            init = _freeze(chirality_pair(self.init), np.complex128, "init")
+            object.__setattr__(self, "init", init)
 
 
 @dataclass(frozen=True, eq=False)
 class MixingReport:
     """First crossing of a target TV distance, with the full trace.
 
-    The trace is held read-only: a trace that can be written is copied,
-    and one given read-only is held as it is, as :func:`mixing_time`
-    hands over its scan's, which a copy would double.  A report compares
-    and hashes by identity.
+    The trace is held read-only: a read-only float64 array is held as it
+    is, as :func:`mixing_time` hands over its scan's, which a copy would
+    double, and any other trace is copied as float64, or refused with
+    :class:`~qwalk.core.DomainError` if it is not numbers.  A report
+    compares and hashes by identity.
     """
 
     time: int | None
     tv_trace: NDArray[np.float64]
 
     def __post_init__(self):
-        if np.asarray(self.tv_trace).flags.writeable:
-            object.__setattr__(self, "tv_trace", _freeze(self.tv_trace, np.float64))
+        trace = self.tv_trace
+        if not isinstance(trace, np.ndarray) or trace.flags.writeable or trace.dtype != np.float64:
+            object.__setattr__(self, "tv_trace", _freeze(trace, np.float64, "tv_trace"))
 
 
 def _velocities(dist: ProbabilityDistribution) -> NDArray[np.float64]:

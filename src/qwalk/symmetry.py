@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import CoinOperator, DomainError, _unitarity_error
+from .core import CoinOperator, DomainError, _numbers, _unitarity_error
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -66,9 +66,10 @@ def verify_symmetrizer(
     both (a per-k sign flip would not be a single phase redefinition).
     ``max_residual`` is the largest entry of ``S^dag M_k S - sign
     M_{-k}`` over all k, the sum of the two coefficient residuals.  A
-    negative verdict is a valid result, not an error.
+    negative verdict is a valid result, not an error; a candidate that
+    is not a 2x2 unitary of numbers raises :class:`DomainError`.
     """
-    s = np.asarray(candidate, dtype=np.complex128)
+    s = _numbers(candidate, np.complex128, "candidate entries")
     # written so that a NaN entry fails it too
     if s.shape != (2, 2) or not _unitarity_error(s) <= 1e-13:
         raise DomainError("candidate must be a 2x2 unitary")

@@ -3,7 +3,8 @@
 Run as ``PYTHONPATH=src python tests/surface.py src/qwalk/*.py``.  It
 prints, for the net source size tracked across changes, the code lines
 (not blank, not only a comment, not part of a docstring) per module
-given and in total, then the CLI options summed over subcommands
+given and in total, beside them the docstring lines per module and in
+total, an informational count, then the CLI options summed over subcommands
 (without --help) and each subcommand's option names, the defaulted
 parameters of the public functions and the defaulted fields of the
 public dataclasses, each counted and then listed by name, the fields of
@@ -41,13 +42,25 @@ def code_lines(path) -> int:
     with open(path, "rb") as f:
         lines = {n for tok in tokenize.tokenize(f.readline) if tok.type not in _LAYOUT
                  for n in range(tok.start[0], tok.end[0] + 1)}
+    return len(lines - _docstring_lines(path))
+
+
+def doc_lines(path) -> int:
+    """The lines of the Python source ``path`` within a module, class or function docstring.
+
+    Informational: CI prints it beside :func:`code_lines`, and no test
+    bounds it.
+    """
+    return len(_docstring_lines(path))
+
+
+def _docstring_lines(path) -> set[int]:
+    """The numbers of the lines that the docstrings of the source ``path`` span."""
     with open(path, "rb") as f:
         tree = ast.parse(f.read())
-    for node in ast.walk(tree):
-        if isinstance(node, _SCOPES) and ast.get_docstring(node, clean=False) is not None:
-            doc = node.body[0]
-            lines -= set(range(doc.lineno, doc.end_lineno + 1))
-    return len(lines)
+    return {n for node in ast.walk(tree)
+            if isinstance(node, _SCOPES) and ast.get_docstring(node, clean=False) is not None
+            for n in range(node.body[0].lineno, node.body[0].end_lineno + 1)}
 
 
 def arguments() -> dict[str, list[tuple]]:
@@ -91,9 +104,11 @@ def public_names() -> list[str]:
 
 def main(paths) -> None:
     counts = [code_lines(path) for path in paths]
-    for path, count in zip(paths, counts):
-        print(f"{count:5d} code lines in {path}")
+    docs = [doc_lines(path) for path in paths]
+    for path, count, doc in zip(paths, counts, docs):
+        print(f"{count:5d} code lines, {doc:5d} docstring lines in {path}")
     print(f"{sum(counts)} code lines (not blank, comment or docstring)")
+    print(f"{sum(docs)} docstring lines (informational)")
     options = {name: sorted(o for strings, *_ in args for o in strings)
                for name, args in arguments().items()}
     print(f"{sum(map(len, options.values()))} CLI options "

@@ -276,7 +276,7 @@ def test_mix_output_bytes_are_pinned(args, out_digest, err_digest, capsys):
     assert hashlib.sha256(err.encode()).hexdigest() == err_digest
 
 
-#: sha256 of stdout of two wavefunction dumps (stderr is empty): they come
+#: sha256 of stdout of three wavefunction dumps (stderr is empty): they come
 #: from the recurrence alone, so they hold at every SIMD level, and a faster
 #: kernel or writer must not change an output byte
 SIMULATE_DIGESTS = [
@@ -284,11 +284,14 @@ SIMULATE_DIGESTS = [
      "4ff00e7901b37a02a82cc40eceb958c25f45787ccd90cc160d4f8d89abcebe5d"),
     (["--steps", "2000", "--coin", "1.2", "--init", "symmetric", "--format", "json"],
      "f6283797f5c3a43c2a1cc282be04533bc08c0f6c37b31e0403db03ae9a8772b9"),
+    # a complex ring under a real coin: complex arithmetic, the real walk's bits
+    (["--topology", "circle:127", "--coin", "1.2", "--init", "symmetric", "--steps", "300"],
+     "2daa99b4ad4128ac2c161c6f9187e2e816109914512ab54d81d56d1a2cebd88b"),
 ]
 
 
 @pytest.mark.parametrize("args, out_digest", SIMULATE_DIGESTS,
-                         ids=["hadamard-4000-csv", "theta-2000-json"])
+                         ids=["hadamard-4000-csv", "theta-2000-json", "theta-circle-127-symmetric"])
 def test_simulate_output_bytes_are_pinned(args, out_digest, capsys):
     code, out, err = run_cli(["simulate", *args], capsys)
     assert code == 0 and err == ""

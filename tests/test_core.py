@@ -26,6 +26,7 @@ from qwalk import (
     WaveFunction,
     cesaro_average,
     classical_walk,
+    density_moment,
     distribution,
     evolve_circle,
     evolve_line,
@@ -36,6 +37,7 @@ from qwalk import (
     p_asymptotic,
     theta_coin,
     tv_distance,
+    verify_symmetrizer,
 )
 from qwalk.core import _freeze, chirality_pair
 
@@ -79,12 +81,39 @@ def test_coin_operator_rejects_non_unitary():
         CoinOperator(np.array([[1e200, 0], [0, 1]]))
 
 
-@pytest.mark.parametrize("matrix", [[["1", "0"], ["0", "1"]], "h", None],
-                         ids=["strings", "name", "none"])
+@pytest.mark.parametrize("matrix", [[["1", "0"], ["0", "1"]], "h", None,
+                                    [["h", "0"], ["0", "1"]], [[1, 0], [1]], {"a": 1}],
+                         ids=["strings", "name", "none", "malformed", "ragged", "dict"])
 def test_coin_operator_rejects_what_is_not_a_number(matrix):
     # numpy would parse the strings as the identity
     with pytest.raises(DomainError, match="coin matrix entries must be numbers"):
         CoinOperator(matrix)
+
+
+#: each value object and check that converts a caller's array, with the
+#: numeric strings numpy would parse into a valid input for it
+NUMBER_TAKERS = {
+    "wavefunction": (lambda a: WaveFunction(Line(), a), [["1", "0"]]),
+    "distribution": (lambda a: ProbabilityDistribution(Line(), a, 0), ["1"]),
+    "mixing-report": (lambda a: MixingReport(None, a), ["0.5"]),
+    "chirality-pair": (chirality_pair, ["1", "0"]),
+    "initial-state": (initial_state, ["1", "0"]),
+    "walk-spec": (lambda a: WalkSpec(Circle(5), hadamard_coin(), a), ["1", "0"]),
+    "density-moment": (lambda a: density_moment(hadamard_coin(), a, "mean"), ["1", "0"]),
+    "symmetrizer": (lambda a: verify_symmetrizer(hadamard_coin(), a), [["0", "1"], ["1", "0"]]),
+}
+
+
+@pytest.mark.parametrize("taker", NUMBER_TAKERS)
+@pytest.mark.parametrize("kind", ["strings", "malformed", "ragged", "dict"])
+def test_every_array_taker_rejects_what_is_not_a_number(taker, kind):
+    # numpy would parse the numeric strings, raise its own ValueError on
+    # the malformed and ragged lists and TypeError on a dict
+    call, strings = NUMBER_TAKERS[taker]
+    given = {"strings": strings, "malformed": ["h", "0"], "ragged": [[1, 0], [1]],
+             "dict": {"a": 1}}[kind]
+    with pytest.raises(DomainError, match="must be numbers"):
+        call(given)
 
 
 @pytest.mark.parametrize("matrix", [
@@ -158,9 +187,9 @@ PARTS = np.array([-0.0, 0.0, 5e-324, -5e-324, -2.2e-308, 1e-310, -0.0, 1.0,
 @pytest.mark.parametrize("held, given", [
     (lambda a: WaveFunction(Line(), a).amplitudes, PARTS.view(np.complex128).reshape(4, 2)),
     (lambda a: ProbabilityDistribution(Line(), a, 0).masses, PARTS),
-    (lambda a: _freeze(a, np.float64), np.array(-0.0)),
-    (lambda a: _freeze(a, np.float64), np.array(-5e-324)),
-    (lambda a: _freeze(a, np.complex128), np.array(complex(-0.0, -0.0))),
+    (lambda a: _freeze(a, np.float64, "parts"), np.array(-0.0)),
+    (lambda a: _freeze(a, np.float64, "parts"), np.array(-5e-324)),
+    (lambda a: _freeze(a, np.complex128, "parts"), np.array(complex(-0.0, -0.0))),
 ], ids=["wavefunction", "distribution", "0-d", "0-d-subnormal", "0-d-complex"])
 def test_value_objects_hold_no_negative_zero(held, given):
     # bit patterns: each -0.0 part becomes +0.0, every other part is kept,
@@ -423,6 +452,9 @@ class Thing:
         )
 ''')
     assert surface.code_lines(source) == 9
+    # the informational count beside it: the module's, the class's and the
+    # method's docstring lines, and not the string expression's
+    assert surface.doc_lines(source) == 5
 
 
 def test_public_names_are_pinned():
