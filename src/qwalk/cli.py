@@ -42,12 +42,14 @@ takes it.  Either way the error is one ``error:`` line on stderr,
 argparse's own included.
 
 A file ``--output`` is opened as the shell's ``>`` opens it, created or
-truncated, once the command line is parsed and before the command runs,
-and it is held open while the command runs: an unwritable target exits
-2 before any work.  A command line that does not parse leaves the
-target as it was; a command that fails after the open (exit 2 or 3)
-leaves it empty, and a write that fails part way leaves what was
-written.  Integer values (``--steps``, ``--t-cap``, the N of
+truncated, once: after the command line is parsed and before the
+command runs, and standard output points at it while the command runs,
+so the writer only ever writes to standard output.  An unwritable
+target, or a closed standard output for ``-``, exits 2 with one line
+before any work.  A command line that does not parse leaves the target
+as it was; a command that fails after the open (exit 2 or 3) leaves it
+empty, and a write that fails part way leaves what was written.
+Integer values (``--steps``, ``--t-cap``, the N of
 ``circle:N``) are read by Python's ``int``, so ``1_0`` reads as 10,
 and the decimal digits of any script read as their ASCII digits do.
 """
@@ -182,15 +184,18 @@ def _formatted(template: str, specs: list) -> Iterator[str]:
 
 
 def _emit(args, header: list[str], rows: np.recarray, extra: dict | None = None) -> None:
-    """Write the result as CSV (header + rows) or JSON (config echo + data).
+    """Write the result as CSV (header + rows) or JSON (config echo + data) to standard output.
 
-    ``rows`` is a record array with one field per name of ``header``;
-    ``len(rows)`` is the row count.  Each field takes one %-conversion
-    from its dtype (:func:`_column_spec`), the row template joins them,
-    and each chunk of rows is formatted by one % operation and written
-    as it is made, so apart from the chunk being formatted the writer
-    holds only the record array.  JSON rows are objects with sorted
-    keys, as in ``json.dumps(payload, indent=1, sort_keys=True)``.
+    :func:`main` points standard output at the ``--output`` target, so
+    this writes to a file and to a pipe alike, and a failed write is one
+    ``error:`` line and exit 2 for either.  ``rows`` is a record array
+    with one field per name of ``header``; ``len(rows)`` is the row
+    count.  Each field takes one %-conversion from its dtype
+    (:func:`_column_spec`), the row template joins them, and each chunk
+    of rows is formatted by one % operation and written as it is made,
+    so apart from the chunk being formatted the writer holds only the
+    record array.  JSON rows are objects with sorted keys, as in
+    ``json.dumps(payload, indent=1, sort_keys=True)``.
     """
     csv = args.format == "csv"
     if csv:
@@ -215,51 +220,57 @@ def _emit(args, header: list[str], rows: np.recarray, extra: dict | None = None)
             pieces = chain([head, '\n "data": [', next(chunks)[1:]], chunks, ["\n ]", tail])
 
     try:
-        if args.output == "-":
-            sys.stdout.writelines(pieces)
-            sys.stdout.flush()
-        else:
-            with open(args.output, "w") as fh:
-                fh.writelines(pieces)
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
     except OSError as exc:
-        if args.output != "-":
-            _usage_error(f"cannot write --output {args.output!r}: {exc.strerror}")
-        # Python flushes stdout again at exit: what it still buffers goes to
-        # the null device, so that flush neither fails nor prints a traceback
+        # the stream is flushed again when it is closed (a file by main, stdout
+        # at exit): what it still buffers goes to the null device, so that
+        # flush neither fails nor prints a traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        _usage_error(f"cannot write to standard output: {exc.strerror}")
+        target = "to standard output" if args.output == "-" else f"--output {args.output!r}"
+        _usage_error(f"cannot write {target}: {exc.strerror}")
 
 
 def _opened(output: str):
-    """``--output`` opened for writing, created or truncated, or a no-op context for ``"-"``."""
+    """The stream ``--output`` names, as a context manager: the file, or standard output for ``-``.
+
+    The file is created or truncated, and closed when the context ends;
+    standard output is left open.  A file that cannot be opened, or a
+    closed standard output (``sys.stdout`` is None, as under the
+    shell's ``>&-``), is one ``error:`` line and exit 2.
+    """
+    if output == "-" and sys.stdout is None:
+        _usage_error("cannot write to standard output: it is closed")
     try:
-        return contextlib.nullcontext() if output == "-" else open(output, "w")
+        return contextlib.nullcontext(sys.stdout) if output == "-" else open(output, "w")
     except OSError as exc:
         _usage_error(f"cannot write --output {output!r}: {exc.strerror}")
-
-
-def _wavefunction_table(psi) -> np.recarray:
-    # the float64 view of the (L, R) columns is (L.re, L.im, R.re, R.im)
-    return np.rec.fromarrays([psi.sites, *psi.amplitudes.view(np.float64).T,
-                              distribution(psi).masses], names=WF_HEADER)
 
 
 WF_HEADER = ["n", "psi_L_re", "psi_L_im", "psi_R_re", "psi_R_im", "prob"]
 
 
-def cmd_simulate(args) -> None:
-    coin = _coin_from_args(args)
-    topo = _topology_from_args(args)
-    evolve = evolve_circle if isinstance(topo, Circle) else evolve_line
+def _emit_wavefunction(args) -> None:
+    """Write the wavefunction table of ``simulate`` or ``spectral``, as ``args.command`` names.
+
+    ``spectral`` takes the Fourier-domain route on either topology,
+    ``simulate`` the recurrence of the line or of the circle.
+    """
+    coin, topo = _coin_from_args(args), _topology_from_args(args)
+    evolve = (evolve_spectral if args.command == "spectral"
+              else evolve_circle if isinstance(topo, Circle) else evolve_line)
     psi = evolve(initial_state(args.init, topo), coin, args.steps)
-    _emit(args, WF_HEADER, _wavefunction_table(psi))
+    # the float64 view of the (L, R) columns is (L.re, L.im, R.re, R.im)
+    _emit(args, WF_HEADER, np.rec.fromarrays(
+        [psi.sites, *psi.amplitudes.view(np.float64).T, distribution(psi).masses], names=WF_HEADER))
+
+
+def cmd_simulate(args) -> None:
+    _emit_wavefunction(args)
 
 
 def cmd_spectral(args) -> None:
-    coin = _coin_from_args(args)
-    topo = _topology_from_args(args)
-    psi = evolve_spectral(initial_state(args.init, topo), coin, args.steps)
-    _emit(args, WF_HEADER, _wavefunction_table(psi))
+    _emit_wavefunction(args)
 
 
 #: margin kept inside the cone edge |u00|: the interior formula of
@@ -438,11 +449,12 @@ def main(argv: list[str] | None = None) -> int:
     by every later call in the process (:func:`build_parser`).  The
     command function is looked up by name on each call, not kept in the
     parser, so a wrapper put on ``cmd_name`` after the first call runs.
+    The ``--output`` target is opened once, before the command runs
+    (:func:`_opened`), and ``sys.stdout`` points at it until the command
+    ends, so the command's table goes there.
     """
     args = build_parser().parse_args(argv)
-    # held open while the command runs, so a named pipe keeps its reader
-    # until _emit has opened it again and written the table
-    with _opened(args.output):
+    with _opened(args.output) as out, contextlib.redirect_stdout(out):
         try:
             globals()[f"cmd_{args.command}"](args)
         except DomainError as exc:

@@ -115,7 +115,6 @@ from .core import (
     _row_masses,
     _site_masses,
     check_steps,
-    chirality_pair,
 )
 
 #: Flush floor relative to the input's largest float64 entry: 2**-600
@@ -489,14 +488,15 @@ def _ring_blocks(rows, coin, steps):
         yield block, shift
 
 
-def _circle_masses(topology, coin, init, steps):
+def _circle_masses(spec, steps):
     """Yield the ``(m, n)`` site masses of a circle walk, a block of rows at a time.
 
-    The walk is the one a :class:`~qwalk.stats.WalkSpec` of these fields
-    runs: with ``coin=None`` the symmetric random walk from a unit mass
-    at site 0, and otherwise the coined walk from the pair
-    ``chirality_pair(init)`` at site 0, where ``initial_state(init,
-    topology)`` puts it; the start rows are built here, as real rows
+    The walk is the one ``spec``, a :class:`~qwalk.stats.WalkSpec`,
+    runs: with ``spec.coin=None`` the symmetric random walk from a unit
+    mass at site 0, and otherwise the coined walk from the checked pair
+    ``spec.init`` at site 0, where ``initial_state(init, topology)``
+    puts it; the spec's fields are read as given, since the spec checked
+    them when it was built.  The start rows are built here, as real rows
     where the ring steps real ones, and no wavefunction is.  The rows
     are the walk after each of a block's ``m`` steps.  The classical
     rows are a view that the next block overwrites; the coined ones are
@@ -514,7 +514,7 @@ def _circle_masses(topology, coin, init, steps):
     other start, and every complex coin, steps the complex rows.
     """
     # what the walk holds at site 0: a unit mass, or the chirality pair
-    mirror, pair = False, np.ones(1) if coin is None else chirality_pair(init)
+    coin, pair, mirror = spec.coin, np.ones(1) if spec.coin is None else spec.init, False
     if coin is not None and not np.any(coin.matrix.imag):
         (w00, w01), (w10, w11) = coin.matrix.real.tolist()
         (re_l, re_r), (im_l, im_r) = np.abs([pair.real, pair.imag]).tolist()
@@ -524,7 +524,7 @@ def _circle_masses(topology, coin, init, steps):
                   and re_l == im_r and re_r == im_l and 0 in (re_l, re_r))
         if mirror or not np.any(pair.imag):
             pair = pair.real
-    h = (n := topology.size) // 2
+    h = (n := spec.topology.size) // 2
     rows = np.zeros((len(pair), n), dtype=pair.dtype)
     rows[:, 0] = pair
     for block, shift in _ring_blocks(rows, coin, steps):

@@ -138,21 +138,22 @@ def _propagate(
     return np.exp(1j * t * h) * (np.cos(t * w)[..., None] * init + ratio[..., None] * turned)
 
 
+#: a multiple of every integer below 2**64 with no prime factor above 5
+#: (its exponents of 2, 3 and 5 are below 64), and of no other integer
+_SMOOTH = 30 ** 64
+
+
 def _even_smooth_at_least(need: int) -> int:
     """Smallest even integer ``>= need`` with no prime factor above 5.
 
     Such lengths keep the FFT on its fast radix-2/3/5 kernels; a length
-    like 400002 = 2 * 3 * 66667 costs about 1.7x as much.
+    like 400002 = 2 * 3 * 66667 costs about 1.7x as much.  A length
+    below 2**64 is such a length exactly when it divides ``_SMOOTH``.
     """
     n = max(2, need + need % 2)
-    while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
+    while _SMOOTH % n:
         n += 2
+    return n
 
 
 def evolve_spectral(

@@ -106,11 +106,17 @@ class WalkSpec:
 class MixingReport:
     """First crossing of a target TV distance, with the full trace.
 
-    The trace is held read-only: a read-only float64 array is held as it
-    is, as :func:`mixing_time` hands over its scan's, which a copy would
-    double, and any other trace is copied as float64, or refused with
-    :class:`~qwalk.core.DomainError` if it is not numbers.  A report
-    compares and hashes by identity.
+    ``tv_trace`` is a 1-D array of finite numbers, the TV distance after
+    each step, and ``time`` is None (no crossing) or an integer in 1 ..
+    ``len(tv_trace)``; anything else is refused with
+    :class:`~qwalk.core.DomainError`.  The trace is held read-only.  A
+    float64 array made straight over a read-only buffer, as
+    :func:`mixing_time` hands over its scan's, is held as it is, since a
+    copy would double it; numpy makes neither it nor a view of it
+    writeable.  Any other trace is copied as float64: a list, a
+    writeable array, a read-only view of one, or an array that owns its
+    memory, whose holder can make it writeable again.  The report holds
+    ``time`` as a Python int.  It compares and hashes by identity.
     """
 
     time: int | None
@@ -118,8 +124,16 @@ class MixingReport:
 
     def __post_init__(self):
         trace = self.tv_trace
-        if not isinstance(trace, np.ndarray) or trace.flags.writeable or trace.dtype != np.float64:
-            object.__setattr__(self, "tv_trace", _freeze(trace, np.float64, "tv_trace"))
+        base = trace.base if isinstance(trace, np.ndarray) else None
+        if not (isinstance(base, memoryview) and base.readonly and trace.dtype == np.float64):
+            trace = _freeze(trace, np.float64, "tv_trace")
+        if trace.ndim != 1 or not np.all(np.isfinite(trace)):
+            raise DomainError("tv_trace must be a 1-D array of finite numbers")
+        if self.time is not None:
+            if not 1 <= (time := _as_index(self.time, "time")) <= len(trace):
+                raise DomainError(f"time must be None or in 1..{len(trace)}, got {time}")
+            object.__setattr__(self, "time", time)
+        object.__setattr__(self, "tv_trace", trace)
 
 
 def _velocities(dist: ProbabilityDistribution) -> NDArray[np.float64]:
@@ -255,15 +269,14 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
         raise DomainError(f"delta must be finite, got {delta!r}")
     steps, parity = min(t_cap, MAX_STEPS), spec.topology.size % 2 == 0
     trace = array("d")  # 8 bytes a step; a list of floats holds about 32
-    crossing: int | None = None
-    for masses in _circle_masses(spec.topology, spec.coin, spec.init, steps):
+    for masses in _circle_masses(spec, steps):
         tv = _tv_rows(masses, parity, len(trace) + 1)
         hits = np.flatnonzero(tv <= delta)
+        trace.frombytes(tv[:hits[0] + 1 if hits.size else len(tv)].tobytes())
         if hits.size:
-            trace.frombytes(tv[:hits[0] + 1].tobytes())
-            crossing = len(trace)
             break
-        trace.frombytes(tv.tobytes())
+    # the scan stops at its first TV at or below delta, so it crossed when its last one is
+    crossing = len(trace) if trace[-1] <= delta else None
     if crossing is None and steps < t_cap:
         raise DomainError(f"no crossing within {MAX_STEPS} steps; a longer scan is refused")
     # handed over read-only, so the report holds it without a copy of 8 bytes a step
@@ -280,7 +293,7 @@ def cesaro_average(spec: WalkSpec, big_t: int) -> ProbabilityDistribution:
     if (big_t := check_steps(big_t)) < 1:
         raise DomainError("T must be at least 1")
     acc = np.zeros(spec.topology.size)
-    for masses in _circle_masses(spec.topology, spec.coin, spec.init, big_t):
+    for masses in _circle_masses(spec, big_t):
         # a reduction down the rows adds them one after another, in the
         # order of a running sum
         acc = np.add.reduce(np.concatenate((acc[None], masses)), axis=0)
@@ -302,7 +315,7 @@ def classical_walk(topology: Topology, t: int) -> ProbabilityDistribution:
     t = check_steps(t)
     ring = topology if isinstance(topology, Circle) else Circle(max(3, 2 * t + 1))
     masses = np.eye(1, ring.size)  # the start, if no step is taken
-    for masses in _circle_masses(ring, None, None, t):
+    for masses in _circle_masses(WalkSpec(ring, None, None), t):
         pass
     if isinstance(topology, Circle):
         return ProbabilityDistribution(topology, masses[-1], t)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import CoinOperator, DomainError, _numbers, _unitarity_error
+from .core import CoinOperator, DomainError, _as_index, _as_real, _numbers, _unitarity_error
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -43,12 +43,22 @@ RESIDUAL_TOL = 1e-12
 class SymmetrizerReport:
     """Outcome of checking one candidate S against a coin's M_k family.
 
-    The ``sign`` that fits better and the ``max_residual`` under it;
-    the candidate is the caller's own argument.
+    The ``sign`` that fits better, 1 or -1, and the ``max_residual``
+    under it, a finite real of at least 0, held as a Python int and
+    float; any other value is refused with :class:`DomainError`.  The
+    candidate is the caller's own argument.
     """
 
     sign: int
     max_residual: float
+
+    def __post_init__(self):
+        if (sign := _as_index(self.sign, "sign")) not in (1, -1):
+            raise DomainError(f"sign must be 1 or -1, got {sign}")
+        if not 0 <= (residual := _as_real(self.max_residual, "max_residual")) < math.inf:
+            raise DomainError(f"max_residual must be finite and at least 0, got {residual}")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "max_residual", residual)
 
     @property
     def verdict(self) -> bool:
@@ -76,13 +86,10 @@ def verify_symmetrizer(
     u = coin.matrix
     m_plus, m_minus = u * [[0], [1]], u * [[1], [0]]  # P_R U, P_L U
     lhs_plus, lhs_minus = s.conj().T @ m_plus @ s, s.conj().T @ m_minus @ s
-    residuals = {
-        sign: float(np.max(np.abs(lhs_plus - sign * m_minus)
-                           + np.abs(lhs_minus - sign * m_plus)))
-        for sign in (1, -1)
-    }
-    sign = min(residuals, key=residuals.get)
-    return SymmetrizerReport(sign=sign, max_residual=residuals[sign])
+    reports = [SymmetrizerReport(sign, float(np.max(np.abs(lhs_plus - sign * m_minus)
+                                                    + np.abs(lhs_minus - sign * m_plus))))
+               for sign in (1, -1)]
+    return min(reports, key=lambda report: report.max_residual)
 
 
 def symmetric_initial(coin: CoinOperator) -> NDArray[np.complex128]:

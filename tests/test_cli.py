@@ -363,14 +363,44 @@ def test_simulate_prob_is_compare_p_exact_byte_for_byte(coin, capsys):
     assert len(prob) == 129 and prob == p_exact
 
 
-def test_output_file(tmp_path, capsys):
-    target = tmp_path / "out.csv"
-    code, out, _ = run_cli(
-        ["simulate", "--steps", "8", "--output", str(target)], capsys
-    )
-    assert code == 0 and out == ""
-    header, rows = parse_csv(target.read_text())
-    assert header[0] == "n" and len(rows) == 17
+#: one small command line per subcommand
+SMALL_COMMANDS = {
+    "simulate": ["--steps", "8"],
+    "spectral": ["--steps", "8"],
+    "asymptotic": ["--steps", "16"],
+    "moments": ["--steps", "8"],
+    "mix": ["--topology", "circle:9", "--delta", "0.3"],
+    "symmetry": [],
+    "compare": ["--steps", "16"],
+}
+
+
+def test_output_file(tmp_path, monkeypatch, capsys):
+    # for every subcommand and format, the file holds the bytes the command
+    # prints to standard output (JSON echoes the path as its config's
+    # output), and it is opened once
+    assert list(SMALL_COMMANDS) == list(surface.arguments())
+    opened, real_open = [], open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    for command, options in SMALL_COMMANDS.items():
+        for fmt in ("csv", "json"):
+            argv = [command, *options, "--format", fmt]
+            code, printed, printed_err = run_cli(argv, capsys)
+            assert code == 0
+            target = str(tmp_path / f"{command}.{fmt}")
+            with monkeypatch.context() as patch:
+                patch.setattr("builtins.open", counting_open)
+                code, out, err = run_cli([*argv, "--output", target], capsys)
+            assert code == 0 and out == "" and err == printed_err
+            assert opened.count(target) == 1, (command, fmt)
+            if fmt == "json":
+                printed = printed.replace('"output": "-"', f'"output": {json.dumps(target)}', 1)
+            with open(target, "rb") as fh:
+                assert fh.read() == printed.encode(), (command, fmt)
 
 
 def traced_peak(call) -> int:
@@ -475,6 +505,12 @@ def test_a_closed_pipe_is_a_one_line_error():
     proc = run_qwalk(["simulate", "--steps", "4000"], stdout=subprocess.PIPE)
     assert proc.stdout.readline().startswith("n,psi_L_re")
     proc.stdout.close()
+    assert_one_write_error(proc)
+
+
+def test_a_closed_standard_output_is_a_one_line_error():
+    # as in `qwalk simulate --steps 3 >&-`: there is no stdout to write to
+    proc = run_qwalk(["simulate", "--steps", "3"], preexec_fn=lambda: os.close(1))
     assert_one_write_error(proc)
 
 
@@ -876,8 +912,11 @@ def test_emit_matches_the_per_value_oracle(fmt, header, rows, extra, tmp_path, c
     # names a line
     lines = oracle_text(args, header, rows.tolist(), extra).splitlines(keepends=True)
     assert capsys.readouterr().out.splitlines(keepends=True) == lines
+    # a file --output is written through standard output, which main
+    # points at the file for the command's run
     args.output = str(tmp_path / "table.out")
-    _emit(args, header, rows, extra)
+    with open(args.output, "w") as fh, contextlib.redirect_stdout(fh):
+        _emit(args, header, rows, extra)
     with open(args.output, newline="") as fh:
         assert fh.read().splitlines(keepends=True) == (
             oracle_text(args, header, rows.tolist(), extra).splitlines(keepends=True))

@@ -12,6 +12,7 @@ from qwalk import (
     CoinOperator,
     DomainError,
     Line,
+    MixingReport,
     WalkSpec,
     cesaro_average,
     classical_walk,
@@ -253,6 +254,40 @@ def test_mixing_time_can_fail_to_reach():
     assert len(rep.tv_trace) == 300
 
 
+@pytest.mark.parametrize("time, trace, message", [
+    ("x", [0.5], "time must be an integer"),
+    (2.5, [0.1, 0.2, 0.3], "time must be an integer"),
+    (0, [0.5], "time must be None or in 1..1"),
+    (-2, [0.5], "time must be None or in 1..1"),
+    (5, [0.5], "time must be None or in 1..1"),
+    (3, [[0.5, 0.1]], "1-D array of finite numbers"),
+    (3, [math.nan], "1-D array of finite numbers"),
+    (None, [math.inf], "1-D array of finite numbers"),
+], ids=["str-time", "float-time", "time-0", "negative-time", "time-past-trace", "2-d-trace",
+        "nan-trace", "inf-trace"])
+def test_a_mixing_report_refuses_what_no_scan_reports(time, trace, message):
+    with pytest.raises(DomainError, match=message):
+        MixingReport(time, trace)
+
+
+def test_a_mixing_report_copies_a_trace_something_writeable_underlies():
+    # a read-only view of a writeable array, and a read-only array that
+    # owns its memory, whose holder may make it writeable again
+    given = np.zeros(3)
+    view = given.view()
+    view.flags.writeable = False
+    owner = np.zeros(3)
+    owner.flags.writeable = False
+    reports = [MixingReport(None, view), MixingReport(1, owner)]
+    given[0] = 7
+    owner.flags.writeable = True
+    owner[0] = 7
+    assert [report.tv_trace.tolist() for report in reports] == [[0, 0, 0]] * 2
+    assert not any(report.tv_trace.flags.writeable for report in reports)
+    # held as the Python int, as WaveFunction holds its time
+    assert type(MixingReport(np.int64(3), [0.5, 0.4, 0.3]).time) is int
+
+
 def test_mixing_time_trace_memory():
     # a 3-cycle classical walk never reaches TV 0; a list of Python floats
     # peaked at about 4 MB over 10^5 steps, 32 bytes a step plus the copy
@@ -436,7 +471,7 @@ def test_scan_masses_are_the_distribution_bit_for_bit(n, init, coin):
     # undoes the ring's scale on the squares
     psi = initial_state(init, Circle(n))
     spec = WalkSpec(Circle(n), coin, init)
-    rows = [row.copy() for block in _circle_masses(spec.topology, coin, spec.init, 2 * n)
+    rows = [row.copy() for block in _circle_masses(spec, 2 * n)
             for row in block]
     assert len(rows) == 2 * n
     for t, masses in enumerate(rows, start=1):
@@ -596,7 +631,7 @@ def test_real_ring_scans_are_the_complex_ring_bit_for_bit(n, init, coin, ring_st
     b = block_length(n, coin)
     steps = 5 * b + 1  # past the flush at the start of block 32 // b
     expected = complex_ring_masses(n, coin, init, steps)
-    got = [row.copy() for block in _circle_masses(spec.topology, coin, spec.init, steps)
+    got = [row.copy() for block in _circle_masses(spec, steps)
            for row in block]
     assert [rows.dtype for rows in ring_starts] == [np.float64]
     assert np.array(got).tobytes() == np.array(expected).tobytes()
@@ -621,7 +656,7 @@ def test_starts_without_a_mirror_image_step_the_complex_ring(n, coin, init, ring
     assert coin is not QR_COIN or abs(w00) != abs(w11)
     b = block_length(n, coin)
     expected = complex_ring_masses(n, coin, init, 5 * b + 1)
-    got = [row.copy() for block in _circle_masses(Circle(n), coin, init, 5 * b + 1)
+    got = [row.copy() for block in _circle_masses(WalkSpec(Circle(n), coin, init), 5 * b + 1)
            for row in block]
     assert [rows.dtype for rows in ring_starts] == [np.complex128]
     assert np.array(got).tobytes() == np.array(expected).tobytes()

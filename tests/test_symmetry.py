@@ -11,6 +11,7 @@ from test_spectral import angles, u2_coins, unit_pairs
 from qwalk import (
     CoinOperator,
     DomainError,
+    SymmetrizerReport,
     density_moment,
     distribution,
     evolve_line,
@@ -80,6 +81,28 @@ def test_verify_rejects_bad_candidates():
 def test_verify_rejects_a_nan_candidate():
     with pytest.raises(DomainError, match="candidate must be a 2x2 unitary"):
         verify_symmetrizer(hadamard_coin(), np.full((2, 2), np.nan))
+
+
+@pytest.mark.parametrize("sign, residual, message", [
+    ("x", "y", "sign must be an integer"),
+    (1.0, 0.0, "sign must be an integer"),
+    (0, 0.0, "sign must be 1 or -1"),
+    (2, 0.0, "sign must be 1 or -1"),
+    (1, "y", "max_residual must be a real number"),
+    (1, -1e-3, "max_residual must be finite and at least 0"),
+    (-1, math.nan, "max_residual must be finite and at least 0"),
+    (-1, math.inf, "max_residual must be finite and at least 0"),
+], ids=["strings", "float-sign", "sign-0", "sign-2", "str-residual", "negative-residual",
+        "nan-residual", "inf-residual"])
+def test_a_symmetrizer_report_refuses_what_no_check_reports(sign, residual, message):
+    with pytest.raises(DomainError, match=message):
+        SymmetrizerReport(sign, residual)
+
+
+def test_a_symmetrizer_report_holds_python_numbers():
+    report = SymmetrizerReport(np.int64(-1), np.float32(0.5))
+    assert (type(report.sign), type(report.max_residual)) == (int, float)
+    assert report == SymmetrizerReport(-1, 0.5)
 
 
 def test_symmetric_initial_serves_a_coin_without_a_pauli_symmetrizer():
