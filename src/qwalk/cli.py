@@ -12,18 +12,14 @@ on every CPU, printed as ``0`` (CSV) or ``0.0`` (JSON): the spectral
 route transforms each parity class on its own sublattice and never
 writes the other class's rows.  Floats are printed with 17
 significant digits so doubles round-trip losslessly.  Each command
-hands the writer one numpy record array, one field per column, and
-each column's conversion comes from its field's dtype: ``%d`` for an
-integer field, ``%.17g`` (CSV) or ``%r`` (JSON) for a float field of
-finite values, and ``%s`` over each cell's own text for any other field
-(object, str, bool, or a float field holding NaN or inf).  A chunk of
-rows is turned into Python values, formatted by one % operation and
-written as it is made, so apart from that chunk the writer holds only
-the record array (48 bytes a row for a wavefunction table).  The JSON
-rows are spliced into the indented ``json.dumps`` of the rest of the
-payload.  The bytes are those of formatting each value on its own and
-dumping the whole payload at once.  Every site probability is squared
-from its amplitudes by the kernel behind
+``cmd_name`` returns its table, the columns by name in output order,
+and its JSON extras; :func:`main` builds one numpy record array from
+the columns and writes it with one call of :func:`_emit`.  The bytes
+are those of formatting each value on its own and dumping the whole
+payload at once; :func:`_column_spec` (a column's conversion),
+:func:`_formatted` (the rows, a chunk at a time) and :func:`_emit`
+(the CSV header, the JSON payload) say how.  Every site probability
+is squared from its amplitudes by the kernel behind
 :func:`qwalk.evolve.distribution`, so the routes print the same bits
 for the same amplitudes.
 
@@ -43,13 +39,13 @@ argparse's own included.
 
 A file ``--output`` is opened as the shell's ``>`` opens it, created or
 truncated, once: after the command line is parsed and before the
-command runs, and standard output points at it while the command runs,
-so the writer only ever writes to standard output.  An unwritable
-target, or a closed standard output for ``-``, exits 2 with one line
-before any work.  A command line that does not parse leaves the target
-as it was; a command that fails after the open (exit 2 or 3) leaves it
-empty, and a write that fails part way leaves what was written.
-Integer values (``--steps``, ``--t-cap``, the N of
+command runs, and standard output points at it while the command runs
+and its table is written, so the writer only ever writes to standard
+output.  An unwritable target, or a closed standard output for ``-``,
+exits 2 with one line before any work.  A command line that does not
+parse leaves the target as it was; a command that fails after the open
+(exit 2 or 3) leaves it empty, and a write that fails part way leaves
+what was written.  Integer values (``--steps``, ``--t-cap``, the N of
 ``circle:N``) are read by Python's ``int``, so ``1_0`` reads as 10,
 and the decimal digits of any script read as their ASCII digits do.
 """
@@ -194,8 +190,10 @@ def _emit(args, header: list[str], rows: np.recarray, extra: dict | None = None)
     (:func:`_column_spec`), the row template joins them, and each chunk
     of rows is formatted by one % operation and written as it is made,
     so apart from the chunk being formatted the writer holds only the
-    record array.  JSON rows are objects with sorted keys, as in
-    ``json.dumps(payload, indent=1, sort_keys=True)``.
+    record array (48 bytes a row for a wavefunction table).  JSON rows
+    are objects with sorted keys, as in ``json.dumps(payload, indent=1,
+    sort_keys=True)``, spliced into the indented dump of the rest of the
+    payload.
     """
     csv = args.format == "csv"
     if csv:
@@ -247,11 +245,8 @@ def _opened(output: str):
         _usage_error(f"cannot write --output {output!r}: {exc.strerror}")
 
 
-WF_HEADER = ["n", "psi_L_re", "psi_L_im", "psi_R_re", "psi_R_im", "prob"]
-
-
-def _emit_wavefunction(args) -> None:
-    """Write the wavefunction table of ``simulate`` or ``spectral``, as ``args.command`` names.
+def _wavefunction_table(args) -> tuple[dict, None]:
+    """The wavefunction table of ``simulate`` or ``spectral``, as ``args.command`` names.
 
     ``spectral`` takes the Fourier-domain route on either topology,
     ``simulate`` the recurrence of the line or of the circle.
@@ -261,16 +256,17 @@ def _emit_wavefunction(args) -> None:
               else evolve_circle if isinstance(topo, Circle) else evolve_line)
     psi = evolve(initial_state(args.init, topo), coin, args.steps)
     # the float64 view of the (L, R) columns is (L.re, L.im, R.re, R.im)
-    _emit(args, WF_HEADER, np.rec.fromarrays(
-        [psi.sites, *psi.amplitudes.view(np.float64).T, distribution(psi).masses], names=WF_HEADER))
+    re_im = psi.amplitudes.view(np.float64).T
+    return {"n": psi.sites, "psi_L_re": re_im[0], "psi_L_im": re_im[1], "psi_R_re": re_im[2],
+            "psi_R_im": re_im[3], "prob": distribution(psi).masses}, None
 
 
-def cmd_simulate(args) -> None:
-    _emit_wavefunction(args)
+def cmd_simulate(args) -> tuple[dict, None]:
+    return _wavefunction_table(args)
 
 
-def cmd_spectral(args) -> None:
-    _emit_wavefunction(args)
+def cmd_spectral(args) -> tuple[dict, None]:
+    return _wavefunction_table(args)
 
 
 #: margin kept inside the cone edge |u00|: the interior formula of
@@ -292,28 +288,25 @@ def _interior(coin: CoinOperator, t: int) -> np.ndarray:
     return sites[np.abs(sites / t) <= support_edge(coin) - _MARGIN]
 
 
-def cmd_asymptotic(args) -> None:
+def cmd_asymptotic(args) -> tuple[dict, None]:
     coin = _coin_from_args(args)
     t = args.steps
     sites = _interior(coin, t)
     if sites.size == 0:
         raise DomainError(f"no parity-allowed site has |n/t| <= |u00| - {_MARGIN} "
                           f"= {support_edge(coin) - _MARGIN:.6g}")
-    probs = p_asymptotic(coin, args.init, t, sites)
-    header = ["n", "alpha", "prob"]
-    _emit(args, header, np.rec.fromarrays([sites, sites / t, probs], names=header))
+    return {"n": sites, "alpha": sites / t, "prob": p_asymptotic(coin, args.init, t, sites)}, None
 
 
-def cmd_moments(args) -> None:
+def cmd_moments(args) -> tuple[dict, None]:
     coin = _coin_from_args(args)
     dist = distribution(evolve_line(initial_state(args.init), coin, args.steps))
-    header = ["moment", "simulation", "density"]
     rows = [(name, moment(dist, name), density_moment(coin, args.init, name))
             for name in ("mean", "abs_mean", "second")]
-    _emit(args, header, np.rec.fromrecords(rows, names=header))
+    return dict(zip(["moment", "simulation", "density"], zip(*rows))), None
 
 
-def cmd_mix(args) -> None:
+def cmd_mix(args) -> tuple[dict, dict]:
     topo = _topology_from_args(args)
     if args.classical:
         if {args.coin, args.init} != {None}:
@@ -325,22 +318,20 @@ def cmd_mix(args) -> None:
         args.init = "left" if args.init is None else args.init
         spec = WalkSpec(topo, _coin_from_args(args), args.init)
     report = mixing_time(spec, args.delta, args.t_cap)
-    header, trace = ["t", "tv"], report.tv_trace
+    trace = report.tv_trace
     print(f"crossing_time: {report.time if report.time is not None else 'not reached'}",
           file=sys.stderr)
-    _emit(args, header, np.rec.fromarrays([np.arange(1, trace.size + 1), trace], names=header),
-          extra={"crossing_time": report.time})
+    return {"t": np.arange(1, trace.size + 1), "tv": trace}, {"crossing_time": report.time}
 
 
-def cmd_symmetry(args) -> None:
+def cmd_symmetry(args) -> tuple[dict, None]:
     coin = _coin_from_args(args)
     reports = [(name, verify_symmetrizer(coin, cand)) for name, cand in PAULIS]
-    header = ["candidate", "sign", "max_residual", "verdict"]
     rows = [(name, rep.sign, rep.max_residual, rep.verdict) for name, rep in reports]
-    _emit(args, header, np.rec.fromrecords(rows, names=header))
+    return dict(zip(["candidate", "sign", "max_residual", "verdict"], zip(*rows))), None
 
 
-def cmd_compare(args) -> None:
+def cmd_compare(args) -> tuple[dict, dict]:
     coin = _coin_from_args(args)
     t = args.steps
     sites = _interior(coin, t)
@@ -362,10 +353,9 @@ def cmd_compare(args) -> None:
     print("max_abs_amplitude_diff_exact_spectral: %.17g" % max_amp_diff, file=sys.stderr)
     if l1 is not None:
         print("l1_interior_exact_asymptotic: %.17g" % l1, file=sys.stderr)
-    header = ["n", "p_exact", "p_spectral", "p_asymptotic"]
-    _emit(args, header, np.rec.fromarrays([exact.sites, p_exact, p_spec, p_asym], names=header),
-          extra={"max_abs_amplitude_diff_exact_spectral": max_amp_diff,
-                 "l1_interior_exact_asymptotic": l1})
+    return ({"n": exact.sites, "p_exact": p_exact, "p_spectral": p_spec, "p_asymptotic": p_asym},
+            {"max_abs_amplitude_diff_exact_spectral": max_amp_diff,
+             "l1_interior_exact_asymptotic": l1})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -450,16 +440,20 @@ def main(argv: list[str] | None = None) -> int:
     command function is looked up by name on each call, not kept in the
     parser, so a wrapper put on ``cmd_name`` after the first call runs.
     The ``--output`` target is opened once, before the command runs
-    (:func:`_opened`), and ``sys.stdout`` points at it until the command
-    ends, so the command's table goes there.
+    (:func:`_opened`), and ``sys.stdout`` points at it until the
+    command's table is written.  The command returns its columns and
+    JSON extras, and this writes them as one record array with one
+    :func:`_emit`, so a refused value writes nothing.
     """
     args = build_parser().parse_args(argv)
     with _opened(args.output) as out, contextlib.redirect_stdout(out):
         try:
-            globals()[f"cmd_{args.command}"](args)
+            columns, extra = globals()[f"cmd_{args.command}"](args)
         except DomainError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return DOMAIN_ERROR
+        names = list(columns)
+        _emit(args, names, np.rec.fromarrays(list(columns.values()), names=names), extra)
     return 0
 
 

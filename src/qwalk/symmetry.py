@@ -45,8 +45,8 @@ class SymmetrizerReport:
 
     The ``sign`` that fits better, 1 or -1, and the ``max_residual``
     under it, a finite real of at least 0, held as a Python int and
-    float; any other value is refused with :class:`DomainError`.  The
-    candidate is the caller's own argument.
+    float, a residual of -0.0 as +0.0; any other value is refused with
+    :class:`DomainError`.  The candidate is the caller's own argument.
     """
 
     sign: int
@@ -58,7 +58,8 @@ class SymmetrizerReport:
         if not 0 <= (residual := _as_real(self.max_residual, "max_residual")) < math.inf:
             raise DomainError(f"max_residual must be finite and at least 0, got {residual}")
         object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "max_residual", residual)
+        # + 0.0 holds a -0.0 residual as +0.0, as core._freeze does for arrays
+        object.__setattr__(self, "max_residual", residual + 0.0)
 
     @property
     def verdict(self) -> bool:

@@ -8,8 +8,9 @@ total, an informational count, then the CLI options summed over subcommands
 (without --help) and each subcommand's option names, the defaulted
 parameters of the public functions and the defaulted fields of the
 public dataclasses, each counted and then listed by name, the fields of
-the public dataclasses, counted and then listed per class, and the
-public names the package exports, counted and then listed.
+the public dataclasses, counted and then listed per class, the public
+names the package exports, counted and then listed, and each
+subcommand's table, counted and then listed by its CSV header.
 
 The tests in ``test_core.py`` and ``test_cli.py`` pin the same figures
 by reading them from here; this module holds no test of its own.
@@ -17,8 +18,10 @@ by reading them from here; this module holds no test of its own.
 
 import argparse
 import ast
+import contextlib
 import dataclasses
 import inspect
+import io
 import sys
 import tokenize
 
@@ -102,6 +105,34 @@ def public_names() -> list[str]:
     return sorted(qwalk.__all__)
 
 
+#: the options that give each subcommand its smallest table
+_SMALLEST = {
+    "simulate": ["--steps", "0"],
+    "spectral": ["--steps", "0"],
+    "asymptotic": ["--steps", "2"],
+    "moments": ["--steps", "1"],
+    "mix": ["--topology", "circle:3", "--delta", "1", "--t-cap", "1"],
+    "symmetry": [],
+    "compare": ["--steps", "1"],
+}
+
+
+def columns() -> dict[str, list[str]]:
+    """Each subcommand's CSV header, in --help order, as :func:`qwalk.cli.main` prints it.
+
+    Each subcommand runs once at the sizes of :data:`_SMALLEST`, with
+    its standard output and standard error captured; the header is the
+    first line it prints.
+    """
+    headers = {}
+    for name in arguments():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            qwalk.cli.main([name, *_SMALLEST[name]])
+        headers[name] = out.getvalue().partition("\n")[0].split(",")
+    return headers
+
+
 def main(paths) -> None:
     counts = [code_lines(path) for path in paths]
     docs = [doc_lines(path) for path in paths]
@@ -126,6 +157,10 @@ def main(paths) -> None:
         print(f"  {name}: {' '.join(names)}")
     print(f"{len(public_names())} public names in qwalk.__all__")
     print(*public_names())
+    tables = columns()
+    print(f"{len(tables)} tables (each subcommand's CSV header)")
+    for name, header in tables.items():
+        print(f"  {name}: {','.join(header)}")
 
 
 if __name__ == "__main__":

@@ -557,6 +557,66 @@ def test_each_subcommand_argument_is_pinned():
     assert list(surface.arguments().items()) == list(SUBCOMMAND_ARGUMENTS.items())
 
 
+WAVEFUNCTION_COLUMNS = ["n", "psi_L_re", "psi_L_im", "psi_R_re", "psi_R_im", "prob"]
+
+#: each subcommand's CSV header, written out by hand: qwbench and other
+#: readers of the tables parse these names
+SUBCOMMAND_COLUMNS = {
+    "simulate": WAVEFUNCTION_COLUMNS,
+    "spectral": WAVEFUNCTION_COLUMNS,
+    "asymptotic": ["n", "alpha", "prob"],
+    "moments": ["moment", "simulation", "density"],
+    "mix": ["t", "tv"],
+    "symmetry": ["candidate", "sign", "max_residual", "verdict"],
+    "compare": ["n", "p_exact", "p_spectral", "p_asymptotic"],
+}
+
+
+def test_each_subcommand_table_is_pinned():
+    assert list(surface.columns().items()) == list(SUBCOMMAND_COLUMNS.items())
+
+
+def refusing_emit(*args, **kwargs):
+    raise AssertionError("a command wrote its own table")
+
+
+@pytest.mark.parametrize("command", list(surface.arguments()))
+def test_a_command_returns_its_table_and_writes_nothing(command, monkeypatch, capsys):
+    # called on parsed args, a command computes its columns in output order
+    # and its JSON extras; only main writes
+    monkeypatch.setattr(qwalk.cli, "_emit", refusing_emit)
+    args = qwalk.cli.build_parser().parse_args([command, *SMALL_COMMANDS[command]])
+    columns, extra = getattr(qwalk.cli, f"cmd_{command}")(args)
+    assert list(columns) == SUBCOMMAND_COLUMNS[command]
+    assert len({len(column) for column in columns.values()}) == 1
+    assert extra is None or isinstance(extra, dict)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", list(surface.arguments()))
+def test_main_writes_each_table_with_one_emit(command, monkeypatch, capsys):
+    calls, emit = [], qwalk.cli._emit
+
+    def recording_emit(args, header, rows, extra=None):
+        calls.append((header, rows))
+        emit(args, header, rows, extra)
+
+    monkeypatch.setattr(qwalk.cli, "_emit", recording_emit)
+    code, out, _ = run_cli([command, *SMALL_COMMANDS[command]], capsys)
+    assert code == 0 and len(calls) == 1
+    header, rows = calls[0]
+    assert header == list(rows.dtype.names) == SUBCOMMAND_COLUMNS[command]
+    assert out.count("\n") == len(rows) + 1
+
+
+@pytest.mark.parametrize("command", list(surface.arguments()))
+def test_a_refused_value_reaches_no_emit(command, monkeypatch, capsys):
+    # every subcommand takes --coin, and 1.2 pi is no theta coin
+    monkeypatch.setattr(qwalk.cli, "_emit", refusing_emit)
+    code, out, err = run_cli([command, *SMALL_COMMANDS[command], "--coin", "1.2pi"], capsys)
+    assert code == 3 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -105,6 +105,16 @@ def test_a_symmetrizer_report_holds_python_numbers():
     assert report == SymmetrizerReport(-1, 0.5)
 
 
+@pytest.mark.parametrize("residual", [-0.0, np.float64(-0.0), 0.0],
+                         ids=["minus-zero", "numpy-minus-zero", "plus-zero"])
+def test_a_symmetrizer_report_holds_a_zero_residual_as_plus_zero(residual):
+    # as every value object of core holds its arrays: a printed residual
+    # never reads -0
+    for sign in (1, -1):
+        held = SymmetrizerReport(sign, residual).max_residual
+        assert held == 0.0 and math.copysign(1, held) == 1.0
+
+
 def test_symmetric_initial_serves_a_coin_without_a_pauli_symmetrizer():
     # diag(1, i) R diag(1, e^{0.7i}) for a real rotation R: no Pauli passes
     # the sigma-check, yet the closed-form start is symmetric
