@@ -17,19 +17,13 @@ walker, where the density itself does not exist).
 
 Stationary phase (any U(2) coin with ``0 < |u00| < 1``, any initial
 pair).  The walk is ``psi(n, t) = (1/2pi) int e^{-ikn} M_k^t psi0 dk``
-with ``M_k`` the transfer matrix of :mod:`qwalk.spectral`.  Since
-``det M_k = det U``, the eigenvalues of ``M_k`` are ``e^{i(h +- w)}``
-with ``h = arg(det U) / 2`` the same for every k, and
-
-    cos w(k) = c cos q,    c = |u00|,  q = k - phi,  phi = arg u00 - h.
-
-:func:`qwalk.spectral._dispersion` gives ``(h, c, s, phi)``, with
-``s = |u01|`` and ``h`` taken once per coin: a per-k value can jump
-by pi when ``det U = -1`` and swap the branches.  The lower branch at
-k is the upper one at ``k + pi`` times ``(-1)^(n+t)``, so the two add
-on the parity-allowed sites and cancel on the others.  On the upper
-branch the phase ``t (h + w) - k n`` is stationary where ``w'(k) =
-alpha = n/t``.  Inside the cone ``|alpha| < c`` that has two roots,
+with ``M_k`` the transfer matrix of :mod:`qwalk.spectral`, whose
+eigenphases ``h +- w(k)`` and dispersion ``cos w = c cos q``, ``q = k -
+phi``, are those of :func:`qwalk.spectral._dispersion`.  The lower
+branch at k is the upper one at ``k + pi`` times ``(-1)^(n+t)``, so the
+two add on the parity-allowed sites and cancel on the others.  On the
+upper branch the phase ``t (h + w) - k n`` is stationary where ``w'(k)
+= alpha = n/t``.  Inside the cone ``|alpha| < c`` that has two roots,
 
     cos q = +-sqrt((c^2 - alpha^2) / (c^2 (1 - alpha^2))),  sign(sin q) = sign(alpha).
 
@@ -42,28 +36,17 @@ form
 and each root adds
 
     sqrt(2 / (pi t |w''|)) e^{i(t (h + w) - k n + sign(w'') pi/4)} P+ psi0,
-    P+ = (I - i T / sin w) / 2,
 
-where ``M_k = e^{ih} (cos(w) I + T)`` is the split of the transfer
-matrix into a phase and an SU(2) rotation with traceless part ``T``.
-:func:`qwalk.spectral._split` gives ``h``, ``w``, ``sin w`` and
-``T psi0`` in closed form, with no matrix built per root; the spectral
-route powers ``M_k`` from the same split, so both read them from one
-place, and both are tested against the recurrence.
-
-The amplitude is ``O(1/sqrt(t))``.  At the cone edge ``w'' -> 0``: the
-``O(t^{-2/3})``-wide transition layer there is deliberately unmodeled,
-so callers keep a margin inside the edge.
+with ``h``, ``w`` and the projection ``P+ psi0`` from
+:func:`qwalk.spectral._split`, the split the spectral route powers; both
+routes are tested against the recurrence.  The amplitude is
+``O(1/sqrt(t))``; the ``O(t^{-2/3})``-wide layer at the cone edge, where
+``w'' -> 0``, is not modeled.
 
 The bits are not the same at every SIMD level numpy dispatches to: the
-phase ``t (h + w)`` multiplies a last-bit difference in ``w`` by t.
-Measured for the Hadamard coin at t = 10^5 on the sites with ``|n/t| <
-0.6`` (numpy 2.4), with every dispatched feature off against the native
-level, 68 329 of 479 996 float64 parts differed from the left start and
-77 199 from the symmetric start (39 500 and 39 457 with only X86_V4 and
-AVX-512 off), by at most 4.8e-13 against a largest part of 6.9e-3, and
-3.7e-13 against 4.9e-3: at most ``3.4 eps t`` times the largest part,
-``eps = 2**-52``.
+phase ``t (h + w)`` multiplies a last-bit difference in ``w`` by t.  A
+part differs between levels by at most ``3.4 eps t`` times the largest
+part, ``eps = 2**-52`` (measured at t = 10^5).
 """
 
 from __future__ import annotations
@@ -117,13 +100,12 @@ def asymptotic_wavefunction(
     Returns shape ``(len(sites), 2)``.  ``init`` is anything
     :func:`qwalk.core.chirality_pair` accepts; the walk starts at site 0.
     Parity-forbidden sites hold exact zeros.  Needs ``0 < |u00| < 1``,
-    an integer ``t >= 1`` (a float such as 10.5 or a string is refused,
-    whatever its value, as :func:`qwalk.core.check_steps` refuses it),
-    integer ``sites`` and ``|n/t| < |u00|`` at every site; the error
-    grows without bound towards the edge, where ``w'' -> 0``.  Any
-    Python int ``t`` is taken, but the phase ``t (h + w)`` is a float64,
-    so it loses its meaning once ``t`` times the rounding error of ``h +
-    w`` nears a radian.
+    a ``t`` that :func:`_check_time` takes, integer ``sites`` and
+    ``|n/t| < |u00|`` at every site; the error grows without bound
+    towards the edge, where ``w'' -> 0``.  Any Python int ``t`` is
+    taken, but the phase ``t (h + w)`` is a float64, so it loses its
+    meaning once ``t`` times the rounding error of ``h + w`` nears a
+    radian.
     """
     edge = support_edge(coin)
     if not 0 < edge < 1:

@@ -332,6 +332,13 @@ def cmd_symmetry(args) -> tuple[dict, None]:
 
 
 def cmd_compare(args) -> tuple[dict, dict]:
+    """The exact, spectral and stationary-phase site probabilities of one line walk.
+
+    ``p_asymptotic`` is null off the :func:`_interior` sites, and the
+    whole column and its L1 summary are null when the coin has ``|u00|``
+    of 0 or 1 or no site lies inside the margin: an L1 over no site says
+    nothing.
+    """
     coin = _coin_from_args(args)
     t = args.steps
     sites = _interior(coin, t)

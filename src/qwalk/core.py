@@ -110,13 +110,13 @@ Topology = Line | Circle
 def _check_sites_and_time(record: WaveFunction | ProbabilityDistribution, count: int) -> None:
     """Refuse a topology that is not a line or circle, a wrong count, or a bad time.
 
-    The rules :class:`WaveFunction` and :class:`ProbabilityDistribution`
-    share: ``record.topology`` is a :class:`Line` or a :class:`Circle`
-    (:func:`_sites` would read any other object as a line at offset 0),
-    ``count``, the number of sites the record holds, is a circle's size,
-    and ``record.time`` is an integer of at least 0.  The record then
-    holds that time as the Python int :func:`_as_index` reads, so a
-    NumPy integer such as ``np.uint8(250)`` does not wrap in ``time + steps``.
+    The rules of both records: ``record.topology`` is a :class:`Line` or
+    a :class:`Circle` (:func:`_sites` would read any other object as a
+    line at offset 0), ``count``, the number of sites the record holds,
+    is a circle's size, and ``record.time`` is an integer of at least 0;
+    anything else is :class:`DomainError`.  The record then holds that
+    time as the Python int :func:`_as_index` reads, so a NumPy integer
+    such as ``np.uint8(250)`` does not wrap in ``time + steps``.
     """
     topology = record.topology
     if not isinstance(topology, Topology):
@@ -132,8 +132,7 @@ def _sites(topology: Topology, count: int) -> NDArray[np.int64]:
     """The site of each of ``count`` rows on ``topology``.
 
     Row 0 is site ``offset`` on a line and site 0 on a circle; each row
-    after it is the next site.  :class:`WaveFunction` and
-    :class:`ProbabilityDistribution` both read their sites here.
+    after it is the next site.
     """
     start = topology.offset if isinstance(topology, Line) else 0
     return np.arange(start, start + count)
@@ -202,14 +201,10 @@ def _site_masses(amps: NDArray[np.complex128]) -> NDArray[np.float64]:
 class WaveFunction:
     """Two-component amplitude field over lattice sites at a fixed time.
 
-    ``amplitudes`` has shape ``(n_sites, 2)`` with columns (L, R).
-    On the line, entry ``j`` lives at site ``topology.offset + j``; on
-    the circle, entry ``j`` lives at site ``j``, and there are exactly
-    ``topology.size`` rows.  The amplitudes must be finite numbers
-    (:func:`_numbers`) and ``time`` an integer of at least 0 (a float
-    such as 2.5 is refused, whatever its value).  The object holds a read-only copy of the amplitudes in
-    which every -0.0 real or imaginary part is +0.0 (:func:`_freeze`).
-    It compares and hashes by identity.
+    ``amplitudes`` has shape ``(n_sites, 2)`` with columns (L, R), held
+    finite as :func:`_freeze` holds them; row ``j`` lives at site
+    ``sites[j]``.  :func:`_check_sites_and_time` states the rules on
+    ``topology`` and ``time``.  It compares and hashes by identity.
     """
 
     topology: Topology
@@ -238,14 +233,11 @@ class WaveFunction:
 class ProbabilityDistribution:
     """Site masses observed at a fixed time.
 
-    ``masses`` is a 1-D array of finite numbers, one per site, as for
-    :class:`WaveFunction`: on the circle exactly ``topology.size`` of
-    them.  ``time`` is an integer of at least 0.  Anything else is
-    refused with :class:`DomainError`.  A walk's masses are nonnegative
-    and sum to 1 up to rounding; neither is checked, since rounding
-    leaves no exact sum to check against.  The object holds a read-only
-    copy of the masses in which every -0.0 is +0.0 (:func:`_freeze`).
-    It compares and hashes by identity.
+    ``masses`` is a 1-D array of finite numbers, one per site, held as
+    :func:`_freeze` holds them; ``topology`` and ``time`` follow
+    :class:`WaveFunction`'s rules.  A walk's masses are nonnegative and
+    sum to 1 up to rounding; neither is checked, since rounding leaves
+    no exact sum to check against.  It compares and hashes by identity.
     """
 
     topology: Topology

@@ -2,103 +2,51 @@
 
 One step sends ``psi(n, t+1) = M+ psi(n-1, t) + M- psi(n+1, t)``.  On
 the line the support grows by one site per side per step and is stored
-densely; on the circle the indices wrap mod n.  Inputs are never
-mutated.
+densely, in the co-moving frame of :func:`evolve_line`; on the circle
+the indices wrap mod n, in the halo-block ring of :func:`_ring_blocks`.
+Inputs are never mutated.  :func:`_step` is the only code that
+multiplies or adds coin entries, and :func:`_coin_entries` types them
+for the rows a kernel steps.
 
-The line kernel steps in place in a co-moving frame (see
-:func:`evolve_line`): the shift is absorbed into where each chirality
-column is stored, so a step is a 2x2 mix of two aligned slices, with no
-new array and no data movement.
+Fold rule.  Both kernels hand :func:`_step` the windows they cut, flush
+at the same steps (below) and cut no window shorter than 2 entries,
+because numpy's in-place complex multiply takes another loop for a
+1-element array; the line's longer windows step only zeros past the
+live entries (:func:`_mix_steps`).  So numpy takes the same loop for
+every multiply and add of both, and every cycle walk, for every coin,
+start and cycle size, is the line walk folded onto the cycle bit for
+bit until it wraps.
 
-The circle kernel (:func:`_ring_blocks`) steps the cycle in halo blocks
-of B steps, at most 32 for a coined walk and 90 for the classical one,
-through a ring of B + 1 slots of n + 2B sites.  The first slot of a
-block carries B wrapped sites per side, and each step writes the next
-slot over a window one site shorter per side, so no step copies a
-ghost column: a coined step is the six vector operations
-of :func:`_step`, and a block adds two slice copies.  Memory is O(n): B
-is chosen by the bytes a slot holds, so that B slots stay within 256 KiB,
-and past that size a block is one step.  The kernel yields each block's
-rows, and :func:`_circle_masses` squares them into the site masses that
-the scans of :mod:`qwalk.stats` reduce once per block, without building
-a wavefunction.
+SIMD contract.  A real coin's entries have an imaginary part of exactly
+0, so each float64 part of a step takes one rounded multiply or add at
+every SIMD level numpy dispatches to, and complex rows keep the real
+walk's bits, up to the sign of an exact zero.  So the recurrence of a
+real coin, and the mirrored masses of :func:`_circle_masses`, have the
+same bits at every level.  A complex coin's recurrence does not:
+numpy's complex multiply fuses the multiply-add where the CPU has FMA.
+The fold rule compares two kernels of one run, so it holds at every
+level for every coin.
 
-The arithmetic of a step has one owner, :func:`_step`, the only code
-that multiplies or adds coin entries.  Both kernels hand it the windows
-they cut, the line two aligned slices to mix in place, the ring a slot
-to mix into the next, so they differ only in layout: co-moving windows
-on the line, halo slots on the ring.  Both flush at the same steps
-(below), and every window is at least 2 entries long, so numpy takes
-the same loop for every multiply and add of both.  So every cycle
-walk, for every coin, start and cycle size, is the line walk folded
-onto the cycle bit for bit until it wraps.
+Underflow policy.  Far outside the cone the amplitudes decay
+exponentially, and float64 arithmetic on the subnormals below
+2**-1022 is many times slower.  So each kernel takes the floor of
+:func:`_unit_scale`, ``2**-600 M`` with ``M`` the largest real or
+imaginary part of the scaled input, and before every 32nd step,
+starting with the first, sets each real or imaginary part below it to
++0.0 (:func:`_flush`).  A flush touches at most ``4 width`` float64
+entries, ``width`` the line's ``n + 2 steps`` sites or the cycle's n,
+so it moves the state by less than ``2 sqrt(width) floor`` in 2-norm,
+and the steps are unitary: the result moves by at most
+``ceil(steps / 32) * 2 sqrt(width) * floor``.  A step shrinks an entry
+by at most a factor ``c``, the smallest nonzero real or imaginary part
+of a coin entry, so, cancellation aside, no subnormal is stepped while
+``floor * c**32 >= 2**-1022``: with the floor of at least 2**-601 that
+the scale rule gives, for every coin with ``c >= 1.1e-4``.  The
+classical walk on the ring is not flushed (:func:`_ring_blocks`).
 
-A real coin never mixes real and imaginary parts, so they evolve as two
-independent real walks, and the ring steps real rows wherever one of
-them is all there is to step: :func:`evolve_circle` on a real input, as
-:func:`evolve_line` does on the line, and :func:`_circle_masses` from a
-real start and from a mirror start.  A mirror start holds a real part
-on one chirality and an imaginary part of equal magnitude on the other,
-as the named start ``"symmetric"``, ``(1, i)/sqrt2``, does.  Under a
-coin whose entries pair exactly, ``w00 = w11, w01 = -w10`` (every theta
-coin) or ``w00 = -w11, w01 = w10`` (the Hadamard coin), the imaginary
-walk is then the real one reflected, ``x -> -x`` with L and R swapped,
-up to signs: the reflection behind ``P(x) = P(-x)`` (Tregenna,
-Flanagan, Maile and Kendon, New J. Phys. 5, 83, 2003).  So the site
-masses are ``m(x) + m(-x mod n)``, ``m`` those of the real walk, and
-they are ``distribution()``'s bit for bit, because the reflection only
-flips signs and swaps summands.  Entries that pair only to the last
-bit, as those of a QR-drawn orthogonal coin often do, do not pair.
-
-Each kernel steps rows in their own dtype, with the coin's entries
-typed to match (:func:`_coin_entries`): float64 rows in real
-arithmetic, complex rows in complex arithmetic, and only the line also
-steps the float64 view of complex rows under a real coin.  A real
-coin's entries have an imaginary part of exactly 0, so each part of a
-complex product rounds once, and complex rows keep the real walk's
-bits, up to the sign of an exact zero.  So the recurrence of a real
-coin and the mirrored masses have the same bits at every SIMD level
-numpy dispatches to: each float64 part takes one rounded multiply or
-add at every level.  A complex coin's recurrence does not, because
-numpy's complex multiply fuses the multiply-add at the levels that
-have FMA, so its last bits can differ between CPUs (CHANGES.md records
-by how much).  The fold rule above compares the two kernels of one
-run, so it holds at every level for every coin.
-
-Both kernels follow one underflow policy.  Far outside the cone the
-amplitudes decay exponentially, and float64 arithmetic on the
-subnormals below 2**-1022 is many times slower.  So each kernel takes
-``floor = 2**-600 M`` from its input, ``M`` the input's largest real or
-imaginary part, and before every 32nd step, starting with the first,
-sets to +0.0 each real or imaginary part below ``floor``
-(:func:`_flush`); the ring, whose coined blocks are powers of two of
-at most 32 steps, at the start of each block that starts at a multiple
-of 32 steps, on the core of the slot the block starts from, so that
-its halo is copied flushed.  A flush touches at most ``4 width``
-float64 entries, ``width`` the line's ``n + 2 steps`` sites or the
-cycle's n, so it moves the state by less than ``2 sqrt(width) floor``
-in 2-norm, and the steps are unitary: the result moves by at most
-``ceil(steps / 32) * 2 sqrt(width) * floor``.
-A step shrinks an entry by at most a factor ``c``, the smallest
-nonzero real or imaginary part of a coin entry, so, cancellation
-aside, no subnormal is stepped while ``floor * c**32 >= 2**-1022``.
-Both kernels take one scale rule (:func:`_unit_scale`): if ``M < 1/2``,
-each multiplies the buffer it has just filled from the input (the
-line's class rows, the ring's first slot) in place by the power of two
-that brings ``M`` into [1/2, 1), and scales its result back in place;
-the ring yields the shift it applied with each block, so its callers
-undo it without working it out again.
-The input is never copied, and none is scaled down.  So the steps see
-``M >= 1/2``, the floor is at least 2**-601, and no subnormal is
-stepped for any coin with ``c >= 1.1e-4``.  A power of two scales
-exactly, and with the floor relative to ``M`` every step at the scaled
-magnitude is the scaled step, so a scaled input gives the scaled result
-bit for bit, up to the one rounding of the scale-back.  The classical
-walk on the ring is not flushed (:func:`_ring_blocks` says why).
-
-Parity bookkeeping comes for free: amplitudes at sites with ``n + t``
-odd (origin start) stay exactly zero, and the results hold them as
-+0.0, as every :class:`~qwalk.core.WaveFunction` holds its zeros.
+Amplitudes at sites with ``n + t`` odd (origin start) stay exactly
+zero, and the results hold them as +0.0, as every
+:class:`~qwalk.core.WaveFunction` holds its zeros.
 """
 
 from __future__ import annotations
@@ -155,24 +103,11 @@ def evolve_line(
     Partner indices differ by an even number, so the even and odd
     buffer entries never mix: each parity class is evolved as its own
     contiguous array by :func:`_mix_steps` and a class that is zero at
-    input is skipped (an origin start pays for half the sites).  A real
-    coin matrix runs on the float64 view, and on a class with no nonzero
-    imaginary part it steps the real parts alone, at half the work; the
-    imaginary parts of that class's result are +0.0.  Both classes share
-    one scale and one flush floor.  Memory is O(n + 2 steps); a step
-    costs six in-place vector operations per occupied parity class, each
-    over the window of the last step of its 32-step flush period, and at
-    least 2 entries: about ``(n + 2s) / 2`` entries and at most 31 more
-    (twice as many on the float64 view), and every 32nd step three more
-    per mixed row for the flush below.  The longer windows only step
-    zeros past the live ones, so they keep the module docstring's fold
-    rule (:func:`_mix_steps` says why).
-
-    The underflowing tails are flushed before every 32nd step, starting
-    with the first.  If the input's largest part lies below 1/2, the
-    class rows are scaled up in place by a power of two as they are
-    loaded, and the result is scaled back in place: the module docstring
-    states the policy and its bound.
+    input is skipped (an origin start pays for half the sites).  Both
+    classes share one :func:`_unit_scale` and so one flush floor.
+    Memory is O(n + 2 steps); a step costs six in-place vector
+    operations per occupied parity class, over about ``(n + 2s) / 2``
+    entries (:func:`_mix_steps` gives the windows and the arithmetic).
 
     The rounding error grows about as ``t**(2/3)``: from the left start,
     every amplitude of the Hadamard walk lies within ``eps t**(2/3)``,
@@ -211,14 +146,20 @@ def evolve_line(
 def _unit_scale(parts):
     """``(shift, floor)``: how a kernel steps the float64 array ``parts`` at unit scale.
 
-    ``M``, the largest magnitude in ``parts``, times ``2**shift`` lies
-    in [1/2, 1) if ``M`` lies in (0, 1/2); for any other ``M`` the
-    shift is 0, so nothing is scaled down.  ``floor = 2**-600 M
-    2**shift`` is the flush floor of the scaled walk.  The kernel scales
-    the buffer it has filled in place, ``np.ldexp(view, shift,
-    out=view)``, exactly, and its result back by ``-shift``, which
-    rounds each entry once.  A negative entry that underflows there
-    leaves -0.0, which :class:`~qwalk.core.WaveFunction` holds as +0.0.
+    The one scale rule of both kernels.  ``M``, the largest magnitude in
+    ``parts``, times ``2**shift`` lies in [1/2, 1) if ``M`` lies in (0,
+    1/2), as for a unit-norm start such as ``(1 + 1j, 1 + 1j) / 2``
+    rounded just short of unit norm; for any other ``M`` the shift is 0,
+    so nothing is scaled down and the steps see ``M >= 1/2``.  ``floor =
+    2**-600 M 2**shift``, at least 2**-601, is the flush floor of the
+    scaled walk.  The kernel scales the buffer it has filled from the
+    input in place, ``np.ldexp(view, shift, out=view)``, so the input is
+    never copied, and its result back by ``-shift``.  A power of two
+    scales exactly, and with the floor relative to ``M`` every step at
+    the scaled magnitude is the scaled step, so a scaled input gives the
+    scaled result bit for bit, up to the one rounding of the scale-back.
+    A negative entry that underflows there leaves -0.0, which
+    :class:`~qwalk.core.WaveFunction` holds as +0.0.
     """
     big = np.max(np.abs(parts), initial=0.0)
     shift = max(0, -int(np.frexp(big)[1]))
@@ -228,9 +169,10 @@ def _unit_scale(parts):
 def _coin_entries(matrix, dtype):
     """``(w00, w01, w10, w11)`` of a 2x2 coin matrix, typed for the rows they step.
 
-    ``dtype`` is that of the rows: float64 rows take the real parts, so
-    a kernel steps them only under a real coin (no entry with a nonzero
-    imaginary part), and complex rows take the entries as they are.
+    Each kernel steps its rows in their own dtype, ``dtype``: float64
+    rows, in real arithmetic, take the real parts, so a kernel steps
+    them only under a real coin (no entry with a nonzero imaginary
+    part), and complex rows take the entries as they are.
     Each is a 0-d array: a ufunc converts a numpy scalar operand to an
     array anew on every call, and on windows of a few thousand entries
     that conversion is a measurable share of the step.
@@ -254,9 +196,8 @@ def _step(plans, entries):
     w00 a_r + w01 b_r`` and ``b' = w10 a_l + w11 b_l`` through the
     scratch windows ``x`` and ``y``, as the six ufunc calls with
     positional outputs of ``x = b_r w01; y = a_l w10; a' = a_r w00 + x;
-    b' = b_l w11 + y``.  Both kernels step by these calls, so they share
-    every operand and its order, and each entry takes one rounded
-    multiply or add.  The order is also safe in place, where the line
+    b' = b_l w11 + y``, so both kernels share every operand and its
+    order.  The order is also safe in place, where the line
     passes ``a_r = a_l = a'`` and ``b_r = b_l = b'``: ``x`` and ``y``
     read b and a before the step overwrites them.  ``entries`` are the
     four entries of ``mix`` from :func:`_coin_entries`.
@@ -304,13 +245,10 @@ def _mix_steps(a_in, b_in, mix, steps, first, shift, floor):
     the sign of an exact zero can change, which
     :class:`~qwalk.core.WaveFunction` holds as +0.0.  So a live entry
     takes the same bits in every window of 2 or more entries, for every
-    coin, and ``K`` is at least 2, as the ring's windows are, because
-    numpy's in-place complex multiply takes another loop for a 1-element
-    array: the module docstring's fold rule rests on both.  The two
-    windows of each period's first step are flushed below ``floor``
-    through the scratch row ``t1`` (:func:`_flush`; the module docstring
-    states the bound), and :func:`_step` steps the period's plans with
-    the entries of ``mix``.
+    coin, as the module's fold rule needs.  The two windows of each
+    period's first step are flushed below ``floor`` through the scratch
+    row ``t1`` (:func:`_flush`), and :func:`_step` steps the period's
+    plans with the entries of ``mix``.
     """
     real = not np.any(mix.imag)
     # a real coin never mixes real and imaginary parts: with no
@@ -345,16 +283,13 @@ def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunc
 
     For ``steps < floor(n/2)`` the result is the line evolution folded
     mod n (the wrapped-around unbounded-line wavefunction), bit for bit
-    by the module docstring's fold rule.  The steps run in the
-    halo-block ring of :func:`_ring_blocks`, and the result is the last
-    row of its last block: memory is O(n), and a step is one
-    :func:`_step` over a window of n to n + 2B - 2 sites, with no
-    intermediate wavefunction.  Under a real coin, input with no nonzero
-    imaginary part steps its real parts alone, a view of the input, at
-    half the work, and the result's imaginary parts are +0.0; any other
-    input steps its complex rows, with the real walk's bits under a real
-    coin (see the module docstring).  The last row is scaled back in
-    place by the shift the ring yields with it: the input is not copied.
+    by the module's fold rule.  The result is the last row of the last
+    block of :func:`_ring_blocks`, scaled back in place by the shift the
+    ring yields with it: memory is O(n), with no intermediate
+    wavefunction and no copy of the input.  Under a real coin, input
+    with no nonzero imaginary part steps its real parts alone, a view of
+    the input, at half the work, and the result's imaginary parts are
+    +0.0; any other input steps its complex rows.
     """
     if not isinstance(psi.topology, Circle):
         raise DomainError("evolve_circle needs circle topology")
@@ -379,14 +314,12 @@ def _ring_blocks(rows, coin, steps):
     ``rows`` is the walk at the start: the ``(2, n)`` (L, R) amplitude
     rows of the coined walk, complex, or float64 with a real coin (the
     real walk alone), or with ``coin=None`` the ``(1, n)`` masses of
-    the symmetric random walk, ``d'(x) = (d(x-1) + d(x+1)) / 2``.  The
-    ring steps in the dtype of ``rows``: float64 rows in real arithmetic,
-    complex rows in complex arithmetic for every coin, which under a
-    real coin keeps the real walk's bits (see the module docstring).
-    Each yield is ``(block, shift)``: ``block`` is the ``(m, c, n)`` view
-    of the walk after the next ``m`` steps, in time order (``m = B`` but
-    in the last block), times ``2**shift``; the next block overwrites
-    it, so copy what must outlive the block.
+    the symmetric random walk, ``d'(x) = (d(x-1) + d(x+1)) / 2``, and
+    the ring steps in the dtype of ``rows``.  Each yield is ``(block,
+    shift)``: ``block`` is the ``(m, c, n)`` view of the walk after the
+    next ``m`` steps, in time order (``m = B`` but in the last block),
+    times ``2**shift``; the next block overwrites it, so copy what must
+    outlive the block.
 
     The ring holds ``B + 1`` slots of ``n + 2B`` sites.  A block starts
     from a slot whose sites ``B..B+n-1`` hold the walk and whose ``B``
@@ -418,20 +351,16 @@ def _ring_blocks(rows, coin, steps):
     meets ``2**15 // n``.  From n = 32 on ``B <= n / 4``, so the windows
     of a block add at most a quarter of n to its average step.
 
-    The first slot is scaled in place by ``2**shift`` as
-    :func:`_unit_scale` says for ``rows``, and every block is at that
-    scale, so its callers undo the yielded ``shift`` and never work it
-    out themselves: :func:`evolve_circle` on its last row, and
-    :func:`_circle_masses` on its squared rows, by ``2 * shift``.  A
-    unit-norm start is scaled when its largest part lies below 1/2, as
-    that of ``(1 + 1j, 1 + 1j) / 2`` rounded just short of unit norm
-    does; a unit mass is not.  A coined walk is flushed below ``floor =
-    2**-600 M``, ``M`` the largest real or imaginary part of the scaled
-    slot, at the start of each block that starts at a multiple of 32
-    steps, which are the line's flush steps, on the core of the slot
-    the block starts from (see the module docstring).  The classical
-    walk is not: its nonnegative masses never cancel, and only a few of
-    them are subnormal (CHANGES.md records a count).
+    The first slot is scaled in place by :func:`_unit_scale` of
+    ``rows``, and every block is at that scale, so its callers undo the
+    yielded ``shift`` and never work it out themselves:
+    :func:`evolve_circle` on its last row, and :func:`_circle_masses` on
+    its squared rows, by ``2 * shift``.  A coined walk is flushed at the
+    start of each block that starts at a multiple of 32 steps, the
+    line's flush steps, on the core of the slot the block starts from,
+    so its halo is copied flushed.  The classical walk is not: its
+    nonnegative masses never cancel, and only a few of them are
+    subnormal.
     """
     c, n = rows.shape
     b = max(1, min(n, max(8, n // 4), _RING_FLOATS * 8 // rows.nbytes))
@@ -505,12 +434,23 @@ def _circle_masses(spec, steps):
     ``distribution()``'s bit for bit wherever no mass is subnormal, and
     at every shift of 0.
 
-    With a real coin, a real start steps its real parts alone, and so
-    does a mirror start (see the module docstring) if the coin's entries
-    pair exactly: the masses of its real walk, ``m(x)``, then become
-    ``M(x) = m(x) + m(-x mod n)`` in place on sites 0 .. n // 2, as the
-    complex walk's squares are summed, and copied to ``M(n - x)``, the
-    same bits since an add commutes, before the scale is undone.  Every
+    A real coin never mixes real and imaginary parts, so they evolve as
+    two independent real walks, and a real start steps its real parts
+    alone.  So does a mirror start, one that holds a real part on one
+    chirality and an imaginary part of equal magnitude on the other, as
+    the named start ``"symmetric"``, ``(1, i)/sqrt2``, does, if the
+    coin's entries pair exactly: ``w00 = w11, w01 = -w10`` (every theta
+    coin) or ``w00 = -w11, w01 = w10`` (the Hadamard coin).  The
+    imaginary walk is then the real one reflected, ``x -> -x`` with L
+    and R swapped, up to signs: the reflection behind ``P(x) = P(-x)``
+    (Tregenna, Flanagan, Maile and Kendon, New J. Phys. 5, 83, 2003).
+    So the masses of the real walk, ``m(x)``, become ``M(x) = m(x) +
+    m(-x mod n)`` in place on sites 0 .. n // 2, as the complex walk's
+    squares are summed, and are copied to ``M(n - x)``, the same bits
+    since an add commutes, before the scale is undone: they are
+    ``distribution()``'s bit for bit, because the reflection only flips
+    signs and swaps summands.  Entries that pair only to the last bit,
+    as those of a QR-drawn orthogonal coin often do, do not pair.  Every
     other start, and every complex coin, steps the complex rows.
     """
     # what the walk holds at site 0: a unit mass, or the chirality pair
@@ -519,7 +459,7 @@ def _circle_masses(spec, steps):
         (w00, w01), (w10, w11) = coin.matrix.real.tolist()
         (re_l, re_r), (im_l, im_r) = np.abs([pair.real, pair.imag]).tolist()
         # a paired coin, and one real and one imaginary part of equal
-        # magnitude on opposite chiralities (see the module docstring)
+        # magnitude on opposite chiralities
         mirror = ((w00 == w11 and w01 == -w10 or w00 == -w11 and w01 == w10)
                   and re_l == im_r and re_r == im_l and 0 in (re_l, re_r))
         if mirror or not np.any(pair.imag):

@@ -6,17 +6,10 @@ transfer matrix ``M_k = e^{ik} M+ + e^{-ik} M-``, where ``M+`` and ``M-``
 keep the R and the L row of the coin ``U``; that is ``M_k = diag(e^{-ik},
 e^{ik}) U``, and ``psi~(k, t) = M_k^t psi~(k, 0)``.  Powers are taken in
 closed form, never by repeated multiplication, and no ``M_k`` is ever
-built: :func:`_split` writes ``M_k = e^{ih} (cos(w) I + T)`` with ``T``
-traceless and applies ``T`` to 2-vectors from the coin's entries, and
-:func:`_propagate` turns the SU(2) part by ``t`` times its angle.  The
-split is the only one in the package: :mod:`qwalk.asymptotics` reads
-its eigenphases ``h +- w`` and its projection ``(I - i T / sin w) psi0
-/ 2`` from it too.
-
-Every coin has the same dispersion, ``cos w(k) = c cos(k - phi)``,
-scaled by ``c = |u00|`` and shifted by ``phi = arg u00 - h``, with
-``h = arg(det U) / 2``.  :func:`_dispersion` gives ``(h, c, s, phi)``,
-with ``s = |u01|``, and is the only place that computes them.
+built: :func:`_dispersion` reads the constants of its eigenphases off
+the coin, :func:`_split` splits it into a phase and an SU(2) rotation,
+and :func:`_propagate` turns the rotation by ``t`` times its angle.
+:mod:`qwalk.asymptotics` reads the same two helpers.
 
 Both topologies use the grid ``k_j = 2 pi j / N``, on which
 ``e^{i k_j n} = e^{2 pi i j n / N}``:
@@ -42,17 +35,6 @@ twiddle ``e^{-i q k_j}`` and one length-``N/d`` FFT give the sites
 ``e^{i (p - q) k_j}``.  The rows of a class that no occupied class
 reaches are never written, so the forbidden sites of a one-class start
 are exact +0.0, as in the recurrence.
-
-:func:`evolve_spectral` costs O(N log N) time and O(N) memory.  Its
-round-off grows about like ``1e-16 t`` (see its docstring for the
-measured figures).  Its bits are not the same at every SIMD level
-numpy dispatches to, for any coin: the FFTs and the complex products
-round differently with wider vectors or FMA.  Its ``1e-15 t`` bound
-holds at every level.  Measured for the Hadamard walk at t = 10^5 from
-the left and the symmetric start (numpy 2.4), with X86_V4 and AVX-512
-off and with every dispatched feature off, against the native level:
-400 002 of the 400 004 nonzero float64 parts differed, by at most
-1.4e-13, where the bound is 1e-10.
 
 This module is the independent oracle for :mod:`qwalk.evolve`.
 """
@@ -80,8 +62,9 @@ def _dispersion(coin: CoinOperator) -> tuple[float, float, float, float]:
     labels.  ``c = |u00|`` is the edge velocity of the cone,
     ``s = |u01|`` (``c^2 + s^2 = 1``) the coin's mixing, and
     ``phi = arg u00 - h`` the wavenumber shift: the group velocity
-    ``w'`` reaches ``+-c`` at ``k = phi +- pi/2``.  No other function
-    of the package computes these constants.
+    ``w'`` reaches ``+-c`` at ``k = phi +- pi/2``.  Every coin has
+    this dispersion, scaled by ``c`` and shifted by ``phi``, and no
+    other function of the package computes these constants.
     """
     u = coin.matrix
     h = float(np.angle(np.linalg.det(u))) / 2
@@ -124,9 +107,7 @@ def _propagate(
     """Apply ``M_k^t`` to ``init`` by the closed-form SU(2) power.
 
     ``init``: (..., 2) vectors, broadcast against ``k``.  With the split
-    ``M_k = e^{ih} (cos(w) I + T)`` of :func:`_split` (``h`` one float
-    for the coin, shared with the stationary-phase route) and ``T^2 =
-    -sin(w)^2 I``,
+    of :func:`_split`,
 
         ``M_k^t psi = e^{ith} [cos(tw) psi + sin(tw) / sin(w) T psi]``.
 
@@ -146,8 +127,7 @@ _SMOOTH = 30 ** 64
 def _even_smooth_at_least(need: int) -> int:
     """Smallest even integer ``>= need`` with no prime factor above 5.
 
-    Such lengths keep the FFT on its fast radix-2/3/5 kernels; a length
-    like 400002 = 2 * 3 * 66667 costs about 1.7x as much.  A length
+    Such lengths keep the FFT on its fast radix-2/3/5 kernels.  A length
     below 2**64 is such a length exactly when it divides ``_SMOOTH``.
     """
     n = max(2, need + need % 2)
@@ -163,30 +143,20 @@ def evolve_spectral(
 ) -> WaveFunction:
     """Evolve a line or circle wavefunction ``t`` steps in the Fourier domain.
 
-    Samples ``N`` wavenumbers ``k_j = 2 pi j / N``: ``N = n`` on
-    ``Circle(n)``, and on a line the smallest even 5-smooth integer at
-    least support + 2t.  Each occupied parity class of the input is
-    scattered to its sublattice of ``N/d`` indices, transformed by one
-    length-``N/d`` FFT, turned by ``M_k^t`` at ``N/d`` wavenumbers,
-    twiddled and transformed back into the rows of the class it reaches
-    (see the module docstring); on a line the output window is the
-    input's rows grown by t per side, as in
+    The grid and the sublattice transforms are the module's.  On a line
+    the output window is the input's rows grown by t per side, as in
     :func:`qwalk.evolve.evolve_line`, also for an empty input.  Rows
     that no occupied class reaches stay exact +0.0.  Time is O(N log N)
     and memory O(N): ``M_k^t`` is applied to the ``(N/d, 2)`` vectors
-    directly, and the traced peak of the Hadamard walk from one site is
-    139 B per wavenumber at t = 20 000.
+    directly.
 
     The result is exact up to round-off and must agree with
     :func:`qwalk.evolve.evolve_line` or :func:`qwalk.evolve.evolve_circle`.
     The largest amplitude error grows about like ``1e-16 t`` and is
-    bounded by ``1e-15 t`` (tested at t = 10^5): against the exact
-    ballistic answer of the identity coin and of ``diag(i, -1)``
-    (origin start) it measured 4.9e-12 and 9.2e-12 at t = 10^5 and
-    4.9e-11 and 6.9e-11 at t = 10^6.  Against the recurrence it stayed
-    below 2.0e-13 on the line up to t = 2000 and below 3.5e-13 on cycles
-    of 3 to 127 sites up to t = 20n, for the Hadamard, near-identity,
-    diagonal, antidiagonal and random U(2) coins.
+    bounded by ``1e-15 t`` (tested at t = 10^5).  The bits are not the
+    same at every SIMD level numpy dispatches to, for any coin, since
+    the FFTs and the complex products round differently with wider
+    vectors or FMA, but the ``1e-15 t`` bound holds at every level.
     """
     t = check_steps(t)
     amps, sites = init.amplitudes, init.sites

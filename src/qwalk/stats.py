@@ -1,47 +1,13 @@
 """Moments, interval masses, total-variation distances and mixing times.
 
 Line statistics (:func:`moment`, :func:`interval_mass`) are defined on
-the line only, where a site is a position; :func:`interval_mass` reads
-the cone off the coin, cutting at a velocity derived from its edge
-``|u00|`` and ``|u01|``, as :func:`qwalk.spectral._dispersion` gives
-them.  Distances to uniform (:func:`tv_distance`,
-:func:`mixing_time`) and Cesaro averages are defined on the circle
-only, where the reference needs no coin: :func:`tv_distance` refuses a
-line distribution, and the scans take a :class:`WalkSpec`, which
-refuses any topology but a circle when it is built.  The step counts
-of :func:`cesaro_average` and :func:`classical_walk` are capped at
-:data:`qwalk.core.MAX_STEPS` before anything is allocated; the mixing
-scan, which stops at its crossing, stops at that many steps too.
-
-Covers both sides of the quantum/classical comparison: the coined walk
-(via the direct evolver) and the exact dynamic-programming distribution
-of the classical symmetric random walk, so scaling fits carry no
-sampling noise.  A :class:`WalkSpec` with ``coin=None`` is the
-classical walk, and takes ``init=None``; there is no separate switch
-for it, and none of its fields has a default.  :func:`moment`
-returns a moment of a walk's distribution as a plain float, by the
-name under which :func:`qwalk.asymptotics.density_moment` gives it for
-the limiting density.
-
-Both circle walks come as site masses a block of steps at a time from
-:func:`qwalk.evolve._circle_masses`, which owns their ring and its scale.
-:func:`mixing_time` and :func:`cesaro_average` reduce once per block:
-the TV distances of all its rows, the first of them at or below delta,
-and the running sum, whose rows a reduction down the block adds one
-after another.  One helper, ``_tv_rows``, takes every TV distance, of
-a scan's block and of :func:`tv_distance`'s single distribution alike.
-Every trace, crossing and average is therefore the per-step one bit for
-bit, and no distribution object is built per step.
-
-Parity caveat for circles: at any fixed time a walk started from one
-site occupies a single parity class.  On an odd cycle the classes wrap
-into each other, so the instantaneous distribution can approach uniform;
-on an even cycle half the sites are always empty, putting a floor of
-1/2 under the distance to uniform over all sites.  So
-:func:`tv_distance` takes its reference by name, with no default: an
-instantaneous walk on an even cycle needs ``uniform_parity``, a Cesaro
-average (which fills both classes) ``uniform_all``.  An odd cycle has
-no parity classes, and ``uniform_parity`` is refused there.
+the line only, where a site is a position.  Distances to uniform
+(:func:`tv_distance`, :func:`mixing_time`) and Cesaro averages are
+defined on the circle only, where the reference needs no coin; the
+scans take a :class:`WalkSpec`.  Both sides of the quantum/classical
+comparison are exact: the coined walk by the direct evolver, and the
+classical symmetric random walk by dynamic programming, so scaling fits
+carry no sampling noise.
 """
 
 from __future__ import annotations
@@ -77,15 +43,15 @@ class WalkSpec:
 
     ``topology`` is a :class:`~qwalk.core.Circle`, where
     :func:`mixing_time` and :func:`cesaro_average` are defined.
+    ``coin`` is a :class:`~qwalk.core.CoinOperator` or None.
     ``coin=None`` is the classical symmetric random walk from site 0,
     which has no chirality and so takes ``init=None``; a coin takes a
     start that :func:`qwalk.core.chirality_pair` accepts, as
     :func:`qwalk.core.initial_state` does.  These rules are checked
     here, once: any other spec raises :class:`DomainError` when it is
-    built.  A coined spec's ``init`` is then the checked pair, a
-    read-only copy, so changing the caller's array afterwards changes
-    nothing.  A spec compares and hashes by identity, so two specs of one
-    classical walk compare unequal.
+    built.  A coined spec's ``init`` is then the checked pair, as
+    :func:`qwalk.core._freeze` holds it.  A spec compares and hashes by
+    identity, so two specs of one classical walk compare unequal.
     """
 
     topology: Circle
@@ -95,6 +61,8 @@ class WalkSpec:
     def __post_init__(self):
         if not isinstance(self.topology, Circle):
             raise DomainError(f"a WalkSpec is defined on the circle, got {self.topology!r}")
+        if not (self.coin is None or isinstance(self.coin, CoinOperator)):
+            raise DomainError(f"a WalkSpec's coin is a CoinOperator or None, got {self.coin!r}")
         if (self.coin is None) != (self.init is None):
             raise DomainError("a coin needs a start; the classical walk (coin=None) takes none")
         if self.coin is not None:
@@ -113,10 +81,15 @@ class MixingReport:
     float64 array made straight over a read-only buffer, as
     :func:`mixing_time` hands over its scan's, is held as it is, since a
     copy would double it; numpy makes neither it nor a view of it
-    writeable.  Any other trace is copied as float64: a list, a
-    writeable array, a read-only view of one, or an array that owns its
-    memory, whose holder can make it writeable again.  The report holds
-    ``time`` as a Python int.  It compares and hashes by identity.
+    writeable.  Any other trace is copied as :func:`qwalk.core._freeze`
+    copies it: a list, a writeable array, a read-only view of one, or
+    an array that owns its memory, whose holder can make it writeable
+    again.  A read-only view
+    does not make the memory under it read-only: whoever holds a
+    writeable object under such a trace, a ``bytearray`` under a
+    ``memoryview``, say, can still change the report's trace.  The
+    report holds ``time`` as a Python int.  It compares and hashes by
+    identity.
     """
 
     time: int | None
@@ -200,16 +173,16 @@ def interval_mass(dist: ProbabilityDistribution, coin: CoinOperator, eps: float)
 def _tv_rows(masses: NDArray[np.float64], parity: bool, t: int) -> NDArray[np.float64]:
     """TV distance of each row of an ``(m, n)`` mass block to uniform.
 
-    Row ``i`` is the walk at time ``t + i``.  Without ``parity`` its
-    reference is ``1/n`` on every site; with ``parity``, for an even
-    ``n`` only, it is ``2/n`` on the sites ``x`` with ``x = t + i (mod
-    2)``, the class a walk from site 0 occupies then, and zero
-    elsewhere.  The reference is subtracted as a scalar, from the whole
-    block or from each class's rows, and never built as an array:
-    ``p - 0.0`` is ``p``, and a scalar subtracts as a row full of it
-    would, so the gaps and their row sums are those against an explicit
-    reference row bit for bit.  Every TV distance of the module is taken
-    here, so the scan's trace and :func:`tv_distance` agree bit for bit.
+    Every TV distance of the module is taken here.  Row ``i`` is the
+    walk at time ``t + i``.  Without ``parity`` its reference is ``1/n``
+    on every site; with ``parity``, for an even ``n`` only, it is
+    ``2/n`` on the sites ``x`` with ``x = t + i (mod 2)``, the class a
+    walk from site 0 occupies then, and zero elsewhere.  The reference
+    is subtracted as a scalar, from the whole block or from each class's
+    rows, and never built as an array: ``p - 0.0`` is ``p``, and a
+    scalar subtracts as a row full of it would, so the gaps and their
+    row sums are those against an explicit reference row bit for bit,
+    and the scan's trace and :func:`tv_distance` agree bit for bit.
     """
     n = masses.shape[1]
     if parity:
@@ -224,9 +197,13 @@ def _tv_rows(masses: NDArray[np.float64], parity: bool, t: int) -> NDArray[np.fl
 def tv_distance(dist: ProbabilityDistribution, reference: str) -> float:
     """TV distance of a circle distribution to a named uniform reference.
 
-    ``reference`` has no default, since the right one depends on the
-    distribution.  ``uniform_all`` is uniform over all ``n`` sites, the
-    reference for an odd cycle and for a Cesaro average.
+    At any fixed time a walk started from one site occupies a single
+    parity class.  On an odd cycle the classes wrap into each other, so
+    the distribution can approach uniform; on an even cycle half the
+    sites are always empty, putting a floor of 1/2 under the distance to
+    uniform over all sites.  So ``reference`` has no default.
+    ``uniform_all`` is uniform over all ``n`` sites, the reference for
+    an odd cycle and for a Cesaro average, which fills both classes.
     ``uniform_parity`` is uniform over the ``n/2`` sites of the parity
     class a walk from site 0 occupies at ``dist.time``, the reference
     for an instantaneous walk on an even cycle; mass off that class
@@ -248,19 +225,20 @@ def tv_distance(dist: ProbabilityDistribution, reference: str) -> float:
 def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
     """Scan t = 1..t_cap for the first time TV to uniform drops to delta.
 
-    Coined specs evolve the walk from ``spec.init``; ``coin=None`` runs
-    the exact DP of the symmetric random walk from site 0.  Both compare
-    against uniform over all sites on an odd cycle and against uniform
-    on the occupied parity class on an even one.
-    The trace of (t, TV) values is always returned in full up to the
-    crossing (or the cap, if never reached).  ``t_cap`` must be an
-    integer of at least 1 and ``delta`` finite: no TV distance is at or
-    below NaN or -inf, and every one is at or below +inf, so none of
-    them is a target a scan can look for.  The scan takes at most
-    :data:`qwalk.core.MAX_STEPS` steps, so the trace stays within 8 MB:
-    a larger ``t_cap`` is accepted, because the scan stops at the
-    crossing, but a scan that reaches ``MAX_STEPS`` without one raises
-    :class:`DomainError` instead of reporting no crossing up to
+    The reference is :func:`tv_distance`'s ``uniform_all`` on an odd
+    cycle and ``uniform_parity`` on an even one.  The walk's masses come
+    a block of steps at a time from :func:`qwalk.evolve._circle_masses`,
+    and :func:`_tv_rows` reduces each block once, so the trace and the
+    crossing are the per-step ones bit for bit, and no distribution
+    object is built per step.  The trace of (t, TV) values is always
+    returned in full up to the crossing (or the cap, if never reached).
+    ``t_cap`` must be an integer of at least 1 and ``delta`` finite: no
+    TV distance is at or below NaN or -inf, and every one is at or below
+    +inf, so none of them is a target a scan can look for.  The scan
+    takes at most :data:`qwalk.core.MAX_STEPS` steps, so the trace stays
+    within 8 MB: a larger ``t_cap`` is accepted, because the scan stops
+    at the crossing, but a scan that reaches ``MAX_STEPS`` without one
+    raises :class:`DomainError` instead of reporting no crossing up to
     ``t_cap``.
     """
     if (t_cap := _as_index(t_cap, "t_cap")) < 1:
@@ -287,15 +265,16 @@ def cesaro_average(spec: WalkSpec, big_t: int) -> ProbabilityDistribution:
     """Time-averaged distribution ``(1/T) sum_{t=1}^{T} P(., t)``.
 
     The pointwise distribution of a unitary walk never converges; the
-    Cesaro average is the standard time-averaged notion that can.
-    ``coin=None`` averages the symmetric random walk from site 0.
+    Cesaro average is the standard time-averaged notion that can.  The
+    masses come a block at a time, as for :func:`mixing_time`, and one
+    reduction down each block adds its rows one after another, so the
+    average is the per-step running sum bit for bit.  ``big_t`` is an
+    integer from 1 that :func:`qwalk.core.check_steps` takes.
     """
     if (big_t := check_steps(big_t)) < 1:
         raise DomainError("T must be at least 1")
     acc = np.zeros(spec.topology.size)
     for masses in _circle_masses(spec, big_t):
-        # a reduction down the rows adds them one after another, in the
-        # order of a running sum
         acc = np.add.reduce(np.concatenate((acc[None], masses)), axis=0)
     return ProbabilityDistribution(spec.topology, acc / big_t, big_t)
 

@@ -5,18 +5,11 @@ transfer matrix into its mirror image, ``S^dag M_k S = +-M_{-k}``, with
 one consistent sign for the whole k-family.  Such an S reverses any
 bias coming from the initial chirality, and starting from an
 eigenvector of S yields an exactly symmetric distribution.
-
-``M_k = e^{ik} P_R U + e^{-ik} P_L U`` is a trigonometric polynomial of
-degree one, so the identity holds for every k exactly when it holds for
-its two coefficients: ``S^dag (P_R U) S = +-P_L U`` and ``S^dag (P_L U) S
-= +-P_R U``.  The check reads these off the coin, with no k-grid.
-
+:func:`verify_symmetrizer` checks a candidate the caller supplies, such
+as one of :data:`PAULIS`, exactly; nothing searches over candidates.
 For the rotation family (Hadamard included) ``S = sigma_y`` works; the
-minus sign shows up for the Hadamard coin.  :func:`verify_symmetrizer`
-is this exact check for a candidate the caller supplies, such as one of
-:data:`PAULIS`; nothing searches over candidates.  The symmetric start
-of every U(2) coin is in closed form (:func:`symmetric_initial`), also
-for the coins no such S verifies.
+minus sign shows up for the Hadamard coin.  :func:`symmetric_initial`
+gives the symmetric start of every U(2) coin.
 """
 
 from __future__ import annotations
@@ -72,8 +65,11 @@ def verify_symmetrizer(
 ) -> SymmetrizerReport:
     """Check ``S^dag M_k S = +-M_{-k}`` for every k, exactly.
 
-    Compares the coefficients of ``e^{ik}`` and ``e^{-ik}`` on both
-    sides, under the sign that fits them better; one sign must hold for
+    ``M_k = e^{ik} P_R U + e^{-ik} P_L U`` is a trigonometric polynomial
+    of degree one, so the identity holds for every k exactly when it
+    holds for its two coefficients: ``S^dag (P_R U) S = +-P_L U`` and
+    ``S^dag (P_L U) S = +-P_R U``, read off the coin with no k-grid,
+    under the sign that fits them better.  One sign must hold for
     both (a per-k sign flip would not be a single phase redefinition).
     ``max_residual`` is the largest entry of ``S^dag M_k S - sign
     M_{-k}`` over all k, the sum of the two coefficient residuals.  A
@@ -115,9 +111,10 @@ def symmetric_initial(coin: CoinOperator) -> NDArray[np.complex128]:
 
     The phase factor is arithmetic on the coin's two entries, with no
     transcendental, and exact where they lie on the real or imaginary
-    axis: ``p = +-1`` for every real coin, so its start is ``(1, +-i)/
-    sqrt2`` exactly, the mirror start of :mod:`qwalk.evolve`.  For the
-    Hadamard coin and every :func:`qwalk.core.theta_coin` the result is
+    axis: ``p = +-1`` for every real coin, so its start is ``(1,
+    +-i)/sqrt2`` exactly, a mirror start of
+    :func:`qwalk.evolve._circle_masses`.  For the Hadamard coin and
+    every :func:`qwalk.core.theta_coin` the result is
     ``chirality_pair("symmetric")`` bit for bit, and for ``[[1, i], [i,
     1]]/sqrt2`` it is ``(1, 1)/sqrt2``.  No part of the result is -0.0.
     """

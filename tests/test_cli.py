@@ -28,6 +28,9 @@ from qwalk.asymptotics import p_asymptotic, support_edge
 from qwalk.cli import _CHUNK, _Parser, _emit, main, parse_theta
 from qwalk.spectral import evolve_spectral
 
+#: the whole module runs again at lower SIMD levels (``-m bitwise``)
+pytestmark = pytest.mark.bitwise
+
 
 def run_cli(args, capsys):
     code = main(args)

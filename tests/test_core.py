@@ -184,6 +184,7 @@ PARTS = np.array([-0.0, 0.0, 5e-324, -5e-324, -2.2e-308, 1e-310, -0.0, 1.0,
                   -0.5, -0.0, 1e300, -0.0, 0.0, -1e-320, 0.25, -0.0])
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("held, given", [
     (lambda a: WaveFunction(Line(), a).amplitudes, PARTS.view(np.complex128).reshape(4, 2)),
     (lambda a: ProbabilityDistribution(Line(), a, 0).masses, PARTS),
@@ -470,6 +471,13 @@ def test_public_names_are_pinned():
         "symmetric_initial", "theta_coin", "tv_distance", "verify_symmetrizer",
     ]
     assert not any(inspect.ismodule(getattr(qwalk, name)) for name in qwalk.__all__)
+
+
+def test_every_public_name_keeps_a_docstring():
+    # each public contract is stated once, in its owner's docstring, so a
+    # public name without one states none
+    assert [name for name in surface.public_names()
+            if not (inspect.getdoc(getattr(qwalk, name)) or "").strip()] == []
 
 
 def test_no_private_top_level_name_is_orphaned():

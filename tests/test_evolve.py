@@ -27,6 +27,9 @@ from qwalk import (
 )
 from qwalk.evolve import _ring_blocks
 
+#: the whole module runs again at lower SIMD levels (``-m bitwise``)
+pytestmark = pytest.mark.bitwise
+
 SQRT2 = math.sqrt(2)
 
 

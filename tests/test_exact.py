@@ -14,6 +14,9 @@ from test_acceptance import DELTA0
 
 from qwalk import Circle, WalkSpec, evolve_line, hadamard_coin, initial_state, mixing_time
 
+#: the whole module runs again at lower SIMD levels (``-m bitwise``)
+pytestmark = pytest.mark.bitwise
+
 EPS = np.finfo(np.float64).eps
 
 

@@ -365,6 +365,7 @@ def assert_positive_zeros(amps):
     assert np.all(values == 0) and not np.any(np.signbit(values))
 
 
+@pytest.mark.bitwise
 @settings(max_examples=60, deadline=None)
 @given(u2_coins(), unit_pairs(), SUBLATTICE_TOPOLOGIES, st.integers(0, 63),
        st.integers(0, 200))
@@ -400,6 +401,7 @@ def two_class_starts(draw):
     return WaveFunction(topology, amps)
 
 
+@pytest.mark.bitwise
 @settings(max_examples=60, deadline=None)
 @given(u2_coins(), two_class_starts(), st.integers(0, 200))
 def test_sublattice_classes_evolve_apart_bit_for_bit(coin, psi0, t):

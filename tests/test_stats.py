@@ -33,6 +33,9 @@ from qwalk import (
 from qwalk.core import MAX_STEPS, ProbabilityDistribution, WaveFunction, _row_masses
 from qwalk.evolve import _circle_masses, _ring_blocks
 
+#: the whole module runs again at lower SIMD levels (``-m bitwise``)
+pytestmark = pytest.mark.bitwise
+
 SQRT2 = math.sqrt(2)
 
 #: a complex U(2) coin: e^{0.3i} [[e^{0.7i} c, e^{-0.2i} s], [-e^{0.2i} s, e^{-0.7i} c]]
@@ -326,8 +329,10 @@ def test_real_ring_scan_memory():
     (Circle(5), hadamard_coin(), "sideways"),
     (Circle(5), hadamard_coin(), np.array([1.0, 0.0, 0.0])),
     (Circle(5), hadamard_coin(), np.array([1.0, 1.0])),
+    (Circle(5), np.eye(2), "left"),
+    (Circle(5), "hadamard", "left"),
 ], ids=["line", "classical-with-start", "coin-without-start", "unknown-start",
-        "length-3-start", "non-unit-start"])
+        "length-3-start", "non-unit-start", "matrix-coin", "named-coin"])
 def test_walk_spec_refuses_a_walk_it_cannot_run(topology, coin, init):
     # refused once, when the spec is built, and by no scan that takes it
     with pytest.raises(DomainError):

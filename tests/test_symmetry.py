@@ -126,6 +126,7 @@ def test_symmetric_initial_serves_a_coin_without_a_pauli_symmetrizer():
     assert asymmetry(evolve_line(initial_state(pair), coin, 100)) <= 8 * EPS * 100
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("coin", [hadamard_coin()] + [
     theta_coin(theta) for theta in (0.0, 1e-13, 0.3, math.pi / 2, 2.9, math.pi)],
     ids=["hadamard", "0", "1e-13", "0.3", "pi/2", "2.9", "pi"])
@@ -150,6 +151,7 @@ EXACT_STARTS = {
 }
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("name", list(EXACT_STARTS))
 def test_symmetric_initial_is_exact_byte_for_byte(name):
     # with no -0.0 part: a rounded phase would leave a part of about 1e-16
