@@ -291,6 +291,22 @@ class CoinOperator:
         object.__setattr__(self, "matrix", m)
 
 
+def _check_walk(psi: WaveFunction, *coin: CoinOperator, on: type | None = None) -> None:
+    """Refuse with :class:`DomainError` a walk that a route taking ``psi`` cannot step.
+
+    The one check of the routes' arguments: ``psi`` is a
+    :class:`WaveFunction`, on a ``on`` topology where ``on`` is given,
+    and each of ``coin``, the route's coin if it takes one, is a
+    :class:`CoinOperator`.  A matrix or a coin's name is not a coin.
+    """
+    if not isinstance(psi, WaveFunction):
+        raise DomainError(f"the walk's state must be a WaveFunction, got {psi!r}")
+    if on is not None and not isinstance(psi.topology, on):
+        raise DomainError(f"the walk needs {on.__name__.lower()} topology, got {psi.topology!r}")
+    if not all(isinstance(c, CoinOperator) for c in coin):
+        raise DomainError(f"coin must be a CoinOperator, got {coin[0]!r}")
+
+
 def hadamard_coin() -> CoinOperator:
     """Return the Hadamard coin ``(1/sqrt2) [[1, 1], [1, -1]]``."""
     return CoinOperator(np.array([[1, 1], [1, -1]]) / math.sqrt(2))

@@ -11,8 +11,9 @@ for the rows a kernel steps.
 Fold rule.  Both kernels hand :func:`_step` the windows they cut, flush
 at the same steps (below) and cut no window shorter than 2 entries,
 because numpy's in-place complex multiply takes another loop for a
-1-element array; the line's longer windows step only zeros past the
-live entries (:func:`_mix_steps`).  So numpy takes the same loop for
+1-element array; the line cuts its windows around each flush period's
+live pairs, and any entry a window holds past them is zero
+(:func:`_mix_steps`).  So numpy takes the same loop for
 every multiply and add of both, and every cycle walk, for every coin,
 start and cycle size, is the line walk folded onto the cycle bit for
 bit until it wraps.
@@ -60,6 +61,7 @@ from .core import (
     Line,
     ProbabilityDistribution,
     WaveFunction,
+    _check_walk,
     _row_masses,
     _site_masses,
     check_steps,
@@ -75,6 +77,8 @@ _FLUSH_EVERY = 32
 #: Float64 entries of the B steps of a circle block (256 KiB, in the L2
 #: cache).
 _RING_FLOATS = 2 ** 15
+#: Bytes of a cache line: the line kernel's rows and windows start on one.
+_LINE = 64
 
 
 def evolve_line(
@@ -106,16 +110,16 @@ def evolve_line(
     input is skipped (an origin start pays for half the sites).  Both
     classes share one :func:`_unit_scale` and so one flush floor.
     Memory is O(n + 2 steps); a step costs six in-place vector
-    operations per occupied parity class, over about ``(n + 2s) / 2``
-    entries (:func:`_mix_steps` gives the windows and the arithmetic).
+    operations per occupied parity class, over at most about ``(n + 2s)
+    / 2`` entries, the live ones (:func:`_mix_steps` gives the windows
+    and the arithmetic).
 
     The rounding error grows about as ``t**(2/3)``: from the left start,
     every amplitude of the Hadamard walk lies within ``eps t**(2/3)``,
     ``eps = 2**-52``, of the exact walk in integers (``tests/exact.py``),
     which the tests check at t = 100, 500, 1000 and 2000.
     """
-    if not isinstance(psi.topology, Line):
-        raise DomainError("evolve_line needs line topology")
+    _check_walk(psi, coin, on=Line)
     steps = check_steps(steps)
     if adjoint and steps > psi.time:
         raise DomainError("cannot rewind past t = 0")
@@ -184,9 +188,12 @@ def _flush(parts, floor, scratch):
     """Set each entry of the float64 array ``parts`` below ``floor`` in magnitude to +0.0.
 
     ``scratch`` is a float64 buffer at least as long, overwritten: an
-    absolute value, a comparison and a masked copy.
+    absolute value, a comparison and a masked copy.  Returns the mask it
+    flushed, ``|parts| < floor``, which is False at a NaN: the line
+    kernel reads its live pairs off it, and the ring ignores it.
     """
-    np.copyto(parts, 0.0, where=np.abs(parts, out=scratch[:len(parts)]) < floor)
+    np.copyto(parts, 0.0, where=(low := np.abs(parts, out=scratch[:len(parts)]) < floor))
+    return low
 
 
 def _step(plans, entries):
@@ -223,32 +230,42 @@ def _mix_steps(a_in, b_in, mix, steps, first, shift, floor):
     real one as real parts alone if neither column has a nonzero
     imaginary part (their result's imaginary parts are then +0.0), and
     otherwise as the float64 view, two view entries per class entry.
-    The rows ``a, b`` and two scratch rows hold ``E + _FLUSH_EVERY``
-    class entries each, ``E = n + steps``: ``a`` from entry 0 and ``b``
-    from entry ``steps``.  They are scaled in place by ``2**shift`` and
-    stepped by ``(a, b) <- mix (a, b)`` for ``s = first ..
-    first+steps-1``, and the first E entries of ``a`` and ``b`` are
-    returned, at that scale.  At step ``s`` the live window covers the
-    ``k_s = n + s`` class entries from 0 in ``a`` and from ``steps - s``
-    in ``b``, which end at entry E.
+    The rows ``a, b`` and two scratch rows each start on a 64-byte cache
+    line and hold at least ``E + _FLUSH_EVERY`` class entries, ``E = n +
+    steps``: ``a`` from entry 0 and ``b`` from entry ``steps``.  They
+    are scaled in place by ``2**shift`` and stepped by ``(a, b) <- mix
+    (a, b)`` for ``s = first .. first+steps-1``, and the first E entries
+    of ``a`` and ``b`` are returned, at that scale.  At step ``s`` entry
+    ``i`` of ``a`` and entry ``i + steps - s`` of ``b`` form pair ``i``,
+    and the window covers the ``k_s = n + s`` pairs from 0, which end in
+    ``b`` at entry E.
 
-    The steps run a flush period of ``_FLUSH_EVERY`` steps at a time,
-    and every step of a period runs over the window of its last step,
-    ``K`` class entries and at least 2: ``a[:K]`` and the scratch
-    windows are cut once a period and ``b`` once a step, from ``steps -
-    s``, so ``b``'s window runs ``K - k_s < _FLUSH_EVERY`` entries past
-    E, into the padding.  The extra entries are not live: ``a[k_s:K]``
-    lies past ``a``'s window and pairs with entries of ``b`` at or past
-    E, so both hold +-0 and stepping them writes +-0.  When the live
-    window later grows over such an entry, a +-0 operand leaves every
-    nonzero result bit for bit (``x + 0 = x``, ``0 w = 0``), and only
-    the sign of an exact zero can change, which
+    The steps run a flush period of ``_FLUSH_EVERY`` steps at a time.
+    At the period's first step its two windows, cut ``K`` pairs long
+    (the window of its last step, and at least 2), are flushed below
+    ``floor`` through the scratch row ``t1`` (:func:`_flush`), and a
+    pair is live if any part of its entries was not flushed, so a NaN
+    or an inf is live and the walk that made it is still refused.  A
+    step writes pair ``i`` from pairs ``i`` and ``i - 1`` of the step
+    before, so over the period the live pairs never start further left
+    and end at most one pair further right a step.  Every step of the
+    period runs over one window of pairs: from the first live pair,
+    rounded down to a cache line of ``a``, to the last live pair grown
+    by the period's later steps, capped at ``K``, and at least 2 pairs,
+    which may reach one pair past ``K``.  ``a`` and the scratch windows
+    are cut there once a period, so all three start on a cache line, and
+    ``b`` once a step; a period with no live pair steps nothing.
+    ``b``'s window runs at most ``_FLUSH_EVERY`` entries past E, into
+    the padding.  Every pair but the live ones holds +-0: the flush
+    zeroed the dead ones, and ``a[k_s:]`` lies past ``a``'s window and
+    pairs with entries of ``b`` at or past E.  Stepping a pair of zeros
+    writes +-0, and when the live pairs later grow over one, a +-0
+    operand leaves every nonzero result bit for bit (``x + 0 = x``,
+    ``0 w = 0``); only the sign of an exact zero can change, which
     :class:`~qwalk.core.WaveFunction` holds as +0.0.  So a live entry
     takes the same bits in every window of 2 or more entries, for every
-    coin, as the module's fold rule needs.  The two windows of each
-    period's first step are flushed below ``floor`` through the scratch
-    row ``t1`` (:func:`_flush`), and :func:`_step` steps the period's
-    plans with the entries of ``mix``.
+    coin, as the module's fold rule needs.  :func:`_step` steps the
+    period's plans with the entries of ``mix``.
     """
     real = not np.any(mix.imag)
     # a real coin never mixes real and imaginary parts: with no
@@ -256,24 +273,38 @@ def _mix_steps(a_in, b_in, mix, steps, first, shift, floor):
     if real and not (np.any(a_in.imag) or np.any(b_in.imag)):
         a_in, b_in = a_in.real, b_in.real
     n = len(a_in)
-    work = np.zeros((4, n + steps + _FLUSH_EVERY), dtype=a_in.dtype)
+    # four rows of whole cache lines, from the first line of the buffer
+    size = -(-(n + steps + _FLUSH_EVERY) * a_in.itemsize // _LINE) * _LINE
+    raw = np.zeros(4 * size + _LINE, dtype=np.uint8)
+    work = raw[(skip := -raw.ctypes.data % _LINE):skip + 4 * size].view(a_in.dtype).reshape(4, -1)
     work[0, :n] = a_in
     work[1, steps:steps + n] = b_in
     np.ldexp(parts := work.view(np.float64), shift, out=parts)
     rows = parts if real else work
     entries = _coin_entries(mix, rows.dtype)
     f = rows.shape[1] // work.shape[1]  # view entries per class entry
+    g = rows.itemsize // 8  # float64 parts per view entry
+    line = _LINE // rows.itemsize  # view entries per cache line
     a, b, t1, t2 = rows
     for start in range(first, first + steps, _FLUSH_EVERY):
-        stop = min(start + _FLUSH_EVERY, first + steps)
-        k = f * max(2, n + stop - 1)  # the window of step stop - 1
-        av, x, y = a[:k], t1[:k], t2[:k]
+        m = min(_FLUSH_EVERY, first + steps - start)  # the period's steps
+        k = f * max(2, n + start + m - 1)  # the window of its last step
+        lo = f * (steps - start)
+        # a float64 part is dead where both windows flushed it
+        dead = _flush(a[:k].view(np.float64), floor, t1.view(np.float64))
+        dead &= _flush(b[lo:lo + k].view(np.float64), floor, t1.view(np.float64))
+        if dead[head := np.argmin(dead)]:
+            continue  # no live pair
+        i1 = k  # reached by a live pair among the window's last m
+        if dead[len(dead) - g * f * m:].all():
+            i1 = f * ((len(dead) - 1 - np.argmin(dead[::-1])) // g // f + m)
+        i0 = head // g // line * line
+        i1 = max(i1, i0 + 2 * f)
+        av, x, y = a[i0:i1], t1[i0:i1], t2[i0:i1]
         plans = []
-        for lo in range(f * (steps - start), f * (steps - stop), -f):
-            bv = b[lo:lo + k]
+        for j in range(lo, lo - f * m, -f):
+            bv = b[j + i0:j + i1]
             plans.append((av, bv, av, av, bv, bv, x, y))
-        for v in plans[0][:2]:
-            _flush(v.view(np.float64), floor, t1.view(np.float64))
         _step(plans, entries)
     return work[0, :n + steps], work[1, :n + steps]
 
@@ -291,8 +322,7 @@ def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunc
     the input, at half the work, and the result's imaginary parts are
     +0.0; any other input steps its complex rows.
     """
-    if not isinstance(psi.topology, Circle):
-        raise DomainError("evolve_circle needs circle topology")
+    _check_walk(psi, coin, on=Circle)
     steps = check_steps(steps)
 
     if steps == 0:  # no block runs, so there is no ring row to scale back
@@ -485,6 +515,7 @@ def distribution(psi: WaveFunction) -> ProbabilityDistribution:
     inf, and :class:`~qwalk.core.ProbabilityDistribution` refuses it
     with :class:`DomainError`, not an overflow warning.
     """
+    _check_walk(psi)
     with np.errstate(over="ignore", invalid="ignore"):
         masses = _site_masses(psi.amplitudes)
     return ProbabilityDistribution(psi.topology, masses, psi.time)

@@ -49,6 +49,7 @@ from .core import (
     CoinOperator,
     Line,
     WaveFunction,
+    _check_walk,
     check_steps,
 )
 
@@ -158,6 +159,7 @@ def evolve_spectral(
     the FFTs and the complex products round differently with wider
     vectors or FMA, but the ``1e-15 t`` bound holds at every level.
     """
+    _check_walk(init, coin)
     t = check_steps(t)
     amps, sites = init.amplitudes, init.sites
     topology, start, grow = init.topology, 0, 0

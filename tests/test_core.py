@@ -321,6 +321,41 @@ def test_wavefunction_validation():
                         (evolve_spectral, WaveFunction(Circle(3), ring))]:
         with pytest.raises(DomainError, match="amplitudes must be finite"):
             evolve(psi, hadamard_coin(), 1)
+    # ... and so is one that leaves it after the first flush period, in
+    # the middle of the line kernel's live pairs: the 40-step adjoint walk
+    # of a spike, times 1.5 * 2**1024, refocuses and first overflows at
+    # step 35
+    spike = evolve_line(WaveFunction(Line(), [[1.0, 0.0]], 40), hadamard_coin(), 40, adjoint=True)
+    parts = np.ldexp(1.5 * spike.amplitudes.view(np.float64), 1024)
+    late = WaveFunction(spike.topology, parts.view(np.complex128))
+    assert np.all(np.isfinite(evolve_line(late, hadamard_coin(), 34).amplitudes))
+    for steps in (35, 40, 100):
+        with pytest.raises(DomainError, match="amplitudes must be finite"):
+            evolve_line(late, hadamard_coin(), steps)
+
+
+COINS_THAT_ARE_NOT_COINS = [np.eye(2), "hadamard", None]
+
+
+@pytest.mark.parametrize("call", [
+    *[pytest.param(lambda coin=coin, route=route, topology=topology:
+                   route(initial_state("left", topology), coin, 3),
+                   id=f"{route.__name__}-coin-{type(coin).__name__}")
+      for route, topology in ((evolve_line, Line()), (evolve_circle, Circle(5)),
+                              (evolve_spectral, Line()))
+      for coin in COINS_THAT_ARE_NOT_COINS],
+    *[pytest.param(lambda route=route, psi=psi: route(psi, hadamard_coin(), 3),
+                   id=f"{route.__name__}-psi-{type(psi).__name__}")
+      for route in (evolve_line, evolve_circle, evolve_spectral)
+      for psi in (np.array([[1.0, 0.0]]), initial_state("left").amplitudes.tolist())],
+    pytest.param(lambda: distribution(np.array([[1.0, 0.0]])), id="distribution-psi-ndarray"),
+    pytest.param(lambda: distribution([[1.0, 0.0]]), id="distribution-psi-list"),
+])
+def test_routes_refuse_what_is_not_a_walk(call):
+    # a matrix, a coin's name or None is not a coin, and an array is not a
+    # wavefunction: each is refused up front, not met by an AttributeError
+    with pytest.raises(DomainError):
+        call()
 
 
 @pytest.mark.parametrize("call", [

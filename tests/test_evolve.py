@@ -11,6 +11,7 @@ from test_cli import traced_peak
 from test_spectral import parts, transfer_matrix, u2_coins, unit_pairs
 from test_stats import COMPLEX_COIN
 
+import qwalk.evolve
 from qwalk import (
     Circle,
     CoinOperator,
@@ -137,6 +138,44 @@ def test_long_walks_step_no_subnormals():
         evolve_line(initial_state("left"), hadamard_coin(), 4000)
 
 
+def spy_on_steps(monkeypatch):
+    """The plans of every ``evolve._step`` call from here on, in a list."""
+    plans = []
+    step = qwalk.evolve._step
+    monkeypatch.setattr(qwalk.evolve, "_step",
+                        lambda calls, entries: (plans.extend(calls), step(calls, entries)))
+    return plans
+
+
+def test_line_windows_are_live_and_start_on_cache_lines(monkeypatch):
+    # each flush period steps only its live pairs, on windows of a, x and
+    # y that start on 64-byte lines.  The theta = 2.16 walk has its cone
+    # edge at 0.47 t, and its adjoint half read 0.660 of the full windows
+    # (16 B a pair of the float64 view); full windows would read 1
+    coin = theta_coin(ROUND_TRIP_THETAS[3])
+    plans = spy_on_steps(monkeypatch)
+    forward = evolve_line(initial_state(np.array([0.36 + 0.48j, 0.64 - 0.48j])), coin, 2000)
+    stepped = len(plans)
+    evolve_line(forward, coin, 2000, adjoint=True)
+    assert len(plans) == 4000
+    for a, *_, x, y in plans:
+        assert a.ctypes.data % 64 == x.ctypes.data % 64 == y.ctypes.data % 64 == 0
+    # the adjoint half steps s = 1 .. 2000 over the 2001 + s pairs of one class
+    full = 16 * sum(2001 + s for s in range(1, 2001))
+    assert sum(plan[0].nbytes for plan in plans[stepped:]) < 0.7 * full
+
+
+def test_a_class_below_the_flush_floor_steps_nothing(monkeypatch):
+    # the odd class lies below 2**-600 times the even class's largest
+    # part, so its first flush leaves no live pair, and it is +0.0
+    plans = spy_on_steps(monkeypatch)
+    psi = WaveFunction(Line(), [[1.0, 0.5j], [1e-200, 1e-200j]])
+    psi = evolve_line(psi, hadamard_coin(), 70)
+    assert len(plans) == 70
+    odd = psi.amplitudes[1::2].view(np.float64)
+    assert np.all(odd == 0) and not np.any(np.signbit(odd))
+
+
 #: sha256 of the amplitude bytes of line walks that the CLI pins do not
 #: reach, ``steps[0]`` steps forward and then ``steps[1]`` back by the
 #: adjoint walk: a theta walk from a complex pair and its round trip, and
@@ -251,12 +290,12 @@ def test_tiny_input_is_stepped_at_unit_scale(evolve, topology):
 def test_kernels_hold_no_copy_of_the_input(evolve, topology, coin, steps, extra, per_row):
     # traced bytes per input row, on an input with every site of a class
     # occupied (8001 rows on the line, all 2047 sites of the cycle).  The
-    # line holds its result, the class buffer of four half-width rows and
-    # the frozen result, 32 B a result row each: about 2 result rows an
-    # input row on the way back to t = 0 (200 B traced) and 1 to t = 100
-    # (103 B).  The ring at n = 2047 holds 5 slots of 32 B a site, then
-    # the frozen result (198 B).  A 32 B scaled copy of the input, or a
-    # second copy of the result, does not fit.
+    # line holds its result and the class buffer of four half-width rows,
+    # then its result and the frozen result, 32 B a result row each: about
+    # 2 result rows an input row on the way back to t = 0 (136 B traced)
+    # and 1 to t = 100 (70 B).  The ring at n = 2047 holds 5 slots of 32 B
+    # a site, then the frozen result (200 B).  A 32 B scaled copy of the
+    # input, or a second copy of the result, does not fit.
     psi = evolve(initial_state(np.array([0.6, 0.8j]), topology), coin, 4000)
     peak = traced_peak(lambda: evolve(psi, coin, steps, **extra))
     assert peak <= per_row * len(psi.amplitudes)
