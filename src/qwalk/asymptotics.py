@@ -56,7 +56,16 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import CoinOperator, DomainError, _as_index, _as_real, _site_masses, chirality_pair
+from .core import (
+    CoinOperator,
+    DomainError,
+    _as_index,
+    _as_real,
+    _choose,
+    _numbers,
+    _site_masses,
+    chirality_pair,
+)
 from .spectral import _dispersion, _split
 
 
@@ -111,7 +120,7 @@ def asymptotic_wavefunction(
     if not 0 < edge < 1:
         raise DomainError(f"stationary phase needs 0 < |u00| < 1, got |u00| = {edge:.6g}")
     _check_time(t)
-    sites = np.asarray(sites)
+    sites = _numbers(sites, None, "sites")
     if sites.ndim != 1 or sites.dtype.kind not in "iu":
         raise DomainError("sites must be a 1-D array of integers")
     alpha = sites / t
@@ -144,9 +153,9 @@ def _density_terms(
     so the product is what is returned: it stays bounded (by 1) as
     ``|u00| -> 0``, where ``lam`` itself diverges.
     """
+    _, edge, width, _ = _dispersion(coin)
     u = coin.matrix
     a, b = chirality_pair(init)
-    _, edge, width, _ = _dispersion(coin)
     tilt = edge * (abs(a) ** 2 - abs(b) ** 2)
     if edge > 0:
         tilt += 2 * (u[0, 0] * a * np.conj(u[0, 1] * b)).real / edge
@@ -184,14 +193,13 @@ def density_moment(
     (-1 + 1/sqrt2, 1 - 1/sqrt2, 1/2); ``theta_coin(theta)`` with a
     symmetric start gives mean |alpha| = 1 - theta/pi.
     """
+    _choose(m_spec, ("mean", "second", "abs_mean"), "m_spec")
     edge, width, tilt = _density_terms(coin, init)
     if m_spec == "mean":
         # 0.0 - x rather than -x: an unbiased walk prints 0, not -0
         return (0.0 - tilt * edge) / (1 + width)
     if m_spec == "second":
         return edge * edge / (1 + width)
-    if m_spec == "abs_mean":
-        # a coin passes the 1e-14 unitarity check with |u00| up to 1 + 5e-15
-        return 2 * math.asin(min(edge, 1.0)) / math.pi
-    raise DomainError(f"m_spec must be 'mean', 'second' or 'abs_mean', got {m_spec!r}")
+    # a coin passes the 1e-14 unitarity check with |u00| up to 1 + 5e-15
+    return 2 * math.asin(min(edge, 1.0)) / math.pi
 

@@ -54,6 +54,32 @@ def _as_real(value: float, name: str) -> float:
     return float(value)
 
 
+def _require(value, kind, what: str) -> None:
+    """Refuse with :class:`DomainError` a ``value`` that is not a ``kind``.
+
+    The one type check of the package's arguments: ``kind`` is a class
+    or a union of classes, and a function checks here each argument
+    whose attributes it reads, so an array, a name or None in the place
+    of a coin, a state, a distribution, a spec or a topology is refused,
+    not met by an ``AttributeError``.  The error reads ``what``, "must
+    be a", the classes' names and the value.
+    """
+    if not isinstance(value, kind):
+        names = " or a ".join(k.__name__ for k in getattr(kind, "__args__", (kind,)))
+        raise DomainError(f"{what} must be a {names}, got {value!r}")
+
+
+def _choose(value, names: tuple[str, ...], what: str) -> None:
+    """Refuse with :class:`DomainError` a ``value`` that is not one of the strings ``names``.
+
+    The one check of the named choices: anything but a string, an array
+    included, is refused without being compared to the names, since an
+    array compares entry by entry and has no truth value.
+    """
+    if not (isinstance(value, str) and value in names):
+        raise DomainError(f"{what} must be one of {', '.join(map(repr, names))}, got {value!r}")
+
+
 def check_steps(steps: int) -> int:
     """``steps`` as the Python int :func:`_as_index` reads, if it lies in 0..:data:`MAX_STEPS`.
 
@@ -118,9 +144,7 @@ def _check_sites_and_time(record: WaveFunction | ProbabilityDistribution, count:
     time as the Python int :func:`_as_index` reads, so a NumPy integer
     such as ``np.uint8(250)`` does not wrap in ``time + steps``.
     """
-    topology = record.topology
-    if not isinstance(topology, Topology):
-        raise DomainError(f"topology must be a Line or a Circle, got {topology!r}")
+    _require(topology := record.topology, Topology, "topology")
     if isinstance(topology, Circle) and count != topology.size:
         raise DomainError(f"{count} sites given for a circle of {topology.size}")
     if (time := _as_index(record.time, "time")) < 0:
@@ -299,12 +323,11 @@ def _check_walk(psi: WaveFunction, *coin: CoinOperator, on: type | None = None) 
     and each of ``coin``, the route's coin if it takes one, is a
     :class:`CoinOperator`.  A matrix or a coin's name is not a coin.
     """
-    if not isinstance(psi, WaveFunction):
-        raise DomainError(f"the walk's state must be a WaveFunction, got {psi!r}")
-    if on is not None and not isinstance(psi.topology, on):
-        raise DomainError(f"the walk needs {on.__name__.lower()} topology, got {psi.topology!r}")
-    if not all(isinstance(c, CoinOperator) for c in coin):
-        raise DomainError(f"coin must be a CoinOperator, got {coin[0]!r}")
+    _require(psi, WaveFunction, "the walk's state")
+    if on is not None:
+        _require(psi.topology, on, "the walk's topology")
+    for c in coin:
+        _require(c, CoinOperator, "coin")
 
 
 def hadamard_coin() -> CoinOperator:

@@ -34,8 +34,10 @@ exponentially, and float64 arithmetic on the subnormals below
 :func:`_unit_scale`, ``2**-600 M`` with ``M`` the largest real or
 imaginary part of the scaled input, and before every 32nd step,
 starting with the first, sets each real or imaginary part below it to
-+0.0 (:func:`_flush`).  A flush touches at most ``4 width`` float64
-entries, ``width`` the line's ``n + 2 steps`` sites or the cycle's n,
++0.0 (:func:`_flush`); the line flushes only the pairs the period
+before could have left nonzero, and every other entry is already an
+exact zero (:func:`_mix_steps`).  A flush touches at most ``4 width``
+float64 entries, ``width`` the line's ``n + 2 steps`` sites or the cycle's n,
 so it moves the state by less than ``2 sqrt(width) floor`` in 2-norm,
 and the steps are unitary: the result moves by at most
 ``ceil(steps / 32) * 2 sqrt(width) * floor``.  A step shrinks an entry
@@ -112,7 +114,12 @@ def evolve_line(
     Memory is O(n + 2 steps); a step costs six in-place vector
     operations per occupied parity class, over at most about ``(n + 2s)
     / 2`` entries, the live ones (:func:`_mix_steps` gives the windows
-    and the arithmetic).
+    and the arithmetic).  A one-row mirror start under a paired real
+    coin, such as ``"symmetric"`` under the Hadamard or a theta coin,
+    steps its real walk alone, on real rows of one float64 part an entry
+    where its complex rows would step two, and writes each imaginary
+    column as the other column's real parts reversed, times the sign
+    :func:`_mirror` gives: half the arithmetic, the same bytes.
 
     The rounding error grows about as ``t**(2/3)``: from the left start,
     every amplitude of the Hadamard walk lies within ``eps t**(2/3)``,
@@ -126,6 +133,9 @@ def evolve_line(
 
     amps = psi.amplitudes
     shift, floor = _unit_scale(amps.view(np.float64))
+    # one row whose imaginary walk is its real walk mirrored steps the real walk alone
+    if sign := len(amps) == 1 and _mirror(coin.matrix, amps[0], steps):
+        amps = amps.real
     # The adjoint frame is the forward frame with the columns swapped:
     # it mixes (R, L) by U^dag with rows and columns reversed, one step
     # of window later.
@@ -142,7 +152,11 @@ def evolve_line(
                 out[p::2, a_col], out[p::2, b_col] = _mix_steps(
                     cls[:, a_col], cls[:, b_col], mix, steps, first, shift, floor)
 
-    np.ldexp(parts := out.view(np.float64), -shift, out=parts)
+    if sign:  # Im L(o + x) = sign Re R(o - x) and Im R(o + x) = -sign Re L(o - x)
+        np.multiply(out.real[::-1, 1], sign, out=out.imag[:, 0])
+        np.multiply(out.real[::-1, 0], -sign, out=out.imag[:, 1])
+    if shift:
+        np.ldexp(parts := out.view(np.float64), -shift, out=parts)
     t = psi.time - steps if adjoint else psi.time + steps
     return WaveFunction(Line(offset=psi.topology.offset - steps), out, t)
 
@@ -241,24 +255,30 @@ def _mix_steps(a_in, b_in, mix, steps, first, shift, floor):
     ``b`` at entry E.
 
     The steps run a flush period of ``_FLUSH_EVERY`` steps at a time.
-    At the period's first step its two windows, cut ``K`` pairs long
-    (the window of its last step, and at least 2), are flushed below
-    ``floor`` through the scratch row ``t1`` (:func:`_flush`), and a
-    pair is live if any part of its entries was not flushed, so a NaN
-    or an inf is live and the walk that made it is still refused.  A
-    step writes pair ``i`` from pairs ``i`` and ``i - 1`` of the step
-    before, so over the period the live pairs never start further left
-    and end at most one pair further right a step.  Every step of the
-    period runs over one window of pairs: from the first live pair,
-    rounded down to a cache line of ``a``, to the last live pair grown
-    by the period's later steps, capped at ``K``, and at least 2 pairs,
-    which may reach one pair past ``K``.  ``a`` and the scratch windows
-    are cut there once a period, so all three start on a cache line, and
-    ``b`` once a step; a period with no live pair steps nothing.
-    ``b``'s window runs at most ``_FLUSH_EVERY`` entries past E, into
-    the padding.  Every pair but the live ones holds +-0: the flush
-    zeroed the dead ones, and ``a[k_s:]`` lies past ``a``'s window and
-    pairs with entries of ``b`` at or past E.  Stepping a pair of zeros
+    A step writes pair ``i`` from pairs ``i`` and ``i - 1`` of the step
+    before, so after a period every pair outside its window grown by
+    one pair to the right holds +-0.  At the period's first step the
+    span that may be live, that grown window (or the input's ``n +
+    first`` pairs in the first period), is flushed below ``floor`` in
+    ``a`` and in ``b`` through the scratch row ``t1`` (:func:`_flush`),
+    and a pair is live if any part of its entries was not flushed, so a
+    NaN or an inf is live and the walk that made it is still refused;
+    a byte search of the AND of the two masks, from each end, finds the
+    first and the last live pair.  Over the period the live pairs never start
+    further left and end at most one pair further right a step.  Every
+    step of the period runs over one window of pairs: from the first
+    live pair, rounded down to a cache line of ``a``, to the last live
+    pair grown by the period's later steps, and at least 2 pairs, so it
+    ends at most at the ``K = n + s`` pairs of the period's last step
+    ``s``, or one pair past ``K``.  ``a`` and the scratch windows are
+    cut there once a period, so all three start on a cache line, and
+    ``b`` once a step; a period with no live pair ends the walk, whose
+    pairs then all hold +-0 and step to +-0.  ``b``'s window runs at
+    most ``_FLUSH_EVERY`` entries past E, into the padding.  Every pair
+    but the live ones holds +-0: the flush zeroed the dead ones in its
+    span, the pairs outside it were stepped only as zeros or never, and
+    ``a[k_s:]`` lies past ``a``'s window and pairs with entries of ``b``
+    at or past E.  Stepping a pair of zeros
     writes +-0, and when the live pairs later grow over one, a +-0
     operand leaves every nonzero result bit for bit (``x + 0 = x``,
     ``0 w = 0``); only the sign of an exact zero can change, which
@@ -279,34 +299,74 @@ def _mix_steps(a_in, b_in, mix, steps, first, shift, floor):
     work = raw[(skip := -raw.ctypes.data % _LINE):skip + 4 * size].view(a_in.dtype).reshape(4, -1)
     work[0, :n] = a_in
     work[1, steps:steps + n] = b_in
-    np.ldexp(parts := work.view(np.float64), shift, out=parts)
+    parts = work.view(np.float64)
+    if shift:
+        np.ldexp(parts, shift, out=parts)
     rows = parts if real else work
     entries = _coin_entries(mix, rows.dtype)
     f = rows.shape[1] // work.shape[1]  # view entries per class entry
     g = rows.itemsize // 8  # float64 parts per view entry
     line = _LINE // rows.itemsize  # view entries per cache line
     a, b, t1, t2 = rows
+    p0, p1 = 0, f * (n + first)  # the span that may be live: the input's pairs
     for start in range(first, first + steps, _FLUSH_EVERY):
         m = min(_FLUSH_EVERY, first + steps - start)  # the period's steps
-        k = f * max(2, n + start + m - 1)  # the window of its last step
         lo = f * (steps - start)
         # a float64 part is dead where both windows flushed it
-        dead = _flush(a[:k].view(np.float64), floor, t1.view(np.float64))
-        dead &= _flush(b[lo:lo + k].view(np.float64), floor, t1.view(np.float64))
-        if dead[head := np.argmin(dead)]:
-            continue  # no live pair
-        i1 = k  # reached by a live pair among the window's last m
-        if dead[len(dead) - g * f * m:].all():
-            i1 = f * ((len(dead) - 1 - np.argmin(dead[::-1])) // g // f + m)
-        i0 = head // g // line * line
-        i1 = max(i1, i0 + 2 * f)
+        dead = _flush(a[p0:p1].view(np.float64), floor, t1.view(np.float64))
+        dead &= _flush(b[lo + p0:lo + p1].view(np.float64), floor, t1.view(np.float64))
+        mask = dead.tobytes()  # one byte a part, 0 where it is live
+        if (head := mask.find(0)) < 0:
+            break  # no live pair, and zeros step to zeros
+        tail = mask.rfind(0)
+        i0 = (p0 + head // g) // line * line
+        i1 = max(f * ((p0 + tail // g) // f + m), i0 + 2 * f)
         av, x, y = a[i0:i1], t1[i0:i1], t2[i0:i1]
         plans = []
         for j in range(lo, lo - f * m, -f):
             bv = b[j + i0:j + i1]
             plans.append((av, bv, av, av, bv, bv, x, y))
         _step(plans, entries)
+        p0, p1 = i0, i1 + f  # b moves one pair right of a after each step
     return work[0, :n + steps], work[1, :n + steps]
+
+
+def _mirror(matrix, pair, steps):
+    """The sign that maps the real walk of a mirror start onto its imaginary walk, or 0.
+
+    A real coin never mixes real and imaginary parts, so they evolve as
+    two independent real walks.  ``pair``, the start at one site ``o``,
+    is a mirror start if it holds a real part on one chirality and an
+    imaginary part of equal magnitude on the other, as the named start
+    ``"symmetric"``, ``(1, i)/sqrt2``, does; ``matrix``, a real coin, is
+    paired if its entries pair exactly: ``w00 = w11, w01 = -w10`` (every
+    theta coin, ``e = 1``) or ``w00 = -w11, w01 = w10`` (the Hadamard
+    coin, ``e = -1``).  Then the reflection ``Q``, ``(Q psi)(o + x) =
+    (psi_R, -psi_L)(o - x)``, takes the coin to ``e`` times itself and
+    commutes with the shift, so it commutes with a forward or adjoint
+    step up to the factor ``e``.  The imaginary walk is ``c Q`` of the
+    real one at the start and ``c e**steps Q`` of it after ``steps``
+    steps: ``Im L(o + x) = s Re R(o - x)`` and ``Im R(o + x) = -s Re
+    L(o - x)``, with ``s = c e**steps`` returned and ``c = sign(Im L -
+    Im R) sign(Re L + Re R)`` of the pair.
+    This is the reflection behind ``P(x) = P(-x)`` (Tregenna, Flanagan,
+    Maile and Kendon, New J. Phys. 5, 83, 2003), and it holds bit for
+    bit, up to the sign of an exact zero: ``Q`` only flips signs and
+    swaps the summands of each step, and an add commutes.  Entries that
+    pair only to the last bit, as those of a QR-drawn orthogonal coin
+    often do, do not pair, and every other pair, a zero one included,
+    and every complex coin give 0.  :func:`evolve_line` steps a one-row
+    mirror start's real walk alone, and :func:`_circle_masses` the real
+    walk of a mirror start on the cycle.
+    """
+    if np.any(matrix.imag):
+        return 0
+    (w00, w01), (w10, w11) = matrix.real.tolist()
+    (re_l, re_r), (im_l, im_r) = pair.real.tolist(), pair.imag.tolist()
+    e = 1 if w00 == w11 and w01 == -w10 else -1 if w00 == -w11 and w01 == w10 else 0
+    if e and abs(re_l) == abs(im_r) and abs(re_r) == abs(im_l) and 0 in (re_l, re_r):
+        return e ** steps * np.sign(im_l - im_r) * np.sign(re_l + re_r)
+    return 0
 
 
 def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunction:
@@ -334,7 +394,8 @@ def evolve_circle(psi: WaveFunction, coin: CoinOperator, steps: int) -> WaveFunc
     with np.errstate(over="ignore", invalid="ignore"):
         for block, shift in _ring_blocks(rows, coin, steps):
             pass
-    np.ldexp(parts := block[-1].view(np.float64), -shift, out=parts)
+    if shift:
+        np.ldexp(parts := block[-1].view(np.float64), -shift, out=parts)
     return WaveFunction(psi.topology, block[-1].T, psi.time + steps)
 
 
@@ -400,7 +461,8 @@ def _ring_blocks(rows, coin, steps):
     ring = np.zeros((b + 1, c, width), dtype=rows.dtype)
     ring[0, :, b:b + n] = rows
     shift, floor = _unit_scale(slot := ring[0].view(np.float64))
-    np.ldexp(slot, shift, out=slot)
+    if shift:
+        np.ldexp(slot, shift, out=slot)
     if coin is None:
         half = np.array(0.5)
     else:
@@ -464,35 +526,22 @@ def _circle_masses(spec, steps):
     ``distribution()``'s bit for bit wherever no mass is subnormal, and
     at every shift of 0.
 
-    A real coin never mixes real and imaginary parts, so they evolve as
-    two independent real walks, and a real start steps its real parts
-    alone.  So does a mirror start, one that holds a real part on one
-    chirality and an imaginary part of equal magnitude on the other, as
-    the named start ``"symmetric"``, ``(1, i)/sqrt2``, does, if the
-    coin's entries pair exactly: ``w00 = w11, w01 = -w10`` (every theta
-    coin) or ``w00 = -w11, w01 = w10`` (the Hadamard coin).  The
-    imaginary walk is then the real one reflected, ``x -> -x`` with L
-    and R swapped, up to signs: the reflection behind ``P(x) = P(-x)``
-    (Tregenna, Flanagan, Maile and Kendon, New J. Phys. 5, 83, 2003).
+    A real coin never mixes real and imaginary parts, so a real start
+    steps its real parts alone.  So does a mirror start under a paired
+    coin, as :func:`_mirror` states them, whose imaginary walk is the
+    real one reflected, ``x -> -x`` with L and R swapped, up to signs.
     So the masses of the real walk, ``m(x)``, become ``M(x) = m(x) +
     m(-x mod n)`` in place on sites 0 .. n // 2, as the complex walk's
     squares are summed, and are copied to ``M(n - x)``, the same bits
     since an add commutes, before the scale is undone: they are
     ``distribution()``'s bit for bit, because the reflection only flips
-    signs and swaps summands.  Entries that pair only to the last bit,
-    as those of a QR-drawn orthogonal coin often do, do not pair.  Every
-    other start, and every complex coin, steps the complex rows.
+    signs and swaps summands.  Every other start, and every complex
+    coin, steps the complex rows.
     """
     # what the walk holds at site 0: a unit mass, or the chirality pair
-    coin, pair, mirror = spec.coin, np.ones(1) if spec.coin is None else spec.init, False
+    coin, pair, mirror = spec.coin, np.ones(1) if spec.coin is None else spec.init, 0
     if coin is not None and not np.any(coin.matrix.imag):
-        (w00, w01), (w10, w11) = coin.matrix.real.tolist()
-        (re_l, re_r), (im_l, im_r) = np.abs([pair.real, pair.imag]).tolist()
-        # a paired coin, and one real and one imaginary part of equal
-        # magnitude on opposite chiralities
-        mirror = ((w00 == w11 and w01 == -w10 or w00 == -w11 and w01 == w10)
-                  and re_l == im_r and re_r == im_l and 0 in (re_l, re_r))
-        if mirror or not np.any(pair.imag):
+        if (mirror := _mirror(coin.matrix, pair, 0)) or not np.any(pair.imag):
             pair = pair.real
     h = (n := spec.topology.size) // 2
     rows = np.zeros((len(pair), n), dtype=pair.dtype)

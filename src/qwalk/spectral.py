@@ -50,6 +50,7 @@ from .core import (
     Line,
     WaveFunction,
     _check_walk,
+    _require,
     check_steps,
 )
 
@@ -67,6 +68,7 @@ def _dispersion(coin: CoinOperator) -> tuple[float, float, float, float]:
     this dispersion, scaled by ``c`` and shifted by ``phi``, and no
     other function of the package computes these constants.
     """
+    _require(coin, CoinOperator, "coin")
     u = coin.matrix
     h = float(np.angle(np.linalg.det(u))) / 2
     return h, float(abs(u[0, 0])), float(abs(u[0, 1])), float(np.angle(u[0, 0])) - h

@@ -29,7 +29,9 @@ from .core import (
     Topology,
     _as_index,
     _as_real,
+    _choose,
     _freeze,
+    _require,
     chirality_pair,
     check_steps,
 )
@@ -114,6 +116,7 @@ def _velocities(dist: ProbabilityDistribution) -> NDArray[np.float64]:
 
     A circle has no velocity: its sites 0..n-1 are not positions on the line.
     """
+    _require(dist, ProbabilityDistribution, "dist")
     if not isinstance(dist.topology, Line) or dist.time < 1:
         raise DomainError("moments and interval masses need a line distribution at t >= 1")
     return dist.sites / dist.time
@@ -130,8 +133,7 @@ def moment(dist: ProbabilityDistribution, name: str) -> float:
     from the origin: the walk's start is not subtracted, so a walk from
     ``Line(offset=o)`` reads a mean larger by ``o/t``.
     """
-    if name not in ("mean", "abs_mean", "second"):
-        raise DomainError(f"moment must be 'mean', 'abs_mean' or 'second', got {name!r}")
+    _choose(name, ("mean", "abs_mean", "second"), "moment")
     alpha = _velocities(dist)
     weight = alpha * alpha if name == "second" else np.abs(alpha) if name == "abs_mean" else alpha
     return float(np.sum(weight * dist.masses))
@@ -212,10 +214,10 @@ def tv_distance(dist: ProbabilityDistribution, reference: str) -> float:
     uniform reference: their cone depends on the coin, which a
     distribution does not carry.
     """
+    _require(dist, ProbabilityDistribution, "dist")
     if not isinstance(dist.topology, Circle):
         raise DomainError("tv_distance is defined on the circle")
-    if reference not in ("uniform_all", "uniform_parity"):
-        raise DomainError(f"unknown reference {reference!r}")
+    _choose(reference, ("uniform_all", "uniform_parity"), "reference")
     n, parity = dist.topology.size, reference == "uniform_parity"
     if parity and n % 2:
         raise DomainError(f"uniform_parity needs an even cycle; Circle({n}) has no parity classes")
@@ -241,6 +243,7 @@ def mixing_time(spec: WalkSpec, delta: float, t_cap: int) -> MixingReport:
     raises :class:`DomainError` instead of reporting no crossing up to
     ``t_cap``.
     """
+    _require(spec, WalkSpec, "spec")
     if (t_cap := _as_index(t_cap, "t_cap")) < 1:
         raise DomainError(f"t_cap must be at least 1, got {t_cap}")
     if not math.isfinite(_as_real(delta, "delta")):
@@ -271,6 +274,7 @@ def cesaro_average(spec: WalkSpec, big_t: int) -> ProbabilityDistribution:
     average is the per-step running sum bit for bit.  ``big_t`` is an
     integer from 1 that :func:`qwalk.core.check_steps` takes.
     """
+    _require(spec, WalkSpec, "spec")
     if (big_t := check_steps(big_t)) < 1:
         raise DomainError("T must be at least 1")
     acc = np.zeros(spec.topology.size)
@@ -291,6 +295,7 @@ def classical_walk(topology: Topology, t: int) -> ProbabilityDistribution:
     reaches only at step t, so the wrap never carries any; turning it
     by t puts site ``o - t`` first.
     """
+    _require(topology, Topology, "topology")
     t = check_steps(t)
     ring = topology if isinstance(topology, Circle) else Circle(max(3, 2 * t + 1))
     masses = np.eye(1, ring.size)  # the start, if no step is taken

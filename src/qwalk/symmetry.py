@@ -20,7 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import CoinOperator, DomainError, _as_index, _as_real, _numbers, _unitarity_error
+from .core import (
+    CoinOperator,
+    DomainError,
+    _as_index,
+    _as_real,
+    _numbers,
+    _require,
+    _unitarity_error,
+)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -76,6 +84,7 @@ def verify_symmetrizer(
     negative verdict is a valid result, not an error; a candidate that
     is not a 2x2 unitary of numbers raises :class:`DomainError`.
     """
+    _require(coin, CoinOperator, "coin")
     s = _numbers(candidate, np.complex128, "candidate entries")
     # written so that a NaN entry fails it too
     if s.shape != (2, 2) or not _unitarity_error(s) <= 1e-13:
@@ -113,11 +122,12 @@ def symmetric_initial(coin: CoinOperator) -> NDArray[np.complex128]:
     transcendental, and exact where they lie on the real or imaginary
     axis: ``p = +-1`` for every real coin, so its start is ``(1,
     +-i)/sqrt2`` exactly, a mirror start of
-    :func:`qwalk.evolve._circle_masses`.  For the Hadamard coin and
+    :func:`qwalk.evolve._mirror`.  For the Hadamard coin and
     every :func:`qwalk.core.theta_coin` the result is
     ``chirality_pair("symmetric")`` bit for bit, and for ``[[1, i], [i,
     1]]/sqrt2`` it is ``(1, 1)/sqrt2``.  No part of the result is -0.0.
     """
+    _require(coin, CoinOperator, "coin")
     # each nonzero entry over its largest part first, so that a subnormal
     # entry's |z| keeps every bit of its direction
     scaled = (z / max(abs(z.real), abs(z.imag)) if z else 1 for z in coin.matrix[0].tolist())

@@ -34,7 +34,9 @@ from qwalk import (
     hadamard_coin,
     initial_state,
     mixing_time,
+    moment,
     p_asymptotic,
+    symmetric_initial,
     theta_coin,
     tv_distance,
     verify_symmetrizer,
@@ -354,6 +356,35 @@ COINS_THAT_ARE_NOT_COINS = [np.eye(2), "hadamard", None]
 def test_routes_refuse_what_is_not_a_walk(call):
     # a matrix, a coin's name or None is not a coin, and an array is not a
     # wavefunction: each is refused up front, not met by an AttributeError
+    with pytest.raises(DomainError):
+        call()
+
+
+LINE_DIST = distribution(evolve_line(initial_state("left"), hadamard_coin(), 3))
+CIRCLE_DIST = distribution(evolve_circle(initial_state("left", Circle(5)), hadamard_coin(), 3))
+NOT_A_SPEC = (Circle(5), None, None)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: density_moment(np.eye(2), "left", "mean"), id="density_moment-coin"),
+    pytest.param(lambda: classical_walk("line", 3), id="classical_walk-topology"),
+    pytest.param(lambda: mixing_time(NOT_A_SPEC, 0.1, 10), id="mixing_time-spec"),
+    pytest.param(lambda: cesaro_average(NOT_A_SPEC, 10), id="cesaro_average-spec"),
+    pytest.param(lambda: moment("x", "mean"), id="moment-dist"),
+    pytest.param(lambda: tv_distance("x", "uniform_all"), id="tv_distance-dist"),
+    pytest.param(lambda: moment(LINE_DIST, np.eye(2)), id="moment-name-ndarray"),
+    pytest.param(lambda: tv_distance(CIRCLE_DIST, np.eye(2)), id="tv_distance-reference-ndarray"),
+    pytest.param(lambda: density_moment(hadamard_coin(), "left", np.eye(2)),
+                 id="density_moment-name-ndarray"),
+    pytest.param(lambda: symmetric_initial(np.eye(2)), id="symmetric_initial-coin"),
+    pytest.param(lambda: verify_symmetrizer("hadamard", np.eye(2)), id="verify_symmetrizer-coin"),
+    pytest.param(lambda: p_asymptotic(hadamard_coin(), "left", 10, [[0, 2], [4]]),
+                 id="p_asymptotic-ragged-sites"),
+])
+def test_statistics_refuse_what_they_cannot_read(call):
+    # an object of the wrong kind is refused before an attribute of it is
+    # read, and an array in a name's place before it is compared entry by
+    # entry, whose truth value numpy refuses with its own ValueError
     with pytest.raises(DomainError):
         call()
 

@@ -165,6 +165,22 @@ def test_line_windows_are_live_and_start_on_cache_lines(monkeypatch):
     assert sum(plan[0].nbytes for plan in plans[stepped:]) < 0.7 * full
 
 
+def test_line_flushes_only_the_span_it_last_stepped(monkeypatch):
+    # each flush period flushes the pairs the period before could have
+    # left nonzero, its window grown by one pair, not both full windows;
+    # the theta = 2.16 adjoint half read 0.66 of the full windows' parts
+    coin = theta_coin(ROUND_TRIP_THETAS[3])
+    forward = evolve_line(initial_state(np.array([0.36 + 0.48j, 0.64 - 0.48j])), coin, 2000)
+    flushed, flush = [], qwalk.evolve._flush
+    monkeypatch.setattr(qwalk.evolve, "_flush",
+                        lambda parts, *rest: (flushed.append(parts.size), flush(parts, *rest))[1])
+    evolve_line(forward, coin, 2000, adjoint=True)
+    # one class of 2001 entries; the period from step s has full windows
+    # of 2001 + s + m - 1 pairs, 2 float64 parts a pair, in a and in b
+    full = sum(4 * (2000 + s + min(32, 2001 - s)) for s in range(1, 2001, 32))
+    assert sum(flushed) < 0.8 * full
+
+
 def test_a_class_below_the_flush_floor_steps_nothing(monkeypatch):
     # the odd class lies below 2**-600 times the even class's largest
     # part, so its first flush leaves no live pair, and it is +0.0
@@ -174,6 +190,44 @@ def test_a_class_below_the_flush_floor_steps_nothing(monkeypatch):
     assert len(plans) == 70
     odd = psi.amplitudes[1::2].view(np.float64)
     assert np.all(odd == 0) and not np.any(np.signbit(odd))
+
+
+#: Mirror starts: a real part on one chirality and an imaginary part of
+#: equal magnitude on the other.
+MIRROR_PAIRS = [np.array(pair) / SQRT2 for pair in ([1, 1j], [1, -1j], [-1, 1j], [1j, 1])]
+PAIRED_COINS = [hadamard_coin(), theta_coin(0.3), theta_coin(1.2), theta_coin(2.5)]
+PAIRED_IDS = ["hadamard", "theta-0.3", "theta-1.2", "theta-2.5"]
+
+
+@pytest.mark.parametrize("coin", PAIRED_COINS, ids=PAIRED_IDS)
+@pytest.mark.parametrize("pair", MIRROR_PAIRS, ids=["1,i", "1,-i", "-1,i", "i,1"])
+def test_a_mirror_start_has_the_bytes_of_the_complex_walk(coin, pair):
+    # one row steps its real walk alone and mirrors it into the imaginary
+    # parts; the same pair with a zero row after it steps the complex
+    # rows, and its results match but for the extra row, which is zero
+    for steps in (0, 1, 2, 31, 32, 33, 64, 65, 300, 301):
+        for offset in (0, -3):
+            for adjoint in (False, True):
+                time = steps if adjoint else 0
+                one = evolve_line(WaveFunction(Line(offset), [pair], time), coin, steps, adjoint)
+                two = evolve_line(WaveFunction(Line(offset), [pair, [0, 0]], time), coin, steps,
+                                  adjoint)
+                assert one.amplitudes.tobytes() == two.amplitudes[:-1].tobytes()
+                assert not np.any(two.amplitudes[-1])
+
+
+@pytest.mark.parametrize("coin", [hadamard_coin(), theta_coin(1.2)], ids=["hadamard", "theta-1.2"])
+@pytest.mark.parametrize("pair", ["symmetric", *MIRROR_PAIRS[1:]],
+                         ids=["symmetric", "1,-i", "-1,i", "i,1"])
+def test_a_mirror_start_steps_real_rows(monkeypatch, coin, pair):
+    # one float64 part per class entry: at t = 64 every one of the 64
+    # pairs of the last step is live, so its window holds 64 entries, and
+    # the float64 view of complex rows would hold 128
+    plans = spy_on_steps(monkeypatch)
+    evolve_line(initial_state(pair), coin, 64)
+    assert len(plans) == 64
+    assert {plan[0].dtype for plan in plans} == {np.dtype(np.float64)}
+    assert max(len(plan[0]) for plan in plans) == 64
 
 
 #: sha256 of the amplitude bytes of line walks that the CLI pins do not
